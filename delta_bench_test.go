@@ -9,10 +9,14 @@ import (
 	"kpj/internal/gen"
 )
 
-// These benchmarks justify incremental landmark repair: for a small
-// delta, Index.Apply (repair only the damaged table entries) must beat
-// Index.ApplyRepair with a forcing threshold (full rebuild) by a wide
-// margin, and the gap should close as the delta grows. Run with:
+// These benchmarks justify incremental landmark repair end to end: for a
+// small delta, Index.Apply (graph.Apply, then repair only the damaged
+// table entries by dynamic SSSP) must beat Index.ApplyRepair with a
+// forcing threshold (graph.Apply, then a full rebuild) by a wide margin,
+// and the gap should close as the delta grows. Both sides pay the same
+// graph.Apply; internal/landmark's BenchmarkRepair times the repair
+// alone, on single-edge increases as well as the ÷8 decreases drawn
+// here. Run with:
 //
 //	go test -bench 'BenchmarkApply(Repair|Rebuild)' -benchtime 2s .
 func deltaBenchSetup(b *testing.B, ops int) (*kpj.Index, *kpj.Delta) {

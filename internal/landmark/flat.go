@@ -43,11 +43,5 @@ func FromTables(g *graph.Graph, ids []graph.NodeID, fwd, bwd [][]int32) (*Index,
 			return nil, fmt.Errorf("%w: row %d has %d/%d entries, want %d", ErrBadTables, i, len(fwd[i]), len(bwd[i]), n)
 		}
 	}
-	return &Index{
-		g:         g,
-		landmarks: ids,
-		fwd:       fwd,
-		bwd:       bwd,
-		fp:        contentFingerprint(g, ids),
-	}, nil
+	return newIndex(g, ids, fwd, bwd), nil
 }

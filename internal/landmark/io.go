@@ -38,12 +38,6 @@ var (
 	ErrIndexMismatch = errors.New("landmark: index was built for a different graph")
 )
 
-// fingerprint summarizes the graph an index belongs to.
-func fingerprint(g *graph.Graph) (n, m, wsum uint64) {
-	s := graph.Summarize(g)
-	return uint64(s.Nodes), uint64(s.Edges), uint64(s.SumW)
-}
-
 // WriteTo serializes the index. It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -54,8 +48,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	written := int64(len(indexMagic))
-	n, m, wsum := fingerprint(ix.g)
-	header := []uint64{n, m, wsum, uint64(len(ix.landmarks))}
+	header := []uint64{ix.shape.n, ix.shape.m, ix.shape.wsum, uint64(len(ix.landmarks))}
 	for _, h := range header {
 		if err := binary.Write(out, binary.LittleEndian, h); err != nil {
 			return written, err
@@ -105,10 +98,10 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 			return nil, fmt.Errorf("%w: truncated header", ErrIndexFormat)
 		}
 	}
-	gn, gm, gw := fingerprint(g)
-	if n != gn || m != gm || wsum != gw {
+	sh := shapeOf(g)
+	if (shape{n, m, wsum}) != sh {
 		return nil, fmt.Errorf("%w: index fingerprint n=%d m=%d wsum=%d, graph has n=%d m=%d wsum=%d",
-			ErrIndexMismatch, n, m, wsum, gn, gm, gw)
+			ErrIndexMismatch, n, m, wsum, sh.n, sh.m, sh.wsum)
 	}
 	const maxLandmarks = 1 << 16
 	if count == 0 || count > maxLandmarks {
@@ -116,6 +109,7 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 	}
 	ix := &Index{
 		g:         g,
+		shape:     sh,
 		landmarks: make([]graph.NodeID, count),
 		fwd:       make([][]int32, count),
 		bwd:       make([][]int32, count),
@@ -146,6 +140,6 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 	if got != want {
 		return nil, ErrIndexChecksum
 	}
-	ix.fp = contentFingerprint(g, ix.landmarks)
+	ix.fp = contentFingerprint(sh, ix.landmarks)
 	return ix, nil
 }

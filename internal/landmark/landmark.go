@@ -44,6 +44,7 @@ type Index struct {
 	landmarks []graph.NodeID
 	fwd       [][]int32 // fwd[i][v] = δ(landmarks[i], v)
 	bwd       [][]int32 // bwd[i][v] = δ(v, landmarks[i])
+	shape     shape     // summary of g, kept so Repair can derive its successor's
 	fp        uint64    // content fingerprint, see Fingerprint
 }
 
@@ -233,15 +234,46 @@ func BuildWithLandmarksParallel(g *graph.Graph, landmarks []graph.NodeID, parall
 // newIndex assembles an Index from prebuilt tables and stamps its content
 // fingerprint. ids must already be validated and owned by the caller.
 func newIndex(g *graph.Graph, ids []graph.NodeID, fwd, bwd [][]int32) *Index {
-	ix := &Index{g: g, landmarks: ids, fwd: fwd, bwd: bwd}
-	ix.fp = contentFingerprint(g, ids)
-	return ix
+	return assemble(g, shapeOf(g), ids, fwd, bwd)
+}
+
+// assemble is newIndex for a caller that already knows g's shape.
+func assemble(g *graph.Graph, sh shape, ids []graph.NodeID, fwd, bwd [][]int32) *Index {
+	return &Index{g: g, landmarks: ids, fwd: fwd, bwd: bwd, shape: sh, fp: contentFingerprint(sh, ids)}
+}
+
+// shape is the graph summary the fingerprint words are taken from.
+type shape struct{ n, m, wsum uint64 }
+
+// shapeOf summarizes g in one pass over its edges.
+func shapeOf(g *graph.Graph) shape {
+	s := graph.Summarize(g)
+	return shape{uint64(s.Nodes), uint64(s.Edges), uint64(s.SumW)}
+}
+
+// apply returns the shape of the graph that results from the given net
+// edge changes, in O(|changes|): the same words shapeOf would compute on
+// the new graph.
+func (s shape) apply(changes []graph.EdgeChange) shape {
+	for _, c := range changes {
+		switch {
+		case c.Old == graph.Infinity: // insertion
+			s.m++
+			s.wsum += uint64(c.New)
+		case c.New == graph.Infinity: // deletion
+			s.m--
+			s.wsum -= uint64(c.Old)
+		default:
+			s.wsum += uint64(c.New - c.Old)
+		}
+	}
+	return s
 }
 
 // contentFingerprint hashes everything the distance tables are a pure
-// function of: the graph fingerprint (node/edge counts, total weight) and
-// the landmark id sequence. FNV-1a over those words.
-func contentFingerprint(g *graph.Graph, ids []graph.NodeID) uint64 {
+// function of: the graph shape (node/edge counts, total weight) and the
+// landmark id sequence. FNV-1a over those words.
+func contentFingerprint(sh shape, ids []graph.NodeID) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	mix := func(x uint64) {
@@ -251,10 +283,9 @@ func contentFingerprint(g *graph.Graph, ids []graph.NodeID) uint64 {
 			x >>= 8
 		}
 	}
-	n, m, wsum := fingerprint(g)
-	mix(n)
-	mix(m)
-	mix(wsum)
+	mix(sh.n)
+	mix(sh.m)
+	mix(sh.wsum)
 	for _, w := range ids {
 		mix(uint64(uint32(w)))
 	}

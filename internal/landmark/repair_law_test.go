@@ -1,0 +1,321 @@
+package landmark
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"kpj/internal/gen"
+	"kpj/internal/graph"
+)
+
+// The tests in this file hold Repair to the checkRepairLaw law on the
+// inputs a road network is too kind to produce: dense ties and
+// zero-weight cycles, regions that become unreachable and come back,
+// rows holding the far32 sentinel, decreases inside the region an
+// increase invalidated, and long chains repaired from repaired indexes.
+
+// tieGrid builds a w×h grid digraph (both directions of every grid edge,
+// weighted independently) with weights drawn from {0, 1, 2}: almost every
+// node has several tight in-edges, and zero-weight cycles are common.
+func tieGrid(t *testing.T, rng *rand.Rand, w, h int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(w * h)
+	id := func(x, y int) graph.NodeID { return graph.NodeID(y*w + x) }
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if x+1 < w {
+				b.AddEdge(id(x, y), id(x+1, y), graph.Weight(rng.Intn(3)))
+				b.AddEdge(id(x+1, y), id(x, y), graph.Weight(rng.Intn(3)))
+			}
+			if y+1 < h {
+				b.AddEdge(id(x, y), id(x, y+1), graph.Weight(rng.Intn(3)))
+				b.AddEdge(id(x, y+1), id(x, y), graph.Weight(rng.Intn(3)))
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func mustBuild(t *testing.T, g *graph.Graph, landmarks ...graph.NodeID) *Index {
+	t.Helper()
+	ix, err := BuildWithLandmarks(g, landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// neverFull is a threshold no damage count exceeds, so every damaged
+// table goes through repairRow rather than the full-rebuild policy.
+const neverFull = 2
+
+// TestRepairLawTies: random multi-op deltas on {0,1,2}-weighted grids,
+// each followed through a chain of 20 repairs of the repaired index.
+func TestRepairLawTies(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		for seed := int64(0); seed < 12; seed++ {
+			t.Run(fmt.Sprintf("par%d/seed%d", par, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				g := tieGrid(t, rng, 5+rng.Intn(4), 5+rng.Intn(4))
+				n := g.NumNodes()
+				ix := mustBuild(t, g, 0, graph.NodeID(n-1), graph.NodeID(rng.Intn(n)))
+				settled := 0
+				for step := 0; step < 20; step++ {
+					d := randomDeltaWeights(rng, ix.Graph(), func() graph.Weight { return graph.Weight(rng.Intn(3)) })
+					var stats RepairStats
+					ix, stats = checkRepairLaw(t, ix, d, neverFull, par)
+					settled += stats.Settled
+				}
+				if settled == 0 {
+					t.Fatal("20 deltas on a tie grid settled nothing: the dynamic path was never exercised")
+				}
+			})
+		}
+	}
+}
+
+// TestRepairLawChainRandomDigraph: the same 20-step chain on sparse
+// random digraphs, where parts of the graph are unreachable from (or
+// cannot reach) a landmark to begin with, at the default threshold.
+func TestRepairLawChainRandomDigraph(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		for seed := int64(0); seed < 12; seed++ {
+			t.Run(fmt.Sprintf("par%d/seed%d", par, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				g := randomDigraph(t, rng, 20+rng.Intn(20))
+				n := g.NumNodes()
+				ix := mustBuild(t, g, graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+				for step := 0; step < 20; step++ {
+					ix, _ = checkRepairLaw(t, ix, randomDelta(rng, ix.Graph()), 0, par)
+				}
+			})
+		}
+	}
+}
+
+// TestRepairLawDisconnectReconnect: two rings joined by one edge each
+// way. Deleting the joins strands the far ring (unreach32 in both table
+// directions); inserting new joins elsewhere brings it back.
+func TestRepairLawDisconnectReconnect(t *testing.T) {
+	const ring = 6
+	b := graph.NewBuilder(2 * ring)
+	for i := 0; i < ring; i++ {
+		b.AddBiEdge(graph.NodeID(i), graph.NodeID((i+1)%ring), graph.Weight(1+i%2))
+		b.AddBiEdge(graph.NodeID(ring+i), graph.NodeID(ring+(i+1)%ring), graph.Weight(1+i%3))
+	}
+	b.AddEdge(2, ring+1, 3).AddEdge(ring+4, 5, 2)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		ix := mustBuild(t, g, 0, ring+3)
+		cut := &graph.Delta{Deletes: []graph.EdgeRef{{U: 2, V: ring + 1}, {U: ring + 4, V: 5}}}
+		ix, stats := checkRepairLaw(t, ix, cut, neverFull, par)
+		if stats.Repaired() != 4 {
+			t.Fatalf("cutting both joins must damage all 4 tables: %+v", stats)
+		}
+		for v := graph.NodeID(0); v < ring; v++ {
+			far := v + ring
+			if ix.fwd[0][far] != unreach32 || ix.bwd[0][far] != unreach32 || ix.fwd[1][v] != unreach32 || ix.bwd[1][v] != unreach32 {
+				t.Fatalf("nodes %d/%d still reachable across the cut", v, far)
+			}
+		}
+		// Changes inside a stranded ring touch only its own landmark.
+		ix, stats = checkRepairLaw(t, ix, &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: ring, V: ring + 1, W: 9}}}, neverFull, par)
+		if stats.Repaired() > 2 {
+			t.Fatalf("a reweight in the stranded ring damaged landmark 0's tables: %+v", stats)
+		}
+		join := &graph.Delta{Inserts: []graph.EdgeUpdate{{U: 4, V: ring, W: 7}, {U: ring + 2, V: 1, W: 0}}}
+		ix, stats = checkRepairLaw(t, ix, join, neverFull, par)
+		if stats.Repaired() != 4 {
+			t.Fatalf("rejoining must damage all 4 tables: %+v", stats)
+		}
+		for v := 0; v < 2*ring; v++ {
+			if ix.fwd[0][v] == unreach32 || ix.bwd[1][v] == unreach32 {
+				t.Fatalf("node %d still unreachable after rejoining", v)
+			}
+		}
+	}
+}
+
+// TestRepairLawFar32: a line whose edges weigh 2³⁰, so every distance
+// past the second such hop is stored as far32, plus a short side branch
+// 0–8–9. A change next to far32 entries must take the per-table
+// fallback; a change on the side branch never reads one and must not.
+func TestRepairLawFar32(t *testing.T) {
+	const big = graph.Weight(1) << 30
+	b := graph.NewBuilder(10)
+	b.AddBiEdge(0, 1, 5).AddBiEdge(1, 2, 7).AddBiEdge(0, 8, 3).AddBiEdge(8, 9, 4)
+	for i := graph.NodeID(2); i < 7; i++ {
+		b.AddBiEdge(i, i+1, big)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := mustBuild(t, g, 0)
+	if old.fwd[0][3] >= far32 || old.fwd[0][4] != far32 || old.fwd[0][7] != far32 {
+		t.Fatalf("fixture does not hold far32 where expected: %v", old.fwd[0])
+	}
+	repairsInexactly := func(d *graph.Delta) bool {
+		ng, eff, err := graph.Apply(g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, ok := repairRow(g, ng, graph.Forward, 0, old.fwd[0], eff.Changes)
+		return !ok
+	}
+	for _, par := range []int{1, 4} {
+		// (2,3) is tight and the closure under it runs into far32 entries.
+		up := &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: 2, V: 3, W: big + 1}}}
+		if !repairsInexactly(up) {
+			t.Fatal("increase above far32 entries did not fall back")
+		}
+		_, stats := checkRepairLaw(t, old, up, neverFull, par)
+		if stats.FwdRepaired != 1 || stats.Settled < g.NumNodes() {
+			t.Fatalf("fallback table should count a full Dijkstra's settles: %+v", stats)
+		}
+		// A shortcut whose relaxation wave reaches far32 entries.
+		down := &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: 2, V: 3, W: 1}}}
+		if !repairsInexactly(down) {
+			t.Fatal("decrease reaching far32 entries did not fall back")
+		}
+		checkRepairLaw(t, old, down, neverFull, par)
+		// New labels at or past far32 cannot be stored exactly either.
+		ins := &graph.Delta{Deletes: []graph.EdgeRef{{U: 1, V: 2}}, Inserts: []graph.EdgeUpdate{{U: 0, V: 2, W: 2*big - 1}}}
+		if !repairsInexactly(ins) {
+			t.Fatal("label beyond int32 did not fall back")
+		}
+		checkRepairLaw(t, old, ins, neverFull, par)
+		// Far from the sentinel entries the dynamic path runs to the end.
+		near := &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: 8, V: 9, W: 6}}}
+		if repairsInexactly(near) {
+			t.Fatal("repair that reads no far32 entry fell back")
+		}
+		_, stats = checkRepairLaw(t, old, near, neverFull, par)
+		if stats.FwdRepaired != 1 || stats.Settled >= g.NumNodes() {
+			t.Fatalf("dynamic repair next to far32 rows: %+v", stats)
+		}
+	}
+}
+
+// TestRepairLawDecreaseInsideMarkedRegion: one delta both lengthens a
+// tight edge and shortens an edge whose tail hangs under it, so step 3
+// seeds from a label that step 2 has only just rebuilt.
+func TestRepairLawDecreaseInsideMarkedRegion(t *testing.T) {
+	// 0 →1→ 1 →1→ 2 →1→ 3 →10→ 4, with detours 0 →50→ 2 and 0 →far→ 4.
+	for _, detour := range []graph.Weight{20, 200} {
+		b := graph.NewBuilder(5)
+		b.AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(2, 3, 1).AddEdge(3, 4, 10).AddEdge(0, 2, 50).AddEdge(0, 4, detour)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: 0, V: 1, W: 100}, {U: 3, V: 4, W: 1}}}
+		ix, _ := checkRepairLaw(t, mustBuild(t, g, 0), d, neverFull, 1)
+		want := []int32{0, 100, 50, 51, 52}
+		if detour < 52 {
+			want[4] = int32(detour)
+		}
+		for v, w := range want {
+			if ix.fwd[0][v] != w {
+				t.Fatalf("detour %d: δ(0,%d) = %d, want %d", detour, v, ix.fwd[0][v], w)
+			}
+		}
+	}
+
+	// The same shape found in a road network: lengthen a shortest-path
+	// edge out of the landmark's neighbourhood and shorten an edge a few
+	// tight hops below it.
+	g, err := gen.Road(gen.RoadConfig{Width: 30, Height: 30, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := mustBuild(t, g, 0, 899, 450)
+	row := old.fwd[0]
+	tightChild := func(u graph.NodeID) (graph.NodeID, bool) {
+		for _, e := range g.Out(u) {
+			if graph.Weight(row[u])+e.W == graph.Weight(row[e.To]) {
+				return e.To, true
+			}
+		}
+		return 0, false
+	}
+	for _, par := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(par)))
+		for cases := 0; cases < 30; {
+			a := graph.NodeID(rng.Intn(g.NumNodes()))
+			b, ok := tightChild(a)
+			if !ok {
+				continue
+			}
+			x := b
+			for hops := 1 + rng.Intn(4); hops > 0; hops-- {
+				if next, ok := tightChild(x); ok {
+					x = next
+				}
+			}
+			out := g.Out(x)
+			y := out[rng.Intn(len(out))].To
+			wab, _ := g.HasEdge(a, b)
+			d := &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: a, V: b, W: wab + 500}, {U: x, V: y, W: 1}}}
+			checkRepairLaw(t, old, d, neverFull, par)
+			cases++
+		}
+	}
+}
+
+// TestRepairSettledFollowsDirtyRegion gates the point of dynamic repair
+// as a count: over 50 chained single-edge reweights of a 100×100 road
+// network (half heavier, half lighter), the nodes settled are at most 5%
+// of what recomputing each damaged table would settle.
+func TestRepairSettledFollowsDirtyRegion(t *testing.T) {
+	g, err := gen.Road(gen.RoadConfig{Width: 100, Height: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(g, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	n := g.NumNodes()
+	settled, repaired := 0, 0
+	for i := 0; i < 50; i++ {
+		d := &graph.Delta{SetWeights: []graph.EdgeUpdate{randomReweight(rng, ix.Graph(), i%2 == 0)}}
+		ng, eff, err := graph.Apply(ix.Graph(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, _, stats, err := Repair(ng, ix, eff.Changes, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.FullRebuild {
+			t.Fatalf("reweight %d fell back to a full rebuild: %+v", i, stats)
+		}
+		settled += stats.Settled
+		repaired += stats.Repaired()
+		ix = next
+	}
+	rebuilt, err := BuildWithLandmarks(ix.Graph(), ix.landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.TablesChecksum() != rebuilt.TablesChecksum() || ix.Fingerprint() != rebuilt.Fingerprint() {
+		t.Fatal("chain of 50 repairs differs from a rebuild on the final graph")
+	}
+	t.Logf("%d tables repaired, %d nodes settled (%.2f%% of %d×%d)", repaired, settled, 100*float64(settled)/float64(repaired*n), repaired, n)
+	if repaired == 0 {
+		t.Fatal("no reweight damaged a table")
+	}
+	if settled*20 > repaired*n {
+		t.Fatalf("settled %d nodes over %d repaired tables of %d nodes: more than 5%% of full Dijkstras", settled, repaired, n)
+	}
+}

@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,8 +29,13 @@ func randomDigraph(t *testing.T, rng *rand.Rand, n int) *graph.Graph {
 	return g
 }
 
-// randomDelta derives a small valid delta over g.
+// randomDelta derives a small valid delta over g with weights in 1..40.
 func randomDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
+	return randomDeltaWeights(rng, g, func() graph.Weight { return graph.Weight(1 + rng.Intn(40)) })
+}
+
+// randomDeltaWeights is randomDelta with the caller's weight distribution.
+func randomDeltaWeights(rng *rand.Rand, g *graph.Graph, weight func() graph.Weight) *graph.Delta {
 	var d graph.Delta
 	n := g.NumNodes()
 	var present [][2]graph.NodeID
@@ -43,7 +49,7 @@ func randomDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
 		switch rng.Intn(3) {
 		case 0: // weight change
 			e := present[rng.Intn(len(present))]
-			d.SetWeights = append(d.SetWeights, graph.EdgeUpdate{U: e[0], V: e[1], W: graph.Weight(1 + rng.Intn(40))})
+			d.SetWeights = append(d.SetWeights, graph.EdgeUpdate{U: e[0], V: e[1], W: weight()})
 		case 1: // delete (at most one, so the graph keeps most structure)
 			if len(d.Deletes) == 0 {
 				k := rng.Intn(len(present))
@@ -74,11 +80,82 @@ func randomDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
 				}
 			}
 			if !dup {
-				d.Inserts = append(d.Inserts, graph.EdgeUpdate{U: u, V: v, W: graph.Weight(1 + rng.Intn(40))})
+				d.Inserts = append(d.Inserts, graph.EdgeUpdate{U: u, V: v, W: weight()})
 			}
 		}
 	}
 	return &d
+}
+
+// randomReweight draws an edge of g and a new weight for it: 1..50
+// heavier (the traffic kpjload's update-reweight models) or halved.
+func randomReweight(rng *rand.Rand, g *graph.Graph, heavier bool) graph.EdgeUpdate {
+	for {
+		u := graph.NodeID(rng.Intn(g.NumNodes()))
+		out := g.Out(u)
+		if len(out) == 0 {
+			continue
+		}
+		e := out[rng.Intn(len(out))]
+		w := e.W / 2
+		if heavier {
+			w = e.W + 1 + graph.Weight(rng.Intn(50))
+		}
+		return graph.EdgeUpdate{U: u, V: e.To, W: w}
+	}
+}
+
+// checkRepairLaw applies d to old's graph, repairs old at the given
+// parallelism and holds the result to the Repair ≡ BuildWithLandmarks
+// law: equal fingerprint and TablesChecksum, a dirty mask that is true
+// exactly where some table entry changed, DirtyNodes equal to its
+// population, and the old index left as it was.
+func checkRepairLaw(t *testing.T, old *Index, d *graph.Delta, threshold float64, parallelism int) (*Index, RepairStats) {
+	t.Helper()
+	g, before := old.Graph(), old.TablesChecksum()
+	ng, eff, err := graph.Apply(g, d)
+	if err != nil {
+		t.Fatalf("apply %+v: %v", d, err)
+	}
+	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, threshold, parallelism)
+	if err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	rebuilt, err := BuildWithLandmarks(ng, old.landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repaired.Fingerprint() != rebuilt.Fingerprint() {
+		t.Fatalf("fingerprint %x vs rebuild %x", repaired.Fingerprint(), rebuilt.Fingerprint())
+	}
+	if repaired.TablesChecksum() != rebuilt.TablesChecksum() {
+		t.Fatalf("tables differ from full rebuild (stats %+v, changes %+v)", stats, eff.Changes)
+	}
+	wantDirty := 0
+	for v := range dirty {
+		changed := false
+		for i := range old.landmarks {
+			if old.fwd[i][v] != rebuilt.fwd[i][v] || old.bwd[i][v] != rebuilt.bwd[i][v] {
+				changed = true
+			}
+		}
+		if changed != dirty[v] {
+			t.Fatalf("node %d: entry changed = %v, dirty = %v (stats %+v, changes %+v)", v, changed, dirty[v], stats, eff.Changes)
+		}
+		if changed {
+			wantDirty++
+		}
+	}
+	if stats.DirtyNodes != wantDirty {
+		t.Fatalf("DirtyNodes %d, mask has %d", stats.DirtyNodes, wantDirty)
+	}
+	if old.Graph() != g || old.TablesChecksum() != before {
+		t.Fatal("repair modified the old index")
+	}
+	if repaired.Graph() != ng {
+		t.Fatal("repaired index not bound to the new graph")
+	}
+	return repaired, stats
 }
 
 // TestRepairMatchesFullRebuild is the core soundness property: after any
@@ -95,48 +172,8 @@ func TestRepairMatchesFullRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := randomDelta(rng, g)
-		ng, eff, err := graph.Apply(g, d)
-		if err != nil {
-			t.Fatalf("seed %d: apply: %v", seed, err)
-		}
-		repaired, dirty, stats, err := Repair(ng, old, eff.Changes, 0, 1+rng.Intn(4))
-		if err != nil {
-			t.Fatalf("seed %d: repair: %v", seed, err)
-		}
-		rebuilt, err := BuildWithLandmarks(ng, lmk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if repaired.Fingerprint() != rebuilt.Fingerprint() {
-			t.Fatalf("seed %d: fingerprint %x vs rebuild %x", seed, repaired.Fingerprint(), rebuilt.Fingerprint())
-		}
-		if repaired.TablesChecksum() != rebuilt.TablesChecksum() {
-			t.Fatalf("seed %d: tables differ from full rebuild (repaired %d/%d rows, full=%v, changes=%+v)",
-				seed, stats.FwdRepaired, stats.BwdRepaired, stats.FullRebuild, eff.Changes)
-		}
-		// The dirty mask must cover every node whose entry changed
-		// between the old and the rebuilt index, in any table.
-		for i := range lmk {
-			for v := 0; v < n; v++ {
-				if (old.fwd[i][v] != rebuilt.fwd[i][v] || old.bwd[i][v] != rebuilt.bwd[i][v]) && !dirty[v] {
-					t.Fatalf("seed %d: node %d changed but is not dirty", seed, v)
-				}
-			}
-		}
-		wantDirty := 0
-		for _, x := range dirty {
-			if x {
-				wantDirty++
-			}
-		}
-		if stats.DirtyNodes != wantDirty {
-			t.Fatalf("seed %d: DirtyNodes %d, mask has %d", seed, stats.DirtyNodes, wantDirty)
-		}
-		// Old index untouched.
-		if old.Graph() != g {
-			t.Fatal("old index rebound")
-		}
+		d, par := randomDelta(rng, g), 1+rng.Intn(4)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkRepairLaw(t, old, d, 0, par) })
 	}
 }
 

@@ -40,6 +40,9 @@ type UpdateResponse struct {
 	// RepairedTables counts the landmark tables recomputed incrementally
 	// (0 when no index is loaded or the delta damaged nothing).
 	RepairedTables int `json:"repairedTables"`
+	// RepairSettled counts the nodes the repair settled, summed over the
+	// recomputed tables: the machine-independent cost of the update.
+	RepairSettled int `json:"repairSettled,omitempty"`
 	// FullRebuild reports that damage exceeded the repair threshold and
 	// every table was recomputed.
 	FullRebuild bool `json:"fullRebuild,omitempty"`
@@ -161,8 +164,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	setEpochHeaders(w, next)
 	writeJSON(w, http.StatusOK, resp)
 	s.met.observeUpdate(true)
-	s.logf("server: epoch %d -> %d: %d delta ops, %d tables repaired, cache %d migrated / %d dropped",
-		ep.seq, next.seq, d.Ops(), resp.RepairedTables, resp.CacheMigrated, resp.CacheDropped)
+	s.logf("server: epoch %d -> %d: %d delta ops, %d tables repaired (%d nodes settled), cache %d migrated / %d dropped",
+		ep.seq, next.seq, d.Ops(), resp.RepairedTables, resp.RepairSettled, resp.CacheMigrated, resp.CacheDropped)
 }
 
 // parseFence reads the optional X-Kpj-Expect-Epoch / X-Kpj-Expect-Fingerprint
@@ -207,6 +210,7 @@ func (s *Server) applyDelta(ep *epochState, d *kpj.Delta) (*epochState, *UpdateR
 		}
 		next = &epochState{g: app.Graph, ix: app.Index, seq: ep.seq + 1}
 		resp.RepairedTables = app.Stats.Repaired()
+		resp.RepairSettled = app.Stats.Settled
 		resp.FullRebuild = app.Stats.FullRebuild
 		resp.Fingerprint = fmt.Sprintf("%016x", app.Index.Fingerprint())
 		resp.CacheMigrated, resp.CacheDropped = app.RekeyBounds(s.cache)

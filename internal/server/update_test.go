@@ -63,6 +63,11 @@ func TestUpdatePublishesNewEpoch(t *testing.T) {
 	if up.Epoch != 1 || up.Fingerprint == "" {
 		t.Fatalf("update response: %+v", up)
 	}
+	// The new shortcut damages landmark tables; the response carries the
+	// repair's work counter next to the table count.
+	if up.RepairedTables == 0 || up.RepairSettled == 0 || !strings.Contains(string(body), `"repairSettled":`) {
+		t.Fatalf("update response lacks repair accounting: %s", body)
+	}
 	if got := healthzEpoch(t, s); got != 1 {
 		t.Fatalf("healthz epoch after update = %d", got)
 	}
@@ -216,8 +221,8 @@ func TestUpdateUnindexedServer(t *testing.T) {
 	if err := json.Unmarshal(body, &up); err != nil {
 		t.Fatal(err)
 	}
-	if up.Epoch != 1 || up.Fingerprint != "" || up.RepairedTables != 0 {
-		t.Fatalf("unindexed update response: %+v", up)
+	if up.Epoch != 1 || up.Fingerprint != "" || up.RepairedTables != 0 || strings.Contains(string(body), "repairSettled") {
+		t.Fatalf("unindexed update response: %s", body)
 	}
 	rec, body = get(t, s, "/query?source=0&category=poi&k=1")
 	if rec.Code != http.StatusOK {

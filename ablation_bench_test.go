@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"kpj/internal/core"
+	"kpj/internal/flatindex"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
 )
@@ -141,7 +142,8 @@ func BenchmarkAblationBoundingDiscipline(b *testing.B) {
 }
 
 // BenchmarkAblationIndexPersistence compares building the landmark index
-// from scratch against loading it from its serialized form.
+// from scratch against loading graph and index from the flat format with
+// full verification.
 func BenchmarkAblationIndexPersistence(b *testing.B) {
 	e := env()
 	g, err := e.Graph("CAL")
@@ -153,7 +155,7 @@ func BenchmarkAblationIndexPersistence(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := flatindex.Write(&buf, g, ix); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -166,7 +168,7 @@ func BenchmarkAblationIndexPersistence(b *testing.B) {
 	})
 	b.Run("load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := landmark.Read(bytes.NewReader(data), g); err != nil {
+			if _, err := flatindex.Read(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -279,15 +279,15 @@ func TestFaultPointsLoadPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := kpj.WriteFlat(&buf, c.g, ix); err != nil {
 		t.Fatal(err)
 	}
 	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad}))
-	if _, err := kpj.LoadIndex(bytes.NewReader(buf.Bytes()), c.g); !errors.Is(err, kpj.ErrInjectedFault) {
+	if _, _, err := kpj.ReadFlat(bytes.NewReader(buf.Bytes())); !errors.Is(err, kpj.ErrInjectedFault) {
 		t.Fatalf("index.load: err = %v, want ErrInjectedFault", err)
 	}
 	fault.Install(nil)
-	if _, err := kpj.LoadIndex(bytes.NewReader(buf.Bytes()), c.g); err != nil {
+	if _, _, err := kpj.ReadFlat(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("clean reload after fault cleared: %v", err)
 	}
 }

@@ -41,8 +41,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Metrics go to stderr so the stdout tables (diffed against
-	// BENCH_baseline.json in CI) are byte-identical with or without them.
+	// Metrics go to stderr so the stdout tables are byte-identical with
+	// or without them.
 	var metricsReg *kpj.MetricsRegistry
 	if *metrics {
 		metricsReg = kpj.NewMetricsRegistry()
@@ -71,8 +71,7 @@ func main() {
 	}
 	reg := experiments.Registry()
 	// jsonDoc accumulates the -format json output: the effective config
-	// plus every table, keyed by experiment id. CI diffs this against the
-	// checked-in BENCH_baseline.json to catch row/column regressions.
+	// plus every table, keyed by experiment id.
 	jsonDoc := struct {
 		Config experiments.Config             `json:"config"`
 		Tables map[string][]experiments.Table `json:"tables"`

@@ -1,15 +1,16 @@
-// Command kpjindex builds a landmark index for a graph offline and saves
-// it to disk; kpjquery loads it with -index instead of rebuilding per run.
+// Command kpjindex is the DIMACS importer: it reads a ".gr" graph (plus an
+// optional POI category file), builds the landmark index offline, and
+// writes graph, categories and index as one flat file — the only
+// persisted form, which kpjserver -flat [-mmap] and kpjquery -flat load
+// without re-parsing or rebuilding anything.
 //
 // Usage:
 //
-//	kpjindex -graph sj.gr -landmarks 16 -out sj.idx
-//	kpjindex -graph sj.gr -pois sj.pois -landmarks 16 -format flat -out sj.kpjflat
+//	kpjindex -graph sj.gr -pois sj.pois -landmarks 16 -out sj.kpjflat
 //
-// With -format flat the output is the mmap-able flat layout carrying the
-// graph (adjacency and categories) alongside the index, which kpjserver
-// loads with -flat [-mmap] in O(1) instead of re-parsing the DIMACS file.
-// -landmarks 0 with -format flat writes the graph alone.
+// -landmarks 0 writes the graph alone. The output is renamed into place,
+// never written in place, so a kpjserver that has the old file mapped
+// keeps a consistent view until it is told to reload.
 package main
 
 import (
@@ -23,29 +24,22 @@ import (
 
 func main() {
 	graphPath := flag.String("graph", "", "DIMACS .gr file (required)")
-	poisPath := flag.String("pois", "", "POI category file to embed (flat format only)")
-	landmarks := flag.Int("landmarks", 16, "landmark count (0 skips the index with -format flat)")
+	poisPath := flag.String("pois", "", "POI category file to embed")
+	landmarks := flag.Int("landmarks", 16, "landmark count (0 writes the graph without an index)")
 	seed := flag.Int64("seed", 1, "selection seed")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for the construction Dijkstras (<= 0 all cores)")
-	format := flag.String("format", "index", "output format: index (landmark tables only) or flat (mmap-able graph+categories+index)")
-	out := flag.String("out", "kpj.idx", "output file")
+	out := flag.String("out", "kpj.kpjflat", "output file")
 	flag.Parse()
 
-	if err := run(*graphPath, *poisPath, *landmarks, *seed, *parallelism, *format, *out); err != nil {
+	if err := run(*graphPath, *poisPath, *landmarks, *seed, *parallelism, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjindex: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphPath, poisPath string, landmarks int, seed int64, parallelism int, format, out string) error {
+func run(graphPath, poisPath string, landmarks int, seed int64, parallelism int, out string) error {
 	if graphPath == "" {
 		return fmt.Errorf("-graph is required")
-	}
-	if format != "index" && format != "flat" {
-		return fmt.Errorf("-format must be index or flat, got %q", format)
-	}
-	if landmarks <= 0 && format != "flat" {
-		return fmt.Errorf("-landmarks must be positive with -format index")
 	}
 	gf, err := os.Open(graphPath)
 	if err != nil {
@@ -77,36 +71,18 @@ func run(graphPath, poisPath string, landmarks int, seed int64, parallelism int,
 		built = time.Since(start)
 	}
 
-	if format == "flat" {
-		if err := kpj.WriteFlatFile(out, g, ix); err != nil {
-			return err
-		}
-		st, err := os.Stat(out)
-		if err != nil {
-			return err
-		}
-		count := 0
-		if ix != nil {
-			count = ix.Count()
-		}
-		fmt.Printf("built %d-landmark index for %d nodes in %v; wrote %d-byte flat file to %s (serve with kpjserver -flat %s -mmap)\n",
-			count, g.NumNodes(), built.Round(time.Millisecond), st.Size(), out, out)
-		return nil
+	if err := kpj.WriteFlatFile(out, g, ix); err != nil {
+		return err
 	}
-
-	f, err := os.Create(out)
+	st, err := os.Stat(out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	n, err := ix.WriteTo(f)
-	if err != nil {
-		return err
+	count := 0
+	if ix != nil {
+		count = ix.Count()
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("built %d-landmark index for %d nodes in %v; wrote %d bytes to %s\n",
-		ix.Count(), g.NumNodes(), built.Round(time.Millisecond), n, out)
+	fmt.Printf("built %d-landmark index for %d nodes in %v; wrote %d-byte flat file to %s (serve with kpjserver -flat %s -mmap)\n",
+		count, g.NumNodes(), built.Round(time.Millisecond), st.Size(), out, out)
 	return nil
 }

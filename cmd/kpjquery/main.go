@@ -1,10 +1,12 @@
-// Command kpjquery runs ad-hoc KPJ / KSP / GKPJ queries against a graph on
-// disk (DIMACS ".gr" plus a POI category file, e.g. from kpjgen).
+// Command kpjquery runs ad-hoc KPJ / KSP / GKPJ queries against a flat
+// graph+categories+index file written by kpjindex. The landmark index is
+// whatever the file carries (kpjindex -landmarks 0 writes none, and the
+// query then runs the no-landmark variants).
 //
 // Usage:
 //
-//	kpjquery -graph sj.gr -pois sj.pois -source 42 -category T2 -k 5
-//	kpjquery -graph sj.gr -pois sj.pois -source-category T1 -category T2 -k 5 -alg DA-SPT
+//	kpjquery -flat sj.kpjflat -source 42 -category T2 -k 5
+//	kpjquery -flat sj.kpjflat -source-category T1 -category T2 -k 5 -alg DA-SPT
 package main
 
 import (
@@ -27,23 +29,19 @@ var algorithms = map[string]kpj.Algorithm{
 }
 
 func main() {
-	graphPath := flag.String("graph", "", "DIMACS .gr file (required)")
-	poisPath := flag.String("pois", "", "POI category file")
+	flatPath := flag.String("flat", "", "flat graph+categories+index file from kpjindex (required)")
 	source := flag.Int("source", -1, "source node id (KPJ/KSP)")
 	sourceCat := flag.String("source-category", "", "source category (GKPJ)")
 	category := flag.String("category", "", "destination category (required)")
 	k := flag.Int("k", 10, "number of paths")
 	alg := flag.String("alg", "IterBoundI", "algorithm: "+strings.Join(algoNames(), ", "))
-	landmarks := flag.Int("landmarks", 16, "landmark count (0 disables the index)")
-	indexPath := flag.String("index", "", "prebuilt index file from kpjindex (overrides -landmarks)")
 	alpha := flag.Float64("alpha", 1.1, "tau growth factor")
-	seed := flag.Int64("seed", 1, "landmark selection seed")
 	trace := flag.Bool("trace", false, "print an EXPLAIN-style engine trace to stderr")
 	spans := flag.Bool("spans", false, "print the query's phase timeline (EXPLAIN ANALYZE) as JSON to stderr")
 	metrics := flag.Bool("metrics", false, "print engine metrics in Prometheus text format to stderr")
 	flag.Parse()
 
-	if err := run(*graphPath, *poisPath, *source, *sourceCat, *category, *k, *alg, *landmarks, *indexPath, *alpha, *seed, *trace, *spans, *metrics); err != nil {
+	if err := run(*flatPath, *source, *sourceCat, *category, *k, *alg, *alpha, *trace, *spans, *metrics); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjquery: %v\n", err)
 		os.Exit(1)
 	}
@@ -57,37 +55,27 @@ func algoNames() []string {
 	return names
 }
 
-func run(graphPath, poisPath string, source int, sourceCat, category string, k int, alg string, landmarks int, indexPath string, alpha float64, seed int64, trace, spans, metrics bool) error {
-	if graphPath == "" || category == "" {
-		return fmt.Errorf("-graph and -category are required")
+func run(flatPath string, source int, sourceCat, category string, k int, alg string, alpha float64, trace, spans, metrics bool) error {
+	if flatPath == "" || category == "" {
+		return fmt.Errorf("-flat and -category are required")
 	}
 	algo, ok := algorithms[alg]
 	if !ok {
 		return fmt.Errorf("unknown algorithm %q (want one of %s)", alg, strings.Join(algoNames(), ", "))
 	}
 
-	gf, err := os.Open(graphPath)
+	start := time.Now()
+	g, ix, closer, err := kpj.OpenFlat(flatPath, false)
 	if err != nil {
 		return err
 	}
-	defer gf.Close()
-	g, err := kpj.ReadGraph(gf)
-	if err != nil {
-		return err
-	}
-	if poisPath != "" {
-		pf, err := os.Open(poisPath)
-		if err != nil {
-			return err
-		}
-		defer pf.Close()
-		if err := g.ReadCategories(pf); err != nil {
-			return err
-		}
-	}
+	defer closer.Close()
 	fmt.Printf("graph: %d nodes, %d edges, categories %v\n", g.NumNodes(), g.NumEdges(), g.Categories())
+	if ix != nil {
+		fmt.Printf("index: %d landmarks, %d bytes, loaded with the graph in %v\n", ix.Count(), ix.SizeBytes(), time.Since(start).Round(time.Millisecond))
+	}
 
-	opt := &kpj.Options{Algorithm: algo, Alpha: alpha, Stats: &kpj.Stats{}}
+	opt := &kpj.Options{Algorithm: algo, Alpha: alpha, Index: ix, Stats: &kpj.Stats{}}
 	if trace {
 		opt.Trace = os.Stderr
 	}
@@ -100,32 +88,8 @@ func run(graphPath, poisPath string, source int, sourceCat, category string, k i
 		kpj.EnableMetrics(reg)
 		defer kpj.EnableMetrics(nil)
 	}
-	switch {
-	case indexPath != "":
-		f, err := os.Open(indexPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		start := time.Now()
-		ix, err := kpj.LoadIndex(f, g)
-		if err != nil {
-			return err
-		}
-		opt.Index = ix
-		fmt.Printf("index: %d landmarks loaded from %s in %v\n", ix.Count(), indexPath, time.Since(start).Round(time.Millisecond))
-	case landmarks > 0:
-		start := time.Now()
-		ix, err := kpj.BuildIndex(g, landmarks, seed)
-		if err != nil {
-			return err
-		}
-		opt.Index = ix
-		fmt.Printf("index: %d landmarks, %d bytes, built in %v\n", ix.Count(), ix.SizeBytes(), time.Since(start).Round(time.Millisecond))
-	}
-
 	var paths []kpj.Path
-	start := time.Now()
+	start = time.Now()
 	switch {
 	case sourceCat != "":
 		paths, err = g.TopKCategoryJoin(sourceCat, category, k, opt)

@@ -30,10 +30,9 @@ import (
 // to an in-process oracle that applied the same delta prefix without
 // ever being interrupted.
 
-// Helper parameters shared by parent and subprocess. The index build
-// (landmarks, seed) must match the oracle's: the serving fingerprint
-// hashes the landmark id sequence, so a different selection would
-// diverge even over identical graphs.
+// The index the parent builds, writes into the subprocess's flat file
+// and hands to the oracle: the serving fingerprint hashes the landmark
+// id sequence, so both sides must start from the same selection.
 const (
 	crashLandmarks = 3
 	crashSeed      = 7
@@ -46,8 +45,7 @@ func TestHelperCrashServer(t *testing.T) {
 	if os.Getenv("KPJ_CRASH_HELPER") != "1" {
 		t.Skip("crash-harness helper; spawned by TestCrashRecoveryKill9")
 	}
-	err := run(os.Getenv("KPJ_CRASH_GRAPH"), "", false, os.Getenv("KPJ_CRASH_POIS"), "",
-		crashLandmarks, crashSeed, os.Getenv("KPJ_CRASH_ADDR"), 1000,
+	err := run(os.Getenv("KPJ_CRASH_FLAT"), false, os.Getenv("KPJ_CRASH_ADDR"), 1000,
 		0, 0, 0, 2 /* parallelism: oracle runs at 1 */, 0, time.Second,
 		false, false, 0, 2, os.Getenv("KPJ_CRASH_WAL"), 3 /* checkpoint-every */, 16<<20)
 	// Reached only if the listener never starts or a graceful shutdown
@@ -59,10 +57,11 @@ func TestHelperCrashServer(t *testing.T) {
 	os.Exit(0)
 }
 
-// writeCrashWorld builds the seeded grid city, writes it as DIMACS +
-// POI files for the subprocess, and returns the same world parsed into
-// both in-process views (kpj for the oracle, internal/graph for churn).
-func writeCrashWorld(t *testing.T, dir string) (graphPath, poisPath string, g *kpj.Graph, og *graph.Graph) {
+// writeCrashWorld builds the seeded grid city and its index, writes both
+// as the flat file the subprocess boots from, and returns the same world
+// in both in-process views (kpj for the oracle, internal/graph for
+// churn).
+func writeCrashWorld(t *testing.T, dir string) (flatPath string, g *kpj.Graph, ix *kpj.Index, og *graph.Graph) {
 	t.Helper()
 	const w, h = 5, 4
 	rng := rand.New(rand.NewSource(40_123))
@@ -94,21 +93,6 @@ func writeCrashWorld(t *testing.T, dir string) (graphPath, poisPath string, g *k
 		{"poi", []int64{2, 9, 17}},
 		{"depot", []int64{0, 19}},
 	}
-	var pois bytes.Buffer
-	for _, c := range cats {
-		for _, v := range c.nodes {
-			fmt.Fprintf(&pois, "%s %d\n", c.name, v)
-		}
-	}
-	graphPath = filepath.Join(dir, "city.gr")
-	poisPath = filepath.Join(dir, "city.pois")
-	if err := os.WriteFile(graphPath, gr.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(poisPath, pois.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	var err error
 	if g, err = kpj.ReadGraph(bytes.NewReader(gr.Bytes())); err != nil {
 		t.Fatalf("ReadGraph: %v", err)
@@ -129,7 +113,14 @@ func writeCrashWorld(t *testing.T, dir string) (graphPath, poisPath string, g *k
 			t.Fatal(err)
 		}
 	}
-	return graphPath, poisPath, g, og
+	if ix, err = kpj.BuildIndex(g, crashLandmarks, crashSeed); err != nil {
+		t.Fatal(err)
+	}
+	flatPath = filepath.Join(dir, "city.kpjflat")
+	if err := kpj.WriteFlatFile(flatPath, g, ix); err != nil {
+		t.Fatal(err)
+	}
+	return flatPath, g, ix, og
 }
 
 // freeAddr reserves a loopback port by binding and releasing it; the
@@ -305,7 +296,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	graphPath, poisPath, g, og := writeCrashWorld(t, dir)
+	flatPath, g, ix, og := writeCrashWorld(t, dir)
 	deltas, _, err := gen.Churn(og, gen.ChurnConfig{Steps: 8, Ops: 5, Seed: 4242})
 	if err != nil {
 		t.Fatal(err)
@@ -323,8 +314,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestHelperCrashServer$")
 		cmd.Env = append(os.Environ(),
 			"KPJ_CRASH_HELPER=1",
-			"KPJ_CRASH_GRAPH="+graphPath,
-			"KPJ_CRASH_POIS="+poisPath,
+			"KPJ_CRASH_FLAT="+flatPath,
 			"KPJ_CRASH_ADDR="+addr,
 			"KPJ_CRASH_WAL="+walDir,
 		)
@@ -379,10 +369,6 @@ func TestCrashRecoveryKill9(t *testing.T) {
 
 	// Oracle: the same world updated in-process, never interrupted, at
 	// parallelism 1 against the subprocess's parallelism 2.
-	ix, err := kpj.BuildIndex(g, crashLandmarks, crashSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oracle := server.New(g, ix, server.WithParallelism(1))
 	for i := uint64(0); i < st.Epoch; i++ {
 		oracleUpdate(t, oracle, deltas[i])

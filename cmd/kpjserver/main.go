@@ -1,16 +1,16 @@
-// Command kpjserver serves KPJ / KSP / GKPJ queries over HTTP for a graph
-// on disk, with an optional prebuilt landmark index.
+// Command kpjserver serves KPJ / KSP / GKPJ queries over HTTP from a flat
+// graph+categories+index file written by kpjindex.
 //
 // Usage:
 //
-//	kpjserver -graph sj.gr -pois sj.pois -index sj.idx -addr :8080 \
+//	kpjserver -flat sj.kpjflat -addr :8080 \
 //	          -timeout 2s -budget 5000000 -maxinflight 64
 //	kpjserver -flat sj.kpjflat -mmap -addr :8080
 //
-// -flat loads a graph+categories+index bundle written by
-// kpjindex -format=flat; with -mmap the file is mapped instead of read,
-// so startup is O(1) and pages fault in on demand (Linux; elsewhere -mmap
-// silently falls back to a verified read).
+// -flat is the only way in: DIMACS input is imported once, offline, by
+// kpjindex. With -mmap the file is mapped instead of read, so startup is
+// O(1) and pages fault in on demand (Linux; elsewhere -mmap silently
+// falls back to a verified read).
 //
 // Endpoints (see internal/server):
 //
@@ -23,12 +23,18 @@
 // Queries that exceed -timeout or -budget return the paths found so far
 // with "truncated": true; requests beyond -maxinflight are shed with 503.
 // SIGINT/SIGTERM flip /readyz to 503, shed late arrivals, and drain
-// in-flight requests for up to -draintimeout before exiting. With -index,
-// SIGHUP re-reads the index file and atomically swaps it in (a failed
-// reload logs the error and keeps serving the old index). -breaker N
+// in-flight requests for up to -draintimeout before exiting. -breaker N
 // arms a per-algorithm circuit breaker: N consecutive internal failures
 // switch that algorithm to a degraded serial profile instead of a run of
 // 500s; -breakerprobes clean degraded queries switch it back.
+//
+// SIGHUP re-reads the -flat file with full verification and atomically
+// swaps its landmark index in: rebuild the file with kpjindex (another
+// -landmarks or -seed) and signal. The file must carry the very graph
+// being served, so once a live update has been applied a file from
+// before it is refused; any failed reload logs the error and keeps
+// serving the old index. When serving with -mmap, replace the file by
+// rename (kpjindex and kpjtune do), never in place.
 //
 // POST /update applies live graph changes — edge weights, segment
 // insertions/deletions, POI membership — and atomically publishes a new
@@ -64,13 +70,8 @@ import (
 )
 
 func main() {
-	graphPath := flag.String("graph", "", "DIMACS .gr file (required unless -flat is given)")
-	flatPath := flag.String("flat", "", "flat graph+index file from kpjindex -format=flat (replaces -graph/-pois/-index)")
-	useMmap := flag.Bool("mmap", false, "with -flat, mmap the file instead of reading it: O(1) startup, pages load on demand")
-	poisPath := flag.String("pois", "", "POI category file")
-	indexPath := flag.String("index", "", "prebuilt index file from kpjindex")
-	landmarks := flag.Int("landmarks", 0, "build an index with this many landmarks when no -index is given")
-	seed := flag.Int64("seed", 1, "landmark selection seed")
+	flatPath := flag.String("flat", "", "flat graph+categories+index file from kpjindex (required)")
+	useMmap := flag.Bool("mmap", false, "mmap the -flat file instead of reading it: O(1) startup, pages load on demand")
 	addr := flag.String("addr", ":8080", "listen address")
 	maxK := flag.Int("maxk", 1000, "per-request k limit")
 	timeout := flag.Duration("timeout", 0, "per-request deadline for /query and /batch (0 = none)")
@@ -79,7 +80,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 1, "worker goroutines per query's subspace searches (<= 1 sequential; identical results)")
 	cacheSize := flag.Int("cachesize", 0, "cross-request bound-table cache entries (0 = default 128, negative disables)")
 	drain := flag.Duration("draintimeout", 10*time.Second, "bound on the graceful-shutdown drain window: in-flight queries get this long to finish after SIGINT/SIGTERM while late arrivals are shed with 503")
-	flag.DurationVar(drain, "drain", 10*time.Second, "deprecated alias for -draintimeout")
 	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and /debug/vars, and collect engine counters")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under GET /debug/pprof/")
 	breaker := flag.Int("breaker", 0, "consecutive internal failures per algorithm before degrading it to serial cache-bypassed execution (0 = disabled)")
@@ -89,7 +89,7 @@ func main() {
 	maxUpdateBytes := flag.Int64("maxupdatebytes", 16<<20, "POST /update body cap in bytes; oversized deltas get 413")
 	flag.Parse()
 
-	if err := run(*graphPath, *flatPath, *useMmap, *poisPath, *indexPath, *landmarks, *seed, *addr, *maxK,
+	if err := run(*flatPath, *useMmap, *addr, *maxK,
 		*timeout, *budget, *maxInFlight, *parallelism, *cacheSize, *drain, *metrics, *pprofOn,
 		*breaker, *breakerProbes, *walDir, *checkpointEvery, *maxUpdateBytes); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjserver: %v\n", err)
@@ -97,82 +97,29 @@ func main() {
 	}
 }
 
-func run(graphPath, flatPath string, useMmap bool, poisPath, indexPath string, landmarks int, seed int64, addr string, maxK int,
+func run(flatPath string, useMmap bool, addr string, maxK int,
 	timeout time.Duration, budget int64, maxInFlight, parallelism, cacheSize int, drain time.Duration,
 	metrics, pprofOn bool, breakerThreshold, breakerProbes int,
 	walDir string, checkpointEvery int, maxUpdateBytes int64) error {
-	var g *kpj.Graph
-	var ix *kpj.Index
-	switch {
-	case flatPath != "":
-		if graphPath != "" || poisPath != "" || indexPath != "" {
-			return fmt.Errorf("-flat replaces -graph/-pois/-index; do not combine them")
-		}
-		start := time.Now()
-		fg, fix, closer, err := kpj.OpenFlat(flatPath, useMmap)
-		if err != nil {
-			return err
-		}
-		defer closer.Close()
-		g, ix = fg, fix
-		mode := "read"
-		if useMmap {
-			mode = "mmap"
-		}
-		count := 0
-		if ix != nil {
-			count = ix.Count()
-		}
-		fmt.Printf("loaded flat file %s (%s) with %d-landmark index in %v\n",
-			flatPath, mode, count, time.Since(start).Round(time.Millisecond))
-	case graphPath != "":
-		gf, err := os.Open(graphPath)
-		if err != nil {
-			return err
-		}
-		defer gf.Close()
-		if g, err = kpj.ReadGraph(gf); err != nil {
-			return err
-		}
-		if poisPath != "" {
-			pf, err := os.Open(poisPath)
-			if err != nil {
-				return err
-			}
-			defer pf.Close()
-			if err := g.ReadCategories(pf); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("-graph or -flat is required")
+	if flatPath == "" {
+		return fmt.Errorf("-flat is required")
 	}
-	if useMmap && flatPath == "" {
-		return fmt.Errorf("-mmap requires -flat")
+	start := time.Now()
+	g, ix, closer, err := kpj.OpenFlat(flatPath, useMmap)
+	if err != nil {
+		return err
 	}
-
-	switch {
-	case ix != nil:
-		// Came embedded in the flat file.
-	case indexPath != "":
-		f, err := os.Open(indexPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		var err2 error
-		if ix, err2 = kpj.LoadIndex(f, g); err2 != nil {
-			return err2
-		}
-		fmt.Printf("loaded %d-landmark index from %s\n", ix.Count(), indexPath)
-	case landmarks > 0:
-		start := time.Now()
-		var err error
-		if ix, err = kpj.BuildIndex(g, landmarks, seed); err != nil {
-			return err
-		}
-		fmt.Printf("built %d-landmark index in %v\n", ix.Count(), time.Since(start).Round(time.Millisecond))
+	defer closer.Close()
+	mode := "read"
+	if useMmap {
+		mode = "mmap"
 	}
+	count := 0
+	if ix != nil {
+		count = ix.Count()
+	}
+	fmt.Printf("loaded flat file %s (%s) with %d-landmark index in %v\n",
+		flatPath, mode, count, time.Since(start).Round(time.Millisecond))
 
 	opts := []server.Option{
 		server.WithMaxK(maxK),
@@ -185,12 +132,11 @@ func run(graphPath, flatPath string, useMmap bool, poisPath, indexPath string, l
 	}
 
 	// Durability: open the WAL before the server exists. When a checkpoint
-	// is present the serving state starts from it — the seed files only
-	// anchor epoch 0 of a chain the checkpoint has already advanced past.
+	// is present the serving state starts from it — the -flat file only
+	// anchors epoch 0 of a chain the checkpoint has already advanced past.
 	var wlog *wal.Log
 	var rec *wal.Recovery
 	if walDir != "" {
-		var err error
 		wlog, rec, err = wal.Open(walDir)
 		if err != nil {
 			return fmt.Errorf("open wal: %w", err)
@@ -231,15 +177,14 @@ func run(graphPath, flatPath string, useMmap bool, poisPath, indexPath string, l
 	fmt.Printf("serving %d nodes / %d edges (categories %v) on %s\n",
 		g.NumNodes(), g.NumEdges(), g.Categories(), addr)
 
-	// Index hot-reload: SIGHUP re-reads -index and swaps it in atomically;
-	// a reload that fails for any reason keeps the old index serving.
-	if indexPath != "" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go watchReload(app, indexPath, hup, func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		})
-	}
+	// Index hot-reload: SIGHUP re-reads -flat and swaps its index in
+	// atomically; a reload that fails for any reason keeps the old index
+	// serving.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	go watchReload(app, flatPath, hup, func(format string, args ...any) {
+		fmt.Printf(format+"\n", args...)
+	})
 
 	// Graceful shutdown: SIGINT/SIGTERM stop accepting connections and
 	// drain in-flight requests (whose query contexts end when the drain

@@ -13,7 +13,7 @@ import (
 	"kpj/internal/server"
 )
 
-// testApp builds a small grid server plus an index file on disk, the
+// testApp builds a small grid server plus its flat file on disk, the
 // fixture watchReload needs.
 func testApp(t *testing.T) (*server.Server, string) {
 	t.Helper()
@@ -38,15 +38,8 @@ func testApp(t *testing.T) (*server.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "landmarks.kpx")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "grid.kpjflat")
+	if err := kpj.WriteFlatFile(path, g, ix); err != nil {
 		t.Fatal(err)
 	}
 	return server.New(g, ix), path

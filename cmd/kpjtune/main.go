@@ -1,11 +1,12 @@
 // Command kpjtune grid-searches the landmark count |L| and bounding
 // factor α for a graph + destination category (the parameter selection the
-// paper performs by hand in Fig. 6), then optionally saves the winning
-// index for kpjquery -index.
+// paper performs by hand in Fig. 6), then optionally saves the graph,
+// its categories and the winning index as a flat file for kpjserver -flat
+// and kpjquery -flat.
 //
 // Usage:
 //
-//	kpjtune -graph sj.gr -pois sj.pois -category T2 [-out sj.idx]
+//	kpjtune -graph sj.gr -pois sj.pois -category T2 [-out sj.kpjflat]
 package main
 
 import (
@@ -24,7 +25,7 @@ func main() {
 	samples := flag.Int("samples", 16, "sampled queries per configuration")
 	k := flag.Int("k", 20, "k used for the sampled queries")
 	seed := flag.Int64("seed", 1, "sampling / selection seed")
-	out := flag.String("out", "", "save the winning index here (optional)")
+	out := flag.String("out", "", "save graph, categories and the winning index as a flat file here (optional)")
 	flag.Parse()
 
 	if err := run(*graphPath, *poisPath, *category, *samples, *k, *seed, *out); err != nil {
@@ -73,19 +74,10 @@ func run(graphPath, poisPath, category string, samples, k int, seed int64, out s
 	fmt.Printf("\nrecommendation: landmarks=%d alpha=%.2f\n", rep.Landmarks, rep.Alpha)
 
 	if out != "" && rep.Index != nil {
-		f, err := os.Create(out)
-		if err != nil {
+		if err := kpj.WriteFlatFile(out, g, rep.Index); err != nil {
 			return err
 		}
-		defer f.Close()
-		n, err := rep.Index.WriteTo(f)
-		if err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("saved winning index (%d bytes) to %s\n", n, out)
+		fmt.Printf("saved graph and winning index as flat file %s\n", out)
 	}
 	return nil
 }

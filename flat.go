@@ -1,16 +1,21 @@
 package kpj
 
 import (
+	"errors"
 	"io"
+	"slices"
 
 	"kpj/internal/flatindex"
+	"kpj/internal/landmark"
 )
 
-// This file exposes the flat (mmap-able) persistence layer: one versioned
-// binary file carrying the graph's CSR adjacency, its categories, and
-// optionally its landmark index, stored in memory layout so loading is
-// aliasing rather than parsing. kpjindex -format=flat writes these;
-// kpjserver -flat (optionally with -mmap) serves from them.
+// This file exposes the persistence layer — the one on-disk format: a
+// versioned flat binary file carrying the graph's CSR adjacency, its
+// categories, and optionally its landmark index, stored in memory layout
+// so loading is aliasing rather than parsing. kpjindex imports DIMACS
+// input into it; kpjserver and kpjquery load it with -flat (kpjserver
+// optionally with -mmap); WAL checkpoints and replica resync snapshots
+// are the same bytes.
 
 // WriteFlat serializes g — adjacency, categories, and ix when non-nil —
 // in the flat binary layout. ix must have been built over g.
@@ -21,7 +26,8 @@ func WriteFlat(w io.Writer, g *Graph, ix *Index) (int64, error) {
 	return flatindex.Write(w, g.g, ix.ix)
 }
 
-// WriteFlatFile is WriteFlat to a file at path.
+// WriteFlatFile is WriteFlat to a file at path, replaced atomically by
+// rename (safe while another process has the old file mapped).
 func WriteFlatFile(path string, g *Graph, ix *Index) error {
 	if ix == nil {
 		return flatindex.WriteFile(path, g.g, nil)
@@ -66,4 +72,29 @@ func OpenFlat(path string, mmap bool) (*Graph, *Index, io.Closer, error) {
 		ix = &Index{ix: l.Index}
 	}
 	return g, ix, l, nil
+}
+
+// ErrGraphMismatch is returned by Index.Rebind when the target graph's
+// adjacency differs from that of the graph the index was computed over.
+var ErrGraphMismatch = errors.New("kpj: index was computed over a different graph")
+
+// Rebind returns an index over g that shares ix's distance tables — how
+// a server adopts the index of a flat file read with ReadFlat while it
+// keeps serving its own graph generation. The tables are a function of
+// the adjacency alone, so g must equal ix's graph edge for edge: the CSR
+// arrays (heads and (to, w) rows, both directions) are compared in full
+// and any difference fails with ErrGraphMismatch. Categories are not
+// compared; the tables do not depend on them.
+func (ix *Index) Rebind(g *Graph) (*Index, error) {
+	oh, oa, ih, ia := ix.ix.Graph().CSR()
+	goh, goa, gih, gia := g.g.CSR()
+	if !slices.Equal(oh, goh) || !slices.Equal(oa, goa) || !slices.Equal(ih, gih) || !slices.Equal(ia, gia) {
+		return nil, ErrGraphMismatch
+	}
+	ids, fwd, bwd := ix.ix.Tables()
+	nix, err := landmark.FromTables(g.g, ids, fwd, bwd)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{ix: nix}, nil
 }

@@ -38,7 +38,9 @@ type Point string
 const (
 	// GraphRead fires in graph.ReadGr before parsing a DIMACS file.
 	GraphRead Point = "graph.read"
-	// IndexLoad fires in landmark.Read before deserializing an index.
+	// IndexLoad fires in flatindex.Read before a flat payload is decoded —
+	// the fully verified read behind index reload, WAL checkpoint loading
+	// and /resync (the mmap open path does not pass through it).
 	IndexLoad Point = "index.load"
 	// IndexBuild fires in landmark.BuildParallel and
 	// BuildWithLandmarksParallel before landmark selection / the table

@@ -39,6 +39,7 @@ import (
 	"sort"
 	"unsafe"
 
+	"kpj/internal/fault"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
 )
@@ -224,17 +225,27 @@ func Write(w io.Writer, g *graph.Graph, ix *landmark.Index) (int64, error) {
 	return int64(cw.off), cw.err
 }
 
-// WriteFile serializes to path via Write.
+// WriteFile serializes to path via Write. The bytes go to path+".tmp"
+// and are renamed into place, so a process that has the previous file
+// at path mapped (Open with useMmap) keeps a consistent view: writing in
+// place would truncate the pages under it.
 func WriteFile(path string, g *graph.Graph, ix *landmark.Index) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := Write(f, g, ix); err != nil {
-		f.Close()
-		return err
+	_, err = Write(f, g, ix)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // encodeCategories flattens the category map: u32 count, then per
@@ -288,6 +299,9 @@ func (l *Loaded) Close() error {
 // O(m) adjacency validation. The file is read into one aligned buffer
 // that the returned graph/index alias.
 func Read(r io.Reader) (*Loaded, error) {
+	if err := fault.Hit(fault.IndexLoad); err != nil {
+		return nil, fmt.Errorf("flatindex: read: %w", err)
+	}
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err

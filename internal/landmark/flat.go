@@ -8,8 +8,9 @@ import (
 
 // This file exposes the distance tables for flat (mmap-able)
 // serialization and reassembles an Index from prebuilt tables without
-// rerunning the construction Dijkstras. internal/flatindex is the only
-// intended consumer.
+// rerunning the construction Dijkstras. The intended consumers are
+// internal/flatindex (load) and kpj.Index.Rebind (reload onto the graph
+// already being served).
 
 // ErrBadTables reports structurally invalid tables handed to FromTables.
 var ErrBadTables = fmt.Errorf("landmark: malformed distance tables")

@@ -295,9 +295,10 @@ func contentFingerprint(sh shape, ids []graph.NodeID) uint64 {
 // Fingerprint identifies the index contents for cross-query caching: two
 // indexes with the same fingerprint were built from a graph with the same
 // shape summary and the same landmark sequence, so their derived set-bound
-// tables are interchangeable. It is as collision-tolerant as the on-disk
-// graph fingerprint (see io.go): distinct graphs with identical node/edge
-// counts and total weight are not distinguished.
+// tables are interchangeable. It is collision-tolerant: distinct graphs
+// with identical node/edge counts and total weight are not distinguished
+// (which is why pairing persisted tables with a graph in memory compares
+// the adjacency itself, not this value — see kpj.Index.Rebind).
 func (ix *Index) Fingerprint() uint64 { return ix.fp }
 
 func compress(dist []graph.Weight) []int32 {

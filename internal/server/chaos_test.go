@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -135,6 +136,21 @@ func TestBreakerIgnoresTruncation(t *testing.T) {
 	}
 }
 
+// writeReloadFile builds a fresh index over g (other landmarks than
+// testServer's) and writes both as the flat file a reload targets.
+func writeReloadFile(t *testing.T, g *kpj.Graph) string {
+	t.Helper()
+	ix, err := kpj.BuildIndex(g, 3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "city.kpjflat")
+	if err := kpj.WriteFlatFile(path, g, ix); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestReloadIndexFaulted is the hot-reload acceptance check: an injected
 // index.load fault during reload must leave the old index serving, and a
 // subsequent clean reload must succeed.
@@ -145,27 +161,11 @@ func TestReloadIndexFaulted(t *testing.T) {
 	if old == nil {
 		t.Fatal("testServer should serve an index")
 	}
-
-	// Write a loadable index file for the reload to target.
-	ix, err := kpj.BuildIndex(g, 3, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "landmarks.kpx")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := writeReloadFile(t, g)
 
 	installFaults(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad, Nth: 1, Count: 1}))
-	if err := s.ReloadIndex(path); err == nil {
-		t.Fatal("reload under injected index.load fault should fail")
+	if err := s.ReloadIndex(path); !errors.Is(err, kpj.ErrInjectedFault) {
+		t.Fatalf("reload under injected index.load fault: err = %v, want ErrInjectedFault", err)
 	}
 	if s.index() != old {
 		t.Fatal("failed reload replaced the serving index")
@@ -187,25 +187,75 @@ func TestReloadIndexFaulted(t *testing.T) {
 	}
 }
 
-// TestReloadIndexBadFile: reloads from a missing or corrupt file keep the
-// old index without needing fault injection.
+// TestReloadIndexBadFile: reloads from a missing, corrupt or index-less
+// file keep the old index without needing fault injection.
 func TestReloadIndexBadFile(t *testing.T) {
-	s, _ := testServer(t)
+	s, g := testServer(t)
 	old := s.index()
-	if err := s.ReloadIndex(filepath.Join(t.TempDir(), "nope.kpx")); err == nil {
+	if err := s.ReloadIndex(filepath.Join(t.TempDir(), "nope.kpjflat")); err == nil {
 		t.Fatal("reload from a missing file should fail")
 	}
-	garbage := filepath.Join(t.TempDir(), "garbage.kpx")
+	garbage := filepath.Join(t.TempDir(), "garbage.kpjflat")
 	if err := os.WriteFile(garbage, []byte("not an index"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ReloadIndex(garbage); err == nil {
 		t.Fatal("reload from a corrupt file should fail")
 	}
+	bare := filepath.Join(t.TempDir(), "bare.kpjflat")
+	if err := kpj.WriteFlatFile(bare, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReloadIndex(bare); err == nil {
+		t.Fatal("reload from a file without an index should fail")
+	}
 	if s.index() != old {
 		t.Fatal("failed reloads must keep the old index")
 	}
 	if rec, _ := get(t, s, "/query?source=0&category=hotel&k=2"); rec.Code != http.StatusOK {
 		t.Fatalf("query after failed reloads: status %d", rec.Code)
+	}
+}
+
+// TestReloadRefusesFileOfDifferentGraph: the flat file carries its graph,
+// and a reload compares it with the serving graph edge for edge. A
+// weight-sum-conserving update leaves node count, edge count and total
+// weight — all a three-word summary would see — unchanged, yet the
+// pre-update file's tables are no longer lower bounds: the reload must
+// be refused with the epoch and fingerprint unmoved. Undoing the update
+// makes the same file describe the serving graph again, and it loads.
+func TestReloadRefusesFileOfDifferentGraph(t *testing.T) {
+	s, g := testServer(t, WithLogf(t.Logf))
+	path := writeReloadFile(t, g)
+
+	if rec, body := postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":4},{"u":1,"v":0,"w":16}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("update: %d %s", rec.Code, body)
+	}
+	old, fp := s.index(), fingerprint(s.snapshot())
+	if err := s.ReloadIndex(path); !errors.Is(err, kpj.ErrGraphMismatch) {
+		t.Fatalf("reload of the pre-update file: err = %v, want ErrGraphMismatch", err)
+	}
+	if e := healthzEpoch(t, s); e != 1 || fingerprint(s.snapshot()) != fp || s.index() != old {
+		t.Fatalf("refused reload moved the epoch: epoch %d fingerprint %s, want 1 %s", e, fingerprint(s.snapshot()), fp)
+	}
+
+	// Categories are not compared: the serving graph gains a hotel the
+	// file does not know, and the file still loads.
+	if rec, body := postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":10},{"u":1,"v":0,"w":10}],"addPOIs":[{"category":"hotel","node":7}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("undo update: %d %s", rec.Code, body)
+	}
+	if err := s.ReloadIndex(path); err != nil {
+		t.Fatalf("reload once the graph matches again: %v", err)
+	}
+	if e := healthzEpoch(t, s); e != 3 || fingerprint(s.snapshot()) == fp {
+		t.Fatalf("accepted reload: epoch %d fingerprint %s, want epoch 3 and the file's index", e, fingerprint(s.snapshot()))
+	}
+	// The swapped-in index is bound to the serving graph, not the file's:
+	// the next update builds on the serving categories.
+	if rec, body := postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":7}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("update after reload: %d %s", rec.Code, body)
+	}
+	if hotels, err := s.snapshot().g.Category("hotel"); err != nil || len(hotels) != 3 {
+		t.Fatalf("hotels after reload + update = %v (%v), want the serving graph's three", hotels, err)
 	}
 }

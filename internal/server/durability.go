@@ -51,10 +51,10 @@ func WithMaxUpdateBytes(n int64) Option {
 }
 
 // Recover replays the WAL suffix onto the state the server was
-// constructed with (the checkpoint snapshot, or the seed graph/index
-// when no checkpoint exists), asserting that every replayed epoch
-// reproduces the fingerprint and graph shape that were durably recorded
-// when it was first applied. On success the server leaves recovering
+// constructed with (the checkpoint snapshot, or the -flat file's graph
+// and index when no checkpoint exists), asserting that every replayed
+// epoch reproduces the fingerprint and graph shape that were durably
+// recorded when it was first applied. On success the server leaves recovering
 // state and /readyz starts answering ready; on any divergence it stays
 // down — a replica that cannot prove its chain must not serve.
 //

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -596,10 +597,12 @@ func TestSnapshotResyncDurable(t *testing.T) {
 // reloads against a stream of live updates on a WAL-backed server. The
 // contract (DESIGN.md §15): both are epoch bumps serialized under the
 // update mutex, so an observer polling the epoch must see a strictly
-// monotone sequence, every operation must succeed, and a crash-free
-// restart must recover to the exact final epoch. The update stream
-// conserves the graph's edge-weight sum so the on-disk index file stays
-// loadable against every intermediate graph generation.
+// monotone sequence, every update must succeed, every reload must either
+// swap (the serving graph is the file's) or be refused with
+// ErrGraphMismatch (an update moved the graph away from it), and a
+// crash-free restart must recover to the exact final epoch. The update
+// stream alternates between a reweighted graph and the file's own, so
+// both reload outcomes are reachable at every step.
 func TestReloadRacingUpdateEpochNeverRegresses(t *testing.T) {
 	defer leaktest.Check(t)()
 	dir := t.TempDir()
@@ -611,22 +614,7 @@ func TestReloadRacingUpdateEpochNeverRegresses(t *testing.T) {
 	if err := s.Recover(rec0); err != nil {
 		t.Fatal(err)
 	}
-
-	ix2, err := kpj.BuildIndex(g, 3, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "landmarks.kpx")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix2.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := writeReloadFile(t, g)
 
 	const rounds = 16
 	stop := make(chan struct{})
@@ -654,9 +642,9 @@ func TestReloadRacingUpdateEpochNeverRegresses(t *testing.T) {
 		}
 	}()
 
-	// The updater: weight pairs whose sum is conserved, so (n, m, wsum)
-	// — the index file's graph fingerprint — is invariant and concurrent
-	// reloads keep validating.
+	// The updater: odd rounds shift weight between the two directions of
+	// one segment (sum conserved, so only a content comparison tells the
+	// graphs apart), even rounds restore the file's weights.
 	updater.Add(1)
 	go func() {
 		defer updater.Done()
@@ -674,8 +662,12 @@ func TestReloadRacingUpdateEpochNeverRegresses(t *testing.T) {
 	}()
 
 	// The reloader (the SIGHUP path), racing the update stream.
+	swapped := 0
 	for i := 0; i < rounds; i++ {
-		if err := s.ReloadIndex(path); err != nil {
+		switch err := s.ReloadIndex(path); {
+		case err == nil:
+			swapped++
+		case !errors.Is(err, kpj.ErrGraphMismatch):
 			t.Fatalf("reload %d: %v", i, err)
 		}
 	}
@@ -686,9 +678,10 @@ func TestReloadRacingUpdateEpochNeverRegresses(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	t.Logf("%d of %d reloads swapped, the rest were refused", swapped, rounds)
 	final := s.Epoch()
-	if final != 2*rounds {
-		t.Fatalf("final epoch = %d, want %d (%d updates + %d reloads)", final, 2*rounds, rounds, rounds)
+	if final != uint64(rounds+swapped) {
+		t.Fatalf("final epoch = %d, want %d (%d updates + %d successful reloads)", final, rounds+swapped, rounds, swapped)
 	}
 
 	// Crash-free restart: checkpoints (every reload, plus the periodic

@@ -13,8 +13,9 @@ import (
 // This file is the server's failure-handling layer: a per-algorithm
 // circuit breaker that switches the process into a degraded execution
 // profile instead of returning a run of 500s, and atomic index hot-reload
-// so an operator can swap a rebuilt landmark index into a live process
-// (SIGHUP in kpjserver) without dropping requests.
+// so an operator can swap a rebuilt landmark index (a fresh kpjindex
+// output for the same graph) into a live process (SIGHUP in kpjserver)
+// without dropping requests.
 //
 // The degradation ladder, from healthiest to most conservative:
 //
@@ -140,11 +141,16 @@ func (s *Server) swapIndexLocked(ix *kpj.Index) error {
 	return nil
 }
 
-// ReloadIndex loads a landmark index from path, validates it against the
-// serving graph (fingerprint and checksum, via kpj.LoadIndex), and swaps
-// it in. On any error — unreadable file, corrupt or mismatched index,
-// injected load fault — the currently serving epoch stays in place; a
-// reload can never leave the server worse than before it.
+// ReloadIndex reads the flat file at path with full verification
+// (checksum and adjacency validation, via kpj.ReadFlat) and swaps its
+// landmark index in, rebound onto the serving graph. The file carries
+// the graph its tables were computed over, and that graph must equal the
+// serving one edge for edge (kpj.ErrGraphMismatch otherwise — a file
+// written before a live update no longer describes this server). On any
+// error — unreadable, corrupt or index-less file, different graph,
+// injected load fault, failed checkpoint — the currently serving epoch
+// stays in place; a reload can never leave the server worse than before
+// it.
 func (s *Server) ReloadIndex(path string) error {
 	// The whole load-validate-swap runs under the update mutex so the
 	// graph the index is validated against is the graph it gets paired
@@ -152,23 +158,28 @@ func (s *Server) ReloadIndex(path string) error {
 	// in between.
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
+	err := s.reloadIndexLocked(path)
+	s.met.observeReload(err == nil)
+	return err
+}
+
+func (s *Server) reloadIndexLocked(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		s.met.observeReload(false)
 		return fmt.Errorf("server: reload index: %w", err)
 	}
 	defer f.Close()
-	ix, err := kpj.LoadIndex(f, s.snapshot().g)
+	_, ix, err := kpj.ReadFlat(f)
 	if err != nil {
-		s.met.observeReload(false)
 		return fmt.Errorf("server: reload index %s: %w", path, err)
 	}
-	if err := s.swapIndexLocked(ix); err != nil {
-		s.met.observeReload(false)
-		return err
+	if ix == nil {
+		return fmt.Errorf("server: reload index %s: file carries no landmark index", path)
 	}
-	s.met.observeReload(true)
-	return nil
+	if ix, err = ix.Rebind(s.snapshot().g); err != nil {
+		return fmt.Errorf("server: reload index %s: %w", path, err)
+	}
+	return s.swapIndexLocked(ix)
 }
 
 // degrade switches one parsed request to the degraded execution profile:

@@ -175,22 +175,6 @@ func (ix *Index) Fingerprint() uint64 { return ix.ix.Fingerprint() }
 // SizeBytes estimates the index memory footprint.
 func (ix *Index) SizeBytes() int64 { return ix.ix.SizeBytes() }
 
-// WriteTo serializes the index in a compact binary format with a graph
-// fingerprint and integrity checksum, implementing io.WriterTo. Build the
-// index offline once, persist it, and LoadIndex it at query time — the
-// paper's intended deployment (Section 4.2, "constructed offline").
-func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }
-
-// LoadIndex deserializes an index written by WriteTo and binds it to g.
-// It fails if the data is corrupt or was built for a different graph.
-func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
-	ix, err := landmark.Read(r, g.g)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{ix: ix}, nil
-}
-
 func (o *Options) coreOptions(g *Graph) (core.Options, core.Func, error) {
 	var opt core.Options
 	algo := IterBoundSPTI

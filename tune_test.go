@@ -2,6 +2,7 @@ package kpj_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -100,15 +101,20 @@ func TestIndexSaveLoadPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := kpj.WriteFlat(&buf, g, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := kpj.LoadIndex(&buf, g)
+	_, fromFile, err := kpj.ReadFlat(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Count() != 5 {
-		t.Fatalf("loaded Count = %d", loaded.Count())
+	// Rebind onto the graph in hand, as a server reloading the file does.
+	loaded, err := fromFile.Rebind(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Count() != 5 || loaded.TablesChecksum() != ix.TablesChecksum() {
+		t.Fatalf("loaded Count = %d, tables equal = %v", loaded.Count(), loaded.TablesChecksum() == ix.TablesChecksum())
 	}
 	a, err := g.TopKJoin(3, "poi", 4, &kpj.Options{Index: ix})
 	if err != nil {
@@ -123,14 +129,10 @@ func TestIndexSaveLoadPublicAPI(t *testing.T) {
 	}
 	// Wrong graph must be rejected.
 	other := cityGrid(t, 15, 15, 5)
-	var buf2 bytes.Buffer
-	if _, err := ix.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
+	if _, err := fromFile.Rebind(other); !errors.Is(err, kpj.ErrGraphMismatch) {
+		t.Fatalf("rebind onto a different graph: err = %v, want ErrGraphMismatch", err)
 	}
-	if _, err := kpj.LoadIndex(&buf2, other); err == nil {
-		t.Fatal("want error loading index against a different graph")
-	}
-	if _, err := kpj.LoadIndex(bytes.NewReader([]byte("junk")), g); err == nil {
+	if _, _, err := kpj.ReadFlat(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("want error for junk data")
 	}
 }

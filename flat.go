@@ -59,8 +59,13 @@ func ReadFlat(r io.Reader) (*Graph, *Index, error) {
 // cost of skipping the checksum (structural header validation still
 // runs). With mmap false (or elsewhere) the file is read into memory and
 // fully verified. The returned index is nil when the file carries none.
-// Close the returned Closer only after the graph and index are no longer
-// in use.
+//
+// Generations derived by Index.Apply or WithDelta keep reading the file:
+// they share the CSR head arrays (edge reweights), the landmark rows the
+// delta did not damage and the untouched category sets with the loaded
+// pair, and own only the two adjacency arrays plus the repaired rows. So
+// close the returned Closer only after the graph, the index and every
+// generation derived from them by Apply are unreachable.
 func OpenFlat(path string, mmap bool) (*Graph, *Index, io.Closer, error) {
 	l, err := flatindex.Open(path, mmap)
 	if err != nil {

@@ -8,8 +8,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"kpj/internal/fault"
 )
@@ -103,8 +105,11 @@ type edgeKey struct{ u, v NodeID }
 
 // Apply materializes d over g into a fresh Graph, leaving g untouched —
 // the copy-on-write discipline that lets an epoch-versioned view swap
-// the result in while queries run against the original. It returns the
-// new graph and an Effect describing the net changes. On any validation
+// the result in while queries run against the original. The new graph
+// owns what the delta changed and shares the rest with g (see patched):
+// generations alias each other's arrays, which is safe because no graph
+// is ever written after it is returned. It returns the new graph and an
+// Effect describing the net changes. On any validation
 // error (or injected fault at the fault.GraphApply point, polled once
 // per operation) it returns (nil, nil, err) and g remains the only
 // graph: a failed apply can never leave torn state behind.
@@ -271,45 +276,18 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 	// still count as touched: the intermediate states were validated
 	// against, and invalidating an unchanged set is merely conservative.
 
-	// Assemble the new edge list: surviving base edges with overlay
-	// weights, plus insertions.
-	ng := &Graph{n: g.n}
-	tails := make([]NodeID, 0, g.m+len(d.Inserts))
-	heads := make([]NodeID, 0, g.m+len(d.Inserts))
-	ws := make([]Weight, 0, g.m+len(d.Inserts))
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.Out(NodeID(u)) {
-			w := e.W
-			if s, ok := overlay[edgeKey{NodeID(u), e.To}]; ok {
-				if !s.present {
-					continue
-				}
-				w = s.w
-			}
-			tails = append(tails, NodeID(u))
-			heads = append(heads, e.To)
-			ws = append(ws, w)
-		}
-	}
-	for k, s := range overlay {
-		if !s.present {
+	// Validation resolved edges against the out-adjacency only; patching
+	// also locates them in the in-adjacency, which an unverified (mmap'd)
+	// CSR is not known to mirror.
+	for _, c := range changes {
+		if c.Old == Infinity {
 			continue
 		}
-		if _, hadOld := g.HasEdge(k.u, k.v); hadOld {
-			continue // weight change, already emitted above
-		}
-		tails = append(tails, k.u)
-		heads = append(heads, k.v)
-		ws = append(ws, s.w)
-	}
-	ng.m = len(tails)
-	ng.outHead, ng.outAdj = buildCSR(g.n, tails, heads, ws)
-	ng.inHead, ng.inAdj = buildCSR(g.n, heads, tails, ws)
-	for _, w := range ws {
-		if w > ng.maxW {
-			ng.maxW = w
+		if _, ok := findEdge(g.In(c.V), c.U); !ok {
+			return nil, nil, fmt.Errorf("graph: apply: %w: edge (%d,%d) missing from the in-adjacency", ErrBadCSR, c.U, c.V)
 		}
 	}
+	ng := g.patched(changes)
 
 	// Categories: share untouched sets with the old graph (both are
 	// immutable after this point), replace touched ones.
@@ -331,6 +309,124 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 	sortStrings(ng.catNames)
 
 	return ng, &Effect{Changes: changes, OldCategorySets: oldSets}, nil
+}
+
+// patched returns g's successor under the net edge transitions cs, which
+// must be sorted by (U, V) and name, unless inserted, edges present in
+// both adjacencies. The arrays equal the ones a Builder would produce for
+// the mutated edge list, at a cost that follows cs: no change shares all
+// four arrays with g; pure reweights share both head arrays and overwrite
+// the changed entries in one copy of each adjacency; inserts and deletes
+// rewrite only the touched rows (mergeRows). Categories are left to the
+// caller.
+func (g *Graph) patched(cs []EdgeChange) *Graph {
+	ng := &Graph{
+		n: g.n, m: g.m,
+		outHead: g.outHead, outAdj: g.outAdj,
+		inHead: g.inHead, inAdj: g.inAdj,
+		maxW: g.maxW,
+	}
+	if len(cs) == 0 {
+		return ng
+	}
+	structural := false
+	// maxW is maintained exactly: a new weight at or above the old maximum
+	// settles it, otherwise only an edge that carried the maximum getting
+	// lighter or deleted forces a rescan.
+	heaviest, lostMax := Weight(-1), false
+	for _, c := range cs {
+		switch {
+		case c.Old == Infinity:
+			ng.m++
+			structural = true
+		case c.New == Infinity:
+			ng.m--
+			structural = true
+		}
+		if c.New != Infinity && c.New > heaviest {
+			heaviest = c.New
+		}
+		if c.Old == g.maxW {
+			lostMax = true
+		}
+	}
+
+	if structural {
+		ng.outHead, ng.outAdj = mergeRows(g.outHead, g.outAdj, cs, ng.m)
+		byHead := make([]EdgeChange, len(cs))
+		for i, c := range cs {
+			byHead[i] = EdgeChange{U: c.V, V: c.U, Old: c.Old, New: c.New}
+		}
+		sortChanges(byHead)
+		ng.inHead, ng.inAdj = mergeRows(g.inHead, g.inAdj, byHead, ng.m)
+	} else {
+		ng.outAdj = make([]Edge, len(g.outAdj))
+		copy(ng.outAdj, g.outAdj)
+		ng.inAdj = make([]Edge, len(g.inAdj))
+		copy(ng.inAdj, g.inAdj)
+		for _, c := range cs {
+			i, _ := findEdge(g.Out(c.U), c.V)
+			ng.outAdj[int(g.outHead[c.U])+i].W = c.New
+			i, _ = findEdge(g.In(c.V), c.U)
+			ng.inAdj[int(g.inHead[c.V])+i].W = c.New
+		}
+	}
+
+	if heaviest >= g.maxW {
+		ng.maxW = heaviest
+	} else if lostMax {
+		ng.maxW = 0
+		for _, e := range ng.outAdj {
+			if e.W > ng.maxW {
+				ng.maxW = e.W
+			}
+		}
+	}
+	return ng
+}
+
+// mergeRows rewrites one CSR direction (m entries afterwards) under cs,
+// sorted by (U, V) with U the row and V the column: heads move by the
+// running degree delta, the spans between touched rows are copied in
+// bulk, and each touched row is merged with its changes, so rows stay
+// sorted by To exactly as buildCSR leaves them.
+func mergeRows(head []int32, adj []Edge, cs []EdgeChange, m int) ([]int32, []Edge) {
+	n := len(head) - 1
+	nh := make([]int32, n+1)
+	na := make([]Edge, m)
+	row := 0         // first row whose new head is not yet written
+	src, dst := 0, 0 // next unread entry of adj, next unwritten entry of na
+	for i := 0; i < len(cs); {
+		u := int(cs[i].U)
+		for shift := int32(dst - src); row <= u; row++ {
+			nh[row] = head[row] + shift
+		}
+		dst += copy(na[dst:], adj[src:head[u]])
+		src = int(head[u])
+		end := int(head[u+1])
+		for ; i < len(cs) && int(cs[i].U) == u; i++ {
+			c := cs[i]
+			for src < end && adj[src].To < c.V {
+				na[dst] = adj[src]
+				dst++
+				src++
+			}
+			if c.Old != Infinity {
+				src++ // the entry being reweighted or deleted
+			}
+			if c.New != Infinity {
+				na[dst] = Edge{To: c.V, W: c.New}
+				dst++
+			}
+		}
+		dst += copy(na[dst:], adj[src:end])
+		src = end
+	}
+	for shift := int32(dst - src); row <= n; row++ {
+		nh[row] = head[row] + shift
+	}
+	copy(na[dst:], adj[src:])
+	return nh, na
 }
 
 // containsNode reports membership in a sorted node set.
@@ -375,15 +471,14 @@ func removeNode(set []NodeID, v NodeID) []NodeID {
 	return out
 }
 
+// sortChanges orders cs by (U, V).
 func sortChanges(cs []EdgeChange) {
-	// Insertion sort: deltas are small (tens of ops), and avoiding
-	// sort.Slice keeps this file free of closure allocations on the
-	// update path.
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && (cs[j].U < cs[j-1].U || (cs[j].U == cs[j-1].U && cs[j].V < cs[j-1].V)); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
+	slices.SortFunc(cs, func(a, b EdgeChange) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.V, b.V)
+	})
 }
 
 func sortStrings(ss []string) {

@@ -3,7 +3,6 @@ package graph
 import (
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -240,99 +239,6 @@ func TestApplyEmptyDelta(t *testing.T) {
 	}
 	if !(&Delta{}).Empty() || (&Delta{Deletes: []EdgeRef{{}}}).Empty() {
 		t.Fatal("Empty misclassifies")
-	}
-}
-
-func TestApplyEquivalentToRebuild(t *testing.T) {
-	// Randomized: applying a delta must produce exactly the graph a
-	// Builder would produce from the mutated edge list.
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 6 + rng.Intn(6)
-		b := NewBuilder(n)
-		type e struct {
-			u, v NodeID
-			w    Weight
-		}
-		edges := map[[2]NodeID]Weight{}
-		for i := 0; i < 3*n; i++ {
-			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			if _, ok := edges[[2]NodeID{u, v}]; ok {
-				continue
-			}
-			w := Weight(1 + rng.Intn(50))
-			edges[[2]NodeID{u, v}] = w
-			b.AddEdge(u, v, w)
-		}
-		g, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var d Delta
-		var all []e
-		for k, w := range edges {
-			all = append(all, e{k[0], k[1], w})
-		}
-		// Deterministic op choice requires deterministic iteration.
-		for i := 1; i < len(all); i++ {
-			for j := i; j > 0 && (all[j].u < all[j-1].u || (all[j].u == all[j-1].u && all[j].v < all[j-1].v)); j-- {
-				all[j], all[j-1] = all[j-1], all[j]
-			}
-		}
-		for _, ed := range all {
-			switch rng.Intn(4) {
-			case 0:
-				nw := Weight(1 + rng.Intn(50))
-				d.SetWeights = append(d.SetWeights, EdgeUpdate{U: ed.u, V: ed.v, W: nw})
-				edges[[2]NodeID{ed.u, ed.v}] = nw
-			case 1:
-				d.Deletes = append(d.Deletes, EdgeRef{U: ed.u, V: ed.v})
-				delete(edges, [2]NodeID{ed.u, ed.v})
-			}
-		}
-		for tries := 0; tries < 4; tries++ {
-			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			// Inserts are validated before deletes apply, so the edge
-			// must be absent from the original graph, not merely from
-			// the final edge set.
-			if _, ok := edges[[2]NodeID{u, v}]; ok {
-				continue
-			}
-			if _, ok := g.HasEdge(u, v); ok {
-				continue
-			}
-			w := Weight(1 + rng.Intn(50))
-			d.Inserts = append(d.Inserts, EdgeUpdate{U: u, V: v, W: w})
-			edges[[2]NodeID{u, v}] = w
-		}
-		ng, _, err := Apply(g, &d)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		rb := NewBuilder(n)
-		for k, w := range edges {
-			rb.AddEdge(k[0], k[1], w)
-		}
-		want, err := rb.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(edgeList(ng), edgeList(want)) {
-			t.Fatalf("seed %d: applied graph differs from rebuild", seed)
-		}
-		if ng.MaxEdgeWeight() != want.MaxEdgeWeight() {
-			t.Fatalf("seed %d: maxW %d vs %d", seed, ng.MaxEdgeWeight(), want.MaxEdgeWeight())
-		}
-		if !reflect.DeepEqual(ng.outHead, want.outHead) || !reflect.DeepEqual(ng.outAdj, want.outAdj) ||
-			!reflect.DeepEqual(ng.inHead, want.inHead) || !reflect.DeepEqual(ng.inAdj, want.inAdj) {
-			t.Fatalf("seed %d: CSR layout differs from rebuild", seed)
-		}
 	}
 }
 

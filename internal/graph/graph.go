@@ -129,19 +129,25 @@ func (g *Graph) MaxEdgeWeight() Weight { return g.maxW }
 // returns its weight.
 func (g *Graph) HasEdge(u, v NodeID) (Weight, bool) {
 	adj := g.Out(u)
-	lo, hi := 0, len(adj)
+	if i, ok := findEdge(adj, v); ok {
+		return adj[i].W, true
+	}
+	return 0, false
+}
+
+// findEdge binary-searches one sorted adjacency row for target to,
+// returning its position (the insertion point when absent).
+func findEdge(row []Edge, to NodeID) (int, bool) {
+	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if adj[mid].To < v {
+		if row[mid].To < to {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(adj) && adj[lo].To == v {
-		return adj[lo].W, true
-	}
-	return 0, false
+	return lo, lo < len(row) && row[lo].To == to
 }
 
 // AddCategory registers (or replaces) a category: a named set of nodes, the

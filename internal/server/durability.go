@@ -77,7 +77,7 @@ func (s *Server) Recover(rec *wal.Recovery) error {
 	for i := range rec.Records {
 		r := &rec.Records[i]
 		ep := s.snapshot()
-		next, _, err := s.applyDelta(ep, r.Delta)
+		next, _, app, err := s.applyDelta(ep, r.Delta)
 		if err != nil {
 			return fmt.Errorf("server: recovery replay epoch %d: %w", r.Epoch, err)
 		}
@@ -93,6 +93,9 @@ func (s *Server) Recover(rec *wal.Recovery) error {
 				r.Epoch, next.g.NumNodes(), next.g.NumEdges(), r.Nodes, r.Edges)
 		}
 		s.epoch.Store(next)
+		if app != nil {
+			app.RekeyBounds(s.cache)
+		}
 		s.recovered.Store(int64(i + 1))
 	}
 	s.recovering.Store(false)

@@ -379,6 +379,74 @@ func TestWALFsyncFaultKeepsEpoch(t *testing.T) {
 	}
 }
 
+// TestFailedAppendLeavesBoundsCacheAlone: the bound-table cache follows
+// the published epoch, never a successor that failed to become durable.
+// The fingerprint is (n, m, Σw) + landmarks, so a cache rekeyed for the
+// failed delta would later be hit by a different delta with the same
+// weight-sum change and serve tables bound to an index that never served.
+func TestFailedAppendLeavesBoundsCacheAlone(t *testing.T) {
+	defer leaktest.Check(t)()
+	lg, rec0, err := wal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lg.Close() })
+	s, _ := testServer(t, WithWAL(lg, 0), WithLogf(t.Logf))
+	if err := s.Recover(rec0); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"/query?source=28&category=hotel&k=4",
+		"/query?source=0&category=hotel&k=4",
+		"/query?source=34&category=hotel&k=6",
+	}
+	for i := 0; i < 2; i++ { // the second pass hits what the first built
+		for _, q := range queries {
+			engineAnswers(t, s, q)
+		}
+	}
+	warm := s.cache.FullStats()
+	if warm.Hits == 0 || warm.Size == 0 {
+		t.Fatalf("cache not warm: %+v", warm)
+	}
+
+	// +7 on (0,1), not durable: a 500, and the cache still serves epoch 0.
+	installFaults(t, fault.New().Add(fault.Rule{Point: fault.WALAppend, Nth: 1, Count: 1, Kind: fault.KindError}))
+	rec, body := postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":17}]}`)
+	if rec.Code != http.StatusInternalServerError || s.Epoch() != 0 {
+		t.Fatalf("faulted append: %d %s, epoch %d", rec.Code, body, s.Epoch())
+	}
+	for _, q := range queries {
+		engineAnswers(t, s, q)
+	}
+	after := s.cache.FullStats()
+	if after.Misses != warm.Misses || after.Evictions != warm.Evictions || after.Size != warm.Size {
+		t.Fatalf("a failed update moved the cache: %+v before, %+v after", warm, after)
+	}
+
+	// A different delta with the same weight-sum change (-9 +16 = +7), this
+	// one lowering distances into hotel node 35.
+	rec, body = postUpdate(t, s, `{"setWeights":[{"u":29,"v":35,"w":1},{"u":0,"v":6,"w":26}]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("update: %d %s", rec.Code, body)
+	}
+	g := s.snapshot().g
+	ix, err := kpj.BuildIndex(g, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := New(g, ix)
+	answer := func(a string) string { f := strings.Fields(a); return f[0] + " " + f[3] } // status + paths
+	for _, q := range queries {
+		got, want := engineAnswers(t, s, q), engineAnswers(t, scratch, q)
+		for _, alg := range allEngines {
+			if answer(got[alg]) != answer(want[alg]) {
+				t.Fatalf("%s %s:\n  served:       %s\n  from scratch: %s", q, alg, got[alg], want[alg])
+			}
+		}
+	}
+}
+
 // TestUpdateOversized: a body over WithMaxUpdateBytes is a typed 413,
 // not a misleading bad-JSON 400, and does not move the epoch.
 func TestUpdateOversized(t *testing.T) {

@@ -119,7 +119,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	next, resp, err := s.applyDelta(ep, &d)
+	next, resp, app, err := s.applyDelta(ep, &d)
 	if err != nil {
 		if errors.Is(err, kpj.ErrBadDelta) {
 			// A client mistake, not an apply-path fault: the breaker only
@@ -158,6 +158,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.epoch.Store(next)
+	if app != nil {
+		resp.CacheMigrated, resp.CacheDropped = app.RekeyBounds(s.cache)
+	}
 	s.maybeCheckpointLocked(next)
 	s.updateBr.record(true)
 	resp.Micros = time.Since(start).Microseconds()
@@ -197,33 +200,37 @@ func fingerprint(ep *epochState) string {
 	return fmt.Sprintf("%016x", ep.ix.Fingerprint())
 }
 
-// applyDelta derives the successor epoch for d without publishing it.
-// Called with the update mutex held; on error the current epoch is
-// returned unchanged by the caller.
-func (s *Server) applyDelta(ep *epochState, d *kpj.Delta) (*epochState, *UpdateResponse, error) {
+// applyDelta derives the successor epoch for d without publishing it or
+// touching any shared state: the bound-table cache still serves ep until
+// the caller, having made the successor durable and published it, calls
+// RekeyBounds on the returned Applied (nil on an unindexed server). A
+// cache rekeyed any earlier would, when the publish then fails, hold
+// tables bound to an index that never served. Called with the update
+// mutex held; on error the caller keeps the current epoch.
+func (s *Server) applyDelta(ep *epochState, d *kpj.Delta) (*epochState, *UpdateResponse, *kpj.Applied, error) {
 	resp := &UpdateResponse{Epoch: ep.seq + 1}
 	var next *epochState
+	var app *kpj.Applied
 	if ep.ix != nil {
-		app, err := ep.ix.Apply(d)
-		if err != nil {
-			return nil, nil, err
+		var err error
+		if app, err = ep.ix.Apply(d); err != nil {
+			return nil, nil, nil, err
 		}
 		next = &epochState{g: app.Graph, ix: app.Index, seq: ep.seq + 1}
 		resp.RepairedTables = app.Stats.Repaired()
 		resp.RepairSettled = app.Stats.Settled
 		resp.FullRebuild = app.Stats.FullRebuild
 		resp.Fingerprint = fmt.Sprintf("%016x", app.Index.Fingerprint())
-		resp.CacheMigrated, resp.CacheDropped = app.RekeyBounds(s.cache)
 	} else {
 		ng, err := ep.g.WithDelta(d)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		next = &epochState{g: ng, seq: ep.seq + 1}
 	}
 	resp.Nodes = next.g.NumNodes()
 	resp.Edges = next.g.NumEdges()
-	return next, resp, nil
+	return next, resp, app, nil
 }
 
 // Epoch reports the current serving generation's sequence number.

@@ -1,8 +1,7 @@
-// Command kpjlint is the project's static-analysis suite: seven custom
+// Command kpjlint is the project's static-analysis suite: six custom
 // analyzers (mapiter, nondeterm, boundcheck, errwrap, atomicmix,
-// directive, allocfree) that machine-check the engine's determinism,
-// budget, error-contract, and allocation-freedom invariants (see
-// DESIGN.md "Invariants and kpjlint").
+// directive) that machine-check the engine's determinism, budget, and
+// error-contract invariants (see DESIGN.md "Invariants and kpjlint").
 //
 // It speaks the `go vet -vettool` protocol, so the canonical invocation
 // is
@@ -20,15 +19,9 @@
 // the exit status non-zero; -json and -sarif switch the output to the
 // machine-readable formats in internal/analysis/emit.go. Escape hatches
 // are the //kpjlint: directive comments documented in DESIGN.md.
-//
-// A separate mode, kpjlint -escapes, cross-validates the allocfree
-// analyzer against the real compiler: it replays `go build -gcflags=-m`
-// escape diagnostics for the hot-path packages and diffs them against
-// the checked-in ESCAPES_budget.txt (regenerate with -escapes -w).
 package main
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -36,13 +29,10 @@ import (
 	"io"
 	"log"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"kpj/internal/analysis"
-	"kpj/internal/analysis/allocfree"
 	"kpj/internal/analysis/atomicmix"
 	"kpj/internal/analysis/boundcheck"
 	"kpj/internal/analysis/directive"
@@ -60,7 +50,6 @@ var suite = []*analysis.Analyzer{
 	errwrap.Analyzer,
 	atomicmix.Analyzer,
 	directive.Analyzer,
-	allocfree.Analyzer,
 }
 
 func main() {
@@ -71,8 +60,6 @@ func main() {
 	flag.Var(versionFlag{}, "V", "print version and exit (go vet protocol)")
 	jsonOut := flag.Bool("json", false, "standalone mode: emit findings as a JSON array on stdout")
 	sarifOut := flag.Bool("sarif", false, "standalone mode: emit findings as a SARIF 2.1.0 log on stdout")
-	escapes := flag.Bool("escapes", false, "diff `go build -gcflags=-m` escape diagnostics for hot-path packages against ESCAPES_budget.txt")
-	writeBudget := flag.Bool("w", false, "with -escapes: rewrite ESCAPES_budget.txt instead of diffing")
 	enabled := make(map[string]*string, len(suite))
 	for _, a := range suite {
 		doc, _, _ := strings.Cut(a.Doc, "\n")
@@ -88,9 +75,6 @@ func main() {
 	if *printflags {
 		printFlags()
 		return
-	}
-	if *escapes {
-		os.Exit(escapesGate(*writeBudget))
 	}
 
 	analyzers := selectAnalyzers(enabled)
@@ -149,8 +133,7 @@ func selectAnalyzers(enabled map[string]*string) []*analysis.Analyzer {
 
 // printFlags emits the flag description JSON `go vet` consumes to learn
 // which flags it may forward to the tool. Only the analyzer toggles are
-// advertised; the standalone-mode flags (-json, -sarif, -escapes, -w)
-// stay local.
+// advertised; the standalone-mode flags (-json, -sarif) stay local.
 func printFlags() {
 	type jsonFlag struct {
 		Name  string
@@ -160,7 +143,7 @@ func printFlags() {
 	var flags []jsonFlag
 	flag.VisitAll(func(f *flag.Flag) {
 		switch f.Name {
-		case "V", "flags", "json", "sarif", "escapes", "w":
+		case "V", "flags", "json", "sarif":
 			return
 		}
 		flags = append(flags, jsonFlag{Name: f.Name, Bool: true, Usage: f.Usage})
@@ -180,95 +163,17 @@ const (
 	formatSARIF
 )
 
-// suiteVersion keys the standalone facts cache: the running binary's
-// content hash, so rebuilding the suite invalidates every entry.
-func suiteVersion() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
-}
-
-// standalone loads the pattern-matched packages and their module-internal
-// dependency closure in dependency order, analyzes dependencies for
-// facts (served from the facts cache when their sources and deps are
-// unchanged) and targets for findings, and emits the findings in global
-// deterministic order. Returns the exit status: 1 for findings.
+// standalone loads and analyzes the pattern-matched packages and emits
+// the findings in global deterministic order. Returns the exit status:
+// 1 for findings.
 func standalone(patterns []string, analyzers []*analysis.Analyzer, format outputFormat) int {
-	loader, err := loadpkg.NewLoader("", patterns...)
+	pkgs, err := loadpkg.LoadTargets("", patterns...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cache := loadpkg.OpenFactsCache()
-	version := suiteVersion()
-
-	factsByPath := map[string]analysis.Facts{}
-	keyByPath := map[string]string{}
-
 	var findings []analysis.Finding
-	for _, m := range loader.Metas {
-		if !m.InModule() || len(m.GoFiles) == 0 {
-			continue
-		}
-		var depKeys []string
-		depFacts := map[string]analysis.Facts{}
-		for _, imp := range m.Imports {
-			if facts, ok := factsByPath[imp]; ok {
-				depFacts[imp] = facts
-			}
-			if k, ok := keyByPath[imp]; ok {
-				depKeys = append(depKeys, k)
-			}
-		}
-		key, keyErr := loadpkg.FactKey(version, m, depKeys)
-		if keyErr == nil {
-			keyByPath[m.ImportPath] = key
-		}
-
-		if m.DepOnly {
-			// Dependency: facts only, diagnostics belong to its own run.
-			if keyErr == nil {
-				if data := cache.Get(key); data != nil {
-					if facts, err := analysis.DecodeFacts(data); err == nil {
-						if facts != nil {
-							factsByPath[m.ImportPath] = facts
-						}
-						continue
-					}
-				}
-			}
-			p, err := loader.Load(m)
-			if err != nil {
-				log.Fatal(err)
-			}
-			_, facts := vetdriver.Analyze(analyzers, p.Fset, p.Files, p.Pkg, p.Info, depFacts)
-			storeFacts(cache, key, keyErr, facts)
-			if facts != nil {
-				factsByPath[m.ImportPath] = facts
-			}
-			continue
-		}
-
-		p, err := loader.Load(m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		diags, facts := vetdriver.Analyze(analyzers, p.Fset, p.Files, p.Pkg, p.Info, depFacts)
-		storeFacts(cache, key, keyErr, facts)
-		if facts != nil {
-			factsByPath[m.ImportPath] = facts
-		}
-		for _, d := range diags {
+	for _, p := range pkgs {
+		for _, d := range vetdriver.Analyze(analyzers, p.Fset, p.Files, p.Pkg, p.Info) {
 			findings = append(findings, analysis.NewFinding(p.Fset, d))
 		}
 	}
@@ -292,167 +197,6 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, format output
 		return 1
 	}
 	return 0
-}
-
-func storeFacts(cache *loadpkg.FactsCache, key string, keyErr error, facts analysis.Facts) {
-	if keyErr != nil {
-		return
-	}
-	data, err := analysis.EncodeFacts(facts)
-	if err != nil {
-		return
-	}
-	cache.Put(key, data)
-}
-
-// hotPathPackages are the packages whose escape diagnostics the
-// -escapes gate budgets: the steady-state query path that allocfree
-// also proves over, plus its direct data-structure dependencies.
-var hotPathPackages = []string{
-	"./internal/core",
-	"./internal/sssp",
-	"./internal/pqueue",
-	"./internal/deviation",
-	"./internal/graph",
-}
-
-const escapesBudgetFile = "ESCAPES_budget.txt"
-
-// escapesGate replays the compiler's escape analysis over the hot-path
-// packages and diffs the heap-escape diagnostics against the checked-in
-// budget. The compiler reprints -gcflags=-m diagnostics from the build
-// cache on repeat runs, so this is cheap after the first build. Exit
-// status: 0 in budget, 1 on any drift (new or vanished escapes — a
-// vanished one means the budget is stale and should be re-earned by
-// regenerating with -w).
-func escapesGate(write bool) int {
-	root, err := moduleRoot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	got, err := escapeDiagnostics(root)
-	if err != nil {
-		log.Fatal(err)
-	}
-	budgetPath := filepath.Join(root, escapesBudgetFile)
-	if write {
-		header := "# Heap-escape diagnostics for the hot-path packages, from\n" +
-			"# `go build -gcflags=-m`, filtered to escape/moved-to-heap lines.\n" +
-			"# Regenerate with: go run ./cmd/kpjlint -escapes -w\n" +
-			"# CI diffs this file via: kpjlint -escapes\n"
-		if err := os.WriteFile(budgetPath, []byte(header+strings.Join(got, "\n")+"\n"), 0o666); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kpjlint: wrote %d escape diagnostics to %s\n", len(got), budgetPath)
-		return 0
-	}
-	want, err := readBudget(budgetPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	drift := diffLines(want, got)
-	for _, d := range drift {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(drift) > 0 {
-		fmt.Fprintf(os.Stderr, "kpjlint: escape diagnostics drifted from %s (%d lines); if deliberate, regenerate with -escapes -w\n",
-			escapesBudgetFile, len(drift))
-		return 1
-	}
-	return 0
-}
-
-func moduleRoot() (string, error) {
-	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go list -m: %w\n%s", err, stderr.Bytes())
-	}
-	return strings.TrimSpace(string(out)), nil
-}
-
-// escapeDiagnostics collects the sorted, root-relative heap-escape lines
-// for the hot-path packages.
-func escapeDiagnostics(root string) ([]string, error) {
-	// -a is unnecessary: the compiler replays -m diagnostics from the
-	// build cache, but only if the packages were built with these flags
-	// before; building explicitly makes the first run correct too.
-	args := append([]string{"build", "-gcflags=-m"}, hotPathPackages...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = root
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go build -gcflags=-m: %w\n%s", err, stderr.Bytes())
-	}
-	var out []string
-	for _, line := range strings.Split(stderr.String(), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !strings.Contains(line, "escapes to heap") && !strings.Contains(line, "moved to heap") {
-			continue
-		}
-		// Positions are printed relative to the build directory already;
-		// normalize separators for a stable budget file.
-		file, _, _ := strings.Cut(line, ":")
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		out = append(out, filepath.ToSlash(line))
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func readBudget(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading %s (generate with -escapes -w): %w", path, err)
-	}
-	var out []string
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		out = append(out, line)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// diffLines reports budget drift as unified-diff-style lines: "-" for
-// budgeted diagnostics that vanished, "+" for new ones.
-func diffLines(want, got []string) []string {
-	wantSet := map[string]int{}
-	for _, w := range want {
-		wantSet[w]++
-	}
-	gotSet := map[string]int{}
-	for _, g := range got {
-		gotSet[g]++
-	}
-	var out []string
-	for _, w := range want {
-		if gotSet[w] == 0 {
-			out = append(out, "-"+w)
-		} else {
-			gotSet[w]--
-		}
-	}
-	for _, g := range got {
-		if wantSet[g] == 0 {
-			out = append(out, "+"+g)
-		} else {
-			wantSet[g]--
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // versionFlag implements the -V=full protocol `go vet` uses for build

@@ -1,12 +1,14 @@
 // Command kpjtune grid-searches the landmark count |L| and bounding
-// factor α for a graph + destination category (the parameter selection the
-// paper performs by hand in Fig. 6), then optionally saves the graph,
-// its categories and the winning index as a flat file for kpjserver -flat
-// and kpjquery -flat.
+// factor α for a flat file's graph + destination category (the parameter
+// selection the paper performs by hand in Fig. 6), then optionally saves
+// the graph, its categories and the winning index as a flat file for
+// kpjserver -flat and kpjquery -flat. Any index the input file carries is
+// ignored; import DIMACS input with kpjindex first (-landmarks 0 is
+// enough).
 //
 // Usage:
 //
-//	kpjtune -graph sj.gr -pois sj.pois -category T2 [-out sj.kpjflat]
+//	kpjtune -flat sj.kpjflat -category T2 [-out sj-tuned.kpjflat]
 package main
 
 import (
@@ -19,8 +21,7 @@ import (
 )
 
 func main() {
-	graphPath := flag.String("graph", "", "DIMACS .gr file (required)")
-	poisPath := flag.String("pois", "", "POI category file (required)")
+	flatPath := flag.String("flat", "", "flat graph+categories file from kpjindex (required)")
 	category := flag.String("category", "", "destination category to tune for (required)")
 	samples := flag.Int("samples", 16, "sampled queries per configuration")
 	k := flag.Int("k", 20, "k used for the sampled queries")
@@ -28,31 +29,23 @@ func main() {
 	out := flag.String("out", "", "save graph, categories and the winning index as a flat file here (optional)")
 	flag.Parse()
 
-	if err := run(*graphPath, *poisPath, *category, *samples, *k, *seed, *out); err != nil {
+	if err := run(*flatPath, *category, *samples, *k, *seed, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjtune: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphPath, poisPath, category string, samples, k int, seed int64, out string) error {
-	if graphPath == "" || poisPath == "" || category == "" {
-		return fmt.Errorf("-graph, -pois and -category are required")
+func run(flatPath, category string, samples, k int, seed int64, out string) error {
+	if flatPath == "" || category == "" {
+		return fmt.Errorf("-flat and -category are required")
 	}
-	gf, err := os.Open(graphPath)
+	f, err := os.Open(flatPath)
 	if err != nil {
 		return err
 	}
-	defer gf.Close()
-	g, err := kpj.ReadGraph(gf)
+	defer f.Close()
+	g, _, err := kpj.ReadFlat(f)
 	if err != nil {
-		return err
-	}
-	pf, err := os.Open(poisPath)
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	if err := g.ReadCategories(pf); err != nil {
 		return err
 	}
 

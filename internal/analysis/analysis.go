@@ -5,7 +5,7 @@
 //
 // The x/tools module is deliberately not a dependency — the repo builds
 // with the bare toolchain — so this package defines the minimal
-// Analyzer/Pass/Diagnostic surface the five analyzers need, an
+// Analyzer/Pass/Diagnostic surface the six analyzers need, an
 // annotation (directive comment) facility, and the package-scope
 // predicates that say where each invariant applies. Drivers live in
 // cmd/kpjlint (go vet -vettool protocol and a standalone mode) and
@@ -13,7 +13,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -57,14 +56,7 @@ type Pass struct {
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 
-	// DepFacts holds the facts of every direct import the driver has
-	// facts for (module-internal packages; see facts.go). Keyed by
-	// import path. Nil when the driver predates facts or the package
-	// has no fact-bearing imports.
-	DepFacts map[string]Facts
-
-	ann      map[*ast.File]*fileAnnotations
-	exported json.RawMessage
+	ann map[*ast.File]*fileAnnotations
 }
 
 // Reportf reports a formatted finding at pos.
@@ -97,21 +89,11 @@ const (
 	// (or accounted for by an enclosing loop's Bound). Honored by
 	// boundcheck.
 	Bounded = "bounded"
-	// Noalloc, in a function's doc comment, declares the function an
-	// allocation-freedom root: the allocfree analyzer proves no heap
-	// allocation is reachable from it through statically resolvable
-	// calls. It takes no reason — the claim is the reason.
-	Noalloc = "noalloc"
-	// Alloc, written //kpjlint:alloc(reason), waives one deliberate
-	// allocation site inside noalloc-reachable code (result-path
-	// copies, warm-up growth of retained buffers, error paths). The
-	// reason goes in parentheses so it reads as a term, not a comment.
-	Alloc = "alloc"
 )
 
 // KnownDirectives enumerates the accepted //kpjlint: directive kinds;
 // the directive analyzer flags anything else.
-var KnownDirectives = []string{Deterministic, Bounded, Noalloc, Alloc}
+var KnownDirectives = []string{Deterministic, Bounded}
 
 // fileAnnotations indexes one file's //kpjlint: directives: the source
 // lines carrying each kind, plus the body line ranges of functions whose
@@ -207,10 +189,10 @@ type Directive struct {
 	Malformed bool
 }
 
-// ParseDirective parses "//kpjlint:KIND", "//kpjlint:KIND reason", and
-// "//kpjlint:KIND(reason)" comments (and their /* */ forms, marked
-// Block). The directive marker admits no space after // — that is a
-// plain comment mentioning kpjlint, not a directive.
+// ParseDirective parses "//kpjlint:KIND" and "//kpjlint:KIND reason"
+// comments (and their /* */ forms, marked Block). The directive marker
+// admits no space after // — that is a plain comment mentioning kpjlint,
+// not a directive.
 func ParseDirective(text string) (Directive, bool) {
 	var d Directive
 	rest, ok := strings.CutPrefix(text, "//kpjlint:")
@@ -234,16 +216,7 @@ func ParseDirective(text string) (Directive, bool) {
 		d.Kind, _, _ = strings.Cut(strings.TrimSpace(rest), " ")
 		return d, d.Kind != ""
 	}
-	rest = rest[i:]
-	switch {
-	case strings.HasPrefix(rest, "("):
-		// Parenthesized reason: everything up to the closing paren.
-		if j := strings.LastIndexByte(rest, ')'); j > 0 {
-			d.Reason = strings.TrimSpace(rest[1:j])
-		}
-	default:
-		d.Reason = strings.TrimSpace(rest)
-	}
+	d.Reason = strings.TrimSpace(rest[i:])
 	return d, true
 }
 
@@ -261,14 +234,6 @@ func Directives(f *ast.File) []Directive {
 		}
 	}
 	return out
-}
-
-// InModule reports whether path names a package of this module. Facts
-// are derived and exchanged only within the module: the standard
-// library is summarized by the allowlists of the analyzers that need
-// one, and everything else is outside the proofs.
-func InModule(path string) bool {
-	return path == "kpj" || strings.HasPrefix(path, "kpj/")
 }
 
 // OrderSensitive reports whether pkg's emitted values must be a pure

@@ -87,9 +87,6 @@ func TestParseDirective(t *testing.T) {
 	}{
 		{"//kpjlint:deterministic because reasons", Directive{Kind: "deterministic", Reason: "because reasons"}, true},
 		{"//kpjlint:bounded", Directive{Kind: "bounded"}, true},
-		{"//kpjlint:alloc(result-path copy)", Directive{Kind: "alloc", Reason: "result-path copy"}, true},
-		{"//kpjlint:alloc()", Directive{Kind: "alloc"}, true},
-		{"//kpjlint:noalloc", Directive{Kind: "noalloc"}, true},
 		{"// kpjlint:bounded", Directive{}, false}, // directives cannot have the space
 		{"//kpjlint:", Directive{}, false},
 		{"//kpjlint: bounded late kind", Directive{Kind: "bounded", Malformed: true}, true},

@@ -17,7 +17,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -120,127 +119,76 @@ func splitQuoted(t *testing.T, pos token.Position, s string) []string {
 	}
 }
 
-// A Pkg names one testdata package for RunPackages: the directory its
-// sources live in and the import path to type-check it under (so
-// package-scoped analyzers see the path they guard, and later fixture
-// packages can import earlier ones by that path).
-type Pkg struct {
-	Dir  string
-	Path string
-}
-
 // Run type-checks the testdata package in dir under the import path
-// pkgPath, runs the analyzer, and reports any mismatch between its
-// diagnostics and the // want expectations as test failures.
+// pkgPath (so package-scoped analyzers see the path they guard), runs
+// the analyzer, and reports any mismatch between its diagnostics and
+// the // want expectations as test failures.
 func Run(t *testing.T, a *analysis.Analyzer, dir, pkgPath string) {
 	t.Helper()
-	RunPackages(t, a, Pkg{Dir: dir, Path: pkgPath})
-}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
+	}
+	var filenames []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			filenames = append(filenames, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(filenames) == 0 {
+		t.Fatalf("analysistest: no .go files in %s", dir)
+	}
+	sort.Strings(filenames)
 
-// RunPackages is Run over a dependency-ordered list of testdata
-// packages: each package is type-checked (it may import any earlier one
-// by its Pkg.Path), analyzed with the facts exported by the earlier
-// passes supplied as dependency facts — the same shape both real
-// drivers provide — and checked against its own // want expectations.
-// This is the harness for cross-package fixtures like the allocfree
-// facts round-trip.
-func RunPackages(t *testing.T, a *analysis.Analyzer, pkgs ...Pkg) {
-	t.Helper()
+	// A parse-only pass learns the imports so their export data can be
+	// fetched before the real type-check.
+	var imports []string
+	for _, f := range parseOnly(t, token.NewFileSet(), filenames) {
+		for _, imp := range f.Imports {
+			imports = append(imports, strings.Trim(imp.Path.Value, `"`))
+		}
+	}
+	exports := stdlibExports(t, imports)
+
 	fset := token.NewFileSet()
-	checked := map[string]*types.Package{}
-	factsByPath := map[string]analysis.Facts{}
-	for _, spec := range pkgs {
-		entries, err := os.ReadDir(spec.Dir)
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		var filenames []string
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				filenames = append(filenames, filepath.Join(spec.Dir, e.Name()))
-			}
-		}
-		if len(filenames) == 0 {
-			t.Fatalf("analysistest: no .go files in %s", spec.Dir)
-		}
-		sort.Strings(filenames)
+	files, pkg, info, err := loadpkg.Check(fset, pkgPath, filenames, loadpkg.Importer(fset, exports))
+	if err != nil {
+		t.Fatalf("analysistest: type-checking %s: %v", dir, err)
+	}
 
-		// A parse-only pass learns the imports so stdlib export data can
-		// be fetched before the real type-check; fixture-internal imports
-		// resolve against the packages already checked.
-		var imports []string
-		for _, f := range parseOnly(t, token.NewFileSet(), filenames) {
-			for _, imp := range f.Imports {
-				path := strings.Trim(imp.Path.Value, `"`)
-				if _, ok := checked[path]; !ok {
-					imports = append(imports, path)
-				}
-			}
-		}
-		exports := stdlibExports(t, imports)
+	var wants []*expectation
+	for _, f := range files {
+		wants = append(wants, parseWants(t, fset, f)...)
+	}
 
-		exportImp := loadpkg.Importer(fset, exports)
-		imp := importerFunc(func(path string) (*types.Package, error) {
-			if pkg, ok := checked[path]; ok {
-				return pkg, nil
-			}
-			return exportImp.Import(path)
-		})
-		files, pkg, info, err := loadpkg.Check(fset, spec.Path, filenames, imp)
-		if err != nil {
-			t.Fatalf("analysistest: type-checking %s: %v", spec.Dir, err)
-		}
-		checked[spec.Path] = pkg
+	var diags []analysis.Diagnostic
+	pass := analysis.NewPass(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
+		diags = append(diags, d)
+	})
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("analysistest: analyzer %s: %v", a.Name, err)
+	}
 
-		var wants []*expectation
-		for _, f := range files {
-			wants = append(wants, parseWants(t, fset, f)...)
-		}
-
-		depFacts := map[string]analysis.Facts{}
-		for _, dep := range pkg.Imports() {
-			if facts, ok := factsByPath[dep.Path()]; ok {
-				depFacts[dep.Path()] = facts
-			}
-		}
-
-		var diags []analysis.Diagnostic
-		pass := analysis.NewPass(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
-			diags = append(diags, d)
-		})
-		pass.DepFacts = depFacts
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("analysistest: analyzer %s: %v", a.Name, err)
-		}
-		if exported := pass.ExportedFacts(); exported != nil {
-			factsByPath[spec.Path] = analysis.Facts{a.Name: exported}
-		}
-
-		for _, d := range diags {
-			pos := fset.Position(d.Pos)
-			matched := false
-			for _, w := range wants {
-				if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
-					w.matched = true
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
-			}
-		}
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		matched := false
 		for _, w := range wants {
-			if !w.matched {
-				t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
+			if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
+				w.matched = true
+				matched = true
+				break
 			}
+		}
+		if !matched {
+			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+		}
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
 	}
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func parseOnly(t *testing.T, fset *token.FileSet, filenames []string) []*ast.File {
 	t.Helper()

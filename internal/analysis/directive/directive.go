@@ -1,16 +1,12 @@
 // Package directive defines the kpjlint analyzer that validates the
 // //kpjlint: directive comments themselves. Directives are load-bearing
-// — a waiver that fails to parse silently re-enables a finding, and a
-// misplaced noalloc silently weakens the allocation-freedom proof — so
+// — a waiver that fails to parse silently re-enables a finding — so
 // every edge case the other analyzers would quietly ignore is reported
 // here instead: unknown kinds, malformed spelling, the block-comment
-// form, missing alloc reasons, and noalloc/alloc doc directives on the
-// wrong declaration kind.
+// form, and waivers without a reason.
 package directive
 
 import (
-	"go/ast"
-	"go/token"
 	"sort"
 	"strings"
 
@@ -19,7 +15,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "directive",
-	Doc:  "validates //kpjlint: directive comments (unknown kinds, malformed forms, block comments, missing alloc reasons, misplaced noalloc)",
+	Doc:  "validates //kpjlint: directive comments (unknown kinds, malformed forms, block comments, missing reasons)",
 	Run:  run,
 }
 
@@ -29,70 +25,16 @@ func run(pass *analysis.Pass) error {
 		known[k] = true
 	}
 	for _, f := range pass.Files {
-		// Doc-comment ranges per declaration kind, so placement rules can
-		// tell a function's doc directive from one on a var or type.
-		funcDocs := map[*ast.CommentGroup]bool{}
-		otherDocs := map[*ast.CommentGroup]token.Pos{}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Doc != nil {
-					funcDocs[d.Doc] = true
-				}
-			case *ast.GenDecl:
-				if d.Doc != nil {
-					otherDocs[d.Doc] = d.Pos()
-				}
-			}
-		}
-		inGroup := func(pos token.Pos, set map[*ast.CommentGroup]bool) bool {
-			for cg := range set {
-				if cg.Pos() <= pos && pos <= cg.End() {
-					return true
-				}
-			}
-			return false
-		}
-		inOther := func(pos token.Pos) bool {
-			for cg := range otherDocs {
-				if cg.Pos() <= pos && pos <= cg.End() {
-					return true
-				}
-			}
-			return false
-		}
-
 		for _, d := range analysis.Directives(f) {
 			switch {
 			case d.Malformed:
 				pass.Reportf(d.Pos, "malformed kpjlint directive: kind must immediately follow the colon, as in //kpjlint:%s", d.Kind)
-				continue
 			case d.Block:
 				pass.Reportf(d.Pos, "kpjlint directives must be line comments (//kpjlint:%s): block comments can be moved by gofmt, detaching the directive from its line", d.Kind)
-				continue
 			case !known[d.Kind]:
 				pass.Reportf(d.Pos, "unknown kpjlint directive kind %q (known: %s)", d.Kind, strings.Join(sortedKinds(), ", "))
-				continue
-			}
-			switch d.Kind {
-			case analysis.Alloc:
-				if d.Reason == "" {
-					pass.Reportf(d.Pos, "//kpjlint:alloc requires a reason: //kpjlint:alloc(reason)")
-				}
-				if inOther(d.Pos) {
-					pass.Reportf(d.Pos, "//kpjlint:alloc in a declaration doc comment applies only to functions")
-				}
-			case analysis.Noalloc:
-				if d.Reason != "" {
-					pass.Reportf(d.Pos, "//kpjlint:noalloc takes no reason (the claim is the reason); found %q", d.Reason)
-				}
-				if !inGroup(d.Pos, funcDocs) {
-					pass.Reportf(d.Pos, "//kpjlint:noalloc must be in a function declaration's doc comment; here it marks no root")
-				}
-			default:
-				if d.Reason == "" {
-					pass.Reportf(d.Pos, "//kpjlint:%s requires a reason explaining why the invariant holds", d.Kind)
-				}
+			case d.Reason == "":
+				pass.Reportf(d.Pos, "//kpjlint:%s requires a reason explaining why the invariant holds", d.Kind)
 			}
 		}
 	}

@@ -28,21 +28,6 @@ func malformed() {}
 /*kpjlint:bounded drains a bounded queue*/
 func blockComment() {}
 
-//kpjlint:alloc
-func allocMissingReason() {}
-
-//kpjlint:alloc(scratch table retained across queries)
-var waivedVar []int
-
-//kpjlint:noalloc
-func root() {}
-
-//kpjlint:noalloc because I said so
-func rootWithReason() {}
-
-//kpjlint:noalloc
-var notAFunction int
-
 //kpjlint:deterministic
 func deterministicMissingReason() {}
 
@@ -78,12 +63,8 @@ func TestDirectiveValidation(t *testing.T) {
 		{6, `unknown kpjlint directive kind "nosuchkind"`},
 		{9, `malformed kpjlint directive: kind must immediately follow the colon`},
 		{12, `kpjlint directives must be line comments`},
-		{15, `//kpjlint:alloc requires a reason`},
-		{18, `applies only to functions`},
-		{24, `//kpjlint:noalloc takes no reason`},
-		{27, `//kpjlint:noalloc must be in a function declaration's doc comment`},
-		{30, `//kpjlint:deterministic requires a reason`},
-		{34, `//kpjlint:bounded requires a reason`},
+		{15, `//kpjlint:deterministic requires a reason`},
+		{19, `//kpjlint:bounded requires a reason`},
 	}
 	for _, w := range want {
 		matched := false

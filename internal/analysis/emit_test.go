@@ -11,7 +11,7 @@ import (
 func sampleFindings() []Finding {
 	// Deliberately unsorted: the emitters must impose the global order.
 	return []Finding{
-		{Analyzer: "allocfree", File: "internal/core/b.go", Line: 10, Column: 3, Message: "make reachable from root"},
+		{Analyzer: "errwrap", File: "internal/core/b.go", Line: 10, Column: 3, Message: "comparison against error sentinel"},
 		{Analyzer: "mapiter", File: "internal/core/a.go", Line: 20, Column: 5, Message: "map iteration"},
 		{Analyzer: "boundcheck", File: "internal/core/a.go", Line: 20, Column: 2, Message: "loop without Bound"},
 		{Analyzer: "directive", File: "internal/core/a.go", Line: 4, Column: 1, Message: "unknown directive"},
@@ -80,7 +80,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 // dependency-free.
 func TestWriteSARIFValidates(t *testing.T) {
 	analyzers := []*Analyzer{
-		{Name: "allocfree", Doc: "reports reachable allocations\nlong text"},
+		{Name: "errwrap", Doc: "reports dropped error chains\nlong text"},
 		{Name: "mapiter", Doc: "reports map iteration"},
 		{Name: "boundcheck", Doc: "reports unbounded loops"},
 		{Name: "directive", Doc: "validates directives"},

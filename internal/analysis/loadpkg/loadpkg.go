@@ -29,22 +29,15 @@ type Meta struct {
 	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
-	Imports    []string
 	Export     string
-	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
-// InModule reports whether the package belongs to the module under
-// analysis (facts are derived only for these; see the analysis package).
-func (m *Meta) InModule() bool { return m.Module != nil && !m.Standard }
-
 // List runs `go list -export -deps -json` in dir (the module root; ""
 // means the current directory) on the given patterns and returns the
-// decoded package stream, dependencies included, in dependency-first
-// order (go list -deps emits a package after everything it imports).
+// decoded package stream, dependencies included.
 func List(dir string, patterns ...string) ([]*Meta, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Standard,DepOnly,GoFiles,Imports,Export,Module,Error", "--"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Standard,DepOnly,GoFiles,Export,Error", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -132,25 +125,10 @@ func Check(fset *token.FileSet, path string, filenames []string, imp types.Impor
 	return files, pkg, info, nil
 }
 
-// A Loader type-checks packages from one `go list -deps` run on demand,
-// sharing a FileSet and export-data importer across packages so a
-// driver can walk the module-internal dependency closure in dependency
-// order, type-checking only the packages whose facts aren't cached.
-type Loader struct {
-	// Fset is shared by every package the loader checks.
-	Fset *token.FileSet
-	// Metas lists the closure in dependency-first order (a package
-	// appears after everything it imports), targets and deps alike.
-	Metas []*Meta
-
-	imp types.Importer
-}
-
-// NewLoader lists patterns (with dependencies) in dir and prepares the
-// shared type-checking state. Listing errors on target packages are
-// fatal; broken DepOnly packages outside the requested patterns are
-// tolerated, matching `go vet`.
-func NewLoader(dir string, patterns ...string) (*Loader, error) {
+// LoadTargets loads every non-DepOnly, non-standard package matched by
+// patterns (relative to dir) as fully type-checked Packages. Packages
+// with no buildable Go files are skipped.
+func LoadTargets(dir string, patterns ...string) ([]*Package, error) {
 	metas, err := List(dir, patterns...)
 	if err != nil {
 		return nil, err
@@ -161,40 +139,21 @@ func NewLoader(dir string, patterns ...string) (*Loader, error) {
 		}
 	}
 	fset := token.NewFileSet()
-	return &Loader{Fset: fset, Metas: metas, imp: Importer(fset, ExportMap(metas))}, nil
-}
-
-// Load parses and type-checks one listed package.
-func (l *Loader) Load(m *Meta) (*Package, error) {
-	filenames := make([]string, len(m.GoFiles))
-	for i, f := range m.GoFiles {
-		filenames[i] = filepath.Join(m.Dir, f)
-	}
-	files, pkg, info, err := Check(l.Fset, m.ImportPath, filenames, l.imp)
-	if err != nil {
-		return nil, fmt.Errorf("loadpkg: type-checking %s: %w", m.ImportPath, err)
-	}
-	return &Package{Meta: m, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// LoadTargets loads every non-DepOnly, non-standard package matched by
-// patterns (relative to dir) as fully type-checked Packages. Packages
-// with no buildable Go files are skipped.
-func LoadTargets(dir string, patterns ...string) ([]*Package, error) {
-	l, err := NewLoader(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
+	imp := Importer(fset, ExportMap(metas))
 	var out []*Package
-	for _, m := range l.Metas {
+	for _, m := range metas {
 		if m.DepOnly || m.Standard || len(m.GoFiles) == 0 {
 			continue
 		}
-		p, err := l.Load(m)
-		if err != nil {
-			return nil, err
+		filenames := make([]string, len(m.GoFiles))
+		for i, f := range m.GoFiles {
+			filenames[i] = filepath.Join(m.Dir, f)
 		}
-		out = append(out, p)
+		files, pkg, info, err := Check(fset, m.ImportPath, filenames, imp)
+		if err != nil {
+			return nil, fmt.Errorf("loadpkg: type-checking %s: %w", m.ImportPath, err)
+		}
+		out = append(out, &Package{Meta: m, Fset: fset, Files: files, Pkg: pkg, Info: info})
 	}
 	return out, nil
 }

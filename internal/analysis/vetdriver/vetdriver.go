@@ -1,22 +1,15 @@
 // Package vetdriver executes kpjlint analyzers under the `go vet
 // -vettool` protocol: the go command hands the tool a JSON config file
-// describing one compilation unit (sources, the import map, compiler
-// export-data files for every dependency, and the facts files of the
-// unit's dependencies), the tool type-checks the unit with the stdlib gc
-// importer over that export data, runs the analyzers, prints findings to
-// stderr, and exits non-zero if there were any. The config schema
-// mirrors golang.org/x/tools/go/analysis/unitchecker.Config, which is
-// the contract cmd/go encodes.
-//
-// Facts flow through the protocol the same way they do in x/tools: a
-// dependency unit (VetxOnly) is analyzed for facts only — its
-// diagnostics are suppressed, because the package gets its own unit when
-// it is a target — and the facts every analyzer exports are serialized
-// to the unit's VetxOutput file, which cmd/go stores in the build cache
-// next to the compiler export data and hands back to dependent units in
-// PackageVetx. Only module-internal packages are analyzed for facts;
-// for the standard library the driver writes the empty output file the
-// build cache expects and exits immediately.
+// describing one compilation unit (sources, the import map, and
+// compiler export-data files for every dependency), the tool
+// type-checks the unit with the stdlib gc importer over that export
+// data, runs the analyzers, prints findings to stderr, and exits
+// non-zero if there were any. The config schema mirrors
+// golang.org/x/tools/go/analysis/unitchecker.Config, which is the
+// contract cmd/go encodes; only the fields this suite needs are read.
+// kpjlint analyzers exchange nothing between packages, so dependency
+// units — VetxOnly configs — are a no-op that just writes the empty
+// output file the build cache expects.
 package vetdriver
 
 import (
@@ -46,7 +39,6 @@ type Config struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -71,10 +63,16 @@ func Main(configFile string, stderr io.Writer, analyzers []*analysis.Analyzer) i
 		log.Fatalf("cannot decode vet config %s: %v", configFile, err)
 	}
 
-	// Facts are derived only for module-internal packages; everything
-	// else gets the empty output file the build cache expects.
-	if cfg.VetxOnly && !analysis.InModule(cfg.ImportPath) {
-		writeFactsFile(cfg.VetxOutput, nil)
+	// The build cache expects the unit's output file regardless; the
+	// suite has nothing to put in it, so it is always empty.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			log.Fatalf("writing vetx output: %v", err)
+		}
+	}
+	if cfg.VetxOnly {
+		// Dependency unit: its diagnostics belong to the package's own
+		// target unit.
 		return 0
 	}
 
@@ -87,13 +85,7 @@ func Main(configFile string, stderr io.Writer, analyzers []*analysis.Analyzer) i
 		log.Fatal(err)
 	}
 
-	diags, facts := Analyze(analyzers, fset, files, pkg, info, ReadDepFacts(cfg.PackageVetx))
-	writeFactsFile(cfg.VetxOutput, facts)
-	if cfg.VetxOnly {
-		// Dependency unit: facts computed above; diagnostics belong to
-		// the package's own target unit.
-		return 0
-	}
+	diags := Analyze(analyzers, fset, files, pkg, info)
 	for _, d := range diags {
 		fmt.Fprintf(stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
 	}
@@ -101,45 +93,6 @@ func Main(configFile string, stderr io.Writer, analyzers []*analysis.Analyzer) i
 		return 1
 	}
 	return 0
-}
-
-// ReadDepFacts loads the facts files of a unit's dependencies (import
-// path → vetx file). Missing and empty files — the stdlib's units —
-// decode to no entry.
-func ReadDepFacts(packageVetx map[string]string) map[string]analysis.Facts {
-	if len(packageVetx) == 0 {
-		return nil
-	}
-	out := map[string]analysis.Facts{}
-	for path, file := range packageVetx {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			continue
-		}
-		facts, err := analysis.DecodeFacts(data)
-		if err != nil {
-			log.Fatalf("vetdriver: %s: %v", file, err)
-		}
-		if facts != nil {
-			out[path] = facts
-		}
-	}
-	return out
-}
-
-// writeFactsFile serializes facts to file ("" means the driver was
-// invoked outside the vet protocol, e.g. by a test on Analyze only).
-func writeFactsFile(file string, facts analysis.Facts) {
-	if file == "" {
-		return
-	}
-	data, err := analysis.EncodeFacts(facts)
-	if err != nil {
-		log.Fatalf("vetdriver: encoding facts: %v", err)
-	}
-	if err := os.WriteFile(file, data, 0o666); err != nil {
-		log.Fatalf("writing facts output: %v", err)
-	}
 }
 
 // check type-checks the unit's sources against the export data the
@@ -172,13 +125,11 @@ func check(fset *token.FileSet, cfg *Config) ([]*ast.File, *types.Package, *type
 	return files, pkg, info, nil
 }
 
-// Analyze runs the analyzers over one type-checked package, supplying
-// them the dependency facts in depFacts, and returns the findings in
-// deterministic (position, message) order plus the facts the analyzers
-// exported for this package.
-func Analyze(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, depFacts map[string]analysis.Facts) ([]analysis.Diagnostic, analysis.Facts) {
+// Analyze runs the analyzers over one type-checked package and returns
+// the findings, each attributed to its analyzer, in deterministic
+// (position, message) order.
+func Analyze(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
-	var facts analysis.Facts
 	for _, a := range analyzers {
 		name := a.Name
 		pass := analysis.NewPass(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
@@ -187,15 +138,8 @@ func Analyze(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.F
 			}
 			diags = append(diags, d)
 		})
-		pass.DepFacts = depFacts
 		if err := a.Run(pass); err != nil {
 			log.Fatalf("analyzer %s: %v", a.Name, err)
-		}
-		if exported := pass.ExportedFacts(); exported != nil {
-			if facts == nil {
-				facts = analysis.Facts{}
-			}
-			facts[a.Name] = exported
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -204,7 +148,7 @@ func Analyze(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.F
 		}
 		return diags[i].Message < diags[j].Message
 	})
-	return diags, facts
+	return diags
 }
 
 type importerFunc func(path string) (*types.Package, error)

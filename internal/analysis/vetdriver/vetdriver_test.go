@@ -1,12 +1,11 @@
 package vetdriver
 
 // These tests drive Main through the real `go vet -vettool` unit
-// protocol: a scratch module (named kpj, so the facts gate recognizes
-// it) is listed with `go list -export`, per-unit config files are
-// written the way cmd/go writes them, and the dependency's facts flow
-// to the dependent through an actual vetx file on disk. The exit-code
-// assertions are the regression guard for CI failing (not warning) on
-// findings.
+// protocol: a scratch module is listed with `go list -export`, per-unit
+// config files are written the way cmd/go writes them, and the target
+// unit type-checks against the dependency's compiler export data. The
+// exit-code assertions are the regression guard for CI failing (not
+// warning) on findings.
 
 import (
 	"bytes"
@@ -17,12 +16,13 @@ import (
 	"testing"
 
 	"kpj/internal/analysis"
-	"kpj/internal/analysis/allocfree"
+	"kpj/internal/analysis/errwrap"
 	"kpj/internal/analysis/loadpkg"
 )
 
 // writeFixtureModule lays out the two-package scratch module and
-// returns its root: fa allocates; fb's noalloc root calls it.
+// returns its root: fa declares an error sentinel; fb compares against
+// it by identity, which errwrap can only see through fa's export data.
 func writeFixtureModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -30,22 +30,20 @@ func writeFixtureModule(t *testing.T) string {
 		"go.mod": "module kpj\n\ngo 1.22\n",
 		"fa/fa.go": `package fa
 
-// Alloc allocates a fresh slice.
-func Alloc(n int) []int {
-	return make([]int, n)
-}
+import "errors"
 
-// Clean does not allocate.
-func Clean(n int) int { return n + 1 }
+// ErrStop is a sentinel callers must match with errors.Is.
+var ErrStop = errors.New("stop")
+
+// Limit is not an error.
+var Limit = 3
 `,
 		"fb/fb.go": `package fb
 
 import "kpj/fa"
 
-//kpjlint:noalloc
-func Root(n int) {
-	_ = fa.Alloc(n)
-	_ = fa.Clean(n)
+func Stopped(err error, n int) bool {
+	return err == fa.ErrStop || n == fa.Limit
 }
 `,
 	}
@@ -74,7 +72,20 @@ func writeConfig(t *testing.T, dir string, cfg *Config) string {
 	return path
 }
 
-func TestProtocolFactsRoundTrip(t *testing.T) {
+// requireEmptyFile asserts the unit wrote the (empty) output file the
+// build cache expects.
+func requireEmptyFile(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("unit wrote no vetx file: %v", err)
+	}
+	if len(data) != 0 {
+		t.Errorf("vetx file should be empty, got %q", data)
+	}
+}
+
+func TestProtocolRoundTrip(t *testing.T) {
 	root := writeFixtureModule(t)
 	metas, err := loadpkg.List(root, "./...")
 	if err != nil {
@@ -98,10 +109,10 @@ func TestProtocolFactsRoundTrip(t *testing.T) {
 	}
 
 	scratch := t.TempDir()
-	faVetx := filepath.Join(scratch, "fa.vetx")
-	analyzers := []*analysis.Analyzer{allocfree.Analyzer}
+	analyzers := []*analysis.Analyzer{errwrap.Analyzer}
 
-	// Unit 1: the dependency, facts-only, as cmd/go schedules it.
+	// Unit 1: the dependency, as cmd/go schedules it ahead of its
+	// importers: nothing to analyze, but the output file must exist.
 	cfgA := &Config{
 		ID:         "fa",
 		Compiler:   "gc",
@@ -110,7 +121,7 @@ func TestProtocolFactsRoundTrip(t *testing.T) {
 		GoFiles:    goFiles(fa),
 		ImportMap:  map[string]string{},
 		VetxOnly:   true,
-		VetxOutput: faVetx,
+		VetxOutput: filepath.Join(scratch, "fa.vetx"),
 	}
 	var stderrA bytes.Buffer
 	if code := Main(writeConfig(t, scratch, cfgA), &stderrA, analyzers); code != 0 {
@@ -119,56 +130,38 @@ func TestProtocolFactsRoundTrip(t *testing.T) {
 	if stderrA.Len() != 0 {
 		t.Errorf("VetxOnly unit printed diagnostics: %s", stderrA.String())
 	}
-	data, err := os.ReadFile(faVetx)
-	if err != nil {
-		t.Fatalf("dependency unit wrote no vetx file: %v", err)
-	}
-	facts, err := analysis.DecodeFacts(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if facts[allocfree.Analyzer.Name] == nil {
-		t.Fatalf("vetx file has no allocfree facts: %s", data)
-	}
+	requireEmptyFile(t, cfgA.VetxOutput)
 
-	// Unit 2: the dependent target, reading the dependency's vetx file.
-	// The dangling PackageVetx entry checks missing-file tolerance.
+	// Unit 2: the dependent target, type-checked against the
+	// dependency's export data.
 	cfgB := &Config{
-		ID:         "fb",
-		Compiler:   "gc",
-		Dir:        root,
-		ImportPath: "kpj/fb",
-		GoFiles:    goFiles(fb),
-		ImportMap:  map[string]string{"kpj/fa": "kpj/fa"},
-		PackageFile: map[string]string{
-			"kpj/fa": fa.Export,
-		},
-		PackageVetx: map[string]string{
-			"kpj/fa":      faVetx,
-			"kpj/missing": filepath.Join(scratch, "does-not-exist.vetx"),
-		},
-		VetxOutput: filepath.Join(scratch, "fb.vetx"),
+		ID:          "fb",
+		Compiler:    "gc",
+		Dir:         root,
+		ImportPath:  "kpj/fb",
+		GoFiles:     goFiles(fb),
+		ImportMap:   map[string]string{"kpj/fa": "kpj/fa"},
+		PackageFile: map[string]string{"kpj/fa": fa.Export},
+		VetxOutput:  filepath.Join(scratch, "fb.vetx"),
 	}
-	cfgBPath := writeConfig(t, scratch, cfgB)
 	var stderrB bytes.Buffer
-	code := Main(cfgBPath, &stderrB, analyzers)
+	code := Main(writeConfig(t, scratch, cfgB), &stderrB, analyzers)
 	if code != 1 {
 		t.Fatalf("target unit with findings exited %d, want 1; stderr:\n%s", code, stderrB.String())
 	}
 	out := stderrB.String()
-	if !strings.Contains(out, "call to fa.Alloc, which allocates") ||
-		!strings.Contains(out, "root fb.Root") {
-		t.Errorf("diagnostic does not cross the package boundary via facts:\n%s", out)
+	if !strings.Contains(out, "fb.go:6:") || !strings.Contains(out, "comparison against error sentinel ErrStop") {
+		t.Errorf("diagnostic does not name the site and the imported sentinel:\n%s", out)
 	}
-	if strings.Contains(out, "fa.Clean") {
-		t.Errorf("allocation-free dependency call was flagged:\n%s", out)
+	if strings.Contains(out, "Limit") {
+		t.Errorf("comparison against a non-error variable was flagged:\n%s", out)
 	}
+	requireEmptyFile(t, cfgB.VetxOutput)
 
 	// Exit-code regression: the same findings under VetxOnly are
 	// suppressed (exit 0), so only the target unit fails the build.
 	cfgB.ID = "fb-vetxonly"
 	cfgB.VetxOnly = true
-	cfgB.VetxOutput = filepath.Join(scratch, "fb2.vetx")
 	var stderrC bytes.Buffer
 	if code := Main(writeConfig(t, scratch, cfgB), &stderrC, analyzers); code != 0 {
 		t.Fatalf("VetxOnly target exited %d, want 0", code)
@@ -178,26 +171,20 @@ func TestProtocolFactsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStdlibUnitWritesEmptyVetx covers the non-module fast path: the
-// unit must still produce the output file the build cache expects.
+// TestStdlibUnitWritesEmptyVetx covers the unit cmd/go schedules most
+// often, a standard-library dependency: no sources are read, and the
+// output file the build cache expects is still produced.
 func TestStdlibUnitWritesEmptyVetx(t *testing.T) {
 	scratch := t.TempDir()
-	vetx := filepath.Join(scratch, "std.vetx")
 	cfg := &Config{
 		ID:         "std",
 		ImportPath: "strings",
 		VetxOnly:   true,
-		VetxOutput: vetx,
+		VetxOutput: filepath.Join(scratch, "std.vetx"),
 	}
 	var stderr bytes.Buffer
 	if code := Main(writeConfig(t, scratch, cfg), &stderr, nil); code != 0 {
 		t.Fatalf("stdlib unit exited %d, want 0", code)
 	}
-	data, err := os.ReadFile(vetx)
-	if err != nil {
-		t.Fatalf("stdlib unit wrote no vetx file: %v", err)
-	}
-	if facts, err := analysis.DecodeFacts(data); err != nil || facts != nil {
-		t.Errorf("stdlib vetx should decode to no facts, got %v, %v", facts, err)
-	}
+	requireEmptyFile(t, cfg.VetxOutput)
 }

@@ -39,7 +39,7 @@ func forwardHeuristic(ws *Workspace, sp *Space, q Query, opt *Options) Heuristic
 	} else {
 		b = opt.Index.BoundsToSet(q.Targets)
 	}
-	endSpan(int64(len(q.Targets))) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+	endSpan(int64(len(q.Targets)))
 	ws.catH = CategoryHeuristic{Space: sp, Bounds: b}
 	return &ws.catH
 }
@@ -61,7 +61,7 @@ func reverseHeuristic(ws *Workspace, sp *Space, q Query, opt *Options) Heuristic
 	} else {
 		b = opt.Index.BoundsFromSet(q.Sources)
 	}
-	endSpan(int64(len(q.Sources))) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+	endSpan(int64(len(q.Sources)))
 	ws.setH = SourceSetHeuristic{Space: sp, Bounds: b}
 	return &ws.setH
 }
@@ -83,8 +83,6 @@ func configure(e *engine, sp *Space, k int, opt *Options, pool *Pool) {
 // subspaces are resolved exactly, in lower-bound order, so only subspaces
 // whose lower bound beats the current k-th length ever pay for a shortest
 // path computation.
-//
-//kpjlint:noalloc
 func BestFirst(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 	ws, err := Prepare(g, q, &opt, false)
 	if err != nil {
@@ -105,8 +103,6 @@ func BestFirst(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 // (paper Alg. 4): unresolved subspaces are tested against a threshold τ
 // that grows geometrically by Options.Alpha, so most subspaces are pruned
 // by cheap bounded searches instead of full shortest path computations.
-//
-//kpjlint:noalloc
 func IterBound(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 	ws, err := Prepare(g, q, &opt, true)
 	if err != nil {
@@ -127,8 +123,6 @@ func IterBound(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 // Section 5.2: the first shortest path computation leaves behind exact
 // remaining-distances for every node it settled (SPT_P), which then
 // sharpen all later lower-bound tests at zero extra build cost.
-//
-//kpjlint:noalloc
 func IterBoundSPTP(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 	ws, err := Prepare(g, q, &opt, true)
 	if err != nil {
@@ -138,7 +132,7 @@ func IterBoundSPTP(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 	rev := ws.ReverseSpace(g, q.Sources, q.Targets)
 	endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
 	t, init, ok := buildPartialSPT(ws, rev, reverseHeuristic(ws, rev, q, &opt), opt.Stats, opt.bound)
-	endSPT(int64(rev.NumSpaceNodes())) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+	endSPT(int64(rev.NumSpaceNodes()))
 	if !ok {
 		return nil, opt.bound.Err()
 	}
@@ -158,8 +152,6 @@ func IterBoundSPTP(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 // incremental shortest path tree SPT_I — which grows lazily with τ — and
 // remaining-distance estimates inside SPT_I are exact. With a nil index
 // this is the paper's IterBound_I-NL variant.
-//
-//kpjlint:noalloc
 func IterBoundSPTI(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 	ws, err := Prepare(g, q, &opt, true)
 	if err != nil {
@@ -170,7 +162,7 @@ func IterBoundSPTI(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 	endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
 	tree := ws.initSPTI(fwd, forwardHeuristic(ws, fwd, q, &opt), opt.Stats, opt.bound)
 	init, ok := tree.initialPath()
-	endSPT(int64(tree.size())) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+	endSPT(int64(tree.size()))
 	if !ok {
 		return nil, opt.bound.Err()
 	}

@@ -6,7 +6,7 @@ package core
 // one is allocated for subsequent takes while already-taken slices keep
 // aliasing the old buffer (still referenced by their results, reclaimed by
 // the GC with them) — so after a warm-up query the steady state allocates
-// nothing.
+// nothing (pinned by TestSteadyStateQueryAllocs).
 type arena[T any] struct {
 	buf []T
 	off int
@@ -14,15 +14,11 @@ type arena[T any] struct {
 
 // reset makes the whole buffer available for the next query. Slices taken
 // earlier must no longer be in use by their owner.
-//
-//kpjlint:noalloc
 func (a *arena[T]) reset() { a.off = 0 }
 
 // take reserves capacity for n elements and returns a zero-length slice
 // over it. Appends to the returned slice beyond n may reallocate; callers
 // take exactly what they fill.
-//
-//kpjlint:noalloc
 func (a *arena[T]) take(n int) []T {
 	if a.off+n > len(a.buf) {
 		size := 2 * len(a.buf)
@@ -32,7 +28,7 @@ func (a *arena[T]) take(n int) []T {
 		if size < 256 {
 			size = 256
 		}
-		a.buf = make([]T, size) //kpjlint:alloc(warm-up growth of the retained arena buffer; steady state never enters this branch)
+		a.buf = make([]T, size)
 		a.off = 0
 	}
 	s := a.buf[a.off : a.off : a.off+n]

@@ -57,8 +57,6 @@ type boundShare struct {
 }
 
 // tripped converts the recorded stop cause into the sticky error.
-//
-//kpjlint:alloc(sticky-error construction after the query has already stopped)
 func (s *boundShare) tripped() error {
 	switch s.cause.Load() {
 	case causeCanceled:
@@ -93,8 +91,6 @@ type Bound struct {
 
 // NewBound builds a Bound from a context and a work budget. It returns
 // nil — the no-op bound — when ctx is nil and budget is non-positive.
-//
-//kpjlint:alloc(constructor, once per query)
 func NewBound(ctx context.Context, budget int64) *Bound {
 	if ctx == nil && budget <= 0 {
 		return nil
@@ -115,8 +111,6 @@ func NewBound(ctx context.Context, budget int64) *Bound {
 // all sharers still respects the original cap; when any sharer trips, the
 // rest observe it within pollEvery units. Each returned bound (and b
 // itself) remains single-goroutine. A nil b yields nil siblings.
-//
-//kpjlint:alloc(shared-bound setup, once per pool construction)
 func (b *Bound) Share(n int) []*Bound {
 	if b == nil {
 		return make([]*Bound, n)
@@ -168,8 +162,6 @@ func (b *Bound) Inject(err error) {
 // context, effectively unlimited budget — but can carry injected errors.
 // Prepare substitutes it for the nil bound while fault injection is
 // enabled, so unbounded queries still have an interruption channel.
-//
-//kpjlint:alloc(constructor, once per fault-injected query)
 func newSentinelBound() *Bound {
 	return &Bound{budget: math.MaxInt64, poll: 1}
 }
@@ -217,7 +209,7 @@ func (b *Bound) Step() error {
 		if b.ctx != nil {
 			select {
 			case <-b.ctx.Done():
-				b.err = fmt.Errorf("%w: %v", ErrCanceled, context.Cause(b.ctx)) //kpjlint:alloc(cancellation error built once, at the instant the query stops)
+				b.err = fmt.Errorf("%w: %v", ErrCanceled, context.Cause(b.ctx))
 				if b.share != nil {
 					b.share.cause.CompareAndSwap(causeNone, causeCanceled)
 				}

@@ -124,8 +124,6 @@ type engine struct {
 // storeResult appends res to the per-query result store and returns its
 // entry index. Entries hold indexes, not pointers, because the store grows
 // by append.
-//
-//kpjlint:alloc(amortized growth of the retained result store; emptied, not freed, at the start of each query)
 func (e *engine) storeResult(res SearchResult) int32 {
 	e.results = append(e.results, res)
 	return int32(len(e.results) - 1)
@@ -186,7 +184,7 @@ func (e *engine) run() (out []Path, err error) {
 		first, status = e.ws.SubspaceSearch(e.sp, e.pt, 0, e.searchH, graph.Infinity, e.pruner, e.stats)
 		ok = status == Found
 	}
-	endInitial(first.Total) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+	endInitial(first.Total)
 	if !ok {
 		return out, e.bound.Err()
 	}
@@ -223,13 +221,13 @@ func (e *engine) run() (out []Path, err error) {
 		// of bounds is a pure function of the query alone.
 		round++
 		endRound := e.spans.Start(obs.PhaseRound, round)
-		e.jobs = append(e.jobs[:0], resolveJob{ent: q.Pop()}) //kpjlint:alloc(amortized growth of the retained jobs buffer; capacity persists across queries)
+		e.jobs = append(e.jobs[:0], resolveJob{ent: q.Pop()})
 		for len(e.jobs) < resolveBatch && q.Len() > 0 && q.Top().res < 0 {
 			if err := e.bound.Step(); err != nil {
-				endRound(int64(len(e.jobs))) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+				endRound(int64(len(e.jobs)))
 				return out, err
 			}
-			e.jobs = append(e.jobs, resolveJob{ent: q.Pop()}) //kpjlint:alloc(amortized growth of the retained jobs buffer; capacity persists across queries)
+			e.jobs = append(e.jobs, resolveJob{ent: q.Pop()})
 		}
 		jobs := e.jobs
 		maxTau := graph.Weight(-1)
@@ -253,7 +251,7 @@ func (e *engine) run() (out []Path, err error) {
 				j.res, j.status = e.ws.SubspaceSearch(e.sp, e.pt, j.ent.vertex, e.searchH, j.tau, e.pruner, e.stats)
 			}
 		} else {
-			e.pool.Run(len(jobs), func(i int, ws *Workspace, st *Stats) { //kpjlint:alloc(per-round worker closure on the parallel path; sequential queries never build it)
+			e.pool.Run(len(jobs), func(i int, ws *Workspace, st *Stats) {
 				j := &jobs[i]
 				j.res, j.status = ws.SubspaceSearch(e.sp, e.pt, j.ent.vertex, e.searchH, j.tau, e.pruner, st)
 			})
@@ -262,7 +260,7 @@ func (e *engine) run() (out []Path, err error) {
 			// the injected error before reading them. Sequential rounds
 			// always run every job, so only the pooled path needs this.
 			if err := e.bound.Err(); err != nil {
-				endRound(int64(len(jobs))) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+				endRound(int64(len(jobs)))
 				return out, err
 			}
 		}
@@ -281,13 +279,13 @@ func (e *engine) run() (out []Path, err error) {
 			case Aborted:
 				e.trace(Event{Kind: EventResolve, Vertex: j.ent.vertex, Node: e.pt.Node(j.ent.vertex),
 					Tau: j.tau, Status: j.status})
-				endRound(int64(len(jobs))) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+				endRound(int64(len(jobs)))
 				return out, e.bound.Err()
 			}
 			e.trace(Event{Kind: EventResolve, Vertex: j.ent.vertex, Node: e.pt.Node(j.ent.vertex),
 				Length: j.res.Total, Tau: j.tau, Status: j.status})
 		}
-		endRound(int64(len(jobs))) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+		endRound(int64(len(jobs)))
 	}
 	// A bound that tripped inside a helper (SPT growth, CompLB) without an
 	// Aborted search still truncates the result.
@@ -308,14 +306,16 @@ func (e *engine) run() (out []Path, err error) {
 func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (stop bool) {
 	res := &e.results[ent.res]
 	e.pathBuf = e.pt.AppendPrefixPath(e.pathBuf[:0], ent.vertex)
-	e.pathBuf = append(e.pathBuf, res.Suffix...) //kpjlint:alloc(amortized growth of the retained path buffer)
+	e.pathBuf = append(e.pathBuf, res.Suffix...)
 	var nodes []graph.NodeID
 	if e.reuse {
 		nodes = e.sp.materializeInto(e.ws.nodeArena.take(len(e.pathBuf)), e.pathBuf)
 	} else {
-		nodes = e.sp.materializeInto(make([]graph.NodeID, 0, len(e.pathBuf)), e.pathBuf) //kpjlint:alloc(fresh result-path copy handed to the caller with ReuseResults off; counted in BENCH_allocs_budget.txt)
+		// Copying mode's one allocation per returned path; what else a
+		// query may allocate is capped by TestCopyingModeAllocs.
+		nodes = e.sp.materializeInto(make([]graph.NodeID, 0, len(e.pathBuf)), e.pathBuf)
 	}
-	*out = append(*out, Path{Nodes: nodes, Length: res.Total}) //kpjlint:alloc(result-slice growth, ~k appends per query; counted in BENCH_allocs_budget.txt)
+	*out = append(*out, Path{Nodes: nodes, Length: res.Total})
 	e.trace(Event{Kind: EventEmit, Vertex: ent.vertex, Node: e.pt.Node(ent.vertex), Length: res.Total})
 	if len(*out) == e.k {
 		return true
@@ -328,20 +328,20 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 	// suffix vertex except the goal (whose subspace is empty).
 	e.cands = e.cands[:0]
 	if e.pt.Node(ent.vertex) != e.sp.Goal {
-		e.cands = append(e.cands, ent.vertex) //kpjlint:alloc(amortized growth of the retained candidate buffer)
+		e.cands = append(e.cands, ent.vertex)
 	}
 	for v := firstNew; v < firstNew+nsuffix; v++ {
 		if e.pt.Node(v) != e.sp.Goal {
-			e.cands = append(e.cands, v) //kpjlint:alloc(amortized growth of the retained candidate buffer)
+			e.cands = append(e.cands, v)
 		}
 	}
 	cands := e.cands
 	if cap(e.lbs) < len(cands) {
-		e.lbs = make([]graph.Weight, len(cands)) //kpjlint:alloc(retained lower-bound buffer grows to the division width, then is reused)
+		e.lbs = make([]graph.Weight, len(cands))
 	}
 	lbs := e.lbs[:len(cands)]
 	if e.pool != nil && len(cands) >= minParallelLB {
-		e.pool.Run(len(cands), func(i int, ws *Workspace, st *Stats) { //kpjlint:alloc(per-round worker closure on the parallel path; sequential queries never build it)
+		e.pool.Run(len(cands), func(i int, ws *Workspace, st *Stats) {
 			lbs[i] = e.compLB(ws, cands[i], st)
 		})
 	} else {
@@ -361,7 +361,7 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 		q.Push(entry{vertex: v, key: lb, res: -1})
 		e.trace(Event{Kind: EventEnqueue, Vertex: v, Node: e.pt.Node(v), Length: lb})
 	}
-	endDivide(int64(len(cands))) //kpjlint:alloc(closing the phase span; span storage is waived obs bookkeeping)
+	endDivide(int64(len(cands)))
 	// CompLB returns 0 (a valid lower bound) when a bound trips inside it;
 	// stop before acting on the degraded values' enqueues.
 	return e.bound.Err() != nil

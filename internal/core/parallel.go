@@ -68,8 +68,6 @@ type poolRound struct {
 // each receives a share of the query's Bound, so budget and cancellation
 // hold across all workers. Call after Prepare (which materializes the
 // Bound) and Close when the query is done.
-//
-//kpjlint:alloc(pool construction, once per query: worker slots, the round channel, and worker goroutines)
 func (opt *Options) NewPool(n int) *Pool {
 	if opt.Parallelism <= 1 {
 		return nil
@@ -115,8 +113,6 @@ func (p *Pool) Workers() int {
 // returns when all are done. f receives the worker's private Workspace and
 // Stats; it must not touch shared mutable state. Run must not be called
 // concurrently with itself or Close.
-//
-//kpjlint:alloc(per-round fan-out: one closure and WaitGroup handoff per round on the parallel path)
 func (p *Pool) Run(m int, f func(task int, ws *Workspace, st *Stats)) {
 	if p == nil || m == 0 {
 		return
@@ -148,7 +144,6 @@ func (p *Pool) Run(m int, f func(task int, ws *Workspace, st *Stats)) {
 	wg.Wait()
 }
 
-//kpjlint:alloc(round bookkeeping on the worker goroutine; WaitGroup signalling only)
 func (p *Pool) worker(slot int) {
 	for r := range p.rounds {
 		claimed := 0
@@ -177,8 +172,6 @@ func (p *Pool) worker(slot int) {
 // fault-skipped) task leaves its slot of the result unset. With no
 // bound to carry the error the panic is re-raised — silently swallowing
 // it would corrupt results, which is worse than the crash.
-//
-//kpjlint:alloc(panic-recovery error construction on the failure path)
 func (p *Pool) runTask(r poolRound, i, slot int) {
 	b := p.slots[slot].ws.bound
 	defer func() {

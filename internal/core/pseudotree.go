@@ -41,12 +41,13 @@ func NewPseudoTree(root graph.NodeID) *PseudoTree {
 
 // Reset re-roots the tree at the given space node, dropping every vertex
 // but retaining all storage. Engines reuse one workspace-owned tree across
-// queries so the steady state inserts without allocating.
+// queries so the steady state inserts without allocating (pinned by
+// TestSteadyStateQueryAllocs).
 func (t *PseudoTree) Reset(root graph.NodeID) {
-	t.node = append(t.node[:0], root)     //kpjlint:alloc(re-rooting keeps capacity; append refills the retained buffer from empty)
-	t.parent = append(t.parent[:0], -1)   //kpjlint:alloc(re-rooting keeps capacity; append refills the retained buffer from empty)
-	t.plen = append(t.plen[:0], 0)        //kpjlint:alloc(re-rooting keeps capacity; append refills the retained buffer from empty)
-	t.kidHead = append(t.kidHead[:0], -1) //kpjlint:alloc(re-rooting keeps capacity; append refills the retained buffer from empty)
+	t.node = append(t.node[:0], root)
+	t.parent = append(t.parent[:0], -1)
+	t.plen = append(t.plen[:0], 0)
+	t.kidHead = append(t.kidHead[:0], -1)
 	t.kidNode = t.kidNode[:0]
 	t.kidNext = t.kidNext[:0]
 }
@@ -84,10 +85,11 @@ func (t *PseudoTree) ExcludedLen(u VertexID) int {
 }
 
 // PrefixNodes calls visit for every space node on the root→u tree path,
-// from u back to the root (u itself included).
+// from u back to the root (u itself included). Like Space.Expand's yield,
+// visit is only called, never stored, so callers' closures stay off the heap.
 func (t *PseudoTree) PrefixNodes(u VertexID, visit func(graph.NodeID)) {
 	for v := u; v >= 0; v = t.parent[v] {
-		visit(t.node[v]) //kpjlint:alloc(visit is a caller-supplied callback; engine callers pass non-escaping closures)
+		visit(t.node[v])
 	}
 }
 
@@ -96,7 +98,7 @@ func (t *PseudoTree) PrefixNodes(u VertexID, visit func(graph.NodeID)) {
 func (t *PseudoTree) AppendPrefixPath(dst []graph.NodeID, u VertexID) []graph.NodeID {
 	base := len(dst)
 	for v := u; v >= 0; v = t.parent[v] {
-		dst = append(dst, t.node[v]) //kpjlint:alloc(appends into the caller's reused prefix buffer; growth is amortized)
+		dst = append(dst, t.node[v])
 	}
 	rev := dst[base:]
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -118,8 +120,6 @@ func (t *PseudoTree) PrefixPath(u VertexID) []graph.NodeID {
 // node, linking d→suffix[0]→…, and returns the first new vertex id; the
 // created ids are the consecutive range [first, first+len(suffix)). This is
 // the pseudo-tree update of the paper's Alg. 1 line 5 / Alg. 2 line 8.
-//
-//kpjlint:alloc(grows the retained tree storage by the emitted suffix; Reset keeps the capacity for the next query)
 func (t *PseudoTree) InsertSuffix(d VertexID, suffix []graph.NodeID, suffixLens []graph.Weight) (first VertexID) {
 	if len(suffix) != len(suffixLens) {
 		panic("core: suffix/lengths size mismatch")

@@ -96,8 +96,6 @@ var (
 )
 
 // Validate checks q against g.
-//
-//kpjlint:alloc(error construction on the reject path; a valid query allocates nothing here)
 func (q Query) Validate(g *graph.Graph) error {
 	if q.K <= 0 {
 		return fmt.Errorf("%w: %d", ErrBadK, q.K)
@@ -124,8 +122,6 @@ func (q Query) Validate(g *graph.Graph) error {
 // Prepare validates the query and options, materializes defaults, and
 // returns the workspace to use. It is shared by the algorithms here and by
 // the deviation baselines in internal/deviation.
-//
-//kpjlint:alloc(per-query setup: validation errors, workspace materialization, and bound construction, all before the search loop)
 func Prepare(g *graph.Graph, q Query, opt *Options, needAlpha bool) (*Workspace, error) {
 	if err := q.Validate(g); err != nil {
 		return nil, err

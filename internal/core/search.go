@@ -69,7 +69,7 @@ func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heu
 		st.Searches++
 	}
 
-	relax := func(from, to graph.NodeID, nd graph.Weight) { //kpjlint:alloc(closure does not escape: the callee only invokes it, held to by the -escapes gate)
+	relax := func(from, to graph.NodeID, nd graph.Weight) {
 		if ws.isBanned(to) {
 			return
 		}
@@ -108,7 +108,7 @@ func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heu
 	}
 	// Expand the start vertex by hand so the X_u first-hop exclusions
 	// apply; the main loop below never re-expands it (it is banned).
-	sp.Expand(start, func(to graph.NodeID, w graph.Weight) { //kpjlint:alloc(closure does not escape: the callee only invokes it, held to by the -escapes gate)
+	sp.Expand(start, func(to graph.NodeID, w graph.Weight) {
 		if !pt.ExcludedHas(u, to) {
 			relax(start, to, startDist+w)
 		}
@@ -127,7 +127,7 @@ func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heu
 			return ws.reconstruct(pt, u, v), Found
 		}
 		dv := ws.dist[v]
-		sp.Expand(v, func(to graph.NodeID, w graph.Weight) { //kpjlint:alloc(closure does not escape: the callee only invokes it, held to by the -escapes gate)
+		sp.Expand(v, func(to graph.NodeID, w graph.Weight) {
 			relax(v, to, dv+w)
 		})
 	}
@@ -146,7 +146,7 @@ func (ws *Workspace) reconstruct(pt *PseudoTree, u VertexID, goal graph.NodeID) 
 	start := pt.Node(u)
 	rev := ws.rev[:0]
 	for v := goal; v != start; v = ws.parent[v] {
-		rev = append(rev, v) //kpjlint:alloc(amortized growth of the retained reverse-walk buffer)
+		rev = append(rev, v)
 	}
 	ws.rev = rev
 	n := len(rev)
@@ -182,7 +182,7 @@ func (ws *Workspace) CompLB(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, 
 	sawBlocked := false
 	prefix := pt.PrefixLen(u)
 	node := pt.Node(u)
-	sp.Expand(node, func(to graph.NodeID, w graph.Weight) { //kpjlint:alloc(closure does not escape: the callee only invokes it, held to by the -escapes gate)
+	sp.Expand(node, func(to graph.NodeID, w graph.Weight) {
 		if ws.isBanned(to) {
 			return
 		}

@@ -116,6 +116,10 @@ func (sp *Space) RootMembers() []graph.NodeID { return sp.rootMembers }
 // deterministic order. The goal node never expands: paths end there (a
 // physical goal's further graph edges can only produce non-simple
 // extensions, so they are never part of an enumerated path).
+//
+// Expand only calls yield and must never store it: the search loops pass
+// closures over their locals, which stay off the heap only while yield
+// does not escape. TestSteadyStateQueryAllocs fails the moment it does.
 func (sp *Space) Expand(v graph.NodeID, yield func(to graph.NodeID, w graph.Weight)) {
 	if v == sp.Goal {
 		return
@@ -123,16 +127,16 @@ func (sp *Space) Expand(v graph.NodeID, yield func(to graph.NodeID, w graph.Weig
 	if sp.IsVirtual(v) {
 		if v == sp.Root {
 			for _, u := range sp.rootMembers {
-				yield(u, 0) //kpjlint:alloc(yield is the search loop's non-escaping closure; the call itself allocates nothing)
+				yield(u, 0)
 			}
 		}
 		return
 	}
 	for _, e := range sp.G.Edges(sp.Dir, v) {
-		yield(e.To, e.W) //kpjlint:alloc(yield is the search loop's non-escaping closure; the call itself allocates nothing)
+		yield(e.To, e.W)
 	}
 	if sp.goalMember != nil && sp.goalMember[v] == sp.goalEpoch {
-		yield(sp.Goal, 0) //kpjlint:alloc(yield is the search loop's non-escaping closure; the call itself allocates nothing)
+		yield(sp.Goal, 0)
 	}
 }
 
@@ -161,12 +165,13 @@ func (sp *Space) Materialize(spaceNodes []graph.NodeID, length graph.Weight) Pat
 
 // materializeInto appends the physical node sequence of a space path to dst
 // (stripping virtual nodes, flipping reverse-space order) and returns the
-// extended slice. Hot paths pass arena- or scratch-backed dst.
+// extended slice. Hot paths pass arena- or scratch-backed dst with room
+// for len(spaceNodes) more nodes, so the appends never reallocate.
 func (sp *Space) materializeInto(dst, spaceNodes []graph.NodeID) []graph.NodeID {
 	base := len(dst)
 	for _, v := range spaceNodes {
 		if !sp.IsVirtual(v) {
-			dst = append(dst, v) //kpjlint:alloc(appends into a dst pre-sized by the caller (arena take or exact-capacity make))
+			dst = append(dst, v)
 		}
 	}
 	if sp.Dir == graph.Backward {

@@ -28,10 +28,10 @@ type SPT struct {
 // unreached/unsettled and the queue is empty.
 func (t *SPT) begin(n int) {
 	if len(t.dist) < n {
-		t.dist = make([]graph.Weight, n)   //kpjlint:alloc(warm-up sizing of the retained SPT arrays; steady state reuses them via epoch stamps)
-		t.parent = make([]graph.NodeID, n) //kpjlint:alloc(warm-up sizing of the retained SPT arrays; steady state reuses them via epoch stamps)
-		t.reach = make([]uint32, n)        //kpjlint:alloc(warm-up sizing of the retained SPT arrays; steady state reuses them via epoch stamps)
-		t.done = make([]uint32, n)         //kpjlint:alloc(warm-up sizing of the retained SPT arrays; steady state reuses them via epoch stamps)
+		t.dist = make([]graph.Weight, n)
+		t.parent = make([]graph.NodeID, n)
+		t.reach = make([]uint32, n)
+		t.done = make([]uint32, n)
 		t.epoch = 0
 	}
 	t.epoch++

@@ -62,7 +62,7 @@ func (t *sptiTree) settleOne() graph.NodeID {
 			t.st.NodesPopped++
 		}
 		dv := t.t.Dist(v)
-		t.fwd.Expand(v, func(to graph.NodeID, w graph.Weight) { //kpjlint:alloc(closure does not escape: the callee only invokes it, held to by the -escapes gate)
+		t.fwd.Expand(v, func(to graph.NodeID, w graph.Weight) {
 			if nd := dv + w; nd < t.t.Dist(to) {
 				h := hOrZero(t.h, to)
 				if h >= graph.Infinity {
@@ -91,7 +91,7 @@ func (t *sptiTree) initialPath() (SearchResult, bool) {
 	// exactly the reverse-space order: virtual target → … → source side.
 	chain := t.ws.rev[:0]
 	for v := t.fwd.Goal; v >= 0; v = t.t.Parent(v) {
-		chain = append(chain, v) //kpjlint:alloc(amortized growth of the retained reverse-walk buffer)
+		chain = append(chain, v)
 	}
 	t.ws.rev = chain
 	total := t.t.Dist(t.fwd.Goal)

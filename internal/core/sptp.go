@@ -43,7 +43,7 @@ func buildPartialSPT(ws *Workspace, rev *Space, revH Heuristic, st *Stats, bound
 			break
 		}
 		dv := t.Dist(v)
-		rev.Expand(v, func(to graph.NodeID, w graph.Weight) { //kpjlint:alloc(closure does not escape: the callee only invokes it, held to by the -escapes gate)
+		rev.Expand(v, func(to graph.NodeID, w graph.Weight) {
 			if nd := dv + w; nd < t.Dist(to) {
 				h := hOrZero(revH, to)
 				if h >= graph.Infinity {
@@ -63,7 +63,7 @@ func buildPartialSPT(ws *Workspace, rev *Space, revH Heuristic, st *Stats, bound
 	// source-side → … → virtual target.
 	chain := ws.rev[:0]
 	for v := rev.Goal; v >= 0; v = t.Parent(v) {
-		chain = append(chain, v) //kpjlint:alloc(amortized growth of the retained reverse-walk buffer)
+		chain = append(chain, v)
 	}
 	ws.rev = chain
 	total := t.Dist(rev.Goal)

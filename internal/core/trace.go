@@ -51,6 +51,6 @@ type TraceFunc func(Event)
 
 func (e *engine) trace(ev Event) {
 	if e.onEvent != nil {
-		e.onEvent(ev) //kpjlint:alloc(user-installed trace callback; tracing is opt-in per query and runs outside the proof)
+		e.onEvent(ev)
 	}
 }

@@ -129,7 +129,6 @@ func (ws *Workspace) Bound() *Bound { return ws.bound }
 // the next query that draws the workspace.
 func (ws *Workspace) DetachBound() { ws.bound = nil }
 
-//kpjlint:noalloc
 func bumpEpoch(epoch *uint32, stamps []uint32) {
 	*epoch++
 	if *epoch == 0 {
@@ -145,8 +144,6 @@ func bumpEpoch(epoch *uint32, stamps []uint32) {
 // workspace and NewPool for every worker workspace, so any SearchResult or
 // (with reuse) Path handed out by the previous query on this workspace is
 // invalidated here.
-//
-//kpjlint:noalloc
 func (ws *Workspace) beginQuery(reuse bool) {
 	ws.reuseResults = reuse
 	ws.nodeArena.reset()
@@ -223,8 +220,6 @@ func (ws *Workspace) TakeNodes(n int) []graph.NodeID { return ws.nodeArena.take(
 func (ws *Workspace) TakeLens(n int) []graph.Weight { return ws.lenArena.take(n) }
 
 // beginSearch starts a fresh distance/heuristic scope.
-//
-//kpjlint:noalloc
 func (ws *Workspace) beginSearch() {
 	bumpEpoch(&ws.depoch, ws.dstamp)
 	bumpEpoch(&ws.hepoch, ws.hstamp)
@@ -232,8 +227,6 @@ func (ws *Workspace) beginSearch() {
 }
 
 // beginBans starts a fresh ban scope.
-//
-//kpjlint:noalloc
 func (ws *Workspace) beginBans() {
 	bumpEpoch(&ws.banEpoch, ws.ban)
 }

@@ -204,8 +204,6 @@ func (r *Registry) Add(rules ...Rule) *Registry {
 // Hit records one arrival at point p and applies the first matching rule:
 // it returns the injected error, panics, or sleeps. With no matching rule
 // (or a nil registry) it returns nil.
-//
-//kpjlint:alloc(fault-injection bookkeeping: registries exist only in chaos tests; production passes a nil registry and returns before any work)
 func (r *Registry) Hit(p Point) error {
 	if r == nil {
 		return nil

@@ -71,8 +71,6 @@ func NewSetBoundsCache(capacity int) *SetBoundsCache {
 // caching it on a miss. Equivalent to ix.BoundsToSet(targets); the node
 // slice is compared element-wise, so callers should pass canonically
 // ordered sets (the query layer dedupes and sorts) to hit reliably.
-//
-//kpjlint:alloc(mutex-guarded cache lookup plus one-time per-category table construction, amortized across queries)
 func (c *SetBoundsCache) BoundsToSet(ix *Index, targets []graph.NodeID) *Bounds {
 	key := setBoundsKey{fp: ix.Fingerprint(), kind: 0, hash: hashNodes(targets)}
 	if v, ok := c.lookup(key, targets); ok {
@@ -85,8 +83,6 @@ func (c *SetBoundsCache) BoundsToSet(ix *Index, targets []graph.NodeID) *Bounds 
 
 // BoundsFromSet returns the source-set table for sources, computing and
 // caching it on a miss. Equivalent to ix.BoundsFromSet(sources).
-//
-//kpjlint:alloc(mutex-guarded cache lookup plus one-time per-category table construction, amortized across queries)
 func (c *SetBoundsCache) BoundsFromSet(ix *Index, sources []graph.NodeID) *FromBounds {
 	key := setBoundsKey{fp: ix.Fingerprint(), kind: 1, hash: hashNodes(sources)}
 	if v, ok := c.lookup(key, sources); ok {

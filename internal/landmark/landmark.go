@@ -376,8 +376,6 @@ type Bounds struct {
 
 // BoundsToSet precomputes the Eq. 2 tables for a destination set. It panics
 // on an empty target set (queries validate V_T before reaching here).
-//
-//kpjlint:alloc(per-query bound-table construction: three small allocations before the search loop starts, amortized over the whole query)
 func (ix *Index) BoundsToSet(targets []graph.NodeID) *Bounds {
 	if len(targets) == 0 {
 		panic("landmark: empty target set")

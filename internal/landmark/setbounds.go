@@ -15,8 +15,6 @@ type FromBounds struct {
 
 // BoundsFromSet precomputes the tables for the source set. It panics on an
 // empty set (queries validate before reaching here).
-//
-//kpjlint:alloc(per-query bound-table construction: three small allocations before the search loop starts, amortized over the whole query)
 func (ix *Index) BoundsFromSet(sources []graph.NodeID) *FromBounds {
 	if len(sources) == 0 {
 		panic("landmark: empty source set")

@@ -79,8 +79,6 @@ var noopEnd = func(int64) {}
 // Start opens a span and returns the function that closes it; call it
 // with the span's payload value (0 when there is none). On a nil
 // recorder it returns a shared no-op without allocating.
-//
-//kpjlint:alloc(span bookkeeping: one small closure per span, and only when a recorder is installed; disabled runs take the nil fast path)
 func (s *Spans) Start(name string, n int) func(val int64) {
 	if s == nil {
 		return noopEnd

@@ -15,9 +15,8 @@ type Heap[T any] struct {
 	less  func(a, b T) bool
 }
 
-// NewHeap returns an empty heap ordered by less.
-//
-//kpjlint:alloc(constructor: heaps are built once per workspace and reused across queries via Reset)
+// NewHeap returns an empty heap ordered by less. less runs on every sift,
+// so it must not allocate (the engine installs capture-free literals).
 func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
 }
@@ -26,10 +25,8 @@ func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
 func (h *Heap[T]) Len() int { return len(h.items) }
 
 // Push adds an item.
-//
-//kpjlint:noalloc
 func (h *Heap[T]) Push(x T) {
-	h.items = append(h.items, x) //kpjlint:alloc(amortized growth of the retained heap buffer; Reset keeps capacity, so the steady state stays within it)
+	h.items = append(h.items, x)
 	h.up(len(h.items) - 1)
 }
 
@@ -38,8 +35,6 @@ func (h *Heap[T]) Push(x T) {
 func (h *Heap[T]) Top() T { return h.items[0] }
 
 // Pop removes and returns the minimum item. It panics on an empty heap.
-//
-//kpjlint:noalloc
 func (h *Heap[T]) Pop() T {
 	top := h.items[0]
 	last := len(h.items) - 1
@@ -53,9 +48,9 @@ func (h *Heap[T]) Pop() T {
 	return top
 }
 
-// Reset empties the heap, retaining capacity.
-//
-//kpjlint:noalloc
+// Reset empties the heap, retaining capacity: a reused heap pushes without
+// allocating once it has been as full before (internal/core's
+// TestSteadyStateQueryAllocs measures exactly that).
 func (h *Heap[T]) Reset() {
 	var zero T
 	for i := range h.items {
@@ -64,11 +59,10 @@ func (h *Heap[T]) Reset() {
 	h.items = h.items[:0]
 }
 
-//kpjlint:noalloc
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) { //kpjlint:alloc(comparator installed at construction is a capture-free func literal; it cannot allocate)
+		if !h.less(h.items[i], h.items[parent]) {
 			return
 		}
 		h.items[i], h.items[parent] = h.items[parent], h.items[i]
@@ -76,16 +70,15 @@ func (h *Heap[T]) up(i int) {
 	}
 }
 
-//kpjlint:noalloc
 func (h *Heap[T]) down(i int) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && h.less(h.items[l], h.items[small]) { //kpjlint:alloc(comparator installed at construction is a capture-free func literal; it cannot allocate)
+		if l < n && h.less(h.items[l], h.items[small]) {
 			small = l
 		}
-		if r < n && h.less(h.items[r], h.items[small]) { //kpjlint:alloc(comparator installed at construction is a capture-free func literal; it cannot allocate)
+		if r < n && h.less(h.items[r], h.items[small]) {
 			small = r
 		}
 		if small == i {
@@ -109,8 +102,6 @@ type NodeQueue struct {
 }
 
 // NewNodeQueue returns an empty queue over node ids [0, n).
-//
-//kpjlint:alloc(constructor: queues are built once per workspace and reused across queries via Reset)
 func NewNodeQueue(n int) *NodeQueue {
 	return &NodeQueue{
 		pos:   make([]int32, n),
@@ -120,8 +111,6 @@ func NewNodeQueue(n int) *NodeQueue {
 }
 
 // Grow extends the id space to at least n nodes, preserving contents.
-//
-//kpjlint:alloc(explicit capacity growth requested by the caller before the search loop; no-op once the id space is large enough)
 func (q *NodeQueue) Grow(n int) {
 	if len(q.pos) >= n {
 		return
@@ -136,9 +125,8 @@ func (q *NodeQueue) Grow(n int) {
 // Len returns the number of queued nodes.
 func (q *NodeQueue) Len() int { return len(q.nodes) }
 
-// Reset empties the queue in O(1) (epoch bump), retaining capacity.
-//
-//kpjlint:noalloc
+// Reset empties the queue in O(1) (epoch bump), retaining capacity, so a
+// reused queue inserts without allocating (same pin as Heap.Reset).
 func (q *NodeQueue) Reset() {
 	q.nodes = q.nodes[:0]
 	q.keys = q.keys[:0]
@@ -165,8 +153,6 @@ func (q *NodeQueue) Key(v int32) int64 {
 // PushOrDecrease inserts node v with the given key, or lowers its key if v
 // is already queued with a larger key. It reports whether the queue
 // changed. Attempts to raise a key are ignored (Dijkstra never needs them).
-//
-//kpjlint:noalloc
 func (q *NodeQueue) PushOrDecrease(v int32, key int64) bool {
 	if q.Contains(v) {
 		i := q.pos[v]
@@ -177,8 +163,8 @@ func (q *NodeQueue) PushOrDecrease(v int32, key int64) bool {
 		q.up(int(i))
 		return true
 	}
-	q.nodes = append(q.nodes, v) //kpjlint:alloc(amortized growth of the retained node buffer; Reset keeps capacity, so the steady state stays within it)
-	q.keys = append(q.keys, key) //kpjlint:alloc(amortized growth of the retained key buffer; grows in lockstep with nodes)
+	q.nodes = append(q.nodes, v)
+	q.keys = append(q.keys, key)
 	q.stamp[v] = q.epoch
 	q.pos[v] = int32(len(q.nodes) - 1)
 	q.up(len(q.nodes) - 1)
@@ -191,8 +177,6 @@ func (q *NodeQueue) TopKey() int64 { return q.keys[0] }
 
 // Pop removes and returns the node with minimum key. It panics on an empty
 // queue.
-//
-//kpjlint:noalloc
 func (q *NodeQueue) Pop() (v int32, key int64) {
 	v, key = q.nodes[0], q.keys[0]
 	last := len(q.nodes) - 1
@@ -206,7 +190,6 @@ func (q *NodeQueue) Pop() (v int32, key int64) {
 	return v, key
 }
 
-//kpjlint:noalloc
 func (q *NodeQueue) swap(i, j int) {
 	q.nodes[i], q.nodes[j] = q.nodes[j], q.nodes[i]
 	q.keys[i], q.keys[j] = q.keys[j], q.keys[i]
@@ -214,7 +197,6 @@ func (q *NodeQueue) swap(i, j int) {
 	q.pos[q.nodes[j]] = int32(j)
 }
 
-//kpjlint:noalloc
 func (q *NodeQueue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -226,7 +208,6 @@ func (q *NodeQueue) up(i int) {
 	}
 }
 
-//kpjlint:noalloc
 func (q *NodeQueue) down(i int) {
 	n := len(q.nodes)
 	for {

@@ -139,9 +139,9 @@ func (g *Graph) BatchContext(ctx context.Context, queries []BatchQuery, parallel
 	var merged Stats
 	for w := 0; w < parallelism; w++ {
 		wg.Add(1)
-		//kpjlint:deterministic inter-query fan-out: each worker claims
-		// whole queries and writes only results[i]; every query's output
-		// is computed independently, so scheduling never reaches it.
+		// Inter-query fan-out: each worker claims whole queries and writes
+		// only results[i]; every query's output is computed independently,
+		// so scheduling never reaches it (TestBatchMatchesSequential).
 		go func() {
 			defer wg.Done()
 			workerOpt := copt

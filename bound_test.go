@@ -10,28 +10,22 @@ import (
 	"kpj/internal/leaktest"
 )
 
-// boundAlgorithms enumerates every algorithm the bounded-execution
-// contract must hold for: the four contributed algorithms and the two
-// deviation baselines.
-var boundAlgorithms = []kpj.Algorithm{
-	kpj.IterBoundSPTI, kpj.IterBoundSPTP, kpj.IterBound,
-	kpj.BestFirst, kpj.DA, kpj.DASPT,
-}
-
-// boundGrid builds a w×h grid city with unit-ish weights; corner-to-corner
-// top-k queries on it have many near-tied simple paths, which makes the
-// engines do real work.
-func boundGrid(t testing.TB, w, h int) *kpj.Graph {
+// boundGrid builds a w×h grid city with weights base..base+2;
+// corner-to-corner top-k queries on it have many near-tied simple paths,
+// which makes the engines do real work. Base 1 keeps every search on the
+// monotone bucket queues; a base above 2^30 (pqueue.MaxBucketEdgeWeight)
+// forces the binary-heap loops instead.
+func boundGrid(t testing.TB, w, h int, base kpj.Weight) *kpj.Graph {
 	t.Helper()
 	b := kpj.NewBuilder(w * h)
 	id := func(x, y int) kpj.NodeID { return kpj.NodeID(y*w + x) }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				b.AddBiEdge(id(x, y), id(x+1, y), kpj.Weight(1+(x+y)%3))
+				b.AddBiEdge(id(x, y), id(x+1, y), base+kpj.Weight((x+y)%3))
 			}
 			if y+1 < h {
-				b.AddBiEdge(id(x, y), id(x, y+1), kpj.Weight(1+(x*y)%3))
+				b.AddBiEdge(id(x, y), id(x, y+1), base+kpj.Weight((x*y)%3))
 			}
 		}
 	}
@@ -43,26 +37,35 @@ func boundGrid(t testing.TB, w, h int) *kpj.Graph {
 }
 
 // TestCanceledContext: a context canceled before the query starts must
-// stop every algorithm promptly with ErrCanceled and a TruncatedError.
+// stop every algorithm with ErrCanceled and a TruncatedError within 1024
+// pops — on the bucket-queue loops (base 1) and on the binary-heap loops
+// (base 2^31). 3600 nodes, so a drain loop that never polls the Bound (a
+// full SPT build, say) overshoots the cap.
 func TestCanceledContext(t *testing.T) {
 	defer leaktest.Check(t)()
-	g := boundGrid(t, 20, 20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range boundAlgorithms {
-		paths, err := g.TopKJoinSets(
-			[]kpj.NodeID{0}, []kpj.NodeID{kpj.NodeID(g.NumNodes() - 1)}, 50,
-			&kpj.Options{Algorithm: alg, Context: ctx})
-		if !errors.Is(err, kpj.ErrCanceled) {
-			t.Errorf("%v: err = %v, want ErrCanceled", alg, err)
-			continue
-		}
-		partial, ok := kpj.Truncated(err)
-		if !ok {
-			t.Errorf("%v: error %v is not a *TruncatedError", alg, err)
-		}
-		if len(partial) != len(paths) {
-			t.Errorf("%v: error carries %d paths, return carries %d", alg, len(partial), len(paths))
+	for _, base := range []kpj.Weight{1, 1 << 31} {
+		g := boundGrid(t, 60, 60, base)
+		for _, alg := range allAlgorithms {
+			var st kpj.Stats
+			paths, err := g.TopKJoinSets(
+				[]kpj.NodeID{0}, []kpj.NodeID{kpj.NodeID(g.NumNodes() - 1)}, 50,
+				&kpj.Options{Algorithm: alg, Context: ctx, Stats: &st})
+			if !errors.Is(err, kpj.ErrCanceled) {
+				t.Errorf("base %d %v: err = %v, want ErrCanceled", base, alg, err)
+				continue
+			}
+			partial, ok := kpj.Truncated(err)
+			if !ok {
+				t.Errorf("base %d %v: error %v is not a *TruncatedError", base, alg, err)
+			}
+			if len(partial) != len(paths) {
+				t.Errorf("base %d %v: error carries %d paths, return carries %d", base, alg, len(partial), len(paths))
+			}
+			if st.NodesPopped > 1024 {
+				t.Errorf("base %d %v: %d pops after a pre-canceled context, want <= 1024", base, alg, st.NodesPopped)
+			}
 		}
 	}
 }
@@ -71,8 +74,8 @@ func TestCanceledContext(t *testing.T) {
 // with whatever prefix was found.
 func TestCancelMidQuery(t *testing.T) {
 	defer leaktest.Check(t)()
-	g := boundGrid(t, 40, 40)
-	for _, alg := range boundAlgorithms {
+	g := boundGrid(t, 40, 40, 1)
+	for _, alg := range allAlgorithms {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		start := time.Now()
 		paths, err := g.TopKJoinSets(
@@ -103,11 +106,11 @@ func TestCancelMidQuery(t *testing.T) {
 // must be an exact prefix of the unbounded answer — truncation may only
 // cut the tail, never alter what is found.
 func TestBudgetPrefix(t *testing.T) {
-	g := boundGrid(t, 12, 12)
+	g := boundGrid(t, 12, 12, 1)
 	src := []kpj.NodeID{0}
 	dst := []kpj.NodeID{kpj.NodeID(g.NumNodes() - 1)}
 	const k = 30
-	for _, alg := range boundAlgorithms {
+	for _, alg := range allAlgorithms {
 		full, err := g.TopKJoinSets(src, dst, k, &kpj.Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: unbounded query failed: %v", alg, err)
@@ -146,7 +149,7 @@ func TestBudgetPrefix(t *testing.T) {
 
 // TestBudgetZeroIsUnlimited: the zero value must not bound anything.
 func TestBudgetZeroIsUnlimited(t *testing.T) {
-	g := boundGrid(t, 8, 8)
+	g := boundGrid(t, 8, 8, 1)
 	paths, err := g.TopKJoinSets([]kpj.NodeID{0}, []kpj.NodeID{kpj.NodeID(g.NumNodes() - 1)}, 10,
 		&kpj.Options{Budget: 0})
 	if err != nil || len(paths) != 10 {
@@ -161,9 +164,9 @@ func TestDeadlineBoundsLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow-graph latency test")
 	}
-	g := boundGrid(t, 100, 100)
+	g := boundGrid(t, 100, 100, 1)
 	const deadline = 50 * time.Millisecond
-	for _, alg := range boundAlgorithms {
+	for _, alg := range allAlgorithms {
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		start := time.Now()
 		_, err := g.TopKJoinSetsContext(ctx,

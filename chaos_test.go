@@ -127,7 +127,7 @@ func TestChaosOracleSchedules(t *testing.T) {
 				Rules:  5,
 				MaxHit: 48,
 			})
-			for _, alg := range oracleAlgorithms {
+			for _, alg := range allAlgorithms {
 				for _, par := range []int{1, 4} {
 					chaosInstall(t, fault.New().Add(rules...))
 					o := opt
@@ -411,7 +411,7 @@ func TestTruncatedPrefixMidResolve(t *testing.T) {
 	defer leaktest.Check(t)()
 	c := oracleCaseFor(t, 1)
 	want := oracleAnswer(c)
-	for _, alg := range oracleAlgorithms {
+	for _, alg := range allAlgorithms {
 		chaosPrefixSweep(t, c, alg, fault.SubspaceSearch, want)
 	}
 
@@ -451,7 +451,7 @@ func TestChaosMetricsConsistent(t *testing.T) {
 			Rules:  3,
 			MaxHit: 32,
 		})...))
-		alg := oracleAlgorithms[seed%len(oracleAlgorithms)]
+		alg := allAlgorithms[seed%len(allAlgorithms)]
 		_, _ = c.g.TopKJoinSets(c.sources, c.targets, c.k, &kpj.Options{Algorithm: alg})
 		fault.Install(nil)
 	}

@@ -114,8 +114,9 @@ func (a *Applied) RekeyBounds(c *BoundsCache) (migrated, dropped int) {
 				return true
 			}
 		}
-		//kpjlint:deterministic pure membership test — the predicate is
-		// true iff any old category set matches, regardless of order.
+		// Pure membership test — the predicate is true iff any old
+		// category set matches, regardless of the map's iteration order
+		// (TestApplyRekeyBounds).
 		for _, oldSet := range a.oldSets {
 			if len(oldSet) != len(nodes) {
 				continue

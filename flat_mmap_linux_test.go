@@ -86,7 +86,7 @@ func TestMmapReweightChainKeepsHeadsMapped(t *testing.T) {
 	if inFile(unsafe.Pointer(&oa[0])) || inFile(unsafe.Pointer(&ia[0])) {
 		t.Fatal("a reweighted generation still reads its adjacency from the file")
 	}
-	for _, alg := range allAlgorithms() {
+	for _, alg := range allAlgorithms {
 		for _, src := range []kpj.NodeID{id(0, 0), id(19, 19), id(7, 12)} {
 			got, err := mg.TopKJoin(src, "poi", 8, &kpj.Options{Index: mix, Algorithm: alg})
 			if err != nil {

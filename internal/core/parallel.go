@@ -92,9 +92,9 @@ func (opt *Options) NewPool(n int) *Pool {
 		// here invalidates only results of the workspace's previous query.
 		ws.beginQuery(false)
 		p.slots[i].ws = ws
-		//kpjlint:deterministic this IS core.Pool: workers only run tasks
-		// whose results are merged in task order, so scheduling never
-		// reaches the output.
+		// Workers only run tasks whose results are merged in task order,
+		// so scheduling never reaches the output (TestParallelDeterminism,
+		// the oracle suite at Parallelism 4).
 		go p.worker(i)
 	}
 	return p

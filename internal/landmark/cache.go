@@ -215,9 +215,10 @@ func (c *SetBoundsCache) Rekey(oldFP uint64, newIx *Index, drop func(nodes []gra
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var stale []*list.Element
-	//kpjlint:deterministic sweep order does not matter: each stale
-	// entry is dropped or migrated independently, and two old keys can
-	// never collide on the same new key (only the fingerprint changes).
+	// Sweep order does not matter: each stale entry is dropped or
+	// migrated independently, and two old keys can never collide on the
+	// same new key (only the fingerprint changes) —
+	// TestCacheRekeyScopedInvalidation.
 	for key, el := range c.entries {
 		if key.fp == oldFP {
 			stale = append(stale, el)

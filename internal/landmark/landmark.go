@@ -95,9 +95,9 @@ func BuildParallel(g *graph.Graph, count int, seed int64, parallelism int) (*Ind
 	bwd := make([][]int32, count)
 	runBwd := func(i int, w graph.NodeID) {
 		wg.Add(1)
-		//kpjlint:deterministic each backward Dijkstra writes only bwd[i];
-		// the selection chain never reads bwd, so the produced index is
-		// identical at every parallelism level (see parallel_test.go).
+		// Each backward Dijkstra writes only bwd[i]; the selection chain
+		// never reads bwd, so the produced index is identical at every
+		// parallelism level (TestBuildParallelDeterminism).
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
@@ -209,9 +209,10 @@ func BuildWithLandmarksParallel(g *graph.Graph, landmarks []graph.NodeID, parall
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//kpjlint:deterministic workers claim table slots t and write only
-		// fwd[t]/bwd[t]; every table is a pure function of (g, ids[t]), so
-		// the index is identical at every parallelism level.
+		// Workers claim table slots t and write only fwd[t]/bwd[t]; every
+		// table is a pure function of (g, ids[t]), so the index is identical
+		// at every parallelism level (checkRepairLaw holds every rebuild
+		// through here checksum-equal to Repair's rows at par 1 and 4).
 		go func() {
 			defer wg.Done()
 			for {

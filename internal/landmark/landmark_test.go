@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -36,8 +37,8 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := BuildWithLandmarks(g, nil); err == nil {
 		t.Fatal("want error for empty landmark list")
 	}
-	if _, err := BuildWithLandmarks(g, []graph.NodeID{7}); err == nil {
-		t.Fatal("want error for out-of-range landmark")
+	if _, err := BuildWithLandmarks(g, []graph.NodeID{7}); !errors.Is(err, graph.ErrNodeRange) {
+		t.Fatalf("out-of-range landmark: err = %v, want ErrNodeRange", err)
 	}
 }
 
@@ -58,15 +59,28 @@ func TestCountClamped(t *testing.T) {
 	}
 }
 
+// TestSelectionDeterministic: an index is a pure function of (graph,
+// count, seed) for both selection strategies — seed 0 included, so a
+// "0 means pick one from the clock" default or a draw from the global
+// math/rand source fails here.
 func TestSelectionDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testgraphs.RandomConnected(rng, 50, 100, 20)
-	a := buildIndex(t, g, 6, 42)
-	b := buildIndex(t, g, 6, 42)
-	la, lb := a.Landmarks(), b.Landmarks()
-	for i := range la {
-		if la[i] != lb[i] {
-			t.Fatalf("same seed gave different landmarks: %v vs %v", la, lb)
+	for _, b := range []struct {
+		name  string
+		build func(*graph.Graph, int, int64) (*Index, error)
+	}{{"Build", Build}, {"BuildRandom", BuildRandom}} {
+		for _, seed := range []int64{0, 42} {
+			var ix [2]*Index
+			for i := range ix {
+				var err error
+				if ix[i], err = b.build(g, 6, seed); err != nil {
+					t.Fatalf("%s seed %d: %v", b.name, seed, err)
+				}
+			}
+			if ix[0].Fingerprint() != ix[1].Fingerprint() || ix[0].TablesChecksum() != ix[1].TablesChecksum() {
+				t.Errorf("%s seed %d: two builds differ: landmarks %v vs %v", b.name, seed, ix[0].Landmarks(), ix[1].Landmarks())
+			}
 		}
 	}
 }

@@ -135,10 +135,10 @@ func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, threshold
 		}
 	}
 	runJobs(jobs, parallelism, func(j *job) {
-		//kpjlint:deterministic each job writes only its own result
-		// fields; a row is a pure function of (newG, landmark) whichever
-		// way it is computed, so the repaired index is identical at every
-		// parallelism level.
+		// Each job writes only its own result fields; a row is a pure
+		// function of (newG, landmark) whichever way it is computed, so the
+		// repaired index is identical at every parallelism level
+		// (TestRepairMatchesFullRebuild, TestRepairLaw* at par 1 and 4).
 		root := old.landmarks[j.i]
 		if !stats.FullRebuild {
 			var ok bool
@@ -378,9 +378,9 @@ func runJobs[T any](jobs []T, parallelism int, run func(T)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//kpjlint:deterministic workers claim job indices through a
-		// mutex and each job writes a distinct table slot; output is
-		// identical at every worker count.
+		// Workers claim job indices through a mutex and each job writes a
+		// distinct table slot; output is identical at every worker count
+		// (TestRepairLaw* at par 1 and 4).
 		go func() {
 			defer wg.Done()
 			for {

@@ -123,13 +123,25 @@ func (rt *Router) probe(ctx context.Context, rp *replica) {
 		rt.noteFailure(rp, err)
 		return
 	}
+	// A probe never overlaps an update fan-out: mid-fan-out the replicas
+	// legitimately sit at different epochs, so a probe of the fastest one
+	// would advance the fleet view and the next probe of a slower one
+	// would fence a healthy replica and resync it against its in-flight
+	// /update; and a verdict reached before a fan-out fenced this replica
+	// must not land after it. Skip the cycle rather than wait — state
+	// stays as the fan-out leaves it, and the next cycle re-probes.
+	if !rt.updateMu.TryRLock() {
+		return
+	}
+	defer rt.updateMu.RUnlock()
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
 
 	// The fleet view is snapshotted BEFORE the readyz fetch: the replica's
 	// answer is at least as fresh as this view, so comparing against it
 	// cannot spuriously fence a current replica just because an update
-	// fan-out advanced the fleet while the probe was in flight.
+	// this router does not serialize (another router's, or out-of-band)
+	// advanced the fleet while the probe was in flight.
 	fleet := rt.fleetSnapshot()
 	ready, epoch, fp, err := rt.fetchReadyz(pctx, rp)
 	if err != nil {

@@ -106,11 +106,12 @@ type Router struct {
 	lat    latencyTracker
 	budget atomic.Int64 // retry tokens × tokenScale
 
-	// Replicated-update state (update.go): updateMu serializes fan-outs,
-	// fleet is the monotonically adopted (epoch, fingerprint) the fleet
-	// agrees on, tail retains recent deltas for resync catch-up, and
-	// resyncWG tracks background resync goroutines for Close.
-	updateMu sync.Mutex
+	// Replicated-update state (update.go): updateMu serializes fan-outs
+	// (write side) and keeps probes (read side) out of them, fleet is the
+	// monotonically adopted (epoch, fingerprint) the fleet agrees on, tail
+	// retains recent deltas for resync catch-up, and resyncWG tracks
+	// background resync goroutines for Close.
+	updateMu sync.RWMutex
 	fleet    atomic.Pointer[fleetState]
 	tail     deltaTail
 	resyncWG sync.WaitGroup

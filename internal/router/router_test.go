@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -514,6 +515,16 @@ func TestTypedErrorWhenAllReplicasDead(t *testing.T) {
 	}
 	if rec, _ := routerGet(t, rt, "/readyz"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with all replicas dead: status %d, want 503", rec.Code)
+	}
+
+	// A client that went away is typed as that, however deep the
+	// transport wrapped context.Canceled.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec = httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?source=0&category=hotel&k=2", nil).WithContext(ctx))
+	if kind := rec.Header().Get("X-Kpj-Error-Kind"); kind != kindCanceled {
+		t.Fatalf("canceled request: X-Kpj-Error-Kind %q, want %q", kind, kindCanceled)
 	}
 }
 

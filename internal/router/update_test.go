@@ -1,11 +1,13 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -308,9 +310,9 @@ func TestUpdateFanoutUnderReplicaKill(t *testing.T) {
 	if got := fixtures[1].app.Epoch(); got != 7 {
 		t.Fatalf("revived replica at epoch %d, want 7", got)
 	}
-	if n := rt.met.resyncs.Value(); n < 1 {
-		t.Fatalf("kpj_router_resyncs_total{result=ok} = %d, want >= 1", n)
-	}
+	// The resync goroutine counts itself after the replay that the probe
+	// above already observed, so the counter may trail the readmission.
+	waitFor(t, `kpj_router_resyncs_total{result="ok"} >= 1`, func() bool { return rt.met.resyncs.Value() >= 1 })
 
 	// Phase 4: the rejoined fleet takes the stream again, everywhere.
 	for i := 8; i <= 9; i++ {
@@ -328,5 +330,62 @@ func TestUpdateFanoutUnderReplicaKill(t *testing.T) {
 	rt.Close()
 	for _, f := range fixtures {
 		f.srv.Close()
+	}
+}
+
+// TestProbeMidFanoutLeavesSlowReplicaAlone: while a fan-out is in flight
+// the replicas legitimately sit at different epochs. A probe of the fast
+// one must not advance the fleet view, and a probe of the slow one must
+// not fence it and resync it against its own in-flight /update — the bug
+// behind TestUpdateFanoutUnderReplicaKill's "applied on [r2], want >= 2".
+func TestProbeMidFanoutLeavesSlowReplicaAlone(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	fixtures := newFixtures(t, 2, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 1 && r.URL.Path == "/update" { // r1 holds the one routed update
+				close(entered)
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	rt := newTestRouter(t, fixtures, func(c *Config) {
+		c.Metrics = obs.NewRegistry()
+		c.ProbeInterval = time.Hour // first probe is immediate; the rest are driven below
+	})
+	waitAllHealthy(t, rt, fixtures)
+
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec, _ := routerPost(t, rt, "/update", `{"setWeights":[{"u":0,"v":1,"w":4}]}`)
+		done <- rec
+	}()
+	<-entered
+	waitFor(t, "r0 to apply while r1 is held", func() bool { return fixtures[0].app.Epoch() == 1 })
+
+	reps := rt.topo.Load().reps
+	for _, rp := range reps { // r0 (at epoch 1) first, then r1 (still at 0)
+		rt.probe(context.Background(), rp)
+	}
+	if fleet, st := rt.fleetSnapshot(), reps[1].State(); fleet.epoch != 0 || st != StateHealthy {
+		t.Errorf("mid-fan-out probes moved the fleet to %s and r1 to %v", fleet, st)
+	}
+
+	unblock()
+	rec := <-done
+	var out updateFanBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("update: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	if out.Epoch != 1 || len(out.Applied) != 2 || len(out.Resyncing) != 0 {
+		t.Errorf("fan-out result: %+v, want epoch 1 applied on both", out)
+	}
+	// Once the fan-out is over, probes gate as before: r1 is at the fleet.
+	rt.probe(context.Background(), reps[1])
+	if st, n := reps[1].State(), rt.met.toState[StateDown].Value(); st != StateHealthy || n != 0 {
+		t.Errorf("after the fan-out: r1 %v, %d down transitions, want healthy and 0", st, n)
 	}
 }

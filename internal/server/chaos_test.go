@@ -90,26 +90,31 @@ func TestBreakerDegradedMode(t *testing.T) {
 }
 
 // TestBreakerInjectedPanicCounts: a KindPanic injection at the handler is
-// recovered into ErrWorkerPanic, answers 500, and counts toward the
-// breaker like any other internal fault — the process never dies.
+// recovered into ErrWorkerPanic, and a mid-engine injected error comes
+// back as a truncated prefix wrapping ErrInjectedFault; both count toward
+// the breaker like any other internal fault — the process never dies.
 func TestBreakerInjectedPanicCounts(t *testing.T) {
 	defer leaktest.Check(t)()
-	s, _ := testServer(t, WithBreaker(1, 1))
-	installFaults(t, fault.New().Add(
-		fault.Rule{Point: fault.ServerHandler, Nth: 1, Count: 1, Kind: fault.KindPanic}))
+	for _, rule := range []fault.Rule{
+		{Point: fault.ServerHandler, Nth: 1, Count: 1, Kind: fault.KindPanic},
+		{Point: fault.SubspaceSearch, Nth: 1, Count: 1},
+	} {
+		s, _ := testServer(t, WithBreaker(1, 1))
+		installFaults(t, fault.New().Add(rule))
 
-	// The panic trips the one-strike breaker; the degraded retry succeeds.
-	rec, body := get(t, s, "/query?source=0&category=hotel&k=2")
-	if rec.Code != http.StatusOK || rec.Header().Get("X-Kpj-Degraded") != "1" {
-		t.Fatalf("status %d degraded=%q (%s)", rec.Code, rec.Header().Get("X-Kpj-Degraded"), body)
-	}
-	// One clean degraded probe closes it again.
-	rec, _ = get(t, s, "/query?source=0&category=hotel&k=2")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("probe: status %d", rec.Code)
-	}
-	if rec, _ := get(t, s, "/query?source=0&category=hotel&k=2"); rec.Header().Get("X-Kpj-Degraded") != "" {
-		t.Fatal("breaker should be closed after the clean probe")
+		// The fault trips the one-strike breaker; the degraded retry succeeds.
+		rec, body := get(t, s, "/query?source=0&category=hotel&k=2")
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Kpj-Degraded") != "1" {
+			t.Fatalf("%s: status %d degraded=%q (%s)", rule.Point, rec.Code, rec.Header().Get("X-Kpj-Degraded"), body)
+		}
+		// One clean degraded probe closes it again.
+		rec, _ = get(t, s, "/query?source=0&category=hotel&k=2")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: probe: status %d", rule.Point, rec.Code)
+		}
+		if rec, _ := get(t, s, "/query?source=0&category=hotel&k=2"); rec.Header().Get("X-Kpj-Degraded") != "" {
+			t.Fatalf("%s: breaker should be closed after the clean probe", rule.Point)
+		}
 	}
 }
 

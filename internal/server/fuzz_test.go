@@ -111,6 +111,11 @@ func FuzzApplyDelta(f *testing.F) {
 		`{"setWeights":[{"u":0,"v":1,"w":4},{"u":0,"v":1,"w":5}]}`,
 		`[]`,
 		`null`,
+		// Zero is a legal weight: the canary's best path becomes 0→35 at
+		// length 0 (the delete makes room; the seeds share one server and
+		// the second one inserted that edge at 7).
+		`{"deletes":[{"u":0,"v":35}]}`,
+		`{"inserts":[{"u":0,"v":35,"w":0}]}`,
 	}
 	for _, b := range seeds {
 		f.Add(b)
@@ -162,7 +167,7 @@ func FuzzApplyDelta(f *testing.F) {
 			t.Fatalf("canary saw epoch %d, server at %d", q.Epoch, after)
 		}
 		for _, p := range q.Paths {
-			if p.Length <= 0 || len(p.Nodes) < 2 {
+			if p.Length < 0 || len(p.Nodes) < 2 {
 				t.Fatalf("canary returned corrupt path %+v after body %q", p, body)
 			}
 		}

@@ -9,12 +9,14 @@ import (
 	"kpj/internal/testgraphs"
 )
 
-// bigLine builds a long path graph so Dijkstra has real work to cancel.
-func bigLine(t *testing.T, n int) *graph.Graph {
+// bigLine builds a long path graph of weight-w edges so Dijkstra has real
+// work to cancel: w = 1 runs the bucket-queue loop, w above 2^30
+// (pqueue.MaxBucketEdgeWeight) the binary-heap loop.
+func bigLine(t *testing.T, n int, w graph.Weight) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(n)
 	for i := 0; i < n-1; i++ {
-		b.AddBiEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
+		b.AddBiEdge(graph.NodeID(i), graph.NodeID(i+1), w)
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -38,25 +40,27 @@ func TestDijkstraContextNilMatchesPlain(t *testing.T) {
 }
 
 func TestDijkstraContextCanceled(t *testing.T) {
-	g := bigLine(t, 200000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tree, err := DijkstraContext(ctx, g, graph.Forward, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if tree == nil {
-		t.Fatal("canceled Dijkstra must still return the partial tree")
-	}
-	// Settled distances of a partial tree are exact; the far end must be
-	// unreached given the immediate cancellation.
-	if tree.Reached(graph.NodeID(g.NumNodes() - 1)) {
-		t.Fatal("canceled search claims to have reached the far end")
+	for _, w := range []graph.Weight{1, 1 << 31} { // bucket loop, heap loop
+		g := bigLine(t, 200000, w)
+		tree, err := DijkstraContext(ctx, g, graph.Forward, 0)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("w=%d: err = %v, want context.Canceled", w, err)
+		}
+		if tree == nil {
+			t.Fatalf("w=%d: canceled Dijkstra must still return the partial tree", w)
+		}
+		// Settled distances of a partial tree are exact; the far end must
+		// be unreached given the immediate cancellation.
+		if tree.Reached(graph.NodeID(g.NumNodes() - 1)) {
+			t.Fatalf("w=%d: canceled search claims to have reached the far end", w)
+		}
 	}
 }
 
 func TestAStarContextCanceled(t *testing.T) {
-	g := bigLine(t, 200000)
+	g := bigLine(t, 200000, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, found, err := AStarContext(ctx, g, graph.Forward, 0, graph.NodeID(g.NumNodes()-1), nil)

@@ -3,6 +3,7 @@ package kpj_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -38,10 +39,26 @@ func fig1(t *testing.T) *kpj.Graph {
 
 var wantLengths = []kpj.Weight{5, 6, 7, 7, 8}
 
-func allAlgorithms() []kpj.Algorithm {
-	return []kpj.Algorithm{
-		kpj.IterBoundSPTI, kpj.IterBoundSPTP, kpj.IterBound,
-		kpj.BestFirst, kpj.DA, kpj.DASPT,
+// allAlgorithms is the one engine table of the root tests: the oracle,
+// bounded-execution, determinism, churn and chaos suites all range over
+// it, so an engine cannot join one gate without joining the others.
+var allAlgorithms = []kpj.Algorithm{
+	kpj.IterBoundSPTI, kpj.IterBoundSPTP, kpj.IterBound,
+	kpj.BestFirst, kpj.DA, kpj.DASPT,
+}
+
+// TestAlgorithmTableComplete: every kpj.Algorithm value that has a name
+// must be in allAlgorithms — a new engine added to the enum without a row
+// here would be seen by no gate.
+func TestAlgorithmTableComplete(t *testing.T) {
+	inTable := map[kpj.Algorithm]bool{}
+	for _, alg := range allAlgorithms {
+		inTable[alg] = true
+	}
+	for a := kpj.Algorithm(0); a < 64; a++ { // the enum is small consecutive ints
+		if named := a.String() != fmt.Sprintf("Algorithm(%d)", int(a)); named != inTable[a] {
+			t.Errorf("%v: named = %v, in allAlgorithms = %v", a, named, inTable[a])
+		}
 	}
 }
 
@@ -51,7 +68,7 @@ func TestTopKJoinAllAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range allAlgorithms() {
+	for _, algo := range allAlgorithms {
 		for _, withIndex := range []bool{false, true} {
 			opt := &kpj.Options{Algorithm: algo}
 			if withIndex {

@@ -174,7 +174,7 @@ func runChurnCase(t *testing.T, c deltaCase) {
 	want := bruteforce.TopK(curOg, ogSources, ogTargets, c.k)
 
 	oc := oracleCase{name: c.name, g: curG, og: curOg, sources: c.sources, targets: targets, k: c.k}
-	for _, alg := range oracleAlgorithms {
+	for _, alg := range allAlgorithms {
 		for _, par := range []int{1, 4} {
 			applied := &kpj.Options{Algorithm: alg, Parallelism: par, Index: ix, BoundsCache: cache}
 			scratch := &kpj.Options{Algorithm: alg, Parallelism: par, Index: scratchIx}

@@ -23,7 +23,7 @@ import (
 // metamorphicQuery is a corner-to-set query on a jittered grid — hard
 // enough that small budgets genuinely truncate it.
 func metamorphicQuery(t testing.TB) (*kpj.Graph, []kpj.NodeID, []kpj.NodeID, int) {
-	g := boundGrid(t, 12, 12)
+	g := boundGrid(t, 12, 12, 1)
 	sources := []kpj.NodeID{0}
 	targets := []kpj.NodeID{143, 131, 77}
 	return g, sources, targets, 12
@@ -43,7 +43,7 @@ func pathsEqual(a, b kpj.Path) bool {
 
 func TestBudgetTruncationIsPrefix(t *testing.T) {
 	g, sources, targets, k := metamorphicQuery(t)
-	for _, alg := range boundAlgorithms {
+	for _, alg := range allAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			full, err := g.TopKJoinSets(sources, targets, k, &kpj.Options{Algorithm: alg})
 			if err != nil {
@@ -80,7 +80,7 @@ func TestBudgetTruncationIsPrefix(t *testing.T) {
 func TestBudgetMonotonicity(t *testing.T) {
 	g, sources, targets, k := metamorphicQuery(t)
 	budgets := []int64{25, 100, 400, 1600, 6400, 25600, 102400, 1 << 40}
-	for _, alg := range boundAlgorithms {
+	for _, alg := range allAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			prevPaths, prevWork := -1, int64(-1)
 			for _, budget := range budgets {

@@ -140,11 +140,6 @@ func oracleCaseFor(t *testing.T, i int) oracleCase {
 	return c
 }
 
-var oracleAlgorithms = []kpj.Algorithm{
-	kpj.IterBoundSPTI, kpj.IterBoundSPTP, kpj.IterBound,
-	kpj.BestFirst, kpj.DA, kpj.DASPT,
-}
-
 // checkAgainstOracle runs every engine at sequential and parallel settings
 // and verifies each result against the exhaustive answer: the length
 // sequence must match exactly, every returned path must be a real simple
@@ -174,7 +169,7 @@ func checkAgainstOracle(t *testing.T, c oracleCase) {
 		}
 		opt.Index = ix
 	}
-	for _, alg := range oracleAlgorithms {
+	for _, alg := range allAlgorithms {
 		for _, par := range []int{1, 4} {
 			o := opt
 			o.Algorithm = alg

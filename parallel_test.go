@@ -37,38 +37,38 @@ func randomDigraph(t testing.TB, n, extra int, seed int64) *kpj.Graph {
 	return g
 }
 
-// parallelConfigs is every algorithm the determinism contract covers: the
-// six Options.Algorithm values with a landmark index, plus the flagship
-// without one (the paper's IterBoundI-NL variant) — seven engines total.
-func parallelConfigs() []struct {
+// parallelConfig is one engine the determinism contract covers.
+type parallelConfig struct {
 	name    string
 	alg     kpj.Algorithm
 	indexed bool
-} {
-	return []struct {
-		name    string
-		alg     kpj.Algorithm
-		indexed bool
-	}{
-		{"IterBoundI", kpj.IterBoundSPTI, true},
-		{"IterBoundP", kpj.IterBoundSPTP, true},
-		{"IterBound", kpj.IterBound, true},
-		{"BestFirst", kpj.BestFirst, true},
-		{"DA", kpj.DA, false},
-		{"DA-SPT", kpj.DASPT, false},
-		{"IterBoundI-NL", kpj.IterBoundSPTI, false},
+}
+
+// parallelConfigs is every row of allAlgorithms with a landmark index (the
+// deviation baselines ignore it), plus the flagship without one (the
+// paper's IterBoundI-NL variant).
+func parallelConfigs() []parallelConfig {
+	cfgs := []parallelConfig{{"IterBoundI-NL", kpj.IterBoundSPTI, false}}
+	for _, alg := range allAlgorithms {
+		cfgs = append(cfgs, parallelConfig{alg.String(), alg, true})
 	}
+	return cfgs
 }
 
 // TestParallelDeterminism: for every algorithm, on random graphs, the
 // full result sequence at Parallelism 2, 4, and 8 must be byte-identical
 // to the sequential one — same paths, same order, including ties.
 func TestParallelDeterminism(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
+	for _, seed := range []int64{0, 1, 7, 42} {
 		g := randomDigraph(t, 150, 600, seed)
 		ix, err := kpj.BuildIndex(g, 6, seed)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The index is itself a pure function of (graph, count, seed) —
+		// seed 0 is a seed, not "pick one" — at every worker count.
+		if again, err := kpj.BuildIndexParallel(g, 6, seed, 1); err != nil || again.Fingerprint() != ix.Fingerprint() {
+			t.Fatalf("seed %d: a second build differs from the first (err %v)", seed, err)
 		}
 		rng := rand.New(rand.NewSource(seed + 1000))
 		sources := []kpj.NodeID{kpj.NodeID(rng.Intn(g.NumNodes()))}
@@ -109,11 +109,11 @@ func TestParallelDeterminism(t *testing.T) {
 // truncation point may differ between parallelism levels — workers share
 // one budget pool — but what is emitted may never deviate.)
 func TestParallelBudgetPrefix(t *testing.T) {
-	g := boundGrid(t, 12, 12)
+	g := boundGrid(t, 12, 12, 1)
 	src := []kpj.NodeID{0}
 	dst := []kpj.NodeID{kpj.NodeID(g.NumNodes() - 1)}
 	const k = 30
-	for _, alg := range boundAlgorithms {
+	for _, alg := range allAlgorithms {
 		full, err := g.TopKJoinSets(src, dst, k, &kpj.Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("%v: unbounded query failed: %v", alg, err)

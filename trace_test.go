@@ -10,7 +10,7 @@ import (
 
 func TestTraceWriterOutput(t *testing.T) {
 	g := fig1(t)
-	for _, algo := range allAlgorithms() {
+	for _, algo := range allAlgorithms {
 		var buf bytes.Buffer
 		paths, err := g.TopKJoin(0, "hotel", 3, &kpj.Options{Algorithm: algo, Trace: &buf})
 		if err != nil {

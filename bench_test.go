@@ -51,7 +51,10 @@ func benchQuery(b *testing.B, ds, algo, category string, k int, landmarks int, a
 		b.Fatal(err)
 	}
 	sources := sets[2] // Q3
-	fn, wantsIndex := resolveAlgo(b, algo)
+	fn, wantsIndex, err := experiments.Algorithm(algo)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var opt core.Options
 	opt.Alpha = alpha
 	if wantsIndex {
@@ -77,28 +80,6 @@ func benchQuery(b *testing.B, ds, algo, category string, k int, landmarks int, a
 			b.Fatal("no paths")
 		}
 	}
-}
-
-// deviationAlgos returns the baseline implementations by name.
-func deviationAlgos() map[string]core.Func {
-	return map[string]core.Func{
-		"DA":     deviation.DA,
-		"DA-SPT": deviation.DASPT,
-	}
-}
-
-// resolveAlgo maps a paper algorithm name to its implementation and
-// whether it consumes the landmark index.
-func resolveAlgo(b *testing.B, name string) (core.Func, bool) {
-	b.Helper()
-	if fn, ok := core.Algorithms()[name]; ok {
-		return fn, name != "IterBoundI-NL"
-	}
-	if fn, ok := deviationAlgos()[name]; ok {
-		return fn, false
-	}
-	b.Fatalf("unknown algorithm %q", name)
-	return nil, false
 }
 
 // BenchmarkTable1Datasets measures dataset generation (Table 1 substrate):
@@ -255,7 +236,7 @@ func BenchmarkFig13GKPJ(b *testing.B) {
 		b.Fatal(err)
 	}
 	for name, fn := range map[string]core.Func{
-		"DA-SPT":     deviationAlgos()["DA-SPT"],
+		"DA-SPT":     deviation.DASPT,
 		"IterBoundI": core.IterBoundSPTI,
 	} {
 		opt := core.Options{Alpha: 1.1, Workspace: core.NewWorkspace(g.NumNodes() + 2)}

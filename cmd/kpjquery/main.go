@@ -19,22 +19,13 @@ import (
 	"kpj"
 )
 
-var algorithms = map[string]kpj.Algorithm{
-	"IterBoundI": kpj.IterBoundSPTI,
-	"IterBoundP": kpj.IterBoundSPTP,
-	"IterBound":  kpj.IterBound,
-	"BestFirst":  kpj.BestFirst,
-	"DA":         kpj.DA,
-	"DA-SPT":     kpj.DASPT,
-}
-
 func main() {
 	flatPath := flag.String("flat", "", "flat graph+categories+index file from kpjindex (required)")
 	source := flag.Int("source", -1, "source node id (KPJ/KSP)")
 	sourceCat := flag.String("source-category", "", "source category (GKPJ)")
 	category := flag.String("category", "", "destination category (required)")
 	k := flag.Int("k", 10, "number of paths")
-	alg := flag.String("alg", "IterBoundI", "algorithm: "+strings.Join(algoNames(), ", "))
+	alg := flag.String("alg", kpj.IterBoundSPTI.String(), "algorithm: "+algoNames())
 	alpha := flag.Float64("alpha", 1.1, "tau growth factor")
 	trace := flag.Bool("trace", false, "print an EXPLAIN-style engine trace to stderr")
 	spans := flag.Bool("spans", false, "print the query's phase timeline (EXPLAIN ANALYZE) as JSON to stderr")
@@ -47,21 +38,24 @@ func main() {
 	}
 }
 
-func algoNames() []string {
-	names := make([]string, 0, len(algorithms))
-	for n := range algorithms {
-		names = append(names, n)
+// algoNames lists the algorithm names in kpj.Algorithms order.
+func algoNames() string {
+	var names []string
+	for _, a := range kpj.Algorithms() {
+		names = append(names, a.String())
 	}
-	return names
+	return strings.Join(names, ", ")
 }
 
 func run(flatPath string, source int, sourceCat, category string, k int, alg string, alpha float64, trace, spans, metrics bool) error {
 	if flatPath == "" || category == "" {
 		return fmt.Errorf("-flat and -category are required")
 	}
-	algo, ok := algorithms[alg]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q (want one of %s)", alg, strings.Join(algoNames(), ", "))
+	algo, err := kpj.ParseAlgorithm(alg)
+	// The flag has a default, so an explicit -alg "" is refused rather
+	// than read as ParseAlgorithm's default.
+	if err != nil || alg == "" {
+		return fmt.Errorf("unknown algorithm %q (want one of %s)", alg, algoNames())
 	}
 
 	start := time.Now()

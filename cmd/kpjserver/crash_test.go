@@ -214,7 +214,7 @@ func oracleUpdate(t *testing.T, app *server.Server, d *graph.Delta) {
 	}
 }
 
-var crashEngines = []string{"IterBoundI", "IterBoundP", "IterBound", "BestFirst", "DA", "DA-SPT"}
+var crashEngines = kpj.Algorithms()
 
 var kill9Queries = []string{
 	"/query?source=0&category=poi&k=4",
@@ -265,7 +265,7 @@ func assertMatchesOracle(t *testing.T, label, base string, oracle *server.Server
 	}
 	for _, query := range kill9Queries {
 		for _, alg := range crashEngines {
-			url := query + "&alg=" + alg
+			url := query + "&alg=" + alg.String()
 			resp, err := http.Get(base + url)
 			if err != nil {
 				t.Fatalf("%s: GET %s: %v", label, url, err)

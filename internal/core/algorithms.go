@@ -6,196 +6,178 @@ import (
 	"kpj/internal/obs"
 )
 
-// This file wires the engine into the paper's four contributed algorithms.
-// Each processes the same Query; they differ in search space, heuristics,
-// and bounding discipline:
+// This file wires the engine into the paper's contributed algorithms. All
+// of them run one skeleton — the subspace queue of Alg. 2/4 over one side
+// of G_Q — and differ only in the three switches of the variant table:
 //
-//	BestFirst        Section 4   forward space, exact subspace resolution
-//	IterBound        Section 5.1 forward space, TestLB with growing τ
-//	IterBoundSPTP    Section 5.2 + partial SPT heuristic from Alg. 6
-//	IterBoundSPTI    Section 5.3 reverse space + incremental SPT pruning
+//	name           τ-bounding  tree         index
+//	BestFirst      no (Alg. 2) none         yes    Section 4
+//	IterBound      yes (Alg.4) none         yes    Section 5.1
+//	IterBoundP     yes         partial      yes    Section 5.2, Alg. 6
+//	IterBoundI     yes         incremental  yes    Section 5.3, Alg. 7/8
+//	IterBoundI-NL  yes         incremental  no     Section 6
 //
-// Passing a nil Options.Index runs each variant without landmarks
-// (Section 6); for IterBoundSPTI that is exactly the paper's
-// IterBound_I-NL algorithm.
+// Both trees are the same A* (sptiTree), keyed by distance plus a lower
+// bound toward its goal, whose first phase stops when the goal settles
+// and leaves behind the first shortest path. SPT_P runs that phase on the
+// reverse space and the engine searches the forward space with the
+// tree's exact remaining distances (Prop. 5.1); SPT_I runs it on the
+// forward space, the engine searches the reverse space confined to the
+// tree, and the tree keeps growing with τ (Prop. 5.2).
 //
+// Passing a nil Options.Index runs any row without landmarks (Section 6).
 // All per-query machinery (spaces, pseudo-tree, engine scratch, heuristic
 // boxes) comes out of the Workspace, so repeated queries on a warm
 // workspace run the steady state without heap allocations.
 
-// forwardHeuristic picks the Eq. 2 category bound when landmarks are
-// available, the zero heuristic otherwise. With an Options.SetBounds cache
-// the per-category table is fetched from (or inserted into) the cache
-// instead of being rebuilt per query. The heuristic is boxed in workspace
-// storage (ZeroHeuristic is zero-size and boxes for free).
-func forwardHeuristic(ws *Workspace, sp *Space, q Query, opt *Options) Heuristic {
-	if opt.Index == nil {
-		return ZeroHeuristic{}
-	}
-	endSpan := opt.Spans.Start(obs.PhaseLBTables, 0)
-	var b *landmark.Bounds
-	if opt.SetBounds != nil {
-		b = opt.SetBounds.BoundsToSet(opt.Index, q.Targets)
-	} else {
-		b = opt.Index.BoundsToSet(q.Targets)
-	}
-	endSpan(int64(len(q.Targets)))
-	ws.catH = CategoryHeuristic{Space: sp, Bounds: b}
-	return &ws.catH
+// treeKind selects the shortest path tree a variant builds before its
+// main loop.
+type treeKind uint8
+
+const (
+	noTree          treeKind = iota
+	partialTree              // SPT_P: phase one on the reverse space, then frozen
+	incrementalTree          // SPT_I: phase one on the forward space, grown to τ
+)
+
+// variant is one row of the paper's algorithm table.
+type variant struct {
+	name  string
+	tau   bool // TestLB with growing τ (Alg. 4); false resolves exactly (Alg. 2)
+	tree  treeKind
+	index bool // false forces the no-landmark variant (Section 6)
 }
 
-// reverseHeuristic bounds the remaining distance toward the source side of
-// a reverse space.
-func reverseHeuristic(ws *Workspace, sp *Space, q Query, opt *Options) Heuristic {
-	if opt.Index == nil {
-		return ZeroHeuristic{}
-	}
-	if len(q.Sources) == 1 {
-		ws.srcH = SourceHeuristic{Space: sp, Index: opt.Index, Source: q.Sources[0]}
-		return &ws.srcH
-	}
-	endSpan := opt.Spans.Start(obs.PhaseLBTables, 0)
-	var b *landmark.FromBounds
-	if opt.SetBounds != nil {
-		b = opt.SetBounds.BoundsFromSet(opt.Index, q.Sources)
-	} else {
-		b = opt.Index.BoundsFromSet(q.Sources)
-	}
-	endSpan(int64(len(q.Sources)))
-	ws.setH = SourceSetHeuristic{Space: sp, Bounds: b}
-	return &ws.setH
-}
-
-// configure fills the engine fields shared by all four algorithms.
-func configure(e *engine, sp *Space, k int, opt *Options, pool *Pool) {
-	e.sp = sp
-	e.pt = e.ws.ResetTree(sp.Root)
-	e.k = k
-	e.bound = opt.bound
-	e.pool = pool
-	e.stats = opt.Stats
-	e.onEvent = opt.Trace
-	e.spans = opt.Spans
-	e.reuse = opt.ReuseResults
-}
-
-// BestFirst processes a query with the best-first paradigm (paper Alg. 2):
-// subspaces are resolved exactly, in lower-bound order, so only subspaces
-// whose lower bound beats the current k-th length ever pay for a shortest
-// path computation.
-func BestFirst(g *graph.Graph, q Query, opt Options) ([]Path, error) {
-	ws, err := Prepare(g, q, &opt, false)
-	if err != nil {
-		return nil, err
-	}
-	sp := ws.ForwardSpace(g, q.Sources, q.Targets)
-	h := forwardHeuristic(ws, sp, q, &opt)
-	pool := opt.NewPool(sp.NumSpaceNodes())
-	defer pool.Close()
-	e := ws.engine()
-	configure(e, sp, q.K, &opt, pool)
-	e.searchH, e.lbH = h, h
-	e.alpha = 0 // exact resolution
-	return e.run()
-}
-
-// IterBound processes a query with the iteratively bounding approach
-// (paper Alg. 4): unresolved subspaces are tested against a threshold τ
-// that grows geometrically by Options.Alpha, so most subspaces are pruned
-// by cheap bounded searches instead of full shortest path computations.
-func IterBound(g *graph.Graph, q Query, opt Options) ([]Path, error) {
-	ws, err := Prepare(g, q, &opt, true)
-	if err != nil {
-		return nil, err
-	}
-	sp := ws.ForwardSpace(g, q.Sources, q.Targets)
-	h := forwardHeuristic(ws, sp, q, &opt)
-	pool := opt.NewPool(sp.NumSpaceNodes())
-	defer pool.Close()
-	e := ws.engine()
-	configure(e, sp, q.K, &opt, pool)
-	e.searchH, e.lbH = h, h
-	e.alpha = opt.Alpha
-	return e.run()
-}
-
-// IterBoundSPTP is IterBound with the partial shortest path tree of
-// Section 5.2: the first shortest path computation leaves behind exact
-// remaining-distances for every node it settled (SPT_P), which then
-// sharpen all later lower-bound tests at zero extra build cost.
-func IterBoundSPTP(g *graph.Graph, q Query, opt Options) ([]Path, error) {
-	ws, err := Prepare(g, q, &opt, true)
-	if err != nil {
-		return nil, err
-	}
-	sp := ws.ForwardSpace(g, q.Sources, q.Targets)
-	rev := ws.ReverseSpace(g, q.Sources, q.Targets)
-	endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
-	t, init, ok := buildPartialSPT(ws, rev, reverseHeuristic(ws, rev, q, &opt), opt.Stats, opt.bound)
-	endSPT(int64(rev.NumSpaceNodes()))
-	if !ok {
-		return nil, opt.bound.Err()
-	}
-	h := ws.CachedTreeHeuristic(t, forwardHeuristic(ws, sp, q, &opt))
-	pool := opt.NewPool(sp.NumSpaceNodes())
-	defer pool.Close()
-	e := ws.engine()
-	configure(e, sp, q.K, &opt, pool)
-	e.searchH, e.lbH = h, h
-	e.alpha = opt.Alpha
-	e.init, e.haveInit = init, true
-	return e.run()
-}
-
-// IterBoundSPTI is the paper's flagship algorithm (Section 5.3): the
-// search runs in the reverse space, every exploration is confined to the
-// incremental shortest path tree SPT_I — which grows lazily with τ — and
-// remaining-distance estimates inside SPT_I are exact. With a nil index
-// this is the paper's IterBound_I-NL variant.
-func IterBoundSPTI(g *graph.Graph, q Query, opt Options) ([]Path, error) {
-	ws, err := Prepare(g, q, &opt, true)
-	if err != nil {
-		return nil, err
-	}
-	fwd := ws.ForwardSpace(g, q.Sources, q.Targets)
-	rev := ws.ReverseSpace(g, q.Sources, q.Targets)
-	endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
-	tree := ws.initSPTI(fwd, forwardHeuristic(ws, fwd, q, &opt), opt.Stats, opt.bound)
-	init, ok := tree.initialPath()
-	endSPT(int64(tree.size()))
-	if !ok {
-		return nil, opt.bound.Err()
-	}
-	ws.sptiH = sptiHeuristic{t: tree, fallback: reverseHeuristic(ws, rev, q, &opt)}
-	h := &ws.sptiH
-	pool := opt.NewPool(rev.NumSpaceNodes())
-	defer pool.Close()
-	e := ws.engine()
-	configure(e, rev, q.K, &opt, pool)
-	e.searchH, e.lbH = h, h
-	e.pruner, e.lbRootPruner = tree, tree
-	e.alpha = opt.Alpha
-	e.grow = tree
-	e.init, e.haveInit = init, true
-	return e.run()
+var variants = [...]variant{
+	{name: "BestFirst", tau: false, tree: noTree, index: true},
+	{name: "IterBound", tau: true, tree: noTree, index: true},
+	{name: "IterBoundP", tau: true, tree: partialTree, index: true},
+	{name: "IterBoundI", tau: true, tree: incrementalTree, index: true},
+	{name: "IterBoundI-NL", tau: true, tree: incrementalTree, index: false},
 }
 
 // Func is the common algorithm signature, used by the experiment drivers
 // and cross-validation tests.
 type Func func(*graph.Graph, Query, Options) ([]Path, error)
 
+var (
+	// BestFirst processes a query with the best-first paradigm (paper
+	// Alg. 2): subspaces are resolved exactly, in lower-bound order, so only
+	// subspaces whose lower bound beats the current k-th length ever pay
+	// for a shortest path computation.
+	BestFirst Func = variants[0].run
+	// IterBound processes a query with the iteratively bounding approach
+	// (paper Alg. 4): unresolved subspaces are tested against a threshold τ
+	// that grows geometrically by Options.Alpha, so most subspaces are
+	// pruned by cheap bounded searches instead of full shortest path
+	// computations.
+	IterBound Func = variants[1].run
+	// IterBoundSPTP is IterBound with the partial shortest path tree of
+	// Section 5.2: the first shortest path computation leaves behind exact
+	// remaining-distances for every node it settled (SPT_P), which then
+	// sharpen all later lower-bound tests at zero extra build cost.
+	IterBoundSPTP Func = variants[2].run
+	// IterBoundSPTI is the paper's flagship algorithm (Section 5.3): the
+	// search runs in the reverse space, every exploration is confined to
+	// the incremental shortest path tree SPT_I — which grows lazily with τ
+	// — and remaining-distance estimates inside SPT_I are exact. With a nil
+	// index this is the paper's IterBound_I-NL variant.
+	IterBoundSPTI Func = variants[3].run
+)
+
 // Algorithms enumerates the contributed algorithms by their paper names.
 // The deviation baselines (DA, DA-SPT) live in the internal/deviation
 // package and are registered separately by callers that need them.
 func Algorithms() map[string]Func {
-	return map[string]Func{
-		"BestFirst":  BestFirst,
-		"IterBound":  IterBound,
-		"IterBoundP": IterBoundSPTP,
-		"IterBoundI": IterBoundSPTI,
-		"IterBoundI-NL": func(g *graph.Graph, q Query, opt Options) ([]Path, error) {
-			opt.Index = nil
-			return IterBoundSPTI(g, q, opt)
-		},
+	m := make(map[string]Func, len(variants))
+	for _, v := range variants {
+		m[v.name] = v.run
+	}
+	return m
+}
+
+// run turns the row into a configured engine and runs the query on it.
+func (v variant) run(g *graph.Graph, q Query, opt Options) ([]Path, error) {
+	if !v.index {
+		opt.Index = nil
+	}
+	ws, err := Prepare(g, q, &opt, v.tau)
+	if err != nil {
+		return nil, err
+	}
+	e := ws.engine()
+	e.sp = ws.ForwardSpace(g, q.Sources, q.Targets)
+	if v.tree == noTree {
+		e.h = goalHeuristic(ws, e.sp, q, &opt)
+	} else {
+		// The tree grows on one side of G_Q, the engine searches the other.
+		treeSp := ws.ReverseSpace(g, q.Sources, q.Targets)
+		if v.tree == incrementalTree {
+			treeSp, e.sp = e.sp, treeSp
+		}
+		endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
+		tree := ws.initSPTI(treeSp, goalHeuristic(ws, treeSp, q, &opt), opt.Stats, opt.bound)
+		init, ok := tree.initialPath()
+		endSPT(int64(tree.size()))
+		if !ok {
+			return nil, opt.bound.Err()
+		}
+		e.init, e.haveInit = init, true
+		e.h = ws.CachedTreeHeuristic(tree.t, goalHeuristic(ws, e.sp, q, &opt))
+		if v.tree == incrementalTree {
+			e.tree = tree
+		}
+	}
+	e.pool = opt.NewPool(e.sp.NumSpaceNodes())
+	defer e.pool.Close()
+	e.pt = ws.ResetTree(e.sp.Root)
+	e.k = q.K
+	if v.tau {
+		e.alpha = opt.Alpha
+	}
+	e.bound = opt.bound
+	e.stats = opt.Stats
+	e.onEvent = opt.Trace
+	e.spans = opt.Spans
+	e.reuse = opt.ReuseResults
+	return e.run()
+}
+
+// goalHeuristic bounds the remaining distance to sp's goal: the Eq. 2
+// category bound toward V_T in a forward space, the bound from the source
+// (or source set) in a reverse space, and zero without landmarks. With an
+// Options.SetBounds cache the per-set table is fetched from (or inserted
+// into) the cache instead of being rebuilt per query. The heuristic is
+// boxed in workspace storage (ZeroHeuristic is zero-size and boxes for
+// free).
+func goalHeuristic(ws *Workspace, sp *Space, q Query, opt *Options) Heuristic {
+	switch {
+	case opt.Index == nil:
+		return ZeroHeuristic{}
+	case sp.Dir == graph.Forward:
+		endSpan := opt.Spans.Start(obs.PhaseLBTables, 0)
+		var b *landmark.Bounds
+		if opt.SetBounds != nil {
+			b = opt.SetBounds.BoundsToSet(opt.Index, q.Targets)
+		} else {
+			b = opt.Index.BoundsToSet(q.Targets)
+		}
+		endSpan(int64(len(q.Targets)))
+		ws.catH = CategoryHeuristic{Space: sp, Bounds: b}
+		return &ws.catH
+	case len(q.Sources) == 1:
+		ws.srcH = SourceHeuristic{Space: sp, Index: opt.Index, Source: q.Sources[0]}
+		return &ws.srcH
+	default:
+		endSpan := opt.Spans.Start(obs.PhaseLBTables, 0)
+		var b *landmark.FromBounds
+		if opt.SetBounds != nil {
+			b = opt.SetBounds.BoundsFromSet(opt.Index, q.Sources)
+		} else {
+			b = opt.Index.BoundsFromSet(q.Sources)
+		}
+		endSpan(int64(len(q.Sources)))
+		ws.setH = SourceSetHeuristic{Space: sp, Bounds: b}
+		return &ws.setH
 	}
 }

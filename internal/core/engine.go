@@ -63,26 +63,25 @@ const resolveBatch = 8
 
 // engine runs the best-first paradigm (Alg. 2) or, when alpha > 1 with a
 // finite bound schedule, the iteratively bounding approach (Alg. 4). The
-// algorithm variants differ only in the fields they plug in. One engine is
-// cached per Workspace (see Workspace.engine): the configuration fields
-// are rewritten per query while the scratch fields at the bottom retain
-// their capacity, so a steady-state query allocates nothing here.
+// algorithm variants differ only in the fields variant.run plugs in. One
+// engine is cached per Workspace (see Workspace.engine): the configuration
+// fields are rewritten per query while the scratch fields at the bottom
+// retain their capacity, so a steady-state query allocates nothing here.
 type engine struct {
 	sp *Space
 	pt *PseudoTree
 	ws *Workspace
 	k  int
 
-	searchH      Heuristic // heuristic for CompSP / TestLB
-	lbH          Heuristic // heuristic for CompLB (Alg. 3 / Alg. 8)
-	pruner       Pruner    // search restriction (SPT_I); nil = none
-	lbRootPruner Pruner    // Alg. 8's D-restriction at the virtual root; nil = none
+	h Heuristic // lower bound for CompSP / TestLB and CompLB (Alg. 3 / Alg. 8)
+
+	// tree, when non-nil, is the incremental SPT_I: every search is
+	// confined to it (Alg. 8's D-restriction at the virtual root included),
+	// and it is grown to τ before each resolution round so it covers the
+	// ≤τ neighbourhood (Prop. 5.2).
+	tree *sptiTree
 
 	alpha float64 // >1: TestLB with growing τ; <=0: exact resolution (BestFirst)
-
-	// grow, when non-nil, is the incremental SPT_I grown to τ before each
-	// resolution round so it covers the ≤τ neighbourhood (Prop. 5.2).
-	grow *sptiTree
 
 	// init seeds the queue with the shortest path of the entire space S_0
 	// (Alg. 4 line 1) when haveInit is set (SPT_P/SPT_I got it as a
@@ -181,7 +180,7 @@ func (e *engine) run() (out []Path, err error) {
 	first, ok := e.init, e.haveInit
 	if !e.haveInit {
 		var status SearchStatus
-		first, status = e.ws.SubspaceSearch(e.sp, e.pt, 0, e.searchH, graph.Infinity, e.pruner, e.stats)
+		first, status = e.ws.SubspaceSearch(e.sp, e.pt, 0, e.h, graph.Infinity, e.tree, e.stats)
 		ok = status == Found
 	}
 	endInitial(first.Total)
@@ -242,18 +241,18 @@ func (e *engine) run() (out []Path, err error) {
 				maxTau = jobs[i].tau
 			}
 		}
-		if e.grow != nil {
-			e.grow.growTo(maxTau)
+		if e.tree != nil {
+			e.tree.growTo(maxTau)
 		}
 		if len(jobs) == 1 || e.pool == nil {
 			for i := range jobs {
 				j := &jobs[i]
-				j.res, j.status = e.ws.SubspaceSearch(e.sp, e.pt, j.ent.vertex, e.searchH, j.tau, e.pruner, e.stats)
+				j.res, j.status = e.ws.SubspaceSearch(e.sp, e.pt, j.ent.vertex, e.h, j.tau, e.tree, e.stats)
 			}
 		} else {
 			e.pool.Run(len(jobs), func(i int, ws *Workspace, st *Stats) {
 				j := &jobs[i]
-				j.res, j.status = ws.SubspaceSearch(e.sp, e.pt, j.ent.vertex, e.searchH, j.tau, e.pruner, st)
+				j.res, j.status = ws.SubspaceSearch(e.sp, e.pt, j.ent.vertex, e.h, j.tau, e.tree, st)
 			})
 			// A worker panic (recovered by the pool) or injected fault may
 			// have left jobs unexecuted with zero-valued statuses; stop on
@@ -368,11 +367,11 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 }
 
 // compLB computes the subspace lower bound for v on the given workspace,
-// applying the virtual-root D-restriction where configured (Alg. 8).
+// applying SPT_I's D-restriction at the virtual root (Alg. 8).
 func (e *engine) compLB(ws *Workspace, v VertexID, st *Stats) graph.Weight {
-	var rootPruner Pruner
-	if e.lbRootPruner != nil && e.pt.Node(v) == e.sp.Root {
-		rootPruner = e.lbRootPruner
+	var root *sptiTree
+	if e.pt.Node(v) == e.sp.Root {
+		root = e.tree
 	}
-	return ws.CompLB(e.sp, e.pt, v, e.lbH, rootPruner, st)
+	return ws.CompLB(e.sp, e.pt, v, e.h, root, st)
 }

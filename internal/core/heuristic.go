@@ -70,8 +70,9 @@ func (h SourceSetHeuristic) H(v graph.NodeID) graph.Weight {
 // TreeHeuristic overlays exact distances from a (partial) shortest path
 // tree on top of a fallback heuristic: nodes settled in the tree use their
 // exact remaining distance (paper Prop. 5.1 — "for lower bound, the larger
-// the better"), everything else falls back. The mixture is admissible but
-// not consistent, which SubspaceSearch tolerates by re-expansion.
+// the better"; Alg. 8 line 5 for SPT_I), everything else falls back. The
+// mixture is admissible but not consistent, which SubspaceSearch
+// tolerates by re-expansion.
 type TreeHeuristic struct {
 	T        *SPT // exact remaining distances for settled nodes
 	Fallback Heuristic
@@ -83,4 +84,11 @@ func (h TreeHeuristic) H(v graph.NodeID) graph.Weight {
 		return h.T.Dist(v)
 	}
 	return hOrZero(h.Fallback, v)
+}
+
+func hOrZero(h Heuristic, v graph.NodeID) graph.Weight {
+	if h == nil {
+		return 0
+	}
+	return h.H(v)
 }

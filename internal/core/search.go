@@ -9,7 +9,7 @@ const (
 	// Found: the shortest path of the subspace was computed.
 	Found SearchStatus = iota
 	// Exceeded: every path in the subspace is longer than the bound τ
-	// (or was blocked by a non-definitive Pruner exclusion) — the
+	// (or was blocked by a non-definitive SPT_I exclusion) — the
 	// subspace survives with the larger lower bound τ.
 	Exceeded
 	// Empty: the subspace provably contains no path at all.
@@ -51,12 +51,13 @@ type SearchResult struct {
 //   - the first hop out of u must avoid X_u (u's tree child edges);
 //   - successors with dist+h > tau are pruned, which makes the search
 //     explore only the small ≤τ neighbourhood (Lemma 5.1);
-//   - an optional Pruner excludes nodes entirely (SPT_I restriction).
+//   - an optional SPT_I tree excludes the nodes it has not settled
+//     (Section 5.3); see sptiTree.Allow.
 //
 // The heuristic must be admissible; it need not be consistent (nodes are
 // re-expanded when reached more cheaply). Statistics are accumulated in st
 // when non-nil.
-func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, tau graph.Weight, pruner Pruner, st *Stats) (SearchResult, SearchStatus) {
+func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, tau graph.Weight, tree *sptiTree, st *Stats) (SearchResult, SearchStatus) {
 	ws.beginSearch()
 	ws.beginBans()
 	pt.PrefixNodes(u, ws.banNode)
@@ -76,8 +77,8 @@ func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heu
 		if nd >= ws.distOf(to) {
 			return
 		}
-		if pruner != nil {
-			if ok, definitive := pruner.Allow(to); !ok {
+		if tree != nil {
+			if ok, definitive := tree.Allow(to); !ok {
 				if !definitive {
 					pruned = true
 				}
@@ -164,13 +165,13 @@ func (ws *Workspace) reconstruct(pt *PseudoTree, u VertexID, goal graph.NodeID) 
 }
 
 // CompLB computes the light-weight one-hop lower bound of the subspace at
-// vertex u (paper Alg. 3, and Alg. 8 when rootPruner is supplied): the
-// minimum over u's valid outgoing space edges (u,v) of
+// vertex u (paper Alg. 3, and Alg. 8 when root, the SPT_I tree, is
+// supplied): the minimum over u's valid outgoing space edges (u,v) of
 // prefixLen(u) + ω(u,v) + h(v). It returns graph.Infinity when the
-// subspace is provably empty. A non-definitive rootPruner exclusion (the
+// subspace is provably empty. A non-definitive root exclusion (the
 // SPT_I "D ≠ V_T" case) degrades the result to 0 instead, because the
 // excluded edges might hide shorter paths (Alg. 8 line 8).
-func (ws *Workspace) CompLB(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, rootPruner Pruner, st *Stats) graph.Weight {
+func (ws *Workspace) CompLB(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, root *sptiTree, st *Stats) graph.Weight {
 	ws.beginBans()
 	bumpEpoch(&ws.hepoch, ws.hstamp)
 	pt.PrefixNodes(u, ws.banNode)
@@ -189,8 +190,8 @@ func (ws *Workspace) CompLB(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, 
 		if pt.ExcludedHas(u, to) {
 			return
 		}
-		if rootPruner != nil {
-			if ok, definitive := rootPruner.Allow(to); !ok {
+		if root != nil {
+			if ok, definitive := root.Allow(to); !ok {
 				if !definitive {
 					sawBlocked = true
 				}

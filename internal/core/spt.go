@@ -103,9 +103,9 @@ func (t *SPT) settle(v graph.NodeID) { t.done[v] = t.epoch }
 // once when popped non-stale, so the running min is queue-order
 // independent). When bound trips the build stops; the caller's main loop
 // sees the sticky error before any path is emitted, so the incomplete tree
-// is never trusted.
-func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) *SPT {
-	t := &ws.spt
+// is never trusted. settled counts the nodes the build settled.
+func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) (t *SPT, settled int) {
+	t = &ws.spt
 	t.begin(sp.NumSpaceNodes())
 	t.setDist(sp.Root, 0, -1)
 	if sp.G.MaxEdgeWeight() <= pqueue.MaxBucketEdgeWeight {
@@ -123,6 +123,7 @@ func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) *SPT {
 				continue // stale lazy-insertion duplicate
 			}
 			t.settle(v)
+			settled++
 			if st != nil {
 				st.SPTNodes++
 				st.NodesPopped++
@@ -137,7 +138,7 @@ func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) *SPT {
 				}
 			})
 		}
-		return t
+		return t, settled
 	}
 	q := t.q
 	q.PushOrDecrease(sp.Root, 0)
@@ -151,6 +152,7 @@ func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) *SPT {
 		vi, d := q.Pop()
 		v := graph.NodeID(vi)
 		t.settle(v)
+		settled++
 		if st != nil {
 			st.SPTNodes++
 			st.NodesPopped++
@@ -165,5 +167,5 @@ func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) *SPT {
 			}
 		})
 	}
-	return t
+	return t, settled
 }

@@ -10,8 +10,9 @@ import (
 	"kpj/internal/testgraphs"
 )
 
-// Prop. 5.1: every node settled into SPT_P carries its exact shortest
-// distance to the destination category.
+// Prop. 5.1: every node settled into SPT_P — the tree's phase one on the
+// reverse space — carries its exact shortest distance to the destination
+// category.
 func TestPartialSPTExactDistances(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 30; trial++ {
@@ -30,20 +31,27 @@ func TestPartialSPTExactDistances(t *testing.T) {
 			revH = SourceHeuristic{Space: rev, Index: ix, Source: src}
 		}
 		ws := NewWorkspace(rev.NumSpaceNodes())
-		tree, init, ok := buildPartialSPT(ws, rev, revH, nil, nil)
+		tree := ws.initSPTI(rev, revH, nil, nil)
+		init, ok := tree.initialPath()
 		if !ok {
 			t.Fatalf("trial %d: no path in connected graph", trial)
 		}
 		exact := sssp.DistancesToSet(g, targets)
 		for v := graph.NodeID(0); int(v) < n; v++ {
-			if tree.Settled(v) && tree.Dist(v) != exact[v] {
-				t.Fatalf("trial %d: SPT_P dt[%d] = %d, want %d", trial, v, tree.Dist(v), exact[v])
+			if tree.t.Settled(v) && tree.t.Dist(v) != exact[v] {
+				t.Fatalf("trial %d: SPT_P dt[%d] = %d, want %d", trial, v, tree.t.Dist(v), exact[v])
 			}
 		}
-		// The initial path it hands back is the true shortest one.
+		// The initial path it hands back is the true shortest one, and
+		// phase one stops as soon as the goal (the source) settles.
 		wantFirst := exact[src]
 		if init.Total != wantFirst {
 			t.Fatalf("trial %d: initial path length %d, want %d", trial, init.Total, wantFirst)
+		}
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			if tree.t.Settled(v) && exact[v] > wantFirst {
+				t.Fatalf("trial %d: SPT_P settled %d at distance %d beyond the goal's %d", trial, v, exact[v], wantFirst)
+			}
 		}
 		// Suffix cumulative lengths end at the total.
 		if init.Lens[len(init.Lens)-1] != init.Total {
@@ -133,8 +141,9 @@ func TestTreeHeuristicOverlay(t *testing.T) {
 	}
 }
 
-// The SPT_I heuristic mixes exact in-tree distances with the landmark
-// fallback and must never exceed the true distance from the source.
+// The tree heuristic over SPT_I mixes exact in-tree distances with the
+// landmark fallback and must never exceed the true distance from the
+// source.
 func TestSPTIHeuristicAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
 	g := testgraphs.RandomConnected(rng, 50, 150, 15)
@@ -151,11 +160,11 @@ func TestSPTIHeuristicAdmissible(t *testing.T) {
 		t.Fatal("no initial path")
 	}
 	tree.growTo(1000)
-	h := sptiHeuristic{t: tree, fallback: SourceHeuristic{Space: rev, Index: ix, Source: src}}
+	h := TreeHeuristic{T: tree.t, Fallback: SourceHeuristic{Space: rev, Index: ix, Source: src}}
 	exact := sssp.Dijkstra(g, graph.Forward, src).Dist
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if got := h.H(v); got > exact[v] {
-			t.Fatalf("sptiHeuristic.H(%d) = %d > δ(s,v) = %d", v, got, exact[v])
+			t.Fatalf("TreeHeuristic.H(%d) = %d > δ(s,v) = %d", v, got, exact[v])
 		}
 	}
 }

@@ -5,35 +5,41 @@ import (
 	"kpj/internal/graph"
 )
 
-// sptiTree is the incremental shortest path tree of Section 5.3: a paused
-// A* over the FORWARD space from the source side toward the destination
-// category, keyed by ds(v) + lb(v, V_T). Phase one (initSPTI +
-// initialPath) settles nodes until the virtual target is reached — the
-// by-product is the first shortest path. growTo(τ) then resumes the search
-// until every node with ds(v) + lb(v, V_T) ≤ τ is settled, which by
-// Prop. 5.2 covers every node on any source→V_T path of length ≤ τ. The
-// reverse-space TestLB prunes everything not settled here.
+// sptiTree is the paused A* behind both shortest path trees of Section 5:
+// it searches one side of G_Q from its root toward its goal, keyed by
+// distance plus the lower bound h toward the goal. Phase one (initSPTI +
+// initialPath) settles nodes until the goal is reached — the by-product is
+// the first shortest path.
+//
+//   - SPT_P (Alg. 6) is phase one on the REVERSE space: every settled node
+//     carries its exact remaining distance δ(v, V_T) (Prop. 5.1), which the
+//     forward-space searches then use as a heuristic.
+//   - SPT_I (Alg. 7) is phase one on the FORWARD space, after which
+//     growTo(τ) resumes the search until every node with
+//     ds(v) + lb(v, V_T) ≤ τ is settled; by Prop. 5.2 that covers every
+//     node on any source→V_T path of length ≤ τ, and the reverse-space
+//     TestLB prunes everything not settled here (Allow).
 //
 // The tree state lives in the workspace's shared SPT scratch; only this
 // thin driver is per-query.
 type sptiTree struct {
-	fwd *Space
-	h   Heuristic // growth key heuristic: Eq. 2 bound toward V_T (or zero)
-	t   *SPT
-	ws  *Workspace
-	// nsettled counts settled nodes for the spt_build/grow span payloads.
+	sp *Space
+	h  Heuristic // growth key heuristic toward sp's goal (or zero)
+	t  *SPT
+	ws *Workspace
+	// nsettled counts settled nodes for the spt_build span payload.
 	nsettled int
 	st       *Stats
 	bound    *Bound
 }
 
-// initSPTI seeds the workspace-cached incremental tree for a new query.
-func (ws *Workspace) initSPTI(fwd *Space, h Heuristic, st *Stats, bound *Bound) *sptiTree {
+// initSPTI seeds the workspace-cached tree over sp for a new query.
+func (ws *Workspace) initSPTI(sp *Space, h Heuristic, st *Stats, bound *Bound) *sptiTree {
 	t := &ws.spti
-	*t = sptiTree{fwd: fwd, h: h, t: &ws.spt, ws: ws, st: st, bound: bound}
-	t.t.begin(fwd.NumSpaceNodes())
-	t.t.setDist(fwd.Root, 0, -1)
-	t.t.q.PushOrDecrease(fwd.Root, hOrZero(h, fwd.Root))
+	*t = sptiTree{sp: sp, h: h, t: &ws.spt, ws: ws, st: st, bound: bound}
+	t.t.begin(sp.NumSpaceNodes())
+	t.t.setDist(sp.Root, 0, -1)
+	t.t.q.PushOrDecrease(sp.Root, hOrZero(h, sp.Root))
 	return t
 }
 
@@ -62,7 +68,7 @@ func (t *sptiTree) settleOne() graph.NodeID {
 			t.st.NodesPopped++
 		}
 		dv := t.t.Dist(v)
-		t.fwd.Expand(v, func(to graph.NodeID, w graph.Weight) {
+		t.sp.Expand(v, func(to graph.NodeID, w graph.Weight) {
 			if nd := dv + w; nd < t.t.Dist(to) {
 				h := hOrZero(t.h, to)
 				if h >= graph.Infinity {
@@ -77,25 +83,24 @@ func (t *sptiTree) settleOne() graph.NodeID {
 	return -1
 }
 
-// initialPath runs phase one: grow until the forward goal (the virtual
-// target) settles, and return the first shortest path translated into the
-// REVERSE space (suffix after the reverse root, cumulative lengths). The
-// result lives in the workspace arenas, like every SearchResult.
+// initialPath runs phase one: grow until the goal settles, and return the
+// first shortest path translated into the OTHER space (suffix after that
+// space's root, cumulative lengths, total). Walking the parents from the
+// goal reads the path backwards, which is exactly the other space's order.
+// The result lives in the workspace arenas, like every SearchResult.
 func (t *sptiTree) initialPath() (SearchResult, bool) {
-	for !t.t.Settled(t.fwd.Goal) {
+	for !t.t.Settled(t.sp.Goal) {
 		if t.settleOne() < 0 {
 			return SearchResult{}, false
 		}
 	}
-	// Forward chain goal→root via parents, which read left to right is
-	// exactly the reverse-space order: virtual target → … → source side.
 	chain := t.ws.rev[:0]
-	for v := t.fwd.Goal; v >= 0; v = t.t.Parent(v) {
+	for v := t.sp.Goal; v >= 0; v = t.t.Parent(v) {
 		chain = append(chain, v)
 	}
 	t.ws.rev = chain
-	total := t.t.Dist(t.fwd.Goal)
-	n := len(chain) - 1 // reverse-space root is the virtual target
+	total := t.t.Dist(t.sp.Goal)
+	n := len(chain) - 1 // the other space's root is this tree's goal
 	res := SearchResult{
 		Suffix: t.ws.nodeArena.take(n)[:n],
 		Lens:   t.ws.lenArena.take(n)[:n],
@@ -126,27 +131,15 @@ func (t *sptiTree) exhausted() bool { return t.t.q.Len() == 0 }
 // size returns the number of settled nodes (span payload).
 func (t *sptiTree) size() int { return t.nsettled }
 
-// Allow implements Pruner, restricting reverse-space searches to SPT_I
-// nodes. Exclusions are definitive only once the tree is exhausted.
-func (t *sptiTree) Allow(v graph.NodeID) (bool, bool) {
+// Allow restricts reverse-space searches to SPT_I nodes: ok reports
+// whether v may be explored, and definitive whether an exclusion is
+// permanent (v provably lies on no result path) rather than dependent on
+// the tree's future growth. Non-definitive exclusions make a search
+// report Exceeded instead of Empty; they become definitive once the tree
+// is exhausted.
+func (t *sptiTree) Allow(v graph.NodeID) (ok, definitive bool) {
 	if t.t.Settled(v) {
 		return true, true
 	}
 	return false, t.exhausted()
-}
-
-// sptiHeuristic estimates the remaining distance in the REVERSE space
-// (i.e. the distance from the source side to v): exact ds for settled
-// nodes, landmark fallback otherwise (Alg. 8 line 5).
-type sptiHeuristic struct {
-	t        *sptiTree
-	fallback Heuristic
-}
-
-// H implements Heuristic.
-func (h sptiHeuristic) H(v graph.NodeID) graph.Weight {
-	if h.t.t.Settled(v) {
-		return h.t.t.Dist(v)
-	}
-	return hOrZero(h.fallback, v)
 }

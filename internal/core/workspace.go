@@ -14,21 +14,10 @@ import (
 //
 // Heuristics need not be consistent: the restricted search re-expands nodes
 // when a shorter arrival is found, so admissibility alone is sufficient for
-// correctness (SPT_P mixes exact and landmark estimates, which is
+// correctness (TreeHeuristic mixes exact and landmark estimates, which is
 // admissible but not consistent).
 type Heuristic interface {
 	H(v graph.NodeID) graph.Weight
-}
-
-// Pruner optionally excludes space nodes from a search. Allow reports
-// whether v may be explored; when it is excluded, definitive reports
-// whether the exclusion is permanent (v provably cannot lie on any result
-// path) rather than dependent on the current bound τ or on future index
-// growth. Non-definitive exclusions make a search report Exceeded instead
-// of Empty. IterBound-SPT_I uses a Pruner to restrict searches to the
-// incremental SPT (Section 5.3).
-type Pruner interface {
-	Allow(v graph.NodeID) (ok, definitive bool)
 }
 
 // Workspace holds the reusable per-query scratch state for subspace
@@ -63,7 +52,7 @@ type Workspace struct {
 	rev []graph.NodeID
 
 	// spt is the shared shortest-path-tree scratch (SPT_P, SPT_I, and the
-	// deviation full tree — at most one per query).
+	// deviation full tree — at most one per query); spti drives the first two.
 	spt  SPT
 	spti sptiTree
 
@@ -81,7 +70,6 @@ type Workspace struct {
 	srcH  SourceHeuristic
 	setH  SourceSetHeuristic
 	treeH TreeHeuristic
-	sptiH sptiHeuristic
 
 	pt  PseudoTree
 	eng engine

@@ -212,8 +212,8 @@ func DASPT(g *graph.Graph, q core.Query, opt core.Options) ([]core.Path, error) 
 	sp := ws.ForwardSpace(g, q.Sources, q.Targets)
 	rev := ws.ReverseSpace(g, q.Sources, q.Targets)
 	endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
-	spt := ws.BuildFullSPT(rev, opt.Stats, ws.Bound())
-	endSPT(int64(rev.NumSpaceNodes()))
+	spt, settled := ws.BuildFullSPT(rev, opt.Stats, ws.Bound())
+	endSPT(int64(settled))
 	pt := ws.ResetTree(sp.Root)
 	pool := opt.NewPool(sp.NumSpaceNodes())
 	defer pool.Close()

@@ -240,23 +240,16 @@ var AlgorithmOrder = []string{
 // OursOrder is the four-contributed-algorithm order of Figs. 9-10.
 var OursOrder = []string{"BestFirst", "IterBound", "IterBoundP", "IterBoundI"}
 
-// algorithm resolves a column name to its implementation and whether it
+// Algorithm resolves a column name to its implementation and whether it
 // uses the landmark index.
-func algorithm(name string) (core.Func, bool, error) {
-	switch name {
-	case "DA":
-		return deviation.DA, false, nil
-	case "DA-SPT":
-		return deviation.DASPT, false, nil
-	case "IterBoundI-NL":
-		fn := core.Algorithms()["IterBoundI-NL"]
-		return fn, false, nil
-	default:
-		if fn, ok := core.Algorithms()[name]; ok {
-			return fn, true, nil
-		}
-		return nil, false, fmt.Errorf("experiments: unknown algorithm %q", name)
+func Algorithm(name string) (fn core.Func, indexed bool, err error) {
+	if fn, ok := core.Algorithms()[name]; ok {
+		return fn, name != "IterBoundI-NL", nil
 	}
+	if fn, ok := deviation.Algorithms()[name]; ok {
+		return fn, false, nil
+	}
+	return nil, false, fmt.Errorf("experiments: unknown algorithm %q", name)
 }
 
 // Measurement is the averaged outcome of running one algorithm over a set
@@ -277,7 +270,7 @@ func (e *Env) runQueries(dsName, algoName string, sources []graph.NodeID, target
 	if err != nil {
 		return Measurement{}, err
 	}
-	fn, wantsIndex, err := algorithm(algoName)
+	fn, wantsIndex, err := Algorithm(algoName)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -378,7 +371,7 @@ func (e *Env) runJoinQueries(dsName, algoName string, sources, targets []graph.N
 	if err != nil {
 		return Measurement{}, err
 	}
-	fn, wantsIndex, err := algorithm(algoName)
+	fn, wantsIndex, err := Algorithm(algoName)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -32,7 +32,7 @@ import (
 
 // allEngines is every named algorithm the server exposes; recovered
 // state must answer identically on all of them.
-var allEngines = []string{"IterBoundI", "IterBoundP", "IterBound", "BestFirst", "DA", "DA-SPT"}
+var allEngines = kpj.Algorithms()
 
 // churnWorld builds one seeded random city in both graph representations
 // (kpj for the server, internal/graph for gen.Churn) from the same
@@ -113,11 +113,11 @@ func mustUpdate(t testing.TB, s *Server, d *graph.Delta) {
 
 // engineAnswers runs one query across every engine and renders each
 // response (status, epoch, fingerprint, paths) into a comparable string.
-func engineAnswers(t *testing.T, s *Server, query string) map[string]string {
+func engineAnswers(t *testing.T, s *Server, query string) map[kpj.Algorithm]string {
 	t.Helper()
-	out := make(map[string]string, len(allEngines))
+	out := make(map[kpj.Algorithm]string, len(allEngines))
 	for _, alg := range allEngines {
-		rec, body := get(t, s, query+"&alg="+alg)
+		rec, body := get(t, s, query+"&alg="+alg.String())
 		var q struct {
 			Paths       []PathJSON `json:"paths"`
 			Epoch       uint64     `json:"epoch"`

@@ -157,6 +157,32 @@ func TestQuerySpans(t *testing.T) {
 			t.Fatalf("path %d length differs with spans=1", i)
 		}
 	}
+
+	// spt_build's Val is the nodes the build settled: all of the tree's
+	// SPTNodes for the trees that never grow again (SPT_P, DA-SPT's full
+	// tree), SPT_I's phase one only.
+	for _, alg := range []string{"IterBoundP", "DA-SPT", "IterBoundI"} {
+		resp := run("/query?source=0&category=hotel&k=4&spans=1&stats=1&alg=" + alg)
+		var tl struct {
+			Spans []struct {
+				Name string `json:"name"`
+				Val  int64  `json:"val"`
+			} `json:"spans"`
+		}
+		if err := json.Unmarshal(resp.Spans, &tl); err != nil {
+			t.Fatalf("%s: spans not JSON: %v", alg, err)
+		}
+		val := int64(-1)
+		for _, sp := range tl.Spans {
+			if sp.Name == "spt_build" {
+				val = sp.Val
+			}
+		}
+		settled := resp.Stats.SPTNodes
+		if val <= 0 || val > settled || (alg != "IterBoundI" && val != settled) {
+			t.Errorf("%s: spt_build val = %d, Stats.SPTNodes = %d", alg, val, settled)
+		}
+	}
 }
 
 // TestShedCounter: shed requests move kpj_http_shed_total.

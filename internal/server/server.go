@@ -206,10 +206,8 @@ func New(g *kpj.Graph, ix *kpj.Index, opts ...Option) *Server {
 	}
 	if s.breakerThreshold > 0 {
 		s.breakers = make(map[kpj.Algorithm]*breaker)
-		for _, alg := range algorithmByName {
-			if s.breakers[alg] == nil {
-				s.breakers[alg] = &breaker{threshold: s.breakerThreshold, probes: s.breakerProbes}
-			}
+		for _, alg := range kpj.Algorithms() {
+			s.breakers[alg] = &breaker{threshold: s.breakerThreshold, probes: s.breakerProbes}
 		}
 		s.updateBr = &breaker{threshold: s.breakerThreshold, probes: s.breakerProbes}
 	}
@@ -359,11 +357,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if len(s.breakers) > 0 {
 		states := map[string]string{}
-		for name, alg := range algorithmByName {
-			if name == "" {
-				continue
-			}
-			states[name] = s.breakers[alg].state()
+		for _, alg := range kpj.Algorithms() {
+			states[alg.String()] = s.breakers[alg].state()
 		}
 		states["update"] = s.updateBr.state()
 		body["breakers"] = states
@@ -438,16 +433,6 @@ func (s *Server) handleCategories(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-var algorithmByName = map[string]kpj.Algorithm{
-	"":           kpj.IterBoundSPTI,
-	"IterBoundI": kpj.IterBoundSPTI,
-	"IterBoundP": kpj.IterBoundSPTP,
-	"IterBound":  kpj.IterBound,
-	"BestFirst":  kpj.BestFirst,
-	"DA":         kpj.DA,
-	"DA-SPT":     kpj.DASPT,
-}
-
 // queryParams is the parsed, validated request, pinned to the epoch it
 // was parsed against: category resolution and execution must see the
 // same graph generation.
@@ -512,8 +497,8 @@ func (s *Server) parseQuery(ep *epochState, get func(string) string, withStats, 
 		return p, fmt.Errorf("k %d exceeds the server limit %d", p.k, s.maxK)
 	}
 
-	algo, ok := algorithmByName[get("alg")]
-	if !ok {
+	algo, err := kpj.ParseAlgorithm(get("alg"))
+	if err != nil {
 		return p, fmt.Errorf("unknown alg %q", get("alg"))
 	}
 	p.opt = &kpj.Options{Algorithm: algo, Index: ep.ix,

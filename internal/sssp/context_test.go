@@ -58,28 +58,3 @@ func TestDijkstraContextCanceled(t *testing.T) {
 		}
 	}
 }
-
-func TestAStarContextCanceled(t *testing.T) {
-	g := bigLine(t, 200000, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, found, err := AStarContext(ctx, g, graph.Forward, 0, graph.NodeID(g.NumNodes()-1), nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if found {
-		t.Fatal("canceled A* must not report a path")
-	}
-}
-
-func TestAStarContextNilMatchesPlain(t *testing.T) {
-	g := testgraphs.Fig1()
-	p1, l1, ok1 := AStar(g, graph.Forward, 0, 10, nil)
-	p2, l2, ok2, err := AStarContext(context.Background(), g, graph.Forward, 0, 10, nil)
-	if err != nil {
-		t.Fatalf("uncanceled context errored: %v", err)
-	}
-	if ok1 != ok2 || l1 != l2 || len(p1) != len(p2) {
-		t.Fatalf("plain (%v,%d,%v) vs context (%v,%d,%v)", p1, l1, ok1, p2, l2, ok2)
-	}
-}

@@ -1,8 +1,7 @@
 // Package sssp implements single-source (and multi-source) shortest path
-// computation: Dijkstra's algorithm, A* point-to-point search, and
-// shortest-path trees with path reconstruction. These are the building
-// blocks for landmark preprocessing, the DA-SPT baseline's full SPT, the
-// workload generator's distance-percentile studies, and test oracles.
+// computation: Dijkstra's algorithm into shortest-path trees. These are
+// the building blocks for landmark preprocessing, the workload
+// generator's distance-percentile studies, and test oracles.
 package sssp
 
 import (
@@ -49,25 +48,6 @@ type Tree struct {
 
 // Reached reports whether v was reached from (or reaches) a root.
 func (t *Tree) Reached(v graph.NodeID) bool { return t.Dist[v] < graph.Infinity }
-
-// PathFrom reconstructs the tree path involving v:
-// for a Forward tree it returns root→…→v; for a Backward tree v→…→root.
-// It returns nil if v is unreachable.
-func (t *Tree) PathFrom(v graph.NodeID) []graph.NodeID {
-	if !t.Reached(v) {
-		return nil
-	}
-	var chain []graph.NodeID
-	for u := v; u >= 0; u = t.Parent[u] {
-		chain = append(chain, u)
-	}
-	if t.Dir == graph.Forward {
-		for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-			chain[i], chain[j] = chain[j], chain[i]
-		}
-	}
-	return chain
-}
 
 // Dijkstra computes a shortest-path tree over g in the given direction from
 // the source set. With dir == Forward, distances grow along out-edges
@@ -192,97 +172,4 @@ func DijkstraOffsetsContext(ctx context.Context, g *graph.Graph, dir graph.Direc
 // backward Dijkstra.
 func DistancesToSet(g *graph.Graph, targets []graph.NodeID) []graph.Weight {
 	return Dijkstra(g, graph.Backward, targets...).Dist
-}
-
-// AStar finds a shortest path from `from` to `to` in direction dir using
-// the admissible heuristic h(v) ≥ 0 (a lower bound on the remaining
-// distance from v to `to` in that direction; pass nil for plain Dijkstra).
-// It returns the node sequence in traversal order (from→…→to; for a
-// Backward search this is the reverse of the forward-graph path), its
-// length, and whether `to` is reachable.
-func AStar(g *graph.Graph, dir graph.Direction, from, to graph.NodeID, h func(graph.NodeID) graph.Weight) ([]graph.NodeID, graph.Weight, bool) {
-	path, length, found, _ := AStarContext(nil, g, dir, from, to, h)
-	return path, length, found
-}
-
-// AStarContext is AStar with cooperative cancellation: a canceled ctx
-// stops the search within a few hundred heap pops and returns found=false
-// with a wrapped context error. A nil ctx never cancels.
-func AStarContext(ctx context.Context, g *graph.Graph, dir graph.Direction, from, to graph.NodeID, h func(graph.NodeID) graph.Weight) ([]graph.NodeID, graph.Weight, bool, error) {
-	n := g.NumNodes()
-	dist := make([]graph.Weight, n)
-	parent := make([]graph.NodeID, n)
-	settled := make([]bool, n)
-	for i := range dist {
-		dist[i] = graph.Infinity
-		parent[i] = -1
-	}
-	hv := func(v graph.NodeID) graph.Weight {
-		if h == nil {
-			return 0
-		}
-		return h(v)
-	}
-	q := pqueue.NewNodeQueue(n)
-	dist[from] = 0
-	q.PushOrDecrease(from, hv(from))
-	countdown := pollEvery
-	for q.Len() > 0 {
-		if err := canceled(ctx, &countdown); err != nil {
-			return nil, graph.Infinity, false, err
-		}
-		v, _ := q.Pop()
-		if settled[v] {
-			continue
-		}
-		settled[v] = true
-		if v == to {
-			break
-		}
-		for _, e := range g.Edges(dir, v) {
-			if nd := dist[v] + e.W; nd < dist[e.To] {
-				dist[e.To] = nd
-				parent[e.To] = v
-				q.PushOrDecrease(e.To, nd+hv(e.To))
-			}
-		}
-	}
-	if dist[to] >= graph.Infinity {
-		return nil, graph.Infinity, false, nil
-	}
-	var chain []graph.NodeID
-	for u := to; u >= 0; u = parent[u] {
-		chain = append(chain, u)
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain, dist[to], true, nil
-}
-
-// PathLength sums the weights along the node sequence path in g, verifying
-// that each hop is an existing edge (the lightest parallel edge is used).
-// It returns an error if a hop does not exist.
-func PathLength(g *graph.Graph, path []graph.NodeID) (graph.Weight, error) {
-	var total graph.Weight
-	for i := 0; i+1 < len(path); i++ {
-		w, ok := g.HasEdge(path[i], path[i+1])
-		if !ok {
-			return 0, fmt.Errorf("sssp: path hop (%d,%d) is not an edge", path[i], path[i+1])
-		}
-		total += w
-	}
-	return total, nil
-}
-
-// IsSimple reports whether the node sequence contains no repeated node.
-func IsSimple(path []graph.NodeID) bool {
-	seen := make(map[graph.NodeID]struct{}, len(path))
-	for _, v := range path {
-		if _, dup := seen[v]; dup {
-			return false
-		}
-		seen[v] = struct{}{}
-	}
-	return true
 }

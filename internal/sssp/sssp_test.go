@@ -100,42 +100,6 @@ func TestDijkstraTreeParentsConsistent(t *testing.T) {
 	}
 }
 
-func TestPathFromForwardAndBackward(t *testing.T) {
-	// 0 -> 1 -> 2, weights 1, 2.
-	g, err := graph.NewBuilder(3).AddEdge(0, 1, 1).AddEdge(1, 2, 2).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwd := Dijkstra(g, graph.Forward, 0)
-	if p := fwd.PathFrom(2); len(p) != 3 || p[0] != 0 || p[1] != 1 || p[2] != 2 {
-		t.Fatalf("forward PathFrom(2) = %v", p)
-	}
-	bwd := Dijkstra(g, graph.Backward, 2)
-	if bwd.Dist[0] != 3 {
-		t.Fatalf("backward Dist[0] = %d, want 3", bwd.Dist[0])
-	}
-	if p := bwd.PathFrom(0); len(p) != 3 || p[0] != 0 || p[2] != 2 {
-		t.Fatalf("backward PathFrom(0) = %v", p)
-	}
-	if p := fwd.PathFrom(0); len(p) != 1 || p[0] != 0 {
-		t.Fatalf("PathFrom(root) = %v", p)
-	}
-}
-
-func TestPathFromUnreachable(t *testing.T) {
-	g, err := graph.NewBuilder(2).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := Dijkstra(g, graph.Forward, 0)
-	if tree.Reached(1) {
-		t.Fatal("node 1 should be unreachable")
-	}
-	if p := tree.PathFrom(1); p != nil {
-		t.Fatalf("PathFrom(unreachable) = %v", p)
-	}
-}
-
 func TestDistancesToSetFig1(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, err := g.Category(testgraphs.HotelCategory)
@@ -155,101 +119,6 @@ func TestDistancesToSetFig1(t *testing.T) {
 	// δ(v5, H) = 2 via (v5,v6).
 	if dist[testgraphs.V5] != 2 {
 		t.Fatalf("dist(v5,H) = %d, want 2", dist[testgraphs.V5])
-	}
-}
-
-func TestAStarMatchesDijkstra(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		n := 5 + rng.Intn(40)
-		g := testgraphs.RandomConnected(rng, n, 2*n, 25)
-		from := graph.NodeID(rng.Intn(n))
-		to := graph.NodeID(rng.Intn(n))
-		// Admissible, consistent heuristic: exact distance to target.
-		exact := Dijkstra(g, graph.Backward, to)
-		h := func(v graph.NodeID) graph.Weight { return exact.Dist[v] }
-		path, d, ok := AStar(g, graph.Forward, from, to, h)
-		if !ok {
-			t.Fatalf("trial %d: unreachable in connected graph", trial)
-		}
-		if d != exact.Dist[from] {
-			t.Fatalf("trial %d: AStar dist %d, want %d", trial, d, exact.Dist[from])
-		}
-		if path[0] != from || path[len(path)-1] != to {
-			t.Fatalf("trial %d: path endpoints %v", trial, path)
-		}
-		if got, err := PathLength(g, path); err != nil || got != d {
-			t.Fatalf("trial %d: path length %d (err %v), want %d", trial, got, err, d)
-		}
-		if !IsSimple(path) {
-			t.Fatalf("trial %d: non-simple path %v", trial, path)
-		}
-		// Nil heuristic must agree.
-		_, d2, ok2 := AStar(g, graph.Forward, from, to, nil)
-		if !ok2 || d2 != d {
-			t.Fatalf("trial %d: nil-heuristic AStar %d/%v, want %d", trial, d2, ok2, d)
-		}
-	}
-}
-
-func TestAStarBackward(t *testing.T) {
-	g, err := graph.NewBuilder(3).AddEdge(0, 1, 4).AddEdge(1, 2, 6).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Backward search from 2 to 0 walks in-edges; path reported 2→…→0.
-	path, d, ok := AStar(g, graph.Backward, 2, 0, nil)
-	if !ok || d != 10 {
-		t.Fatalf("backward AStar = %d/%v", d, ok)
-	}
-	if len(path) != 3 || path[0] != 2 || path[2] != 0 {
-		t.Fatalf("backward path = %v", path)
-	}
-}
-
-func TestAStarUnreachable(t *testing.T) {
-	g, err := graph.NewBuilder(2).AddEdge(1, 0, 1).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := AStar(g, graph.Forward, 0, 1, nil); ok {
-		t.Fatal("expected unreachable")
-	}
-}
-
-func TestAStarSameNode(t *testing.T) {
-	g, err := graph.NewBuilder(2).AddEdge(0, 1, 1).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, d, ok := AStar(g, graph.Forward, 0, 0, nil)
-	if !ok || d != 0 || len(path) != 1 || path[0] != 0 {
-		t.Fatalf("self path = %v/%d/%v", path, d, ok)
-	}
-}
-
-func TestPathLengthErrors(t *testing.T) {
-	g, err := graph.NewBuilder(3).AddEdge(0, 1, 1).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PathLength(g, []graph.NodeID{0, 2}); err == nil {
-		t.Fatal("want error for missing hop")
-	}
-	if d, err := PathLength(g, []graph.NodeID{0}); err != nil || d != 0 {
-		t.Fatalf("singleton path = %d/%v", d, err)
-	}
-	if d, err := PathLength(g, nil); err != nil || d != 0 {
-		t.Fatalf("nil path = %d/%v", d, err)
-	}
-}
-
-func TestIsSimple(t *testing.T) {
-	if !IsSimple([]graph.NodeID{1, 2, 3}) || IsSimple([]graph.NodeID{1, 2, 1}) {
-		t.Fatal("IsSimple misbehaves")
-	}
-	if !IsSimple(nil) {
-		t.Fatal("nil path should be simple")
 	}
 }
 

@@ -3,7 +3,6 @@ package kpj_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -39,28 +38,10 @@ func fig1(t *testing.T) *kpj.Graph {
 
 var wantLengths = []kpj.Weight{5, 6, 7, 7, 8}
 
-// allAlgorithms is the one engine table of the root tests: the oracle,
+// allAlgorithms is the library's own name table: the oracle,
 // bounded-execution, determinism, churn and chaos suites all range over
-// it, so an engine cannot join one gate without joining the others.
-var allAlgorithms = []kpj.Algorithm{
-	kpj.IterBoundSPTI, kpj.IterBoundSPTP, kpj.IterBound,
-	kpj.BestFirst, kpj.DA, kpj.DASPT,
-}
-
-// TestAlgorithmTableComplete: every kpj.Algorithm value that has a name
-// must be in allAlgorithms — a new engine added to the enum without a row
-// here would be seen by no gate.
-func TestAlgorithmTableComplete(t *testing.T) {
-	inTable := map[kpj.Algorithm]bool{}
-	for _, alg := range allAlgorithms {
-		inTable[alg] = true
-	}
-	for a := kpj.Algorithm(0); a < 64; a++ { // the enum is small consecutive ints
-		if named := a.String() != fmt.Sprintf("Algorithm(%d)", int(a)); named != inTable[a] {
-			t.Errorf("%v: named = %v, in allAlgorithms = %v", a, named, inTable[a])
-		}
-	}
-}
+// it, so an engine cannot be named without joining every gate.
+var allAlgorithms = kpj.Algorithms()
 
 func TestTopKJoinAllAlgorithms(t *testing.T) {
 	g := fig1(t)
@@ -173,6 +154,19 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if kpj.Algorithm(42).String() == "" || kpj.IterBoundSPTI.String() != "IterBoundI" {
 		t.Fatal("Algorithm.String misbehaves")
+	}
+	for _, a := range allAlgorithms {
+		if got, err := kpj.ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	if got, err := kpj.ParseAlgorithm(""); err != nil || got != kpj.IterBoundSPTI {
+		t.Fatalf("ParseAlgorithm(\"\") = %v, %v; want the default", got, err)
+	}
+	for _, name := range []string{"nope", "iterboundi", "Algorithm(42)", "IterBoundI-NL"} {
+		if _, err := kpj.ParseAlgorithm(name); !errors.Is(err, kpj.ErrUnknownAlgorithm) {
+			t.Fatalf("ParseAlgorithm(%q): err = %v, want ErrUnknownAlgorithm", name, err)
+		}
 	}
 	if _, err := g.TopK(0, 6, 1, &kpj.Options{Alpha: 0.3}); err == nil {
 		t.Fatal("want error for alpha <= 1")

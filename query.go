@@ -36,23 +36,56 @@ const (
 	DASPT
 )
 
-var algoNames = map[Algorithm]string{
-	IterBoundSPTI: "IterBoundI",
-	IterBoundSPTP: "IterBoundP",
-	IterBound:     "IterBound",
-	BestFirst:     "BestFirst",
-	DA:            "DA",
-	DASPT:         "DA-SPT",
+// algorithms is the one name table: every Algorithm, in enum order, with
+// the name the library, the HTTP server and the CLIs know it by, and its
+// engine.
+var algorithms = [...]struct {
+	name string
+	fn   core.Func
+}{
+	IterBoundSPTI: {"IterBoundI", core.IterBoundSPTI},
+	IterBoundSPTP: {"IterBoundP", core.IterBoundSPTP},
+	IterBound:     {"IterBound", core.IterBound},
+	BestFirst:     {"BestFirst", core.BestFirst},
+	DA:            {"DA", deviation.DA},
+	DASPT:         {"DA-SPT", deviation.DASPT},
 }
 
+// Algorithms returns every Algorithm in enum order, the default first.
+func Algorithms() []Algorithm {
+	out := make([]Algorithm, len(algorithms))
+	for i := range out {
+		out[i] = Algorithm(i)
+	}
+	return out
+}
+
+// ParseAlgorithm returns the Algorithm named name (as String prints it);
+// the empty name selects the default, IterBoundSPTI. Any other name is an
+// error wrapping ErrUnknownAlgorithm.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	if name == "" {
+		return IterBoundSPTI, nil
+	}
+	for i, a := range algorithms {
+		if a.name == name {
+			return Algorithm(i), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, name)
+}
+
+func (a Algorithm) known() bool { return a >= 0 && int(a) < len(algorithms) }
+
 func (a Algorithm) String() string {
-	if s, ok := algoNames[a]; ok {
-		return s
+	if a.known() {
+		return algorithms[a].name
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// ErrUnknownAlgorithm reports an Options.Algorithm value outside the enum.
+// ErrUnknownAlgorithm reports an Options.Algorithm value outside the enum,
+// or a name ParseAlgorithm does not know.
 var ErrUnknownAlgorithm = errors.New("kpj: unknown algorithm")
 
 // Path is one result path: the node sequence from a source to a
@@ -197,24 +230,10 @@ func (o *Options) coreOptions(g *Graph) (core.Options, core.Func, error) {
 		algo = o.Algorithm
 	}
 	opt.Workspaces = workspacePool{g}
-	var fn core.Func
-	switch algo {
-	case IterBoundSPTI:
-		fn = core.IterBoundSPTI
-	case IterBoundSPTP:
-		fn = core.IterBoundSPTP
-	case IterBound:
-		fn = core.IterBound
-	case BestFirst:
-		fn = core.BestFirst
-	case DA:
-		fn = deviation.DA
-	case DASPT:
-		fn = deviation.DASPT
-	default:
+	if !algo.known() {
 		return opt, nil, fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(algo))
 	}
-	return opt, fn, nil
+	return opt, algorithms[algo].fn, nil
 }
 
 // TopKJoinSets answers the most general query: the k shortest simple paths

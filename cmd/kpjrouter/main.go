@@ -24,15 +24,17 @@
 // POST /update fans the delta to every routable replica, fenced on the
 // fleet's agreed (epoch, fingerprint): a replica that fails, conflicts,
 // or diverges is marked down and resynced — delta-tail replay when the
-// retained window (-updatetail) covers its epoch, full snapshot transfer
+// last 64 accepted deltas still cover its epoch, full snapshot transfer
 // from a caught-up peer otherwise — and readmitted only once a probe
-// observes it at the fleet generation.
+// observes it at the fleet generation. Update bodies are capped at
+// 16 MiB, the replicas' own cap.
 //
 // Responses carry X-Kpj-Replica naming the backend that answered, with
 // X-Kpj-Degraded, Retry-After, X-Kpj-Epoch, and X-Kpj-Fingerprint passed
 // through from it unchanged.
-// Router-originated failures are typed JSON errors ({"error","kind"} +
-// X-Kpj-Error-Kind), never untyped 5xx. -hedgeafter 0 adapts the hedge
+// Every error, the router's own or a replica's passed through, is a typed
+// JSON body ({"error","kind"}) with a matching X-Kpj-Error-Kind header
+// (internal/wire). -hedgeafter 0 adapts the hedge
 // threshold to observed latency; a fixed duration pins it.
 package main
 
@@ -52,51 +54,33 @@ import (
 )
 
 func main() {
+	var cfg router.Config
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs, each optionally name=url (required)")
 	addr := flag.String("addr", ":8090", "listen address")
-	probeInterval := flag.Duration("probeinterval", 500*time.Millisecond, "health-probe interval for up replicas")
-	probeTimeout := flag.Duration("probetimeout", time.Second, "per-probe request deadline")
-	downAfter := flag.Int("downafter", 2, "consecutive probe failures before a replica is down")
-	hedgeAfter := flag.Duration("hedgeafter", 0, "fixed hedge delay; 0 adapts to observed latency")
-	maxHedge := flag.Duration("maxhedge", time.Second, "adaptive hedge-delay ceiling")
-	maxAttempts := flag.Int("maxattempts", 3, "attempt cap per request, hedges included")
-	retryBudget := flag.Int("retrybudget", 64, "retry token bucket capacity bounding fleet-wide retry amplification")
-	reqTimeout := flag.Duration("reqtimeout", 30*time.Second, "per-attempt upstream deadline")
-	seed := flag.Int64("seed", 1, "probe-jitter seed")
+	flag.DurationVar(&cfg.ProbeInterval, "probeinterval", 500*time.Millisecond, "health-probe interval for up replicas")
+	flag.DurationVar(&cfg.ProbeTimeout, "probetimeout", time.Second, "per-probe request deadline")
+	flag.IntVar(&cfg.DownAfter, "downafter", 2, "consecutive probe failures before a replica is down")
+	flag.DurationVar(&cfg.HedgeAfter, "hedgeafter", 0, "fixed hedge delay; 0 adapts to observed latency")
+	flag.DurationVar(&cfg.MaxHedge, "maxhedge", time.Second, "adaptive hedge-delay ceiling")
+	flag.IntVar(&cfg.MaxAttempts, "maxattempts", 3, "attempt cap per request, hedges included")
+	flag.IntVar(&cfg.RetryBudget, "retrybudget", 64, "retry token bucket capacity bounding fleet-wide retry amplification")
+	flag.DurationVar(&cfg.RequestTimeout, "reqtimeout", 30*time.Second, "per-attempt upstream deadline")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "probe-jitter seed")
 	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and /debug/vars")
 	drain := flag.Duration("draintimeout", 10*time.Second, "graceful-shutdown drain window on SIGINT/SIGTERM")
-	updateTail := flag.Int("updatetail", 64, "accepted deltas retained for replica resync catch-up")
-	maxUpdateBytes := flag.Int64("maxupdatebytes", 16<<20, "POST /update body cap in bytes")
 	flag.Parse()
 
-	if err := run(*replicas, *addr, *probeInterval, *probeTimeout, *downAfter, *hedgeAfter,
-		*maxHedge, *maxAttempts, *retryBudget, *reqTimeout, *seed, *metrics, *drain,
-		*updateTail, *maxUpdateBytes); err != nil {
+	cfg.Replicas = parseReplicas(*replicas)
+	if *metrics {
+		cfg.Metrics = kpj.NewMetricsRegistry()
+	}
+	if err := run(cfg, *addr, *drain); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjrouter: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(replicas, addr string, probeInterval, probeTimeout time.Duration, downAfter int,
-	hedgeAfter, maxHedge time.Duration, maxAttempts, retryBudget int, reqTimeout time.Duration,
-	seed int64, metrics bool, drain time.Duration, updateTail int, maxUpdateBytes int64) error {
-	cfg := router.Config{
-		Replicas:       parseReplicas(replicas),
-		ProbeInterval:  probeInterval,
-		ProbeTimeout:   probeTimeout,
-		DownAfter:      downAfter,
-		HedgeAfter:     hedgeAfter,
-		MaxHedge:       maxHedge,
-		MaxAttempts:    maxAttempts,
-		RetryBudget:    retryBudget,
-		RequestTimeout: reqTimeout,
-		Seed:           seed,
-		UpdateTail:     updateTail,
-		MaxUpdateBytes: maxUpdateBytes,
-	}
-	if metrics {
-		cfg.Metrics = kpj.NewMetricsRegistry()
-	}
+func run(cfg router.Config, addr string, drain time.Duration) error {
 	rt, err := router.New(cfg)
 	if err != nil {
 		return err
@@ -109,7 +93,7 @@ func run(replicas, addr string, probeInterval, probeTimeout time.Duration, downA
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	fmt.Printf("routing to %d replicas on %s\n", len(cfg.Replicas), addr)
-	if metrics {
+	if cfg.Metrics != nil {
 		fmt.Println("metrics on /metrics and /debug/vars")
 	}
 

@@ -49,9 +49,10 @@
 // state is checkpointed (and the log truncated) every -checkpoint-every
 // epochs, and startup recovers from the newest checkpoint plus log
 // replay — /readyz answers 503 "recovering" until the recovered chain's
-// fingerprints verify against the durably recorded ones. Update bodies
-// above -maxupdatebytes are shed with a typed 413; every query and
-// update response carries X-Kpj-Epoch.
+// fingerprints verify against the durably recorded ones. /update and
+// /batch bodies above 16 MiB are shed with a typed 413; every query and
+// update response carries X-Kpj-Epoch, and every error is a typed JSON
+// body with a matching X-Kpj-Error-Kind header (internal/wire).
 package main
 
 import (
@@ -86,12 +87,11 @@ func main() {
 	breakerProbes := flag.Int("breakerprobes", 2, "consecutive clean degraded queries before leaving degraded mode")
 	walDir := flag.String("wal", "", "write-ahead log directory: POST /update deltas are fsynced here before they are served, and startup recovers the chain from the newest checkpoint plus log replay")
 	checkpointEvery := flag.Int("checkpoint-every", 64, "with -wal, snapshot the serving state and truncate the log every N epochs (0 = never)")
-	maxUpdateBytes := flag.Int64("maxupdatebytes", 16<<20, "POST /update body cap in bytes; oversized deltas get 413")
 	flag.Parse()
 
 	if err := run(*flatPath, *useMmap, *addr, *maxK,
 		*timeout, *budget, *maxInFlight, *parallelism, *cacheSize, *drain, *metrics, *pprofOn,
-		*breaker, *breakerProbes, *walDir, *checkpointEvery, *maxUpdateBytes); err != nil {
+		*breaker, *breakerProbes, *walDir, *checkpointEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjserver: %v\n", err)
 		os.Exit(1)
 	}
@@ -100,7 +100,7 @@ func main() {
 func run(flatPath string, useMmap bool, addr string, maxK int,
 	timeout time.Duration, budget int64, maxInFlight, parallelism, cacheSize int, drain time.Duration,
 	metrics, pprofOn bool, breakerThreshold, breakerProbes int,
-	walDir string, checkpointEvery int, maxUpdateBytes int64) error {
+	walDir string, checkpointEvery int) error {
 	if flatPath == "" {
 		return fmt.Errorf("-flat is required")
 	}
@@ -128,7 +128,6 @@ func run(flatPath string, useMmap bool, addr string, maxK int,
 		server.WithMaxInFlight(maxInFlight),
 		server.WithParallelism(parallelism),
 		server.WithBoundsCacheSize(cacheSize),
-		server.WithMaxUpdateBytes(maxUpdateBytes),
 	}
 
 	// Durability: open the WAL before the server exists. When a checkpoint

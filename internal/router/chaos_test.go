@@ -12,6 +12,7 @@ import (
 	"kpj/internal/fault"
 	"kpj/internal/leaktest"
 	"kpj/internal/obs"
+	"kpj/internal/wire"
 )
 
 // Router chaos suite: three in-process replicas under seeded fault
@@ -53,19 +54,17 @@ func classifyResponse(t testing.TB, code int, header http.Header, body []byte, w
 		}
 		samePaths(t, out.Paths, want, ctx)
 		return "ok"
-	case code >= 500:
-		kind := header.Get("X-Kpj-Error-Kind")
-		if kind == "" {
-			t.Fatalf("%s: untyped %d response: %s", ctx, code, body)
-		}
-		var eb errorBody
-		if err := json.Unmarshal(body, &eb); err != nil || eb.Kind != kind {
+	default:
+		// Every non-2xx, from either door, is typed: header and body agree.
+		kind := header.Get(wire.HeaderErrorKind)
+		var eb wire.ErrorBody
+		if kind == "" || json.Unmarshal(body, &eb) != nil || string(eb.Kind) != kind {
 			t.Fatalf("%s: %d body %q does not match kind header %q", ctx, code, body, kind)
 		}
+		if code < 500 {
+			t.Fatalf("%s: unexpected status %d: %s", ctx, code, body)
+		}
 		return "typed-error"
-	default:
-		t.Fatalf("%s: unexpected status %d: %s", ctx, code, body)
-		return ""
 	}
 }
 

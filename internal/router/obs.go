@@ -6,10 +6,9 @@ import (
 	"kpj/internal/obs"
 )
 
-// routerMetrics is the kpj_router_* instrument set. A nil *routerMetrics
-// (Config.Metrics unset) records nothing; every method is nil-safe so
-// the hot path calls them unconditionally, matching the discipline of
-// internal/obs and the server's kpj_http_* set.
+// routerMetrics is the kpj_router_* instrument set. Built from a nil
+// registry (Config.Metrics unset) every instrument is nil, and the obs
+// instruments are nil-safe, so the hot path records unconditionally.
 type routerMetrics struct {
 	reqs       map[string]*obs.Counter
 	errs       map[string]*obs.Counter
@@ -27,32 +26,17 @@ type routerMetrics struct {
 	latencyUS  *obs.Histogram
 }
 
-func newRouterMetrics(reg *obs.Registry, rt *Router) *routerMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &routerMetrics{
-		reqs: map[string]*obs.Counter{
-			"query":      reg.Counter(`kpj_router_requests_total{route="query"}`, "completed /query requests"),
-			"batch":      reg.Counter(`kpj_router_requests_total{route="batch"}`, "completed /batch requests"),
-			"categories": reg.Counter(`kpj_router_requests_total{route="categories"}`, "completed /categories requests"),
-		},
-		errs: map[string]*obs.Counter{
-			"query":      reg.Counter(`kpj_router_errors_total{route="query"}`, "/query requests answered with a typed router error"),
-			"batch":      reg.Counter(`kpj_router_errors_total{route="batch"}`, "/batch requests answered with a typed router error"),
-			"categories": reg.Counter(`kpj_router_errors_total{route="categories"}`, "/categories requests answered with a typed router error"),
-		},
-		hedges:    reg.Counter("kpj_router_hedges_total", "hedge attempts launched after the latency threshold"),
-		hedgeWins: reg.Counter("kpj_router_hedge_wins_total", "requests won by a non-primary attempt"),
-		failovers: reg.Counter("kpj_router_failovers_total", "attempts that failed and moved to the next candidate"),
-		denied:    reg.Counter("kpj_router_retry_denied_total", "retries or hedges suppressed by an empty retry budget"),
-		probes:    reg.Counter(`kpj_router_probes_total{result="ok"}`, "clean health probes"),
-		probeErrs: reg.Counter(`kpj_router_probes_total{result="error"}`, "failed health probes"),
-		toState: map[State]*obs.Counter{
-			StateHealthy:  reg.Counter(`kpj_router_transitions_total{to="healthy"}`, "replica transitions into healthy"),
-			StateDegraded: reg.Counter(`kpj_router_transitions_total{to="degraded"}`, "replica transitions into degraded"),
-			StateDown:     reg.Counter(`kpj_router_transitions_total{to="down"}`, "replica transitions into down"),
-		},
+func newRouterMetrics(reg *obs.Registry, rt *Router) routerMetrics {
+	m := routerMetrics{
+		reqs:       map[string]*obs.Counter{},
+		errs:       map[string]*obs.Counter{},
+		toState:    map[State]*obs.Counter{},
+		hedges:     reg.Counter("kpj_router_hedges_total", "hedge attempts launched after the latency threshold"),
+		hedgeWins:  reg.Counter("kpj_router_hedge_wins_total", "requests won by a non-primary attempt"),
+		failovers:  reg.Counter("kpj_router_failovers_total", "attempts that failed and moved to the next candidate"),
+		denied:     reg.Counter("kpj_router_retry_denied_total", "retries or hedges suppressed by an empty retry budget"),
+		probes:     reg.Counter(`kpj_router_probes_total{result="ok"}`, "clean health probes"),
+		probeErrs:  reg.Counter(`kpj_router_probes_total{result="error"}`, "failed health probes"),
 		updates:    reg.Counter(`kpj_router_updates_total{result="ok"}`, "update fan-outs that advanced the fleet epoch"),
 		updateErrs: reg.Counter(`kpj_router_updates_total{result="error"}`, "update fan-outs rejected or applied by no replica"),
 		resyncs:    reg.Counter(`kpj_router_resyncs_total{result="ok"}`, "replica resyncs that reached the fleet generation"),
@@ -62,8 +46,13 @@ func newRouterMetrics(reg *obs.Registry, rt *Router) *routerMetrics {
 		latencyUS: reg.Histogram("kpj_router_request_micros", "routed request latency in microseconds",
 			obs.ExpBuckets(64, 2, 21)),
 	}
-	for st, name := range map[State]string{StateHealthy: "healthy", StateDegraded: "degraded", StateDown: "down"} {
-		st, name := st, name
+	for _, route := range []string{"query", "batch", "categories"} {
+		m.reqs[route] = reg.Counter(`kpj_router_requests_total{route="`+route+`"}`, "completed /"+route+" requests")
+		m.errs[route] = reg.Counter(`kpj_router_errors_total{route="`+route+`"}`, "/"+route+" requests answered with a typed router error")
+	}
+	for _, st := range []State{StateHealthy, StateDegraded, StateDown} {
+		st, name := st, st.String()
+		m.toState[st] = reg.Counter(`kpj_router_transitions_total{to="`+name+`"}`, "replica transitions into "+name)
 		reg.GaugeFunc(`kpj_router_replicas{state="`+name+`"}`, "replicas currently in state "+name, func() int64 {
 			var n int64
 			for _, rp := range rt.topo.Load().reps {
@@ -78,81 +67,9 @@ func newRouterMetrics(reg *obs.Registry, rt *Router) *routerMetrics {
 }
 
 func (m *routerMetrics) observeRequest(route string, d time.Duration, res attemptResult) {
-	if m == nil {
-		return
-	}
 	m.reqs[route].Inc()
 	if !res.usable() {
 		m.errs[route].Inc()
 	}
 	m.latencyUS.Observe(d.Microseconds())
-}
-
-func (m *routerMetrics) observeHedge() {
-	if m == nil {
-		return
-	}
-	m.hedges.Inc()
-}
-
-// observeExtraWin counts a request answered by a non-primary attempt.
-func (m *routerMetrics) observeExtraWin(order int, hedged bool) {
-	if m == nil {
-		return
-	}
-	m.hedgeWins.Inc()
-}
-
-func (m *routerMetrics) observeFailover() {
-	if m == nil {
-		return
-	}
-	m.failovers.Inc()
-}
-
-func (m *routerMetrics) observeBudgetDenied() {
-	if m == nil {
-		return
-	}
-	m.denied.Inc()
-}
-
-func (m *routerMetrics) observeProbe(ok bool) {
-	if m == nil {
-		return
-	}
-	if ok {
-		m.probes.Inc()
-	} else {
-		m.probeErrs.Inc()
-	}
-}
-
-func (m *routerMetrics) observeTransition(to State) {
-	if m == nil {
-		return
-	}
-	m.toState[to].Inc()
-}
-
-func (m *routerMetrics) observeUpdateFan(ok bool) {
-	if m == nil {
-		return
-	}
-	if ok {
-		m.updates.Inc()
-	} else {
-		m.updateErrs.Inc()
-	}
-}
-
-func (m *routerMetrics) observeResync(ok bool) {
-	if m == nil {
-		return
-	}
-	if ok {
-		m.resyncs.Inc()
-	} else {
-		m.resyncErrs.Inc()
-	}
 }

@@ -4,15 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"kpj/internal/fault"
+	"kpj/internal/wire"
 )
 
 // State is one replica's routability, driven by the probe loop.
@@ -116,11 +115,11 @@ func (rt *Router) probeLoop(ctx context.Context, rp *replica) {
 func (rt *Router) probe(ctx context.Context, rp *replica) {
 	defer func() {
 		if p := recover(); p != nil {
-			rt.noteFailure(rp, fmt.Errorf("probe panic: %v", p))
+			rt.probeFailed(rp, fmt.Errorf("probe panic: %v", p))
 		}
 	}()
 	if err := fault.Hit(fault.RouterProbe); err != nil {
-		rt.noteFailure(rp, err)
+		rt.probeFailed(rp, err)
 		return
 	}
 	// A probe never overlaps an update fan-out: mid-fan-out the replicas
@@ -143,64 +142,52 @@ func (rt *Router) probe(ctx context.Context, rp *replica) {
 	// this router does not serialize (another router's, or out-of-band)
 	// advanced the fleet while the probe was in flight.
 	fleet := rt.fleetSnapshot()
-	ready, epoch, fp, err := rt.fetchReadyz(pctx, rp)
+	ready, gen, err := rt.fetchReadyz(pctx, rp)
 	if err != nil {
-		rt.noteFailure(rp, err)
+		rt.probeFailed(rp, err)
 		return
 	}
-	rp.epoch.Store(epoch)
-	rp.fp.Store(fp)
+	rp.epoch.Store(gen.Epoch)
+	rp.fp.Store(gen.FP)
 	if !ready {
-		rt.noteFailure(rp, fmt.Errorf("not ready"))
+		rt.probeFailed(rp, fmt.Errorf("not ready"))
 		return
 	}
 	// Epoch gating: adopt whatever is ahead of the fleet view, and refuse
 	// to (re)admit a replica that is behind it or diverged at the same
 	// epoch — it is fenced down and resynced instead, so a replica can
 	// never serve a stale epoch after readmission. Divergence fencing
-	// arms once the fleet has advanced past epoch 0: the zero fleetState
+	// arms once the fleet has advanced past epoch 0: the zero generation
 	// doubles as "no fleet established yet", and epoch-0 divergence
 	// (replicas deployed with different indexes) is caught by the first
 	// update fan-out's fingerprint fence instead.
-	rt.adoptFleet(epoch, fp)
-	if epoch < fleet.epoch || (epoch == fleet.epoch && fleet.epoch > 0 && fp != fleet.fp) {
-		rt.met.observeProbe(false)
-		rt.setState(rp, StateDown, fmt.Errorf("stale: at %d/%016x, fleet at %s", epoch, fp, fleet))
+	rt.adoptFleet(gen)
+	if gen.Epoch < fleet.Epoch || (gen.Epoch == fleet.Epoch && fleet.Epoch > 0 && gen.FP != fleet.FP) {
+		rt.met.probeErrs.Inc()
+		rt.setState(rp, StateDown, fmt.Errorf("stale: at %s, fleet at %s", gen, fleet))
 		rt.scheduleResync(rp)
 		return
 	}
 	breakers, err := rt.fetchBreakers(pctx, rp)
 	if err != nil {
-		rt.noteFailure(rp, err)
+		rt.probeFailed(rp, err)
 		return
 	}
-	rt.noteSuccess(rp, fp, breakers)
+	rt.noteSuccess(rp, gen.FP, breakers)
 }
 
-// readyzBody and healthzBody mirror the fields internal/server emits.
-type readyzBody struct {
-	Ready       bool   `json:"ready"`
-	Epoch       uint64 `json:"epoch"`
-	Fingerprint string `json:"fingerprint"`
-}
-
-type healthzBody struct {
-	Breakers    map[string]string `json:"breakers"`
-	Fingerprint string            `json:"fingerprint"`
-}
-
-func (rt *Router) fetchReadyz(ctx context.Context, rp *replica) (ready bool, epoch, fp uint64, err error) {
-	var body readyzBody
+// fetchReadyz reads a replica's readiness and generation from /readyz.
+func (rt *Router) fetchReadyz(ctx context.Context, rp *replica) (ready bool, gen wire.Gen, err error) {
+	var body wire.Readyz
 	status, err := rt.getJSON(ctx, rp, "/readyz", &body)
 	if err != nil {
-		return false, 0, 0, err
+		return false, gen, err
 	}
-	fp, _ = strconv.ParseUint(body.Fingerprint, 16, 64)
-	return status == http.StatusOK && body.Ready, body.Epoch, fp, nil
+	return status == http.StatusOK && body.Ready, wire.Gen{Epoch: body.Epoch, FP: wire.ParseFP(body.Fingerprint)}, nil
 }
 
 func (rt *Router) fetchBreakers(ctx context.Context, rp *replica) (map[string]bool, error) {
-	var body healthzBody
+	var body wire.Healthz
 	status, err := rt.getJSON(ctx, rp, "/healthz", &body)
 	if err != nil {
 		return nil, err
@@ -216,38 +203,33 @@ func (rt *Router) fetchBreakers(ctx context.Context, rp *replica) (map[string]bo
 }
 
 func (rt *Router) getJSON(ctx context.Context, rp *replica, path string, out any) (int, error) {
-	u := *rp.base
-	u.Path = path
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	status, _, b, err := rt.send(ctx, rp, http.MethodGet, path, "", nil, nil, 1<<20)
 	if err != nil {
 		return 0, err
 	}
 	if err := json.Unmarshal(b, out); err != nil {
-		return resp.StatusCode, fmt.Errorf("%s: bad JSON: %w", path, err)
+		return status, fmt.Errorf("%s: bad JSON: %w", path, err)
 	}
-	return resp.StatusCode, nil
+	return status, nil
+}
+
+// probeFailed counts one failed probe and folds it into the state
+// machine.
+func (rt *Router) probeFailed(rp *replica, err error) {
+	rt.met.probeErrs.Inc()
+	rt.noteFailure(rp, err)
 }
 
 // noteFailure folds one failed probe (or failed proxied request) into
 // the state machine: DownAfter consecutive failures mark the replica
 // down. The request path shares this with the probe loop so a replica
 // that dies mid-stream is sidelined immediately instead of after the
-// next probe cycle.
+// next probe cycle; its failed attempts count as failovers, not probes.
 func (rt *Router) noteFailure(rp *replica, err error) {
 	rp.mu.Lock()
 	rp.fails++
 	down := rp.fails >= rt.cfg.DownAfter
 	rp.mu.Unlock()
-	rt.met.observeProbe(false)
 	if down {
 		rt.setState(rp, StateDown, err)
 	}
@@ -265,7 +247,7 @@ func (rt *Router) noteSuccess(rp *replica, fp uint64, breakers map[string]bool) 
 		rp.fp.Store(fp)
 		rt.fp.Store(fp)
 	}
-	rt.met.observeProbe(true)
+	rt.met.probes.Inc()
 	next := StateHealthy
 	for _, open := range breakers {
 		if open {
@@ -287,7 +269,7 @@ func (rt *Router) setState(rp *replica, next State, cause error) {
 	} else {
 		rt.logf("router: replica %s %s -> %s", rp.name, prev, next)
 	}
-	rt.met.observeTransition(next)
+	rt.met.toState[next].Inc()
 }
 
 // nextProbeDelay schedules the re-probe: the plain interval while the

@@ -44,8 +44,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kpj"
 	"kpj/internal/fault"
 	"kpj/internal/obs"
+	"kpj/internal/wire"
 )
 
 // ReplicaConfig names one backend.
@@ -65,15 +67,13 @@ type Config struct {
 	MaxProbeBackoff time.Duration // cap on the down-replica re-probe backoff; default 8s
 
 	HedgeAfter time.Duration // fixed hedge delay; 0 = adaptive from observed latency
-	MinHedge   time.Duration // adaptive clamp floor; default 2ms
 	MaxHedge   time.Duration // adaptive clamp ceiling (and pre-warmup delay); default 1s
 
 	MaxAttempts    int           // per-request attempt cap, hedges included; default 3
 	RetryBudget    int           // retry token bucket capacity; default 64
 	RequestTimeout time.Duration // per proxied attempt; default 30s, < 0 disables
 
-	UpdateTail     int   // accepted deltas retained for resync catch-up; default 64
-	MaxUpdateBytes int64 // POST /update body cap; default 16MB
+	MaxUpdateBytes int64 // POST /update body cap; default wire.MaxBodyBytes
 
 	Seed      int64             // probe-jitter seed; fixed seed => reproducible schedule
 	Clock     Clock             // default: wall clock
@@ -97,7 +97,7 @@ type Router struct {
 	client *http.Client
 	logf   func(format string, args ...any)
 	mux    *http.ServeMux
-	met    *routerMetrics
+	met    routerMetrics
 
 	topo atomic.Pointer[topology]
 	mu   sync.Mutex // serializes topology rewrites (Add/RemoveReplica)
@@ -112,7 +112,7 @@ type Router struct {
 	// retains recent deltas for resync catch-up, and resyncWG tracks
 	// background resync goroutines for Close.
 	updateMu sync.RWMutex
-	fleet    atomic.Pointer[fleetState]
+	fleet    atomic.Pointer[wire.Gen]
 	tail     deltaTail
 	resyncWG sync.WaitGroup
 
@@ -129,6 +129,13 @@ type Router struct {
 // hedge spends a whole one — steady-state retry amplification is bounded
 // at ~10% on top of the initial bucket.
 const tokenScale = 10
+
+// minHedge is the adaptive hedge delay's floor, and updateTail the number
+// of accepted deltas retained for resync catch-up.
+const (
+	minHedge   = 2 * time.Millisecond
+	updateTail = 64
+)
 
 // New builds a Router over cfg.Replicas and starts one probe loop per
 // replica. The caller must Close it.
@@ -148,9 +155,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MaxProbeBackoff <= 0 {
 		cfg.MaxProbeBackoff = 8 * time.Second
 	}
-	if cfg.MinHedge <= 0 {
-		cfg.MinHedge = 2 * time.Millisecond
-	}
 	if cfg.MaxHedge <= 0 {
 		cfg.MaxHedge = time.Second
 	}
@@ -163,11 +167,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	if cfg.UpdateTail <= 0 {
-		cfg.UpdateTail = 64
-	}
 	if cfg.MaxUpdateBytes <= 0 {
-		cfg.MaxUpdateBytes = 16 << 20
+		cfg.MaxUpdateBytes = wire.MaxBodyBytes
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = realClock{}
@@ -190,7 +191,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	rt.budget.Store(int64(cfg.RetryBudget) * tokenScale)
-	rt.tail.cap = cfg.UpdateTail
 
 	seen := map[string]bool{}
 	reps := make([]*replica, 0, len(cfg.Replicas))
@@ -218,16 +218,7 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("POST /batch", rt.handleBatch)
 	rt.mux.HandleFunc("POST /update", rt.handleUpdate)
 	rt.mux.HandleFunc("GET /categories", rt.handleCategories)
-	if cfg.Metrics != nil {
-		rt.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = cfg.Metrics.WritePrometheus(w)
-		})
-		rt.mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = cfg.Metrics.WriteJSON(w)
-		})
-	}
+	wire.MountMetrics(rt.mux, cfg.Metrics)
 
 	for _, rp := range reps {
 		rt.startProbe(rp)
@@ -328,48 +319,10 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if p := recover(); p != nil {
 			rt.logf("router: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
-			writeTypedError(w, http.StatusInternalServerError, kindInternal, "internal error")
+			wire.WriteError(w, http.StatusInternalServerError, wire.KindInternal, "internal error")
 		}
 	}()
 	rt.mux.ServeHTTP(w, r)
-}
-
-// Error kinds carried in the JSON body and X-Kpj-Error-Kind header of
-// every router-originated failure.
-const (
-	kindUnavailable = "unavailable" // no replica could answer; retryable
-	kindUpstream    = "upstream"    // attempts exhausted on upstream 5xx
-	kindCanceled    = "canceled"    // the client went away mid-request
-	kindInternal    = "internal"    // router bug (recovered panic)
-	kindBadRequest  = "bad-request" // malformed before any replica was tried
-	// kindEpochConflict: the fleet epoch advanced past the fence this
-	// update was sent under (or this router's view was stale); retryable
-	// against the X-Kpj-Epoch the response carries.
-	kindEpochConflict = "epoch-conflict"
-)
-
-type errorBody struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
-func writeTypedError(w http.ResponseWriter, status int, kind, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Kpj-Error-Kind", kind)
-	if status == http.StatusServiceUnavailable && w.Header().Get("Retry-After") == "" {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...), Kind: kind})
-}
-
-// normalizeAlg maps the wire `alg` parameter onto the breaker-state key
-// /healthz reports for it ("" selects the default engine).
-func normalizeAlg(alg string) string {
-	if alg == "" {
-		return "IterBoundI"
-	}
-	return alg
 }
 
 // categorySet extracts the query's category names, sorted, for the
@@ -389,9 +342,8 @@ func categorySet(vals url.Values) []string {
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := rt.clock.Now()
 	q := r.URL.Query()
-	alg := normalizeAlg(q.Get("alg"))
 	key := affinityKey(rt.fp.Load(), categorySet(q))
-	res := rt.do(r.Context(), http.MethodGet, "/query", r.URL.RawQuery, nil, key, alg, true)
+	res := rt.do(r.Context(), http.MethodGet, "/query", r.URL.RawQuery, nil, key, q.Get("alg"), true)
 	rt.met.observeRequest("query", rt.clock.Now().Sub(start), res)
 	rt.writeResult(w, res)
 }
@@ -427,20 +379,19 @@ func batchAffinity(body []byte) []string {
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := rt.clock.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		writeTypedError(w, http.StatusBadRequest, kindBadRequest, "read body: %v", err)
+	body, ok := wire.ReadBody(w, r, wire.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	key := affinityKey(rt.fp.Load(), batchAffinity(body))
-	res := rt.do(r.Context(), http.MethodPost, "/batch", "", body, key, normalizeAlg(""), true)
+	res := rt.do(r.Context(), http.MethodPost, "/batch", "", body, key, "", true)
 	rt.met.observeRequest("batch", rt.clock.Now().Sub(start), res)
 	rt.writeResult(w, res)
 }
 
 func (rt *Router) handleCategories(w http.ResponseWriter, r *http.Request) {
 	start := rt.clock.Now()
-	res := rt.do(r.Context(), http.MethodGet, "/categories", "", nil, hashKey("categories"), normalizeAlg(""), true)
+	res := rt.do(r.Context(), http.MethodGet, "/categories", "", nil, hashKey("categories"), "", true)
 	rt.met.observeRequest("categories", rt.clock.Now().Sub(start), res)
 	rt.writeResult(w, res)
 }
@@ -467,16 +418,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if routable == 0 {
 		status = "no routable replicas"
 	}
-	body := map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      status,
 		"replicas":    replicas,
-		"epoch":       rt.fleetSnapshot().epoch,
-		"fingerprint": fmt.Sprintf("%016x", rt.fp.Load()),
+		"epoch":       rt.fleetSnapshot().Epoch,
+		"fingerprint": wire.FormatFP(rt.fp.Load()),
 		"hedgeMicros": rt.hedgeDelay().Microseconds(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(body)
+	})
 }
 
 // handleReadyz: the router is ready while at least one replica is
@@ -484,22 +432,24 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	for _, rp := range rt.topo.Load().reps {
 		if rp.State() != StateDown {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte(`{"ready":true}` + "\n"))
+			wire.WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
 			return
 		}
 	}
-	writeTypedError(w, http.StatusServiceUnavailable, kindUnavailable, "no routable replicas")
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.KindUnavailable, "no routable replicas")
 }
 
 // candidates orders the replicas for one request: ring-successor order
 // from the affinity key, partitioned so up replicas whose breaker for
-// the requested algorithm is closed come first, then up replicas with
-// that breaker open, then — last resort, in case every probe is stale —
-// down replicas. Element 0 is the primary; the rest are hedge/failover
-// targets in preference order.
+// the requested algorithm (the wire alg value, "" for the default
+// engine) is closed come first, then up replicas with that breaker open,
+// then — last resort, in case every probe is stale — down replicas.
+// Element 0 is the primary; the rest are hedge/failover targets in
+// preference order.
 func (rt *Router) candidates(key uint64, alg string) []*replica {
+	if a, err := kpj.ParseAlgorithm(alg); err == nil {
+		alg = a.String() // the breaker key /healthz reports
+	}
 	topo := rt.topo.Load()
 	seq := topo.ring.sequence(key)
 	closed := make([]*replica, 0, len(seq))
@@ -580,7 +530,7 @@ func (rt *Router) do(ctx context.Context, method, path, rawQuery string, body []
 		case <-hedgeCh:
 			hedgeCh = nil
 			if next < len(cands) && next < rt.cfg.MaxAttempts && rt.takeToken() {
-				rt.met.observeHedge()
+				rt.met.hedges.Inc()
 				launch()
 			}
 		case res := <-results:
@@ -590,7 +540,7 @@ func (rt *Router) do(ctx context.Context, method, path, rawQuery string, body []
 				if res.order == 0 {
 					rt.creditToken()
 				} else {
-					rt.met.observeExtraWin(res.order, hedgeCh == nil)
+					rt.met.hedgeWins.Inc()
 				}
 				rt.lat.observe(rt.clock.Now().Sub(start))
 				return res
@@ -602,7 +552,7 @@ func (rt *Router) do(ctx context.Context, method, path, rawQuery string, body []
 				rt.noteFailure(res.replica, res.err)
 			}
 			lastFail = res
-			rt.met.observeFailover()
+			rt.met.failovers.Inc()
 			if next < len(cands) && next < rt.cfg.MaxAttempts && rt.takeToken() {
 				launch()
 				continue
@@ -619,84 +569,93 @@ func (rt *Router) do(ctx context.Context, method, path, rawQuery string, body []
 // as an error rather than as a half-written client response.
 func (rt *Router) attempt(ctx context.Context, rp *replica, order int, method, path, rawQuery string, body []byte) attemptResult {
 	res := attemptResult{replica: rp, order: order}
-	if err := fault.Hit(fault.RouterProxy); err != nil {
-		res.err = err
+	if res.err = fault.Hit(fault.RouterProxy); res.err != nil {
 		return res
 	}
+	ctx, cancel := rt.requestContext(ctx)
+	defer cancel()
+	res.status, res.header, res.body, res.err = rt.send(ctx, rp, method, path, rawQuery, body, nil, 32<<20)
+	return res
+}
+
+// requestContext bounds one upstream attempt by RequestTimeout.
+func (rt *Router) requestContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if rt.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.cfg.RequestTimeout)
-		defer cancel()
+		return context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	}
+	return ctx, func() {}
+}
+
+// send makes one request to rp, JSON-typed when it has a body, with
+// header added, and buffers up to limit bytes of the answer.
+func (rt *Router) send(ctx context.Context, rp *replica, method, path, rawQuery string, body []byte, header http.Header, limit int64) (int, http.Header, []byte, error) {
 	u := *rp.base
-	u.Path = path
-	u.RawQuery = rawQuery
+	u.Path, u.RawQuery = path, rawQuery
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u.String(), rd)
 	if err != nil {
-		res.err = err
-		return res
+		return 0, nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	for k, v := range header {
+		req.Header[k] = v
+	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		res.err = err
-		return res
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
-		res.err = fmt.Errorf("read response: %w", err)
-		return res
+		return 0, nil, nil, fmt.Errorf("read response: %w", err)
 	}
-	res.status, res.header, res.body = resp.StatusCode, resp.Header, b
-	return res
+	return resp.StatusCode, resp.Header, b, nil
 }
 
+// passThrough lists the upstream headers a usable answer keeps verbatim.
+var passThrough = []string{"Content-Type", "Retry-After", wire.HeaderDegraded,
+	wire.HeaderEpoch, wire.HeaderFingerprint, wire.HeaderErrorKind}
+
 // writeResult renders an attempt outcome: usable upstream answers pass
-// through with X-Kpj-Degraded, Retry-After, and the generation headers
-// (X-Kpj-Epoch, X-Kpj-Fingerprint) preserved verbatim plus an
-// X-Kpj-Replica attribution; everything else becomes a typed error.
+// through with the passThrough headers plus an X-Kpj-Replica
+// attribution; everything else becomes a typed error.
 func (rt *Router) writeResult(w http.ResponseWriter, res attemptResult) {
 	if res.usable() {
-		if ct := res.header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		for _, h := range []string{"X-Kpj-Degraded", "Retry-After", "X-Kpj-Epoch", "X-Kpj-Fingerprint"} {
+		for _, h := range passThrough {
 			if v := res.header.Get(h); v != "" {
 				w.Header().Set(h, v)
 			}
 		}
-		w.Header().Set("X-Kpj-Replica", res.replica.name)
+		w.Header().Set(wire.HeaderReplica, res.replica.name)
 		w.WriteHeader(res.status)
 		_, _ = w.Write(res.body)
 		return
 	}
 	switch {
 	case res.err != nil && errors.Is(res.err, context.Canceled):
-		writeTypedError(w, http.StatusServiceUnavailable, kindCanceled, "request canceled")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindCanceled, "request canceled")
 	case res.err != nil:
-		writeTypedError(w, http.StatusServiceUnavailable, kindUnavailable, "no replica available: %v", res.err)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindUnavailable, "no replica available: %v", res.err)
 	case res.status == http.StatusServiceUnavailable:
 		// Every candidate shed or is draining; propagate its Retry-After.
 		if v := res.header.Get("Retry-After"); v != "" {
 			w.Header().Set("Retry-After", v)
 		}
-		writeTypedError(w, http.StatusServiceUnavailable, kindUnavailable, "all replicas shedding")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindUnavailable, "all replicas shedding")
 	default:
-		writeTypedError(w, http.StatusServiceUnavailable, kindUpstream,
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindUpstream,
 			"upstream failure (status %d) after retries", res.status)
 	}
 }
 
 // hedgeDelay is the wait before a request is hedged: the fixed
 // HedgeAfter when configured, otherwise EWMA + 4·deviation of observed
-// request latency clamped to [MinHedge, MaxHedge] — before any sample
+// request latency clamped to [minHedge, MaxHedge] — before any sample
 // exists it waits the full MaxHedge, hedging only against outright
 // stalls.
 func (rt *Router) hedgeDelay() time.Duration {
@@ -707,8 +666,8 @@ func (rt *Router) hedgeDelay() time.Duration {
 	if !ok {
 		return rt.cfg.MaxHedge
 	}
-	if d < rt.cfg.MinHedge {
-		d = rt.cfg.MinHedge
+	if d < minHedge {
+		d = minHedge
 	}
 	if d > rt.cfg.MaxHedge {
 		d = rt.cfg.MaxHedge
@@ -722,7 +681,7 @@ func (rt *Router) takeToken() bool {
 	for {
 		v := rt.budget.Load()
 		if v < tokenScale {
-			rt.met.observeBudgetDenied()
+			rt.met.denied.Inc()
 			return false
 		}
 		if rt.budget.CompareAndSwap(v, v-tokenScale) {

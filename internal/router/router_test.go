@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"kpj"
+	"kpj/internal/obs"
 	"kpj/internal/server"
+	"kpj/internal/wire"
 )
 
 // Shared fixture graph: the 6×6 grid city used across the server tests,
@@ -330,8 +332,13 @@ func TestRouterServesWithAffinity(t *testing.T) {
 
 func TestFailoverWhenPrimaryDies(t *testing.T) {
 	fixtures := newFixtures(t, 3, nil)
-	rt := newTestRouter(t, fixtures, func(c *Config) { c.DownAfter = 1 })
+	rt := newTestRouter(t, fixtures, func(c *Config) {
+		c.DownAfter = 1
+		c.Metrics = obs.NewRegistry()
+		c.ProbeInterval = time.Hour // one probe each at start; none after the kill
+	})
 	waitReady(t, rt)
+	waitAllHealthy(t, rt, fixtures)
 
 	const url = "/query?source=0&category=hotel&k=3"
 	rec, body := routerGet(t, rt, url)
@@ -356,6 +363,13 @@ func TestFailoverWhenPrimaryDies(t *testing.T) {
 	}
 	samePaths(t, decodeQuery(t, body).Paths, want, "failover query")
 	waitState(t, rt, home, StateDown)
+	// The failed attempt is a failover, not a failed probe: no probe ran.
+	if n := rt.met.probeErrs.Value(); n != 0 {
+		t.Fatalf(`kpj_router_probes_total{result="error"} = %d after a proxied failure, want 0`, n)
+	}
+	if n := rt.met.failovers.Value(); n < 1 {
+		t.Fatalf("kpj_router_failovers_total = %d, want >= 1", n)
+	}
 }
 
 func TestDrainingReplicaStopsReceivingTraffic(t *testing.T) {
@@ -462,6 +476,10 @@ func TestCandidatesPreferBreakerClosed(t *testing.T) {
 	if rt.candidates(key, "DA")[0] != home {
 		t.Fatal("breaker for one algorithm must not repel other algorithms")
 	}
+	// No alg parameter selects the default engine, and so its breaker.
+	if got := rt.candidates(key, ""); got[len(got)-1] != home {
+		t.Fatalf("alg=\"\" should avoid the default engine's open breaker on %s, got %v", home.name, names(got))
+	}
 	// A down replica sorts after everything, even open breakers.
 	second := got[0]
 	second.state.Store(int32(StateDown))
@@ -503,11 +521,11 @@ func TestTypedErrorWhenAllReplicasDead(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (%s)", rec.Code, body)
 	}
-	var eb errorBody
+	var eb wire.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" || eb.Kind == "" {
 		t.Fatalf("untyped error body %s (err %v)", body, err)
 	}
-	if rec.Header().Get("X-Kpj-Error-Kind") != eb.Kind {
+	if rec.Header().Get("X-Kpj-Error-Kind") != string(eb.Kind) {
 		t.Fatalf("X-Kpj-Error-Kind %q != body kind %q", rec.Header().Get("X-Kpj-Error-Kind"), eb.Kind)
 	}
 	if rec.Header().Get("Retry-After") == "" {
@@ -523,8 +541,8 @@ func TestTypedErrorWhenAllReplicasDead(t *testing.T) {
 	cancel()
 	rec = httptest.NewRecorder()
 	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?source=0&category=hotel&k=2", nil).WithContext(ctx))
-	if kind := rec.Header().Get("X-Kpj-Error-Kind"); kind != kindCanceled {
-		t.Fatalf("canceled request: X-Kpj-Error-Kind %q, want %q", kind, kindCanceled)
+	if kind := rec.Header().Get("X-Kpj-Error-Kind"); kind != string(wire.KindCanceled) {
+		t.Fatalf("canceled request: X-Kpj-Error-Kind %q, want %q", kind, wire.KindCanceled)
 	}
 }
 

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"kpj/internal/fault"
+	"kpj/internal/wire"
 )
 
 // This file is the router's replicated-update layer. POST /update on the
@@ -30,37 +28,26 @@ import (
 // router re-learns the fleet epoch from its replicas and a stale applier
 // can never drag the fleet backwards.
 
-// fleetState is the router's view of the generation the fleet agrees
-// on. fp is the index fingerprint (0 when the fleet runs unindexed).
-type fleetState struct {
-	epoch uint64
-	fp    uint64
-}
-
-func (f fleetState) String() string {
-	return fmt.Sprintf("%d/%016x", f.epoch, f.fp)
-}
-
-// fleetSnapshot returns the current fleet state (zero before the first
-// probe or update has established one).
-func (rt *Router) fleetSnapshot() fleetState {
+// fleetSnapshot returns the generation the fleet agrees on (zero before
+// the first probe or update has established one).
+func (rt *Router) fleetSnapshot() wire.Gen {
 	if f := rt.fleet.Load(); f != nil {
 		return *f
 	}
-	return fleetState{}
+	return wire.Gen{}
 }
 
-// adoptFleet advances the fleet state to (epoch, fp) if that is ahead of
-// the current view. Ties keep the incumbent: when two replicas disagree
-// at the same epoch, the first one adopted defines the fleet and the
-// other is caught as diverged by probe gating.
-func (rt *Router) adoptFleet(epoch, fp uint64) {
+// adoptFleet advances the fleet generation to g if g is ahead of the
+// current view. Ties keep the incumbent: when two replicas disagree at
+// the same epoch, the first one adopted defines the fleet and the other
+// is caught as diverged by probe gating.
+func (rt *Router) adoptFleet(g wire.Gen) {
 	for {
 		cur := rt.fleet.Load()
-		if cur != nil && epoch <= cur.epoch {
+		if cur != nil && g.Epoch <= cur.Epoch {
 			return
 		}
-		if rt.fleet.CompareAndSwap(cur, &fleetState{epoch: epoch, fp: fp}) {
+		if rt.fleet.CompareAndSwap(cur, &g) {
 			return
 		}
 	}
@@ -69,17 +56,16 @@ func (rt *Router) adoptFleet(epoch, fp uint64) {
 // tailEntry is one accepted delta retained for log-suffix catch-up: the
 // fence it applied under, the generation it produced, and the raw body.
 type tailEntry struct {
-	from fleetState
-	to   fleetState
+	from wire.Gen
+	to   wire.Gen
 	body []byte
 }
 
-// deltaTail is a bounded ring of the most recent accepted deltas.
-// Entries are appended in fleet order (under the router's update mutex),
-// so the retained window is always one contiguous chain suffix.
+// deltaTail is a bounded ring of the updateTail most recent accepted
+// deltas. Entries are appended in fleet order (under the router's update
+// mutex), so the retained window is always one contiguous chain suffix.
 type deltaTail struct {
 	mu      sync.Mutex
-	cap     int
 	entries []tailEntry
 }
 
@@ -87,23 +73,23 @@ func (t *deltaTail) append(e tailEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.entries = append(t.entries, e)
-	if len(t.entries) > t.cap {
-		t.entries = t.entries[len(t.entries)-t.cap:]
+	if len(t.entries) > updateTail {
+		t.entries = t.entries[len(t.entries)-updateTail:]
 	}
 }
 
-// suffix returns the chain of retained deltas leading from (epoch, fp)
-// to the newest entry, or ok=false when the tail no longer reaches that
-// far back (the replica must take a snapshot instead). An empty slice
-// with ok=true means the state is already current.
-func (t *deltaTail) suffix(epoch, fp uint64) ([]tailEntry, bool) {
+// suffix returns the chain of retained deltas leading from g to the
+// newest entry, or ok=false when the tail no longer reaches that far
+// back (the replica must take a snapshot instead). An empty slice with
+// ok=true means the state is already current.
+func (t *deltaTail) suffix(g wire.Gen) ([]tailEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n := len(t.entries); n > 0 && t.entries[n-1].to == (fleetState{epoch: epoch, fp: fp}) {
+	if n := len(t.entries); n > 0 && t.entries[n-1].to == g {
 		return nil, true
 	}
 	for i, e := range t.entries {
-		if e.from.epoch == epoch && e.from.fp == fp {
+		if e.from == g {
 			out := make([]tailEntry, len(t.entries)-i)
 			copy(out, t.entries[i:])
 			return out, true
@@ -116,8 +102,7 @@ func (t *deltaTail) suffix(epoch, fp uint64) ([]tailEntry, bool) {
 type updateOutcome struct {
 	rp       *replica
 	status   int
-	epoch    uint64 // replica's generation from the response headers
-	fp       uint64
+	gen      wire.Gen // replica's generation from the response headers
 	applied  bool
 	conflict bool
 	err      error
@@ -125,19 +110,17 @@ type updateOutcome struct {
 }
 
 func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxUpdateBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeTypedError(w, http.StatusRequestEntityTooLarge, kindBadRequest,
-				"delta exceeds %d bytes", rt.cfg.MaxUpdateBytes)
-			return
-		}
-		writeTypedError(w, http.StatusBadRequest, kindBadRequest, "read body: %v", err)
+	body, ok := wire.ReadBody(w, r, rt.cfg.MaxUpdateBytes)
+	if !ok {
 		return
 	}
 	if len(bytes.TrimSpace(body)) == 0 {
-		writeTypedError(w, http.StatusBadRequest, kindBadRequest, "empty body")
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "empty body")
+		return
+	}
+	want, fenced, err := wire.ParseFence(r.Header)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", err)
 		return
 	}
 
@@ -147,6 +130,15 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	defer rt.updateMu.Unlock()
 
 	fence := rt.fleetSnapshot()
+	if fenced && !fence.Satisfies(want) {
+		// The caller fenced this delta on a generation the fleet is not at:
+		// answer as a replica would.
+		fence.SetHeader(w.Header())
+		wire.WriteError(w, http.StatusConflict, wire.KindEpochConflict,
+			"fence mismatch: fleet at %s, caller expects %s", fence, want)
+		rt.met.updateErrs.Inc()
+		return
+	}
 	topo := rt.topo.Load()
 	var targets []*replica
 	for _, rp := range topo.reps {
@@ -155,8 +147,8 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(targets) == 0 {
-		writeTypedError(w, http.StatusServiceUnavailable, kindUnavailable, "no routable replicas")
-		rt.met.observeUpdateFan(false)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindUnavailable, "no routable replicas")
+		rt.met.updateErrs.Inc()
 		return
 	}
 
@@ -191,24 +183,33 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// Nothing applied. If a conflict shows the fleet is ahead of our
 		// fence (e.g. this router restarted with stale state), adopt it and
 		// tell the caller to retry against the new generation.
+		rt.met.updateErrs.Inc()
 		for _, o := range outs {
-			if o.conflict && o.epoch > fence.epoch {
-				rt.adoptFleet(o.epoch, o.fp)
-				w.Header().Set("X-Kpj-Epoch", strconv.FormatUint(o.epoch, 10))
-				writeTypedError(w, http.StatusConflict, kindEpochConflict,
-					"fleet advanced to epoch %d; retry", o.epoch)
-				rt.met.observeUpdateFan(false)
+			if o.conflict && o.gen.Epoch > fence.Epoch {
+				rt.adoptFleet(o.gen)
+				o.gen.SetHeader(w.Header())
+				wire.WriteError(w, http.StatusConflict, wire.KindEpochConflict,
+					"fleet advanced to epoch %d; retry", o.gen.Epoch)
+				return
+			}
+		}
+		for _, o := range outs {
+			if o.err == nil && o.status >= 400 && o.status < 500 && !o.conflict {
+				// A client error (bad JSON, a bad delta): the delta is bad
+				// at every replica, so the caller hears what the replica said.
+				eb := wire.ErrorBody{Error: string(o.body), Kind: wire.KindBadRequest}
+				_ = json.Unmarshal(o.body, &eb)
+				wire.WriteError(w, o.status, eb.Kind, "%s", eb.Error)
 				return
 			}
 		}
 		last := outs[len(outs)-1]
-		writeTypedError(w, http.StatusServiceUnavailable, kindUnavailable,
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindUnavailable,
 			"no replica applied the update: status %d err %v", last.status, last.err)
-		rt.met.observeUpdateFan(false)
 		return
 	}
-	next := fleetState{epoch: canonical.epoch, fp: canonical.fp}
-	rt.adoptFleet(next.epoch, next.fp)
+	next := canonical.gen
+	rt.adoptFleet(next)
 	rt.tail.append(tailEntry{from: fence, to: next, body: body})
 
 	applied := make([]string, 0, len(outs))
@@ -216,18 +217,16 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	for i := range outs {
 		o := &outs[i]
 		switch {
-		case o.applied && o.epoch == next.epoch && o.fp == next.fp:
+		case o.applied && o.gen == next:
 			applied = append(applied, o.rp.name)
 		default:
 			// Failed, conflicted, or diverged: fence the replica out of the
 			// serving set immediately and bring it back through resync —
 			// readmission happens only once a probe sees it at the fleet
 			// generation.
-			reason := fmt.Errorf("update fan-out: status %d epoch %d/%016x (fleet %s)",
-				o.status, o.epoch, o.fp, next)
+			reason := fmt.Errorf("update fan-out: status %d at %s (fleet %s)", o.status, o.gen, next)
 			if o.err != nil {
-				reason = fmt.Errorf("update fan-out: status %d epoch %d/%016x (fleet %s): %w",
-					o.status, o.epoch, o.fp, next, o.err)
+				reason = fmt.Errorf("%v: %w", reason, o.err)
 			}
 			rt.setState(o.rp, StateDown, reason)
 			rt.scheduleResync(o.rp)
@@ -235,26 +234,25 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	w.Header().Set("X-Kpj-Epoch", strconv.FormatUint(next.epoch, 10))
-	w.Header().Set("X-Kpj-Replica", canonical.rp.name)
-	w.Header().Set("Content-Type", "application/json")
-	resp := map[string]any{"epoch": next.epoch, "applied": applied}
-	if next.fp != 0 {
-		resp["fingerprint"] = fmt.Sprintf("%016x", next.fp)
+	// The fingerprint travels in the body; the header carries the epoch.
+	wire.Gen{Epoch: next.Epoch}.SetHeader(w.Header())
+	w.Header().Set(wire.HeaderReplica, canonical.rp.name)
+	resp := map[string]any{"epoch": next.Epoch, "applied": applied}
+	if fp := next.Fingerprint(); fp != "" {
+		resp["fingerprint"] = fp
 	}
 	if len(resyncing) > 0 {
 		resp["resyncing"] = resyncing
 	}
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(resp)
-	rt.met.observeUpdateFan(true)
+	wire.WriteJSON(w, http.StatusOK, resp)
+	rt.met.updates.Inc()
 }
 
 // fanoutOne delivers one delta to one replica, retrying transient
 // failures (connection errors, 5xx, sheds) within the shared retry
 // token budget. Deliberate answers — applied, conflict, client error —
 // are final.
-func (rt *Router) fanoutOne(ctx context.Context, rp *replica, body []byte, fence fleetState) updateOutcome {
+func (rt *Router) fanoutOne(ctx context.Context, rp *replica, body []byte, fence wire.Gen) updateOutcome {
 	var out updateOutcome
 	for attempt := 0; ; attempt++ {
 		out = rt.postDelta(ctx, rp, body, fence)
@@ -264,50 +262,27 @@ func (rt *Router) fanoutOne(ctx context.Context, rp *replica, body []byte, fence
 		if ctx.Err() != nil || attempt+1 >= rt.cfg.MaxAttempts || !rt.takeToken() {
 			return out
 		}
-		rt.met.observeFailover()
+		rt.met.failovers.Inc()
 	}
 }
 
 // postDelta POSTs one fenced update to rp and classifies the answer.
-func (rt *Router) postDelta(ctx context.Context, rp *replica, body []byte, fence fleetState) updateOutcome {
+func (rt *Router) postDelta(ctx context.Context, rp *replica, body []byte, fence wire.Gen) updateOutcome {
 	out := updateOutcome{rp: rp}
-	if err := fault.Hit(fault.RouterProxy); err != nil {
-		out.err = err
+	if out.err = fault.Hit(fault.RouterProxy); out.err != nil {
 		return out
 	}
-	if rt.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.cfg.RequestTimeout)
-		defer cancel()
+	ctx, cancel := rt.requestContext(ctx)
+	defer cancel()
+	h := http.Header{}
+	wire.SetFence(h, fence)
+	var header http.Header
+	out.status, header, out.body, out.err = rt.send(ctx, rp, http.MethodPost, "/update", "", body, h, 1<<20)
+	if out.err == nil {
+		out.gen = wire.ReadGen(header)
+		out.applied = out.status == http.StatusOK
+		out.conflict = out.status == http.StatusConflict
 	}
-	u := *rp.base
-	u.Path = "/update"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u.String(), bytes.NewReader(body))
-	if err != nil {
-		out.err = err
-		return out
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Kpj-Expect-Epoch", strconv.FormatUint(fence.epoch, 10))
-	if fence.fp != 0 {
-		req.Header.Set("X-Kpj-Expect-Fingerprint", fmt.Sprintf("%016x", fence.fp))
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		out.err = fmt.Errorf("read response: %w", err)
-		return out
-	}
-	out.status, out.body = resp.StatusCode, b
-	out.epoch, _ = strconv.ParseUint(resp.Header.Get("X-Kpj-Epoch"), 10, 64)
-	out.fp, _ = strconv.ParseUint(resp.Header.Get("X-Kpj-Fingerprint"), 16, 64)
-	out.applied = resp.StatusCode == http.StatusOK
-	out.conflict = resp.StatusCode == http.StatusConflict
 	return out
 }
 
@@ -323,8 +298,11 @@ func (rt *Router) scheduleResync(rp *replica) {
 	go func() {
 		defer rt.resyncWG.Done()
 		defer rp.resyncing.Store(false)
-		ok := rt.resyncReplica(rt.ctx, rp)
-		rt.met.observeResync(ok)
+		if rt.resyncReplica(rt.ctx, rp) {
+			rt.met.resyncs.Inc()
+		} else {
+			rt.met.resyncErrs.Inc()
+		}
 	}()
 }
 
@@ -335,28 +313,32 @@ func (rt *Router) scheduleResync(rp *replica) {
 // replica up once it observes the fleet (epoch, fingerprint).
 func (rt *Router) resyncReplica(ctx context.Context, rp *replica) bool {
 	fleet := rt.fleetSnapshot()
-	if fleet == (fleetState{}) {
+	if fleet == (wire.Gen{}) {
 		return false
 	}
-	have, fp, err := rt.fetchEpoch(ctx, rp)
+	// /readyz reports where a replica's chain stands whether or not it
+	// is ready: a recovering or draining replica answers too.
+	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	_, have, err := rt.fetchReadyz(pctx, rp)
+	cancel()
 	if err != nil {
 		rt.logf("router: resync %s: cannot read state: %v", rp.name, err)
 		return false
 	}
-	if have > fleet.epoch {
-		rt.adoptFleet(have, fp)
+	if have.Epoch > fleet.Epoch {
+		rt.adoptFleet(have)
 		return true
 	}
-	if have == fleet.epoch && fp == fleet.fp {
+	if have == fleet {
 		return true // already caught up; next probe readmits
 	}
-	if entries, ok := rt.tail.suffix(have, fp); ok {
+	if entries, ok := rt.tail.suffix(have); ok {
 		replayed := true
 		for _, e := range entries {
 			out := rt.fanoutOne(ctx, rp, e.body, e.from)
-			if !out.applied || out.epoch != e.to.epoch || out.fp != e.to.fp {
+			if !out.applied || out.gen != e.to {
 				rt.logf("router: resync %s: tail replay at epoch %d failed (status %d err %v); falling back to snapshot",
-					rp.name, e.to.epoch, out.status, out.err)
+					rp.name, e.to.Epoch, out.status, out.err)
 				replayed = false
 				break
 			}
@@ -369,29 +351,15 @@ func (rt *Router) resyncReplica(ctx context.Context, rp *replica) bool {
 	return rt.snapshotResync(ctx, rp, fleet)
 }
 
-// fetchEpoch reads a replica's current (epoch, fingerprint) from
-// /readyz regardless of its readiness — a recovering or draining
-// replica still reports where its chain stands.
-func (rt *Router) fetchEpoch(ctx context.Context, rp *replica) (epoch, fp uint64, err error) {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-	defer cancel()
-	var body readyzBody
-	if _, err := rt.getJSON(pctx, rp, "/readyz", &body); err != nil {
-		return 0, 0, err
-	}
-	fp, _ = strconv.ParseUint(body.Fingerprint, 16, 64)
-	return body.Epoch, fp, nil
-}
-
 // snapshotResync transfers a full flat snapshot from a caught-up peer
 // onto rp. The peer must be at the fleet generation; the snapshot's own
 // headers name what was actually shipped (it may be ahead if an update
 // lands mid-transfer — still a valid chain state, adopted monotonically).
-func (rt *Router) snapshotResync(ctx context.Context, rp *replica, fleet fleetState) bool {
+func (rt *Router) snapshotResync(ctx context.Context, rp *replica, fleet wire.Gen) bool {
 	var source *replica
 	for _, peer := range rt.topo.Load().reps {
 		if peer != rp && peer.State() != StateDown &&
-			peer.epoch.Load() == fleet.epoch && peer.fp.Load() == fleet.fp {
+			peer.epoch.Load() == fleet.Epoch && peer.fp.Load() == fleet.FP {
 			source = peer
 			break
 		}
@@ -400,51 +368,18 @@ func (rt *Router) snapshotResync(ctx context.Context, rp *replica, fleet fleetSt
 		rt.logf("router: resync %s: no caught-up peer at %s to snapshot from", rp.name, fleet)
 		return false
 	}
-	if rt.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.cfg.RequestTimeout)
-		defer cancel()
-	}
-	u := *source.base
-	u.Path = "/snapshot"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
+	ctx, cancel := rt.requestContext(ctx)
+	defer cancel()
+	status, header, snap, err := rt.send(ctx, source, http.MethodGet, "/snapshot", "", nil, nil, 1<<30)
+	if err != nil || status != http.StatusOK {
+		rt.logf("router: resync %s: snapshot from %s: status %d err %v", rp.name, source.name, status, err)
 		return false
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.logf("router: resync %s: snapshot from %s: %v", rp.name, source.name, err)
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rt.logf("router: resync %s: snapshot from %s: status %d", rp.name, source.name, resp.StatusCode)
-		return false
-	}
-	snap, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
-	if err != nil {
-		rt.logf("router: resync %s: snapshot read: %v", rp.name, err)
-		return false
-	}
-	snapEpoch := resp.Header.Get("X-Kpj-Epoch")
-
-	u = *rp.base
-	u.Path = "/resync"
-	req, err = http.NewRequestWithContext(ctx, http.MethodPost, u.String(), bytes.NewReader(snap))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set("X-Kpj-Epoch", snapEpoch)
-	resp2, err := rt.client.Do(req)
-	if err != nil {
-		rt.logf("router: resync %s: post snapshot: %v", rp.name, err)
-		return false
-	}
-	defer resp2.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp2.Body, 1<<20))
-	if resp2.StatusCode != http.StatusOK {
-		rt.logf("router: resync %s: resync rejected: status %d", rp.name, resp2.StatusCode)
+	snapEpoch := header.Get(wire.HeaderEpoch)
+	status, _, _, err = rt.send(ctx, rp, http.MethodPost, "/resync", "", snap, http.Header{
+		"Content-Type": {"application/octet-stream"}, wire.HeaderEpoch: {snapEpoch}}, 1<<20)
+	if err != nil || status != http.StatusOK {
+		rt.logf("router: resync %s: resync rejected: status %d err %v", rp.name, status, err)
 		return false
 	}
 	rt.logf("router: resync %s: snapshot transfer from %s at epoch %s complete (%d bytes)",

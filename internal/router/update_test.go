@@ -14,6 +14,7 @@ import (
 
 	"kpj/internal/leaktest"
 	"kpj/internal/obs"
+	"kpj/internal/wire"
 )
 
 // Tests for the replicated-update layer: fenced fan-out, fleet epoch
@@ -92,8 +93,8 @@ func TestUpdateFanoutAppliesEverywhere(t *testing.T) {
 	if got := rec.Header().Get("X-Kpj-Epoch"); got != "1" {
 		t.Fatalf("X-Kpj-Epoch = %q", got)
 	}
-	if fleet := rt.fleetSnapshot(); fleet.epoch != 1 {
-		t.Fatalf("fleet epoch = %d", fleet.epoch)
+	if fleet := rt.fleetSnapshot(); fleet.Epoch != 1 {
+		t.Fatalf("fleet epoch = %d", fleet.Epoch)
 	}
 	for _, f := range fixtures {
 		if got := f.app.Epoch(); got != 1 {
@@ -117,8 +118,8 @@ func TestUpdateFanoutRejectsBadBodies(t *testing.T) {
 		t.Fatalf("empty body: %d", rec.Code)
 	}
 	rec, _ := routerPost(t, rt, "/update", `{"setWeights":[{"u":0,"v":1,"w":4},{"u":1,"v":0,"w":4}]}`)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: %d", rec.Code)
+	if rec.Code != http.StatusRequestEntityTooLarge || rec.Header().Get("X-Kpj-Error-Kind") != string(wire.KindTooLarge) {
+		t.Fatalf("oversized body: %d kind %q, want 413 %s", rec.Code, rec.Header().Get("X-Kpj-Error-Kind"), wire.KindTooLarge)
 	}
 	if fixtures[0].app.Epoch() != 0 {
 		t.Fatalf("rejected updates reached the replica (epoch %d)", fixtures[0].app.Epoch())
@@ -146,7 +147,7 @@ func TestLaggingReplicaFencedAndResynced(t *testing.T) {
 	// Probes adopt epoch 1 from the advanced replicas and fence r2 down
 	// (the down-transition counter marks the fencing; a pre-adoption
 	// probe cycle may legitimately still show it healthy before that).
-	waitFor(t, "fleet to adopt epoch 1", func() bool { return rt.fleetSnapshot().epoch == 1 })
+	waitFor(t, "fleet to adopt epoch 1", func() bool { return rt.fleetSnapshot().Epoch == 1 })
 	waitFor(t, "r2 fenced down", func() bool { return rt.met.toState[StateDown].Value() >= 1 })
 
 	// Readmission: once fenced, r2 may only come back at the fleet state.
@@ -205,13 +206,13 @@ func TestStaleRouterAdoptsFleetFromConflict(t *testing.T) {
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("stale-fence update: %d %s", rec.Code, body)
 	}
-	if kind := rec.Header().Get("X-Kpj-Error-Kind"); kind != kindEpochConflict {
+	if kind := rec.Header().Get("X-Kpj-Error-Kind"); kind != string(wire.KindEpochConflict) {
 		t.Fatalf("conflict kind = %q", kind)
 	}
 	if got := rec.Header().Get("X-Kpj-Epoch"); got != "1" {
 		t.Fatalf("conflict X-Kpj-Epoch = %q, want 1", got)
 	}
-	if fleet := rt.fleetSnapshot(); fleet.epoch != 1 {
+	if fleet := rt.fleetSnapshot(); fleet.Epoch != 1 {
 		t.Fatalf("fleet not adopted from conflict: %s", fleet)
 	}
 	// The retry the 409 asked for now lands under the adopted fence.
@@ -299,7 +300,7 @@ func TestUpdateFanoutUnderReplicaKill(t *testing.T) {
 				continue
 			}
 			if rp.State() != StateDown {
-				if got, fleet := fixtures[1].app.Epoch(), rt.fleetSnapshot(); got != fleet.epoch {
+				if got, fleet := fixtures[1].app.Epoch(), rt.fleetSnapshot(); got != fleet.Epoch {
 					t.Fatalf("r1 routable at epoch %d, fleet at %s", got, fleet)
 				}
 				return rp.State() == StateHealthy
@@ -370,7 +371,7 @@ func TestProbeMidFanoutLeavesSlowReplicaAlone(t *testing.T) {
 	for _, rp := range reps { // r0 (at epoch 1) first, then r1 (still at 0)
 		rt.probe(context.Background(), rp)
 	}
-	if fleet, st := rt.fleetSnapshot(), reps[1].State(); fleet.epoch != 0 || st != StateHealthy {
+	if fleet, st := rt.fleetSnapshot(), reps[1].State(); fleet.Epoch != 0 || st != StateHealthy {
 		t.Errorf("mid-fan-out probes moved the fleet to %s and r1 to %v", fleet, st)
 	}
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +9,7 @@ import (
 
 	"kpj"
 	"kpj/internal/wal"
+	"kpj/internal/wire"
 )
 
 // This file is the server's durability layer: the write-ahead log that
@@ -40,7 +40,8 @@ func WithWAL(l *wal.Log, checkpointEvery int) Option {
 	}
 }
 
-// WithMaxUpdateBytes caps the POST /update request body (default 16MB).
+// WithMaxUpdateBytes caps the POST /update request body (default
+// wire.MaxBodyBytes).
 // Oversized bodies are rejected with 413 and kind "too-large".
 func WithMaxUpdateBytes(n int64) Option {
 	return func(s *Server) {
@@ -142,7 +143,7 @@ const maxResyncBytes = 1 << 30
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	ep := s.snapshot()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	setEpochHeaders(w, ep)
+	ep.gen().SetHeader(w.Header())
 	if _, err := kpj.WriteFlat(w, ep.g, ep.ix); err != nil {
 		// Headers are out; all we can do is log and cut the stream short,
 		// which the receiver detects as a truncated flat payload.
@@ -159,31 +160,23 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 // before the new epoch is published.
 func (s *Server) handleResync(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeKindError(w, http.StatusServiceUnavailable, kindDraining, "draining")
-		s.met.observeShed()
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindDraining, "draining")
+		s.met.shed.Inc()
 		return
 	}
-	epochHdr := r.Header.Get("X-Kpj-Epoch")
+	epochHdr := r.Header.Get(wire.HeaderEpoch)
 	snapEpoch, err := strconv.ParseUint(epochHdr, 10, 64)
 	if err != nil {
-		writeKindError(w, http.StatusBadRequest, kindBadRequest, "bad or missing X-Kpj-Epoch header %q", epochHdr)
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "bad or missing %s header %q", wire.HeaderEpoch, epochHdr)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResyncBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeKindError(w, http.StatusRequestEntityTooLarge, kindTooLarge,
-				"snapshot exceeds %d bytes", maxResyncBytes)
-			return
-		}
-		writeKindError(w, http.StatusBadRequest, kindBadRequest, "read snapshot: %v", err)
+	body, ok := wire.ReadBody(w, r, maxResyncBytes)
+	if !ok {
 		return
 	}
 	ng, nix, err := kpj.ReadFlat(bytes.NewReader(body))
 	if err != nil {
-		writeKindError(w, http.StatusBadRequest, kindBadRequest, "bad snapshot: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "bad snapshot: %v", err)
 		return
 	}
 
@@ -191,8 +184,8 @@ func (s *Server) handleResync(w http.ResponseWriter, r *http.Request) {
 	defer s.updateMu.Unlock()
 	cur := s.snapshot()
 	if snapEpoch <= cur.seq {
-		setEpochHeaders(w, cur)
-		writeKindError(w, http.StatusConflict, kindEpochConflict,
+		cur.gen().SetHeader(w.Header())
+		wire.WriteError(w, http.StatusConflict, wire.KindEpochConflict,
 			"snapshot epoch %d does not advance current epoch %d", snapEpoch, cur.seq)
 		return
 	}
@@ -204,30 +197,20 @@ func (s *Server) handleResync(w http.ResponseWriter, r *http.Request) {
 			_, werr := w.Write(body)
 			return werr
 		}); err != nil {
-			writeKindError(w, http.StatusInternalServerError, kindWAL,
+			wire.WriteError(w, http.StatusInternalServerError, wire.KindWAL,
 				"checkpoint failed, epoch %d kept: %v", cur.seq, err)
-			s.met.observeUpdate(false)
+			s.met.updateErr.Inc()
 			return
 		}
 	}
 	s.epoch.Store(next)
-	s.met.observeResync()
+	s.met.resyncs.Inc()
+	gen := next.gen()
 	resp := map[string]any{"epoch": next.seq, "nodes": ng.NumNodes(), "edges": ng.NumEdges()}
-	if nix != nil {
-		resp["fingerprint"] = fmt.Sprintf("%016x", nix.Fingerprint())
+	if fp := gen.Fingerprint(); fp != "" {
+		resp["fingerprint"] = fp
 	}
-	setEpochHeaders(w, next)
-	writeJSON(w, http.StatusOK, resp)
+	gen.SetHeader(w.Header())
+	wire.WriteJSON(w, http.StatusOK, resp)
 	s.logf("server: resynced to epoch %d (%d nodes / %d edges) from snapshot", next.seq, ng.NumNodes(), ng.NumEdges())
-}
-
-// setEpochHeaders stamps the serving generation onto a response:
-// X-Kpj-Epoch always, X-Kpj-Fingerprint when the epoch carries an
-// index. The routing tier fences and detects divergence from these
-// without parsing bodies.
-func setEpochHeaders(w http.ResponseWriter, ep *epochState) {
-	w.Header().Set("X-Kpj-Epoch", strconv.FormatUint(ep.seq, 10))
-	if ep.ix != nil {
-		w.Header().Set("X-Kpj-Fingerprint", fmt.Sprintf("%016x", ep.ix.Fingerprint()))
-	}
 }

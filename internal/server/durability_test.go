@@ -21,7 +21,11 @@ import (
 	"kpj/internal/graph"
 	"kpj/internal/leaktest"
 	"kpj/internal/wal"
+	"kpj/internal/wire"
 )
+
+// fingerprint is ep's fingerprint in wire form ("" when unindexed).
+func fingerprint(ep *epochState) string { return ep.gen().Fingerprint() }
 
 // This file is the durability suite: the seeded crash-recovery harness
 // (churn schedule, WAL-append crash, torn tail, restart, replay, then
@@ -263,8 +267,8 @@ func runCrashSeed(t *testing.T, seed int) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("crashed update: %d %s", rec.Code, body)
 	}
-	if kind := rec.Header().Get("X-Kpj-Error-Kind"); kind != kindWAL {
-		t.Fatalf("crashed update kind = %q, want %q", kind, kindWAL)
+	if kind := rec.Header().Get("X-Kpj-Error-Kind"); kind != string(wire.KindWAL) {
+		t.Fatalf("crashed update kind = %q, want %q", kind, string(wire.KindWAL))
 	}
 	if got := dsrv.Epoch(); got != uint64(crashAt) {
 		t.Fatalf("failed append moved the epoch to %d", got)
@@ -362,7 +366,7 @@ func TestWALFsyncFaultKeepsEpoch(t *testing.T) {
 
 	delta := `{"setWeights":[{"u":0,"v":1,"w":4}]}`
 	rec, body := postUpdate(t, s, delta)
-	if rec.Code != http.StatusInternalServerError || rec.Header().Get("X-Kpj-Error-Kind") != kindWAL {
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("X-Kpj-Error-Kind") != string(wire.KindWAL) {
 		t.Fatalf("faulted append: %d kind=%q %s", rec.Code, rec.Header().Get("X-Kpj-Error-Kind"), body)
 	}
 	if got := s.Epoch(); got != 0 {
@@ -462,10 +466,10 @@ func TestUpdateOversized(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatal(err)
 	}
-	if e.Kind != kindTooLarge || e.Error == "" {
+	if e.Kind != string(wire.KindTooLarge) || e.Error == "" {
 		t.Fatalf("413 body = %s", body)
 	}
-	if got := rec.Header().Get("X-Kpj-Error-Kind"); got != kindTooLarge {
+	if got := rec.Header().Get("X-Kpj-Error-Kind"); got != string(wire.KindTooLarge) {
 		t.Fatalf("413 kind header = %q", got)
 	}
 	if got := s.Epoch(); got != 0 {
@@ -511,7 +515,7 @@ func TestUpdateFencing(t *testing.T) {
 	rec = postUpdateFenced(t, s, delta, map[string]string{
 		"X-Kpj-Expect-Epoch": "0", "X-Kpj-Expect-Fingerprint": fp0,
 	})
-	if rec.Code != http.StatusConflict || rec.Header().Get("X-Kpj-Error-Kind") != kindEpochConflict {
+	if rec.Code != http.StatusConflict || rec.Header().Get("X-Kpj-Error-Kind") != string(wire.KindEpochConflict) {
 		t.Fatalf("stale fence: %d kind=%q", rec.Code, rec.Header().Get("X-Kpj-Error-Kind"))
 	}
 	if rec.Header().Get("X-Kpj-Epoch") != "1" {
@@ -521,9 +525,10 @@ func TestUpdateFencing(t *testing.T) {
 		t.Fatalf("stale fence moved the epoch to %d", got)
 	}
 
-	// Right epoch, wrong fingerprint: divergence, also a 409.
+	// Right epoch, wrong fingerprint: divergence, also a 409. (An
+	// all-zero fingerprint is the unchecked fence, so use another.)
 	rec = postUpdateFenced(t, s, delta, map[string]string{
-		"X-Kpj-Expect-Epoch": "1", "X-Kpj-Expect-Fingerprint": "0000000000000000",
+		"X-Kpj-Expect-Epoch": "1", "X-Kpj-Expect-Fingerprint": "00000000000000ff",
 	})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("diverged fence: %d", rec.Code)
@@ -543,6 +548,11 @@ func TestUpdateFencing(t *testing.T) {
 	}
 	if rec = postUpdateFenced(t, s, delta, map[string]string{"X-Kpj-Expect-Fingerprint": "abc"}); rec.Code != http.StatusBadRequest {
 		t.Fatalf("fingerprint without epoch: %d", rec.Code)
+	}
+	if rec = postUpdateFenced(t, s, delta, map[string]string{
+		"X-Kpj-Expect-Epoch": "2", "X-Kpj-Expect-Fingerprint": "xyz",
+	}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("bad fingerprint header: %d", rec.Code)
 	}
 	if got := s.Epoch(); got != 2 {
 		t.Fatalf("malformed fences moved the epoch to %d", got)
@@ -634,7 +644,7 @@ func TestSnapshotResyncDurable(t *testing.T) {
 		}
 	}
 	// Replaying the snapshot cannot rewind or re-apply: epoch fencing.
-	if w := resync("2", snap); w.Code != http.StatusConflict || w.Header().Get("X-Kpj-Error-Kind") != kindEpochConflict {
+	if w := resync("2", snap); w.Code != http.StatusConflict || w.Header().Get("X-Kpj-Error-Kind") != string(wire.KindEpochConflict) {
 		t.Fatalf("replayed resync: %d kind=%q", w.Code, w.Header().Get("X-Kpj-Error-Kind"))
 	}
 

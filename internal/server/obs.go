@@ -1,12 +1,12 @@
 package server
 
 import (
-	"net/http"
 	"net/http/pprof"
 	"time"
 
 	"kpj"
 	"kpj/internal/obs"
+	"kpj/internal/wire"
 )
 
 // WithMetrics attaches a metrics registry to the server: request counters
@@ -32,9 +32,9 @@ func WithPprof() Option {
 	return func(s *Server) { s.pprofOn = true }
 }
 
-// serverMetrics is the per-server instrument set. A nil *serverMetrics —
-// the state when WithMetrics was not given — records nothing; all methods
-// are nil-safe so handlers call them unconditionally.
+// serverMetrics is the per-server instrument set. Built from a nil
+// registry (WithMetrics not given) every instrument is nil, and the obs
+// instruments are nil-safe, so handlers record unconditionally.
 type serverMetrics struct {
 	queryReqs *obs.Counter
 	batchReqs *obs.Counter
@@ -52,11 +52,8 @@ type serverMetrics struct {
 	latencyUS *obs.Histogram
 }
 
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &serverMetrics{
+func newServerMetrics(reg *obs.Registry) serverMetrics {
+	return serverMetrics{
 		queryReqs: reg.Counter(`kpj_http_requests_total{route="query"}`, "completed /query requests"),
 		batchReqs: reg.Counter(`kpj_http_requests_total{route="batch"}`, "completed /batch requests"),
 		queryErrs: reg.Counter(`kpj_http_errors_total{route="query"}`, "/query requests answered with an error status"),
@@ -78,9 +75,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 }
 
 func (m *serverMetrics) observeQuery(start time.Time, failed, truncated bool) {
-	if m == nil {
-		return
-	}
 	m.queryReqs.Inc()
 	if failed {
 		m.queryErrs.Inc()
@@ -92,9 +86,6 @@ func (m *serverMetrics) observeQuery(start time.Time, failed, truncated bool) {
 }
 
 func (m *serverMetrics) observeBatch(start time.Time, failed bool, truncated int64) {
-	if m == nil {
-		return
-	}
 	m.batchReqs.Inc()
 	if failed {
 		m.batchErrs.Inc()
@@ -103,67 +94,14 @@ func (m *serverMetrics) observeBatch(start time.Time, failed bool, truncated int
 	m.latencyUS.Observe(time.Since(start).Microseconds())
 }
 
-func (m *serverMetrics) observeShed() {
-	if m == nil {
-		return
-	}
-	m.shed.Inc()
-}
-
-func (m *serverMetrics) observeDegraded() {
-	if m == nil {
-		return
-	}
-	m.degraded.Inc()
-}
-
-func (m *serverMetrics) observeTrip() {
-	if m == nil {
-		return
-	}
-	m.trips.Inc()
-}
-
-func (m *serverMetrics) observeUpdate(ok bool) {
-	if m == nil {
-		return
-	}
-	if ok {
-		m.updates.Inc()
-	} else {
-		m.updateErr.Inc()
-	}
-}
-
-func (m *serverMetrics) observeResync() {
-	if m == nil {
-		return
-	}
-	m.resyncs.Inc()
-}
-
-func (m *serverMetrics) observeReload(ok bool) {
-	if m == nil {
-		return
-	}
-	if ok {
-		m.reloads.Inc()
-	} else {
-		m.reloadErr.Inc()
-	}
-}
-
 // installObs wires the observability endpoints; called from New after all
 // options have been applied and the cache exists.
 func (s *Server) installObs() {
-	if s.metricsReg != nil {
-		s.met = newServerMetrics(s.metricsReg)
-		if s.cache != nil {
-			s.cache.Instrument(s.metricsReg)
-		}
-		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-		s.mux.HandleFunc("GET /debug/vars", s.handleVars)
+	s.met = newServerMetrics(s.metricsReg)
+	if s.cache != nil {
+		s.cache.Instrument(s.metricsReg)
 	}
+	wire.MountMetrics(s.mux, s.metricsReg)
 	if s.pprofOn {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -171,14 +109,4 @@ func (s *Server) installObs() {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metricsReg.WritePrometheus(w)
-}
-
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.metricsReg.WriteJSON(w)
 }

@@ -159,7 +159,11 @@ func (s *Server) ReloadIndex(path string) error {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 	err := s.reloadIndexLocked(path)
-	s.met.observeReload(err == nil)
+	if err != nil {
+		s.met.reloadErr.Inc()
+	} else {
+		s.met.reloads.Inc()
+	}
 	return err
 }
 

@@ -34,6 +34,7 @@ import (
 
 	"kpj"
 	"kpj/internal/wal"
+	"kpj/internal/wire"
 )
 
 // epochState is one immutable serving generation: a graph, its (optional)
@@ -44,6 +45,15 @@ type epochState struct {
 	g   *kpj.Graph
 	ix  *kpj.Index // may be nil
 	seq uint64
+}
+
+// gen is the epoch's generation as the wire carries it.
+func (ep *epochState) gen() wire.Gen {
+	g := wire.Gen{Epoch: ep.seq}
+	if ep.ix != nil {
+		g.FP = ep.ix.Fingerprint()
+	}
+	return g
 }
 
 // snapshot returns the current epoch. Handlers call it exactly once per
@@ -105,8 +115,9 @@ type Server struct {
 	// metricsReg, when non-nil (WithMetrics), backs the /metrics and
 	// /debug/vars endpoints and receives the kpj_http_* instrument set.
 	metricsReg *kpj.MetricsRegistry
-	// met is the instrument set built from metricsReg; nil records nothing.
-	met *serverMetrics
+	// met is the instrument set built from metricsReg; without one its
+	// instruments are nil and record nothing.
+	met serverMetrics
 	// pprofOn (WithPprof) exposes net/http/pprof under /debug/pprof/.
 	pprofOn bool
 	// breakers, when non-empty (WithBreaker), holds one circuit breaker
@@ -134,7 +145,7 @@ type Server struct {
 	recovered    atomic.Int64
 	recoverTotal atomic.Int64
 	// maxUpdateBytes caps a POST /update body (WithMaxUpdateBytes;
-	// default 16MB). Oversized bodies are rejected with 413.
+	// default wire.MaxBodyBytes). Oversized bodies are rejected with 413.
 	maxUpdateBytes int64
 }
 
@@ -195,7 +206,7 @@ func WithBoundsCacheSize(n int) Option {
 // New builds a Server over g with an optional landmark index.
 func New(g *kpj.Graph, ix *kpj.Index, opts ...Option) *Server {
 	s := &Server{mux: http.NewServeMux(), maxK: 1000, logf: log.Printf,
-		maxUpdateBytes: 16 << 20}
+		maxUpdateBytes: wire.MaxBodyBytes}
 	s.epoch.Store(&epochState{g: g, ix: ix})
 	s.hadIndex = ix != nil
 	for _, o := range opts {
@@ -231,7 +242,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.logf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 			// Best effort: if the handler already wrote a header this is
 			// a no-op on the status line.
-			writeError(w, http.StatusInternalServerError, "internal error")
+			wire.WriteError(w, http.StatusInternalServerError, wire.KindInternal, "internal error")
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
@@ -243,9 +254,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "draining")
-			s.met.observeShed()
+			wire.WriteError(w, http.StatusServiceUnavailable, wire.KindDraining, "draining")
+			s.met.shed.Inc()
 			return
 		}
 		if s.inflight != nil {
@@ -253,9 +263,8 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 			case s.inflight <- struct{}{}:
 				defer func() { <-s.inflight }()
 			default:
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, "too many in-flight queries")
-				s.met.observeShed()
+				wire.WriteError(w, http.StatusServiceUnavailable, wire.KindDraining, "too many in-flight queries")
+				s.met.shed.Inc()
 				return
 			}
 		}
@@ -306,64 +315,25 @@ type QueryResponse struct {
 	Spans json.RawMessage `json:"spans,omitempty"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-	// Kind classifies the failure for programmatic handling (mirrors the
-	// X-Kpj-Error-Kind header); empty on legacy untyped errors.
-	Kind string `json:"kind,omitempty"`
-}
-
-// Error kinds carried in the JSON body and X-Kpj-Error-Kind header of
-// the server's typed error responses (update/resync paths).
-const (
-	kindBadRequest    = "bad-request"    // malformed body or parameters
-	kindTooLarge      = "too-large"      // body exceeds the configured cap
-	kindDraining      = "draining"       // replica is shutting down; retry elsewhere
-	kindEpochConflict = "epoch-conflict" // fencing precondition failed (stale or diverged caller)
-	kindWAL           = "wal"            // durability failure; epoch not published
-	kindInternal      = "internal"       // apply-path fault; epoch kept
-)
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeKindError writes a typed {"error","kind"} body plus the
-// X-Kpj-Error-Kind header.
-func writeKindError(w http.ResponseWriter, status int, kind, format string, args ...any) {
-	w.Header().Set("X-Kpj-Error-Kind", kind)
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Kind: kind})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	ep := s.snapshot()
-	body := map[string]any{
-		"status":     "ok",
-		"nodes":      ep.g.NumNodes(),
-		"edges":      ep.g.NumEdges(),
-		"categories": len(ep.g.Categories()),
-		"indexed":    ep.ix != nil,
-		"epoch":      ep.seq,
-		"draining":   s.draining.Load(),
-	}
-	if ep.ix != nil {
-		body["fingerprint"] = fmt.Sprintf("%016x", ep.ix.Fingerprint())
+	body := wire.Healthz{
+		Status:      "ok",
+		Nodes:       ep.g.NumNodes(),
+		Edges:       ep.g.NumEdges(),
+		Categories:  len(ep.g.Categories()),
+		Indexed:     ep.ix != nil,
+		Epoch:       ep.seq,
+		Fingerprint: ep.gen().Fingerprint(),
+		Draining:    s.draining.Load(),
 	}
 	if len(s.breakers) > 0 {
-		states := map[string]string{}
+		body.Breakers = map[string]string{"update": s.updateBr.state()}
 		for _, alg := range kpj.Algorithms() {
-			states[alg.String()] = s.breakers[alg].state()
+			body.Breakers[alg.String()] = s.breakers[alg].state()
 		}
-		states["update"] = s.updateBr.state()
-		body["breakers"] = states
 	}
-	writeJSON(w, http.StatusOK, body)
+	wire.WriteJSON(w, http.StatusOK, body)
 }
 
 // handleReadyz is the load-balancer signal, split out of /healthz:
@@ -375,21 +345,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ep := s.snapshot()
 	ready, reason := s.readiness()
-	body := map[string]any{"ready": ready, "epoch": ep.seq}
-	if ep.ix != nil {
-		body["fingerprint"] = fmt.Sprintf("%016x", ep.ix.Fingerprint())
-	}
+	body := wire.Readyz{Ready: ready, Epoch: ep.seq, Fingerprint: ep.gen().Fingerprint(), Reason: reason}
 	if s.recovering.Load() {
-		body["recovered"] = s.recovered.Load()
-		body["recoverTotal"] = s.recoverTotal.Load()
+		recovered, total := s.recovered.Load(), s.recoverTotal.Load()
+		body.Recovered, body.RecoverTotal = &recovered, &total
 	}
+	status := http.StatusOK
 	if !ready {
-		body["reason"] = reason
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
+		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusOK, body)
+	wire.WriteJSON(w, status, body)
 }
 
 // readiness evaluates the readiness conditions in order of severity.
@@ -425,12 +390,12 @@ func (s *Server) handleCategories(w http.ResponseWriter, _ *http.Request) {
 	for _, name := range g.Categories() {
 		nodes, err := g.Category(name)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "category %q: %v", name, err)
+			wire.WriteError(w, http.StatusInternalServerError, wire.KindInternal, "category %q: %v", name, err)
 			return
 		}
 		out[name] = len(nodes)
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // queryParams is the parsed, validated request, pinned to the epoch it
@@ -534,10 +499,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ep := s.snapshot()
 	// Stamp the serving generation on every /query outcome (success or
 	// error) so the routing tier can fence without parsing bodies.
-	setEpochHeaders(w, ep)
+	gen := ep.gen()
+	gen.SetHeader(w.Header())
 	p, err := s.parseQuery(ep, q.Get, withStats, withSpans)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", err)
 		s.met.observeQuery(reqStart, true, false)
 		return
 	}
@@ -555,13 +521,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	paths, qerr := s.execQuery(p)
 	if qerr != nil && kpj.IsInvalidQuery(qerr) {
-		writeError(w, http.StatusBadRequest, "%v", qerr)
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", qerr)
 		s.met.observeQuery(reqStart, true, false)
 		return
 	}
 	if br.record(!faultedQuery(qerr)) {
 		s.logf("server: circuit breaker opened for alg %q after: %v", r.URL.Query().Get("alg"), qerr)
-		s.met.observeTrip()
+		s.met.trips.Inc()
 	}
 	// A query that faulted at full power may succeed under the degraded
 	// profile (serial, no shared cache) — when the breaker is now open and
@@ -578,29 +544,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if partial, ok := kpj.Truncated(qerr); ok {
 			paths, truncated = partial, true
 		} else {
-			writeError(w, http.StatusInternalServerError, "%v", qerr)
+			wire.WriteError(w, http.StatusInternalServerError, wire.KindInternal, "%v", qerr)
 			s.met.observeQuery(reqStart, true, false)
 			return
 		}
 	}
 	if degraded {
-		w.Header().Set("X-Kpj-Degraded", "1")
-		s.met.observeDegraded()
+		w.Header().Set(wire.HeaderDegraded, "1")
+		s.met.degraded.Inc()
 	}
 	resp := QueryResponse{
-		Paths:         make([]PathJSON, len(paths)),
+		Paths:         pathsJSON(paths),
 		Micros:        time.Since(start).Microseconds(),
 		Epoch:         ep.seq,
 		TimeoutMicros: s.timeout.Microseconds(),
 		Truncated:     truncated,
 		Degraded:      degraded,
 		Stats:         p.opt.Stats,
-	}
-	if ep.ix != nil {
-		resp.Fingerprint = fmt.Sprintf("%016x", ep.ix.Fingerprint())
-	}
-	for i, path := range paths {
-		resp.Paths[i] = PathJSON{Nodes: path.Nodes, Length: path.Length}
+		Fingerprint:   gen.Fingerprint(),
 	}
 	if p.opt.Spans != nil {
 		var buf bytes.Buffer
@@ -608,7 +569,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.Spans = buf.Bytes()
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 	s.met.observeQuery(reqStart, false, truncated)
 }
 
@@ -634,9 +595,14 @@ type BatchResponseItem struct {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
 	var items []BatchRequestItem
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&items); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	body, ok := wire.ReadBody(w, r, wire.MaxBodyBytes)
+	if ok {
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&items); err != nil {
+			wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "bad JSON: %v", err)
+			ok = false
+		}
+	}
+	if !ok {
 		s.met.observeBatch(reqStart, true, 0)
 		return
 	}
@@ -694,7 +660,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out[i].Paths = pathsJSON(results[i].Paths)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 	s.met.observeBatch(reqStart, false, truncatedItems)
 }
 

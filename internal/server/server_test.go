@@ -161,16 +161,20 @@ func TestQueryErrorsHTTP(t *testing.T) {
 		}
 		var e struct {
 			Error string `json:"error"`
+			Kind  string `json:"kind"`
 		}
-		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" || e.Kind != "bad-request" {
 			t.Fatalf("%s: error body %q", url, body)
+		}
+		if kind := rec.Header().Get("X-Kpj-Error-Kind"); kind != e.Kind {
+			t.Fatalf("%s: X-Kpj-Error-Kind %q, body kind %q", url, kind, e.Kind)
 		}
 	}
 	// Out-of-range source id parses but fails query validation — still a
 	// client error (mapped via errors.Is), not a 500.
 	rec, _ := get(t, s, "/query?source=9999&category=hotel")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("out-of-range source: status %d, want 400", rec.Code)
+	if rec.Code != http.StatusBadRequest || rec.Header().Get("X-Kpj-Error-Kind") != "bad-request" {
+		t.Fatalf("out-of-range source: status %d kind %q, want 400 bad-request", rec.Code, rec.Header().Get("X-Kpj-Error-Kind"))
 	}
 }
 

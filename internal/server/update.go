@@ -1,15 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"kpj"
 	"kpj/internal/wal"
+	"kpj/internal/wire"
 )
 
 // This file is the live-update endpoint: POST /update accepts a
@@ -56,45 +56,40 @@ type UpdateResponse struct {
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeKindError(w, http.StatusServiceUnavailable, kindDraining, "draining")
-		s.met.observeShed()
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindDraining, "draining")
+		s.met.shed.Inc()
+		return
+	}
+	body, ok := wire.ReadBody(w, r, s.maxUpdateBytes)
+	if !ok {
+		s.met.updateErr.Inc()
 		return
 	}
 	var d kpj.Delta
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxUpdateBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&d); err != nil {
-		// MaxBytesReader failures surface through the decoder; unwrap them
-		// so an oversized body is a 413, not a misleading "bad JSON" 400.
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeKindError(w, http.StatusRequestEntityTooLarge, kindTooLarge,
-				"delta exceeds %d bytes", s.maxUpdateBytes)
-		} else {
-			writeKindError(w, http.StatusBadRequest, kindBadRequest, "bad JSON: %v", err)
-		}
-		s.met.observeUpdate(false)
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "bad JSON: %v", err)
+		s.met.updateErr.Inc()
 		return
 	}
 	if d.Empty() {
-		writeKindError(w, http.StatusBadRequest, kindBadRequest, "empty delta")
-		s.met.observeUpdate(false)
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "empty delta")
+		s.met.updateErr.Inc()
 		return
 	}
-	expectEpoch, expectFP, fenced, err := parseFence(r)
+	fence, fenced, err := wire.ParseFence(r.Header)
 	if err != nil {
-		writeKindError(w, http.StatusBadRequest, kindBadRequest, "%v", err)
-		s.met.observeUpdate(false)
+		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", err)
+		s.met.updateErr.Inc()
 		return
 	}
 	if s.updateBr.degraded() {
 		// Half-open: one update at a time probes the apply path; the rest
 		// are shed so a persistent fault cannot stack mutation attempts.
 		if !s.updateProbe.CompareAndSwap(false, true) {
-			w.Header().Set("Retry-After", "1")
-			writeKindError(w, http.StatusServiceUnavailable, kindDraining, "update breaker open")
-			s.met.observeShed()
+			wire.WriteError(w, http.StatusServiceUnavailable, wire.KindDraining, "update breaker open")
+			s.met.shed.Inc()
 			return
 		}
 		defer s.updateProbe.Store(false)
@@ -103,38 +98,31 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 	ep := s.snapshot()
-	if fenced {
+	if cur := ep.gen(); fenced && !cur.Satisfies(fence) {
 		// Epoch fencing: the caller preconditions this delta on the exact
 		// (epoch, fingerprint) it expects to extend. A mismatch means the
 		// caller is stale (replaying an already-applied delta) or this
 		// replica has diverged; either way the delta must not apply. 409
 		// plus the current generation in the headers lets the router decide
 		// between skip (replica ahead) and resync (replica behind/diverged).
-		if ep.seq != expectEpoch || (expectFP != "" && fingerprint(ep) != expectFP) {
-			setEpochHeaders(w, ep)
-			writeKindError(w, http.StatusConflict, kindEpochConflict,
-				"fence mismatch: at epoch %d fingerprint %s, caller expects epoch %d fingerprint %s",
-				ep.seq, fingerprint(ep), expectEpoch, expectFP)
-			s.met.observeUpdate(false)
-			return
-		}
+		cur.SetHeader(w.Header())
+		wire.WriteError(w, http.StatusConflict, wire.KindEpochConflict,
+			"fence mismatch: at %s, caller expects %s", cur, fence)
+		s.met.updateErr.Inc()
+		return
 	}
 	next, resp, app, err := s.applyDelta(ep, &d)
 	if err != nil {
 		if errors.Is(err, kpj.ErrBadDelta) {
 			// A client mistake, not an apply-path fault: the breaker only
 			// counts internal failures.
-			writeKindError(w, http.StatusBadRequest, kindBadRequest, "%v", err)
-			s.met.observeUpdate(false)
+			wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", err)
+			s.met.updateErr.Inc()
 			return
 		}
-		if s.updateBr.record(false) {
-			s.logf("server: update circuit breaker opened after: %v", err)
-			s.met.observeTrip()
-		}
-		writeKindError(w, http.StatusInternalServerError, kindInternal,
+		s.recordUpdateFault(err)
+		wire.WriteError(w, http.StatusInternalServerError, wire.KindInternal,
 			"update failed, epoch %d kept: %v", ep.seq, err)
-		s.met.observeUpdate(false)
 		return
 	}
 	if s.wal != nil {
@@ -142,18 +130,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// shape, delta) is fsynced to the log before the epoch pointer
 		// moves. A crash after this append recovers exactly to next; a
 		// crash before it recovers to ep — the caller saw no 200 either way.
-		rec := wal.Record{Epoch: next.seq, Nodes: resp.Nodes, Edges: resp.Edges, Delta: &d}
-		if next.ix != nil {
-			rec.Fingerprint = next.ix.Fingerprint()
-		}
+		rec := wal.Record{Epoch: next.seq, Nodes: resp.Nodes, Edges: resp.Edges, Delta: &d,
+			Fingerprint: next.gen().FP}
 		if err := s.wal.Append(rec); err != nil {
-			if s.updateBr.record(false) {
-				s.logf("server: update circuit breaker opened after: %v", err)
-				s.met.observeTrip()
-			}
-			writeKindError(w, http.StatusInternalServerError, kindWAL,
+			s.recordUpdateFault(err)
+			wire.WriteError(w, http.StatusInternalServerError, wire.KindWAL,
 				"wal append failed, epoch %d kept: %v", ep.seq, err)
-			s.met.observeUpdate(false)
 			return
 		}
 	}
@@ -164,40 +146,21 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.maybeCheckpointLocked(next)
 	s.updateBr.record(true)
 	resp.Micros = time.Since(start).Microseconds()
-	setEpochHeaders(w, next)
-	writeJSON(w, http.StatusOK, resp)
-	s.met.observeUpdate(true)
+	next.gen().SetHeader(w.Header())
+	wire.WriteJSON(w, http.StatusOK, resp)
+	s.met.updates.Inc()
 	s.logf("server: epoch %d -> %d: %d delta ops, %d tables repaired (%d nodes settled), cache %d migrated / %d dropped",
 		ep.seq, next.seq, d.Ops(), resp.RepairedTables, resp.RepairSettled, resp.CacheMigrated, resp.CacheDropped)
 }
 
-// parseFence reads the optional X-Kpj-Expect-Epoch / X-Kpj-Expect-Fingerprint
-// precondition headers. Absent epoch header means unfenced (direct
-// operator updates keep working); a fingerprint expectation without an
-// epoch is rejected as malformed.
-func parseFence(r *http.Request) (epoch uint64, fp string, fenced bool, err error) {
-	eh := r.Header.Get("X-Kpj-Expect-Epoch")
-	fp = r.Header.Get("X-Kpj-Expect-Fingerprint")
-	if eh == "" {
-		if fp != "" {
-			return 0, "", false, fmt.Errorf("X-Kpj-Expect-Fingerprint requires X-Kpj-Expect-Epoch")
-		}
-		return 0, "", false, nil
+// recordUpdateFault counts an internal update failure against the update
+// breaker and the error counter.
+func (s *Server) recordUpdateFault(err error) {
+	if s.updateBr.record(false) {
+		s.logf("server: update circuit breaker opened after: %v", err)
+		s.met.trips.Inc()
 	}
-	epoch, perr := strconv.ParseUint(eh, 10, 64)
-	if perr != nil {
-		return 0, "", false, fmt.Errorf("bad X-Kpj-Expect-Epoch %q", eh)
-	}
-	return epoch, fp, true, nil
-}
-
-// fingerprint renders an epoch's index fingerprint as the wire form used
-// in headers and fences ("" when the epoch has no index).
-func fingerprint(ep *epochState) string {
-	if ep.ix == nil {
-		return ""
-	}
-	return fmt.Sprintf("%016x", ep.ix.Fingerprint())
+	s.met.updateErr.Inc()
 }
 
 // applyDelta derives the successor epoch for d without publishing it or
@@ -220,7 +183,7 @@ func (s *Server) applyDelta(ep *epochState, d *kpj.Delta) (*epochState, *UpdateR
 		resp.RepairedTables = app.Stats.Repaired()
 		resp.RepairSettled = app.Stats.Settled
 		resp.FullRebuild = app.Stats.FullRebuild
-		resp.Fingerprint = fmt.Sprintf("%016x", app.Index.Fingerprint())
+		resp.Fingerprint = next.gen().Fingerprint()
 	} else {
 		ng, err := ep.g.WithDelta(d)
 		if err != nil {

@@ -70,18 +70,14 @@ type BatchResult struct {
 // queries finish — the merged trace is deterministic and identical to
 // running the queries sequentially, regardless of worker scheduling; each
 // item's trace is preceded by a "batch item #i" header line.
+//
+// opt.Context applies per query — every in-flight query stops within a
+// few hundred heap pops of cancellation with partial results — and to
+// scheduling: once the context is done, queries not yet started are not
+// run at all and report an ErrCanceled-wrapping error. A context that is
+// already done returns immediately without launching workers.
+// Options.Budget, in contrast, is a fresh per-query allowance.
 func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []BatchResult {
-	return g.BatchContext(nil, queries, parallelism, opt)
-}
-
-// BatchContext is Batch bound to ctx (which, when non-nil, overrides
-// opt.Context). The context applies per query — every in-flight query
-// stops within a few hundred heap pops of cancellation with partial
-// results — and to scheduling: once the context is done, queries not yet
-// started are not run at all and report an ErrCanceled-wrapping error. A
-// context that is already done returns immediately without launching
-// workers. Options.Budget, in contrast, is a fresh per-query allowance.
-func (g *Graph) BatchContext(ctx context.Context, queries []BatchQuery, parallelism int, opt *Options) []BatchResult {
 	results := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
 		return results
@@ -99,9 +95,6 @@ func (g *Graph) BatchContext(ctx context.Context, queries []BatchQuery, parallel
 	var traces []bytes.Buffer
 	if opt != nil && opt.Trace != nil {
 		traces = make([]bytes.Buffer, len(queries))
-	}
-	if ctx != nil {
-		copt.Context = ctx
 	}
 	skipErr := func() error {
 		return fmt.Errorf("%w: batch item not started: %v",

@@ -134,7 +134,7 @@ func TestBatchContextPreCanceled(t *testing.T) {
 	g, ix, queries := batchFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := g.BatchContext(ctx, queries, 4, &kpj.Options{Index: ix})
+	res := g.Batch(queries, 4, &kpj.Options{Index: ix, Context: ctx})
 	if len(res) != len(queries) {
 		t.Fatalf("got %d results for %d queries", len(res), len(queries))
 	}
@@ -165,7 +165,7 @@ func TestBatchContextMidCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res := g.BatchContext(ctx, big, 4, &kpj.Options{Index: ix})
+	res := g.Batch(big, 4, &kpj.Options{Index: ix, Context: ctx})
 	elapsed := time.Since(start)
 	if elapsed > 5*time.Second {
 		t.Fatalf("canceled batch took %v", elapsed)
@@ -195,7 +195,7 @@ func TestBatchContextMidCancel(t *testing.T) {
 // items independently instead of failing the batch.
 func TestBatchTruncatedItemsCarryPartialResults(t *testing.T) {
 	g, ix, queries := batchFixture(t)
-	res := g.BatchContext(nil, queries, 3, &kpj.Options{Index: ix, Budget: 2000})
+	res := g.Batch(queries, 3, &kpj.Options{Index: ix, Budget: 2000})
 	var truncated int
 	for i, r := range res {
 		if r.Err == nil {

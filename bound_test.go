@@ -169,9 +169,9 @@ func TestDeadlineBoundsLatency(t *testing.T) {
 	for _, alg := range allAlgorithms {
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		start := time.Now()
-		_, err := g.TopKJoinSetsContext(ctx,
+		_, err := g.TopKJoinSets(
 			[]kpj.NodeID{0}, []kpj.NodeID{kpj.NodeID(g.NumNodes() - 1)}, 5000,
-			&kpj.Options{Algorithm: alg})
+			&kpj.Options{Algorithm: alg, Context: ctx})
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, kpj.ErrCanceled) {

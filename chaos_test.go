@@ -320,7 +320,7 @@ func TestCacheInsertFaultDegradesToBypass(t *testing.T) {
 			}
 		}
 	}
-	if st := cache.FullStats(); st.Size != 0 {
+	if st := cache.Stats(); st.Size != 0 {
 		t.Fatalf("cache inserted %d entries through an injected insert fault", st.Size)
 	}
 }

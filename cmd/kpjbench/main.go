@@ -33,12 +33,26 @@ func main() {
 	seed := flag.Int64("seed", 0, "RNG seed (default 1)")
 	parallelism := flag.Int("parallelism", 1, "worker goroutines per query's subspace searches (<= 1 sequential; identical results)")
 	format := flag.String("format", "text", "output format: text, csv, or json")
-	benchmem := flag.Bool("benchmem", false, "add allocs/op and B/op columns next to every timing column (go test -benchmem style; measured over the timed rounds, warmup excluded)")
 	metrics := flag.Bool("metrics", false, "print cumulative engine metrics in Prometheus text format to stderr after the run")
 	flag.Parse()
 	if *format != "text" && *format != "csv" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "kpjbench: unknown format %q\n", *format)
 		os.Exit(2)
+	}
+	// Every id is checked before any experiment runs: a typo in the list
+	// must not surface only after the experiments ahead of it.
+	ids := experiments.Order()
+	if *exp != "all" {
+		ids = strings.Split(*exp, ",")
+	}
+	reg := experiments.Registry()
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		if _, ok := reg[ids[i]]; !ok {
+			fmt.Fprintf(os.Stderr, "kpjbench: unknown experiment %q (known: %s)\n",
+				ids[i], strings.Join(experiments.Order(), ", "))
+			os.Exit(2)
+		}
 	}
 
 	// Metrics go to stderr so the stdout tables are byte-identical with
@@ -56,20 +70,12 @@ func main() {
 		Alpha:       *alpha,
 		Seed:        *seed,
 		Parallelism: *parallelism,
-		MemStats:    *benchmem,
 	})
 	if *format == "text" {
 		fmt.Printf("kpjbench: scale=%.2f perset=%d landmarks=%d alpha=%.2f seed=%d\n\n",
 			env.Cfg.Scale, env.Cfg.PerSet, env.Cfg.Landmarks, env.Cfg.Alpha, env.Cfg.Seed)
 	}
 
-	var ids []string
-	if *exp == "all" {
-		ids = experiments.Order()
-	} else {
-		ids = strings.Split(*exp, ",")
-	}
-	reg := experiments.Registry()
 	// jsonDoc accumulates the -format json output: the effective config
 	// plus every table, keyed by experiment id.
 	jsonDoc := struct {
@@ -77,15 +83,8 @@ func main() {
 		Tables map[string][]experiments.Table `json:"tables"`
 	}{Config: env.Cfg, Tables: map[string][]experiments.Table{}}
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		drv, ok := reg[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "kpjbench: unknown experiment %q (known: %s)\n",
-				id, strings.Join(experiments.Order(), ", "))
-			os.Exit(2)
-		}
 		start := time.Now()
-		tables, err := drv(env)
+		tables, err := reg[id](env)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kpjbench: %s: %v\n", id, err)
 			os.Exit(1)

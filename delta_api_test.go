@@ -147,7 +147,7 @@ func TestApplyRekeyBounds(t *testing.T) {
 	if _, err := g.TopKJoin(4, "b", 2, opts); err != nil {
 		t.Fatal(err)
 	}
-	warm := cache.FullStats()
+	warm := cache.Stats()
 	if warm.Size == 0 {
 		t.Fatal("cache did not warm up")
 	}
@@ -161,7 +161,7 @@ func TestApplyRekeyBounds(t *testing.T) {
 	if migrated == 0 {
 		t.Fatalf("nothing migrated (dropped %d)", dropped)
 	}
-	afterRekey := cache.FullStats()
+	afterRekey := cache.Stats()
 	if int64(dropped) != afterRekey.Evictions-warm.Evictions {
 		t.Fatalf("dropped %d but evictions moved %d", dropped, afterRekey.Evictions-warm.Evictions)
 	}
@@ -170,7 +170,7 @@ func TestApplyRekeyBounds(t *testing.T) {
 	if _, err := app.Graph.TopKJoin(4, "b", 2, nopts); err != nil {
 		t.Fatal(err)
 	}
-	if hits := cache.FullStats().Hits; hits == h0 {
+	if hits := cache.Stats().Hits; hits == h0 {
 		t.Fatal("migrated category-b tables were not reused")
 	}
 	// Correctness after migration: indexed matches unindexed on the new

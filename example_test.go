@@ -45,6 +45,30 @@ func ExampleGraph_TopKJoin() {
 	// P3 length=7 nodes=[0 2 6]
 }
 
+// ExampleBuildIndex runs the Fig. 1 query of ExampleGraph_TopKJoin with a
+// landmark index: the lower bounds prune the search, the answer is the same.
+func ExampleBuildIndex() {
+	g, err := fig1Graph() // ExampleGraph_TopKJoin's graph and "hotel" category
+	if err != nil {
+		log.Fatal(err)
+	}
+	ix, err := kpj.BuildIndex(g, 4, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	paths, err := g.TopKJoin(0, "hotel", 3, &kpj.Options{Index: ix})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, p := range paths {
+		fmt.Printf("P%d length=%d nodes=%v\n", i+1, p.Length, p.Nodes)
+	}
+	// Output:
+	// P1 length=5 nodes=[0 7 6]
+	// P2 length=6 nodes=[0 2 5]
+	// P3 length=7 nodes=[0 2 6]
+}
+
 // ExampleGraph_TopK shows the classical k-shortest-paths special case.
 func ExampleGraph_TopK() {
 	g, err := kpj.NewBuilder(4).

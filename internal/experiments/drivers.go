@@ -50,7 +50,7 @@ func Fig6a(e *Env) ([]Table, error) {
 	counts := []int{4, 8, 12, 16, 20, 32}
 	t := Table{
 		Title:   "Fig 6(a) — IterBoundI on CAL, Q3, k=20: vary |L| (avg ms/query)",
-		Columns: e.seriesColumns([]string{"|L|"}, calCategoryNames()),
+		Columns: append([]string{"|L|"}, calCategoryNames()...),
 	}
 	for _, count := range counts {
 		row := []string{fmt.Sprint(count)}
@@ -71,7 +71,7 @@ func Fig6a(e *Env) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e.cells(m)...)
+			row = append(row, ms(m.AvgMillis))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -84,7 +84,7 @@ func Fig6b(e *Env) ([]Table, error) {
 	alphas := []float64{1.05, 1.1, 1.2, 1.5, 1.8}
 	t := Table{
 		Title:   "Fig 6(b) — IterBoundI on CAL, Q3, k=20: vary alpha (avg ms/query)",
-		Columns: e.seriesColumns([]string{"alpha"}, calCategoryNames()),
+		Columns: append([]string{"alpha"}, calCategoryNames()...),
 	}
 	for _, alpha := range alphas {
 		row := []string{fmt.Sprintf("%.2f", alpha)}
@@ -105,7 +105,7 @@ func Fig6b(e *Env) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e.cells(m)...)
+			row = append(row, ms(m.AvgMillis))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -115,7 +115,7 @@ func Fig6b(e *Env) ([]Table, error) {
 // sweepQ builds a "vary query set" table: rows Q1..Q5, one column per
 // algorithm.
 func (e *Env) sweepQ(title, dsName, category string, k int, algos []string) (Table, error) {
-	t := Table{Title: title, Columns: e.seriesColumns([]string{"Q"}, algos)}
+	t := Table{Title: title, Columns: append([]string{"Q"}, algos...)}
 	g, err := e.Graph(dsName)
 	if err != nil {
 		return t, err
@@ -135,7 +135,7 @@ func (e *Env) sweepQ(title, dsName, category string, k int, algos []string) (Tab
 			if err != nil {
 				return t, err
 			}
-			row = append(row, e.cells(m)...)
+			row = append(row, ms(m.AvgMillis))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -144,7 +144,7 @@ func (e *Env) sweepQ(title, dsName, category string, k int, algos []string) (Tab
 
 // sweepK builds a "vary k" table over the default query set Q3.
 func (e *Env) sweepK(title, dsName, category string, ks []int, algos []string) (Table, error) {
-	t := Table{Title: title, Columns: e.seriesColumns([]string{"k"}, algos)}
+	t := Table{Title: title, Columns: append([]string{"k"}, algos...)}
 	g, err := e.Graph(dsName)
 	if err != nil {
 		return t, err
@@ -164,7 +164,7 @@ func (e *Env) sweepK(title, dsName, category string, ks []int, algos []string) (
 			if err != nil {
 				return t, err
 			}
-			row = append(row, e.cells(m)...)
+			row = append(row, ms(m.AvgMillis))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -251,7 +251,7 @@ func Fig10(e *Env) ([]Table, error) {
 	for _, ds := range []string{"SJ", "COL"} {
 		t := Table{
 			Title:   fmt.Sprintf("Fig 10 — %s, Q3, k=%d: vary |T| (avg ms/query)", ds, defaultK),
-			Columns: e.seriesColumns([]string{"T"}, OursOrder),
+			Columns: append([]string{"T"}, OursOrder...),
 		}
 		g, err := e.Graph(ds)
 		if err != nil {
@@ -272,7 +272,7 @@ func Fig10(e *Env) ([]Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, e.cells(m)...)
+				row = append(row, ms(m.AvgMillis))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -336,7 +336,7 @@ func Fig11(e *Env) ([]Table, error) {
 func Fig12(e *Env) ([]Table, error) {
 	ta := Table{
 		Title:   fmt.Sprintf("Fig 12(a) — IterBoundI, T=T2, Q3, k=%d: vary graph (avg ms/query)", defaultK),
-		Columns: e.seriesColumns([]string{"dataset", "nodes"}, []string{"IterBoundI"}),
+		Columns: []string{"dataset", "nodes", "IterBoundI"},
 	}
 	for _, ds := range []string{"SJ", "SF", "COL", "FLA", "USA"} {
 		g, err := e.Graph(ds)
@@ -355,11 +355,11 @@ func Fig12(e *Env) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ta.Rows = append(ta.Rows, append([]string{ds, fmt.Sprint(g.NumNodes())}, e.cells(m)...))
+		ta.Rows = append(ta.Rows, []string{ds, fmt.Sprint(g.NumNodes()), ms(m.AvgMillis)})
 	}
 	tb := Table{
 		Title:   "Fig 12(b) — IterBoundI on COL, T=T2, Q3: vary k (avg ms/query)",
-		Columns: e.seriesColumns([]string{"k"}, []string{"IterBoundI"}),
+		Columns: []string{"k", "IterBoundI"},
 	}
 	g, err := e.Graph("COL")
 	if err != nil {
@@ -378,7 +378,7 @@ func Fig12(e *Env) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.Rows = append(tb.Rows, append([]string{fmt.Sprint(k)}, e.cells(m)...))
+		tb.Rows = append(tb.Rows, []string{fmt.Sprint(k), ms(m.AvgMillis)})
 	}
 	return []Table{ta, tb}, nil
 }
@@ -405,7 +405,7 @@ func Fig13(e *Env) ([]Table, error) {
 
 	ta := Table{
 		Title:   fmt.Sprintf("Fig 13(a) — GKPJ on COL, |S|=4, k=%d: vary |T| (avg ms/query)", defaultK),
-		Columns: e.seriesColumns([]string{"T"}, algos),
+		Columns: append([]string{"T"}, algos...),
 	}
 	for _, cat := range gen.NestedNames {
 		targets, err := g.Category(cat)
@@ -418,14 +418,14 @@ func Fig13(e *Env) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e.cells(m)...)
+			row = append(row, ms(m.AvgMillis))
 		}
 		ta.Rows = append(ta.Rows, row)
 	}
 
 	tb := Table{
 		Title:   "Fig 13(b) — GKPJ on COL, |S|=4, T=T2: vary k (avg ms/query)",
-		Columns: e.seriesColumns([]string{"k"}, algos),
+		Columns: append([]string{"k"}, algos...),
 	}
 	targets, err := g.Category("T2")
 	if err != nil {
@@ -438,7 +438,7 @@ func Fig13(e *Env) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e.cells(m)...)
+			row = append(row, ms(m.AvgMillis))
 		}
 		tb.Rows = append(tb.Rows, row)
 	}

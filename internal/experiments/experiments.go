@@ -8,7 +8,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"kpj/internal/core"
@@ -34,11 +33,6 @@ type Config struct {
 	Rounds      int // timing rounds per cell; the minimum round average
 	// is reported, after one untimed warmup pass, to suppress GC and
 	// cold-cache noise (default 3)
-	// MemStats adds -benchmem-style allocs/op and B/op columns next to
-	// every timing column, measured as runtime.MemStats deltas across the
-	// timed rounds (the warmup pass is excluded, so one-time cache fills
-	// do not count against the steady state).
-	MemStats bool
 }
 
 func (c Config) withDefaults() Config {
@@ -258,10 +252,6 @@ type Measurement struct {
 	AvgMillis float64
 	Stats     core.Stats
 	Paths     int // total paths returned (sanity: k × queries when feasible)
-	// AllocsPerOp and BytesPerOp are per-query heap costs over the timed
-	// rounds, populated only when Cfg.MemStats is set.
-	AllocsPerOp float64
-	BytesPerOp  float64
 }
 
 // runQueries times fn over one query per source and returns the average.
@@ -331,16 +321,9 @@ func (e *Env) runQueries(dsName, algoName string, sources []graph.NodeID, target
 // timedRounds runs one untimed warmup pass and then Cfg.Rounds timed
 // passes, recording the minimum per-query average in milliseconds — the
 // standard way to suppress GC pauses and cold caches in micro-timings.
-// With Cfg.MemStats it also records per-query allocation costs as
-// MemStats deltas spanning the timed rounds; Mallocs and TotalAlloc are
-// monotonic, so intervening GCs cannot skew them.
 func (e *Env) timedRounds(queries int, pass func(collect bool) error, m *Measurement) error {
 	if err := pass(true); err != nil { // warmup; also collects stats/paths
 		return err
-	}
-	var before runtime.MemStats
-	if e.Cfg.MemStats {
-		runtime.ReadMemStats(&before)
 	}
 	best := -1.0
 	for r := 0; r < e.Cfg.Rounds; r++ {
@@ -354,13 +337,6 @@ func (e *Env) timedRounds(queries int, pass func(collect bool) error, m *Measure
 		}
 	}
 	m.AvgMillis = best
-	if e.Cfg.MemStats {
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		ops := float64(queries * e.Cfg.Rounds)
-		m.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / ops
-		m.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / ops
-	}
 	return nil
 }
 
@@ -421,31 +397,6 @@ func (e *Env) runJoinQueries(dsName, algoName string, sources, targets []graph.N
 }
 
 func ms(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// cells renders one measurement as table cells: the timing alone, or —
-// under Cfg.MemStats — timing, allocs/op, and B/op, mirroring
-// `go test -benchmem` output.
-func (e *Env) cells(m Measurement) []string {
-	if !e.Cfg.MemStats {
-		return []string{ms(m.AvgMillis)}
-	}
-	return []string{ms(m.AvgMillis), fmt.Sprintf("%.0f", m.AllocsPerOp), fmt.Sprintf("%.0f", m.BytesPerOp)}
-}
-
-// seriesColumns builds a header row: the fixed label columns followed by
-// one timing column per series, widened with "<series> allocs/op" and
-// "<series> B/op" when Cfg.MemStats is on so headers stay aligned with
-// what cells emits.
-func (e *Env) seriesColumns(fixed []string, series []string) []string {
-	out := append([]string(nil), fixed...)
-	for _, s := range series {
-		out = append(out, s)
-		if e.Cfg.MemStats {
-			out = append(out, s+" allocs/op", s+" B/op")
-		}
-	}
-	return out
-}
 
 // Registry maps experiment ids to drivers. Each driver returns the tables
 // it regenerates.

@@ -185,8 +185,8 @@ func TestAddNestedCategories(t *testing.T) {
 		}
 		prev = cur
 	}
-	if NestedSize(10000, 3) != 10 {
-		t.Fatalf("NestedSize(10000,3) = %d", NestedSize(10000, 3))
+	if got := sizeForNested(10000, 2); got != 10 {
+		t.Fatalf("|T3| on 10000 nodes = %d, want 10", got)
 	}
 	// Tiny graphs clamp to at least one node.
 	small, err := Road(RoadConfig{Width: 3, Height: 3, Seed: 1})

@@ -72,9 +72,6 @@ func AddNestedCategories(g *graph.Graph, seed int64) ([]string, error) {
 	return append([]string(nil), NestedNames...), nil
 }
 
-// NestedSize returns |Ti| (i in 1..4) for a graph with n nodes.
-func NestedSize(n, i int) int { return sizeForNested(n, i-1) }
-
 func sizeForNested(n, idx int) int {
 	size := n * nestedPerTenThousand[idx] / 10000
 	if size < 1 {

@@ -93,13 +93,6 @@ func (c *SetBoundsCache) BoundsFromSet(ix *Index, sources []graph.NodeID) *FromB
 	return b
 }
 
-// Stats reports cumulative hit/miss counts and the current entry count.
-func (c *SetBoundsCache) Stats() (hits, misses int64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.lru.Len()
-}
-
 // CacheStats is the full counter snapshot of a SetBoundsCache.
 type CacheStats struct {
 	Hits      int64 // lookups answered from the cache
@@ -109,10 +102,10 @@ type CacheStats struct {
 	Cap       int   // configured capacity
 }
 
-// FullStats reports every cumulative counter plus the current occupancy.
-// Unlike Stats it includes evictions, the signal that distinguishes "the
-// working set fits" from "categories are thrashing each other out".
-func (c *SetBoundsCache) FullStats() CacheStats {
+// Stats reports every cumulative counter plus the current occupancy.
+// Evictions are the signal that distinguishes "the working set fits" from
+// "categories are thrashing each other out".
+func (c *SetBoundsCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{

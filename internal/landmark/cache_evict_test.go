@@ -29,7 +29,7 @@ func TestCacheEvictionAccounting(t *testing.T) {
 		for _, s := range sets {
 			c.BoundsToSet(ix, s) // third insert evicts the first
 		}
-		st := c.FullStats()
+		st := c.Stats()
 		if st.Evictions != 1 {
 			t.Fatalf("evictions = %d after one LRU overflow, want 1", st.Evictions)
 		}
@@ -39,7 +39,7 @@ func TestCacheEvictionAccounting(t *testing.T) {
 		// Re-reading the survivors is pure hits, no eviction movement.
 		c.BoundsToSet(ix, sets[1])
 		c.BoundsToSet(ix, sets[2])
-		if st := c.FullStats(); st.Evictions != 1 || st.Hits != 2 {
+		if st := c.Stats(); st.Evictions != 1 || st.Hits != 2 {
 			t.Fatalf("stats after hits = %+v", st)
 		}
 	})
@@ -65,7 +65,7 @@ func TestCacheEvictionAccounting(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		st := c.FullStats()
+		st := c.Stats()
 		if st.Evictions != 0 {
 			t.Fatalf("evictions = %d from same-set insert races, want 0", st.Evictions)
 		}
@@ -85,7 +85,7 @@ func TestCacheEvictionAccounting(t *testing.T) {
 		c.BoundsFromSet(ix, []graph.NodeID{1})
 		c.BoundsToSet(ix, []graph.NodeID{2}) // evicts the oldest
 		c.BoundsFromSet(ix, []graph.NodeID{2})
-		if st := c.FullStats(); st.Evictions != 2 || st.Size != 2 {
+		if st := c.Stats(); st.Evictions != 2 || st.Size != 2 {
 			t.Fatalf("stats = %+v, want 2 evictions at size 2", st)
 		}
 	})

@@ -41,7 +41,7 @@ func TestCacheRekeyScopedInvalidation(t *testing.T) {
 	bA := c.BoundsToSet(old, catA)
 	bB := c.BoundsToSet(old, catB)
 	fB := c.BoundsFromSet(old, catB)
-	if s := c.FullStats(); s.Size != 3 || s.Misses != 3 {
+	if s := c.Stats(); s.Size != 3 || s.Misses != 3 {
 		t.Fatalf("warmup stats: %+v", s)
 	}
 
@@ -63,7 +63,7 @@ func TestCacheRekeyScopedInvalidation(t *testing.T) {
 		}
 	}
 
-	before := c.FullStats()
+	before := c.Stats()
 	anyDirty := func(nodes []graph.NodeID) bool {
 		for _, v := range nodes {
 			if dirty[v] {
@@ -76,7 +76,7 @@ func TestCacheRekeyScopedInvalidation(t *testing.T) {
 	if migrated != 2 || droppedN != 1 {
 		t.Fatalf("migrated %d dropped %d, want 2/1", migrated, droppedN)
 	}
-	after := c.FullStats()
+	after := c.Stats()
 	if after.Evictions != before.Evictions+1 {
 		t.Fatalf("evictions %d -> %d, want exactly one more", before.Evictions, after.Evictions)
 	}
@@ -88,7 +88,7 @@ func TestCacheRekeyScopedInvalidation(t *testing.T) {
 	h0 := after.Hits
 	gotB := c.BoundsToSet(repaired, catB)
 	gotFB := c.BoundsFromSet(repaired, catB)
-	if s := c.FullStats(); s.Hits != h0+2 {
+	if s := c.Stats(); s.Hits != h0+2 {
 		t.Fatalf("migrated entries did not hit: hits %d -> %d", h0, s.Hits)
 	}
 	// The migrated tables must be rebound to the repaired index (not the
@@ -108,9 +108,9 @@ func TestCacheRekeyScopedInvalidation(t *testing.T) {
 	}
 
 	// Component A was dropped: next lookup misses and rebuilds.
-	m0 := c.FullStats().Misses
+	m0 := c.Stats().Misses
 	gotA := c.BoundsToSet(repaired, catA)
-	if s := c.FullStats(); s.Misses != m0+1 {
+	if s := c.Stats(); s.Misses != m0+1 {
 		t.Fatal("dropped entry still resident")
 	}
 	freshA := repaired.BoundsToSet(catA)
@@ -147,12 +147,12 @@ func TestCacheRekeySameFingerprintDropOnly(t *testing.T) {
 	if m != 0 || d != 1 {
 		t.Fatalf("same-fingerprint rekey: migrated %d dropped %d, want 0/1", m, d)
 	}
-	if s := c.FullStats(); s.Size != 1 || s.Evictions != 1 {
+	if s := c.Stats(); s.Size != 1 || s.Evictions != 1 {
 		t.Fatalf("stats after drop-only sweep: %+v", s)
 	}
-	h0 := c.FullStats().Hits
+	h0 := c.Stats().Hits
 	c.BoundsToSet(ix, keep)
-	if c.FullStats().Hits != h0+1 {
+	if c.Stats().Hits != h0+1 {
 		t.Fatal("surviving entry stopped hitting")
 	}
 }
@@ -179,12 +179,12 @@ func TestCacheRekeyCollisionLoserEvicted(t *testing.T) {
 	cat := []graph.NodeID{1, 3} // component A: clean under this delta
 	c.BoundsToSet(old, cat)
 	winner := c.BoundsToSet(repaired, cat) // new-generation entry already present
-	before := c.FullStats()
+	before := c.Stats()
 	m, d := c.Rekey(old.Fingerprint(), repaired, nil)
 	if m != 0 || d != 1 {
 		t.Fatalf("migrated %d dropped %d, want 0/1", m, d)
 	}
-	if s := c.FullStats(); s.Evictions != before.Evictions+1 || s.Size != 1 {
+	if s := c.Stats(); s.Evictions != before.Evictions+1 || s.Size != 1 {
 		t.Fatalf("stats after collision rekey: %+v", s)
 	}
 	if got := c.BoundsToSet(repaired, cat); got != winner {

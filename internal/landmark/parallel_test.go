@@ -100,12 +100,12 @@ func TestSetBoundsCacheCorrectness(t *testing.T) {
 			}
 		}
 	}
-	hits, misses, size := c.Stats()
-	if misses != 2 || hits != 4 {
-		t.Errorf("hits=%d misses=%d, want 4/2", hits, misses)
+	st := c.Stats()
+	if st.Misses != 2 || st.Hits != 4 {
+		t.Errorf("hits=%d misses=%d, want 4/2", st.Hits, st.Misses)
 	}
-	if size != 2 {
-		t.Errorf("size=%d, want 2", size)
+	if st.Size != 2 {
+		t.Errorf("size=%d, want 2", st.Size)
 	}
 }
 
@@ -128,12 +128,12 @@ func TestSetBoundsCacheLRU(t *testing.T) {
 	c.BoundsToSet(ix, setC) // miss; evicts B
 	c.BoundsToSet(ix, setA) // hit
 	c.BoundsToSet(ix, setB) // miss again (was evicted)
-	hits, misses, size := c.Stats()
-	if hits != 2 || misses != 4 {
-		t.Errorf("hits=%d misses=%d, want 2/4", hits, misses)
+	st := c.Stats()
+	if st.Hits != 2 || st.Misses != 4 {
+		t.Errorf("hits=%d misses=%d, want 2/4", st.Hits, st.Misses)
 	}
-	if size != 2 {
-		t.Errorf("size=%d, want capacity 2", size)
+	if st.Size != 2 {
+		t.Errorf("size=%d, want capacity 2", st.Size)
 	}
 }
 

@@ -3,7 +3,6 @@ package router
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -79,40 +78,6 @@ func TestMidHedgeCancellationLeavesNoGoroutines(t *testing.T) {
 	}
 	// Close while the last loser may still be parked on its stalled
 	// upstream request.
-	rt.Close()
-	for _, f := range fixtures {
-		f.srv.Close()
-	}
-}
-
-// TestRemoveReplicaLeavesNoGoroutines: RemoveReplica must stop the
-// removed replica's probe loop synchronously and AddReplica must start
-// exactly one that Close later reaps.
-func TestRemoveReplicaLeavesNoGoroutines(t *testing.T) {
-	defer leaktest.Check(t)()
-	fixtures := newFixtures(t, 2, nil)
-	rt := newTestRouter(t, fixtures, nil)
-	waitReady(t, rt)
-
-	extra := httptest.NewServer(fixtures[0].srv.Config.Handler)
-	if err := rt.AddReplica(ReplicaConfig{Name: "extra", URL: extra.URL}); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, rt, "extra", StateHealthy)
-	if err := rt.RemoveReplica("extra"); err != nil {
-		t.Fatal(err)
-	}
-	extra.Close()
-	if err := rt.RemoveReplica("r1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.RemoveReplica("r0"); err == nil {
-		t.Fatal("removing the last replica should be refused")
-	}
-	rec, body := routerGet(t, rt, "/query?source=0&category=hotel&k=2")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("query after removals: status %d (%s)", rec.Code, body)
-	}
 	rt.Close()
 	for _, f := range fixtures {
 		f.srv.Close()

@@ -55,7 +55,7 @@ func newRouterMetrics(reg *obs.Registry, rt *Router) routerMetrics {
 		m.toState[st] = reg.Counter(`kpj_router_transitions_total{to="`+name+`"}`, "replica transitions into "+name)
 		reg.GaugeFunc(`kpj_router_replicas{state="`+name+`"}`, "replicas currently in state "+name, func() int64 {
 			var n int64
-			for _, rp := range rt.topo.Load().reps {
+			for _, rp := range rt.reps {
 				if rp.State() == st {
 					n++
 				}

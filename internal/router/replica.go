@@ -60,10 +60,8 @@ type replica struct {
 	breakers map[string]bool // algorithm name -> breaker open
 	fails    int             // consecutive probe/request failures
 
-	// Probe-loop lifecycle: cancel stops the loop, done closes when it
-	// has exited — RemoveReplica and Close wait on it.
-	cancel context.CancelFunc
-	done   chan struct{}
+	// done closes when the probe loop has exited; Close waits on it.
+	done chan struct{}
 }
 
 func (rp *replica) State() State { return State(rp.state.Load()) }
@@ -90,20 +88,20 @@ func (rp *replica) breakerSnapshot() map[string]string {
 	return out
 }
 
-// probeLoop re-probes rp until ctx is canceled: every ProbeInterval
+// probeLoop re-probes rp until the router closes: every ProbeInterval
 // while the replica is up, and on a jittered exponential backoff while
 // it is down — a dead replica is not hammered, and the jitter keeps N
 // routers from probing it in lockstep.
-func (rt *Router) probeLoop(ctx context.Context, rp *replica) {
+func (rt *Router) probeLoop(rp *replica) {
 	defer close(rp.done)
 	delay := time.Duration(0) // probe immediately on start
 	for {
 		select {
-		case <-ctx.Done():
+		case <-rt.ctx.Done():
 			return
 		case <-rt.clock.After(delay):
 		}
-		rt.probe(ctx, rp)
+		rt.probe(rt.ctx, rp)
 		delay = rt.nextProbeDelay(rp)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // serving index fingerprint and the query's category set — is looked up
 // by ring successor, so repeat queries for the same categories keep
 // landing on the replica whose BoundsCache already holds their bound
-// tables, and removing a replica only reassigns the keys it owned.
+// tables, and dropping a replica from -replicas only reassigns the keys
+// it owned.
 
 // ringVnodes is the virtual-node count per replica: enough that three
 // replicas split the key space within a few percent of evenly, small
@@ -20,7 +21,7 @@ const ringVnodes = 64
 
 type ringEntry struct {
 	hash uint64
-	idx  int // index into the topology's replica slice
+	idx  int // index into the router's replica slice
 }
 
 type ring struct {
@@ -29,7 +30,7 @@ type ring struct {
 }
 
 // buildRing places ringVnodes points per name. Names must be distinct —
-// they are the stable identity replicas keep across topology rebuilds.
+// they are the stable identity replicas keep across router restarts.
 func buildRing(names []string) *ring {
 	r := &ring{entries: make([]ringEntry, 0, len(names)*ringVnodes), n: len(names)}
 	for i, name := range names {

@@ -82,13 +82,6 @@ type Config struct {
 	Metrics   *obs.Registry // optional: enables /metrics + /debug/vars and the kpj_router_* set
 }
 
-// topology pairs the replica slice with the ring built over it, swapped
-// atomically so the request path reads both consistently without a lock.
-type topology struct {
-	reps []*replica
-	ring *ring
-}
-
 // Router is the http.Handler. Safe for concurrent use; Close releases
 // its probe goroutines and idle connections.
 type Router struct {
@@ -99,8 +92,9 @@ type Router struct {
 	mux    *http.ServeMux
 	met    routerMetrics
 
-	topo atomic.Pointer[topology]
-	mu   sync.Mutex // serializes topology rewrites (Add/RemoveReplica)
+	// The replica set and the ring over it are fixed at New.
+	reps []*replica
+	ring *ring
 
 	fp     atomic.Uint64 // latest index fingerprint reported by any ready replica
 	lat    latencyTracker
@@ -137,8 +131,9 @@ const (
 	updateTail = 64
 )
 
-// New builds a Router over cfg.Replicas and starts one probe loop per
-// replica. The caller must Close it.
+// New builds a Router over cfg.Replicas — the replica set is fixed for
+// the Router's lifetime — and starts one probe loop per replica. The
+// caller must Close it.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("router: at least one replica is required")
@@ -189,11 +184,10 @@ func New(cfg Config) (*Router, error) {
 		mux:    http.NewServeMux(),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
-	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	rt.budget.Store(int64(cfg.RetryBudget) * tokenScale)
 
 	seen := map[string]bool{}
-	reps := make([]*replica, 0, len(cfg.Replicas))
+	names := make([]string, 0, len(cfg.Replicas))
 	for i, rc := range cfg.Replicas {
 		name := rc.Name
 		if name == "" {
@@ -207,9 +201,10 @@ func New(cfg Config) (*Router, error) {
 		if err != nil || base.Scheme == "" || base.Host == "" {
 			return nil, fmt.Errorf("router: bad replica URL %q", rc.URL)
 		}
-		reps = append(reps, &replica{name: name, base: base})
+		rt.reps = append(rt.reps, &replica{name: name, base: base, done: make(chan struct{})})
+		names = append(names, name)
 	}
-	rt.storeTopology(reps)
+	rt.ring = buildRing(names)
 	rt.met = newRouterMetrics(cfg.Metrics, rt)
 
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
@@ -220,81 +215,11 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("GET /categories", rt.handleCategories)
 	wire.MountMetrics(rt.mux, cfg.Metrics)
 
-	for _, rp := range reps {
-		rt.startProbe(rp)
+	rt.ctx, rt.cancel = context.WithCancel(context.Background())
+	for _, rp := range rt.reps {
+		go rt.probeLoop(rp)
 	}
 	return rt, nil
-}
-
-// startProbe launches rp's probe loop with its own cancel, tied to the
-// router's lifetime.
-func (rt *Router) startProbe(rp *replica) {
-	var pctx context.Context
-	pctx, rp.cancel = context.WithCancel(rt.ctx)
-	rp.done = make(chan struct{})
-	go rt.probeLoop(pctx, rp)
-}
-
-// storeTopology rebuilds the ring over reps and publishes both.
-func (rt *Router) storeTopology(reps []*replica) {
-	names := make([]string, len(reps))
-	for i, rp := range reps {
-		names[i] = rp.name
-	}
-	rt.topo.Store(&topology{reps: reps, ring: buildRing(names)})
-}
-
-// AddReplica joins a new backend to the ring; it starts down and becomes
-// routable after its first clean probe.
-func (rt *Router) AddReplica(rc ReplicaConfig) error {
-	base, err := url.Parse(rc.URL)
-	if err != nil || base.Scheme == "" || base.Host == "" {
-		return fmt.Errorf("router: bad replica URL %q", rc.URL)
-	}
-	if rc.Name == "" {
-		return fmt.Errorf("router: replica name is required")
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	old := rt.topo.Load().reps
-	for _, rp := range old {
-		if rp.name == rc.Name {
-			return fmt.Errorf("router: duplicate replica name %q", rc.Name)
-		}
-	}
-	rp := &replica{name: rc.Name, base: base}
-	rt.storeTopology(append(append([]*replica{}, old...), rp))
-	rt.startProbe(rp)
-	return nil
-}
-
-// RemoveReplica takes a backend out of the ring and stops its probe
-// loop, waiting for the goroutine to exit. In-flight requests already
-// proxying to it finish; new requests no longer select it. Only the keys
-// it owned move, to their next ring successor.
-func (rt *Router) RemoveReplica(name string) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	old := rt.topo.Load().reps
-	keep := make([]*replica, 0, len(old))
-	var removed *replica
-	for _, rp := range old {
-		if rp.name == name {
-			removed = rp
-		} else {
-			keep = append(keep, rp)
-		}
-	}
-	if removed == nil {
-		return fmt.Errorf("router: no replica named %q", name)
-	}
-	if len(keep) == 0 {
-		return fmt.Errorf("router: cannot remove the last replica %q", name)
-	}
-	rt.storeTopology(keep)
-	removed.cancel()
-	<-removed.done
-	return nil
 }
 
 // Close stops every probe loop and releases idle backend connections.
@@ -304,7 +229,7 @@ func (rt *Router) Close() {
 		return
 	}
 	rt.cancel()
-	for _, rp := range rt.topo.Load().reps {
+	for _, rp := range rt.reps {
 		<-rp.done
 	}
 	rt.resyncWG.Wait()
@@ -400,10 +325,9 @@ func (rt *Router) handleCategories(w http.ResponseWriter, r *http.Request) {
 // probed breaker sets, the serving fingerprint, and the live hedge
 // threshold.
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	reps := rt.topo.Load().reps
 	replicas := map[string]any{}
 	routable := 0
-	for _, rp := range reps {
+	for _, rp := range rt.reps {
 		st := rp.State()
 		if st != StateDown {
 			routable++
@@ -430,7 +354,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleReadyz: the router is ready while at least one replica is
 // routable (not down).
 func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	for _, rp := range rt.topo.Load().reps {
+	for _, rp := range rt.reps {
 		if rp.State() != StateDown {
 			wire.WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
 			return
@@ -450,12 +374,11 @@ func (rt *Router) candidates(key uint64, alg string) []*replica {
 	if a, err := kpj.ParseAlgorithm(alg); err == nil {
 		alg = a.String() // the breaker key /healthz reports
 	}
-	topo := rt.topo.Load()
-	seq := topo.ring.sequence(key)
+	seq := rt.ring.sequence(key)
 	closed := make([]*replica, 0, len(seq))
 	var open, down []*replica
 	for _, i := range seq {
-		rp := topo.reps[i]
+		rp := rt.reps[i]
 		switch {
 		case rp.State() == StateDown:
 			down = append(down, rp)

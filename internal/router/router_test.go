@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,7 +144,7 @@ func waitState(t testing.TB, rt *Router, name string, st State) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, rp := range rt.topo.Load().reps {
+		for _, rp := range rt.reps {
 			if rp.name == name && rp.State() == st {
 				return
 			}
@@ -454,10 +455,9 @@ func TestHeaderPropagation(t *testing.T) {
 }
 
 func TestCandidatesPreferBreakerClosed(t *testing.T) {
-	// Hand-built topology: no probes, states set directly.
-	rt := &Router{}
+	// Hand-built replica set: no probes, states set directly.
 	reps := []*replica{{name: "a"}, {name: "b"}, {name: "c"}}
-	rt.storeTopology(reps)
+	rt := &Router{reps: reps, ring: buildRing(names(reps))}
 	for _, rp := range reps {
 		rp.state.Store(int32(StateHealthy))
 	}
@@ -546,6 +546,33 @@ func TestTypedErrorWhenAllReplicasDead(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadReplicaSets: the replica set is fixed at New, so New is
+// the one place it is validated.
+func TestNewRejectsBadReplicaSets(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		replicas []ReplicaConfig
+		want     string
+	}{
+		{"empty", nil, "at least one replica"},
+		{"no scheme", []ReplicaConfig{{URL: "localhost:8080"}}, "bad replica URL"},
+		{"unparsable", []ReplicaConfig{{URL: "http://[::1"}}, "bad replica URL"},
+		{"duplicate names", []ReplicaConfig{{Name: "a", URL: "http://a"}, {Name: "a", URL: "http://b"}}, `duplicate replica name "a"`},
+		{"default-name collision", []ReplicaConfig{{URL: "http://a"}, {Name: "r0", URL: "http://b"}}, `duplicate replica name "r0"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := New(Config{Replicas: tc.replicas, Logf: func(string, ...any) {}})
+			if err == nil {
+				rt.Close()
+				t.Fatalf("New accepted %v", tc.replicas)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestProbeStateMachineWithFakeClock(t *testing.T) {
 	fixtures := newFixtures(t, 1, nil)
 	clk := NewFakeClock(time.Unix(0, 0))
@@ -564,7 +591,7 @@ func TestProbeStateMachineWithFakeClock(t *testing.T) {
 	fixtures[0].app.StartDraining()
 	clk.Advance(100 * time.Millisecond)
 	waitWaiters(t, clk, 1)
-	if st := rt.topo.Load().reps[0].State(); st == StateDown {
+	if st := rt.reps[0].State(); st == StateDown {
 		t.Fatal("one failed probe should not mark the replica down (DownAfter=2)")
 	}
 	clk.Advance(100 * time.Millisecond)
@@ -573,7 +600,7 @@ func TestProbeStateMachineWithFakeClock(t *testing.T) {
 
 	// Down replicas re-probe on exponential backoff: the computed delay
 	// includes jitter on top of the base interval.
-	rp := rt.topo.Load().reps[0]
+	rp := rt.reps[0]
 	if d := rt.nextProbeDelay(rp); d < 100*time.Millisecond {
 		t.Fatalf("down-replica re-probe delay %v fell below the base interval", d)
 	}

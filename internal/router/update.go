@@ -139,9 +139,8 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		rt.met.updateErrs.Inc()
 		return
 	}
-	topo := rt.topo.Load()
 	var targets []*replica
-	for _, rp := range topo.reps {
+	for _, rp := range rt.reps {
 		if rp.State() != StateDown {
 			targets = append(targets, rp)
 		}
@@ -357,7 +356,7 @@ func (rt *Router) resyncReplica(ctx context.Context, rp *replica) bool {
 // lands mid-transfer — still a valid chain state, adopted monotonically).
 func (rt *Router) snapshotResync(ctx context.Context, rp *replica, fleet wire.Gen) bool {
 	var source *replica
-	for _, peer := range rt.topo.Load().reps {
+	for _, peer := range rt.reps {
 		if peer != rp && peer.State() != StateDown &&
 			peer.epoch.Load() == fleet.Epoch && peer.fp.Load() == fleet.FP {
 			source = peer

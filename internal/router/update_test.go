@@ -152,7 +152,7 @@ func TestLaggingReplicaFencedAndResynced(t *testing.T) {
 
 	// Readmission: once fenced, r2 may only come back at the fleet state.
 	waitFor(t, "r2 resynced and readmitted", func() bool {
-		for _, rp := range rt.topo.Load().reps {
+		for _, rp := range rt.reps {
 			if rp.name == "r2" && rp.State() == StateHealthy {
 				if got := fixtures[2].app.Epoch(); got != 1 {
 					t.Fatalf("r2 readmitted at stale epoch %d", got)
@@ -295,7 +295,7 @@ func TestUpdateFanoutUnderReplicaKill(t *testing.T) {
 	// is routable it must hold the fleet epoch exactly.
 	dead.Store(false)
 	waitFor(t, "r1 caught up and readmitted", func() bool {
-		for _, rp := range rt.topo.Load().reps {
+		for _, rp := range rt.reps {
 			if rp.name != "r1" {
 				continue
 			}
@@ -367,7 +367,7 @@ func TestProbeMidFanoutLeavesSlowReplicaAlone(t *testing.T) {
 	<-entered
 	waitFor(t, "r0 to apply while r1 is held", func() bool { return fixtures[0].app.Epoch() == 1 })
 
-	reps := rt.topo.Load().reps
+	reps := rt.reps
 	for _, rp := range reps { // r0 (at epoch 1) first, then r1 (still at 0)
 		rt.probe(context.Background(), rp)
 	}

@@ -106,9 +106,6 @@ func (s *Server) Recover(rec *wal.Recovery) error {
 	return nil
 }
 
-// Recovering reports whether the server is still replaying its WAL.
-func (s *Server) Recovering() bool { return s.recovering.Load() }
-
 // checkpointLocked snapshots ep into the WAL (flat format) and truncates
 // the log behind it. Called with updateMu held and s.wal non-nil.
 func (s *Server) checkpointLocked(ep *epochState) error {

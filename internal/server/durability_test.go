@@ -336,9 +336,6 @@ func TestRecoveryGatesReadyz(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(string(body), "recovering") {
 		t.Fatalf("readyz during recovery: %d %s", rec.Code, body)
 	}
-	if !s.Recovering() {
-		t.Fatal("Recovering() = false before Recover")
-	}
 	if err := s.Recover(rec0); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +406,7 @@ func TestFailedAppendLeavesBoundsCacheAlone(t *testing.T) {
 			engineAnswers(t, s, q)
 		}
 	}
-	warm := s.cache.FullStats()
+	warm := s.cache.Stats()
 	if warm.Hits == 0 || warm.Size == 0 {
 		t.Fatalf("cache not warm: %+v", warm)
 	}
@@ -423,7 +420,7 @@ func TestFailedAppendLeavesBoundsCacheAlone(t *testing.T) {
 	for _, q := range queries {
 		engineAnswers(t, s, q)
 	}
-	after := s.cache.FullStats()
+	after := s.cache.Stats()
 	if after.Misses != warm.Misses || after.Evictions != warm.Evictions || after.Size != warm.Size {
 		t.Fatalf("a failed update moved the cache: %+v before, %+v after", warm, after)
 	}

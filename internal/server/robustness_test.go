@@ -67,6 +67,29 @@ func TestQueryTimeoutReturnsTruncated(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("deadline-bounded query took %v", elapsed)
 	}
+
+	// /batch runs under the same deadline: every item comes back truncated
+	// or canceled, never finished late.
+	start = time.Now()
+	brec := httptest.NewRecorder()
+	s.ServeHTTP(brec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(
+		`[{"sources":[0],"category":"far","k":5000},{"sources":[17],"category":"far","k":5000}]`)))
+	elapsed = time.Since(start)
+	if brec.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", brec.Code, brec.Body)
+	}
+	var items []BatchResponseItem
+	if err := json.Unmarshal(brec.Body.Bytes(), &items); err != nil || len(items) != 2 {
+		t.Fatalf("batch body %s (err %v)", brec.Body, err)
+	}
+	for i, it := range items {
+		if !it.Truncated && !strings.Contains(it.Error, "canceled") {
+			t.Fatalf("batch item %d under a 5ms deadline: truncated=false error=%q (%d paths)", i, it.Error, len(it.Paths))
+		}
+	}
+	if elapsed > time.Second {
+		t.Fatalf("deadline-bounded batch took %v", elapsed)
+	}
 }
 
 func TestQueryBudgetParamTruncates(t *testing.T) {

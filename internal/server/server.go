@@ -640,8 +640,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Batches parallelize across queries (one worker per core); stacking
 	// intra-query parallelism on top would oversubscribe, so it stays off.
-	results := ep.g.BatchContext(ctx, queries, 0, &kpj.Options{
-		Index: ep.ix, Budget: s.budget, BoundsCache: s.cache})
+	results := ep.g.Batch(queries, 0, &kpj.Options{
+		Context: ctx, Index: ep.ix, Budget: s.budget, BoundsCache: s.cache})
 	out := make([]BatchResponseItem, len(items))
 	var truncatedItems int64
 	for i := range items {

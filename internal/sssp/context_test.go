@@ -28,7 +28,7 @@ func bigLine(t *testing.T, n int, w graph.Weight) *graph.Graph {
 func TestDijkstraContextNilMatchesPlain(t *testing.T) {
 	g := testgraphs.Fig1()
 	plain := Dijkstra(g, graph.Forward, 0)
-	withCtx, err := DijkstraContext(context.Background(), g, graph.Forward, 0)
+	withCtx, err := DijkstraOffsetsContext(context.Background(), g, graph.Forward, []graph.NodeID{0}, []graph.Weight{0})
 	if err != nil {
 		t.Fatalf("uncanceled context errored: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestDijkstraContextCanceled(t *testing.T) {
 	cancel()
 	for _, w := range []graph.Weight{1, 1 << 31} { // bucket loop, heap loop
 		g := bigLine(t, 200000, w)
-		tree, err := DijkstraContext(ctx, g, graph.Forward, 0)
+		tree, err := DijkstraOffsetsContext(ctx, g, graph.Forward, []graph.NodeID{0}, []graph.Weight{0})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("w=%d: err = %v, want context.Canceled", w, err)
 		}

@@ -59,16 +59,6 @@ func Dijkstra(g *graph.Graph, dir graph.Direction, sources ...graph.NodeID) *Tre
 	return DijkstraOffsets(g, dir, sources, offsets)
 }
 
-// DijkstraContext is Dijkstra with cooperative cancellation: when ctx is
-// canceled (or its deadline passes) the search stops within a few hundred
-// heap pops and returns the partial tree built so far together with a
-// wrapped context error. Distances already settled in a partial tree are
-// exact; unsettled nodes report graph.Infinity.
-func DijkstraContext(ctx context.Context, g *graph.Graph, dir graph.Direction, sources ...graph.NodeID) (*Tree, error) {
-	offsets := make([]graph.Weight, len(sources))
-	return DijkstraOffsetsContext(ctx, g, dir, sources, offsets)
-}
-
 // DijkstraOffsets is Dijkstra with a per-source initial distance, which
 // models the zero/ω-weight virtual-node reductions of the paper (Sections 3
 // and 6): a virtual node connected to source i with weight offsets[i].
@@ -77,8 +67,12 @@ func DijkstraOffsets(g *graph.Graph, dir graph.Direction, sources []graph.NodeID
 	return t
 }
 
-// DijkstraOffsetsContext is DijkstraOffsets with the cancellation contract
-// of DijkstraContext. A nil ctx never cancels.
+// DijkstraOffsetsContext is DijkstraOffsets with cooperative cancellation:
+// when ctx is canceled (or its deadline passes) the search stops within a
+// few hundred heap pops and returns the partial tree built so far together
+// with a wrapped context error. Distances already settled in a partial
+// tree are exact; unsettled nodes report graph.Infinity. A nil ctx never
+// cancels.
 func DijkstraOffsetsContext(ctx context.Context, g *graph.Graph, dir graph.Direction, sources []graph.NodeID, offsets []graph.Weight) (*Tree, error) {
 	if len(sources) == 0 {
 		panic("sssp: no sources")

@@ -480,14 +480,6 @@ func (l *Log) LastEpoch() uint64 {
 	return l.last
 }
 
-// BaseEpoch reports the active segment's base (the newest checkpoint's
-// epoch, or 0 before any checkpoint).
-func (l *Log) BaseEpoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base
-}
-
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 

@@ -33,9 +33,6 @@ type NodeID = graph.NodeID
 // Weight is an edge weight or path length (non-negative int64).
 type Weight = graph.Weight
 
-// Infinity is the sentinel "unreachable" distance.
-const Infinity = graph.Infinity
-
 // Graph is an immutable weighted directed graph with node categories.
 // Queries are safe for concurrent use; AddCategory is not.
 type Graph struct {
@@ -75,12 +72,6 @@ func (b *Builder) AddBiEdge(u, v NodeID, w Weight) *Builder {
 	b.b.AddBiEdge(u, v, w)
 	return b
 }
-
-// AddNode appends a fresh node and returns its id. It supports the
-// paper's footnote-2 construction for points of interest located on road
-// segments rather than junctions: allocate a node for the POI and connect
-// it into the segment with SplitBiEdge.
-func (b *Builder) AddNode() NodeID { return b.b.AddNode() }
 
 // SplitBiEdge models a POI sitting on the undirected segment (u, v) at
 // distance du from u and dv from v: it allocates the POI node, connects it
@@ -123,9 +114,6 @@ func (g *Graph) Category(name string) ([]NodeID, error) { return g.g.Category(na
 // Categories returns all category names in sorted order.
 func (g *Graph) Categories() []string { return g.g.Categories() }
 
-// InCategory reports whether node v belongs to the named category.
-func (g *Graph) InCategory(name string, v NodeID) bool { return g.g.InCategory(name, v) }
-
 // ReadGraph parses a DIMACS shortest-path (".gr") file.
 func ReadGraph(r io.Reader) (*Graph, error) {
 	g, err := graph.ReadGr(r)
@@ -135,14 +123,8 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	return newGraph(g), nil
 }
 
-// WriteGraph writes the graph in DIMACS ".gr" format.
-func (g *Graph) WriteGraph(w io.Writer) error { return graph.WriteGr(w, g.g) }
-
 // ReadCategories parses "<category> <node>" lines and registers them on g.
 func (g *Graph) ReadCategories(r io.Reader) error { return graph.ReadCategories(r, g.g) }
-
-// WriteCategories writes all categories in the category file format.
-func (g *Graph) WriteCategories(w io.Writer) error { return graph.WriteCategories(w, g.g) }
 
 // Unwrap exposes the internal graph for the command-line tools and
 // benchmarks inside this module. External users cannot name the returned

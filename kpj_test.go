@@ -7,11 +7,11 @@ import (
 	"testing"
 
 	"kpj"
+	"kpj/internal/graph"
 )
 
-// fig1 rebuilds the paper's running example through the public API.
-func fig1(t *testing.T) *kpj.Graph {
-	t.Helper()
+// fig1Graph rebuilds the paper's running example through the public API.
+func fig1Graph() (*kpj.Graph, error) {
 	b := kpj.NewBuilder(15)
 	edges := []struct {
 		u, v kpj.NodeID
@@ -28,9 +28,15 @@ func fig1(t *testing.T) *kpj.Graph {
 	}
 	g, err := b.Build()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if err := g.AddCategory("hotel", []kpj.NodeID{3, 5, 6}); err != nil {
+	return g, g.AddCategory("hotel", []kpj.NodeID{3, 5, 6})
+}
+
+func fig1(t *testing.T) *kpj.Graph {
+	t.Helper()
+	g, err := fig1Graph()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -204,10 +210,10 @@ func TestStatsThroughPublicAPI(t *testing.T) {
 func TestGraphIORoundTripPublic(t *testing.T) {
 	g := fig1(t)
 	var gr, cat bytes.Buffer
-	if err := g.WriteGraph(&gr); err != nil {
+	if err := graph.WriteGr(&gr, g.Unwrap()); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteCategories(&cat); err != nil {
+	if err := graph.WriteCategories(&cat, g.Unwrap()); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := kpj.ReadGraph(&gr)
@@ -220,9 +226,6 @@ func TestGraphIORoundTripPublic(t *testing.T) {
 	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
 		t.Fatal("round trip changed the graph")
 	}
-	if !g2.InCategory("hotel", 6) || g2.InCategory("hotel", 0) {
-		t.Fatal("round trip lost categories")
-	}
 	paths, err := g2.TopKJoin(0, "hotel", 5, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -233,32 +236,8 @@ func TestGraphIORoundTripPublic(t *testing.T) {
 	if got := g2.Categories(); len(got) != 1 || got[0] != "hotel" {
 		t.Fatalf("Categories = %v", got)
 	}
-	if nodes, err := g2.Category("hotel"); err != nil || len(nodes) != 3 {
+	if nodes, err := g2.Category("hotel"); err != nil || !reflect.DeepEqual(nodes, []kpj.NodeID{3, 5, 6}) {
 		t.Fatalf("Category = %v, %v", nodes, err)
-	}
-}
-
-func TestTopKWalksPublicAPI(t *testing.T) {
-	g := fig1(t)
-	walks, err := g.TopKWalks([]kpj.NodeID{0}, []kpj.NodeID{3, 5, 6}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(walks) != 5 || walks[0].Length != 5 {
-		t.Fatalf("walks = %v", walks)
-	}
-	// Walk i never exceeds simple path i (Related Work contrast).
-	simple, err := g.TopKJoin(0, "hotel", 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range walks {
-		if walks[i].Length > simple[i].Length {
-			t.Fatalf("walk %d (%d) longer than simple path (%d)", i, walks[i].Length, simple[i].Length)
-		}
-	}
-	if _, err := g.TopKWalks(nil, []kpj.NodeID{3}, 1); err == nil {
-		t.Fatal("want error for no sources")
 	}
 }
 

@@ -50,22 +50,22 @@ func EnableMetrics(reg *MetricsRegistry) {
 // hits, misses, and evictions, plus current occupancy and capacity.
 type CacheStats = landmark.CacheStats
 
-// FullStats reports every cumulative cache counter plus the current
-// occupancy; unlike Stats it includes evictions.
-func (c *BoundsCache) FullStats() CacheStats { return c.c.FullStats() }
+// Stats reports every cumulative cache counter plus the current
+// occupancy.
+func (c *BoundsCache) Stats() CacheStats { return c.c.Stats() }
 
 // Instrument registers the cache's counters into reg as polled gauges
 // (kpj_bounds_cache_*), read fresh at each exposition. Call at most once
 // per (cache, registry) pair.
 func (c *BoundsCache) Instrument(reg *MetricsRegistry) {
 	reg.GaugeFunc("kpj_bounds_cache_hits_total", "bounds-cache lookups answered from cache",
-		func() int64 { return c.c.FullStats().Hits })
+		func() int64 { return c.c.Stats().Hits })
 	reg.GaugeFunc("kpj_bounds_cache_misses_total", "bounds-cache lookups that rebuilt a table",
-		func() int64 { return c.c.FullStats().Misses })
+		func() int64 { return c.c.Stats().Misses })
 	reg.GaugeFunc("kpj_bounds_cache_evictions_total", "bounds-cache tables displaced by LRU overflow or key collision",
-		func() int64 { return c.c.FullStats().Evictions })
+		func() int64 { return c.c.Stats().Evictions })
 	reg.GaugeFunc("kpj_bounds_cache_entries", "bounds-cache tables currently resident",
-		func() int64 { return int64(c.c.FullStats().Size) })
+		func() int64 { return int64(c.c.Stats().Size) })
 }
 
 // observeQuery folds one completed query into the process-wide engine

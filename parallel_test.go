@@ -295,9 +295,8 @@ func TestBoundsCache(t *testing.T) {
 			t.Fatalf("run %d: cached result differs from uncached", i)
 		}
 	}
-	hits, misses, size := cache.Stats()
-	if hits == 0 {
-		t.Errorf("no cache hits after repeated queries (misses=%d size=%d)", misses, size)
+	if st := cache.Stats(); st.Hits == 0 {
+		t.Errorf("no cache hits after repeated queries (misses=%d size=%d)", st.Misses, st.Size)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"kpj/internal/core"
 	"kpj/internal/deviation"
-	"kpj/internal/kwalks"
 	"kpj/internal/landmark"
 )
 
@@ -126,7 +125,8 @@ type Options struct {
 	// Context, when non-nil, makes the query cancelable: cancellation or
 	// a deadline stops the engine within a few hundred heap pops, and the
 	// query returns the paths found so far plus a *TruncatedError wrapping
-	// ErrCanceled. See also TopKJoinSetsContext and BatchContext.
+	// ErrCanceled. It is the one cancellation input of every query entry
+	// point; Batch also stops scheduling queries once it is done.
 	Context context.Context
 	// Budget, when positive, caps the query's total work, measured in
 	// heap pops plus edge relaxations (the units Stats reports as
@@ -164,9 +164,6 @@ type BoundsCache struct {
 func NewBoundsCache(capacity int) *BoundsCache {
 	return &BoundsCache{c: landmark.NewSetBoundsCache(capacity)}
 }
-
-// Stats reports cumulative cache hits, misses, and current size.
-func (c *BoundsCache) Stats() (hits, misses int64, size int) { return c.c.Stats() }
 
 // Index is a prebuilt landmark (ALT) lower-bound index over one Graph. It
 // is immutable and safe for concurrent use, and is valid only for the
@@ -281,18 +278,6 @@ func (p workspacePool) Put(ws *core.Workspace) {
 	p.g.ws.Put(ws)
 }
 
-// TopKJoinSetsContext is TopKJoinSets bound to ctx: it overrides
-// opt.Context (opt itself is not modified) and inherits the partial-result
-// contract documented there.
-func (g *Graph) TopKJoinSetsContext(ctx context.Context, sources, targets []NodeID, k int, opt *Options) ([]Path, error) {
-	var o Options
-	if opt != nil {
-		o = *opt
-	}
-	o.Context = ctx
-	return g.TopKJoinSets(sources, targets, k, &o)
-}
-
 // TopKJoin answers a KPJ query: the k shortest simple paths from source to
 // any node of the named category.
 func (g *Graph) TopKJoin(source NodeID, category string, k int, opt *Options) ([]Path, error) {
@@ -307,26 +292,6 @@ func (g *Graph) TopKJoin(source NodeID, category string, k int, opt *Options) ([
 // source to target.
 func (g *Graph) TopK(source, target NodeID, k int, opt *Options) ([]Path, error) {
 	return g.TopKJoinSets([]NodeID{source}, []NodeID{target}, k, opt)
-}
-
-// TopKWalks answers the top-k *general* shortest path problem of the
-// paper's Related Work section: the k shortest walks (node revisits
-// allowed) from any node of sources to any node of targets. Walks are the
-// easier classical problem (Eppstein; Hoffman-Pavley) — with any reachable
-// cycle there are always k of them, and walk i is never longer than simple
-// path i. Options are ignored except for validation; the walk algorithm
-// needs no index or bounding machinery, which is precisely the paper's
-// point of contrast.
-func (g *Graph) TopKWalks(sources, targets []NodeID, k int) ([]Path, error) {
-	walks, err := kwalks.TopK(g.g, dedupe(sources), dedupe(targets), k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Path, len(walks))
-	for i, w := range walks {
-		out[i] = Path{Nodes: w.Nodes, Length: w.Length}
-	}
-	return out, nil
 }
 
 // TopKCategoryJoin answers a GKPJ query (Section 6): the k shortest simple

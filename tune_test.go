@@ -158,15 +158,4 @@ func TestSplitBiEdgePOI(t *testing.T) {
 	if len(paths) != 1 || paths[0].Length != 70 {
 		t.Fatalf("paths = %v, want single length-70 path", paths)
 	}
-	// AddNode alone grows the id space.
-	b2 := kpj.NewBuilder(1)
-	n1 := b2.AddNode()
-	b2.AddBiEdge(0, n1, 5)
-	g2, err := b2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != 2 {
-		t.Fatalf("NumNodes = %d", g2.NumNodes())
-	}
 }

@@ -30,13 +30,9 @@ type POIUpdate = graph.POIUpdate
 var ErrBadDelta = graph.ErrBadDelta
 
 // RepairStats reports what an Index.Apply did to the landmark tables:
-// how many were incrementally recomputed versus shared with the previous
-// generation, and whether damage forced a full rebuild.
+// how many the delta damaged and were repaired versus shared with the
+// previous generation, and how many nodes the repairs settled.
 type RepairStats = landmark.RepairStats
-
-// DefaultRepairThreshold is the damaged-table fraction past which Apply
-// abandons incremental repair and recomputes every landmark table.
-const DefaultRepairThreshold = landmark.DefaultRepairThreshold
 
 // WithDelta returns the graph that results from applying d. The receiver
 // is immutable and remains fully usable — in-flight queries, indexes and
@@ -64,25 +60,17 @@ type Applied struct {
 	oldSets map[string][]NodeID
 }
 
-// Apply produces the graph and index for the generation after d, using
-// incremental landmark repair with DefaultRepairThreshold and all cores.
+// Apply produces the graph and index for the generation after d. Every
+// landmark table the delta damaged is repaired over the region whose
+// distances can change, on all cores; the rest are shared with ix. The
+// produced index is row-for-row identical to rebuilding from scratch
+// over the new graph with the same landmarks.
 func (ix *Index) Apply(d *Delta) (*Applied, error) {
-	return ix.ApplyRepair(d, 0, 0)
-}
-
-// ApplyRepair is Apply with explicit repair tuning: threshold is the
-// damaged-table fraction past which every table is recomputed (<= 0 uses
-// DefaultRepairThreshold), parallelism bounds the repair Dijkstras
-// (<= 0 = all cores). The produced index is row-for-row identical to
-// rebuilding from scratch over the new graph with the same landmarks, at
-// every threshold and parallelism.
-func (ix *Index) ApplyRepair(d *Delta, threshold float64, parallelism int) (*Applied, error) {
-	old := ix.ix.Graph()
-	ng, eff, err := graph.Apply(old, d)
+	ng, eff, err := graph.Apply(ix.ix.Graph(), d)
 	if err != nil {
 		return nil, err
 	}
-	nix, dirty, stats, err := landmark.Repair(ng, ix.ix, eff.Changes, threshold, parallelism)
+	nix, dirty, stats, err := landmark.Repair(ng, ix.ix, eff.Changes, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -9,17 +9,17 @@ import (
 	"kpj/internal/gen"
 )
 
-// These benchmarks justify incremental landmark repair end to end: for a
-// small delta, Index.Apply (graph.Apply, then repair only the damaged
-// table entries by dynamic SSSP) must beat Index.ApplyRepair with a
-// forcing threshold (graph.Apply, then a full rebuild) by a wide margin,
-// and the gap should close as the delta grows. Both sides pay the same
+// These benchmarks justify incremental landmark repair end to end: for
+// the same delta, Index.Apply (graph.Apply, then repair every damaged
+// table by dynamic SSSP over its dirty region) must beat graph.Apply
+// followed by BuildIndexWithLandmarks (2·L full Dijkstras over the new
+// graph), the from-scratch work repair avoids. Both sides pay the same
 // graph.Apply; internal/landmark's BenchmarkRepair times the repair
 // alone, on single-edge increases as well as the ÷8 decreases drawn
 // here. Run with:
 //
-//	go test -bench 'BenchmarkApply(Repair|Rebuild)' -benchtime 2s .
-func deltaBenchSetup(b *testing.B, ops int) (*kpj.Index, *kpj.Delta) {
+//	go test -run '^$' -bench 'BenchmarkApply(Incremental|Rebuild)' -benchtime 2s .
+func deltaBenchSetup(b *testing.B, ops int) (*kpj.Graph, *kpj.Index, *kpj.Delta) {
 	b.Helper()
 	og, err := gen.Road(gen.RoadConfig{Width: 40, Height: 40, Seed: 1})
 	if err != nil {
@@ -60,37 +60,47 @@ func deltaBenchSetup(b *testing.B, ops int) (*kpj.Index, *kpj.Delta) {
 			break
 		}
 	}
-	return ix, d
+	return pg, ix, d
 }
 
-func benchApply(b *testing.B, ops int, threshold float64) {
-	ix, d := deltaBenchSetup(b, ops)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		app, err := ix.ApplyRepair(d, threshold, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(app.Stats.Repaired()), "tables-repaired")
-		}
-	}
-}
-
-// BenchmarkApplyRepair measures the incremental path at growing delta
-// sizes (default threshold: repair unless >50% of landmarks damaged).
-func BenchmarkApplyRepair(b *testing.B) {
+// BenchmarkApplyIncremental measures Index.Apply at growing delta sizes.
+func BenchmarkApplyIncremental(b *testing.B) {
 	for _, ops := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("ops%d", ops), func(b *testing.B) { benchApply(b, ops, 0) })
+		b.Run(fmt.Sprintf("ops%d", ops), func(b *testing.B) {
+			_, ix, d := deltaBenchSetup(b, ops)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				app, err := ix.Apply(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(app.Stats.Repaired()), "tables-repaired")
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkApplyRebuild measures the same deltas with a forcing
-// threshold so every Apply rebuilds all landmark tables from scratch —
-// the cost incremental repair is avoiding.
+// BenchmarkApplyRebuild measures the same deltas applied to the graph
+// followed by a from-scratch index build with the same landmarks — the
+// cost incremental repair is avoiding.
 func BenchmarkApplyRebuild(b *testing.B) {
 	for _, ops := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("ops%d", ops), func(b *testing.B) { benchApply(b, ops, 1e-12) })
+		b.Run(fmt.Sprintf("ops%d", ops), func(b *testing.B) {
+			g, ix, d := deltaBenchSetup(b, ops)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ng, err := g.WithDelta(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := kpj.BuildIndexWithLandmarks(ng, ix.Landmarks()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

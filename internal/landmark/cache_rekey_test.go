@@ -50,7 +50,7 @@ func TestCacheRekeyScopedInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, dirty, _, err := Repair(ng, old, eff.Changes, 0, 1)
+	repaired, dirty, _, err := Repair(ng, old, eff.Changes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCacheRekeyCollisionLoserEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, _, _, err := Repair(ng, old, eff.Changes, 0, 1)
+	repaired, _, _, err := Repair(ng, old, eff.Changes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 // under live graph updates: instead of rebuilding every distance table
 // after a delta (the cost of BuildWithLandmarks, 2·|L| full Dijkstras),
 // Repair touches only the tables a changed edge can actually have
-// damaged, repairs each of those by dynamic SSSP over its dirty region
-// (repairRow), and falls back to recomputing everything past a damage
-// threshold. The damage test is conservative — a table that is not
-// flagged is provably identical on the new graph — so the repaired index
-// is row-for-row equal to a from-scratch rebuild with the same landmark
-// set (the invariant the metamorphic churn suite pins).
+// damaged and repairs each of those by dynamic SSSP over its dirty
+// region (repairRow), however many there are. The damage test is
+// conservative — a table that is not flagged is provably identical on
+// the new graph — so the repaired index is row-for-row equal to a
+// from-scratch rebuild with the same landmark set (the invariant the
+// metamorphic churn suite pins).
 //
 // Damage rules, per landmark w and net edge change (u, v, old→new):
 //
@@ -35,22 +35,16 @@ import (
 // exceeds int32), so any rule that would need their exact value reports
 // damage conservatively.
 
-// DefaultRepairThreshold is the damaged-row fraction past which Repair
-// recomputes every table instead: once most rows need a fresh Dijkstra
-// anyway, per-row bookkeeping only adds overhead.
-const DefaultRepairThreshold = 0.5
-
 // RepairStats reports what one Repair call did.
 type RepairStats struct {
-	Landmarks   int  // landmark count (tables per direction)
-	FwdRepaired int  // forward tables recomputed
-	BwdRepaired int  // backward tables recomputed
-	FullRebuild bool // damage exceeded the threshold: all 2·L tables recomputed
-	DirtyNodes  int  // nodes whose fwd or bwd entry changed in any table
-	Settled     int  // nodes settled (non-stale queue pops) summed over recomputed tables
+	Landmarks   int // landmark count (tables per direction)
+	FwdRepaired int // forward tables repaired
+	BwdRepaired int // backward tables repaired
+	DirtyNodes  int // nodes whose fwd or bwd entry changed in any table
+	Settled     int // nodes settled (non-stale queue pops) summed over repaired tables
 }
 
-// Repaired reports the total number of tables recomputed.
+// Repaired reports the total number of tables repaired.
 func (s RepairStats) Repaired() int { return s.FwdRepaired + s.BwdRepaired }
 
 // Repair produces the index for newG — the graph that results from
@@ -61,10 +55,8 @@ func (s RepairStats) Repaired() int { return s.FwdRepaired + s.BwdRepaired }
 // old is not modified; undamaged tables are shared between the two
 // indexes, which is safe because both are immutable.
 //
-// threshold is the damaged-table fraction (of 2·L) past which all
-// tables are recomputed; <= 0 uses DefaultRepairThreshold.
 // parallelism bounds the concurrent table repairs (<= 0 = all cores).
-func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, threshold float64, parallelism int) (*Index, []bool, RepairStats, error) {
+func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, parallelism int) (*Index, []bool, RepairStats, error) {
 	if err := fault.Hit(fault.IndexBuild); err != nil {
 		return nil, nil, RepairStats{}, fmt.Errorf("landmark: repair: %w", err)
 	}
@@ -72,38 +64,21 @@ func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, threshold
 	if newG.NumNodes() != n {
 		return nil, nil, RepairStats{}, fmt.Errorf("landmark: repair: graph has %d nodes, index was built over %d", newG.NumNodes(), n)
 	}
-	if threshold <= 0 {
-		threshold = DefaultRepairThreshold
-	}
 	L := len(old.landmarks)
 	stats := RepairStats{Landmarks: L}
 
 	fwdDamaged := make([]bool, L)
 	bwdDamaged := make([]bool, L)
-	damaged := 0
 	for i := 0; i < L; i++ {
 		for _, c := range changes {
 			if c.U == c.V {
 				continue // self-loops never lie on shortest paths
 			}
-			if !fwdDamaged[i] && rowDamaged(old.fwd[i], c.U, c.V, c.Old, c.New) {
-				fwdDamaged[i] = true
-				damaged++
-			}
-			if !bwdDamaged[i] && rowDamaged(old.bwd[i], c.V, c.U, c.Old, c.New) {
-				bwdDamaged[i] = true
-				damaged++
-			}
+			fwdDamaged[i] = fwdDamaged[i] || rowDamaged(old.fwd[i], c.U, c.V, c.Old, c.New)
+			bwdDamaged[i] = bwdDamaged[i] || rowDamaged(old.bwd[i], c.V, c.U, c.Old, c.New)
 			if fwdDamaged[i] && bwdDamaged[i] {
 				break
 			}
-		}
-	}
-
-	if float64(damaged) > threshold*float64(2*L) {
-		stats.FullRebuild = true
-		for i := 0; i < L; i++ {
-			fwdDamaged[i], bwdDamaged[i] = true, true
 		}
 	}
 
@@ -140,11 +115,9 @@ func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, threshold
 		// repaired index is identical at every parallelism level
 		// (TestRepairMatchesFullRebuild, TestRepairLaw* at par 1 and 4).
 		root := old.landmarks[j.i]
-		if !stats.FullRebuild {
-			var ok bool
-			if j.row, j.changed, j.settled, ok = repairRow(old.g, newG, j.dir, root, j.oldRow, changes); ok {
-				return
-			}
+		var ok bool
+		if j.row, j.changed, j.settled, ok = repairRow(old.g, newG, j.dir, root, j.oldRow, changes); ok {
+			return
 		}
 		j.row, j.diffAll = compress(sssp.Dijkstra(newG, j.dir, root).Dist), true
 		for _, d := range j.row {

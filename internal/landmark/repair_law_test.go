@@ -50,10 +50,6 @@ func mustBuild(t *testing.T, g *graph.Graph, landmarks ...graph.NodeID) *Index {
 	return ix
 }
 
-// neverFull is a threshold no damage count exceeds, so every damaged
-// table goes through repairRow rather than the full-rebuild policy.
-const neverFull = 2
-
 // TestRepairLawTies: random multi-op deltas on {0,1,2}-weighted grids,
 // each followed through a chain of 20 repairs of the repaired index.
 func TestRepairLawTies(t *testing.T) {
@@ -68,7 +64,7 @@ func TestRepairLawTies(t *testing.T) {
 				for step := 0; step < 20; step++ {
 					d := randomDeltaWeights(rng, ix.Graph(), func() graph.Weight { return graph.Weight(rng.Intn(3)) })
 					var stats RepairStats
-					ix, stats = checkRepairLaw(t, ix, d, neverFull, par)
+					ix, stats = checkRepairLaw(t, ix, d, par)
 					settled += stats.Settled
 				}
 				if settled == 0 {
@@ -81,7 +77,7 @@ func TestRepairLawTies(t *testing.T) {
 
 // TestRepairLawChainRandomDigraph: the same 20-step chain on sparse
 // random digraphs, where parts of the graph are unreachable from (or
-// cannot reach) a landmark to begin with, at the default threshold.
+// cannot reach) a landmark to begin with.
 func TestRepairLawChainRandomDigraph(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		for seed := int64(0); seed < 12; seed++ {
@@ -91,7 +87,7 @@ func TestRepairLawChainRandomDigraph(t *testing.T) {
 				n := g.NumNodes()
 				ix := mustBuild(t, g, graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
 				for step := 0; step < 20; step++ {
-					ix, _ = checkRepairLaw(t, ix, randomDelta(rng, ix.Graph()), 0, par)
+					ix, _ = checkRepairLaw(t, ix, randomDelta(rng, ix.Graph()), par)
 				}
 			})
 		}
@@ -116,7 +112,7 @@ func TestRepairLawDisconnectReconnect(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		ix := mustBuild(t, g, 0, ring+3)
 		cut := &graph.Delta{Deletes: []graph.EdgeRef{{U: 2, V: ring + 1}, {U: ring + 4, V: 5}}}
-		ix, stats := checkRepairLaw(t, ix, cut, neverFull, par)
+		ix, stats := checkRepairLaw(t, ix, cut, par)
 		if stats.Repaired() != 4 {
 			t.Fatalf("cutting both joins must damage all 4 tables: %+v", stats)
 		}
@@ -127,12 +123,12 @@ func TestRepairLawDisconnectReconnect(t *testing.T) {
 			}
 		}
 		// Changes inside a stranded ring touch only its own landmark.
-		ix, stats = checkRepairLaw(t, ix, &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: ring, V: ring + 1, W: 9}}}, neverFull, par)
+		ix, stats = checkRepairLaw(t, ix, &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: ring, V: ring + 1, W: 9}}}, par)
 		if stats.Repaired() > 2 {
 			t.Fatalf("a reweight in the stranded ring damaged landmark 0's tables: %+v", stats)
 		}
 		join := &graph.Delta{Inserts: []graph.EdgeUpdate{{U: 4, V: ring, W: 7}, {U: ring + 2, V: 1, W: 0}}}
-		ix, stats = checkRepairLaw(t, ix, join, neverFull, par)
+		ix, stats = checkRepairLaw(t, ix, join, par)
 		if stats.Repaired() != 4 {
 			t.Fatalf("rejoining must damage all 4 tables: %+v", stats)
 		}
@@ -177,7 +173,7 @@ func TestRepairLawFar32(t *testing.T) {
 		if !repairsInexactly(up) {
 			t.Fatal("increase above far32 entries did not fall back")
 		}
-		_, stats := checkRepairLaw(t, old, up, neverFull, par)
+		_, stats := checkRepairLaw(t, old, up, par)
 		if stats.FwdRepaired != 1 || stats.Settled < g.NumNodes() {
 			t.Fatalf("fallback table should count a full Dijkstra's settles: %+v", stats)
 		}
@@ -186,19 +182,19 @@ func TestRepairLawFar32(t *testing.T) {
 		if !repairsInexactly(down) {
 			t.Fatal("decrease reaching far32 entries did not fall back")
 		}
-		checkRepairLaw(t, old, down, neverFull, par)
+		checkRepairLaw(t, old, down, par)
 		// New labels at or past far32 cannot be stored exactly either.
 		ins := &graph.Delta{Deletes: []graph.EdgeRef{{U: 1, V: 2}}, Inserts: []graph.EdgeUpdate{{U: 0, V: 2, W: 2*big - 1}}}
 		if !repairsInexactly(ins) {
 			t.Fatal("label beyond int32 did not fall back")
 		}
-		checkRepairLaw(t, old, ins, neverFull, par)
+		checkRepairLaw(t, old, ins, par)
 		// Far from the sentinel entries the dynamic path runs to the end.
 		near := &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: 8, V: 9, W: 6}}}
 		if repairsInexactly(near) {
 			t.Fatal("repair that reads no far32 entry fell back")
 		}
-		_, stats = checkRepairLaw(t, old, near, neverFull, par)
+		_, stats = checkRepairLaw(t, old, near, par)
 		if stats.FwdRepaired != 1 || stats.Settled >= g.NumNodes() {
 			t.Fatalf("dynamic repair next to far32 rows: %+v", stats)
 		}
@@ -218,7 +214,7 @@ func TestRepairLawDecreaseInsideMarkedRegion(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: 0, V: 1, W: 100}, {U: 3, V: 4, W: 1}}}
-		ix, _ := checkRepairLaw(t, mustBuild(t, g, 0), d, neverFull, 1)
+		ix, _ := checkRepairLaw(t, mustBuild(t, g, 0), d, 1)
 		want := []int32{0, 100, 50, 51, 52}
 		if detour < 52 {
 			want[4] = int32(detour)
@@ -265,10 +261,76 @@ func TestRepairLawDecreaseInsideMarkedRegion(t *testing.T) {
 			y := out[rng.Intn(len(out))].To
 			wab, _ := g.HasEdge(a, b)
 			d := &graph.Delta{SetWeights: []graph.EdgeUpdate{{U: a, V: b, W: wab + 500}, {U: x, V: y, W: 1}}}
-			checkRepairLaw(t, old, d, neverFull, par)
+			checkRepairLaw(t, old, d, par)
 			cases++
 		}
 	}
+}
+
+// repairChain repairs ix through the given number of chained deltas,
+// each drawn by next from the current graph, checks the final index
+// against a from-scratch build on the final graph, and returns every
+// step's stats.
+func repairChain(t *testing.T, ix *Index, steps int, next func(i int, g *graph.Graph) *graph.Delta) []RepairStats {
+	t.Helper()
+	var out []RepairStats
+	for i := 0; i < steps; i++ {
+		ng, eff, err := graph.Apply(ix.Graph(), next(i, ix.Graph()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		repaired, _, stats, err := Repair(ng, ix, eff.Changes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, stats)
+		ix = repaired
+	}
+	rebuilt, err := BuildWithLandmarks(ix.Graph(), ix.landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.TablesChecksum() != rebuilt.TablesChecksum() || ix.Fingerprint() != rebuilt.Fingerprint() {
+		t.Fatalf("chain of %d repairs differs from a rebuild on the final graph", steps)
+	}
+	return out
+}
+
+// checkSettledShare fails unless the nodes settled over a repair chain
+// are at most pct % of what recomputing every repaired table of n nodes
+// by full Dijkstra would settle.
+func checkSettledShare(t *testing.T, steps []RepairStats, n, pct int) {
+	t.Helper()
+	settled, repaired := 0, 0
+	for _, s := range steps {
+		settled += s.Settled
+		repaired += s.Repaired()
+	}
+	t.Logf("%d tables repaired, %d nodes settled (%.2f%% of %d×%d)", repaired, settled, 100*float64(settled)/float64(repaired*n), repaired, n)
+	if repaired == 0 {
+		t.Fatal("no delta damaged a table")
+	}
+	if settled*100 > pct*repaired*n {
+		t.Fatalf("settled %d nodes over %d repaired tables of %d nodes: more than %d%% of full Dijkstras", settled, repaired, n, pct)
+	}
+}
+
+// roadIndex builds the 16-landmark index over a 100×100 road network
+// with kpjgen's nested categories, so churn can draw POI operations.
+func roadIndex(t *testing.T) *Index {
+	t.Helper()
+	g, err := gen.Road(gen.RoadConfig{Width: 100, Height: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.AddNestedCategories(g, 2); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(g, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 // TestRepairSettledFollowsDirtyRegion gates the point of dynamic repair
@@ -276,46 +338,29 @@ func TestRepairLawDecreaseInsideMarkedRegion(t *testing.T) {
 // network (half heavier, half lighter), the nodes settled are at most 5%
 // of what recomputing each damaged table would settle.
 func TestRepairSettledFollowsDirtyRegion(t *testing.T) {
-	g, err := gen.Road(gen.RoadConfig{Width: 100, Height: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Build(g, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := roadIndex(t)
 	rng := rand.New(rand.NewSource(42))
-	n := g.NumNodes()
-	settled, repaired := 0, 0
-	for i := 0; i < 50; i++ {
-		d := &graph.Delta{SetWeights: []graph.EdgeUpdate{randomReweight(rng, ix.Graph(), i%2 == 0)}}
-		ng, eff, err := graph.Apply(ix.Graph(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, _, stats, err := Repair(ng, ix, eff.Changes, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.FullRebuild {
-			t.Fatalf("reweight %d fell back to a full rebuild: %+v", i, stats)
-		}
-		settled += stats.Settled
-		repaired += stats.Repaired()
-		ix = next
-	}
-	rebuilt, err := BuildWithLandmarks(ix.Graph(), ix.landmarks)
+	steps := repairChain(t, ix, 50, func(i int, g *graph.Graph) *graph.Delta {
+		return &graph.Delta{SetWeights: []graph.EdgeUpdate{randomReweight(rng, g, i%2 == 0)}}
+	})
+	checkSettledShare(t, steps, ix.Graph().NumNodes(), 5)
+}
+
+// TestRepairWideDamageStaysDynamic holds the same count on the deltas
+// that damage most tables: 20 chained 8-op churn deltas (the shape of
+// kpjload's live-churn workload), each damaging more than half of the 32
+// tables, settle at most 10% of what recomputing those tables would.
+func TestRepairWideDamageStaysDynamic(t *testing.T) {
+	ix := roadIndex(t)
+	deltas, _, err := gen.Churn(ix.Graph(), gen.ChurnConfig{Steps: 20, Ops: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.TablesChecksum() != rebuilt.TablesChecksum() || ix.Fingerprint() != rebuilt.Fingerprint() {
-		t.Fatal("chain of 50 repairs differs from a rebuild on the final graph")
+	steps := repairChain(t, ix, len(deltas), func(i int, _ *graph.Graph) *graph.Delta { return deltas[i] })
+	for i, s := range steps {
+		if s.Repaired() <= s.Landmarks {
+			t.Fatalf("delta %d damaged %d of %d tables, want more than half: %+v", i, s.Repaired(), 2*s.Landmarks, s)
+		}
 	}
-	t.Logf("%d tables repaired, %d nodes settled (%.2f%% of %d×%d)", repaired, settled, 100*float64(settled)/float64(repaired*n), repaired, n)
-	if repaired == 0 {
-		t.Fatal("no reweight damaged a table")
-	}
-	if settled*20 > repaired*n {
-		t.Fatalf("settled %d nodes over %d repaired tables of %d nodes: more than 5%% of full Dijkstras", settled, repaired, n)
-	}
+	checkSettledShare(t, steps, ix.Graph().NumNodes(), 10)
 }

@@ -110,14 +110,14 @@ func randomReweight(rng *rand.Rand, g *graph.Graph, heavier bool) graph.EdgeUpda
 // law: equal fingerprint and TablesChecksum, a dirty mask that is true
 // exactly where some table entry changed, DirtyNodes equal to its
 // population, and the old index left as it was.
-func checkRepairLaw(t *testing.T, old *Index, d *graph.Delta, threshold float64, parallelism int) (*Index, RepairStats) {
+func checkRepairLaw(t *testing.T, old *Index, d *graph.Delta, parallelism int) (*Index, RepairStats) {
 	t.Helper()
 	g, before := old.Graph(), old.TablesChecksum()
 	ng, eff, err := graph.Apply(g, d)
 	if err != nil {
 		t.Fatalf("apply %+v: %v", d, err)
 	}
-	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, threshold, parallelism)
+	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, parallelism)
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestRepairMatchesFullRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		d, par := randomDelta(rng, g), 1+rng.Intn(4)
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkRepairLaw(t, old, d, 0, par) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkRepairLaw(t, old, d, par) })
 	}
 }
 
@@ -197,11 +197,11 @@ func TestRepairNoDamageSharesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, 0, 1)
+	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Repaired() != 0 || stats.FullRebuild {
+	if stats.Repaired() != 0 {
 		t.Fatalf("expected zero repairs, got %+v", stats)
 	}
 	if &repaired.fwd[0][0] != &old.fwd[0][0] || &repaired.bwd[0][0] != &old.bwd[0][0] {
@@ -231,7 +231,7 @@ func TestRepairDecreaseDamages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, 0, 1)
+	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,45 +246,6 @@ func TestRepairDecreaseDamages(t *testing.T) {
 	}
 }
 
-// TestRepairThresholdFallsBack forces the full-rebuild path and checks it
-// still matches a from-scratch build.
-func TestRepairThresholdFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomDigraph(t, rng, 12)
-	lmk := []graph.NodeID{1, 5, 9}
-	old, err := BuildWithLandmarks(g, lmk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Many weight changes: with a tiny threshold any damage triggers the
-	// full rebuild.
-	d := randomDelta(rng, g)
-	for len(d.SetWeights) == 0 {
-		d = randomDelta(rng, g)
-	}
-	ng, eff, err := graph.Apply(g, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repaired, _, stats, err := Repair(ng, old, eff.Changes, 1e-9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.FullRebuild {
-		t.Fatalf("threshold not honored: %+v", stats)
-	}
-	if stats.FwdRepaired != len(lmk) || stats.BwdRepaired != len(lmk) {
-		t.Fatalf("full rebuild did not recompute everything: %+v", stats)
-	}
-	rebuilt, err := BuildWithLandmarks(ng, lmk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired.TablesChecksum() != rebuilt.TablesChecksum() {
-		t.Fatal("full-rebuild repair differs from BuildWithLandmarks")
-	}
-}
-
 // TestRepairRejectsNodeCountChange guards the node-invariance contract.
 func TestRepairRejectsNodeCountChange(t *testing.T) {
 	g := mustLine(t, 4)
@@ -293,7 +254,7 @@ func TestRepairRejectsNodeCountChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Repair(other, old, nil, 0, 1); err == nil {
+	if _, _, _, err := Repair(other, old, nil, 1); err == nil {
 		t.Fatal("repair accepted a graph with a different node count")
 	}
 }

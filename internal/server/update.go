@@ -37,14 +37,16 @@ type UpdateResponse struct {
 	// Nodes and Edges describe the new graph.
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
-	// RepairedTables counts the landmark tables recomputed incrementally
-	// (0 when no index is loaded or the delta damaged nothing).
+	// RepairedTables counts the landmark tables the delta damaged, each
+	// repaired incrementally (0 when no index is loaded or the delta
+	// damaged nothing).
 	RepairedTables int `json:"repairedTables"`
 	// RepairSettled counts the nodes the repair settled, summed over the
-	// recomputed tables: the machine-independent cost of the update.
+	// repaired tables: the machine-independent cost of the update.
 	RepairSettled int `json:"repairSettled,omitempty"`
-	// FullRebuild reports that damage exceeded the repair threshold and
-	// every table was recomputed.
+	// FullRebuild reports that the delta damaged every landmark table and
+	// all 2·L were repaired; RepairSettled, not this flag, says what
+	// that cost.
 	FullRebuild bool `json:"fullRebuild,omitempty"`
 	// CacheMigrated and CacheDropped count bound-table cache entries that
 	// survived the epoch bump versus ones invalidated by it.
@@ -182,7 +184,7 @@ func (s *Server) applyDelta(ep *epochState, d *kpj.Delta) (*epochState, *UpdateR
 		next = &epochState{g: app.Graph, ix: app.Index, seq: ep.seq + 1}
 		resp.RepairedTables = app.Stats.Repaired()
 		resp.RepairSettled = app.Stats.Settled
-		resp.FullRebuild = app.Stats.FullRebuild
+		resp.FullRebuild = app.Stats.Landmarks > 0 && app.Stats.Repaired() == 2*app.Stats.Landmarks
 		resp.Fingerprint = next.gen().Fingerprint()
 	} else {
 		ng, err := ep.g.WithDelta(d)

@@ -87,6 +87,42 @@ func TestUpdatePublishesNewEpoch(t *testing.T) {
 	}
 }
 
+// TestUpdateFullRebuildMeansEveryTableRepaired pins what "fullRebuild"
+// reports: that the delta damaged all 2·L landmark tables, not that any
+// was recomputed from scratch. Either way the repair settles fewer nodes
+// than one full Dijkstra per repaired table would.
+func TestUpdateFullRebuildMeansEveryTableRepaired(t *testing.T) {
+	s, g := testServer(t, WithLogf(t.Logf))
+	tables, n := 2*len(s.snapshot().ix.Landmarks()), g.NumNodes()
+	for _, tc := range []struct {
+		name, body string
+		all        bool
+	}{
+		// On the uniform grid one endpoint of any edge is nearer each
+		// landmark, so a shortcut both ways damages every table.
+		{"every table", `{"setWeights":[{"u":14,"v":15,"w":1},{"u":15,"v":14,"w":1}]}`, true},
+		{"some tables", `{"setWeights":[{"u":0,"v":1,"w":4}]}`, false},
+	} {
+		rec, body := postUpdate(t, s, tc.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: update: %d %s", tc.name, rec.Code, body)
+		}
+		var up UpdateResponse
+		if err := json.Unmarshal(body, &up); err != nil {
+			t.Fatal(err)
+		}
+		if tc.all != (up.RepairedTables == tables) || up.RepairedTables == 0 {
+			t.Fatalf("%s: %d of %d tables repaired: %s", tc.name, up.RepairedTables, tables, body)
+		}
+		if up.FullRebuild != tc.all || strings.Contains(string(body), `"fullRebuild"`) != tc.all {
+			t.Fatalf("%s: fullRebuild should be reported iff all %d tables were repaired: %s", tc.name, tables, body)
+		}
+		if up.RepairSettled == 0 || up.RepairSettled >= up.RepairedTables*n {
+			t.Fatalf("%s: settled %d nodes over %d tables of %d nodes: %s", tc.name, up.RepairSettled, up.RepairedTables, n, body)
+		}
+	}
+}
+
 func TestUpdateRejectsBadInput(t *testing.T) {
 	s, _ := testServer(t, WithLogf(t.Logf))
 	cases := []struct {

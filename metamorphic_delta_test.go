@@ -228,43 +228,6 @@ func TestMetamorphicChurnSuite(t *testing.T) {
 	}
 }
 
-// TestChurnForcedFullRebuild pins the threshold fallback inside the same
-// metamorphic law: with a tiny repair threshold every step full-rebuilds,
-// and results must still match the scratch world exactly.
-func TestChurnForcedFullRebuild(t *testing.T) {
-	c := deltaCaseFor(t, 1)
-	ix, err := kpj.BuildIndex(c.g, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lmk := ix.Landmarks()
-	curOg := c.og
-	sawRebuild := false
-	for step, d := range c.schedule {
-		app, err := ix.ApplyRepair(d, 1e-12, 1)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if app.Stats.FullRebuild {
-			sawRebuild = true
-		}
-		ref, err := kpj.BuildIndexWithLandmarks(app.Graph, lmk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if app.Index.TablesChecksum() != ref.TablesChecksum() {
-			t.Fatalf("step %d: full-rebuild path diverges from reference", step)
-		}
-		if curOg, _, err = graph.Apply(curOg, d); err != nil {
-			t.Fatal(err)
-		}
-		ix = app.Index
-	}
-	if !sawRebuild {
-		t.Fatal("threshold 1e-12 never forced a full rebuild")
-	}
-}
-
 // TestChurnTruncationBudget checks the degraded contract survives churn:
 // after the schedule, a budgeted query on the applied chain returns a
 // truncated prefix of the scratch world's answer.

@@ -61,9 +61,10 @@ func ReadFlat(r io.Reader) (*Graph, *Index, error) {
 // fully verified. The returned index is nil when the file carries none.
 //
 // Generations derived by Index.Apply or WithDelta keep reading the file:
-// they share the CSR head arrays (edge reweights), the landmark rows the
-// delta did not damage and the untouched category sets with the loaded
-// pair, and own only the two adjacency arrays plus the repaired rows. So
+// they share the CSR head arrays (edge reweights), every landmark row
+// page that holds no node whose distances changed and the untouched
+// category sets with the loaded pair, and own only the two adjacency
+// arrays plus copies of the other pages. So
 // close the returned Closer only after the graph, the index and every
 // generation derived from them by Apply are unreachable.
 func OpenFlat(path string, mmap bool) (*Graph, *Index, io.Closer, error) {
@@ -96,8 +97,8 @@ func (ix *Index) Rebind(g *Graph) (*Index, error) {
 	if !slices.Equal(oh, goh) || !slices.Equal(oa, goa) || !slices.Equal(ih, gih) || !slices.Equal(ia, gia) {
 		return nil, ErrGraphMismatch
 	}
-	ids, fwd, bwd := ix.ix.Tables()
-	nix, err := landmark.FromTables(g.g, ids, fwd, bwd)
+	ids, pages := ix.ix.Rows()
+	nix, err := landmark.FromRows(g.g, ids, pages)
 	if err != nil {
 		return nil, err
 	}

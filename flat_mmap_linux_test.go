@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -15,11 +16,13 @@ import (
 
 // TestMmapReweightChainKeepsHeadsMapped: after live reweights, a graph
 // opened with mmap still reads its head arrays from the file — Apply moves
-// only the two adjacency arrays to the heap — and answers exactly like a
-// chain grown from the verified read path. The mapping is PROT_READ, so a
-// patch that wrote through a shared array would fault here.
+// only the two adjacency arrays to the heap — and its index still reads
+// every landmark page that holds no dirty node from the file, while each
+// page that does is a heap copy. It answers exactly like a chain grown
+// from the verified read path. The mapping is PROT_READ, so a patch that
+// wrote through a shared array or page would fault here.
 func TestMmapReweightChainKeepsHeadsMapped(t *testing.T) {
-	const w, h = 20, 20
+	const w, h = 20, 80
 	b := kpj.NewBuilder(w * h)
 	id := func(x, y int) kpj.NodeID { return kpj.NodeID(y*w + x) }
 	for y := 0; y < h; y++ {
@@ -65,6 +68,7 @@ func TestMmapReweightChainKeepsHeadsMapped(t *testing.T) {
 		t.Fatal("the mmap'd graph does not alias its file")
 	}
 
+	dirty := make([]bool, w*h) // nodes any step's repair changed
 	for step := 0; step < 12; step++ {
 		u := id((step*7)%(w-1), (step*5)%h)
 		d := &kpj.Delta{SetWeights: []kpj.EdgeUpdate{{U: u, V: u + 1, W: kpj.Weight(1 + step*9%40)}}}
@@ -76,6 +80,9 @@ func TestMmapReweightChainKeepsHeadsMapped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for v, x := range kpj.DirtyMask(ma) {
+			dirty[v] = dirty[v] || x
+		}
 		mg, mix, rg, rix = ma.Graph, ma.Index, ra.Graph, ra.Index
 	}
 
@@ -85,6 +92,25 @@ func TestMmapReweightChainKeepsHeadsMapped(t *testing.T) {
 	}
 	if inFile(unsafe.Pointer(&oa[0])) || inFile(unsafe.Pointer(&ia[0])) {
 		t.Fatal("a reweighted generation still reads its adjacency from the file")
+	}
+	pages := kpj.LandmarkPages(mix)
+	perPage := len(pages[0]) / (2 * mix.Count())
+	mapped, dirtyPages := 0, 0
+	for p, page := range pages {
+		held := slices.Contains(dirty[p*perPage:min((p+1)*perPage, len(dirty))], true)
+		onFile := inFile(unsafe.Pointer(&page[0]))
+		if held == onFile {
+			t.Fatalf("landmark page %d: holds a dirty node %v, reads from the file %v", p, held, onFile)
+		}
+		if onFile {
+			mapped++
+		} else {
+			dirtyPages++
+		}
+	}
+	t.Logf("%d of %d landmark pages still mapped, %d copied", mapped, len(pages), dirtyPages)
+	if mapped == 0 || dirtyPages == 0 {
+		t.Fatalf("want both mapped and copied landmark pages: %d mapped, %d copied of %d", mapped, dirtyPages, len(pages))
 	}
 	for _, alg := range allAlgorithms {
 		for _, src := range []kpj.NodeID{id(0, 0), id(19, 19), id(7, 12)} {

@@ -67,15 +67,20 @@ func (t *sptiTree) settleOne() graph.NodeID {
 			t.st.SPTNodes++
 			t.st.NodesPopped++
 		}
-		dv := t.t.Dist(v)
+		dv, q := t.t.Dist(v), t.t.q
 		t.sp.Expand(v, func(to graph.NodeID, w graph.Weight) {
-			if nd := dv + w; nd < t.t.Dist(to) {
-				h := hOrZero(t.h, to)
-				if h >= graph.Infinity {
+			dto := t.t.Dist(to)
+			if nd := dv + w; nd < dto {
+				// A queued node's key is always dist + h, so its h is
+				// read back from the queue rather than re-evaluated.
+				var h graph.Weight
+				if q.Contains(to) {
+					h = q.Key(to) - dto
+				} else if h = hOrZero(t.h, to); h >= graph.Infinity {
 					return
 				}
 				t.t.setDist(to, nd, v)
-				t.t.q.PushOrDecrease(to, nd+h)
+				q.PushOrDecrease(to, nd+h)
 			}
 		})
 		return v

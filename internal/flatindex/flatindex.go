@@ -18,9 +18,14 @@
 //	graph    @96    outHead (n+1)·4 │ outAdj m·sizeof(Edge) │
 //	                inHead  (n+1)·4 │ inAdj  m·sizeof(Edge)   (16-aligned)
 //	cats     @catOff count, then per category: name, sorted node ids
-//	lmarks   @lmOff  L, ids L·4, fwd L·n·4, bwd L·n·4 (absent when flags
-//	                 bit 0 is clear)
+//	lmarks   @lmOff  L, ids L·4 │ rows n·2L·4 (absent when flags bit 0 is
+//	                 clear). The rows are node-major, exactly the index's
+//	                 in-memory pages end to end: node v's row is
+//	                 δ(w_0,v)…δ(w_{L-1},v), δ(v,w_0)…δ(v,w_{L-1}).
 //	crc      4 B    IEEE CRC32 of everything before it
+//
+// Version 1 stored the landmark section table-major (fwd L·n·4, bwd
+// L·n·4); this build refuses it with ErrFormat rather than misread it.
 //
 // The read-to-memory loader verifies the checksum and fully validates the
 // adjacency; the mmap loader deliberately skips both (touching every page
@@ -30,6 +35,7 @@
 package flatindex
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,7 +60,7 @@ var (
 var magic = [8]byte{'K', 'P', 'J', 'F', 'L', 'A', 'T', '1'}
 
 const (
-	formatVersion  = 1
+	formatVersion  = 2
 	orderSentinel  = uint32(0x01020304) // native byte order probe
 	headerSize     = 96
 	flagLandmarks  = uint64(1)
@@ -88,8 +94,7 @@ type layout struct {
 	inHeadAt  uint64
 	inAdjAt   uint64
 	idsAt     uint64
-	fwdAt     uint64
-	bwdAt     uint64
+	rowsAt    uint64
 }
 
 func computeLayout(g *graph.Graph, ix *landmark.Index, catBytes uint64) layout {
@@ -106,12 +111,11 @@ func computeLayout(g *graph.Graph, ix *landmark.Index, catBytes uint64) layout {
 	if ix != nil {
 		l.h.flags |= flagLandmarks
 		l.h.lmOff = end
-		ids, _, _ := ix.Tables()
+		ids, _ := ix.Rows()
 		L := uint64(len(ids))
 		l.idsAt = align(l.h.lmOff + 4)
-		l.fwdAt = align(l.idsAt + L*4)
-		l.bwdAt = align(l.fwdAt + L*n*4)
-		end = align(l.bwdAt + L*n*4)
+		l.rowsAt = align(l.idsAt + L*4)
+		end = align(l.rowsAt + n*2*L*4)
 	}
 	l.h.fileSize = end + 4 // trailing CRC
 	return l
@@ -166,12 +170,15 @@ func bytesOf[T any](s []T) []byte {
 }
 
 // Write serializes g (and ix, when non-nil) in the flat layout and
-// returns the byte count. ix must have been built over g.
+// returns the byte count. ix must have been built over g. Output is
+// buffered: the landmark rows go out one 64-node page at a time, which
+// would otherwise be one write call per page.
 func Write(w io.Writer, g *graph.Graph, ix *landmark.Index) (int64, error) {
 	catBlob := encodeCategories(g)
 	l := computeLayout(g, ix, uint64(len(catBlob)))
 
-	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	cw := &countingWriter{w: bw}
 	cw.write(magic[:])
 	cw.u32(formatVersion)
 	cw.u32(orderSentinel)
@@ -197,17 +204,13 @@ func Write(w io.Writer, g *graph.Graph, ix *landmark.Index) (int64, error) {
 
 	if ix != nil {
 		cw.padTo(l.h.lmOff)
-		ids, fwd, bwd := ix.Tables()
+		ids, pages := ix.Rows()
 		cw.u32(uint32(len(ids)))
 		cw.padTo(l.idsAt)
 		cw.write(bytesOf(ids))
-		cw.padTo(l.fwdAt)
-		for _, row := range fwd {
-			cw.write(bytesOf(row))
-		}
-		cw.padTo(l.bwdAt)
-		for _, row := range bwd {
-			cw.write(bytesOf(row))
+		cw.padTo(l.rowsAt)
+		for _, p := range pages {
+			cw.write(bytesOf(p))
 		}
 	}
 	cw.padTo(l.h.fileSize - 4)
@@ -221,6 +224,9 @@ func Write(w io.Writer, g *graph.Graph, ix *landmark.Index) (int64, error) {
 			cw.err = err
 		}
 		cw.off += 4
+	}
+	if cw.err == nil {
+		cw.err = bw.Flush()
 	}
 	return int64(cw.off), cw.err
 }
@@ -532,27 +538,16 @@ func decodeLandmarks(data []byte, l layout, h header, g *graph.Graph) (*landmark
 		return nil, fmt.Errorf("%w: implausible landmark count %d", ErrFormat, L)
 	}
 	idsAt := align(h.lmOff + 4)
-	fwdAt := align(idsAt + L*4)
-	bwdAt := align(fwdAt + L*h.n*4)
+	rowsAt := align(idsAt + L*4)
 	ids, err := sliceOf[graph.NodeID](data, idsAt, L)
 	if err != nil {
 		return nil, err
 	}
-	fwdAll, err := sliceOf[int32](data, fwdAt, L*h.n)
+	rows, err := sliceOf[int32](data, rowsAt, h.n*2*L)
 	if err != nil {
 		return nil, err
 	}
-	bwdAll, err := sliceOf[int32](data, bwdAt, L*h.n)
-	if err != nil {
-		return nil, err
-	}
-	fwd := make([][]int32, L)
-	bwd := make([][]int32, L)
-	for i := uint64(0); i < L; i++ {
-		fwd[i] = fwdAll[i*h.n : (i+1)*h.n : (i+1)*h.n]
-		bwd[i] = bwdAll[i*h.n : (i+1)*h.n : (i+1)*h.n]
-	}
-	ix, err := landmark.FromTables(g, ids, fwd, bwd)
+	ix, err := landmark.FromRows(g, ids, [][]int32{rows})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}

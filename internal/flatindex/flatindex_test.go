@@ -197,6 +197,7 @@ func TestRejectCorruptHeader(t *testing.T) {
 	cases := map[string][]byte{
 		"magic":        append([]byte("XXXXXXXX"), blob[8:]...),
 		"version":      corrupt(8, 99),
+		"version 1":    corrupt(8, 1), // table-major landmark section
 		"sentinel":     corrupt(12, 0x04030201),
 		"edge size":    corrupt(16, 24),
 		"weight offs":  corrupt(20, 4),
@@ -217,6 +218,11 @@ func TestRejectCorruptHeader(t *testing.T) {
 		} else if errors.Is(err, ErrChecksum) {
 			t.Errorf("corrupt %s reached the checksum on the no-verify decoder", name)
 		}
+	}
+	// A version 1 file has the same size as this build's layout but stores
+	// the landmark distances table-major: it must be refused, not misread.
+	if _, err := Read(bytes.NewReader(cases["version 1"])); !errors.Is(err, ErrFormat) {
+		t.Errorf("version 1 file: %v, want ErrFormat", err)
 	}
 }
 

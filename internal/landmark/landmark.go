@@ -11,6 +11,14 @@
 // max_{v∈V_T} δ(v, w) once per query so each lb(u, V_T) evaluation costs
 // O(|L|).
 //
+// The distances are stored node-major: node v's row is the 2·|L| entries
+// δ(w_0,v)…δ(w_{L-1},v), δ(v,w_0)…δ(v,w_{L-1}), so every bound reads one
+// contiguous row per node (128 bytes at 16 landmarks) instead of one entry
+// from each of 2·|L| tables. Rows are grouped into pages of 64 nodes, each
+// page its own allocation (or a slice of a mapped file): Repair copies only
+// the pages that hold a node whose distances changed and shares the rest
+// with the index it was derived from.
+//
 // Distances are stored as int32 to halve the index footprint (the paper
 // reports O(|L|·n) space). Two sentinels keep the bounds admissible:
 // unreachable pairs and distances that overflow int32 are never used in a
@@ -35,6 +43,10 @@ const (
 	// far32 marks a reachable pair whose distance does not fit in int32.
 	// Such entries are usable only where an under-estimate is safe.
 	far32 = math.MaxInt32 - 1
+
+	// pageShift fixes the row page at 64 nodes: 8 KB at 16 landmarks.
+	pageShift = 6
+	pageNodes = 1 << pageShift
 )
 
 // Index is an immutable landmark distance index over one graph. It is safe
@@ -42,10 +54,19 @@ const (
 type Index struct {
 	g         *graph.Graph
 	landmarks []graph.NodeID
-	fwd       [][]int32 // fwd[i][v] = δ(landmarks[i], v)
-	bwd       [][]int32 // bwd[i][v] = δ(v, landmarks[i])
-	shape     shape     // summary of g, kept so Repair can derive its successor's
-	fp        uint64    // content fingerprint, see Fingerprint
+	// pages[v>>pageShift] holds the rows of the pageNodes nodes in v's
+	// block (the last page may hold fewer), width entries per row: row[i] =
+	// δ(landmarks[i], v) and row[L+i] = δ(v, landmarks[i]).
+	pages [][]int32
+	width int    // 2·L
+	shape shape  // summary of g, kept so Repair can derive its successor's
+	fp    uint64 // content fingerprint, see Fingerprint
+}
+
+// row returns node v's width entries.
+func (ix *Index) row(v graph.NodeID) []int32 {
+	off := int(v&(pageNodes-1)) * ix.width
+	return ix.pages[v>>pageShift][off : off+ix.width : off+ix.width]
 }
 
 // buildWorkers resolves a parallelism knob: <= 0 means all cores.
@@ -232,15 +253,34 @@ func BuildWithLandmarksParallel(g *graph.Graph, landmarks []graph.NodeID, parall
 	return newIndex(g, ids, fwd, bwd), nil
 }
 
-// newIndex assembles an Index from prebuilt tables and stamps its content
-// fingerprint. ids must already be validated and owned by the caller.
+// newIndex assembles an Index from prebuilt table-major tables (fwd[i][v]
+// = δ(ids[i], v), bwd[i][v] = δ(v, ids[i])), scattering them into row
+// pages, and stamps its content fingerprint. ids must already be validated
+// and owned by the caller.
 func newIndex(g *graph.Graph, ids []graph.NodeID, fwd, bwd [][]int32) *Index {
-	return assemble(g, shapeOf(g), ids, fwd, bwd)
+	n, L := g.NumNodes(), len(ids)
+	w := 2 * L
+	pages := make([][]int32, (n+pageNodes-1)>>pageShift)
+	for p := range pages {
+		lo := p << pageShift
+		hi := min(lo+pageNodes, n)
+		page := make([]int32, (hi-lo)*w)
+		for i := 0; i < L; i++ {
+			f, b := fwd[i][lo:hi], bwd[i][lo:hi]
+			for k := range f {
+				page[k*w+i] = f[k]
+				page[k*w+L+i] = b[k]
+			}
+		}
+		pages[p] = page
+	}
+	return assemble(g, shapeOf(g), ids, pages)
 }
 
-// assemble is newIndex for a caller that already knows g's shape.
-func assemble(g *graph.Graph, sh shape, ids []graph.NodeID, fwd, bwd [][]int32) *Index {
-	return &Index{g: g, landmarks: ids, fwd: fwd, bwd: bwd, shape: sh, fp: contentFingerprint(sh, ids)}
+// assemble wraps row pages in an Index for a caller that already knows g's
+// shape.
+func assemble(g *graph.Graph, sh shape, ids []graph.NodeID, pages [][]int32) *Index {
+	return &Index{g: g, landmarks: ids, pages: pages, width: 2 * len(ids), shape: sh, fp: contentFingerprint(sh, ids)}
 }
 
 // shape is the graph summary the fingerprint words are taken from.
@@ -305,16 +345,21 @@ func (ix *Index) Fingerprint() uint64 { return ix.fp }
 func compress(dist []graph.Weight) []int32 {
 	out := make([]int32, len(dist))
 	for i, d := range dist {
-		switch {
-		case d >= graph.Infinity:
-			out[i] = unreach32
-		case d >= far32:
-			out[i] = far32
-		default:
-			out[i] = int32(d)
-		}
+		out[i] = compress1(d)
 	}
 	return out
+}
+
+// compress1 stores one distance as an int32 entry.
+func compress1(d graph.Weight) int32 {
+	switch {
+	case d >= graph.Infinity:
+		return unreach32
+	case d >= far32:
+		return far32
+	default:
+		return int32(d)
+	}
 }
 
 // Count returns the number of landmarks.
@@ -337,10 +382,15 @@ func (ix *Index) LowerBound(u, v graph.NodeID) graph.Weight {
 	if u == v {
 		return 0
 	}
+	L := len(ix.landmarks)
+	ru, rv := ix.row(u), ix.row(v)
+	fu, bu := ru[:L], ru[L:]
+	fv, bv := rv[:len(fu)], rv[L:]
+	bu, bv = bu[:len(fu)], bv[:len(fu)]
 	var lb graph.Weight
-	for i := range ix.landmarks {
+	for i, du := range fu {
 		// Forward table: δ(u,v) ≥ δ(w,v) − δ(w,u).
-		du, dv := ix.fwd[i][u], ix.fwd[i][v]
+		dv := fv[i]
 		if du < far32 { // exact δ(w,u)
 			if dv == unreach32 {
 				return graph.Infinity // w reaches u but not v ⇒ u cannot reach v
@@ -350,7 +400,7 @@ func (ix *Index) LowerBound(u, v graph.NodeID) graph.Weight {
 			}
 		}
 		// Backward table: δ(u,v) ≥ δ(u,w) − δ(v,w).
-		au, av := ix.bwd[i][u], ix.bwd[i][v]
+		au, av := bu[i], bv[i]
 		if av < far32 { // exact δ(v,w)
 			if au == unreach32 {
 				return graph.Infinity // v reaches w but u does not ⇒ u cannot reach v
@@ -381,36 +431,37 @@ func (ix *Index) BoundsToSet(targets []graph.NodeID) *Bounds {
 	if len(targets) == 0 {
 		panic("landmark: empty target set")
 	}
+	L := len(ix.landmarks)
 	b := &Bounds{
 		ix:     ix,
-		minFwd: make([]int32, len(ix.landmarks)),
-		maxBwd: make([]int32, len(ix.landmarks)),
+		minFwd: make([]int32, L),
+		maxBwd: make([]int32, L), // δ ≥ 0, so 0 is the max's identity
 	}
-	for i := range ix.landmarks {
-		minF, maxB := int32(unreach32), int32(0)
-		for _, v := range targets {
-			if d := ix.fwd[i][v]; d < minF {
-				minF = d
-			}
-			if d := ix.bwd[i][v]; d > maxB {
-				maxB = d
-			}
+	for i := range b.minFwd {
+		b.minFwd[i] = unreach32
+	}
+	for _, v := range targets {
+		r := ix.row(v)
+		fwd, bwd := r[:L], r[L:]
+		for i, d := range fwd {
+			b.minFwd[i] = min(b.minFwd[i], d)
+			b.maxBwd[i] = max(b.maxBwd[i], bwd[i])
 		}
-		b.minFwd[i] = minF
-		b.maxBwd[i] = maxB
 	}
 	return b
 }
 
 // LowerBound returns an admissible lower bound on min_{v∈V_T} δ(u, v).
 func (b *Bounds) LowerBound(u graph.NodeID) graph.Weight {
-	ix := b.ix
+	r := b.ix.row(u)
+	minFwd := b.minFwd
+	fwd, bwd := r[:len(minFwd)], r[len(minFwd):]
+	maxBwd, bwd := b.maxBwd[:len(fwd)], bwd[:len(fwd)]
 	var lb graph.Weight
-	for i := range ix.landmarks {
+	for i, du := range fwd {
 		// Forward: min_v δ(u,v) ≥ min_v δ(w,v) − δ(w,u).
-		du := ix.fwd[i][u]
 		if du < far32 {
-			minF := b.minFwd[i]
+			minF := minFwd[i]
 			if minF == unreach32 {
 				return graph.Infinity // w reaches u but no target
 			}
@@ -419,9 +470,9 @@ func (b *Bounds) LowerBound(u graph.NodeID) graph.Weight {
 			}
 		}
 		// Backward: min_v δ(u,v) ≥ δ(u,w) − max_v δ(v,w).
-		maxB := b.maxBwd[i]
+		maxB := maxBwd[i]
 		if maxB < far32 { // every target's δ(v,w) is exact and finite
-			au := ix.bwd[i][u]
+			au := bwd[i]
 			if au == unreach32 {
 				return graph.Infinity // all targets reach w, u does not
 			}

@@ -29,7 +29,7 @@ func TestBuildParallelDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(got.Landmarks(), want.Landmarks()) {
 			t.Fatalf("workers=%d: landmarks %v, want %v", workers, got.Landmarks(), want.Landmarks())
 		}
-		if !reflect.DeepEqual(got.fwd, want.fwd) || !reflect.DeepEqual(got.bwd, want.bwd) {
+		if !reflect.DeepEqual(got.pages, want.pages) {
 			t.Fatalf("workers=%d: distance tables differ from sequential build", workers)
 		}
 		if got.Fingerprint() != want.Fingerprint() {

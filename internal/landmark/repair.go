@@ -2,6 +2,7 @@ package landmark
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"kpj/internal/fault"
@@ -19,7 +20,8 @@ import (
 // conservative — a table that is not flagged is provably identical on
 // the new graph — so the repaired index is row-for-row equal to a
 // from-scratch rebuild with the same landmark set (the invariant the
-// metamorphic churn suite pins).
+// metamorphic churn suite pins). A "table" here is one column of the
+// node-major rows: column i < L holds δ(w_i, ·), column L+i holds δ(·, w_i).
 //
 // Damage rules, per landmark w and net edge change (u, v, old→new):
 //
@@ -52,10 +54,14 @@ func (s RepairStats) Repaired() int { return s.FwdRepaired + s.BwdRepaired }
 // only the damaged distance tables. It returns the new index, a per-node
 // dirty mask (true where any landmark's fwd or bwd entry changed; the
 // exact scope for bound-table cache invalidation), and repair stats.
-// old is not modified; undamaged tables are shared between the two
-// indexes, which is safe because both are immutable.
 //
-// parallelism bounds the concurrent table repairs (<= 0 = all cores).
+// The tables are repaired concurrently (parallelism bounds the workers,
+// <= 0 = all cores), each into a list of changed entries. The merge is
+// copy-on-write per row page: it buckets the changed entries by page,
+// copies each page that holds a dirty node exactly once (on the same
+// workers, one page per job), writes the new entries into the copy, and
+// shares every other page with old by pointer. old is not modified;
+// sharing is safe because both indexes are immutable.
 func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, parallelism int) (*Index, []bool, RepairStats, error) {
 	if err := fault.Hit(fault.IndexBuild); err != nil {
 		return nil, nil, RepairStats{}, fmt.Errorf("landmark: repair: %w", err)
@@ -67,98 +73,135 @@ func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, paralleli
 	L := len(old.landmarks)
 	stats := RepairStats{Landmarks: L}
 
-	fwdDamaged := make([]bool, L)
-	bwdDamaged := make([]bool, L)
-	for i := 0; i < L; i++ {
-		for _, c := range changes {
-			if c.U == c.V {
-				continue // self-loops never lie on shortest paths
-			}
-			fwdDamaged[i] = fwdDamaged[i] || rowDamaged(old.fwd[i], c.U, c.V, c.Old, c.New)
-			bwdDamaged[i] = bwdDamaged[i] || rowDamaged(old.bwd[i], c.V, c.U, c.Old, c.New)
-			if fwdDamaged[i] && bwdDamaged[i] {
-				break
-			}
+	damaged := make([]bool, old.width) // per column
+	for _, c := range changes {
+		if c.U == c.V {
+			continue // self-loops never lie on shortest paths
+		}
+		ru, rv := old.row(c.U), old.row(c.V)
+		for i := 0; i < L; i++ {
+			damaged[i] = damaged[i] || rowDamaged(ru[i], rv[i], c.Old, c.New)
+			damaged[L+i] = damaged[L+i] || rowDamaged(rv[L+i], ru[L+i], c.Old, c.New)
 		}
 	}
 
-	fwd := make([][]int32, L)
-	bwd := make([][]int32, L)
 	type job struct {
-		dir    graph.Direction
-		i      int
-		oldRow []int32
+		col int
 		// Results, written only by the goroutine that runs the job.
-		row     []int32
-		changed []graph.NodeID // entries that differ from the old row
-		diffAll bool           // row came from a full Dijkstra: compare all n entries
+		changed []graph.NodeID // nodes whose entry differs from old
+		values  []int32        // their new entries
 		settled int
 	}
 	var jobs []*job
-	for i := 0; i < L; i++ {
-		if fwdDamaged[i] {
-			jobs = append(jobs, &job{dir: graph.Forward, i: i, oldRow: old.fwd[i]})
+	for col, d := range damaged {
+		if !d {
+			continue
+		}
+		jobs = append(jobs, &job{col: col})
+		if col < L {
 			stats.FwdRepaired++
 		} else {
-			fwd[i] = old.fwd[i]
-		}
-		if bwdDamaged[i] {
-			jobs = append(jobs, &job{dir: graph.Backward, i: i, oldRow: old.bwd[i]})
 			stats.BwdRepaired++
-		} else {
-			bwd[i] = old.bwd[i]
 		}
 	}
-	runJobs(jobs, parallelism, func(j *job) {
-		// Each job writes only its own result fields; a row is a pure
+	runJobs(jobs, parallelism, func(s *repairScratch, j *job) {
+		// Each job writes only its own result fields; a column is a pure
 		// function of (newG, landmark) whichever way it is computed, so the
 		// repaired index is identical at every parallelism level
 		// (TestRepairMatchesFullRebuild, TestRepairLaw* at par 1 and 4).
-		root := old.landmarks[j.i]
 		var ok bool
-		if j.row, j.changed, j.settled, ok = repairRow(old.g, newG, j.dir, root, j.oldRow, changes); ok {
+		if j.changed, j.values, j.settled, ok = repairRow(s, old, newG, j.col, changes); ok {
 			return
 		}
-		j.row, j.diffAll = compress(sssp.Dijkstra(newG, j.dir, root).Dist), true
-		for _, d := range j.row {
-			if d != unreach32 {
+		dir, root := old.column(j.col)
+		for v, d := range sssp.Dijkstra(newG, dir, root).Dist {
+			e := compress1(d)
+			if e != unreach32 {
 				j.settled++ // Dijkstra pops every reachable node exactly once non-stale
+			}
+			if e != old.row(graph.NodeID(v))[j.col] {
+				j.changed = append(j.changed, graph.NodeID(v))
+				j.values = append(j.values, e)
 			}
 		}
 	})
 
+	// Merge page by page, so each page is copied and written while it is
+	// in cache: bucket the changed entries by page (a counting sort over
+	// the jobs' lists), then copy each page that received one and apply its
+	// writes. Every other page is shared with old. The copies read cold
+	// memory — 600+ pages on an 8-op delta over 90k nodes — so they run on
+	// the workers too.
 	dirty := make([]bool, n)
+	start := make([]int, len(old.pages)+1) // page p's writes are at [start[p], start[p+1])
 	for _, j := range jobs {
-		if j.dir == graph.Forward {
-			fwd[j.i] = j.row
-		} else {
-			bwd[j.i] = j.row
-		}
-		if j.diffAll {
-			diffRows(dirty, j.oldRow, j.row)
-		}
 		for _, v := range j.changed {
-			dirty[v] = true
+			start[v>>pageShift+1]++
+			if !dirty[v] {
+				dirty[v] = true
+				stats.DirtyNodes++
+			}
 		}
 		stats.Settled += j.settled
 	}
-	for _, d := range dirty {
-		if d {
-			stats.DirtyNodes++
+	for p := range old.pages {
+		start[p+1] += start[p]
+	}
+	type write struct{ off, d int32 } // entry offset within the page, new entry
+	writes := make([]write, start[len(old.pages)])
+	next := slices.Clone(start[:len(old.pages)])
+	for _, j := range jobs {
+		for k, v := range j.changed {
+			p := v >> pageShift
+			writes[next[p]] = write{int32(int(v&(pageNodes-1))*old.width + j.col), j.values[k]}
+			next[p]++
 		}
 	}
+	pages := slices.Clone(old.pages)
+	var fresh []int
+	for p := range pages {
+		if start[p] < start[p+1] {
+			fresh = append(fresh, p)
+		}
+	}
+	runJobs(fresh, parallelism, func(_ *repairScratch, p int) {
+		// Each job owns page p: it writes only pages[p] and the copy.
+		page := slices.Clone(old.pages[p])
+		for _, w := range writes[start[p]:start[p+1]] {
+			page[w.off] = w.d
+		}
+		pages[p] = page
+	})
 
-	return assemble(newG, old.shape.apply(changes), old.landmarks, fwd, bwd), dirty, stats, nil
+	return assemble(newG, old.shape.apply(changes), old.landmarks, pages), dirty, stats, nil
 }
 
-// repairRow brings one distance row up to date by batch dynamic SSSP
-// (after Ramalingam & Reps) instead of a fresh Dijkstra, so its cost
-// follows the region whose distances can change, not n. dir, root and
-// oldRow name the table (distances over oldG in direction dir from root);
-// it returns the row for newG, the nodes whose entry differs from oldRow,
-// and the number of nodes settled. ok == false means the repair met an
-// inexact far32 entry it would have had to read or write; the caller
-// then recomputes the table from scratch.
+// column names the table behind row column col: its search direction and
+// root landmark.
+func (ix *Index) column(col int) (graph.Direction, graph.NodeID) {
+	if L := len(ix.landmarks); col >= L {
+		return graph.Backward, ix.landmarks[col-L]
+	}
+	return graph.Forward, ix.landmarks[col]
+}
+
+// repairScratch is one repair worker's state, reused across the tables it
+// repairs.
+type repairScratch struct {
+	ov      overlay
+	q       pqueue.BucketQueue
+	touched []graph.NodeID
+}
+
+// repairRow brings one table — column col of old's rows — up to date by
+// batch dynamic SSSP (after Ramalingam & Reps) instead of a fresh
+// Dijkstra, so its cost follows the region whose distances can change,
+// not n. Old entries are read through old's rows; new labels live in the
+// sparse overlay s.ov, so nothing of size n is allocated or copied. It
+// returns the nodes whose entry differs from old (changed), their new
+// entries (values), and the number of nodes settled. ok == false means
+// the repair met an inexact far32 entry it would have had to read or
+// write; the caller then recomputes the table from scratch.
 //
 // Below, "tail" and "head" are in search order: a backward table relaxes
 // edge (U, V) from V to U. Four steps:
@@ -184,10 +227,13 @@ func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, paralleli
 // was ever queued, it relaxed (x, y) when popped with its final label;
 // otherwise x is unmarked and unimproved, and (x, y) was covered by step
 // 2 (y marked), step 3 (edge decreased) or the old row (edge unchanged).
-func repairRow(oldG, newG *graph.Graph, dir graph.Direction, root graph.NodeID, oldRow []int32, changes []graph.EdgeChange) (row []int32, changed []graph.NodeID, settled int, ok bool) {
-	row = append([]int32(nil), oldRow...)
-	marked := make([]bool, len(row))
-	var touched []graph.NodeID // the marked nodes, then unmarked ones as they improve
+func repairRow(s *repairScratch, old *Index, newG *graph.Graph, col int, changes []graph.EdgeChange) (changed []graph.NodeID, values []int32, settled int, ok bool) {
+	dir, root := old.column(col)
+	ov, q := &s.ov, &s.q
+	ov.reset(old, col)
+	q.Reset()
+	touched := s.touched[:0] // the marked nodes, then unmarked ones as they improve
+	defer func() { s.touched = touched }()
 	inexact := false
 	// label widens an entry for arithmetic, noting when it is not exact.
 	label := func(d int32) graph.Weight {
@@ -206,63 +252,69 @@ func repairRow(oldG, newG *graph.Graph, dir graph.Direction, root graph.NodeID, 
 		return c.V, c.U
 	}
 
-	// Step 1. touched doubles as the closure's work list.
+	// Step 1. touched doubles as the closure's work list. A marked node's
+	// label is unreachable until step 2 relabels it; nothing reads it
+	// before then.
 	mark := func(tail, head graph.NodeID, w graph.Weight) {
-		if head != root && !marked[head] && label(oldRow[tail])+w == label(oldRow[head]) {
-			marked[head] = true
+		if head == root {
+			return
+		}
+		if h := ov.at(head); !h.marked && label(ov.at(tail).old)+w == label(h.old) {
+			h.d, h.marked, h.listed = unreach32, true, true
 			touched = append(touched, head)
 		}
 	}
 	for _, c := range changes {
-		if tail, head := ends(c); c.New > c.Old && tail != head && oldRow[tail] != unreach32 {
+		if tail, head := ends(c); c.New > c.Old && tail != head && ov.at(tail).old != unreach32 {
 			mark(tail, head, c.Old)
 		}
 	}
 	for k := 0; k < len(touched); k++ {
 		v := touched[k]
-		for _, e := range oldG.Edges(dir, v) {
+		for _, e := range old.g.Edges(dir, v) {
 			mark(v, e.To, e.W)
 		}
 	}
 
 	// relax offers label d to node v and queues v when that improves it.
-	var q pqueue.BucketQueue
 	relax := func(v graph.NodeID, d graph.Weight) {
-		if d >= label(row[v]) {
+		e := ov.at(v)
+		if d >= label(e.d) {
 			return
 		}
 		if d >= far32 {
 			inexact = true
 			return
 		}
-		if !marked[v] && row[v] == oldRow[v] {
+		if !e.listed {
+			e.listed = true
 			touched = append(touched, v) // first write: labels only go down from here
 		}
-		row[v] = int32(d)
+		e.d = int32(d)
 		q.Push(v, d)
 	}
 
-	// Step 2. Only unmarked entries are read, so one pass suffices.
+	// Step 2. Only unmarked entries are read, and no unmarked entry is
+	// written until step 3, so one pass suffices.
 	for _, v := range touched {
-		row[v] = unreach32
 		best := graph.Infinity
 		for _, e := range newG.Edges(dir.Reverse(), v) {
-			if !marked[e.To] {
-				best = min(best, label(row[e.To])+e.W)
+			if x := ov.at(e.To); !x.marked {
+				best = min(best, label(x.d)+e.W)
 			}
 		}
 		relax(v, best)
 	}
 	// Step 3.
 	for _, c := range changes {
-		if tail, head := ends(c); c.New < c.Old && tail != head && row[tail] != unreach32 {
-			relax(head, label(row[tail])+c.New)
+		if tail, head := ends(c); c.New < c.Old && tail != head && ov.at(tail).d != unreach32 {
+			relax(head, label(ov.at(tail).d)+c.New)
 		}
 	}
 	// Step 4.
 	for q.Len() > 0 && !inexact {
 		v, d := q.Pop()
-		if d > graph.Weight(row[v]) {
+		if d > graph.Weight(ov.at(v).d) {
 			continue // stale lazy-insertion duplicate
 		}
 		settled++
@@ -275,21 +327,69 @@ func repairRow(oldG, newG *graph.Graph, dir graph.Direction, root graph.NodeID, 
 	}
 
 	// A marked node that settled back to its old distance is not dirty.
-	changed = touched[:0]
+	changed, values = make([]graph.NodeID, 0, len(touched)), make([]int32, 0, len(touched))
 	for _, v := range touched {
-		if row[v] != oldRow[v] {
+		if e := ov.at(v); e.d != e.old {
 			changed = append(changed, v)
+			values = append(values, e.d)
 		}
 	}
-	return row, changed, settled, true
+	return changed, values, settled, true
 }
 
-// rowDamaged applies the damage rules to one compressed distance row.
-// For a forward table pass (tail, head) = (U, V); for a backward table
-// the roles swap: the relaxation there is dist[head-side] + w improving
-// dist[tail-side], which is the same formula with (tail, head) = (V, U).
-func rowDamaged(row []int32, tail, head graph.NodeID, oldW, newW graph.Weight) bool {
-	dt, dh := row[tail], row[head]
+// overlay is the sparse working copy of the table repairRow is repairing:
+// one entry per node it has read, holding the old entry and the current
+// label. It is paged like the index: a block of 64 entries is allocated
+// the first time one of its nodes is read and kept for the worker's later
+// tables. Entries are stamped with the table's generation, so moving to
+// the next table clears nothing.
+type overlay struct {
+	blocks []*overlayBlock // by v >> pageShift
+	gen    uint32
+	old    *Index
+	col    int
+}
+
+type overlayBlock [pageNodes]overlayEntry
+
+type overlayEntry struct {
+	old, d int32  // the entry in the old table; the node's current label
+	gen    uint32 // the entry is stale unless gen is the overlay's
+	marked bool   // step 1 marked the node
+	listed bool   // the node is on repairRow's touched list
+}
+
+// reset starts on column col of old.
+func (o *overlay) reset(old *Index, col int) {
+	if o.blocks == nil {
+		o.blocks = make([]*overlayBlock, len(old.pages))
+	}
+	o.gen++
+	o.old, o.col = old, col
+}
+
+// at returns v's entry, reading v's old entry into it on first use.
+func (o *overlay) at(v graph.NodeID) *overlayEntry {
+	p := v >> pageShift
+	b := o.blocks[p]
+	if b == nil {
+		b = new(overlayBlock)
+		o.blocks[p] = b
+	}
+	e := &b[v&(pageNodes-1)]
+	if e.gen != o.gen {
+		d := o.old.pages[p][int(v&(pageNodes-1))*o.old.width+o.col]
+		*e = overlayEntry{old: d, d: d, gen: o.gen}
+	}
+	return e
+}
+
+// rowDamaged applies the damage rules to one table, given the entries of
+// the changed edge's two ends. For a forward table pass (dt, dh) =
+// (δ(w,U), δ(w,V)); for a backward table the roles swap: the relaxation
+// there is dist[head-side] + w improving dist[tail-side], which is the
+// same formula with (dt, dh) = (δ(V,w), δ(U,w)).
+func rowDamaged(dt, dh int32, oldW, newW graph.Weight) bool {
 	if dt == unreach32 {
 		// The relaxation source is unreachable from (or to) the
 		// landmark; no change to this edge can alter any distance.
@@ -317,25 +417,18 @@ func rowDamaged(row []int32, tail, head graph.NodeID, oldW, newW graph.Weight) b
 	return graph.Weight(dt)+oldW == graph.Weight(dh)
 }
 
-// diffRows marks every node whose entry differs between two rows.
-func diffRows(dirty []bool, old, new []int32) {
-	for v := range old {
-		if old[v] != new[v] {
-			dirty[v] = true
-		}
-	}
-}
-
 // runJobs executes the jobs on up to `parallelism` goroutines (<= 0 =
-// all cores), returning when all are done.
-func runJobs[T any](jobs []T, parallelism int, run func(T)) {
+// all cores), each with its own repairScratch, returning when all are
+// done.
+func runJobs[T any](jobs []T, parallelism int, run func(*repairScratch, T)) {
 	workers := buildWorkers(parallelism)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
 	if workers <= 1 {
+		var s repairScratch
 		for _, j := range jobs {
-			run(j)
+			run(&s, j)
 		}
 		return
 	}
@@ -351,17 +444,18 @@ func runJobs[T any](jobs []T, parallelism int, run func(T)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		// Workers claim job indices through a mutex and each job writes a
-		// distinct table slot; output is identical at every worker count
-		// (TestRepairLaw* at par 1 and 4).
+		// Workers claim job indices through a mutex and each job writes
+		// only its own result fields; output is identical at every worker
+		// count (TestRepairLaw* at par 1 and 4).
 		go func() {
 			defer wg.Done()
+			var s repairScratch
 			for {
 				t := claim()
 				if t >= len(jobs) {
 					return
 				}
-				run(jobs[t])
+				run(&s, jobs[t])
 			}
 		}()
 	}
@@ -388,10 +482,12 @@ func (ix *Index) TablesChecksum() uint64 {
 	for _, id := range ix.landmarks {
 		mix(uint32(id))
 	}
-	for _, rows := range [2][][]int32{ix.fwd, ix.bwd} {
-		for _, row := range rows {
-			for _, d := range row {
-				mix(uint32(d))
+	// Table-major fold order: every forward table, then every backward
+	// one, each over nodes 0…n−1 — column by column through the pages.
+	for col := 0; col < ix.width; col++ {
+		for _, p := range ix.pages {
+			for k := col; k < len(p); k += ix.width {
+				mix(uint32(p[k]))
 			}
 		}
 	}

@@ -118,7 +118,8 @@ func TestRepairLawDisconnectReconnect(t *testing.T) {
 		}
 		for v := graph.NodeID(0); v < ring; v++ {
 			far := v + ring
-			if ix.fwd[0][far] != unreach32 || ix.bwd[0][far] != unreach32 || ix.fwd[1][v] != unreach32 || ix.bwd[1][v] != unreach32 {
+			if entry(ix, graph.Forward, 0, far) != unreach32 || entry(ix, graph.Backward, 0, far) != unreach32 ||
+				entry(ix, graph.Forward, 1, v) != unreach32 || entry(ix, graph.Backward, 1, v) != unreach32 {
 				t.Fatalf("nodes %d/%d still reachable across the cut", v, far)
 			}
 		}
@@ -133,7 +134,7 @@ func TestRepairLawDisconnectReconnect(t *testing.T) {
 			t.Fatalf("rejoining must damage all 4 tables: %+v", stats)
 		}
 		for v := 0; v < 2*ring; v++ {
-			if ix.fwd[0][v] == unreach32 || ix.bwd[1][v] == unreach32 {
+			if entry(ix, graph.Forward, 0, graph.NodeID(v)) == unreach32 || entry(ix, graph.Backward, 1, graph.NodeID(v)) == unreach32 {
 				t.Fatalf("node %d still unreachable after rejoining", v)
 			}
 		}
@@ -156,15 +157,15 @@ func TestRepairLawFar32(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := mustBuild(t, g, 0)
-	if old.fwd[0][3] >= far32 || old.fwd[0][4] != far32 || old.fwd[0][7] != far32 {
-		t.Fatalf("fixture does not hold far32 where expected: %v", old.fwd[0])
+	if entry(old, graph.Forward, 0, 3) >= far32 || entry(old, graph.Forward, 0, 4) != far32 || entry(old, graph.Forward, 0, 7) != far32 {
+		t.Fatal("fixture does not hold far32 where expected")
 	}
 	repairsInexactly := func(d *graph.Delta) bool {
 		ng, eff, err := graph.Apply(g, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, ok := repairRow(g, ng, graph.Forward, 0, old.fwd[0], eff.Changes)
+		_, _, _, ok := repairRow(&repairScratch{}, old, ng, 0, eff.Changes)
 		return !ok
 	}
 	for _, par := range []int{1, 4} {
@@ -220,8 +221,8 @@ func TestRepairLawDecreaseInsideMarkedRegion(t *testing.T) {
 			want[4] = int32(detour)
 		}
 		for v, w := range want {
-			if ix.fwd[0][v] != w {
-				t.Fatalf("detour %d: δ(0,%d) = %d, want %d", detour, v, ix.fwd[0][v], w)
+			if got := entry(ix, graph.Forward, 0, graph.NodeID(v)); got != w {
+				t.Fatalf("detour %d: δ(0,%d) = %d, want %d", detour, v, got, w)
 			}
 		}
 	}
@@ -234,10 +235,9 @@ func TestRepairLawDecreaseInsideMarkedRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := mustBuild(t, g, 0, 899, 450)
-	row := old.fwd[0]
 	tightChild := func(u graph.NodeID) (graph.NodeID, bool) {
 		for _, e := range g.Out(u) {
-			if graph.Weight(row[u])+e.W == graph.Weight(row[e.To]) {
+			if graph.Weight(entry(old, graph.Forward, 0, u))+e.W == graph.Weight(entry(old, graph.Forward, 0, e.To)) {
 				return e.To, true
 			}
 		}

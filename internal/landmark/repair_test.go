@@ -3,11 +3,19 @@ package landmark
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"kpj/internal/graph"
 )
+
+// entry reads one table entry out of v's row: δ(w_i, v) for
+// graph.Forward, δ(v, w_i) for graph.Backward.
+func entry(ix *Index, dir graph.Direction, i int, v graph.NodeID) int32 {
+	if dir == graph.Backward {
+		i += len(ix.landmarks)
+	}
+	return ix.row(v)[i]
+}
 
 // randomDigraph builds a random sparse digraph for repair tests.
 func randomDigraph(t *testing.T, rng *rand.Rand, n int) *graph.Graph {
@@ -135,7 +143,8 @@ func checkRepairLaw(t *testing.T, old *Index, d *graph.Delta, parallelism int) (
 	for v := range dirty {
 		changed := false
 		for i := range old.landmarks {
-			if old.fwd[i][v] != rebuilt.fwd[i][v] || old.bwd[i][v] != rebuilt.bwd[i][v] {
+			if entry(old, graph.Forward, i, graph.NodeID(v)) != entry(rebuilt, graph.Forward, i, graph.NodeID(v)) ||
+				entry(old, graph.Backward, i, graph.NodeID(v)) != entry(rebuilt, graph.Backward, i, graph.NodeID(v)) {
 				changed = true
 			}
 		}
@@ -179,7 +188,7 @@ func TestRepairMatchesFullRebuild(t *testing.T) {
 
 // TestRepairNoDamageSharesRows pins the cheap path: a weight increase on
 // an edge that lies on no shortest path repairs nothing and shares every
-// row with the old index.
+// row page with the old index.
 func TestRepairNoDamageSharesRows(t *testing.T) {
 	// 0 -1-> 1 -1-> 2, plus a heavy direct edge 0 -10-> 2 that no
 	// shortest path uses. Increasing the heavy edge damages nothing.
@@ -204,8 +213,10 @@ func TestRepairNoDamageSharesRows(t *testing.T) {
 	if stats.Repaired() != 0 {
 		t.Fatalf("expected zero repairs, got %+v", stats)
 	}
-	if &repaired.fwd[0][0] != &old.fwd[0][0] || &repaired.bwd[0][0] != &old.bwd[0][0] {
-		t.Fatal("undamaged rows were copied, not shared")
+	for p := range old.pages {
+		if &repaired.pages[p][0] != &old.pages[p][0] {
+			t.Fatalf("page %d was copied, not shared", p)
+		}
 	}
 	for v, x := range dirty {
 		if x {
@@ -215,6 +226,51 @@ func TestRepairNoDamageSharesRows(t *testing.T) {
 	if repaired.Graph() != ng {
 		t.Fatal("repaired index not bound to the new graph")
 	}
+}
+
+// TestRepairCopiesOnlyDirtyPages pins the copy-on-write merge: over 32
+// chained single-edge reweights of a 100×100 road network with 16
+// landmarks, each Repair shares every row page that holds no dirty node
+// with the index it was derived from, by pointer, and allocates exactly
+// one fresh page per 64-node block that holds one.
+func TestRepairCopiesOnlyDirtyPages(t *testing.T) {
+	ix := roadIndex(t)
+	rng := rand.New(rand.NewSource(7))
+	copied, tables := 0, 0
+	for step := 0; step < 32; step++ {
+		d := &graph.Delta{SetWeights: []graph.EdgeUpdate{randomReweight(rng, ix.Graph(), step%2 == 0)}}
+		ng, eff, err := graph.Apply(ix.Graph(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repaired, dirty, stats, err := Repair(ng, ix, eff.Changes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirtyPages := map[graph.NodeID]bool{}
+		for v, x := range dirty {
+			if x {
+				dirtyPages[graph.NodeID(v)>>pageShift] = true
+			}
+		}
+		fresh := 0
+		for p := range ix.pages {
+			shared := &repaired.pages[p][0] == &ix.pages[p][0]
+			if !shared {
+				fresh++
+			}
+			if shared == dirtyPages[graph.NodeID(p)] {
+				t.Fatalf("step %d page %d: shared %v, holds a dirty node %v", step, p, shared, dirtyPages[graph.NodeID(p)])
+			}
+		}
+		if fresh != len(dirtyPages) {
+			t.Fatalf("step %d: %d fresh pages for %d dirty blocks", step, fresh, len(dirtyPages))
+		}
+		copied += fresh
+		tables += stats.Repaired()
+		ix = repaired
+	}
+	t.Logf("32 reweights: %d tables repaired, %d page copies (%d pages per index)", tables, copied, len(ix.pages))
 }
 
 // TestRepairDecreaseDamages pins the other direction: shortening an edge
@@ -241,7 +297,7 @@ func TestRepairDecreaseDamages(t *testing.T) {
 	if !dirty[2] {
 		t.Fatal("node 2's distance changed but is not dirty")
 	}
-	if got := repaired.fwd[0][2]; got != 1 {
+	if got := entry(repaired, graph.Forward, 0, 2); got != 1 {
 		t.Fatalf("repaired δ(0,2) = %d, want 1", got)
 	}
 }
@@ -293,9 +349,9 @@ func TestTablesChecksumDetectsChanges(t *testing.T) {
 	if a.TablesChecksum() == c.TablesChecksum() {
 		t.Fatal("different landmark sets collide")
 	}
-	mut := reflect.ValueOf(a.fwd[0]).Interface().([]int32)
-	mut[2]++
-	defer func() { mut[2]-- }()
+	mut := a.row(2)
+	mut[0]++
+	defer func() { mut[0]-- }()
 	if a.TablesChecksum() == b2.TablesChecksum() {
 		t.Fatal("entry mutation not detected")
 	}

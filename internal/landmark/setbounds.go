@@ -19,37 +19,38 @@ func (ix *Index) BoundsFromSet(sources []graph.NodeID) *FromBounds {
 	if len(sources) == 0 {
 		panic("landmark: empty source set")
 	}
+	L := len(ix.landmarks)
 	b := &FromBounds{
 		ix:     ix,
-		maxFwd: make([]int32, len(ix.landmarks)),
-		minBwd: make([]int32, len(ix.landmarks)),
+		maxFwd: make([]int32, L), // δ ≥ 0, so 0 is the max's identity
+		minBwd: make([]int32, L),
 	}
-	for i := range ix.landmarks {
-		maxF, minB := int32(0), int32(unreach32)
-		for _, u := range sources {
-			if d := ix.fwd[i][u]; d > maxF {
-				maxF = d
-			}
-			if d := ix.bwd[i][u]; d < minB {
-				minB = d
-			}
+	for i := range b.minBwd {
+		b.minBwd[i] = unreach32
+	}
+	for _, u := range sources {
+		r := ix.row(u)
+		fwd, bwd := r[:L], r[L:]
+		for i, d := range fwd {
+			b.maxFwd[i] = max(b.maxFwd[i], d)
+			b.minBwd[i] = min(b.minBwd[i], bwd[i])
 		}
-		b.maxFwd[i] = maxF
-		b.minBwd[i] = minB
 	}
 	return b
 }
 
 // LowerBound returns an admissible lower bound on min_{u∈S} δ(u, v).
 func (b *FromBounds) LowerBound(v graph.NodeID) graph.Weight {
-	ix := b.ix
+	r := b.ix.row(v)
+	maxFwd := b.maxFwd
+	fwd, bwd := r[:len(maxFwd)], r[len(maxFwd):]
+	minBwd, bwd := b.minBwd[:len(fwd)], bwd[:len(fwd)]
 	var lb graph.Weight
-	for i := range ix.landmarks {
+	for i, maxF := range maxFwd {
 		// Forward: min_u δ(u,v) ≥ δ(w,v) − max_u δ(w,u); requires every
 		// δ(w,u) exact. If additionally δ(w,v) = ∞, no source reaches v.
-		maxF := b.maxFwd[i]
 		if maxF < far32 {
-			dv := ix.fwd[i][v]
+			dv := fwd[i]
 			if dv == unreach32 {
 				return graph.Infinity
 			}
@@ -60,9 +61,9 @@ func (b *FromBounds) LowerBound(v graph.NodeID) graph.Weight {
 		// Backward: min_u δ(u,v) ≥ min_u δ(u,w) − δ(v,w); requires δ(v,w)
 		// exact. If additionally no source reaches w, v is unreachable
 		// from every source (u→v→w would reach w).
-		dv := ix.bwd[i][v]
+		dv := bwd[i]
 		if dv < far32 {
-			minB := b.minBwd[i]
+			minB := minBwd[i]
 			if minB == unreach32 {
 				return graph.Infinity
 			}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"kpj/internal/core"
-	"kpj/internal/deviation"
 	"kpj/internal/experiments"
 	"kpj/internal/gen"
 	"kpj/internal/graph"
@@ -51,20 +50,15 @@ func benchQuery(b *testing.B, ds, algo, category string, k int, landmarks int, a
 		b.Fatal(err)
 	}
 	sources := sets[2] // Q3
-	fn, wantsIndex, err := experiments.Algorithm(algo)
+	fn, err := experiments.Algorithm(algo)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var opt core.Options
-	opt.Alpha = alpha
-	if wantsIndex {
-		ix, err := e.IndexWith(ds, landmarks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt.Index = ix
+	ix, err := e.IndexWith(ds, landmarks)
+	if err != nil {
+		b.Fatal(err)
 	}
-	opt.Workspace = core.NewWorkspace(g.NumNodes() + 2)
+	opt := core.Options{Alpha: alpha, Index: ix, Workspace: core.NewWorkspace(g.NumNodes() + 2)}
 	// Follow -cpu: `go test -bench ... -cpu 1,4` compares the sequential
 	// engine against the 4-worker one on identical queries.
 	opt.Parallelism = runtime.GOMAXPROCS(0)
@@ -236,13 +230,10 @@ func BenchmarkFig13GKPJ(b *testing.B) {
 		b.Fatal(err)
 	}
 	for name, fn := range map[string]core.Func{
-		"DA-SPT":     deviation.DASPT,
+		"DA-SPT":     core.DASPT,
 		"IterBoundI": core.IterBoundSPTI,
 	} {
-		opt := core.Options{Alpha: 1.1, Workspace: core.NewWorkspace(g.NumNodes() + 2)}
-		if name == "IterBoundI" {
-			opt.Index = ix
-		}
+		opt := core.Options{Alpha: 1.1, Index: ix, Workspace: core.NewWorkspace(g.NumNodes() + 2)}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

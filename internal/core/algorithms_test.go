@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -310,37 +309,6 @@ func TestAlphaVariantsAgree(t *testing.T) {
 				t.Fatalf("%s alpha=%v: lengths = %v, want %v", name, alpha, got, want)
 			}
 		}
-	}
-}
-
-func TestValidationErrors(t *testing.T) {
-	g := testgraphs.Fig1()
-	hotels, _ := g.Category(testgraphs.HotelCategory)
-	base := core.Query{Sources: []graph.NodeID{0}, Targets: hotels, K: 2}
-	tests := []struct {
-		name string
-		q    core.Query
-		opt  core.Options
-		want error
-	}{
-		{"zero k", core.Query{Sources: base.Sources, Targets: base.Targets, K: 0}, core.Options{}, core.ErrBadK},
-		{"no sources", core.Query{Targets: base.Targets, K: 1}, core.Options{}, core.ErrNoSources},
-		{"no targets", core.Query{Sources: base.Sources, K: 1}, core.Options{}, core.ErrNoTargets},
-		{"source range", core.Query{Sources: []graph.NodeID{99}, Targets: base.Targets, K: 1}, core.Options{}, graph.ErrNodeRange},
-		{"target range", core.Query{Sources: base.Sources, Targets: []graph.NodeID{-1}, K: 1}, core.Options{}, graph.ErrNodeRange},
-		{"bad alpha", base, core.Options{Alpha: 0.5}, core.ErrBadAlpha},
-		{"small workspace", base, core.Options{Workspace: core.NewWorkspace(3)}, core.ErrWorkspace},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := core.IterBound(g, tt.q, tt.opt); !errors.Is(err, tt.want) {
-				t.Fatalf("err = %v, want %v", err, tt.want)
-			}
-		})
-	}
-	// BestFirst ignores alpha entirely.
-	if _, err := core.BestFirst(g, base, core.Options{Alpha: 0.5}); err != nil {
-		t.Fatalf("BestFirst rejected alpha it should ignore: %v", err)
 	}
 }
 

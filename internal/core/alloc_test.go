@@ -84,18 +84,23 @@ func steadyOptions(fx allocFixture) Options {
 	}
 }
 
+// pinSteadyState runs one subtest per row of the variant table, so CI can
+// require each row's pin by name.
 func pinSteadyState(t *testing.T, fx allocFixture) {
 	opt := steadyOptions(fx)
 	for name, fn := range Algorithms() {
-		if allocs, _ := queryAllocs(t, name, fn, fx, fx.q, opt, nil, 20); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per steady-state query, want 0", name, allocs)
-		}
+		t.Run(name, func(t *testing.T) {
+			if allocs, _ := queryAllocs(t, name, fn, fx, fx.q, opt, nil, 20); allocs != 0 {
+				t.Errorf("%.1f allocs per steady-state query, want 0", allocs)
+			}
+		})
 	}
 }
 
 // TestSteadyStateQueryAllocs pins the claim itself: a warm Workspace plus
-// a warm SetBounds cache plus ReuseResults runs every contributed
-// algorithm with ZERO heap allocations per query. Any regression — a map
+// a warm SetBounds cache plus ReuseResults runs every row of the variant
+// table, the deviation baselines included, with ZERO heap allocations per
+// query. Any regression — a map
 // rebuilt per query, a closure escaping, a value heuristic boxed into an
 // interface — shows up here as a non-zero count long before it shows up
 // in a benchmark.
@@ -111,19 +116,22 @@ func TestSteadyStateGKPJAllocs(t *testing.T) {
 // TestTruncatedQueryAllocs pins the branches a completed query never
 // takes: a query stopped by its work budget (SearchStatus Aborted, the
 // engine's early returns, the partial-result hand-back) allocates exactly
-// one object, the Bound that Prepare builds — whether it is stopped after
+// one object, the Bound that prepare builds — whether it is stopped after
 // 5, 40 or 200 units of work.
 func TestTruncatedQueryAllocs(t *testing.T) {
-	for fxName, fx := range map[string]allocFixture{"KSP": kspAllocFixture(t), "GKPJ": gkpjAllocFixture(t)} {
-		opt := steadyOptions(fx)
-		for name, fn := range Algorithms() {
-			for _, budget := range []int64{5, 40, 200} {
-				opt.Budget = budget
-				if allocs, _ := queryAllocs(t, name, fn, fx, fx.q, opt, ErrBudgetExceeded, 20); allocs != 1 {
-					t.Errorf("%s %s budget %d: %.1f allocs per truncated query, want 1 (the Bound)", fxName, name, budget, allocs)
+	fixtures := map[string]allocFixture{"KSP": kspAllocFixture(t), "GKPJ": gkpjAllocFixture(t)}
+	for name, fn := range Algorithms() {
+		t.Run(name, func(t *testing.T) {
+			for fxName, fx := range fixtures {
+				opt := steadyOptions(fx)
+				for _, budget := range []int64{5, 40, 200} {
+					opt.Budget = budget
+					if allocs, _ := queryAllocs(t, name, fn, fx, fx.q, opt, ErrBudgetExceeded, 20); allocs != 1 {
+						t.Errorf("%s budget %d: %.1f allocs per truncated query, want 1 (the Bound)", fxName, budget, allocs)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -140,25 +148,27 @@ const copyingHeadroom = 15
 // (thousands per query here).
 func TestCopyingModeAllocs(t *testing.T) {
 	fx := kspAllocFixture(t)
-	for _, cached := range []bool{true, false} {
-		opt := Options{Index: fx.ix, Workspace: NewWorkspace(fx.g.NumNodes() + 2)}
-		if cached {
-			opt.SetBounds = landmark.NewSetBoundsCache(8)
-		}
-		for name, fn := range Algorithms() {
-			for _, k := range []int{10, 20, 50, 100, 500} {
-				q := fx.q
-				q.K = k
-				allocs, paths := queryAllocs(t, name, fn, fx, q, opt, nil, 3)
-				if paths != k {
-					t.Fatalf("%s k=%d: %d paths returned; the fixture must yield k", name, k, paths)
+	for name, fn := range Algorithms() {
+		t.Run(name, func(t *testing.T) {
+			for _, cached := range []bool{true, false} {
+				opt := Options{Index: fx.ix, Workspace: NewWorkspace(fx.g.NumNodes() + 2)}
+				if cached {
+					opt.SetBounds = landmark.NewSetBoundsCache(8)
 				}
-				if extra := allocs - float64(paths); extra > copyingHeadroom {
-					t.Errorf("%s k=%d cache=%v: %.1f allocs for %d paths: %.1f beyond the copies, want <= %d",
-						name, k, cached, allocs, paths, extra, copyingHeadroom)
+				for _, k := range []int{10, 20, 50, 100, 500} {
+					q := fx.q
+					q.K = k
+					allocs, paths := queryAllocs(t, name, fn, fx, q, opt, nil, 3)
+					if paths != k {
+						t.Fatalf("k=%d: %d paths returned; the fixture must yield k", k, paths)
+					}
+					if extra := allocs - float64(paths); extra > copyingHeadroom {
+						t.Errorf("k=%d cache=%v: %.1f allocs for %d paths: %.1f beyond the copies, want <= %d",
+							k, cached, allocs, paths, extra, copyingHeadroom)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

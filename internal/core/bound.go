@@ -77,7 +77,7 @@ func (s *boundShare) tripped() error {
 // units Stats tracks as NodesPopped and EdgesRelaxed). A nil *Bound is
 // valid and never trips, so unbounded queries pay only a nil check.
 //
-// A Bound is single-use and not safe for concurrent use; Prepare
+// A Bound is single-use and not safe for concurrent use; prepare
 // materializes a fresh one per query. Share splits one bound into several,
 // each single-goroutine, that draw work from a common budget pool and stop
 // together — the parallel engine gives one to each worker.
@@ -138,14 +138,14 @@ func (b *Bound) release() {
 	}
 }
 
-// Inject records an externally raised failure — an injected fault-point
+// inject records an externally raised failure — an injected fault-point
 // error or a recovered worker panic — as the bound's sticky error, so it
 // flows through the same truncation machinery as a deadline or budget
 // trip: every loop observing this bound (or a sibling sharer) stops
 // within pollEvery units and the query returns its partial-result
 // prefix. The first injected error wins; later ones are dropped. Nil-safe
 // on both receiver and error.
-func (b *Bound) Inject(err error) {
+func (b *Bound) inject(err error) {
 	if b == nil || err == nil {
 		return
 	}
@@ -160,7 +160,7 @@ func (b *Bound) Inject(err error) {
 
 // newSentinelBound returns a Bound that never trips on its own — no
 // context, effectively unlimited budget — but can carry injected errors.
-// Prepare substitutes it for the nil bound while fault injection is
+// prepare substitutes it for the nil bound while fault injection is
 // enabled, so unbounded queries still have an interruption channel.
 func newSentinelBound() *Bound {
 	return &Bound{budget: math.MaxInt64, poll: 1}

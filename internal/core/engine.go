@@ -40,7 +40,7 @@ func lessEntry(a, b entry) bool {
 type resolveJob struct {
 	ent    entry
 	tau    graph.Weight
-	res    SearchResult
+	res    searchResult
 	status SearchStatus
 }
 
@@ -61,15 +61,16 @@ const minParallelLB = 3
 // bounding sequential speculation per round.
 const resolveBatch = 8
 
-// engine runs the best-first paradigm (Alg. 2) or, when alpha > 1 with a
-// finite bound schedule, the iteratively bounding approach (Alg. 4). The
-// algorithm variants differ only in the fields variant.run plugs in. One
-// engine is cached per Workspace (see Workspace.engine): the configuration
-// fields are rewritten per query while the scratch fields at the bottom
-// retain their capacity, so a steady-state query allocates nothing here.
+// engine runs the best-first paradigm (Alg. 2), when alpha > 1 with a
+// finite bound schedule the iteratively bounding approach (Alg. 4), or,
+// when eager, the deviation paradigm (Alg. 1). The algorithm variants
+// differ only in the fields variant.run plugs in. One engine is cached per
+// Workspace (see Workspace.engine): the configuration fields are rewritten
+// per query while the scratch fields at the bottom retain their capacity,
+// so a steady-state query allocates nothing here.
 type engine struct {
 	sp *Space
-	pt *PseudoTree
+	pt *pseudoTree
 	ws *Workspace
 	k  int
 
@@ -83,11 +84,20 @@ type engine struct {
 
 	alpha float64 // >1: TestLB with growing τ; <=0: exact resolution (BestFirst)
 
+	// eager resolves every new subspace exactly at division time instead
+	// of enqueueing its CompLB lower bound: the deviation paradigm of
+	// Alg. 1 (DA, DA-SPT).
+	eager bool
+
+	// full, when non-nil, is DA-SPT's complete shortest path tree toward
+	// the goal; every exact search first tries the Pascoal shortcut on it.
+	full *SPT
+
 	// init seeds the queue with the shortest path of the entire space S_0
 	// (Alg. 4 line 1) when haveInit is set (SPT_P/SPT_I got it as a
 	// by-product of tree construction); otherwise an unrestricted
-	// SubspaceSearch computes it, which is what Alg. 2 does.
-	init     SearchResult
+	// subspaceSearch computes it, which is what Alg. 2 does.
+	init     searchResult
 	haveInit bool
 
 	// reuse makes emitted Path nodes alias the workspace arenas
@@ -95,7 +105,7 @@ type engine struct {
 	reuse bool
 
 	// bound carries the query's cancellation/budget state; nil runs
-	// unbounded. It is the same Bound installed in ws by Prepare.
+	// unbounded. It is the same Bound installed in ws by prepare.
 	bound *Bound
 
 	// pool, when non-nil, fans the independent searches of one round (and
@@ -113,7 +123,7 @@ type engine struct {
 	// Retained scratch, reused across queries via the workspace cache.
 	q       *pqueue.Heap[entry]
 	jobs    []resolveJob
-	results []SearchResult
+	results []searchResult
 	cands   []VertexID
 	lbs     []graph.Weight
 	pathBuf []graph.NodeID
@@ -123,7 +133,7 @@ type engine struct {
 // storeResult appends res to the per-query result store and returns its
 // entry index. Entries hold indexes, not pointers, because the store grows
 // by append.
-func (e *engine) storeResult(res SearchResult) int32 {
+func (e *engine) storeResult(res searchResult) int32 {
 	e.results = append(e.results, res)
 	return int32(len(e.results) - 1)
 }
@@ -180,7 +190,7 @@ func (e *engine) run() (out []Path, err error) {
 	first, ok := e.init, e.haveInit
 	if !e.haveInit {
 		var status SearchStatus
-		first, status = e.ws.SubspaceSearch(e.sp, e.pt, 0, e.h, graph.Infinity, e.tree, e.stats)
+		first, status = e.compSP(e.ws, 0, e.stats)
 		ok = status == Found
 	}
 	endInitial(first.Total)
@@ -199,7 +209,7 @@ func (e *engine) run() (out []Path, err error) {
 			if e.bound == nil {
 				return out, ferr
 			}
-			e.bound.Inject(ferr)
+			e.bound.inject(ferr)
 		}
 		if err := e.bound.Step(); err != nil {
 			return out, err
@@ -247,12 +257,12 @@ func (e *engine) run() (out []Path, err error) {
 		if len(jobs) == 1 || e.pool == nil {
 			for i := range jobs {
 				j := &jobs[i]
-				j.res, j.status = e.ws.SubspaceSearch(e.sp, e.pt, j.ent.vertex, e.h, j.tau, e.tree, e.stats)
+				j.res, j.status = e.ws.subspaceSearch(e.sp, e.pt, j.ent.vertex, e.h, j.tau, e.tree, e.stats)
 			}
 		} else {
 			e.pool.Run(len(jobs), func(i int, ws *Workspace, st *Stats) {
 				j := &jobs[i]
-				j.res, j.status = ws.SubspaceSearch(e.sp, e.pt, j.ent.vertex, e.h, j.tau, e.tree, st)
+				j.res, j.status = ws.subspaceSearch(e.sp, e.pt, j.ent.vertex, e.h, j.tau, e.tree, st)
 			})
 			// A worker panic (recovered by the pool) or injected fault may
 			// have left jobs unexecuted with zero-valued statuses; stop on
@@ -298,10 +308,11 @@ func (e *engine) run() (out []Path, err error) {
 
 // emitAndDivide outputs the resolved entry's path and divides its subspace
 // (Alg. 2 lines 6-10), enqueueing the deviation vertex and the new suffix
-// vertices with CompLB lower bounds. The CompLB calls are independent and
-// fan out to the pool when the division is wide enough. It reports whether
-// the main loop must stop (k paths emitted, or the bound tripped during a
-// lower-bound computation).
+// vertices with CompLB lower bounds — or, eager, with their exact lengths
+// (see divideExact). The CompLB calls are independent and fan out to the
+// pool when the division is wide enough. It reports whether the main loop
+// must stop (k paths emitted, or the bound tripped during a lower-bound
+// computation or an eager search).
 func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (stop bool) {
 	res := &e.results[ent.res]
 	e.pathBuf = e.pt.AppendPrefixPath(e.pathBuf[:0], ent.vertex)
@@ -319,7 +330,11 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 	if len(*out) == e.k {
 		return true
 	}
-	endDivide := e.spans.Start(obs.PhaseDivide, len(*out))
+	phase := obs.PhaseDivide
+	if e.eager {
+		phase = obs.PhaseResolve // Alg. 1 resolves at division time
+	}
+	endDivide := e.spans.Start(phase, len(*out))
 	nsuffix := VertexID(len(res.Suffix))
 	firstNew := e.pt.InsertSuffix(ent.vertex, res.Suffix, res.Lens)
 
@@ -333,6 +348,10 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 		if e.pt.Node(v) != e.sp.Goal {
 			e.cands = append(e.cands, v)
 		}
+	}
+	if e.eager {
+		endDivide(e.divideExact(q, e.cands))
+		return e.bound.Err() != nil
 	}
 	cands := e.cands
 	if cap(e.lbs) < len(cands) {
@@ -364,6 +383,61 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 	// CompLB returns 0 (a valid lower bound) when a bound trips inside it;
 	// stop before acting on the degraded values' enqueues.
 	return e.bound.Err() != nil
+}
+
+// divideExact is the eager division of Alg. 1: each new subspace is
+// resolved exactly (τ = ∞, so τ never enters and no SPT_I restricts the
+// search) and enqueued keyed by its shortest path length; an empty one is
+// dropped. The searches are independent and fan out to the pool. It
+// returns the number of subspaces enqueued.
+func (e *engine) divideExact(q *pqueue.Heap[entry], cands []VertexID) (resolved int64) {
+	jobs := e.jobs[:0]
+	for _, v := range cands {
+		jobs = append(jobs, resolveJob{ent: entry{vertex: v}, tau: graph.Infinity})
+	}
+	e.jobs = jobs
+	if e.pool != nil && len(jobs) > 1 {
+		e.pool.Run(len(jobs), func(i int, ws *Workspace, st *Stats) {
+			jobs[i].res, jobs[i].status = e.compSP(ws, jobs[i].ent.vertex, st)
+		})
+		// A panicked or fault-skipped task leaves a zero (Found) status
+		// behind; stop before reading any.
+		if e.bound.Err() != nil {
+			return 0
+		}
+	} else {
+		for i := range jobs {
+			jobs[i].res, jobs[i].status = e.compSP(e.ws, jobs[i].ent.vertex, e.stats)
+		}
+	}
+	for i := range jobs {
+		j := &jobs[i]
+		v := j.ent.vertex
+		e.trace(Event{Kind: EventResolve, Vertex: v, Node: e.pt.Node(v),
+			Length: j.res.Total, Tau: j.tau, Status: j.status})
+		if j.status == Found {
+			q.Push(entry{vertex: v, key: j.res.Total, res: e.storeResult(j.res)})
+			e.trace(Event{Kind: EventEnqueue, Vertex: v, Node: e.pt.Node(v), Length: j.res.Total})
+			resolved++
+		}
+	}
+	return resolved
+}
+
+// compSP computes the exact shortest path of v's subspace on the given
+// workspace (CompSP), answering from DA-SPT's full tree by the Pascoal
+// shortcut when the concatenation is simple. A shortcut hit counts as a
+// LowerBounds unit: it replaces a search by a constant-time candidate.
+func (e *engine) compSP(ws *Workspace, v VertexID, st *Stats) (searchResult, SearchStatus) {
+	if e.full != nil {
+		if res, ok := ws.pascoal(e.full, e.sp, e.pt, v); ok {
+			if st != nil {
+				st.LowerBounds++
+			}
+			return res, Found
+		}
+	}
+	return ws.subspaceSearch(e.sp, e.pt, v, e.h, graph.Infinity, e.tree, st)
 }
 
 // compLB computes the subspace lower bound for v on the given workspace,

@@ -10,13 +10,13 @@ import (
 // space node to the space goal and returns 0 for the goal itself and for
 // virtual nodes (always admissible).
 
-// ZeroHeuristic is the trivial heuristic — searches degrade to Dijkstra.
+// zeroHeuristic is the trivial heuristic — searches degrade to Dijkstra.
 // It backs the DA baseline and the "-NL" (no landmark) variants
 // (Section 6: "setting all lb(u, V_T) to be 0").
-type ZeroHeuristic struct{}
+type zeroHeuristic struct{}
 
 // H implements Heuristic.
-func (ZeroHeuristic) H(graph.NodeID) graph.Weight { return 0 }
+func (zeroHeuristic) H(graph.NodeID) graph.Weight { return 0 }
 
 // CategoryHeuristic is the paper's Eq. (2) bound for forward spaces: the
 // remaining distance from v to the virtual target is min_{u∈V_T} δ(v, u),
@@ -71,7 +71,7 @@ func (h SourceSetHeuristic) H(v graph.NodeID) graph.Weight {
 // tree on top of a fallback heuristic: nodes settled in the tree use their
 // exact remaining distance (paper Prop. 5.1 — "for lower bound, the larger
 // the better"; Alg. 8 line 5 for SPT_I), everything else falls back. The
-// mixture is admissible but not consistent, which SubspaceSearch
+// mixture is admissible but not consistent, which subspaceSearch
 // tolerates by re-expansion.
 type TreeHeuristic struct {
 	T        *SPT // exact remaining distances for settled nodes

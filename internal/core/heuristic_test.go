@@ -11,7 +11,7 @@ import (
 )
 
 func TestZeroHeuristic(t *testing.T) {
-	var h ZeroHeuristic
+	var h zeroHeuristic
 	for _, v := range []graph.NodeID{0, 1, 1000} {
 		if h.H(v) != 0 {
 			t.Fatalf("H(%d) = %d", v, h.H(v))

@@ -16,7 +16,7 @@ func TestPoolCloseLeavesNoGoroutines(t *testing.T) {
 	defer leaktest.Check(t)()
 	opt := &Options{Parallelism: 4}
 	opt.bound = NewBound(context.Background(), 0)
-	p := opt.NewPool(8)
+	p := opt.newPool(8)
 	var ran atomic.Int64
 	for round := 0; round < 3; round++ {
 		p.Run(32, func(task int, ws *Workspace, st *Stats) { ran.Add(1) })
@@ -35,7 +35,7 @@ func TestPoolWorkerPanicBecomesBoundError(t *testing.T) {
 	b := NewBound(context.Background(), 0)
 	opt := &Options{Parallelism: 2}
 	opt.bound = b
-	p := opt.NewPool(8)
+	p := opt.newPool(8)
 	p.Run(4, func(task int, ws *Workspace, st *Stats) {
 		if task == 2 {
 			panic("boom")
@@ -56,7 +56,7 @@ func TestPoolFaultInjectionStopsRound(t *testing.T) {
 	b := NewBound(context.Background(), 0)
 	opt := &Options{Parallelism: 2}
 	opt.bound = b
-	p := opt.NewPool(8)
+	p := opt.newPool(8)
 	p.Run(6, func(task int, ws *Workspace, st *Stats) {})
 	p.Close()
 	if err := b.Err(); !errors.Is(err, fault.ErrInjected) {
@@ -73,7 +73,7 @@ func TestPoolInjectedPanicRecovered(t *testing.T) {
 	b := NewBound(context.Background(), 0)
 	opt := &Options{Parallelism: 2}
 	opt.bound = b
-	p := opt.NewPool(8)
+	p := opt.newPool(8)
 	p.Run(4, func(task int, ws *Workspace, st *Stats) {})
 	p.Close()
 	if err := b.Err(); !errors.Is(err, ErrWorkerPanic) {

@@ -27,8 +27,8 @@ type WorkspacePool interface {
 }
 
 // Pool fans the independent computations of one query — the subspace
-// searches of an IterBound round, CompLB calls at division time, the
-// deviation algorithms' candidate resolutions — across a fixed set of
+// searches of an IterBound round, CompLB calls at division time, the eager
+// divisions' exact searches (DA, DA-SPT) — across a fixed set of
 // worker goroutines. Each worker owns a Workspace (with its share of the
 // query's Bound installed) and a private Stats, so the searches themselves
 // run without any synchronization; Close merges the stats and returns the
@@ -62,13 +62,13 @@ type poolRound struct {
 	share int
 }
 
-// NewPool materializes the intra-query worker pool described by the
+// newPool materializes the intra-query worker pool described by the
 // options: nil when opt.Parallelism <= 1 (the sequential case). Workspaces
 // come from opt.Workspaces when set (falling back to fresh allocation) and
 // each receives a share of the query's Bound, so budget and cancellation
-// hold across all workers. Call after Prepare (which materializes the
+// hold across all workers. Call after prepare (which materializes the
 // Bound) and Close when the query is done.
-func (opt *Options) NewPool(n int) *Pool {
+func (opt *Options) newPool(n int) *Pool {
 	if opt.Parallelism <= 1 {
 		return nil
 	}
@@ -179,11 +179,11 @@ func (p *Pool) runTask(r poolRound, i, slot int) {
 			if b == nil {
 				panic(rec)
 			}
-			b.Inject(fmt.Errorf("%w: %v", ErrWorkerPanic, rec))
+			b.inject(fmt.Errorf("%w: %v", ErrWorkerPanic, rec))
 		}
 	}()
 	if ferr := fault.Hit(fault.PoolWorker); ferr != nil {
-		b.Inject(ferr)
+		b.inject(ferr)
 	}
 	r.f(i, slot)
 }

@@ -2,12 +2,12 @@ package core
 
 import "kpj/internal/graph"
 
-// VertexID identifies a vertex of a PseudoTree. The paper distinguishes
+// VertexID identifies a vertex of a pseudoTree. The paper distinguishes
 // pseudo-tree *vertices* from graph *nodes* because the same graph node may
 // appear at several tree positions (Section 3).
 type VertexID = int32
 
-// PseudoTree is the trie of already-output paths (paper Section 3). Every
+// pseudoTree is the trie of already-output paths (paper Section 3). Every
 // vertex doubles as a subspace of the best-first paradigm (Section 4):
 // vertex u represents the subspace ⟨P_{root,u}, X_u⟩ where P_{root,u} is
 // the tree path from the root to u and X_u is exactly the set of u's tree
@@ -19,7 +19,7 @@ type VertexID = int32
 // a slice-of-slices, so inserting a path never allocates once the arena has
 // reached its steady-state capacity and membership walks are array reads,
 // not pointer chases.
-type PseudoTree struct {
+type pseudoTree struct {
 	node   []graph.NodeID // vertex -> space node
 	parent []VertexID     // vertex -> parent vertex (-1 at root)
 	plen   []graph.Weight // vertex -> length of the root→vertex prefix
@@ -31,10 +31,10 @@ type PseudoTree struct {
 	kidNext []int32
 }
 
-// NewPseudoTree returns a tree holding only the root vertex (vertex 0) for
+// newPseudoTree returns a tree holding only the root vertex (vertex 0) for
 // the given space root node — the paper's PT_0.
-func NewPseudoTree(root graph.NodeID) *PseudoTree {
-	t := &PseudoTree{}
+func newPseudoTree(root graph.NodeID) *pseudoTree {
+	t := &pseudoTree{}
 	t.Reset(root)
 	return t
 }
@@ -43,7 +43,7 @@ func NewPseudoTree(root graph.NodeID) *PseudoTree {
 // but retaining all storage. Engines reuse one workspace-owned tree across
 // queries so the steady state inserts without allocating (pinned by
 // TestSteadyStateQueryAllocs).
-func (t *PseudoTree) Reset(root graph.NodeID) {
+func (t *pseudoTree) Reset(root graph.NodeID) {
 	t.node = append(t.node[:0], root)
 	t.parent = append(t.parent[:0], -1)
 	t.plen = append(t.plen[:0], 0)
@@ -53,20 +53,20 @@ func (t *PseudoTree) Reset(root graph.NodeID) {
 }
 
 // Len returns the number of vertices.
-func (t *PseudoTree) Len() int { return len(t.node) }
+func (t *pseudoTree) Len() int { return len(t.node) }
 
 // Node returns the space node of vertex u.
-func (t *PseudoTree) Node(u VertexID) graph.NodeID { return t.node[u] }
+func (t *pseudoTree) Node(u VertexID) graph.NodeID { return t.node[u] }
 
 // PrefixLen returns the length of the root→u tree path.
-func (t *PseudoTree) PrefixLen(u VertexID) graph.Weight { return t.plen[u] }
+func (t *pseudoTree) PrefixLen(u VertexID) graph.Weight { return t.plen[u] }
 
 // Parent returns u's parent vertex, -1 for the root.
-func (t *PseudoTree) Parent(u VertexID) VertexID { return t.parent[u] }
+func (t *pseudoTree) Parent(u VertexID) VertexID { return t.parent[u] }
 
 // ExcludedHas reports whether v is in X_u: the space nodes reached by u's
 // tree child edges, i.e. the first hops banned in u's subspace.
-func (t *PseudoTree) ExcludedHas(u VertexID, v graph.NodeID) bool {
+func (t *pseudoTree) ExcludedHas(u VertexID, v graph.NodeID) bool {
 	for s := t.kidHead[u]; s >= 0; s = t.kidNext[s] {
 		if t.kidNode[s] == v {
 			return true
@@ -76,7 +76,7 @@ func (t *PseudoTree) ExcludedHas(u VertexID, v graph.NodeID) bool {
 }
 
 // ExcludedLen returns |X_u|.
-func (t *PseudoTree) ExcludedLen(u VertexID) int {
+func (t *pseudoTree) ExcludedLen(u VertexID) int {
 	n := 0
 	for s := t.kidHead[u]; s >= 0; s = t.kidNext[s] {
 		n++
@@ -85,9 +85,9 @@ func (t *PseudoTree) ExcludedLen(u VertexID) int {
 }
 
 // PrefixNodes calls visit for every space node on the root→u tree path,
-// from u back to the root (u itself included). Like Space.Expand's yield,
+// from u back to the root (u itself included). Like Space.expand's yield,
 // visit is only called, never stored, so callers' closures stay off the heap.
-func (t *PseudoTree) PrefixNodes(u VertexID, visit func(graph.NodeID)) {
+func (t *pseudoTree) PrefixNodes(u VertexID, visit func(graph.NodeID)) {
 	for v := u; v >= 0; v = t.parent[v] {
 		visit(t.node[v])
 	}
@@ -95,7 +95,7 @@ func (t *PseudoTree) PrefixNodes(u VertexID, visit func(graph.NodeID)) {
 
 // AppendPrefixPath appends the root→u node sequence in forward order to dst
 // and returns the extended slice (reusing dst's capacity).
-func (t *PseudoTree) AppendPrefixPath(dst []graph.NodeID, u VertexID) []graph.NodeID {
+func (t *pseudoTree) AppendPrefixPath(dst []graph.NodeID, u VertexID) []graph.NodeID {
 	base := len(dst)
 	for v := u; v >= 0; v = t.parent[v] {
 		dst = append(dst, t.node[v])
@@ -109,7 +109,7 @@ func (t *PseudoTree) AppendPrefixPath(dst []graph.NodeID, u VertexID) []graph.No
 
 // PrefixPath returns the root→u node sequence in forward order as a fresh
 // slice. Hot paths use AppendPrefixPath with a reused buffer instead.
-func (t *PseudoTree) PrefixPath(u VertexID) []graph.NodeID {
+func (t *pseudoTree) PrefixPath(u VertexID) []graph.NodeID {
 	return t.AppendPrefixPath(nil, u)
 }
 
@@ -120,7 +120,7 @@ func (t *PseudoTree) PrefixPath(u VertexID) []graph.NodeID {
 // node, linking d→suffix[0]→…, and returns the first new vertex id; the
 // created ids are the consecutive range [first, first+len(suffix)). This is
 // the pseudo-tree update of the paper's Alg. 1 line 5 / Alg. 2 line 8.
-func (t *PseudoTree) InsertSuffix(d VertexID, suffix []graph.NodeID, suffixLens []graph.Weight) (first VertexID) {
+func (t *pseudoTree) InsertSuffix(d VertexID, suffix []graph.NodeID, suffixLens []graph.Weight) (first VertexID) {
 	if len(suffix) != len(suffixLens) {
 		panic("core: suffix/lengths size mismatch")
 	}

@@ -25,8 +25,8 @@ type Query struct {
 type Options struct {
 	// Alpha controls how aggressively the iteratively bounding approaches
 	// enlarge the testing threshold τ (paper Section 5.1). It must exceed
-	// 1; the paper's default is 1.1. Ignored by BestFirst and the
-	// deviation baselines.
+	// 1; the paper's default is 1.1. Ignored by the rows that resolve
+	// exactly: BestFirst and the deviation baselines DA and DA-SPT.
 	Alpha float64
 	// Index supplies landmark lower bounds. Nil runs the "-NL" variants
 	// (all landmark bounds treated as 0, Section 6).
@@ -79,7 +79,7 @@ type Options struct {
 	// the default).
 	ReuseResults bool
 
-	// bound is materialized by Prepare from Context and Budget.
+	// bound is materialized by prepare from Context and Budget.
 	bound *Bound
 }
 
@@ -119,10 +119,10 @@ func (q Query) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// Prepare validates the query and options, materializes defaults, and
-// returns the workspace to use. It is shared by the algorithms here and by
-// the deviation baselines in internal/deviation.
-func Prepare(g *graph.Graph, q Query, opt *Options, needAlpha bool) (*Workspace, error) {
+// prepare validates the query and options, materializes defaults, and
+// returns the workspace to use. Every row of the variant table runs it
+// first (see variant.run).
+func prepare(g *graph.Graph, q Query, opt *Options, needAlpha bool) (*Workspace, error) {
 	if err := q.Validate(g); err != nil {
 		return nil, err
 	}

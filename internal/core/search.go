@@ -16,7 +16,7 @@ const (
 	Empty
 	// Aborted: the query's Bound tripped (context canceled or budget
 	// exhausted) mid-search. The subspace's status is unknown; the caller
-	// must stop and report Workspace.Bound().Err().
+	// must stop and report the query Bound's Err.
 	Aborted
 )
 
@@ -33,17 +33,17 @@ func (s SearchStatus) String() string {
 	}
 }
 
-// SearchResult carries a Found subspace shortest path: the node suffix
+// searchResult carries a Found subspace shortest path: the node suffix
 // strictly after the subspace vertex's node, the cumulative path length at
 // each suffix node (measured from the space root), and the total length.
-// Suffix/Lens feed PseudoTree.InsertSuffix directly.
-type SearchResult struct {
+// Suffix/Lens feed pseudoTree.InsertSuffix directly.
+type searchResult struct {
 	Suffix []graph.NodeID
 	Lens   []graph.Weight
 	Total  graph.Weight
 }
 
-// SubspaceSearch computes the shortest path of the subspace represented by
+// subspaceSearch computes the shortest path of the subspace represented by
 // pseudo-tree vertex u — the paper's CompSP when tau == graph.Infinity and
 // TestLB (Alg. 5) otherwise. It runs a restricted A* from u's node:
 //
@@ -57,7 +57,7 @@ type SearchResult struct {
 // The heuristic must be admissible; it need not be consistent (nodes are
 // re-expanded when reached more cheaply). Statistics are accumulated in st
 // when non-nil.
-func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, tau graph.Weight, tree *sptiTree, st *Stats) (SearchResult, SearchStatus) {
+func (ws *Workspace) subspaceSearch(sp *Space, pt *pseudoTree, u VertexID, h Heuristic, tau graph.Weight, tree *sptiTree, st *Stats) (searchResult, SearchStatus) {
 	ws.beginSearch()
 	ws.beginBans()
 	pt.PrefixNodes(u, ws.banNode)
@@ -102,14 +102,14 @@ func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heu
 	}
 
 	if hs := ws.hOf(h, start); hs >= graph.Infinity {
-		return SearchResult{}, Empty // goal provably unreachable from u
+		return searchResult{}, Empty // goal provably unreachable from u
 	} else if startDist+hs > tau {
 		// The subspace's own prefix already exceeds the bound.
-		return SearchResult{}, Exceeded
+		return searchResult{}, Exceeded
 	}
 	// Expand the start vertex by hand so the X_u first-hop exclusions
 	// apply; the main loop below never re-expands it (it is banned).
-	sp.Expand(start, func(to graph.NodeID, w graph.Weight) {
+	sp.expand(start, func(to graph.NodeID, w graph.Weight) {
 		if !pt.ExcludedHas(u, to) {
 			relax(start, to, startDist+w)
 		}
@@ -117,7 +117,7 @@ func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heu
 
 	for ws.q.Len() > 0 {
 		if ws.bound.Step() != nil {
-			return SearchResult{}, Aborted
+			return searchResult{}, Aborted
 		}
 		vi, _ := ws.q.Pop()
 		v := graph.NodeID(vi)
@@ -128,22 +128,22 @@ func (ws *Workspace) SubspaceSearch(sp *Space, pt *PseudoTree, u VertexID, h Heu
 			return ws.reconstruct(pt, u, v), Found
 		}
 		dv := ws.dist[v]
-		sp.Expand(v, func(to graph.NodeID, w graph.Weight) {
+		sp.expand(v, func(to graph.NodeID, w graph.Weight) {
 			relax(v, to, dv+w)
 		})
 	}
 	if pruned {
-		return SearchResult{}, Exceeded
+		return searchResult{}, Exceeded
 	}
-	return SearchResult{}, Empty
+	return searchResult{}, Empty
 }
 
 // reconstruct walks the parent pointers from the goal back to the start
 // vertex's node and packages the suffix in forward order. Suffix and Lens
 // live in the workspace's per-query arenas: valid until the workspace's
-// next query, copied by PseudoTree.InsertSuffix and path materialization
+// next query, copied by pseudoTree.InsertSuffix and path materialization
 // before then.
-func (ws *Workspace) reconstruct(pt *PseudoTree, u VertexID, goal graph.NodeID) SearchResult {
+func (ws *Workspace) reconstruct(pt *pseudoTree, u VertexID, goal graph.NodeID) searchResult {
 	start := pt.Node(u)
 	rev := ws.rev[:0]
 	for v := goal; v != start; v = ws.parent[v] {
@@ -151,7 +151,7 @@ func (ws *Workspace) reconstruct(pt *PseudoTree, u VertexID, goal graph.NodeID) 
 	}
 	ws.rev = rev
 	n := len(rev)
-	res := SearchResult{
+	res := searchResult{
 		Suffix: ws.nodeArena.take(n)[:n],
 		Lens:   ws.lenArena.take(n)[:n],
 		Total:  ws.dist[goal],
@@ -171,7 +171,7 @@ func (ws *Workspace) reconstruct(pt *PseudoTree, u VertexID, goal graph.NodeID) 
 // subspace is provably empty. A non-definitive root exclusion (the
 // SPT_I "D ≠ V_T" case) degrades the result to 0 instead, because the
 // excluded edges might hide shorter paths (Alg. 8 line 8).
-func (ws *Workspace) CompLB(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, root *sptiTree, st *Stats) graph.Weight {
+func (ws *Workspace) CompLB(sp *Space, pt *pseudoTree, u VertexID, h Heuristic, root *sptiTree, st *Stats) graph.Weight {
 	ws.beginBans()
 	bumpEpoch(&ws.hepoch, ws.hstamp)
 	pt.PrefixNodes(u, ws.banNode)
@@ -183,7 +183,7 @@ func (ws *Workspace) CompLB(sp *Space, pt *PseudoTree, u VertexID, h Heuristic, 
 	sawBlocked := false
 	prefix := pt.PrefixLen(u)
 	node := pt.Node(u)
-	sp.Expand(node, func(to graph.NodeID, w graph.Weight) {
+	sp.expand(node, func(to graph.NodeID, w graph.Weight) {
 		if ws.isBanned(to) {
 			return
 		}

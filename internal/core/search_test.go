@@ -72,7 +72,7 @@ func samePathMultiset(a, b [][]graph.NodeID) bool {
 }
 
 // TestTestLBContract checks Lemma 5.1 directly: for a subspace with
-// shortest path length L, SubspaceSearch with bound τ must return Found
+// shortest path length L, subspaceSearch with bound τ must return Found
 // (with length L) iff τ ≥ L, Exceeded when τ < L, and Empty consistently
 // when the subspace has no path.
 func TestTestLBContract(t *testing.T) {
@@ -83,13 +83,13 @@ func TestTestLBContract(t *testing.T) {
 		targets := testgraphs.RandomCategory(rng, g, "T", 1+rng.Intn(2))
 		src := graph.NodeID(rng.Intn(n))
 		sp := NewForwardSpace(g, []graph.NodeID{src}, targets)
-		ws := NewWorkspace(sp.NumSpaceNodes())
-		pt := NewPseudoTree(sp.Root)
-		h := ZeroHeuristic{}
+		ws := NewWorkspace(sp.numSpaceNodes())
+		pt := newPseudoTree(sp.Root)
+		h := zeroHeuristic{}
 
 		// Build a few pseudo-tree vertices by running the initial search
 		// and inserting its result.
-		res, status := ws.SubspaceSearch(sp, pt, 0, h, graph.Infinity, nil, nil)
+		res, status := ws.subspaceSearch(sp, pt, 0, h, graph.Infinity, nil, nil)
 		if status != Found {
 			continue // no path at all from this source
 		}
@@ -102,9 +102,9 @@ func TestTestLBContract(t *testing.T) {
 			if pt.Node(u) == sp.Goal {
 				continue
 			}
-			exact, st := ws.SubspaceSearch(sp, pt, u, h, graph.Infinity, nil, nil)
+			exact, st := ws.subspaceSearch(sp, pt, u, h, graph.Infinity, nil, nil)
 			for _, tau := range []graph.Weight{0, 1, 3, 7, 20, 100} {
-				got, gotSt := ws.SubspaceSearch(sp, pt, u, h, tau, nil, nil)
+				got, gotSt := ws.subspaceSearch(sp, pt, u, h, tau, nil, nil)
 				switch st {
 				case Found:
 					if tau >= exact.Total {
@@ -145,7 +145,7 @@ func TestCategoryHeuristicConsistent(t *testing.T) {
 		h := CategoryHeuristic{Space: sp, Bounds: ix.BoundsToSet(targets)}
 		for v := graph.NodeID(0); int(v) < n; v++ {
 			hv := h.H(v)
-			sp.Expand(v, func(to graph.NodeID, w graph.Weight) {
+			sp.expand(v, func(to graph.NodeID, w graph.Weight) {
 				ht := h.H(to)
 				if ht >= graph.Infinity {
 					return
@@ -169,9 +169,9 @@ func TestCompLBIsLowerBound(t *testing.T) {
 		targets := testgraphs.RandomCategory(rng, g, "T", 1+rng.Intn(2))
 		src := graph.NodeID(rng.Intn(n))
 		sp := NewForwardSpace(g, []graph.NodeID{src}, targets)
-		ws := NewWorkspace(sp.NumSpaceNodes())
-		pt := NewPseudoTree(sp.Root)
-		var h Heuristic = ZeroHeuristic{}
+		ws := NewWorkspace(sp.numSpaceNodes())
+		pt := newPseudoTree(sp.Root)
+		var h Heuristic = zeroHeuristic{}
 		if trial%2 == 0 {
 			ix, err := landmark.Build(g, 2, int64(trial))
 			if err != nil {
@@ -179,7 +179,7 @@ func TestCompLBIsLowerBound(t *testing.T) {
 			}
 			h = CategoryHeuristic{Space: sp, Bounds: ix.BoundsToSet(targets)}
 		}
-		res, status := ws.SubspaceSearch(sp, pt, 0, h, graph.Infinity, nil, nil)
+		res, status := ws.subspaceSearch(sp, pt, 0, h, graph.Infinity, nil, nil)
 		if status != Found {
 			continue
 		}
@@ -193,7 +193,7 @@ func TestCompLBIsLowerBound(t *testing.T) {
 				continue
 			}
 			lb := ws.CompLB(sp, pt, u, h, nil, nil)
-			exact, st := ws.SubspaceSearch(sp, pt, u, h, graph.Infinity, nil, nil)
+			exact, st := ws.subspaceSearch(sp, pt, u, h, graph.Infinity, nil, nil)
 			switch st {
 			case Found:
 				if lb > exact.Total {
@@ -213,13 +213,13 @@ func TestWorkspaceEpochWraparound(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
 	sp := NewForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
-	ws := NewWorkspace(sp.NumSpaceNodes())
+	ws := NewWorkspace(sp.numSpaceNodes())
 	ws.depoch = ^uint32(0) - 1
 	ws.hepoch = ^uint32(0) - 1
 	ws.banEpoch = ^uint32(0) - 1
 	for i := 0; i < 5; i++ {
-		pt := NewPseudoTree(sp.Root)
-		res, status := ws.SubspaceSearch(sp, pt, 0, ZeroHeuristic{}, graph.Infinity, nil, nil)
+		pt := newPseudoTree(sp.Root)
+		res, status := ws.subspaceSearch(sp, pt, 0, zeroHeuristic{}, graph.Infinity, nil, nil)
 		if status != Found || res.Total != 5 {
 			t.Fatalf("iteration %d after wrap: %v/%d", i, status, res.Total)
 		}

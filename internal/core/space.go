@@ -48,9 +48,9 @@ type Space struct {
 func (sp *Space) vtNode() graph.NodeID { return graph.NodeID(sp.G.NumNodes()) }
 func (sp *Space) vsNode() graph.NodeID { return graph.NodeID(sp.G.NumNodes() + 1) }
 
-// NumSpaceNodes returns the node-id space size (physical nodes + 2 virtual
+// numSpaceNodes returns the node-id space size (physical nodes + 2 virtual
 // slots); Workspace arrays are sized by it.
-func (sp *Space) NumSpaceNodes() int { return sp.G.NumNodes() + 2 }
+func (sp *Space) numSpaceNodes() int { return sp.G.NumNodes() + 2 }
 
 // IsVirtual reports whether a space node id is one of the virtual slots.
 func (sp *Space) IsVirtual(v graph.NodeID) bool { return int(v) >= sp.G.NumNodes() }
@@ -112,15 +112,15 @@ func stampMembers(stamp []uint32, epoch uint32, nodes []graph.NodeID) ([]uint32,
 // root is physical). The slice must not be modified.
 func (sp *Space) RootMembers() []graph.NodeID { return sp.rootMembers }
 
-// Expand calls yield(to, w) for every outgoing space edge of v, in
+// expand calls yield(to, w) for every outgoing space edge of v, in
 // deterministic order. The goal node never expands: paths end there (a
 // physical goal's further graph edges can only produce non-simple
 // extensions, so they are never part of an enumerated path).
 //
-// Expand only calls yield and must never store it: the search loops pass
+// expand only calls yield and must never store it: the search loops pass
 // closures over their locals, which stay off the heap only while yield
 // does not escape. TestSteadyStateQueryAllocs fails the moment it does.
-func (sp *Space) Expand(v graph.NodeID, yield func(to graph.NodeID, w graph.Weight)) {
+func (sp *Space) expand(v graph.NodeID, yield func(to graph.NodeID, w graph.Weight)) {
 	if v == sp.Goal {
 		return
 	}
@@ -153,20 +153,12 @@ func (p Path) String() string {
 	return fmt.Sprintf("len=%d nodes=%v", p.Length, p.Nodes)
 }
 
-// Materialize converts a space path (Root→…→Goal node sequence) into a
-// physical Path: virtual endpoints are stripped and, for a reverse space,
-// the order is flipped so Nodes always reads source→destination.
-func (sp *Space) Materialize(spaceNodes []graph.NodeID, length graph.Weight) Path {
-	return Path{
-		Nodes:  sp.materializeInto(make([]graph.NodeID, 0, len(spaceNodes)), spaceNodes),
-		Length: length,
-	}
-}
-
-// materializeInto appends the physical node sequence of a space path to dst
-// (stripping virtual nodes, flipping reverse-space order) and returns the
-// extended slice. Hot paths pass arena- or scratch-backed dst with room
-// for len(spaceNodes) more nodes, so the appends never reallocate.
+// materializeInto appends the physical node sequence of a space path
+// (Root→…→Goal) to dst — virtual endpoints stripped and, for a reverse
+// space, the order flipped so it always reads source→destination — and
+// returns the extended slice. Hot paths pass arena- or scratch-backed dst
+// with room for len(spaceNodes) more nodes, so the appends never
+// reallocate.
 func (sp *Space) materializeInto(dst, spaceNodes []graph.NodeID) []graph.NodeID {
 	base := len(dst)
 	for _, v := range spaceNodes {

@@ -9,7 +9,7 @@ import (
 
 func collectExpand(sp *Space, v graph.NodeID) map[graph.NodeID]graph.Weight {
 	out := map[graph.NodeID]graph.Weight{}
-	sp.Expand(v, func(to graph.NodeID, w graph.Weight) { out[to] = w })
+	sp.expand(v, func(to graph.NodeID, w graph.Weight) { out[to] = w })
 	return out
 }
 
@@ -23,8 +23,8 @@ func TestForwardSpaceSingleSource(t *testing.T) {
 	if !sp.IsVirtual(sp.Goal) || sp.Goal != graph.NodeID(g.NumNodes()) {
 		t.Fatalf("Goal = %d, want virtual target %d", sp.Goal, g.NumNodes())
 	}
-	if sp.NumSpaceNodes() != g.NumNodes()+2 {
-		t.Fatalf("NumSpaceNodes = %d", sp.NumSpaceNodes())
+	if sp.numSpaceNodes() != g.NumNodes()+2 {
+		t.Fatalf("numSpaceNodes = %d", sp.numSpaceNodes())
 	}
 	// v8 expands to its graph neighbours only.
 	exp := collectExpand(sp, testgraphs.V8)
@@ -92,9 +92,9 @@ func TestMaterializeForward(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
 	sp := NewForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
-	p := sp.Materialize([]graph.NodeID{testgraphs.V1, testgraphs.V8, testgraphs.V7, sp.Goal}, 5)
+	p := Path{Nodes: sp.materializeInto(nil, []graph.NodeID{testgraphs.V1, testgraphs.V8, testgraphs.V7, sp.Goal}), Length: 5}
 	if p.Length != 5 || len(p.Nodes) != 3 || p.Nodes[0] != testgraphs.V1 || p.Nodes[2] != testgraphs.V7 {
-		t.Fatalf("Materialize = %v", p)
+		t.Fatalf("materializeInto = %v", p)
 	}
 	if p.String() == "" {
 		t.Fatal("empty String()")
@@ -105,14 +105,14 @@ func TestMaterializeReverse(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
 	sp := NewReverseSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
-	p := sp.Materialize([]graph.NodeID{sp.Root, testgraphs.V7, testgraphs.V8, testgraphs.V1}, 5)
+	p := Path{Nodes: sp.materializeInto(nil, []graph.NodeID{sp.Root, testgraphs.V7, testgraphs.V8, testgraphs.V1}), Length: 5}
 	if len(p.Nodes) != 3 || p.Nodes[0] != testgraphs.V1 || p.Nodes[1] != testgraphs.V8 || p.Nodes[2] != testgraphs.V7 {
-		t.Fatalf("reverse Materialize = %v, want v1,v8,v7", p)
+		t.Fatalf("reverse materializeInto = %v, want v1,v8,v7", p)
 	}
 }
 
 func TestPseudoTreeInsertAndExclude(t *testing.T) {
-	pt := NewPseudoTree(100)
+	pt := newPseudoTree(100)
 	if pt.Len() != 1 || pt.Node(0) != 100 || pt.Parent(0) != -1 || pt.PrefixLen(0) != 0 {
 		t.Fatal("bad root vertex")
 	}
@@ -160,7 +160,7 @@ func TestPseudoTreeInsertAndExclude(t *testing.T) {
 }
 
 func TestPseudoTreeInsertMismatchPanics(t *testing.T) {
-	pt := NewPseudoTree(0)
+	pt := newPseudoTree(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on suffix/lens mismatch")

@@ -7,8 +7,8 @@ import (
 )
 
 // SPT is reusable shortest-path-tree scratch shared by the partial tree of
-// Section 5.2, the incremental tree of Section 5.3, and the deviation
-// baseline's full tree. All per-node state (distance, parent, settledness)
+// Section 5.2, the incremental tree of Section 5.3, and DA-SPT's full
+// tree. All per-node state (distance, parent, settledness)
 // is epoch-stamped so a workspace-owned SPT restarts in O(1) per query
 // instead of paying an O(n) re-initialization — one of the two dominant
 // per-query costs the flat-layout work removes (the other being the
@@ -94,26 +94,26 @@ func (t *SPT) setParent(v, p graph.NodeID) { t.parent[v] = p }
 
 func (t *SPT) settle(v graph.NodeID) { t.done[v] = t.epoch }
 
-// BuildFullSPT runs a complete Dijkstra over the space from its root into
-// the workspace's SPT scratch — the deviation baseline's full tree ("the
-// dominating cost of constructing the full SPT" the paper attributes to
-// DA-SPT). Integer road weights take the monotone bucket queue; the result
-// is bit-identical whichever queue runs because equal-length ties keep the
-// minimum-id parent (every optimal predecessor relaxes the edge exactly
-// once when popped non-stale, so the running min is queue-order
-// independent). When bound trips the build stops; the caller's main loop
-// sees the sticky error before any path is emitted, so the incomplete tree
-// is never trusted. settled counts the nodes the build settled.
-func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) (t *SPT, settled int) {
+// buildFullSPT runs a complete Dijkstra over the space from its root into
+// the workspace's SPT scratch — DA-SPT's full tree ("the dominating cost
+// of constructing the full SPT" the paper attributes to it). Integer road
+// weights take the monotone bucket queue; the result is bit-identical
+// whichever queue runs because equal-length ties keep the minimum-id
+// parent (every optimal predecessor relaxes the edge exactly once when
+// popped non-stale, so the running min is queue-order independent). When
+// bound trips the build stops and variant.run returns the sticky error
+// before the engine starts, so the incomplete tree is never trusted.
+// settled counts the nodes the build settled.
+func (ws *Workspace) buildFullSPT(sp *Space, st *Stats, bound *Bound) (t *SPT, settled int) {
 	t = &ws.spt
-	t.begin(sp.NumSpaceNodes())
+	t.begin(sp.numSpaceNodes())
 	t.setDist(sp.Root, 0, -1)
 	if sp.G.MaxEdgeWeight() <= pqueue.MaxBucketEdgeWeight {
 		q := t.bucket()
 		q.Push(sp.Root, 0)
 		for q.Len() > 0 {
 			if ferr := fault.Hit(fault.SPTGrow); ferr != nil {
-				bound.Inject(ferr)
+				bound.inject(ferr)
 			}
 			if bound.Step() != nil {
 				break
@@ -128,7 +128,7 @@ func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) (t *SPT, s
 				st.SPTNodes++
 				st.NodesPopped++
 			}
-			sp.Expand(v, func(to graph.NodeID, w graph.Weight) {
+			sp.expand(v, func(to graph.NodeID, w graph.Weight) {
 				nd := d + w
 				if nd < t.Dist(to) {
 					t.setDist(to, nd, v)
@@ -144,7 +144,7 @@ func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) (t *SPT, s
 	q.PushOrDecrease(sp.Root, 0)
 	for q.Len() > 0 {
 		if ferr := fault.Hit(fault.SPTGrow); ferr != nil {
-			bound.Inject(ferr)
+			bound.inject(ferr)
 		}
 		if bound.Step() != nil {
 			break
@@ -157,7 +157,7 @@ func (ws *Workspace) BuildFullSPT(sp *Space, st *Stats, bound *Bound) (t *SPT, s
 			st.SPTNodes++
 			st.NodesPopped++
 		}
-		sp.Expand(v, func(to graph.NodeID, w graph.Weight) {
+		sp.expand(v, func(to graph.NodeID, w graph.Weight) {
 			nd := d + w
 			if nd < t.Dist(to) {
 				t.setDist(to, nd, v)

@@ -30,7 +30,7 @@ func TestPartialSPTExactDistances(t *testing.T) {
 			}
 			revH = SourceHeuristic{Space: rev, Index: ix, Source: src}
 		}
-		ws := NewWorkspace(rev.NumSpaceNodes())
+		ws := NewWorkspace(rev.numSpaceNodes())
 		tree := ws.initSPTI(rev, revH, nil, nil)
 		init, ok := tree.initialPath()
 		if !ok {
@@ -73,7 +73,7 @@ func TestIncrementalSPTCoverage(t *testing.T) {
 		src := graph.NodeID(rng.Intn(n))
 		fwd := NewForwardSpace(g, []graph.NodeID{src}, targets)
 
-		var growH Heuristic = ZeroHeuristic{}
+		var growH Heuristic = zeroHeuristic{}
 		if trial%2 == 0 {
 			ix, err := landmark.Build(g, 2, int64(trial))
 			if err != nil {
@@ -81,7 +81,7 @@ func TestIncrementalSPTCoverage(t *testing.T) {
 			}
 			growH = CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}
 		}
-		ws := NewWorkspace(fwd.NumSpaceNodes())
+		ws := NewWorkspace(fwd.numSpaceNodes())
 		tree := ws.initSPTI(fwd, growH, nil, nil)
 		init, ok := tree.initialPath()
 		if !ok {
@@ -124,7 +124,7 @@ func TestTreeHeuristicOverlay(t *testing.T) {
 	spt.setDist(0, 7, -1)
 	spt.settle(0)
 	spt.setDist(1, 99, -1) // reached but not settled: still fallback
-	h := TreeHeuristic{T: &spt, Fallback: ZeroHeuristic{}}
+	h := TreeHeuristic{T: &spt, Fallback: zeroHeuristic{}}
 	if h.H(0) != 7 {
 		t.Fatalf("H(0) = %d, want 7 (tree)", h.H(0))
 	}
@@ -155,7 +155,7 @@ func TestSPTIHeuristicAdmissible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := NewWorkspace(fwd.NumSpaceNodes()).initSPTI(fwd, CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}, nil, nil)
+	tree := NewWorkspace(fwd.numSpaceNodes()).initSPTI(fwd, CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}, nil, nil)
 	if _, ok := tree.initialPath(); !ok {
 		t.Fatal("no initial path")
 	}

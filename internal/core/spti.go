@@ -37,7 +37,7 @@ type sptiTree struct {
 func (ws *Workspace) initSPTI(sp *Space, h Heuristic, st *Stats, bound *Bound) *sptiTree {
 	t := &ws.spti
 	*t = sptiTree{sp: sp, h: h, t: &ws.spt, ws: ws, st: st, bound: bound}
-	t.t.begin(sp.NumSpaceNodes())
+	t.t.begin(sp.numSpaceNodes())
 	t.t.setDist(sp.Root, 0, -1)
 	t.t.q.PushOrDecrease(sp.Root, hOrZero(h, sp.Root))
 	return t
@@ -51,7 +51,7 @@ func (t *sptiTree) settleOne() graph.NodeID {
 		// The mid-SPT-growth fault point: injected errors stop growth via
 		// the bound, and the engine aborts with its prefix at the next poll.
 		if ferr := fault.Hit(fault.SPTGrow); ferr != nil {
-			t.bound.Inject(ferr)
+			t.bound.inject(ferr)
 		}
 		if t.bound.Step() != nil {
 			return -1
@@ -68,7 +68,7 @@ func (t *sptiTree) settleOne() graph.NodeID {
 			t.st.NodesPopped++
 		}
 		dv, q := t.t.Dist(v), t.t.q
-		t.sp.Expand(v, func(to graph.NodeID, w graph.Weight) {
+		t.sp.expand(v, func(to graph.NodeID, w graph.Weight) {
 			dto := t.t.Dist(to)
 			if nd := dv + w; nd < dto {
 				// A queued node's key is always dist + h, so its h is
@@ -92,11 +92,11 @@ func (t *sptiTree) settleOne() graph.NodeID {
 // first shortest path translated into the OTHER space (suffix after that
 // space's root, cumulative lengths, total). Walking the parents from the
 // goal reads the path backwards, which is exactly the other space's order.
-// The result lives in the workspace arenas, like every SearchResult.
-func (t *sptiTree) initialPath() (SearchResult, bool) {
+// The result lives in the workspace arenas, like every searchResult.
+func (t *sptiTree) initialPath() (searchResult, bool) {
 	for !t.t.Settled(t.sp.Goal) {
 		if t.settleOne() < 0 {
-			return SearchResult{}, false
+			return searchResult{}, false
 		}
 	}
 	chain := t.ws.rev[:0]
@@ -106,7 +106,7 @@ func (t *sptiTree) initialPath() (SearchResult, bool) {
 	t.ws.rev = chain
 	total := t.t.Dist(t.sp.Goal)
 	n := len(chain) - 1 // the other space's root is this tree's goal
-	res := SearchResult{
+	res := searchResult{
 		Suffix: t.ws.nodeArena.take(n)[:n],
 		Lens:   t.ws.lenArena.take(n)[:n],
 		Total:  total,

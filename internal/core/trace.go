@@ -9,7 +9,8 @@ const (
 	// EventEmit: a result path was output (Length = its length).
 	EventEmit EventKind = iota
 	// EventEnqueue: a fresh subspace entered the queue with lower bound
-	// Length (after the ω(P) floor of Alg. 2 line 9).
+	// Length (after the ω(P) floor of Alg. 2 line 9); in the eager rows
+	// (DA, DA-SPT) Length is the subspace's exact shortest length.
 	EventEnqueue
 	// EventResolve: a bounded search ran against threshold Tau and ended
 	// with Status (Found: Length = the path length; Exceeded: the

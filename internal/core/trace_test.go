@@ -11,8 +11,7 @@ import (
 
 // Trace invariants on the Fig. 1 query, across every algorithm:
 //   - exactly k EventEmit, with non-decreasing lengths matching the result;
-//   - every emitted vertex was enqueued (or resolved, for the baselines)
-//     before emission;
+//   - every emitted vertex was enqueued before emission;
 //   - IterBound resolve rounds use strictly increasing τ per vertex;
 //   - lower bounds never exceed the eventual emitted length of the same
 //     subspace.
@@ -67,10 +66,40 @@ func TestTraceInvariants(t *testing.T) {
 	}
 }
 
-// The deviation baselines trace through the same Event type.
+// The deviation baselines trace through the same Event type: every
+// subspace they enqueue was first resolved exactly (τ = ∞, status Found),
+// so they never trace a CompLB drop or an exceeded bound.
 func TestTraceBaselinesSeeEvents(t *testing.T) {
-	// The baselines live in internal/deviation; exercised there and via
-	// the public API test. Here we only pin the EventKind stringer.
+	g := testgraphs.Fig1()
+	hotels, _ := g.Category(testgraphs.HotelCategory)
+	q := core.Query{Sources: []graph.NodeID{testgraphs.V1}, Targets: hotels, K: 5}
+	for name, fn := range map[string]core.Func{"DA": core.DA, "DA-SPT": core.DASPT} {
+		var events []core.Event
+		if _, err := fn(g, q, core.Options{Trace: func(ev core.Event) { events = append(events, ev) }}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		found := map[core.VertexID]bool{0: true} // the initial path is the first resolution
+		resolves := 0
+		for _, ev := range events {
+			switch ev.Kind {
+			case core.EventResolve:
+				resolves++
+				if ev.Tau != graph.Infinity || (ev.Status != core.Found && ev.Status != core.Empty) {
+					t.Fatalf("%s: resolve %+v is not an exact search", name, ev)
+				}
+				found[ev.Vertex] = ev.Status == core.Found
+			case core.EventEnqueue:
+				if !found[ev.Vertex] {
+					t.Fatalf("%s: vertex %d enqueued unresolved", name, ev.Vertex)
+				}
+			case core.EventDrop:
+				t.Fatalf("%s: CompLB drop %+v in an eager row", name, ev)
+			}
+		}
+		if resolves == 0 {
+			t.Fatalf("%s: no resolve events", name)
+		}
+	}
 	for kind, want := range map[core.EventKind]string{
 		core.EventEmit:    "emit",
 		core.EventEnqueue: "enqueue",

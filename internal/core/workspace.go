@@ -45,14 +45,14 @@ type Workspace struct {
 	q *pqueue.NodeQueue
 
 	// bound is the current query's interruption state, installed by
-	// Prepare (nil for unbounded queries and direct test use).
+	// prepare (nil for unbounded queries and direct test use).
 	bound *Bound
 
 	// rev is chain-reversal scratch for path reconstruction.
 	rev []graph.NodeID
 
-	// spt is the shared shortest-path-tree scratch (SPT_P, SPT_I, and the
-	// deviation full tree — at most one per query); spti drives the first two.
+	// spt is the shared shortest-path-tree scratch (SPT_P, SPT_I, and
+	// DA-SPT's full tree — at most one per query); spti drives the first two.
 	spt  SPT
 	spti sptiTree
 
@@ -71,10 +71,10 @@ type Workspace struct {
 	setH  SourceSetHeuristic
 	treeH TreeHeuristic
 
-	pt  PseudoTree
+	pt  pseudoTree
 	eng engine
 
-	// nodeArena/lenArena back the SearchResult suffixes and (with
+	// nodeArena/lenArena back the searchResult suffixes and (with
 	// Options.ReuseResults) the emitted path node slices for the current
 	// query; both reset per query.
 	nodeArena arena[graph.NodeID]
@@ -84,7 +84,7 @@ type Workspace struct {
 }
 
 // NewWorkspace returns a Workspace for space-node ids in [0, n).
-// Use Space.NumSpaceNodes for n.
+// A query on graph g needs n = g.NumNodes() + 2 (the two virtual nodes).
 func NewWorkspace(n int) *Workspace {
 	return &Workspace{
 		n:           n,
@@ -107,11 +107,6 @@ func NewWorkspace(n int) *Workspace {
 // Fits reports whether the workspace covers space-node ids in [0, n).
 func (ws *Workspace) Fits(n int) bool { return ws.n >= n }
 
-// Bound returns the interruption bound installed by Prepare — nil when
-// the current query is unbounded. The deviation baselines use it to share
-// the engine's cancellation discipline.
-func (ws *Workspace) Bound() *Bound { return ws.bound }
-
 // DetachBound clears the installed bound. Pools call it before recycling
 // a workspace so a stale query's context or budget can never leak into
 // the next query that draws the workspace.
@@ -128,8 +123,8 @@ func bumpEpoch(epoch *uint32, stamps []uint32) {
 }
 
 // beginQuery opens a fresh per-query scope: result arenas rewind and the
-// goal-membership epoch advances. Prepare calls it for the query's main
-// workspace and NewPool for every worker workspace, so any SearchResult or
+// goal-membership epoch advances. prepare calls it for the query's main
+// workspace and newPool for every worker workspace, so any searchResult or
 // (with reuse) Path handed out by the previous query on this workspace is
 // invalidated here.
 func (ws *Workspace) beginQuery(reuse bool) {
@@ -146,31 +141,31 @@ func (ws *Workspace) beginQuery(reuse bool) {
 	}
 }
 
-// ForwardSpace rebuilds the workspace-cached forward space for a query
+// forwardSpace rebuilds the workspace-cached forward space for a query
 // (goal membership is re-stamped, not reallocated). The returned Space is
 // valid until the workspace's next query.
-func (ws *Workspace) ForwardSpace(g *graph.Graph, sources, targets []graph.NodeID) *Space {
+func (ws *Workspace) forwardSpace(g *graph.Graph, sources, targets []graph.NodeID) *Space {
 	ws.fwdSp.initForward(g, sources, targets, ws.fwdStamp, ws.memberEpoch)
 	return &ws.fwdSp
 }
 
-// ReverseSpace is ForwardSpace for the reverse space of IterBound-SPT_I /
+// reverseSpace is forwardSpace for the reverse space of IterBound-SPT_I /
 // SPT_P / DA-SPT.
-func (ws *Workspace) ReverseSpace(g *graph.Graph, sources, targets []graph.NodeID) *Space {
+func (ws *Workspace) reverseSpace(g *graph.Graph, sources, targets []graph.NodeID) *Space {
 	ws.revSp.initReverse(g, sources, targets, ws.revStamp, ws.memberEpoch)
 	return &ws.revSp
 }
 
-// ResetTree returns the workspace-owned pseudo-tree re-rooted for a new
+// resetTree returns the workspace-owned pseudo-tree re-rooted for a new
 // query; its arena storage is retained across queries.
-func (ws *Workspace) ResetTree(root graph.NodeID) *PseudoTree {
+func (ws *Workspace) resetTree(root graph.NodeID) *pseudoTree {
 	ws.pt.Reset(root)
 	return &ws.pt
 }
 
-// CachedTreeHeuristic boxes a TreeHeuristic in workspace storage so the
+// cachedTreeHeuristic boxes a TreeHeuristic in workspace storage so the
 // interface conversion does not allocate.
-func (ws *Workspace) CachedTreeHeuristic(t *SPT, fallback Heuristic) Heuristic {
+func (ws *Workspace) cachedTreeHeuristic(t *SPT, fallback Heuristic) Heuristic {
 	ws.treeH = TreeHeuristic{T: t, Fallback: fallback}
 	return &ws.treeH
 }
@@ -187,25 +182,6 @@ func (ws *Workspace) engine() *engine {
 	e.ws = ws
 	return e
 }
-
-// BeginMarks opens a fresh node-mark scope (epoch-stamped, O(1)). The
-// marks share storage with the search ban marks, so a mark scope must be
-// fully consumed before the next SubspaceSearch on this workspace begins.
-// Exported for internal/deviation's Pascoal shortcut.
-func (ws *Workspace) BeginMarks() { ws.beginBans() }
-
-// Mark marks v in the current mark scope.
-func (ws *Workspace) Mark(v graph.NodeID) { ws.banNode(v) }
-
-// Marked reports whether v is marked in the current mark scope.
-func (ws *Workspace) Marked(v graph.NodeID) bool { return ws.isBanned(v) }
-
-// TakeNodes reserves a zero-length, capacity-n node slice from the
-// workspace's per-query result arena (valid until the next query).
-func (ws *Workspace) TakeNodes(n int) []graph.NodeID { return ws.nodeArena.take(n) }
-
-// TakeLens is TakeNodes for cumulative-length slices.
-func (ws *Workspace) TakeLens(n int) []graph.Weight { return ws.lenArena.take(n) }
 
 // beginSearch starts a fresh distance/heuristic scope.
 func (ws *Workspace) beginSearch() {

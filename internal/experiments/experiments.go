@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"kpj/internal/core"
-	"kpj/internal/deviation"
 	"kpj/internal/gen"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
@@ -234,16 +233,14 @@ var AlgorithmOrder = []string{
 // OursOrder is the four-contributed-algorithm order of Figs. 9-10.
 var OursOrder = []string{"BestFirst", "IterBound", "IterBoundP", "IterBoundI"}
 
-// Algorithm resolves a column name to its implementation and whether it
-// uses the landmark index.
-func Algorithm(name string) (fn core.Func, indexed bool, err error) {
+// Algorithm resolves a column name to its implementation. Every column is
+// handed the dataset's landmark index; the rows that run without one (DA,
+// DA-SPT, IterBoundI-NL) discard it themselves.
+func Algorithm(name string) (core.Func, error) {
 	if fn, ok := core.Algorithms()[name]; ok {
-		return fn, name != "IterBoundI-NL", nil
+		return fn, nil
 	}
-	if fn, ok := deviation.Algorithms()[name]; ok {
-		return fn, false, nil
-	}
-	return nil, false, fmt.Errorf("experiments: unknown algorithm %q", name)
+	return nil, fmt.Errorf("experiments: unknown algorithm %q", name)
 }
 
 // Measurement is the averaged outcome of running one algorithm over a set
@@ -260,19 +257,17 @@ func (e *Env) runQueries(dsName, algoName string, sources []graph.NodeID, target
 	if err != nil {
 		return Measurement{}, err
 	}
-	fn, wantsIndex, err := Algorithm(algoName)
+	fn, err := Algorithm(algoName)
 	if err != nil {
 		return Measurement{}, err
 	}
-	var ix *landmark.Index
-	if wantsIndex {
-		count := e.Cfg.Landmarks
-		if overrideLandmarks > 0 {
-			count = overrideLandmarks
-		}
-		if ix, err = e.IndexWith(dsName, count); err != nil {
-			return Measurement{}, err
-		}
+	count := e.Cfg.Landmarks
+	if overrideLandmarks > 0 {
+		count = overrideLandmarks
+	}
+	ix, err := e.IndexWith(dsName, count)
+	if err != nil {
+		return Measurement{}, err
 	}
 	ws, err := e.workspace(dsName)
 	if err != nil {
@@ -347,15 +342,13 @@ func (e *Env) runJoinQueries(dsName, algoName string, sources, targets []graph.N
 	if err != nil {
 		return Measurement{}, err
 	}
-	fn, wantsIndex, err := Algorithm(algoName)
+	fn, err := Algorithm(algoName)
 	if err != nil {
 		return Measurement{}, err
 	}
-	var ix *landmark.Index
-	if wantsIndex {
-		if ix, err = e.Index(dsName); err != nil {
-			return Measurement{}, err
-		}
+	ix, err := e.Index(dsName)
+	if err != nil {
+		return Measurement{}, err
 	}
 	ws, err := e.workspace(dsName)
 	if err != nil {

@@ -51,7 +51,8 @@ const (
 	// core.ErrWorkerPanic truncations.
 	PoolWorker Point = "pool.worker"
 	// SubspaceSearch fires once per main-loop iteration of the core
-	// engine and the deviation baselines (the mid-resolve site).
+	// engine, whichever row of its variant table runs (the mid-resolve
+	// site).
 	SubspaceSearch Point = "subspace.search"
 	// SPTGrow fires once per node settled during SPT_I / SPT_P growth
 	// (the mid-SPT-growth site).

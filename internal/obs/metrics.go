@@ -3,7 +3,7 @@
 // with deterministic text/JSON exposition, and a per-query phase span
 // recorder (span.go). It deliberately depends on nothing outside the
 // standard library and nothing inside this module, so every layer — the
-// engine core, the deviation baselines, the landmark cache, the HTTP
+// engine core, the landmark cache, the HTTP
 // server, the command-line tools — can instrument itself without import
 // cycles.
 //

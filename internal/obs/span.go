@@ -41,9 +41,10 @@ const (
 	// PhaseDivide: dividing an emitted path's subspace — CompLB over the
 	// deviation and suffix vertices (Val = candidate subspaces).
 	PhaseDivide = "divide"
-	// PhaseResolve: one deviation-algorithm candidate batch — the eager
-	// per-subspace shortest path computations DA/DA-SPT pay at creation
-	// time (N = emission index, Val = candidates resolved).
+	// PhaseResolve: one eager division of DA/DA-SPT — the exact
+	// per-subspace shortest path computations the deviation paradigm pays
+	// at creation time, in place of PhaseDivide's CompLB calls (N =
+	// emission index, Val = subspaces resolved to a path).
 	PhaseResolve = "resolve"
 	// PhaseMerge: merging per-item outputs (batch trace assembly).
 	PhaseMerge = "merge"

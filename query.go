@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"kpj/internal/core"
-	"kpj/internal/deviation"
 	"kpj/internal/landmark"
 )
 
@@ -46,8 +45,8 @@ var algorithms = [...]struct {
 	IterBoundSPTP: {"IterBoundP", core.IterBoundSPTP},
 	IterBound:     {"IterBound", core.IterBound},
 	BestFirst:     {"BestFirst", core.BestFirst},
-	DA:            {"DA", deviation.DA},
-	DASPT:         {"DA-SPT", deviation.DASPT},
+	DA:            {"DA", core.DA},
+	DASPT:         {"DA-SPT", core.DASPT},
 }
 
 // Algorithms returns every Algorithm in enum order, the default first.

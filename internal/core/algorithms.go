@@ -151,7 +151,7 @@ func (v variant) run(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 			treeSp, e.sp = e.sp, treeSp
 		}
 		endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
-		tree := ws.initSPTI(treeSp, goalHeuristic(ws, treeSp, q, &opt), opt.Stats, opt.bound)
+		tree := ws.initSPTI(treeSp, goalHeuristic(ws, treeSp, q, &opt), bucketed(g), opt.Stats, opt.bound)
 		init, ok := tree.initialPath()
 		endSPT(int64(tree.size()))
 		if !ok {

@@ -363,9 +363,7 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 			lbs[i] = e.compLB(ws, cands[i], st)
 		})
 	} else {
-		for i, v := range cands {
-			lbs[i] = e.compLB(e.ws, v, e.stats)
-		}
+		e.ws.chainLBs(e.sp, e.pt, cands, lbs, e.h, e.tree, e.stats)
 	}
 	for i, v := range cands {
 		lb := lbs[i]
@@ -440,12 +438,8 @@ func (e *engine) compSP(ws *Workspace, v VertexID, st *Stats) (searchResult, Sea
 	return ws.subspaceSearch(e.sp, e.pt, v, e.h, graph.Infinity, e.tree, st)
 }
 
-// compLB computes the subspace lower bound for v on the given workspace,
-// applying SPT_I's D-restriction at the virtual root (Alg. 8).
+// compLB computes the subspace lower bound for v on the given workspace
+// (CompLB, with SPT_I's D-restriction at the virtual root: Alg. 8).
 func (e *engine) compLB(ws *Workspace, v VertexID, st *Stats) graph.Weight {
-	var root *sptiTree
-	if e.pt.Node(v) == e.sp.Root {
-		root = e.tree
-	}
-	return ws.CompLB(e.sp, e.pt, v, e.h, root, st)
+	return ws.CompLB(e.sp, e.pt, v, e.h, e.tree, st)
 }

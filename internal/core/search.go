@@ -165,16 +165,47 @@ func (ws *Workspace) reconstruct(pt *pseudoTree, u VertexID, goal graph.NodeID) 
 }
 
 // CompLB computes the light-weight one-hop lower bound of the subspace at
-// vertex u (paper Alg. 3, and Alg. 8 when root, the SPT_I tree, is
+// vertex u (paper Alg. 3, and Alg. 8 when tree, the SPT_I tree, is
 // supplied): the minimum over u's valid outgoing space edges (u,v) of
-// prefixLen(u) + ω(u,v) + h(v). It returns graph.Infinity when the
-// subspace is provably empty. A non-definitive root exclusion (the
-// SPT_I "D ≠ V_T" case) degrades the result to 0 instead, because the
-// excluded edges might hide shorter paths (Alg. 8 line 8).
-func (ws *Workspace) CompLB(sp *Space, pt *pseudoTree, u VertexID, h Heuristic, root *sptiTree, st *Stats) graph.Weight {
+// prefixLen(u) + ω(u,v) + h(v). At the space root the tree's
+// D-restriction excludes the first hops it has not settled. It returns
+// graph.Infinity when the subspace is provably empty. A non-definitive
+// root exclusion (the SPT_I "D ≠ V_T" case) degrades the result to 0
+// instead, because the excluded edges might hide shorter paths (Alg. 8
+// line 8).
+func (ws *Workspace) CompLB(sp *Space, pt *pseudoTree, u VertexID, h Heuristic, tree *sptiTree, st *Stats) graph.Weight {
 	ws.beginBans()
 	bumpEpoch(&ws.hepoch, ws.hstamp)
 	pt.PrefixNodes(u, ws.banNode)
+	return ws.oneHopLB(sp, pt, u, h, tree, st)
+}
+
+// chainLBs is CompLB over one division's candidates, each the tree child
+// of the one before (the deviation vertex, then its new suffix), writing
+// lbs[i] for cands[i]. Each candidate's prefix is the one before plus the
+// nodes down to it, so the prefix is banned once and extended per
+// candidate, and h stays memoized across the division — the tree does
+// not grow within one.
+func (ws *Workspace) chainLBs(sp *Space, pt *pseudoTree, cands []VertexID, lbs []graph.Weight, h Heuristic, tree *sptiTree, st *Stats) {
+	ws.beginBans()
+	bumpEpoch(&ws.hepoch, ws.hstamp)
+	prev := VertexID(-1)
+	for i, u := range cands {
+		for v := u; v != prev; v = pt.Parent(v) {
+			ws.banNode(pt.Node(v))
+		}
+		prev = u
+		lbs[i] = ws.oneHopLB(sp, pt, u, h, tree, st)
+	}
+}
+
+// oneHopLB is CompLB's minimum over u's out-edges, with every node of u's
+// prefix already banned and the h memo scope open.
+func (ws *Workspace) oneHopLB(sp *Space, pt *pseudoTree, u VertexID, h Heuristic, tree *sptiTree, st *Stats) graph.Weight {
+	root := tree // Alg. 8 restricts the virtual root's first hops only
+	if pt.Node(u) != sp.Root {
+		root = nil
+	}
 	if st != nil {
 		st.LowerBounds++
 	}

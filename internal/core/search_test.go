@@ -207,6 +207,73 @@ func TestCompLBIsLowerBound(t *testing.T) {
 	}
 }
 
+// TestChainLBsMatchCompLB: the sequential division's chained lower bounds
+// (the deviation prefix banned once and extended per candidate, h memoized
+// across the division) equal CompLB run candidate by candidate, SPT_I's
+// D-restriction at the virtual root included. Each trial divides along
+// three successive paths of an IterBoundI-style reverse space.
+func TestChainLBsMatchCompLB(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	for trial := 0; trial < 60; trial++ {
+		n := 4 + rng.Intn(30)
+		g := testgraphs.Random(rng, n, 3, 9, trial%2 == 0)
+		targets := testgraphs.RandomCategory(rng, g, "T", 1+rng.Intn(3))
+		src := []graph.NodeID{graph.NodeID(rng.Intn(n))}
+		fwd := NewForwardSpace(g, src, targets)
+		rev := NewReverseSpace(g, src, targets)
+		var growH, fallback Heuristic = zeroHeuristic{}, zeroHeuristic{}
+		if trial%3 != 0 {
+			ix, err := landmark.Build(g, 2, int64(trial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			growH = CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}
+			fallback = SourceHeuristic{Space: rev, Index: ix, Source: src[0]}
+		}
+		ws := NewWorkspace(rev.numSpaceNodes())
+		tree := ws.initSPTI(fwd, growH, bucketed(g), nil, nil)
+		res, ok := tree.initialPath()
+		if !ok {
+			continue
+		}
+		if trial%2 == 1 {
+			tree.growTo(res.Total * 2) // some trials see a grown tree
+		}
+		h := TreeHeuristic{T: tree.t, Fallback: fallback}
+		pt := newPseudoTree(rev.Root)
+		d := VertexID(0)
+		for div := 0; div < 3; div++ {
+			first := pt.InsertSuffix(d, res.Suffix, res.Lens)
+			var cands []VertexID // as emitAndDivide gathers them
+			if pt.Node(d) != rev.Goal {
+				cands = append(cands, d)
+			}
+			for v := first; v < first+VertexID(len(res.Suffix)); v++ {
+				if pt.Node(v) != rev.Goal {
+					cands = append(cands, v)
+				}
+			}
+			want := make([]graph.Weight, len(cands))
+			for i, u := range cands {
+				want[i] = ws.CompLB(rev, pt, u, h, tree, nil)
+			}
+			got := make([]graph.Weight, len(cands))
+			ws.chainLBs(rev, pt, cands, got, h, tree, nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d division %d: chained lower bounds %v, one by one %v (candidates %v)", trial, div, got, want, cands)
+			}
+			if len(cands) == 0 {
+				break
+			}
+			d = cands[rng.Intn(len(cands))]
+			var st SearchStatus
+			if res, st = ws.subspaceSearch(rev, pt, d, h, graph.Infinity, nil, nil); st != Found {
+				break
+			}
+		}
+	}
+}
+
 // TestWorkspaceEpochWraparound forces the uint32 epochs to wrap and checks
 // searches still work.
 func TestWorkspaceEpochWraparound(t *testing.T) {

@@ -8,18 +8,22 @@ import (
 
 // SPT is reusable shortest-path-tree scratch shared by the partial tree of
 // Section 5.2, the incremental tree of Section 5.3, and DA-SPT's full
-// tree. All per-node state (distance, parent, settledness)
-// is epoch-stamped so a workspace-owned SPT restarts in O(1) per query
-// instead of paying an O(n) re-initialization — one of the two dominant
-// per-query costs the flat-layout work removes (the other being the
-// goal-membership sets of Space).
+// tree. All per-node state (distance, parent, growth heuristic,
+// settledness) is epoch-stamped so a workspace-owned SPT restarts in O(1)
+// per query instead of paying an O(n) re-initialization — one of the two
+// dominant per-query costs the flat-layout work removes (the other being
+// the goal-membership sets of Space).
 type SPT struct {
 	dist   []graph.Weight
 	parent []graph.NodeID
-	reach  []uint32 // dist/parent valid iff reach[v] == epoch
-	done   []uint32 // settled iff done[v] == epoch
+	h      []graph.Weight // sptiTree's growth heuristic, computed once per reached node
+	reach  []uint32       // dist/parent/h valid iff reach[v] == epoch
+	done   []uint32       // settled iff done[v] == epoch
 	epoch  uint32
 
+	// The two queues a tree grows on, each created on first use: the
+	// monotone bucket queue for integer weights up to
+	// pqueue.MaxBucketEdgeWeight, the decrease-key heap beyond.
 	q  *pqueue.NodeQueue
 	bq *pqueue.BucketQueue
 }
@@ -30,6 +34,7 @@ func (t *SPT) begin(n int) {
 	if len(t.dist) < n {
 		t.dist = make([]graph.Weight, n)
 		t.parent = make([]graph.NodeID, n)
+		t.h = make([]graph.Weight, n)
 		t.reach = make([]uint32, n)
 		t.done = make([]uint32, n)
 		t.epoch = 0
@@ -42,17 +47,15 @@ func (t *SPT) begin(n int) {
 		}
 		t.epoch = 1
 	}
-	if t.q == nil {
-		t.q = pqueue.NewNodeQueue(n)
-	} else {
-		t.q.Grow(n)
-		t.q.Reset()
-	}
 }
 
-// bucket returns the tree's monotone bucket queue, reset and ready. Only
-// plain-Dijkstra builds (no heuristic) may use it; A*-keyed growth keeps
-// the decrease-key NodeQueue.
+// bucketed reports whether trees over g grow on the bucket queue.
+func bucketed(g *graph.Graph) bool { return g.MaxEdgeWeight() <= pqueue.MaxBucketEdgeWeight }
+
+// bucket returns the tree's monotone bucket queue, reset and ready. A
+// build may use it when its keys never decrease: plain Dijkstra, or A*
+// under a consistent heuristic (every growth heuristic of sptiTree is;
+// TestGrowthHeuristicsConsistent pins it).
 func (t *SPT) bucket() *pqueue.BucketQueue {
 	if t.bq == nil {
 		t.bq = pqueue.NewBucketQueue()
@@ -60,6 +63,18 @@ func (t *SPT) bucket() *pqueue.BucketQueue {
 		t.bq.Reset()
 	}
 	return t.bq
+}
+
+// heap returns the tree's decrease-key queue over the current id range,
+// reset and ready.
+func (t *SPT) heap() *pqueue.NodeQueue {
+	if t.q == nil {
+		t.q = pqueue.NewNodeQueue(len(t.dist))
+	} else {
+		t.q.Grow(len(t.dist))
+		t.q.Reset()
+	}
+	return t.q
 }
 
 // Dist returns the tentative (exact once settled) distance of v from the
@@ -108,7 +123,7 @@ func (ws *Workspace) buildFullSPT(sp *Space, st *Stats, bound *Bound) (t *SPT, s
 	t = &ws.spt
 	t.begin(sp.numSpaceNodes())
 	t.setDist(sp.Root, 0, -1)
-	if sp.G.MaxEdgeWeight() <= pqueue.MaxBucketEdgeWeight {
+	if bucketed(sp.G) {
 		q := t.bucket()
 		q.Push(sp.Root, 0)
 		for q.Len() > 0 {
@@ -140,7 +155,7 @@ func (ws *Workspace) buildFullSPT(sp *Space, st *Stats, bound *Bound) (t *SPT, s
 		}
 		return t, settled
 	}
-	q := t.q
+	q := t.heap()
 	q.PushOrDecrease(sp.Root, 0)
 	for q.Len() > 0 {
 		if ferr := fault.Hit(fault.SPTGrow); ferr != nil {

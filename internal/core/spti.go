@@ -1,15 +1,18 @@
 package core
 
 import (
+	"math"
+
 	"kpj/internal/fault"
 	"kpj/internal/graph"
+	"kpj/internal/pqueue"
 )
 
 // sptiTree is the paused A* behind both shortest path trees of Section 5:
 // it searches one side of G_Q from its root toward its goal, keyed by
 // distance plus the lower bound h toward the goal. Phase one (initSPTI +
-// initialPath) settles nodes until the goal is reached — the by-product is
-// the first shortest path.
+// initialPath) settles nodes until the goal and its key-ties are settled —
+// the by-product is the first shortest path.
 //
 //   - SPT_P (Alg. 6) is phase one on the REVERSE space: every settled node
 //     carries its exact remaining distance δ(v, V_T) (Prop. 5.1), which the
@@ -20,6 +23,15 @@ import (
 //     node on any source→V_T path of length ≤ τ, and the reverse-space
 //     TestLB prunes everything not settled here (Allow).
 //
+// Every growth heuristic is consistent (TestGrowthHeuristicsConsistent),
+// so popped keys never decrease: the tree grows on the monotone bucket
+// queue, pushing lazily on every improvement and skipping the stale
+// duplicates of settled nodes, and falls back to the decrease-key heap
+// only for weights beyond pqueue.MaxBucketEdgeWeight. The two pop ties in
+// different orders, so every phase ends on a key bound it settles all of
+// (see initialPath): the settled set and its distances are then the same
+// on either queue (TestGrowthQueueIndependent).
+//
 // The tree state lives in the workspace's shared SPT scratch; only this
 // thin driver is per-query.
 type sptiTree struct {
@@ -27,84 +39,132 @@ type sptiTree struct {
 	h  Heuristic // growth key heuristic toward sp's goal (or zero)
 	t  *SPT
 	ws *Workspace
+	// Exactly one queue is set: bq for bucketed graphs, hq otherwise.
+	bq *pqueue.BucketQueue
+	hq *pqueue.NodeQueue
+	// open counts reached but unsettled nodes. The bucket queue's length
+	// also counts stale duplicates, so exhaustion is read from here.
+	open int
 	// nsettled counts settled nodes for the spt_build span payload.
 	nsettled int
 	st       *Stats
 	bound    *Bound
 }
 
-// initSPTI seeds the workspace-cached tree over sp for a new query.
-func (ws *Workspace) initSPTI(sp *Space, h Heuristic, st *Stats, bound *Bound) *sptiTree {
+// initSPTI seeds the workspace-cached tree over sp for a new query, to
+// grow on the bucket queue or on the heap (queries pass bucketed(sp.G)).
+func (ws *Workspace) initSPTI(sp *Space, h Heuristic, bucket bool, st *Stats, bound *Bound) *sptiTree {
 	t := &ws.spti
 	*t = sptiTree{sp: sp, h: h, t: &ws.spt, ws: ws, st: st, bound: bound}
 	t.t.begin(sp.numSpaceNodes())
-	t.t.setDist(sp.Root, 0, -1)
-	t.t.q.PushOrDecrease(sp.Root, hOrZero(h, sp.Root))
+	if bucket {
+		t.bq = t.t.bucket()
+	} else {
+		t.hq = t.t.heap()
+	}
+	t.improve(sp.Root, 0, hOrZero(h, sp.Root), -1)
 	return t
 }
 
-// settleOne pops and settles the next node, returning it (or -1 when the
-// frontier is exhausted or the query bound tripped — the two are told
-// apart by exhausted()/the bound's sticky error).
-func (t *sptiTree) settleOne() graph.NodeID {
-	for t.t.q.Len() > 0 {
-		// The mid-SPT-growth fault point: injected errors stop growth via
-		// the bound, and the engine aborts with its prefix at the next poll.
-		if ferr := fault.Hit(fault.SPTGrow); ferr != nil {
-			t.bound.inject(ferr)
-		}
-		if t.bound.Step() != nil {
-			return -1
-		}
-		vi, _ := t.t.q.Pop()
-		v := graph.NodeID(vi)
-		if t.t.Settled(v) {
-			continue
-		}
-		t.t.settle(v)
-		t.nsettled++
-		if t.st != nil {
-			t.st.SPTNodes++
-			t.st.NodesPopped++
-		}
-		dv, q := t.t.Dist(v), t.t.q
-		t.sp.expand(v, func(to graph.NodeID, w graph.Weight) {
-			dto := t.t.Dist(to)
-			if nd := dv + w; nd < dto {
-				// A queued node's key is always dist + h, so its h is
-				// read back from the queue rather than re-evaluated.
-				var h graph.Weight
-				if q.Contains(to) {
-					h = q.Key(to) - dto
-				} else if h = hOrZero(t.h, to); h >= graph.Infinity {
-					return
-				}
-				t.t.setDist(to, nd, v)
-				q.PushOrDecrease(to, nd+h)
-			}
-		})
-		return v
+// improve records an improved distance d to v, whose growth heuristic is
+// hv, and queues v at key d + hv.
+func (t *sptiTree) improve(v graph.NodeID, d, hv graph.Weight, parent graph.NodeID) {
+	tr := t.t
+	if tr.reach[v] != tr.epoch {
+		t.open++
 	}
-	return -1
+	tr.dist[v], tr.h[v], tr.parent[v], tr.reach[v] = d, hv, parent, tr.epoch
+	if t.bq != nil {
+		t.bq.Push(v, d+hv)
+	} else {
+		t.hq.PushOrDecrease(v, d+hv)
+	}
 }
 
-// initialPath runs phase one: grow until the goal settles, and return the
-// first shortest path translated into the OTHER space (suffix after that
-// space's root, cumulative lengths, total). Walking the parents from the
-// goal reads the path backwards, which is exactly the other space's order.
-// The result lives in the workspace arenas, like every searchResult.
+// top returns the smallest key of a reached but unsettled node, dropping
+// the stale bucket-queue duplicates ahead of it; ok is false once the tree
+// is exhausted.
+func (t *sptiTree) top() (key graph.Weight, ok bool) {
+	if t.hq != nil {
+		if t.hq.Len() == 0 {
+			return 0, false
+		}
+		return t.hq.TopKey(), true
+	}
+	for t.bq.Len() > 0 {
+		v, key := t.bq.Top()
+		if !t.t.Settled(v) {
+			return key, true
+		}
+		t.bq.Pop()
+	}
+	return 0, false
+}
+
+// settleNext pops and settles the next node if its key is at most tau. It
+// reports false, settling nothing, when the next key exceeds tau, the tree
+// is exhausted or the query bound tripped (the last two are told apart by
+// exhausted() and the bound's sticky error).
+func (t *sptiTree) settleNext(tau graph.Weight) bool {
+	if key, ok := t.top(); !ok || key > tau {
+		return false
+	}
+	// The mid-SPT-growth fault point: injected errors stop growth via
+	// the bound, and the engine aborts with its prefix at the next poll.
+	if ferr := fault.Hit(fault.SPTGrow); ferr != nil {
+		t.bound.inject(ferr)
+	}
+	if t.bound.Step() != nil {
+		return false
+	}
+	var v graph.NodeID
+	if t.bq != nil {
+		v, _ = t.bq.Pop()
+	} else {
+		v, _ = t.hq.Pop()
+	}
+	tr := t.t
+	tr.settle(v)
+	t.open--
+	t.nsettled++
+	if t.st != nil {
+		t.st.SPTNodes++
+		t.st.NodesPopped++
+	}
+	dv := tr.dist[v]
+	t.sp.expand(v, func(to graph.NodeID, w graph.Weight) {
+		nd := dv + w
+		if tr.reach[to] == tr.epoch {
+			if nd < tr.dist[to] {
+				t.improve(to, nd, tr.h[to], v)
+			}
+		} else if hv := hOrZero(t.h, to); hv < graph.Infinity {
+			t.improve(to, nd, hv, v)
+		}
+	})
+	return true
+}
+
+// initialPath runs phase one: grow until the goal settles, then settle the
+// goal's key-ties too, so the tree is exactly {key ≤ δ} whichever order
+// the queue pops ties in. It returns the first shortest path translated
+// into the OTHER space (suffix after that space's root, cumulative
+// lengths, total). Walking the parents from the goal reads the path
+// backwards, which is exactly the other space's order. The result lives in
+// the workspace arenas, like every searchResult.
 func (t *sptiTree) initialPath() (searchResult, bool) {
 	for !t.t.Settled(t.sp.Goal) {
-		if t.settleOne() < 0 {
+		if !t.settleNext(math.MaxInt64) {
 			return searchResult{}, false
 		}
 	}
+	total := t.t.Dist(t.sp.Goal)
+	t.growTo(total) // h(goal) = 0, so the goal's key is its distance
 	chain := t.ws.rev[:0]
 	for v := t.sp.Goal; v >= 0; v = t.t.Parent(v) {
 		chain = append(chain, v)
 	}
 	t.ws.rev = chain
-	total := t.t.Dist(t.sp.Goal)
 	n := len(chain) - 1 // the other space's root is this tree's goal
 	res := searchResult{
 		Suffix: t.ws.nodeArena.take(n)[:n],
@@ -120,18 +180,17 @@ func (t *sptiTree) initialPath() (searchResult, bool) {
 }
 
 // growTo resumes the search until every node with key ≤ tau is settled
-// (keys are monotone because the growth heuristic is consistent).
+// (keys are monotone because the growth heuristic is consistent), or the
+// bound trips and the engine will abort.
 func (t *sptiTree) growTo(tau graph.Weight) {
-	for t.t.q.Len() > 0 && t.t.q.TopKey() <= tau {
-		if t.settleOne() < 0 {
-			return // bound tripped: stop growing, the engine will abort
-		}
+	for t.settleNext(tau) {
 	}
 }
 
 // exhausted reports whether the tree can grow no further — at that point
-// "not in SPT_I" means "unreachable from the source side".
-func (t *sptiTree) exhausted() bool { return t.t.q.Len() == 0 }
+// "not in SPT_I" means "unreachable from the source side". It only reads,
+// so pooled searches may call it concurrently (through Allow).
+func (t *sptiTree) exhausted() bool { return t.open == 0 }
 
 // size returns the number of settled nodes (span payload).
 func (t *sptiTree) size() int { return t.nsettled }

@@ -476,10 +476,13 @@ func (b *Bounds) LowerBound(u graph.NodeID) graph.Weight {
 			if au == unreach32 {
 				return graph.Infinity // all targets reach w, u does not
 			}
-			if au < far32 {
-				if t := graph.Weight(au) - graph.Weight(maxB); t > lb {
-					lb = t
-				}
+			// au may be far32, an under-estimate: still admissible, and
+			// keeping the term keeps the bound consistent. Dropping it at u
+			// but not at a neighbour near 2³¹ would let h fall by more
+			// than the edge weight, which growth on the monotone bucket
+			// queue cannot take (internal/core TestGrowthHeuristicsConsistent).
+			if t := graph.Weight(au) - graph.Weight(maxB); t > lb {
+				lb = t
 			}
 		}
 	}

@@ -27,11 +27,16 @@ type bqItem struct {
 // bucket; any item is touched O(64) times total, and in practice O(log C)
 // for maximum edge weight C. Keys must be non-negative.
 //
-// It is NOT safe for A*-style searches with inconsistent heuristics (the
-// subspace searches of internal/core re-expand nodes and can push keys below
-// the current minimum); those must keep using NodeQueue. Pop order among
-// equal keys differs from NodeQueue, so callers that need queue-independent
-// output must derive it canonically (see sssp's parent tie-breaking).
+// A* with a consistent heuristic (h(u) ≤ w(u,v) + h(v) on every edge) is
+// monotone too, since a relaxed key dist(u) + w + h(v) never falls below the
+// popped dist(u) + h(u): internal/core grows its shortest path trees on this
+// queue keyed by dist + landmark bound. It is NOT safe for searches with
+// inconsistent heuristics (the subspace searches of internal/core mix exact
+// tree distances with landmark bounds, re-expand nodes and can push keys
+// below the current minimum); those keep NodeQueue. Pop order among equal
+// keys differs from NodeQueue, so callers that need queue-independent output
+// must derive it canonically (see sssp's parent tie-breaking) or settle
+// every tie before reading it (internal/core's growTo).
 //
 // The zero value is ready to use with last popped key 0.
 type BucketQueue struct {
@@ -80,6 +85,20 @@ func (q *BucketQueue) Pop() (v int32, key int64) {
 	it := b[len(b)-1]
 	q.buckets[0] = b[:len(b)-1]
 	q.size--
+	return it.node, it.key
+}
+
+// Top returns the item Pop would return next without removing it. It panics
+// on an empty queue. Like Pop it may advance the monotone floor to the
+// minimum key, so a caller may afterwards push no key below that minimum.
+func (q *BucketQueue) Top() (v int32, key int64) {
+	if q.size == 0 {
+		panic("pqueue: Top on empty BucketQueue")
+	}
+	if len(q.buckets[0]) == 0 {
+		q.refill()
+	}
+	it := q.buckets[0][len(q.buckets[0])-1]
 	return it.node, it.key
 }
 

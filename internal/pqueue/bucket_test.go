@@ -75,7 +75,7 @@ func TestBucketQueueEmptyPopPanic(t *testing.T) {
 
 // Property: under a random monotone push/pop schedule (the only schedule a
 // label-setting search produces), popped keys are non-decreasing and form a
-// permutation of the pushed multiset.
+// permutation of the pushed multiset, and Top reports what Pop returns.
 func TestBucketQueueMonotoneSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -92,7 +92,11 @@ func TestBucketQueueMonotoneSchedule(t *testing.T) {
 				pushed[key]++
 				pending++
 			} else {
-				_, k := q.Pop()
+				tv, tk := q.Top()
+				v, k := q.Pop()
+				if v != tv || k != tk {
+					t.Fatalf("trial %d: Top = (%d,%d), Pop = (%d,%d)", trial, tv, tk, v, k)
+				}
 				if k < last {
 					t.Fatalf("trial %d: popped %d after %d", trial, k, last)
 				}

@@ -1,11 +1,15 @@
-// Package pqueue provides the two priority queues the KPJ algorithms need:
+// Package pqueue provides the priority queues the KPJ algorithms need:
 //
 //   - Heap[T]: a plain generic binary min-heap, used for the subspace queue
 //     Q of the best-first paradigm (paper Alg. 2 and Alg. 4).
 //   - NodeQueue: an indexed (decrease-key) min-heap over dense node ids with
-//     epoch-based O(1) reset, used by every Dijkstra/A* style search. The
-//     epoch trick avoids O(n) clearing between the O(k·n) per-subspace
+//     epoch-based O(1) reset, used by the subspace searches and by every
+//     Dijkstra/A* style search whose weights exceed MaxBucketEdgeWeight.
+//     The epoch trick avoids O(n) clearing between the O(k·n) per-subspace
 //     searches a single query performs.
+//   - BucketQueue: a monotone radix queue with lazy insertion, used by the
+//     label-setting searches whose popped keys never decrease: Dijkstra
+//     and the consistent-bound growth of the shortest path trees.
 package pqueue
 
 // Heap is a binary min-heap ordered by the provided less function.

@@ -131,8 +131,8 @@ var countsGolden = []countsRow{
 	{"IterBoundP/KSP/index=true", [6]int64{22, 134, 418, 578, 1, 80}, []int64{3075, 3082, 3101, 3114, 3116, 3118, 3119, 3123, 3129, 3130, 3132, 3133}, 0x70ab3b4bfac26287},
 	{"IterBoundP/KSP/index=false", [6]int64{12, 134, 270, 242, 0, 143}, []int64{3075, 3082, 3101, 3114, 3116, 3118, 3119, 3123, 3129, 3130, 3132, 3133}, 0x70ab3b4bfac26287},
 	{"IterBoundP/KPJ/index=true", [6]int64{28, 66, 217, 281, 11, 20}, []int64{1200, 1205, 1220, 1223, 1230, 1255, 1257, 1260, 1262, 1266, 1267, 1269}, 0x82a05219e4d3c0eb},
-	{"IterBoundP/KPJ/index=false", [6]int64{14, 66, 225, 157, 0, 120}, []int64{1200, 1205, 1220, 1223, 1230, 1255, 1257, 1260, 1262, 1266, 1267, 1269}, 0x82a05219e4d3c0eb},
-	{"IterBoundP/GKPJ/index=true", [6]int64{31, 53, 144, 159, 14, 7}, []int64{442, 442, 473, 695, 728, 728, 746, 750, 757, 765, 793, 808}, 0x5cd72c0824fa1c7f},
+	{"IterBoundP/KPJ/index=false", [6]int64{14, 66, 225, 156, 0, 121}, []int64{1200, 1205, 1220, 1223, 1230, 1255, 1257, 1260, 1262, 1266, 1267, 1269}, 0x82a05219e4d3c0eb},
+	{"IterBoundP/GKPJ/index=true", [6]int64{30, 53, 143, 155, 13, 7}, []int64{442, 442, 473, 695, 728, 728, 746, 750, 757, 765, 793, 808}, 0x6a97c632be1e351f},
 	{"IterBoundP/GKPJ/index=false", [6]int64{35, 53, 601, 628, 21, 40}, []int64{442, 442, 473, 695, 728, 728, 746, 750, 757, 765, 793, 808}, 0x5cd72c0824fa1c7f},
 	{"IterBound/KSP/index=true", [6]int64{63, 134, 1042, 1653, 1, 0}, []int64{3075, 3082, 3101, 3114, 3116, 3118, 3119, 3123, 3129, 3130, 3132, 3133}, 0x70ab3b4bfac26287},
 	{"IterBound/KSP/index=false", [6]int64{123, 134, 6863, 8328, 29, 0}, []int64{3075, 3082, 3101, 3114, 3116, 3118, 3119, 3123, 3129, 3130, 3132, 3133}, 0x70ab3b4bfac26287},

@@ -125,7 +125,6 @@ func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []Bat
 		parallelism = len(queries)
 	}
 
-	pool := workspacePool{g}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards the merged stats
@@ -138,8 +137,8 @@ func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []Bat
 		go func() {
 			defer wg.Done()
 			workerOpt := copt
-			workerOpt.Workspace = pool.Get(g.NumNodes() + 2)
-			defer pool.Put(workerOpt.Workspace)
+			workerOpt.Workspace = g.getWorkspace()
+			defer g.putWorkspace(workerOpt.Workspace)
 			// Jitter source for transient-fault backoff: seeded per worker
 			// so batch runs stay reproducible end to end.
 			rng := rand.New(rand.NewSource(int64(w) + 1))

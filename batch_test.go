@@ -1,8 +1,10 @@
 package kpj_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -215,5 +217,39 @@ func TestBatchTruncatedItemsCarryPartialResults(t *testing.T) {
 	}
 	if truncated == 0 {
 		t.Skip("budget generous enough for every item; nothing truncated")
+	}
+}
+
+// TestBatchTraceMerge: a traced batch must produce, regardless of worker
+// scheduling, each item's full sequential trace under a "batch item #i"
+// header, in input order.
+func TestBatchTraceMerge(t *testing.T) {
+	g := cityGrid(t, 15, 15, 9)
+	targets := []kpj.NodeID{10, 101, 210}
+	queries := make([]kpj.BatchQuery, 6)
+	for i := range queries {
+		queries[i] = kpj.BatchQuery{
+			Sources: []kpj.NodeID{kpj.NodeID(i * 31)},
+			Targets: targets,
+			K:       5,
+		}
+	}
+	var batchTrace bytes.Buffer
+	results := g.Batch(queries, 4, &kpj.Options{Trace: &batchTrace})
+	var want bytes.Buffer
+	for i, q := range queries {
+		if results[i].Err != nil {
+			t.Fatalf("item %d: %v", i, results[i].Err)
+		}
+		fmt.Fprintf(&want, "batch item #%d\n", i)
+		var one bytes.Buffer
+		if _, err := g.TopKJoinSets(q.Sources, q.Targets, q.K, &kpj.Options{Trace: &one}); err != nil {
+			t.Fatalf("sequential item %d: %v", i, err)
+		}
+		want.Write(one.Bytes())
+	}
+	if batchTrace.String() != want.String() {
+		t.Fatalf("batch trace differs from per-item sequential traces\n got:\n%s\nwant:\n%s",
+			batchTrace.String(), want.String())
 	}
 }

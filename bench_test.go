@@ -59,9 +59,6 @@ func benchQuery(b *testing.B, ds, algo, category string, k int, landmarks int, a
 		b.Fatal(err)
 	}
 	opt := core.Options{Alpha: alpha, Index: ix, Workspace: core.NewWorkspace(g.NumNodes() + 2)}
-	// Follow -cpu: `go test -bench ... -cpu 1,4` compares the sequential
-	// engine against the 4-worker one on identical queries.
-	opt.Parallelism = runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

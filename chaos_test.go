@@ -52,54 +52,53 @@ func oracleAnswer(c oracleCase) []bruteforce.Path {
 // classifyChaos checks one faulted query outcome against the contract and
 // returns its class ("correct", "truncated", "error"); any violation
 // fails the test. want is the oracle answer.
-func classifyChaos(t *testing.T, c oracleCase, alg kpj.Algorithm, par int,
+func classifyChaos(t *testing.T, c oracleCase, alg kpj.Algorithm,
 	paths []kpj.Path, err error, want []bruteforce.Path) string {
 	t.Helper()
 	if err == nil {
 		if len(paths) != len(want) {
-			t.Fatalf("%s/p%d: clean finish with %d paths, oracle has %d", alg, par, len(paths), len(want))
+			t.Fatalf("%s: clean finish with %d paths, oracle has %d", alg, len(paths), len(want))
 		}
 		for i, p := range paths {
 			if p.Length != want[i].Length {
-				t.Fatalf("%s/p%d: path %d length %d, oracle %d", alg, par, i, p.Length, want[i].Length)
+				t.Fatalf("%s: path %d length %d, oracle %d", alg, i, p.Length, want[i].Length)
 			}
-			validateOraclePath(t, c, alg, par, p)
+			validateOraclePath(t, c, alg, p)
 		}
 		return "correct"
 	}
 	if !errors.Is(err, kpj.ErrInjectedFault) && !errors.Is(err, kpj.ErrWorkerPanic) {
-		t.Fatalf("%s/p%d: error is not fault-typed: %v", alg, par, err)
+		t.Fatalf("%s: error is not fault-typed: %v", alg, err)
 	}
 	partial, ok := kpj.Truncated(err)
 	if !ok {
 		// A typed error without a truncation wrapper carries no paths;
 		// acceptable, but the return value must agree.
 		if len(paths) != 0 {
-			t.Fatalf("%s/p%d: non-truncated error %v alongside %d paths", alg, par, err, len(paths))
+			t.Fatalf("%s: non-truncated error %v alongside %d paths", alg, err, len(paths))
 		}
 		return "error"
 	}
 	if len(partial) != len(paths) {
-		t.Fatalf("%s/p%d: error carries %d paths, return carries %d", alg, par, len(partial), len(paths))
+		t.Fatalf("%s: error carries %d paths, return carries %d", alg, len(partial), len(paths))
 	}
 	if len(paths) > len(want) {
-		t.Fatalf("%s/p%d: truncated result has %d paths, oracle only %d", alg, par, len(paths), len(want))
+		t.Fatalf("%s: truncated result has %d paths, oracle only %d", alg, len(paths), len(want))
 	}
 	for i, p := range paths {
 		if p.Length != want[i].Length {
-			t.Fatalf("%s/p%d: truncated path %d length %d, oracle prefix wants %d",
-				alg, par, i, p.Length, want[i].Length)
+			t.Fatalf("%s: truncated path %d length %d, oracle prefix wants %d",
+				alg, i, p.Length, want[i].Length)
 		}
-		validateOraclePath(t, c, alg, par, p)
+		validateOraclePath(t, c, alg, p)
 	}
 	return "truncated"
 }
 
 // TestChaosOracleSchedules replays oracle cases under seeded fault
 // schedules: 60 schedules, each a fresh case plus a fault.Plan over the
-// query-time points, run through every algorithm at sequential and
-// parallel settings. Every outcome must classify cleanly and no schedule
-// may leak a goroutine.
+// query-time points, run through every algorithm. Every outcome must
+// classify cleanly and no schedule may leak a goroutine.
 func TestChaosOracleSchedules(t *testing.T) {
 	schedules := 60
 	if testing.Short() {
@@ -128,15 +127,12 @@ func TestChaosOracleSchedules(t *testing.T) {
 				MaxHit: 48,
 			})
 			for _, alg := range allAlgorithms {
-				for _, par := range []int{1, 4} {
-					chaosInstall(t, fault.New().Add(rules...))
-					o := opt
-					o.Algorithm = alg
-					o.Parallelism = par
-					paths, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, &o)
-					fault.Install(nil)
-					counts[classifyChaos(t, c, alg, par, paths, err, want)]++
-				}
+				chaosInstall(t, fault.New().Add(rules...))
+				o := opt
+				o.Algorithm = alg
+				paths, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, &o)
+				fault.Install(nil)
+				counts[classifyChaos(t, c, alg, paths, err, want)]++
 			}
 		})
 	}
@@ -172,7 +168,7 @@ func TestChaosBatchSchedules(t *testing.T) {
 			results := c.g.Batch(queries, 2, nil)
 			fault.Install(nil)
 			for i, r := range results {
-				cls := classifyChaos(t, c, kpj.IterBoundSPTI, 1, r.Paths, r.Err, want)
+				cls := classifyChaos(t, c, kpj.IterBoundSPTI, r.Paths, r.Err, want)
 				_ = cls
 				_ = i
 			}
@@ -379,7 +375,7 @@ func chaosPrefixSweep(t *testing.T, c oracleCase, alg kpj.Algorithm, point fault
 				t.Fatalf("%s@%s nth=%d: prefix path %d length %d, clean %d",
 					alg, point, nth, i, p.Length, clean[i].Length)
 			}
-			validateOraclePath(t, c, alg, 1, p)
+			validateOraclePath(t, c, alg, p)
 		}
 		if len(partial) < prev {
 			t.Fatalf("%s@%s nth=%d: prefix shrank from %d to %d as the fault moved later",

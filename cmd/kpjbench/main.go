@@ -31,7 +31,6 @@ func main() {
 	landmarks := flag.Int("landmarks", 0, "landmark count |L| (default 16)")
 	alpha := flag.Float64("alpha", 0, "tau growth factor (default 1.1)")
 	seed := flag.Int64("seed", 0, "RNG seed (default 1)")
-	parallelism := flag.Int("parallelism", 1, "worker goroutines per query's subspace searches (<= 1 sequential; identical results)")
 	format := flag.String("format", "text", "output format: text, csv, or json")
 	metrics := flag.Bool("metrics", false, "print cumulative engine metrics in Prometheus text format to stderr after the run")
 	flag.Parse()
@@ -64,12 +63,11 @@ func main() {
 	}
 
 	env := experiments.NewEnv(experiments.Config{
-		Scale:       *scale,
-		PerSet:      *perSet,
-		Landmarks:   *landmarks,
-		Alpha:       *alpha,
-		Seed:        *seed,
-		Parallelism: *parallelism,
+		Scale:     *scale,
+		PerSet:    *perSet,
+		Landmarks: *landmarks,
+		Alpha:     *alpha,
+		Seed:      *seed,
 	})
 	if *format == "text" {
 		fmt.Printf("kpjbench: scale=%.2f perset=%d landmarks=%d alpha=%.2f seed=%d\n\n",

@@ -46,7 +46,7 @@ func TestHelperCrashServer(t *testing.T) {
 		t.Skip("crash-harness helper; spawned by TestCrashRecoveryKill9")
 	}
 	err := run(os.Getenv("KPJ_CRASH_FLAT"), false, os.Getenv("KPJ_CRASH_ADDR"), 1000,
-		0, 0, 0, 2 /* parallelism: oracle runs at 1 */, 0, time.Second,
+		0, 0, 0, 0, time.Second,
 		false, false, 0, 2, os.Getenv("KPJ_CRASH_WAL"), 3 /* checkpoint-every */)
 	// Reached only if the listener never starts or a graceful shutdown
 	// sneaks in; the harness ends this process with SIGKILL otherwise.
@@ -367,9 +367,8 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	}
 	t.Logf("recovered at epoch %d (acked %d, in-flight 1)", st.Epoch, acked)
 
-	// Oracle: the same world updated in-process, never interrupted, at
-	// parallelism 1 against the subprocess's parallelism 2.
-	oracle := server.New(g, ix, server.WithParallelism(1))
+	// Oracle: the same world updated in-process, never interrupted.
+	oracle := server.New(g, ix)
 	for i := uint64(0); i < st.Epoch; i++ {
 		oracleUpdate(t, oracle, deltas[i])
 	}

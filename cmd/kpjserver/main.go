@@ -78,19 +78,18 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-request deadline for /query and /batch (0 = none)")
 	budget := flag.Int64("budget", 0, "per-query work cap in heap pops + edge relaxations (0 = unlimited)")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrently executing queries before shedding with 503 (0 = unlimited)")
-	parallelism := flag.Int("parallelism", 1, "worker goroutines per query's subspace searches (<= 1 sequential; identical results)")
 	cacheSize := flag.Int("cachesize", 0, "cross-request bound-table cache entries (0 = default 128, negative disables)")
 	drain := flag.Duration("draintimeout", 10*time.Second, "bound on the graceful-shutdown drain window: in-flight queries get this long to finish after SIGINT/SIGTERM while late arrivals are shed with 503")
 	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and /debug/vars, and collect engine counters")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under GET /debug/pprof/")
-	breaker := flag.Int("breaker", 0, "consecutive internal failures per algorithm before degrading it to serial cache-bypassed execution (0 = disabled)")
+	breaker := flag.Int("breaker", 0, "consecutive internal failures per algorithm before degrading it to cache-bypassed execution (0 = disabled)")
 	breakerProbes := flag.Int("breakerprobes", 2, "consecutive clean degraded queries before leaving degraded mode")
 	walDir := flag.String("wal", "", "write-ahead log directory: POST /update deltas are fsynced here before they are served, and startup recovers the chain from the newest checkpoint plus log replay")
 	checkpointEvery := flag.Int("checkpoint-every", 64, "with -wal, snapshot the serving state and truncate the log every N epochs (0 = never)")
 	flag.Parse()
 
 	if err := run(*flatPath, *useMmap, *addr, *maxK,
-		*timeout, *budget, *maxInFlight, *parallelism, *cacheSize, *drain, *metrics, *pprofOn,
+		*timeout, *budget, *maxInFlight, *cacheSize, *drain, *metrics, *pprofOn,
 		*breaker, *breakerProbes, *walDir, *checkpointEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjserver: %v\n", err)
 		os.Exit(1)
@@ -98,7 +97,7 @@ func main() {
 }
 
 func run(flatPath string, useMmap bool, addr string, maxK int,
-	timeout time.Duration, budget int64, maxInFlight, parallelism, cacheSize int, drain time.Duration,
+	timeout time.Duration, budget int64, maxInFlight, cacheSize int, drain time.Duration,
 	metrics, pprofOn bool, breakerThreshold, breakerProbes int,
 	walDir string, checkpointEvery int) error {
 	if flatPath == "" {
@@ -126,7 +125,6 @@ func run(flatPath string, useMmap bool, addr string, maxK int,
 		server.WithTimeout(timeout),
 		server.WithBudget(budget),
 		server.WithMaxInFlight(maxInFlight),
-		server.WithParallelism(parallelism),
 		server.WithBoundsCacheSize(cacheSize),
 	}
 

@@ -25,16 +25,16 @@ var (
 )
 
 // Failure sentinels. These never occur in normal operation: ErrWorkerPanic
-// means a search worker panicked (the pool recovers it and converts the
+// means a query panicked (Batch and the server recover it and convert the
 // query into a truncated one instead of crashing the process), and
 // ErrInjectedFault is the root of every error produced by the
 // internal/fault test registry. Both deliver the same contract as the
 // interruption sentinels — the paths returned alongside the error are a
 // valid prefix of the true answer.
 var (
-	// ErrWorkerPanic: a panic escaped a search or batch worker and was
-	// converted into a query error.
-	ErrWorkerPanic = core.ErrWorkerPanic
+	// ErrWorkerPanic: a panic escaped a batch worker or a served query
+	// and was converted into a query error.
+	ErrWorkerPanic = errors.New("kpj: worker panicked")
 	// ErrInjectedFault: the error originates from a fault-injection rule
 	// (tests and chaos runs only; never fires in production builds because
 	// the registry is nil unless installed).
@@ -110,9 +110,10 @@ func finishQuery(paths []core.Path, err error) ([]Path, error) {
 		out[i] = Path{Nodes: p.Nodes, Length: p.Length}
 	}
 	if err != nil {
-		// Injected faults and recovered worker panics ride the same bound
-		// channel as cancellation, so the emitted paths are an equally valid
-		// prefix — wrap them the same way instead of discarding them.
+		// Injected faults ride the same bound channel as cancellation, so
+		// the emitted paths are an equally valid prefix — wrap them the
+		// same way instead of discarding them. A recovered batch panic
+		// carries no paths and is wrapped alike.
 		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExceeded) ||
 			errors.Is(err, ErrInjectedFault) || errors.Is(err, ErrWorkerPanic) {
 			return out, &TruncatedError{Paths: out, Cause: err}

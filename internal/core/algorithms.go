@@ -163,8 +163,6 @@ func (v variant) run(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 			e.tree = tree
 		}
 	}
-	e.pool = opt.newPool(e.sp.numSpaceNodes())
-	defer e.pool.Close()
 	e.pt = ws.resetTree(e.sp.Root)
 	e.k = q.K
 	e.eager = v.eager

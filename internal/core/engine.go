@@ -21,45 +21,17 @@ type entry struct {
 }
 
 // lessEntry orders the queue by key, breaking ties by pseudo-tree vertex
-// id. The tie-break uses only schedule-independent state — vertex ids are
-// assigned at emission time, never during resolution — which is what makes
-// the emitted path sequence identical at every parallelism level: keys of
-// unresolved entries are strict lower bounds of their subspace's shortest
-// length, resolved keys are exact, so the emission order collapses to
-// "sorted by (true length, vertex id)" no matter how resolution work was
-// scheduled.
+// id. Vertex ids are assigned at emission time, never during resolution,
+// so the order depends on no search state: keys of unresolved entries are
+// strict lower bounds of their subspace's shortest length, resolved keys
+// are exact, and the emission order collapses to "sorted by (true length,
+// vertex id)".
 func lessEntry(a, b entry) bool {
 	if a.key != b.key {
 		return a.key < b.key
 	}
 	return a.vertex < b.vertex
 }
-
-// resolveJob is one unresolved entry popped for (possibly speculative)
-// resolution in the current round, with the τ computed for it at pop time.
-type resolveJob struct {
-	ent    entry
-	tau    graph.Weight
-	res    searchResult
-	status SearchStatus
-}
-
-// minParallelLB is the smallest division fan-out worth dispatching CompLB
-// calls to the pool; below it the coordination overhead dominates.
-const minParallelLB = 3
-
-// resolveBatch is the number of unresolved entries popped (speculatively)
-// per resolution round. It is a fixed constant, NOT the worker count: the
-// τ computed for each popped entry depends on what remains on the queue,
-// so a batch size that varied with Options.Parallelism would give the
-// searches different τs at different parallelism levels — and among
-// equal-length shortest paths, which representative a τ-bounded search
-// returns may depend on τ. Fixing the batch makes the whole resolution
-// schedule a pure function of the query, so the emitted path sequence is
-// bit-identical whether the batch runs inline (Parallelism <= 1) or
-// fanned across any number of workers. Eight keeps 4-8 workers busy while
-// bounding sequential speculation per round.
-const resolveBatch = 8
 
 // engine runs the best-first paradigm (Alg. 2), when alpha > 1 with a
 // finite bound schedule the iteratively bounding approach (Alg. 4), or,
@@ -78,7 +50,7 @@ type engine struct {
 
 	// tree, when non-nil, is the incremental SPT_I: every search is
 	// confined to it (Alg. 8's D-restriction at the virtual root included),
-	// and it is grown to τ before each resolution round so it covers the
+	// and it is grown to τ before each bounded search so it covers the
 	// ≤τ neighbourhood (Prop. 5.2).
 	tree *sptiTree
 
@@ -108,11 +80,6 @@ type engine struct {
 	// unbounded. It is the same Bound installed in ws by prepare.
 	bound *Bound
 
-	// pool, when non-nil, fans the independent searches of one round (and
-	// the CompLB calls at division time) across worker goroutines. The
-	// nil pool is the sequential Parallelism<=1 case of the same loop.
-	pool *Pool
-
 	stats   *Stats
 	onEvent TraceFunc
 
@@ -122,7 +89,6 @@ type engine struct {
 
 	// Retained scratch, reused across queries via the workspace cache.
 	q       *pqueue.Heap[entry]
-	jobs    []resolveJob
 	results []searchResult
 	cands   []VertexID
 	lbs     []graph.Weight
@@ -164,14 +130,10 @@ func (e *engine) nextTau(lb graph.Weight, top graph.Weight, haveTop bool) graph.
 // paths emitted so far (a prefix of the unbounded result, since the bound
 // never alters the emission order) together with the bound's error.
 //
-// With a pool, each iteration pops up to Workers unresolved entries and
-// resolves them concurrently (τ fixed per entry at pop time, so the τ
-// schedule is deterministic for a given worker count); their outcomes are
-// merged back in pop order. Speculative resolution never changes the
-// output: a Found result is the subspace's true shortest path regardless
-// of τ or of SPT_I having grown past this entry's τ, and an Exceeded
-// entry re-enters the queue keyed by a τ that is still a strict lower
-// bound of its subspace's shortest length.
+// Each unresolved pop is one round of Alg. 4: τ = nextTau(lb, top), grow
+// SPT_I to τ, search the subspace with TestLB, and push it back — resolved
+// and keyed by its exact length when Found, or keyed by τ, a strict lower
+// bound of its shortest length, when Exceeded.
 func (e *engine) run() (out []Path, err error) {
 	if e.q == nil {
 		e.q = pqueue.NewHeap[entry](lessEntry)
@@ -190,7 +152,7 @@ func (e *engine) run() (out []Path, err error) {
 	first, ok := e.init, e.haveInit
 	if !e.haveInit {
 		var status SearchStatus
-		first, status = e.compSP(e.ws, 0, e.stats)
+		first, status = e.compSP(0)
 		ok = status == Found
 	}
 	endInitial(first.Total)
@@ -224,77 +186,37 @@ func (e *engine) run() (out []Path, err error) {
 			continue
 		}
 
-		// Unresolved round: pop up to resolveBatch entries to tighten
-		// (IterBound) or solve exactly (BestFirst). τ for each is
-		// computed against the queue as seen at its pop, so the schedule
-		// of bounds is a pure function of the query alone.
+		// Unresolved round: tighten the popped entry's bound (IterBound) or
+		// solve it exactly (BestFirst).
 		round++
 		endRound := e.spans.Start(obs.PhaseRound, round)
-		e.jobs = append(e.jobs[:0], resolveJob{ent: q.Pop()})
-		for len(e.jobs) < resolveBatch && q.Len() > 0 && q.Top().res < 0 {
-			if err := e.bound.Step(); err != nil {
-				endRound(int64(len(e.jobs)))
-				return out, err
-			}
-			e.jobs = append(e.jobs, resolveJob{ent: q.Pop()})
+		ent := q.Pop()
+		var top graph.Weight
+		haveTop := q.Len() > 0
+		if haveTop {
+			top = q.Top().key
 		}
-		jobs := e.jobs
-		maxTau := graph.Weight(-1)
-		for i := range jobs {
-			var top graph.Weight
-			haveTop := q.Len() > 0
-			if haveTop {
-				top = q.Top().key
-			}
-			jobs[i].tau = e.nextTau(jobs[i].ent.key, top, haveTop)
-			if jobs[i].tau > maxTau {
-				maxTau = jobs[i].tau
-			}
-		}
+		tau := e.nextTau(ent.key, top, haveTop)
 		if e.tree != nil {
-			e.tree.growTo(maxTau)
+			e.tree.growTo(tau)
 		}
-		if len(jobs) == 1 || e.pool == nil {
-			for i := range jobs {
-				j := &jobs[i]
-				j.res, j.status = e.ws.subspaceSearch(e.sp, e.pt, j.ent.vertex, e.h, j.tau, e.tree, e.stats)
+		res, status := e.ws.subspaceSearch(e.sp, e.pt, ent.vertex, e.h, tau, e.tree, e.stats)
+		e.trace(Event{Kind: EventResolve, Vertex: ent.vertex, Node: e.pt.Node(ent.vertex),
+			Length: res.Total, Tau: tau, Status: status})
+		endRound(1)
+		switch status {
+		case Found:
+			q.Push(entry{vertex: ent.vertex, key: res.Total, res: e.storeResult(res)})
+		case Exceeded:
+			if e.stats != nil {
+				e.stats.TauRounds++
 			}
-		} else {
-			e.pool.Run(len(jobs), func(i int, ws *Workspace, st *Stats) {
-				j := &jobs[i]
-				j.res, j.status = ws.subspaceSearch(e.sp, e.pt, j.ent.vertex, e.h, j.tau, e.tree, st)
-			})
-			// A worker panic (recovered by the pool) or injected fault may
-			// have left jobs unexecuted with zero-valued statuses; stop on
-			// the injected error before reading them. Sequential rounds
-			// always run every job, so only the pooled path needs this.
-			if err := e.bound.Err(); err != nil {
-				endRound(int64(len(jobs)))
-				return out, err
-			}
+			q.Push(entry{vertex: ent.vertex, key: tau, res: -1})
+		case Empty:
+			// drop: the subspace holds no path
+		case Aborted:
+			return out, e.bound.Err()
 		}
-		for i := range jobs {
-			j := &jobs[i]
-			switch j.status {
-			case Found:
-				q.Push(entry{vertex: j.ent.vertex, key: j.res.Total, res: e.storeResult(j.res)})
-			case Exceeded:
-				if e.stats != nil {
-					e.stats.TauRounds++
-				}
-				q.Push(entry{vertex: j.ent.vertex, key: j.tau, res: -1})
-			case Empty:
-				// drop: the subspace holds no path
-			case Aborted:
-				e.trace(Event{Kind: EventResolve, Vertex: j.ent.vertex, Node: e.pt.Node(j.ent.vertex),
-					Tau: j.tau, Status: j.status})
-				endRound(int64(len(jobs)))
-				return out, e.bound.Err()
-			}
-			e.trace(Event{Kind: EventResolve, Vertex: j.ent.vertex, Node: e.pt.Node(j.ent.vertex),
-				Length: j.res.Total, Tau: j.tau, Status: j.status})
-		}
-		endRound(int64(len(jobs)))
 	}
 	// A bound that tripped inside a helper (SPT growth, CompLB) without an
 	// Aborted search still truncates the result.
@@ -309,10 +231,9 @@ func (e *engine) run() (out []Path, err error) {
 // emitAndDivide outputs the resolved entry's path and divides its subspace
 // (Alg. 2 lines 6-10), enqueueing the deviation vertex and the new suffix
 // vertices with CompLB lower bounds — or, eager, with their exact lengths
-// (see divideExact). The CompLB calls are independent and fan out to the
-// pool when the division is wide enough. It reports whether the main loop
-// must stop (k paths emitted, or the bound tripped during a lower-bound
-// computation or an eager search).
+// (see divideExact). It reports whether the main loop must stop (k paths
+// emitted, or the bound tripped during a lower-bound computation or an
+// eager search).
 func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (stop bool) {
 	res := &e.results[ent.res]
 	e.pathBuf = e.pt.AppendPrefixPath(e.pathBuf[:0], ent.vertex)
@@ -358,13 +279,7 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 		e.lbs = make([]graph.Weight, len(cands))
 	}
 	lbs := e.lbs[:len(cands)]
-	if e.pool != nil && len(cands) >= minParallelLB {
-		e.pool.Run(len(cands), func(i int, ws *Workspace, st *Stats) {
-			lbs[i] = e.compLB(ws, cands[i], st)
-		})
-	} else {
-		e.ws.chainLBs(e.sp, e.pt, cands, lbs, e.h, e.tree, e.stats)
-	}
+	e.ws.chainLBs(e.sp, e.pt, cands, lbs, e.h, e.tree, e.stats)
 	for i, v := range cands {
 		lb := lbs[i]
 		if lb >= graph.Infinity {
@@ -386,60 +301,33 @@ func (e *engine) emitAndDivide(q *pqueue.Heap[entry], ent entry, out *[]Path) (s
 // divideExact is the eager division of Alg. 1: each new subspace is
 // resolved exactly (τ = ∞, so τ never enters and no SPT_I restricts the
 // search) and enqueued keyed by its shortest path length; an empty one is
-// dropped. The searches are independent and fan out to the pool. It
-// returns the number of subspaces enqueued.
+// dropped. It returns the number of subspaces enqueued.
 func (e *engine) divideExact(q *pqueue.Heap[entry], cands []VertexID) (resolved int64) {
-	jobs := e.jobs[:0]
 	for _, v := range cands {
-		jobs = append(jobs, resolveJob{ent: entry{vertex: v}, tau: graph.Infinity})
-	}
-	e.jobs = jobs
-	if e.pool != nil && len(jobs) > 1 {
-		e.pool.Run(len(jobs), func(i int, ws *Workspace, st *Stats) {
-			jobs[i].res, jobs[i].status = e.compSP(ws, jobs[i].ent.vertex, st)
-		})
-		// A panicked or fault-skipped task leaves a zero (Found) status
-		// behind; stop before reading any.
-		if e.bound.Err() != nil {
-			return 0
-		}
-	} else {
-		for i := range jobs {
-			jobs[i].res, jobs[i].status = e.compSP(e.ws, jobs[i].ent.vertex, e.stats)
-		}
-	}
-	for i := range jobs {
-		j := &jobs[i]
-		v := j.ent.vertex
+		res, status := e.compSP(v)
 		e.trace(Event{Kind: EventResolve, Vertex: v, Node: e.pt.Node(v),
-			Length: j.res.Total, Tau: j.tau, Status: j.status})
-		if j.status == Found {
-			q.Push(entry{vertex: v, key: j.res.Total, res: e.storeResult(j.res)})
-			e.trace(Event{Kind: EventEnqueue, Vertex: v, Node: e.pt.Node(v), Length: j.res.Total})
+			Length: res.Total, Tau: graph.Infinity, Status: status})
+		if status == Found {
+			q.Push(entry{vertex: v, key: res.Total, res: e.storeResult(res)})
+			e.trace(Event{Kind: EventEnqueue, Vertex: v, Node: e.pt.Node(v), Length: res.Total})
 			resolved++
 		}
 	}
 	return resolved
 }
 
-// compSP computes the exact shortest path of v's subspace on the given
-// workspace (CompSP), answering from DA-SPT's full tree by the Pascoal
-// shortcut when the concatenation is simple. A shortcut hit counts as a
-// LowerBounds unit: it replaces a search by a constant-time candidate.
-func (e *engine) compSP(ws *Workspace, v VertexID, st *Stats) (searchResult, SearchStatus) {
+// compSP computes the exact shortest path of v's subspace (CompSP),
+// answering from DA-SPT's full tree by the Pascoal shortcut when the
+// concatenation is simple. A shortcut hit counts as a LowerBounds unit: it
+// replaces a search by a constant-time candidate.
+func (e *engine) compSP(v VertexID) (searchResult, SearchStatus) {
 	if e.full != nil {
-		if res, ok := ws.pascoal(e.full, e.sp, e.pt, v); ok {
-			if st != nil {
-				st.LowerBounds++
+		if res, ok := e.ws.pascoal(e.full, e.sp, e.pt, v); ok {
+			if e.stats != nil {
+				e.stats.LowerBounds++
 			}
 			return res, Found
 		}
 	}
-	return ws.subspaceSearch(e.sp, e.pt, v, e.h, graph.Infinity, e.tree, st)
-}
-
-// compLB computes the subspace lower bound for v on the given workspace
-// (CompLB, with SPT_I's D-restriction at the virtual root: Alg. 8).
-func (e *engine) compLB(ws *Workspace, v VertexID, st *Stats) graph.Weight {
-	return ws.CompLB(e.sp, e.pt, v, e.h, e.tree, st)
+	return e.ws.subspaceSearch(e.sp, e.pt, v, e.h, graph.Infinity, e.tree, e.stats)
 }

@@ -86,8 +86,7 @@ func BenchmarkSPTGrow(b *testing.B) {
 // BenchmarkDivisionCompLB computes the lower bounds of the first division
 // of a far IterBoundI query — the virtual root plus every vertex of the
 // first path, each subspace bounded by CompLB over SPT_I grown to 1.1·δ —
-// chained as the sequential engine does, and one CompLB at a time as the
-// pooled branch does.
+// chained as the engine does, and one reference CompLB at a time.
 func BenchmarkDivisionCompLB(b *testing.B) {
 	g, ix, q := farQuery(b)
 	ws := NewWorkspace(g.NumNodes() + 2)

@@ -9,9 +9,8 @@ import (
 // EngineMetrics groups the process-wide engine counters: cumulative work
 // across every query served since the metrics were enabled. Per-query
 // work is already tracked scheduler-free in Stats; these counters are fed
-// by whole-query Stats aggregation at query completion plus a handful of
-// dedicated hooks (pool scheduling, budget drain), so the search inner
-// loops gain no atomic operations.
+// by whole-query Stats aggregation at query completion, so the search
+// inner loops gain no atomic operations.
 //
 // All fields are nil-safe obs counters: an EngineMetrics built from a nil
 // registry — or a nil *EngineMetrics — records nothing at zero cost.
@@ -30,13 +29,6 @@ type EngineMetrics struct {
 	EdgesRelaxed *obs.Counter
 	TauRounds    *obs.Counter
 	SPTNodes     *obs.Counter
-
-	// Pool scheduling: rounds dispatched, tasks executed, and steals —
-	// tasks a fast worker claimed beyond its even share of a round,
-	// absorbing imbalance left by slower peers.
-	PoolRounds *obs.Counter
-	PoolTasks  *obs.Counter
-	PoolSteals *obs.Counter
 
 	// BudgetDrained accumulates the work units (heap pops + edge
 	// relaxations) consumed by budget-capped queries — the denominator
@@ -60,9 +52,6 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 		EdgesRelaxed:  reg.Counter("kpj_engine_edges_relaxed_total", "successful edge relaxations (deviation edges examined)"),
 		TauRounds:     reg.Counter("kpj_engine_tau_rounds_total", "bounded searches that exceeded tau"),
 		SPTNodes:      reg.Counter("kpj_engine_spt_nodes_total", "nodes settled into SPT_P / SPT_I / full SPTs"),
-		PoolRounds:    reg.Counter("kpj_engine_pool_rounds_total", "intra-query pool rounds dispatched"),
-		PoolTasks:     reg.Counter("kpj_engine_pool_tasks_total", "intra-query pool tasks executed"),
-		PoolSteals:    reg.Counter("kpj_engine_pool_steals_total", "pool tasks claimed beyond a worker's even share"),
 		BudgetDrained: reg.Counter("kpj_engine_budget_drained_total", "work units consumed by budget-capped queries"),
 	}
 }

@@ -56,16 +56,6 @@ type Options struct {
 	// as NodesPopped and EdgesRelaxed). Exceeding it stops the query with
 	// the paths found so far and an error wrapping ErrBudgetExceeded.
 	Budget int64
-	// Parallelism fans the independent subspace/candidate searches of
-	// one query across up to this many worker goroutines. Values <= 1 run
-	// sequentially on the caller's goroutine. The emitted path sequence
-	// is identical at every parallelism level; Budget and Context hold
-	// across all workers.
-	Parallelism int
-	// Workspaces supplies the per-worker scratch workspaces when
-	// Parallelism > 1 (and receives them back after the query). Nil
-	// allocates fresh workspaces per query.
-	Workspaces WorkspacePool
 	// SetBounds, when non-nil, caches the per-category Eq. 2 set-bound
 	// tables across queries, keyed by index fingerprint and node set, so
 	// repeated queries against the same category skip the O(|L|·|V_T|)

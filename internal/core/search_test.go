@@ -207,7 +207,7 @@ func TestCompLBIsLowerBound(t *testing.T) {
 	}
 }
 
-// TestChainLBsMatchCompLB: the sequential division's chained lower bounds
+// TestChainLBsMatchCompLB: the division's chained lower bounds
 // (the deviation prefix banned once and extended per candidate, h memoized
 // across the division) equal CompLB run candidate by candidate, SPT_I's
 // D-restriction at the virtual root included. Each trial divides along

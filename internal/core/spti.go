@@ -188,8 +188,7 @@ func (t *sptiTree) growTo(tau graph.Weight) {
 }
 
 // exhausted reports whether the tree can grow no further — at that point
-// "not in SPT_I" means "unreachable from the source side". It only reads,
-// so pooled searches may call it concurrently (through Allow).
+// "not in SPT_I" means "unreachable from the source side".
 func (t *sptiTree) exhausted() bool { return t.open == 0 }
 
 // size returns the number of settled nodes (span payload).

@@ -22,8 +22,8 @@ type Heuristic interface {
 
 // Workspace holds the reusable per-query scratch state for subspace
 // searches: tentative distances, parents, heuristic caches, ban marks, the
-// search queues, SPT scratch, the pseudo-tree, the engine with its batch
-// buffers, cached heuristic boxes, and the result arenas — all epoch-
+// search queues, SPT scratch, the pseudo-tree, the engine with its
+// division buffers, cached heuristic boxes, and the result arenas — all epoch-
 // stamped or capacity-retaining so that a steady-state query on a warm
 // workspace performs zero heap allocations. A Workspace is sized for one
 // space-node-id range and is not safe for concurrent use.
@@ -123,10 +123,9 @@ func bumpEpoch(epoch *uint32, stamps []uint32) {
 }
 
 // beginQuery opens a fresh per-query scope: result arenas rewind and the
-// goal-membership epoch advances. prepare calls it for the query's main
-// workspace and newPool for every worker workspace, so any searchResult or
-// (with reuse) Path handed out by the previous query on this workspace is
-// invalidated here.
+// goal-membership epoch advances. prepare calls it once per query, so any
+// searchResult or (with reuse) Path handed out by the previous query on
+// this workspace is invalidated here.
 func (ws *Workspace) beginQuery(reuse bool) {
 	ws.reuseResults = reuse
 	ws.nodeArena.reset()
@@ -171,12 +170,12 @@ func (ws *Workspace) cachedTreeHeuristic(t *SPT, fallback Heuristic) Heuristic {
 }
 
 // engine returns the workspace-cached engine with all per-query
-// configuration cleared and the retained scratch (queue, batch buffers,
+// configuration cleared and the retained scratch (queue, division buffers,
 // result store) carried over.
 func (ws *Workspace) engine() *engine {
 	e := &ws.eng
 	*e = engine{
-		q: e.q, jobs: e.jobs, results: e.results,
+		q: e.q, results: e.results,
 		cands: e.cands, lbs: e.lbs, pathBuf: e.pathBuf, out: e.out,
 	}
 	e.ws = ws

@@ -26,10 +26,7 @@ type Config struct {
 	Landmarks int     // landmark count |L| (default 16, as chosen in Fig. 6a)
 	Alpha     float64 // τ growth factor (default 1.1, as chosen in Fig. 6b)
 	Seed      int64   // base RNG seed (default 1)
-	// Parallelism fans each query's subspace searches across workers
-	// (<= 1 sequential; identical results, different wall-clock).
-	Parallelism int
-	Rounds      int // timing rounds per cell; the minimum round average
+	Rounds    int     // timing rounds per cell; the minimum round average
 	// is reported, after one untimed warmup pass, to suppress GC and
 	// cold-cache noise (default 3)
 }
@@ -286,7 +283,7 @@ func (e *Env) runQueries(dsName, algoName string, sources []graph.NodeID, target
 		em := core.Metrics()
 		for _, s := range sources {
 			q := core.Query{Sources: []graph.NodeID{s}, Targets: targets, K: k}
-			opt := core.Options{Index: ix, Alpha: alpha, Workspace: ws, Parallelism: e.Cfg.Parallelism}
+			opt := core.Options{Index: ix, Alpha: alpha, Workspace: ws}
 			var qst core.Stats
 			switch {
 			case collect && em != nil:
@@ -362,7 +359,7 @@ func (e *Env) runJoinQueries(dsName, algoName string, sources, targets []graph.N
 		em := core.Metrics()
 		for r := 0; r < reps; r++ {
 			q := core.Query{Sources: sources, Targets: targets, K: k}
-			opt := core.Options{Index: ix, Alpha: alpha, Workspace: ws, Parallelism: e.Cfg.Parallelism}
+			opt := core.Options{Index: ix, Alpha: alpha, Workspace: ws}
 			var qst core.Stats
 			switch {
 			case collect && em != nil:

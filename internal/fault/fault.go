@@ -1,7 +1,7 @@
 // Package fault implements deterministic fault injection for chaos
 // testing. Production code is threaded with named fault points — Hit
 // calls at the places where real deployments fail: file parsing, index
-// loading, pool workers, subspace searches, cache inserts, request
+// loading, batch workers, subspace searches, cache inserts, request
 // handlers. A seed-scheduled plan of rules decides, per point, at which
 // hit ordinal to inject a typed error, a panic, or extra latency, so a
 // whole failure scenario replays bit-identically from one integer seed.
@@ -46,10 +46,6 @@ const (
 	// BuildWithLandmarksParallel before landmark selection / the table
 	// Dijkstras start.
 	IndexBuild Point = "index.build"
-	// PoolWorker fires in core.Pool once per claimed task, on the worker
-	// goroutine. Panics here are recovered by the pool and surface as
-	// core.ErrWorkerPanic truncations.
-	PoolWorker Point = "pool.worker"
 	// SubspaceSearch fires once per main-loop iteration of the core
 	// engine, whichever row of its variant table runs (the mid-resolve
 	// site).
@@ -94,7 +90,7 @@ const (
 // Points lists every fault point compiled into the tree, in a fixed
 // order so seeded plans are stable across runs.
 var Points = []Point{
-	GraphRead, IndexLoad, IndexBuild, PoolWorker, SubspaceSearch,
+	GraphRead, IndexLoad, IndexBuild, SubspaceSearch,
 	SPTGrow, CacheInsert, ServerHandler, BatchWorker,
 	RouterProxy, RouterProbe, GraphApply,
 	WALAppend, WALFsync, WALReplay,
@@ -104,14 +100,13 @@ var Points = []Point{
 // load/build time) — the natural scope for chaos schedules that replay
 // oracle cases.
 var QueryPoints = []Point{
-	PoolWorker, SubspaceSearch, SPTGrow, CacheInsert, BatchWorker,
+	SubspaceSearch, SPTGrow, CacheInsert, BatchWorker,
 }
 
 // PanicSafePoints are the points whose surrounding code recovers injected
 // panics; Plan only assigns KindPanic to these, since a panic anywhere
 // else would take down the process under test.
 var PanicSafePoints = map[Point]bool{
-	PoolWorker:    true,
 	ServerHandler: true,
 	BatchWorker:   true,
 	RouterProxy:   true,

@@ -18,10 +18,10 @@ func TestNilRegistryIsNoop(t *testing.T) {
 }
 
 func TestRuleFiresAtNthForCount(t *testing.T) {
-	r := New().Add(Rule{Point: PoolWorker, Nth: 3, Count: 2, Kind: KindError})
+	r := New().Add(Rule{Point: BatchWorker, Nth: 3, Count: 2, Kind: KindError})
 	var errs []error
 	for i := 0; i < 6; i++ {
-		errs = append(errs, r.Hit(PoolWorker))
+		errs = append(errs, r.Hit(BatchWorker))
 	}
 	for i, err := range errs {
 		wantErr := i == 2 || i == 3 // hits 3 and 4
@@ -36,8 +36,8 @@ func TestRuleFiresAtNthForCount(t *testing.T) {
 	if len(fired) != 2 || fired[0].Hit != 3 || fired[1].Hit != 4 {
 		t.Fatalf("fired events %+v, want hits 3 and 4", fired)
 	}
-	if r.Hits(PoolWorker) != 6 {
-		t.Fatalf("Hits = %d, want 6", r.Hits(PoolWorker))
+	if r.Hits(BatchWorker) != 6 {
+		t.Fatalf("Hits = %d, want 6", r.Hits(BatchWorker))
 	}
 }
 
@@ -64,7 +64,7 @@ func TestTransientWrapsInjected(t *testing.T) {
 }
 
 func TestPanicKind(t *testing.T) {
-	r := New().Add(Rule{Point: PoolWorker, Kind: KindPanic})
+	r := New().Add(Rule{Point: BatchWorker, Kind: KindPanic})
 	defer func() {
 		rec := recover()
 		if rec == nil {
@@ -77,7 +77,7 @@ func TestPanicKind(t *testing.T) {
 			t.Fatal("IsInjectedPanic matched a foreign value")
 		}
 	}()
-	_ = r.Hit(PoolWorker)
+	_ = r.Hit(BatchWorker)
 }
 
 func TestLatencyKindSleepsAndReturnsNil(t *testing.T) {

@@ -35,8 +35,8 @@ const (
 	// (Alg. 4 line 1 / Alg. 2's first resolution).
 	PhaseInitial = "initial_path"
 	// PhaseRound: one bound iteration of the engine main loop — popping
-	// up to resolveBatch unresolved subspaces and running their bounded
-	// searches (N = iteration number, Val = searches resolved).
+	// one unresolved subspace and running its bounded search (N =
+	// iteration number, Val = searches resolved, always 1).
 	PhaseRound = "round"
 	// PhaseDivide: dividing an emitted path's subspace — CompLB over the
 	// deviation and suffix vertices (Val = candidate subspaces).

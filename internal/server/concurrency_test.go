@@ -11,12 +11,11 @@ import (
 )
 
 // TestConcurrentQueriesSharedCache drives many simultaneous /query
-// requests — intra-query parallelism on, all sharing the server's
-// bound-table cache — and checks every response against the single-
-// threaded answer. Run with -race: this is the workload shape the cache
-// and worker pool exist for.
+// requests — all sharing the server's bound-table cache — and checks every
+// response against the single-threaded answer. Run with -race: this is
+// the workload shape the cache exists for.
 func TestConcurrentQueriesSharedCache(t *testing.T) {
-	s, _ := testServer(t, WithParallelism(4), WithBoundsCacheSize(2))
+	s, _ := testServer(t, WithBoundsCacheSize(2))
 
 	urls := []string{
 		"/query?source=0&category=hotel&k=6",
@@ -66,28 +65,5 @@ func TestConcurrentQueriesSharedCache(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestParallelismMatchesSequential: the same query answered with and
-// without intra-query parallelism must be byte-identical on the wire.
-func TestParallelismMatchesSequential(t *testing.T) {
-	seq, _ := testServer(t)
-	par, _ := testServer(t, WithParallelism(8))
-	const u = "/query?sourceCategory=start&category=hotel&k=10"
-	_, wantBody := get(t, seq, u)
-	_, gotBody := get(t, par, u)
-	if string(gotBody) == "" || len(wantBody) == 0 {
-		t.Fatal("empty response")
-	}
-	var want, got QueryResponse
-	if err := json.Unmarshal(wantBody, &want); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(gotBody, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Paths, want.Paths) {
-		t.Fatalf("parallel server paths differ:\n got %v\nwant %v", got.Paths, want.Paths)
 	}
 }

@@ -210,9 +210,7 @@ func readCheckpointFile(t *testing.T, path string) (*kpj.Graph, *kpj.Index) {
 // each crashed at a seed-chosen point by a WAL append fault plus a torn
 // tail, recovered from checkpoint + log suffix, and required to be
 // indistinguishable — epoch, fingerprint, and every engine's answers —
-// from an uninterrupted in-memory chain. The oracle runs at parallelism
-// 1 and the recovered server at parallelism 4, so equality also
-// re-checks the engines' parallelism invariance over churned graphs.
+// from an uninterrupted in-memory chain.
 func TestCrashRecoveryChurn(t *testing.T) {
 	for seed := 0; seed < 20; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -236,7 +234,7 @@ func runCrashSeed(t *testing.T, seed int) {
 		t.Fatal(err)
 	}
 
-	mem := New(g, ixMem, WithLogf(t.Logf), WithParallelism(1))
+	mem := New(g, ixMem, WithLogf(t.Logf))
 
 	dir := t.TempDir()
 	lg, rec0, err := wal.Open(dir)
@@ -246,7 +244,7 @@ func runCrashSeed(t *testing.T, seed int) {
 	if rec0.CheckpointPath != "" || len(rec0.Records) != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec0)
 	}
-	dsrv := New(g, ixWAL, WithWAL(lg, 3), WithLogf(t.Logf), WithParallelism(4))
+	dsrv := New(g, ixWAL, WithWAL(lg, 3), WithLogf(t.Logf))
 	if err := dsrv.Recover(rec0); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +295,7 @@ func runCrashSeed(t *testing.T, seed int) {
 	if rec2.CheckpointPath != "" {
 		rg, rix = readCheckpointFile(t, rec2.CheckpointPath)
 	}
-	rsrv := New(rg, rix, WithWAL(lg2, 3), WithLogf(t.Logf), WithParallelism(4))
+	rsrv := New(rg, rix, WithWAL(lg2, 3), WithLogf(t.Logf))
 	if ready, why := rsrv.readiness(); ready {
 		t.Fatalf("ready before recovery (%s)", why)
 	}

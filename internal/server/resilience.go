@@ -19,11 +19,11 @@ import (
 //
 // The degradation ladder, from healthiest to most conservative:
 //
-//  1. normal: configured parallelism, shared bounds cache.
-//  2. degraded (breaker open): serial execution, bounds cache bypassed,
-//     fresh per-request stats/spans. Answers stay exact — the engine's
-//     results are identical at every parallelism level — only latency
-//     suffers. Responses carry X-Kpj-Degraded: 1.
+//  1. normal: shared bounds cache.
+//  2. degraded (breaker open): bounds cache bypassed, fresh per-request
+//     stats/spans. Answers stay exact — a cached bound table equals a
+//     rebuilt one — only latency suffers. Responses carry
+//     X-Kpj-Degraded: 1.
 //  3. truncated: independent of the breaker, a query over deadline or
 //     budget returns its prefix with "truncated": true (HTTP 200).
 //
@@ -187,12 +187,10 @@ func (s *Server) reloadIndexLocked(path string) error {
 }
 
 // degrade switches one parsed request to the degraded execution profile:
-// serial resolution and no shared bounds cache, so a fault tied to
-// parallel execution or cross-request shared state cannot recur. Stats
-// and spans are replaced (not reset) so a degraded retry reports only its
-// own work.
+// no shared bounds cache, so a fault tied to cross-request shared state
+// cannot recur. Stats and spans are replaced (not reset) so a degraded
+// retry reports only its own work.
 func (p *queryParams) degrade() {
-	p.opt.Parallelism = 1
 	p.opt.BoundsCache = nil
 	if p.opt.Stats != nil {
 		p.opt.Stats = &kpj.Stats{}

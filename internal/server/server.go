@@ -101,9 +101,6 @@ type Server struct {
 	// inflight, when non-nil, is the load-shedding semaphore for /query
 	// and /batch: requests beyond its capacity get 503 + Retry-After.
 	inflight chan struct{}
-	// parallelism fans each query's subspace searches across this many
-	// workers (<= 1 sequential). Results are identical either way.
-	parallelism int
 	// cacheSize configures the cross-request bound-table cache (0 =
 	// default capacity, < 0 = disabled).
 	cacheSize int
@@ -189,11 +186,12 @@ func WithLogf(logf func(format string, args ...any)) Option {
 	return func(s *Server) { s.logf = logf }
 }
 
-// WithParallelism fans each query's independent subspace searches across
-// up to n worker goroutines (n <= 1 runs sequentially). The answer to
-// every query is identical at every setting; only latency changes.
-func WithParallelism(n int) Option {
-	return func(s *Server) { s.parallelism = n }
+// WithParallelism is ignored: the engine resolves one subspace at a time
+// and the server spends its cores across concurrent requests instead.
+// It remains only because the benchmark harness in bench/kpjload still
+// calls it; it goes once that call is dropped.
+func WithParallelism(int) Option {
+	return func(*Server) {}
 }
 
 // WithBoundsCacheSize sizes the cross-request cache of per-category
@@ -466,8 +464,7 @@ func (s *Server) parseQuery(ep *epochState, get func(string) string, withStats, 
 	if err != nil {
 		return p, fmt.Errorf("unknown alg %q", get("alg"))
 	}
-	p.opt = &kpj.Options{Algorithm: algo, Index: ep.ix,
-		Parallelism: s.parallelism, BoundsCache: s.cache}
+	p.opt = &kpj.Options{Algorithm: algo, Index: ep.ix, BoundsCache: s.cache}
 	if as := get("alpha"); as != "" {
 		alpha, err := strconv.ParseFloat(as, 64)
 		if err != nil || alpha <= 1 {
@@ -638,8 +635,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	// Batches parallelize across queries (one worker per core); stacking
-	// intra-query parallelism on top would oversubscribe, so it stays off.
+	// Batches parallelize across queries (one worker per core).
 	results := ep.g.Batch(queries, 0, &kpj.Options{
 		Context: ctx, Index: ep.ix, Budget: s.budget, BoundsCache: s.cache})
 	out := make([]BatchResponseItem, len(items))

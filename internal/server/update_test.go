@@ -281,7 +281,7 @@ func TestUpdateUnindexedServer(t *testing.T) {
 // of the epoch a query claims it ran against.
 func TestUpdateQueryRace(t *testing.T) {
 	defer leaktest.Check(t)()
-	s, _ := testServer(t, WithLogf(t.Logf), WithParallelism(2), WithBoundsCacheSize(8))
+	s, _ := testServer(t, WithLogf(t.Logf), WithBoundsCacheSize(8))
 
 	wantLen := func(epoch uint64) kpj.Weight {
 		if epoch%2 == 0 {
@@ -355,7 +355,7 @@ func TestUpdateQueryRace(t *testing.T) {
 // racing queries stay torn-free throughout.
 func TestUpdateQueryRaceChaos(t *testing.T) {
 	defer leaktest.Check(t)()
-	s, _ := testServer(t, WithLogf(t.Logf), WithParallelism(2))
+	s, _ := testServer(t, WithLogf(t.Logf))
 	// Fail apply ops 3..4 and 9: updates carry 2 ops each, so some
 	// updates fault and some land.
 	reg := fault.New().Add(

@@ -37,9 +37,9 @@ type Config struct {
 	K int
 	// Seed makes sampling and landmark selection deterministic.
 	Seed int64
-	// Parallelism fans each sample query's subspace searches and the
-	// landmark-build Dijkstras across workers (<= 1 sequential). Costs are
-	// identical at every level, so tuning results do not depend on it.
+	// Parallelism fans the landmark-build Dijkstras across workers (<= 1
+	// sequential). Indexes are identical at every level, so tuning results
+	// do not depend on it.
 	Parallelism int
 }
 
@@ -113,7 +113,6 @@ func Tune(g *graph.Graph, targets []graph.NodeID, cfg Config) (Result, error) {
 				q := core.Query{Sources: []graph.NodeID{s}, Targets: targets, K: cfg.K}
 				if _, err := core.IterBoundSPTI(g, q, core.Options{
 					Index: ix, Alpha: alpha, Workspace: ws, Stats: &st,
-					Parallelism: cfg.Parallelism,
 				}); err != nil {
 					return Result{}, fmt.Errorf("tuner: |L|=%d alpha=%v: %w", count, alpha, err)
 				}

@@ -38,8 +38,8 @@ type Weight = graph.Weight
 type Graph struct {
 	g *graph.Graph
 	// ws recycles query workspaces (the O(n) scratch arrays) across the
-	// single-query API, batch workers, and intra-query worker pools, so
-	// the server's hot path stops paying an O(n) allocation per request.
+	// single-query API and batch workers, so the server's hot path stops
+	// paying an O(n) allocation per request.
 	ws sync.Pool
 }
 

@@ -16,10 +16,10 @@ import (
 // delta schedule through Index.Apply (epoch chain: incremental landmark
 // repair + scoped bound-cache invalidation) must be observationally
 // IDENTICAL to throwing everything away and rebuilding from scratch over
-// the final graph — path for path, across every engine, at sequential
-// and parallel settings — and both must agree with exhaustive
-// enumeration. The deltas come from the same seeded churn generator
-// kpjgen -churn uses, so every failure replays from its case index.
+// the final graph — path for path, across every engine — and both must
+// agree with exhaustive enumeration. The deltas come from the same seeded
+// churn generator kpjgen -churn uses, so every failure replays from its
+// case index.
 
 // deltaCase is one (graph, delta-schedule, query) metamorphic case.
 type deltaCase struct {
@@ -175,45 +175,43 @@ func runChurnCase(t *testing.T, c deltaCase) {
 
 	oc := oracleCase{name: c.name, g: curG, og: curOg, sources: c.sources, targets: targets, k: c.k}
 	for _, alg := range allAlgorithms {
-		for _, par := range []int{1, 4} {
-			applied := &kpj.Options{Algorithm: alg, Parallelism: par, Index: ix, BoundsCache: cache}
-			scratch := &kpj.Options{Algorithm: alg, Parallelism: par, Index: scratchIx}
-			got, err := curG.TopKJoinSets(c.sources, targets, c.k, applied)
-			if err != nil {
-				t.Fatalf("%s/p%d: applied: %v", alg, par, err)
+		applied := &kpj.Options{Algorithm: alg, Index: ix, BoundsCache: cache}
+		scratch := &kpj.Options{Algorithm: alg, Index: scratchIx}
+		got, err := curG.TopKJoinSets(c.sources, targets, c.k, applied)
+		if err != nil {
+			t.Fatalf("%s: applied: %v", alg, err)
+		}
+		ref, err := scratchG.TopKJoinSets(c.sources, targets, c.k, scratch)
+		if err != nil {
+			t.Fatalf("%s: scratch: %v", alg, err)
+		}
+		// Law 1: applied chain ≡ from-scratch rebuild, path for path.
+		if len(got) != len(ref) {
+			t.Fatalf("%s: applied %d paths, scratch %d", alg, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i].Length != ref[i].Length || !reflect.DeepEqual(got[i].Nodes, ref[i].Nodes) {
+				t.Fatalf("%s: path %d diverges: applied %v (%d), scratch %v (%d)",
+					alg, i, got[i].Nodes, got[i].Length, ref[i].Nodes, ref[i].Length)
 			}
-			ref, err := scratchG.TopKJoinSets(c.sources, targets, c.k, scratch)
-			if err != nil {
-				t.Fatalf("%s/p%d: scratch: %v", alg, par, err)
+		}
+		// Law 2: both agree with exhaustive enumeration, and every
+		// returned path is a real simple path on the final graph.
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d paths, oracle has %d", alg, len(got), len(want))
+		}
+		for i, p := range got {
+			if p.Length != want[i].Length {
+				t.Fatalf("%s: path %d length %d, oracle %d", alg, i, p.Length, want[i].Length)
 			}
-			// Law 1: applied chain ≡ from-scratch rebuild, path for path.
-			if len(got) != len(ref) {
-				t.Fatalf("%s/p%d: applied %d paths, scratch %d", alg, par, len(got), len(ref))
-			}
-			for i := range got {
-				if got[i].Length != ref[i].Length || !reflect.DeepEqual(got[i].Nodes, ref[i].Nodes) {
-					t.Fatalf("%s/p%d: path %d diverges: applied %v (%d), scratch %v (%d)",
-						alg, par, i, got[i].Nodes, got[i].Length, ref[i].Nodes, ref[i].Length)
-				}
-			}
-			// Law 2: both agree with exhaustive enumeration, and every
-			// returned path is a real simple path on the final graph.
-			if len(got) != len(want) {
-				t.Fatalf("%s/p%d: %d paths, oracle has %d", alg, par, len(got), len(want))
-			}
-			for i, p := range got {
-				if p.Length != want[i].Length {
-					t.Fatalf("%s/p%d: path %d length %d, oracle %d", alg, par, i, p.Length, want[i].Length)
-				}
-				validateOraclePath(t, oc, alg, par, p)
-			}
+			validateOraclePath(t, oc, alg, p)
 		}
 	}
 }
 
 // TestMetamorphicChurnSuite is the main sweep: ~200 seeded
-// (graph, delta-schedule, query) cases, each checked across all six
-// engines at parallelism 1 and 4.
+// (graph, delta-schedule, query) cases, each checked across every
+// engine.
 func TestMetamorphicChurnSuite(t *testing.T) {
 	cases := 200
 	if testing.Short() {

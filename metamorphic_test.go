@@ -14,11 +14,9 @@ import (
 // budgets. For every engine:
 //
 //  1. Prefix: a budget-truncated result is a prefix (paths, not just
-//     lengths) of the unbounded result, at sequential and parallel
-//     settings.
-//  2. Monotonicity: at Parallelism 1 both the number of paths found and
-//     the work performed (heap pops + edge relaxations) are non-decreasing
-//     in the budget.
+//     lengths) of the unbounded result.
+//  2. Monotonicity: both the number of paths found and the work performed
+//     (heap pops + edge relaxations) are non-decreasing in the budget.
 
 // metamorphicQuery is a corner-to-set query on a jittered grid — hard
 // enough that small budgets genuinely truncate it.
@@ -52,24 +50,22 @@ func TestBudgetTruncationIsPrefix(t *testing.T) {
 			if len(full) != k {
 				t.Fatalf("unbounded found %d/%d paths", len(full), k)
 			}
-			for _, par := range []int{1, 4} {
-				for _, budget := range []int64{50, 200, 1000, 5000, 20000, 1 << 40} {
-					opt := &kpj.Options{Algorithm: alg, Budget: budget, Parallelism: par}
-					paths, err := g.TopKJoinSets(sources, targets, k, opt)
-					if err != nil && !errors.Is(err, kpj.ErrBudgetExceeded) {
-						t.Fatalf("p%d budget %d: %v", par, budget, err)
-					}
-					if err == nil && len(paths) != k {
-						t.Fatalf("p%d budget %d: no error but %d/%d paths", par, budget, len(paths), k)
-					}
-					if len(paths) > len(full) {
-						t.Fatalf("p%d budget %d: %d paths, more than unbounded %d", par, budget, len(paths), len(full))
-					}
-					for i := range paths {
-						if !pathsEqual(paths[i], full[i]) {
-							t.Fatalf("p%d budget %d: path %d = %v, want prefix of unbounded (%v)",
-								par, budget, i, paths[i], full[i])
-						}
+			for _, budget := range []int64{50, 200, 1000, 5000, 20000, 1 << 40} {
+				opt := &kpj.Options{Algorithm: alg, Budget: budget}
+				paths, err := g.TopKJoinSets(sources, targets, k, opt)
+				if err != nil && !errors.Is(err, kpj.ErrBudgetExceeded) {
+					t.Fatalf("budget %d: %v", budget, err)
+				}
+				if err == nil && len(paths) != k {
+					t.Fatalf("budget %d: no error but %d/%d paths", budget, len(paths), k)
+				}
+				if len(paths) > len(full) {
+					t.Fatalf("budget %d: %d paths, more than unbounded %d", budget, len(paths), len(full))
+				}
+				for i := range paths {
+					if !pathsEqual(paths[i], full[i]) {
+						t.Fatalf("budget %d: path %d = %v, want prefix of unbounded (%v)",
+							budget, i, paths[i], full[i])
 					}
 				}
 			}
@@ -170,17 +166,6 @@ func TestEngineMetricsObserveQueries(t *testing.T) {
 	}
 	if got := counter("kpj_engine_query_errors_total"); got != 1 {
 		t.Fatalf("errors_total = %d after invalid query", got)
-	}
-
-	// Parallel queries move the pool counters.
-	if _, err := g.TopKJoinSets(sources, targets, k, &kpj.Options{Parallelism: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if counter("kpj_engine_pool_rounds_total") == 0 {
-		t.Fatal("pool rounds not recorded for a parallel query")
-	}
-	if counter("kpj_engine_pool_tasks_total") == 0 {
-		t.Fatal("pool tasks not recorded for a parallel query")
 	}
 
 	// Counter-level monotonicity under a budget sweep.

@@ -140,11 +140,11 @@ func oracleCaseFor(t *testing.T, i int) oracleCase {
 	return c
 }
 
-// checkAgainstOracle runs every engine at sequential and parallel settings
-// and verifies each result against the exhaustive answer: the length
-// sequence must match exactly, every returned path must be a real simple
-// path of the stated length with valid endpoints, and when k covers every
-// existing path the returned path sets must coincide exactly.
+// checkAgainstOracle runs every engine and verifies each result against
+// the exhaustive answer: the length sequence must match exactly, every
+// returned path must be a real simple path of the stated length with valid
+// endpoints, and when k covers every existing path the returned path sets
+// must coincide exactly.
 func checkAgainstOracle(t *testing.T, c oracleCase) {
 	ogSources := make([]graph.NodeID, len(c.sources))
 	for i, s := range c.sources {
@@ -170,35 +170,32 @@ func checkAgainstOracle(t *testing.T, c oracleCase) {
 		opt.Index = ix
 	}
 	for _, alg := range allAlgorithms {
-		for _, par := range []int{1, 4} {
-			o := opt
-			o.Algorithm = alg
-			o.Parallelism = par
-			got, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, &o)
-			if err != nil {
-				t.Fatalf("%s/p%d: %v", alg, par, err)
+		o := opt
+		o.Algorithm = alg
+		got, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, &o)
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d paths, oracle has %d", alg, len(got), len(want))
+		}
+		for i, p := range got {
+			if p.Length != want[i].Length {
+				t.Fatalf("%s: path %d length %d, oracle %d", alg, i, p.Length, want[i].Length)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s/p%d: %d paths, oracle has %d", alg, par, len(got), len(want))
+			validateOraclePath(t, c, alg, p)
+			if allPaths && !wantSet[fmt.Sprint(p.Nodes)] {
+				t.Fatalf("%s: path %v not in the exhaustive set", alg, p.Nodes)
 			}
-			for i, p := range got {
-				if p.Length != want[i].Length {
-					t.Fatalf("%s/p%d: path %d length %d, oracle %d", alg, par, i, p.Length, want[i].Length)
+		}
+		if allPaths {
+			seen := map[string]bool{}
+			for _, p := range got {
+				key := fmt.Sprint(p.Nodes)
+				if seen[key] {
+					t.Fatalf("%s: duplicate path %v", alg, p.Nodes)
 				}
-				validateOraclePath(t, c, alg, par, p)
-				if allPaths && !wantSet[fmt.Sprint(p.Nodes)] {
-					t.Fatalf("%s/p%d: path %v not in the exhaustive set", alg, par, p.Nodes)
-				}
-			}
-			if allPaths {
-				seen := map[string]bool{}
-				for _, p := range got {
-					key := fmt.Sprint(p.Nodes)
-					if seen[key] {
-						t.Fatalf("%s/p%d: duplicate path %v", alg, par, p.Nodes)
-					}
-					seen[key] = true
-				}
+				seen[key] = true
 			}
 		}
 	}
@@ -207,10 +204,10 @@ func checkAgainstOracle(t *testing.T, c oracleCase) {
 // validateOraclePath checks one returned path against the graph itself:
 // endpoints in the query sets, simple, every hop a real edge, stated
 // length equal to the edge-weight sum.
-func validateOraclePath(t *testing.T, c oracleCase, alg kpj.Algorithm, par int, p kpj.Path) {
+func validateOraclePath(t *testing.T, c oracleCase, alg kpj.Algorithm, p kpj.Path) {
 	t.Helper()
 	if len(p.Nodes) == 0 {
-		t.Fatalf("%s/p%d: empty path", alg, par)
+		t.Fatalf("%s: empty path", alg)
 	}
 	inSet := func(set []kpj.NodeID, v kpj.NodeID) bool {
 		for _, s := range set {
@@ -221,16 +218,16 @@ func validateOraclePath(t *testing.T, c oracleCase, alg kpj.Algorithm, par int, 
 		return false
 	}
 	if !inSet(c.sources, p.Nodes[0]) {
-		t.Fatalf("%s/p%d: path starts at %d, not a source", alg, par, p.Nodes[0])
+		t.Fatalf("%s: path starts at %d, not a source", alg, p.Nodes[0])
 	}
 	if !inSet(c.targets, p.Nodes[len(p.Nodes)-1]) {
-		t.Fatalf("%s/p%d: path ends at %d, not a target", alg, par, p.Nodes[len(p.Nodes)-1])
+		t.Fatalf("%s: path ends at %d, not a target", alg, p.Nodes[len(p.Nodes)-1])
 	}
 	seen := map[kpj.NodeID]bool{}
 	var sum kpj.Weight
 	for i, v := range p.Nodes {
 		if seen[v] {
-			t.Fatalf("%s/p%d: node %d repeats: not simple: %v", alg, par, v, p.Nodes)
+			t.Fatalf("%s: node %d repeats: not simple: %v", alg, v, p.Nodes)
 		}
 		seen[v] = true
 		if i == 0 {
@@ -238,12 +235,12 @@ func validateOraclePath(t *testing.T, c oracleCase, alg kpj.Algorithm, par int, 
 		}
 		w, ok := edgeWeight(c.og, p.Nodes[i-1], v)
 		if !ok {
-			t.Fatalf("%s/p%d: no edge %d->%d in %v", alg, par, p.Nodes[i-1], v, p.Nodes)
+			t.Fatalf("%s: no edge %d->%d in %v", alg, p.Nodes[i-1], v, p.Nodes)
 		}
 		sum += w
 	}
 	if sum != p.Length {
-		t.Fatalf("%s/p%d: stated length %d, edges sum to %d", alg, par, p.Length, sum)
+		t.Fatalf("%s: stated length %d, edges sum to %d", alg, p.Length, sum)
 	}
 }
 

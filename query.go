@@ -134,13 +134,6 @@ type Options struct {
 	// ErrBudgetExceeded. Budgets make worst-case latency proportional to
 	// the budget regardless of graph size, k, or query difficulty.
 	Budget int64
-	// Parallelism fans the independent subspace searches of one query
-	// across up to this many worker goroutines — intra-query parallelism,
-	// complementary to Batch's across-query parallelism. Values <= 1 run
-	// sequentially. The emitted path sequence is identical at every
-	// parallelism level, and Context/Budget still bound the total work of
-	// all workers together.
-	Parallelism int
 	// BoundsCache, when non-nil, caches the per-category landmark bound
 	// tables (the paper's Eq. 2 precomputation) across queries, so a
 	// workload that repeatedly targets the same categories skips the
@@ -213,7 +206,6 @@ func (o *Options) coreOptions(g *Graph) (core.Options, core.Func, error) {
 		opt.Spans = o.Spans
 		opt.Context = o.Context
 		opt.Budget = o.Budget
-		opt.Parallelism = o.Parallelism
 		if o.Index != nil {
 			opt.Index = o.Index.ix
 		}
@@ -225,7 +217,6 @@ func (o *Options) coreOptions(g *Graph) (core.Options, core.Func, error) {
 		}
 		algo = o.Algorithm
 	}
-	opt.Workspaces = workspacePool{g}
 	if !algo.known() {
 		return opt, nil, fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(algo))
 	}
@@ -245,9 +236,8 @@ func (g *Graph) TopKJoinSets(sources, targets []NodeID, k int, opt *Options) ([]
 	if err != nil {
 		return nil, err
 	}
-	pool := workspacePool{g}
-	copt.Workspace = pool.Get(g.NumNodes() + 2)
-	defer pool.Put(copt.Workspace)
+	copt.Workspace = g.getWorkspace()
+	defer g.putWorkspace(copt.Workspace)
 	if core.Metrics() != nil && copt.Stats == nil {
 		// Engine-wide counters aggregate per-query Stats at completion;
 		// collect them even when the caller did not ask for stats.
@@ -259,22 +249,20 @@ func (g *Graph) TopKJoinSets(sources, targets []NodeID, k int, opt *Options) ([]
 	return paths, err
 }
 
-// workspacePool adapts the Graph's sync.Pool of workspaces to
-// core.WorkspacePool, serving both the single-query hot path and the
-// per-worker scratch of parallel queries and batches.
-type workspacePool struct{ g *Graph }
-
-func (p workspacePool) Get(n int) *core.Workspace {
-	ws := p.g.ws.Get().(*core.Workspace)
-	if !ws.Fits(n) {
+// getWorkspace hands out one of the Graph's recycled workspaces, serving
+// both the single-query hot path and the per-worker scratch of batches.
+func (g *Graph) getWorkspace() *core.Workspace {
+	ws := g.ws.Get().(*core.Workspace)
+	if n := g.NumNodes() + 2; !ws.Fits(n) {
 		return core.NewWorkspace(n)
 	}
 	return ws
 }
 
-func (p workspacePool) Put(ws *core.Workspace) {
+// putWorkspace returns ws to the Graph's pool.
+func (g *Graph) putWorkspace(ws *core.Workspace) {
 	ws.DetachBound()
-	p.g.ws.Put(ws)
+	g.ws.Put(ws)
 }
 
 // TopKJoin answers a KPJ query: the k shortest simple paths from source to

@@ -22,8 +22,8 @@ type TuneReport struct {
 
 // TuneOptions controls the grid search; the zero value uses the defaults
 // (|L| ∈ {4,8,16,32}, α ∈ {1.05,1.1,1.2,1.5}, 16 sampled queries, k=20).
-// Parallelism speeds up the candidate index builds and sample queries
-// without changing the (deterministic) outcome.
+// Parallelism speeds up the candidate index builds without changing the
+// (deterministic) outcome.
 type TuneOptions struct {
 	LandmarkCounts []int
 	Alphas         []float64

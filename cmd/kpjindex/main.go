@@ -1,16 +1,16 @@
 // Command kpjindex is the DIMACS importer: it reads a ".gr" graph (plus an
 // optional POI category file), builds the landmark index offline, and
 // writes graph, categories and index as one flat file — the only
-// persisted form, which kpjserver -flat [-mmap] and kpjquery -flat load
-// without re-parsing or rebuilding anything.
+// persisted form, which kpjserver -flat and kpjquery -flat load without
+// re-parsing or rebuilding anything.
 //
 // Usage:
 //
 //	kpjindex -graph sj.gr -pois sj.pois -landmarks 16 -out sj.kpjflat
 //
 // -landmarks 0 writes the graph alone. The output is renamed into place,
-// never written in place, so a kpjserver that has the old file mapped
-// keeps a consistent view until it is told to reload.
+// never written in place, so a kpjserver reloading on SIGHUP never reads
+// a half-written file.
 package main
 
 import (
@@ -82,7 +82,7 @@ func run(graphPath, poisPath string, landmarks int, seed int64, parallelism int,
 	if ix != nil {
 		count = ix.Count()
 	}
-	fmt.Printf("built %d-landmark index for %d nodes in %v; wrote %d-byte flat file to %s (serve with kpjserver -flat %s -mmap)\n",
+	fmt.Printf("built %d-landmark index for %d nodes in %v; wrote %d-byte flat file to %s (serve with kpjserver -flat %s)\n",
 		count, g.NumNodes(), built.Round(time.Millisecond), st.Size(), out, out)
 	return nil
 }

@@ -78,33 +78,28 @@ func TestImportMatchesDirectBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mmap := range []bool{false, true} {
-		g, ix, closer, err := kpj.OpenFlat(out, mmap)
-		if err != nil {
-			t.Fatalf("OpenFlat(mmap=%v): %v", mmap, err)
+	g, ix, _, err := kpj.OpenFlat(out, false)
+	if err != nil {
+		t.Fatalf("OpenFlat: %v", err)
+	}
+	if ix == nil || ix.TablesChecksum() != wantIx.TablesChecksum() || ix.Fingerprint() != wantIx.Fingerprint() {
+		t.Fatal("index differs from a direct build")
+	}
+	if !reflect.DeepEqual(g.Categories(), want.Categories()) {
+		t.Fatalf("categories %v, want %v", g.Categories(), want.Categories())
+	}
+	for _, name := range want.Categories() {
+		got, _ := g.Category(name)
+		exp, _ := want.Category(name)
+		if !reflect.DeepEqual(got, exp) {
+			t.Fatalf("category %s = %v, want %v", name, got, exp)
 		}
-		if ix == nil || ix.TablesChecksum() != wantIx.TablesChecksum() || ix.Fingerprint() != wantIx.Fingerprint() {
-			t.Fatalf("mmap=%v: index differs from a direct build", mmap)
-		}
-		if !reflect.DeepEqual(g.Categories(), want.Categories()) {
-			t.Fatalf("mmap=%v: categories %v, want %v", mmap, g.Categories(), want.Categories())
-		}
-		for _, name := range want.Categories() {
-			got, _ := g.Category(name)
-			exp, _ := want.Category(name)
-			if !reflect.DeepEqual(got, exp) {
-				t.Fatalf("mmap=%v: category %s = %v, want %v", mmap, name, got, exp)
-			}
-		}
-		paths, err := g.TopKJoin(0, "cafe", 4, &kpj.Options{Index: ix})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(paths, wantPaths) {
-			t.Fatalf("mmap=%v: paths %v, want %v", mmap, paths, wantPaths)
-		}
-		if err := closer.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	paths, err := g.TopKJoin(0, "cafe", 4, &kpj.Options{Index: ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(paths, wantPaths) {
+		t.Fatalf("paths %v, want %v", paths, wantPaths)
 	}
 }

@@ -59,11 +59,10 @@ func run(flatPath string, source int, sourceCat, category string, k int, alg str
 	}
 
 	start := time.Now()
-	g, ix, closer, err := kpj.OpenFlat(flatPath, false)
+	g, ix, _, err := kpj.OpenFlat(flatPath, false)
 	if err != nil {
 		return err
 	}
-	defer closer.Close()
 	fmt.Printf("graph: %d nodes, %d edges, categories %v\n", g.NumNodes(), g.NumEdges(), g.Categories())
 	if ix != nil {
 		fmt.Printf("index: %d landmarks, %d bytes, loaded with the graph in %v\n", ix.Count(), ix.SizeBytes(), time.Since(start).Round(time.Millisecond))

@@ -45,7 +45,7 @@ func TestHelperCrashServer(t *testing.T) {
 	if os.Getenv("KPJ_CRASH_HELPER") != "1" {
 		t.Skip("crash-harness helper; spawned by TestCrashRecoveryKill9")
 	}
-	err := run(os.Getenv("KPJ_CRASH_FLAT"), false, os.Getenv("KPJ_CRASH_ADDR"), 1000,
+	err := run(os.Getenv("KPJ_CRASH_FLAT"), os.Getenv("KPJ_CRASH_ADDR"), 1000,
 		0, 0, 0, 0, time.Second,
 		false, false, 0, 2, os.Getenv("KPJ_CRASH_WAL"), 3 /* checkpoint-every */)
 	// Reached only if the listener never starts or a graceful shutdown

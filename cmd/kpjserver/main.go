@@ -5,12 +5,10 @@
 //
 //	kpjserver -flat sj.kpjflat -addr :8080 \
 //	          -timeout 2s -budget 5000000 -maxinflight 64
-//	kpjserver -flat sj.kpjflat -mmap -addr :8080
 //
 // -flat is the only way in: DIMACS input is imported once, offline, by
-// kpjindex. With -mmap the file is mapped instead of read, so startup is
-// O(1) and pages fault in on demand (Linux; elsewhere -mmap silently
-// falls back to a verified read).
+// kpjindex. The file is read in one pass and verified (checksum and full
+// adjacency validation) before anything is served.
 //
 // Endpoints (see internal/server):
 //
@@ -25,16 +23,16 @@
 // SIGINT/SIGTERM flip /readyz to 503, shed late arrivals, and drain
 // in-flight requests for up to -draintimeout before exiting. -breaker N
 // arms a per-algorithm circuit breaker: N consecutive internal failures
-// switch that algorithm to a degraded serial profile instead of a run of
-// 500s; -breakerprobes clean degraded queries switch it back.
+// switch that algorithm to a degraded profile that bypasses the shared
+// bounds cache instead of a run of 500s; -breakerprobes clean degraded
+// queries switch it back.
 //
 // SIGHUP re-reads the -flat file with full verification and atomically
 // swaps its landmark index in: rebuild the file with kpjindex (another
 // -landmarks or -seed) and signal. The file must carry the very graph
 // being served, so once a live update has been applied a file from
 // before it is refused; any failed reload logs the error and keeps
-// serving the old index. When serving with -mmap, replace the file by
-// rename (kpjindex and kpjtune do), never in place.
+// serving the old index.
 //
 // POST /update applies live graph changes — edge weights, segment
 // insertions/deletions, POI membership — and atomically publishes a new
@@ -72,7 +70,6 @@ import (
 
 func main() {
 	flatPath := flag.String("flat", "", "flat graph+categories+index file from kpjindex (required)")
-	useMmap := flag.Bool("mmap", false, "mmap the -flat file instead of reading it: O(1) startup, pages load on demand")
 	addr := flag.String("addr", ":8080", "listen address")
 	maxK := flag.Int("maxk", 1000, "per-request k limit")
 	timeout := flag.Duration("timeout", 0, "per-request deadline for /query and /batch (0 = none)")
@@ -88,7 +85,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 64, "with -wal, snapshot the serving state and truncate the log every N epochs (0 = never)")
 	flag.Parse()
 
-	if err := run(*flatPath, *useMmap, *addr, *maxK,
+	if err := run(*flatPath, *addr, *maxK,
 		*timeout, *budget, *maxInFlight, *cacheSize, *drain, *metrics, *pprofOn,
 		*breaker, *breakerProbes, *walDir, *checkpointEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjserver: %v\n", err)
@@ -96,7 +93,7 @@ func main() {
 	}
 }
 
-func run(flatPath string, useMmap bool, addr string, maxK int,
+func run(flatPath, addr string, maxK int,
 	timeout time.Duration, budget int64, maxInFlight, cacheSize int, drain time.Duration,
 	metrics, pprofOn bool, breakerThreshold, breakerProbes int,
 	walDir string, checkpointEvery int) error {
@@ -104,21 +101,16 @@ func run(flatPath string, useMmap bool, addr string, maxK int,
 		return fmt.Errorf("-flat is required")
 	}
 	start := time.Now()
-	g, ix, closer, err := kpj.OpenFlat(flatPath, useMmap)
+	g, ix, _, err := kpj.OpenFlat(flatPath, false)
 	if err != nil {
 		return err
-	}
-	defer closer.Close()
-	mode := "read"
-	if useMmap {
-		mode = "mmap"
 	}
 	count := 0
 	if ix != nil {
 		count = ix.Count()
 	}
-	fmt.Printf("loaded flat file %s (%s) with %d-landmark index in %v\n",
-		flatPath, mode, count, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("loaded flat file %s with %d-landmark index in %v\n",
+		flatPath, count, time.Since(start).Round(time.Millisecond))
 
 	opts := []server.Option{
 		server.WithMaxK(maxK),
@@ -140,7 +132,8 @@ func run(flatPath string, useMmap bool, addr string, maxK int,
 		}
 		defer wlog.Close()
 		if rec.CheckpointPath != "" {
-			cg, cix, err := readCheckpoint(rec.CheckpointPath)
+			// A checkpoint is a flat file, verified like -flat.
+			cg, cix, _, err := kpj.OpenFlat(rec.CheckpointPath, false)
 			if err != nil {
 				return fmt.Errorf("load checkpoint: %w", err)
 			}
@@ -212,17 +205,6 @@ func run(flatPath string, useMmap bool, addr string, maxK int,
 		}
 		return nil
 	}
-}
-
-// readCheckpoint loads a WAL checkpoint (flat format, fully verified)
-// as the serving state recovery starts from.
-func readCheckpoint(path string) (*kpj.Graph, *kpj.Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return kpj.ReadFlat(f)
 }
 
 // drainAndShutdown bounds graceful shutdown by -draintimeout: readiness

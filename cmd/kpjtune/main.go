@@ -39,12 +39,7 @@ func run(flatPath, category string, samples, k int, seed int64, out string) erro
 	if flatPath == "" || category == "" {
 		return fmt.Errorf("-flat and -category are required")
 	}
-	f, err := os.Open(flatPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	g, _, err := kpj.ReadFlat(f)
+	g, _, _, err := kpj.OpenFlat(flatPath, false)
 	if err != nil {
 		return err
 	}

@@ -12,10 +12,11 @@ import (
 // This file exposes the persistence layer — the one on-disk format: a
 // versioned flat binary file carrying the graph's CSR adjacency, its
 // categories, and optionally its landmark index, stored in memory layout
-// so loading is aliasing rather than parsing. kpjindex imports DIMACS
-// input into it; kpjserver and kpjquery load it with -flat (kpjserver
-// optionally with -mmap); WAL checkpoints and replica resync snapshots
-// are the same bytes.
+// so loading is one read, two linear checks and aliasing rather than
+// parsing. kpjindex imports DIMACS input into it; kpjserver, kpjquery and
+// kpjtune load it with -flat; WAL checkpoints and replica resync
+// snapshots are the same bytes. Every load verifies the checksum and the
+// whole adjacency.
 
 // WriteFlat serializes g — adjacency, categories, and ix when non-nil —
 // in the flat binary layout. ix must have been built over g.
@@ -27,7 +28,7 @@ func WriteFlat(w io.Writer, g *Graph, ix *Index) (int64, error) {
 }
 
 // WriteFlatFile is WriteFlat to a file at path, replaced atomically by
-// rename (safe while another process has the old file mapped).
+// rename, so a reader never sees a half-written file.
 func WriteFlatFile(path string, g *Graph, ix *Index) error {
 	if ix == nil {
 		return flatindex.WriteFile(path, g.g, nil)
@@ -36,48 +37,39 @@ func WriteFlatFile(path string, g *Graph, ix *Index) error {
 }
 
 // ReadFlat decodes a flat payload from r with full verification
-// (checksum plus adjacency validation) — the in-memory counterpart of
-// OpenFlat for snapshots arriving over the wire (WAL checkpoints,
-// replica resync transfers) rather than from a file. The returned index
-// is nil when the payload carries none.
+// (checksum plus adjacency validation) — the stream counterpart of
+// OpenFlat for snapshots arriving over the wire (replica resync
+// transfers) rather than from a file. The returned index is nil when the
+// payload carries none.
 func ReadFlat(r io.Reader) (*Graph, *Index, error) {
 	l, err := flatindex.Read(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	g := newGraph(l.G)
-	var ix *Index
-	if l.Index != nil {
-		ix = &Index{ix: l.Index}
-	}
+	g, ix := wrapLoaded(l)
 	return g, ix, nil
 }
 
-// OpenFlat loads a flat file written by WriteFlatFile. With mmap true on
-// a supporting platform (Linux) the file is mapped and the graph aliases
-// it in place — O(1) startup with pages faulting in on demand, at the
-// cost of skipping the checksum (structural header validation still
-// runs). With mmap false (or elsewhere) the file is read into memory and
-// fully verified. The returned index is nil when the file carries none.
+// OpenFlat loads a flat file written by WriteFlatFile: it reads the file
+// in one pass into a buffer sized from its length and verifies it as
+// ReadFlat does. The returned index is nil when the file carries none.
 //
-// Generations derived by Index.Apply or WithDelta keep reading the file:
-// they share the CSR head arrays (edge reweights), every landmark row
-// page that holds no node whose distances changed and the untouched
-// category sets with the loaded pair, and own only the two adjacency
-// arrays plus copies of the other pages. So
-// close the returned Closer only after the graph, the index and every
-// generation derived from them by Apply are unreachable.
-func OpenFlat(path string, mmap bool) (*Graph, *Index, io.Closer, error) {
-	l, err := flatindex.Open(path, mmap)
+// The bool once selected an mmap load and is ignored, and the Closer
+// does nothing; both stay until the benchmark harness stops using them.
+func OpenFlat(path string, _ bool) (*Graph, *Index, io.Closer, error) {
+	l, err := flatindex.ReadFile(path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	g := newGraph(l.G)
-	var ix *Index
-	if l.Index != nil {
-		ix = &Index{ix: l.Index}
-	}
+	g, ix := wrapLoaded(l)
 	return g, ix, l, nil
+}
+
+func wrapLoaded(l *flatindex.Loaded) (*Graph, *Index) {
+	if l.Index == nil {
+		return newGraph(l.G), nil
+	}
+	return newGraph(l.G), &Index{ix: l.Index}
 }
 
 // ErrGraphMismatch is returned by Index.Rebind when the target graph's

@@ -38,9 +38,9 @@ type Point string
 const (
 	// GraphRead fires in graph.ReadGr before parsing a DIMACS file.
 	GraphRead Point = "graph.read"
-	// IndexLoad fires in flatindex.Read before a flat payload is decoded —
-	// the fully verified read behind index reload, WAL checkpoint loading
-	// and /resync (the mmap open path does not pass through it).
+	// IndexLoad fires in flatindex.Read and flatindex.ReadFile before a
+	// flat payload is decoded — the one verified load behind startup,
+	// index reload, WAL checkpoint loading and /resync.
 	IndexLoad Point = "index.load"
 	// IndexBuild fires in landmark.BuildParallel and
 	// BuildWithLandmarksParallel before landmark selection / the table

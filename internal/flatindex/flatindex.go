@@ -1,12 +1,10 @@
 // Package flatindex persists a graph — CSR adjacency, categories, and
 // optionally its landmark index — in a versioned flat binary layout whose
-// array sections are stored exactly as Go lays them out in memory. Loading
-// is therefore O(1) in the array bytes: the loader either mmaps the file
-// and aliases the sections in place (Linux) or reads it into one aligned
-// buffer and aliases that, with no parsing, sorting, or table rebuilds.
-// This is what lets a server over a continental road network restart in
-// milliseconds instead of re-parsing a DIMACS file and re-running |L|
-// Dijkstras.
+// array sections are stored exactly as Go lays them out in memory. The
+// loader reads the file into one aligned buffer and aliases the sections
+// in place, with no parsing, sorting, or table rebuilds: a server
+// restarts in one read plus two linear checks instead of re-parsing a
+// DIMACS file and re-running |L| Dijkstras.
 //
 // Layout (all fields native-endian; the header records a byte-order
 // sentinel and the Edge struct geometry, so a file is only readable on a
@@ -27,11 +25,10 @@
 // Version 1 stored the landmark section table-major (fwd L·n·4, bwd
 // L·n·4); this build refuses it with ErrFormat rather than misread it.
 //
-// The read-to-memory loader verifies the checksum and fully validates the
-// adjacency; the mmap loader deliberately skips both (touching every page
-// would defeat lazy loading) and relies on the header checks plus the
-// O(n) head-array validation — a corrupt adjacency section then fails
-// closed via Go bounds checks, never memory-unsafely.
+// Every load verifies the checksum and fully validates the adjacency
+// (graph.FromCSR). The one property left unchecked is that the
+// in-adjacency mirrors the out-adjacency; graph.Apply checks it for each
+// edge it patches.
 package flatindex
 
 import (
@@ -232,9 +229,8 @@ func Write(w io.Writer, g *graph.Graph, ix *landmark.Index) (int64, error) {
 }
 
 // WriteFile serializes to path via Write. The bytes go to path+".tmp"
-// and are renamed into place, so a process that has the previous file
-// at path mapped (Open with useMmap) keeps a consistent view: writing in
-// place would truncate the pages under it.
+// and are renamed into place, so a crash mid-write or a concurrent
+// reader never sees a half-written file at path.
 func WriteFile(path string, g *graph.Graph, ix *landmark.Index) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -280,30 +276,20 @@ func encodeCategories(g *graph.Graph) []byte {
 	return out
 }
 
-// Loaded is an open flat index: the graph, the optional landmark index,
-// and the mapping (or buffer) backing both. The graph and index alias
-// the backing memory — Close invalidates them.
+// Loaded is a decoded flat index: the graph and the optional landmark
+// index, both aliasing the one buffer the file was read into.
 type Loaded struct {
-	G      *graph.Graph
-	Index  *landmark.Index // nil when the file carries no landmark section
-	Mapped bool            // true when backed by a live mmap
-	unmap  func() error
+	G     *graph.Graph
+	Index *landmark.Index // nil when the file carries no landmark section
 }
 
-// Close releases the backing mapping. The Loaded's graph and index must
-// not be used afterwards. Close is idempotent.
-func (l *Loaded) Close() error {
-	if l.unmap == nil {
-		return nil
-	}
-	f := l.unmap
-	l.unmap = nil
-	return f()
-}
+// Close does nothing: a Loaded owns no resource beyond garbage-collected
+// memory. It is kept only for callers that still close what Open returns.
+func (l *Loaded) Close() error { return nil }
 
 // Read decodes a flat index from r with full verification: checksum plus
-// O(m) adjacency validation. The file is read into one aligned buffer
-// that the returned graph/index alias.
+// O(m) adjacency validation. It is the loader for streams of unknown
+// length, such as /resync bodies; ReadFile is the one for files.
 func Read(r io.Reader) (*Loaded, error) {
 	if err := fault.Hit(fault.IndexLoad); err != nil {
 		return nil, fmt.Errorf("flatindex: read: %w", err)
@@ -312,38 +298,51 @@ func Read(r io.Reader) (*Loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decode(alignedCopy(raw), true, false, nil)
+	return decode(alignedCopy(raw))
 }
 
-// ReadFile is Read over the file at path.
+// ReadFile reads the file at path in one pass into a buffer sized from
+// Stat, then decodes it with the same verification as Read.
 func ReadFile(path string) (*Loaded, error) {
+	if err := fault.Hit(fault.IndexLoad); err != nil {
+		return nil, fmt.Errorf("flatindex: read: %w", err)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := st.Size()
+	if size < headerSize+4 {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrFormat, size)
+	}
+	if size != int64(int(size)) {
+		return nil, fmt.Errorf("%w: %d bytes does not fit in memory", ErrFormat, size)
+	}
+	data := alignedBuffer(int(size))
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("flatindex: read %s: %w", path, err)
+	}
+	return decode(data)
 }
 
-// Open loads the file at path. With useMmap on a platform that supports
-// it (Linux), the file is mapped read-only and the sections are aliased
-// in place — O(1) startup, pages fault in on demand, and the checksum and
-// adjacency scans are skipped (see the package comment for the trust
-// model). Otherwise it falls back to ReadFile, which verifies everything.
-func Open(path string, useMmap bool) (*Loaded, error) {
-	if useMmap && mmapSupported {
-		data, unmap, err := mmapFile(path)
-		if err != nil {
-			return nil, err
-		}
-		l, err := decode(data, false, true, unmap)
-		if err != nil {
-			unmap()
-			return nil, err
-		}
-		return l, nil
-	}
+// Open is ReadFile. The bool once asked for an mmap load and is ignored;
+// it stays until the benchmark harness stops passing it.
+func Open(path string, _ bool) (*Loaded, error) {
 	return ReadFile(path)
+}
+
+// alignedBuffer returns a zeroed n-byte buffer (n > 0) starting on a
+// sectionAlign boundary: it is allocated in 16-byte elements, and Go's
+// size classes for multiples of 16 bytes (and its page-aligned large
+// objects) keep every such allocation 16-aligned. sliceOf still checks.
+func alignedBuffer(n int) []byte {
+	words := make([][sectionAlign / 8]uint64, (n+sectionAlign-1)/sectionAlign)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
 }
 
 // alignedCopy returns data in a 16-byte-aligned buffer, copying only when
@@ -353,14 +352,13 @@ func alignedCopy(data []byte) []byte {
 	if len(data) == 0 || uintptr(unsafe.Pointer(&data[0]))%sectionAlign == 0 {
 		return data
 	}
-	words := make([]uint64, (len(data)+7)/8)
-	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(data))
+	buf := alignedBuffer(len(data))
 	copy(buf, data)
 	return buf
 }
 
 // view returns data[off:off+size] after bounds-checking the arithmetic
-// (off and size are attacker-controlled on the Read path).
+// (off and size come from the file, so they are untrusted).
 func view(data []byte, off, size uint64) ([]byte, error) {
 	if off > uint64(len(data)) || size > uint64(len(data))-off {
 		return nil, fmt.Errorf("%w: section [%d,+%d) outside %d-byte file", ErrFormat, off, size, len(data))
@@ -385,17 +383,16 @@ func sliceOf[T any](data []byte, off, count uint64) ([]T, error) {
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), count), nil
 }
 
-func decode(data []byte, verify, mapped bool, unmap func() error) (*Loaded, error) {
+// decode checks the header, then the checksum, then the CSR in full, and
+// aliases the sections of data.
+func decode(data []byte) (*Loaded, error) {
 	h, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if verify {
-		sum := crc32.ChecksumIEEE(data[:len(data)-4])
-		got := binary.NativeEndian.Uint32(data[len(data)-4:])
-		if sum != got {
-			return nil, ErrChecksum
-		}
+	sum := crc32.ChecksumIEEE(data[:len(data)-4])
+	if got := binary.NativeEndian.Uint32(data[len(data)-4:]); sum != got {
+		return nil, ErrChecksum
 	}
 	l := layoutFromHeader(h)
 	outHead, err := sliceOf[int32](data, l.outHeadAt, h.n+1)
@@ -414,7 +411,7 @@ func decode(data []byte, verify, mapped bool, unmap func() error) (*Loaded, erro
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.FromCSR(int(h.n), outHead, outAdj, inHead, inAdj, graph.Weight(h.maxW), verify)
+	g, err := graph.FromCSR(int(h.n), outHead, outAdj, inHead, inAdj, graph.Weight(h.maxW))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
@@ -427,7 +424,7 @@ func decode(data []byte, verify, mapped bool, unmap func() error) (*Loaded, erro
 			return nil, err
 		}
 	}
-	return &Loaded{G: g, Index: ix, Mapped: mapped, unmap: unmap}, nil
+	return &Loaded{G: g, Index: ix}, nil
 }
 
 func decodeHeader(data []byte) (header, error) {

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"testing"
 
-	"kpj/internal/core"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
 	"kpj/internal/testgraphs"
@@ -126,63 +127,25 @@ func TestRoundTripNoIndex(t *testing.T) {
 	}
 }
 
-// TestMmapMatchesMemory is the loader-equivalence oracle: the mmap path
-// and the verified read path must hand back graphs and indexes that
-// answer queries identically.
-func TestMmapMatchesMemory(t *testing.T) {
-	g, _, blob := buildSample(t, 3)
-	path := filepath.Join(t.TempDir(), "sample.kpjflat")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mem, err := Open(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	mapped, err := Open(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if runtime.GOOS == "linux" && !mapped.Mapped {
-		t.Fatal("mmap requested on linux but loader fell back")
-	}
-	sameGraph(t, mem.G, mapped.G)
-	sameGraph(t, g, mapped.G)
-
-	targets, _ := mapped.G.Category("T")
-	q := core.Query{Sources: []graph.NodeID{1}, Targets: targets, K: 10}
-	for name, fn := range core.Algorithms() {
-		a, err := fn(mem.G, q, core.Options{Index: mem.Index})
-		if err != nil {
-			t.Fatalf("%s (memory): %v", name, err)
-		}
-		b, err := fn(mapped.G, q, core.Options{Index: mapped.Index})
-		if err != nil {
-			t.Fatalf("%s (mmap): %v", name, err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d vs %d paths", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Length != b[i].Length || len(a[i].Nodes) != len(b[i].Nodes) {
-				t.Fatalf("%s path %d: %v vs %v", name, i, a[i], b[i])
-			}
-			for j := range a[i].Nodes {
-				if a[i].Nodes[j] != b[i].Nodes[j] {
-					t.Fatalf("%s path %d: %v vs %v", name, i, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
+// TestRejectTruncated: both loaders refuse a payload cut short or with a
+// trailing byte, as malformed rather than with some other error.
 func TestRejectTruncated(t *testing.T) {
 	_, _, blob := buildSample(t, 4)
+	path := filepath.Join(t.TempDir(), "cut.kpjflat")
+	cases := map[string][]byte{"one trailing byte": append(slices.Clone(blob), 0)}
 	for _, cut := range []int{0, 7, headerSize - 1, headerSize + 3, len(blob) / 2, len(blob) - 1} {
-		if _, err := Read(bytes.NewReader(blob[:cut])); err == nil {
-			t.Fatalf("accepted file truncated to %d bytes", cut)
+		cases[fmt.Sprintf("truncated to %d bytes", cut)] = blob[:cut]
+	}
+	for name, b := range cases {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, rerr := Read(bytes.NewReader(b))
+		_, ferr := ReadFile(path)
+		for loader, err := range map[string]error{"Read": rerr, "ReadFile": ferr} {
+			if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrChecksum) {
+				t.Errorf("%s, %s: %v, want ErrFormat or ErrChecksum", name, loader, err)
+			}
 		}
 	}
 }
@@ -211,12 +174,13 @@ func TestRejectCorruptHeader(t *testing.T) {
 		if _, err := Read(bytes.NewReader(b)); err == nil {
 			t.Errorf("accepted corrupt %s", name)
 		}
-		// Header fields must also be rejected structurally with the CRC
-		// skipped — the mmap loader never runs the checksum.
-		if _, err := decode(alignedCopy(b), false, false, nil); err == nil {
-			t.Errorf("corrupt %s accepted by the no-verify (mmap) decoder", name)
+		// Header fields must also be rejected structurally, not by the
+		// checksum alone: with the CRC resealed over the corruption, Read
+		// still refuses, and not with ErrChecksum.
+		if _, err := Read(bytes.NewReader(reseal(b))); err == nil {
+			t.Errorf("corrupt %s accepted with a resealed checksum", name)
 		} else if errors.Is(err, ErrChecksum) {
-			t.Errorf("corrupt %s reached the checksum on the no-verify decoder", name)
+			t.Errorf("corrupt %s with a resealed checksum: %v, want a structural error", name, err)
 		}
 	}
 	// A version 1 file has the same size as this build's layout but stores
@@ -224,6 +188,16 @@ func TestRejectCorruptHeader(t *testing.T) {
 	if _, err := Read(bytes.NewReader(cases["version 1"])); !errors.Is(err, ErrFormat) {
 		t.Errorf("version 1 file: %v, want ErrFormat", err)
 	}
+}
+
+// reseal returns a copy of b with its trailing CRC recomputed, so only
+// the structural checks stand between it and a successful load.
+func reseal(b []byte) []byte {
+	b = slices.Clone(b)
+	if len(b) >= 4 {
+		binary.NativeEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	}
+	return b
 }
 
 func TestRejectCorruptPayload(t *testing.T) {
@@ -234,7 +208,7 @@ func TestRejectCorruptPayload(t *testing.T) {
 		t.Fatal("accepted corrupt payload")
 	}
 	// A flipped adjacency byte beyond the head arrays must at minimum fail
-	// the checksum on the verified path.
+	// the checksum.
 	b2 := append([]byte(nil), blob...)
 	b2[len(b2)/2] ^= 0x01
 	if _, err := Read(bytes.NewReader(b2)); err == nil {

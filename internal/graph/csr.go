@@ -2,8 +2,8 @@ package graph
 
 import "fmt"
 
-// This file exposes the CSR adjacency for flat (mmap-able) serialization
-// and reassembles a Graph directly from prebuilt arrays, skipping the
+// This file exposes the CSR adjacency for flat serialization and
+// reassembles a Graph directly from prebuilt arrays, skipping the
 // Builder's sort/dedup passes entirely. internal/flatindex is the only
 // intended consumer.
 
@@ -19,17 +19,14 @@ func (g *Graph) CSR() (outHead []int32, outAdj []Edge, inHead []int32, inAdj []E
 
 // FromCSR assembles a Graph that aliases the given CSR arrays — the
 // zero-copy path used by the flat index loader, where the arrays live in
-// a mmap'd file. The head arrays are always validated (O(n), they are
-// small and a corrupt head would index adj out of bounds on first use).
-// validateEdges additionally scans both adjacency lists (O(m)) checking
-// target ranges, weight ranges, per-node destination ordering, and that
-// maxW is exactly the heaviest weight present; pass false only when the
-// arrays come from a medium that must not be paged in eagerly (mmap) —
-// a corrupt adjacency then surfaces as a bounds-check panic or a wrong
-// answer, never memory-unsafe access.
+// the buffer the file was read into. It validates the arrays in full: the
+// head arrays (O(n)), then both adjacency lists (O(m)) for target ranges,
+// weight ranges, per-node destination ordering, and that maxW is exactly
+// the heaviest weight present. It does not check that the in-adjacency
+// mirrors the out-adjacency; Apply checks that for each edge it patches.
 //
 // The graph starts with no categories; register them with AddCategory.
-func FromCSR(n int, outHead []int32, outAdj []Edge, inHead []int32, inAdj []Edge, maxW Weight, validateEdges bool) (*Graph, error) {
+func FromCSR(n int, outHead []int32, outAdj []Edge, inHead []int32, inAdj []Edge, maxW Weight) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative node count %d", ErrBadCSR, n)
 	}
@@ -52,32 +49,30 @@ func FromCSR(n int, outHead []int32, outAdj []Edge, inHead []int32, inAdj []Edge
 		inHead: inHead, inAdj: inAdj,
 		maxW: maxW,
 	}
-	if validateEdges {
-		var seen Weight
-		for _, adj := range [2][]Edge{outAdj, inAdj} {
-			for _, e := range adj {
-				if e.To < 0 || int(e.To) >= n {
-					return nil, fmt.Errorf("%w: edge target %d with %d nodes", ErrBadCSR, e.To, n)
-				}
-				if e.W < 0 || e.W > maxW {
-					return nil, fmt.Errorf("%w: edge weight %d outside [0,%d]", ErrBadCSR, e.W, maxW)
-				}
-				if e.W > seen {
-					seen = e.W
-				}
+	var seen Weight
+	for _, adj := range [2][]Edge{outAdj, inAdj} {
+		for _, e := range adj {
+			if e.To < 0 || int(e.To) >= n {
+				return nil, fmt.Errorf("%w: edge target %d with %d nodes", ErrBadCSR, e.To, n)
+			}
+			if e.W < 0 || e.W > maxW {
+				return nil, fmt.Errorf("%w: edge weight %d outside [0,%d]", ErrBadCSR, e.W, maxW)
+			}
+			if e.W > seen {
+				seen = e.W
 			}
 		}
-		if m > 0 && seen != maxW {
-			return nil, fmt.Errorf("%w: stored max weight %d, heaviest edge is %d", ErrBadCSR, maxW, seen)
-		}
-		// Within-node destination order is what makes iteration (and thus
-		// every tie-broken result) deterministic; enforce it eagerly.
-		for v := 0; v < n; v++ {
-			for _, adj := range [2][]Edge{g.Out(NodeID(v)), g.In(NodeID(v))} {
-				for i := 1; i < len(adj); i++ {
-					if adj[i-1].To > adj[i].To {
-						return nil, fmt.Errorf("%w: adjacency of node %d not sorted by target", ErrBadCSR, v)
-					}
+	}
+	if m > 0 && seen != maxW {
+		return nil, fmt.Errorf("%w: stored max weight %d, heaviest edge is %d", ErrBadCSR, maxW, seen)
+	}
+	// Within-node destination order is what makes iteration (and thus
+	// every tie-broken result) deterministic; enforce it eagerly.
+	for v := 0; v < n; v++ {
+		for _, adj := range [2][]Edge{g.Out(NodeID(v)), g.In(NodeID(v))} {
+			for i := 1; i < len(adj); i++ {
+				if adj[i-1].To > adj[i].To {
+					return nil, fmt.Errorf("%w: adjacency of node %d not sorted by target", ErrBadCSR, v)
 				}
 			}
 		}

@@ -277,8 +277,8 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 	// against, and invalidating an unchanged set is merely conservative.
 
 	// Validation resolved edges against the out-adjacency only; patching
-	// also locates them in the in-adjacency, which an unverified (mmap'd)
-	// CSR is not known to mirror.
+	// also locates them in the in-adjacency, which a CSR loaded from a
+	// file (FromCSR checks each side alone) is not known to mirror.
 	for _, c := range changes {
 		if c.Old == Infinity {
 			continue

@@ -64,7 +64,7 @@ func checkRebuildEqual(t *testing.T, step int, got *graph.Graph, m edgeModel) {
 		t.Fatalf("step %d: %d edges max %d, rebuild has %d edges max %d",
 			step, got.NumEdges(), got.MaxEdgeWeight(), want.NumEdges(), want.MaxEdgeWeight())
 	}
-	if _, err := graph.FromCSR(got.NumNodes(), goh, goa, gih, gia, got.MaxEdgeWeight(), true); err != nil {
+	if _, err := graph.FromCSR(got.NumNodes(), goh, goa, gih, gia, got.MaxEdgeWeight()); err != nil {
 		t.Fatalf("step %d: FromCSR rejects the patched arrays: %v", step, err)
 	}
 }
@@ -397,9 +397,10 @@ func TestApplyConcurrentWithReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestApplyRejectsAsymmetricCSR: FromCSR without edge validation (the
-// mmap path) can hand Apply an in-adjacency that does not mirror the
-// out-adjacency; Apply must refuse to patch it, not write somewhere else.
+// TestApplyRejectsAsymmetricCSR: FromCSR validates each adjacency side on
+// its own, so a file with a valid checksum can still hand Apply an
+// in-adjacency that does not mirror the out-adjacency; Apply must refuse
+// to patch it, not write somewhere else.
 func TestApplyRejectsAsymmetricCSR(t *testing.T) {
 	good, err := graph.NewBuilder(3).AddEdge(0, 1, 4).AddEdge(1, 2, 4).Build()
 	if err != nil {
@@ -407,7 +408,7 @@ func TestApplyRejectsAsymmetricCSR(t *testing.T) {
 	}
 	oh, oa, ih, _ := good.CSR()
 	ia := []graph.Edge{{To: 2, W: 4}, {To: 1, W: 4}} // (0,1) recorded as coming from 2
-	bad, err := graph.FromCSR(3, oh, oa, ih, ia, 4, false)
+	bad, err := graph.FromCSR(3, oh, oa, ih, ia, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"kpj/internal/graph"
 )
 
-// This file exposes the distance rows for flat (mmap-able) serialization
-// and reassembles an Index from prebuilt rows without rerunning the
+// This file exposes the distance rows for flat serialization and
+// reassembles an Index from prebuilt rows without rerunning the
 // construction Dijkstras. The intended consumers are internal/flatindex
 // (load) and kpj.Index.Rebind (reload onto the graph already being served).
 
@@ -26,11 +26,11 @@ func (ix *Index) Rows() (ids []graph.NodeID, pages [][]int32) {
 // zero-copy path used by the flat index loader and by Rebind. runs,
 // concatenated, are the node-major rows Rows describes; every run but the
 // last must end on a page boundary (a multiple of 64 rows), so the pages
-// are sliced out of the runs without copying. Rows may point into a
-// mmap'd file; they must stay valid for the index's lifetime. Validation
-// is O(L + pages): shapes and landmark id ranges. Distance entries are
-// trusted (a corrupt entry weakens or breaks lower bounds, which the
-// loader's checksum is responsible for catching).
+// are sliced out of the runs without copying. Rows may point into the
+// buffer a flat file was read into; the index keeps that buffer alive.
+// Validation is O(L + pages): shapes and landmark id ranges. Distance
+// entries are trusted (a corrupt entry weakens or breaks lower bounds,
+// which the loader's checksum is responsible for catching).
 func FromRows(g *graph.Graph, ids []graph.NodeID, runs [][]int32) (*Index, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("%w: no landmarks", ErrBadTables)

@@ -15,7 +15,7 @@
 // δ(w_0,v)…δ(w_{L-1},v), δ(v,w_0)…δ(v,w_{L-1}), so every bound reads one
 // contiguous row per node (128 bytes at 16 landmarks) instead of one entry
 // from each of 2·|L| tables. Rows are grouped into pages of 64 nodes, each
-// page its own allocation (or a slice of a mapped file): Repair copies only
+// page its own allocation (or a slice of a loaded file): Repair copies only
 // the pages that hold a node whose distances changed and shares the rest
 // with the index it was derived from.
 //

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"kpj"
@@ -142,7 +141,7 @@ func (s *Server) swapIndexLocked(ix *kpj.Index) error {
 }
 
 // ReloadIndex reads the flat file at path with full verification
-// (checksum and adjacency validation, via kpj.ReadFlat) and swaps its
+// (checksum and adjacency validation, via kpj.OpenFlat) and swaps its
 // landmark index in, rebound onto the serving graph. The file carries
 // the graph its tables were computed over, and that graph must equal the
 // serving one edge for edge (kpj.ErrGraphMismatch otherwise — a file
@@ -168,12 +167,7 @@ func (s *Server) ReloadIndex(path string) error {
 }
 
 func (s *Server) reloadIndexLocked(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("server: reload index: %w", err)
-	}
-	defer f.Close()
-	_, ix, err := kpj.ReadFlat(f)
+	_, ix, _, err := kpj.OpenFlat(path, false)
 	if err != nil {
 		return fmt.Errorf("server: reload index %s: %w", path, err)
 	}

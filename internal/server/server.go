@@ -304,7 +304,7 @@ type QueryResponse struct {
 	// work budget and Paths holds only the prefix found in time.
 	Truncated bool `json:"truncated,omitempty"`
 	// Degraded marks a response produced in the circuit breaker's degraded
-	// execution profile (serial, cache-bypassed); also sent as the
+	// execution profile (cache-bypassed); also sent as the
 	// X-Kpj-Degraded header. The paths are exact — only latency differs.
 	Degraded bool       `json:"degraded,omitempty"`
 	Stats    *kpj.Stats `json:"stats,omitempty"`
@@ -526,10 +526,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.logf("server: circuit breaker opened for alg %q after: %v", r.URL.Query().Get("alg"), qerr)
 		s.met.trips.Inc()
 	}
-	// A query that faulted at full power may succeed under the degraded
-	// profile (serial, no shared cache) — when the breaker is now open and
-	// this attempt ran at full power, retry once degraded before failing
-	// the request.
+	// A query that faulted with the shared cache may succeed under the
+	// degraded profile (no shared cache) — when the breaker is now open and
+	// this attempt used the cache, retry once degraded before failing the
+	// request.
 	if faultedQuery(qerr) && !degraded && br.degraded() {
 		degraded = true
 		p.degrade()

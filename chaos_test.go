@@ -288,39 +288,6 @@ func TestFaultPointsLoadPaths(t *testing.T) {
 	}
 }
 
-// TestCacheInsertFaultDegradesToBypass: an injected cache.insert fault
-// must not change any answer — the freshly built table is used directly,
-// only cross-query reuse is lost.
-func TestCacheInsertFaultDegradesToBypass(t *testing.T) {
-	defer leaktest.Check(t)()
-	c := oracleCaseFor(t, 4) // GKPJ case with index on even i
-	want := oracleAnswer(c)
-	ix, err := kpj.BuildIndex(c.g, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := kpj.NewBoundsCache(8)
-	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.CacheInsert, Nth: 1, Count: 1000}))
-	opt := &kpj.Options{Index: ix, BoundsCache: cache}
-	for round := 0; round < 3; round++ {
-		paths, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, opt)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if len(paths) != len(want) {
-			t.Fatalf("round %d: %d paths, oracle %d", round, len(paths), len(want))
-		}
-		for i, p := range paths {
-			if p.Length != want[i].Length {
-				t.Fatalf("round %d: path %d length %d, oracle %d", round, i, p.Length, want[i].Length)
-			}
-		}
-	}
-	if st := cache.Stats(); st.Size != 0 {
-		t.Fatalf("cache inserted %d entries through an injected insert fault", st.Size)
-	}
-}
-
 // chaosPrefixSweep runs one algorithm over a case with an error rule at
 // point, sweeping the hit ordinal, and asserts the truncated-prefix
 // contract at every ordinal: the result is always a prefix of the clean

@@ -1,5 +1,5 @@
 // Command kpjrouter fronts N kpjserver replicas with the resilient
-// routing tier in internal/router: consistent-hash cache affinity,
+// routing tier in internal/router: requests rotated over the up replicas,
 // health-probed failover, and hedged requests.
 //
 // Usage:
@@ -7,16 +7,15 @@
 //	kpjrouter -replicas http://10.0.0.7:8080,http://10.0.0.8:8080 \
 //	          -addr :8090 -probeinterval 500ms -hedgeafter 0
 //
-// Each -replicas entry is a base URL, optionally prefixed "name=" to pin
-// the replica's stable hash-ring identity (defaults to r0, r1, ...).
-// Keep names stable across router restarts and replica address changes,
-// or cache affinity resets.
+// Each -replicas entry is a base URL, optionally prefixed "name=" to name
+// the replica in logs, metrics and X-Kpj-Replica (defaults to r0, r1,
+// ...).
 //
 // Endpoints:
 //
-//	GET  /healthz     router + per-replica states, probed breakers, fleet epoch
+//	GET  /healthz     router + per-replica states, fleet epoch
 //	GET  /readyz      200 while at least one replica is routable
-//	GET  /query       routed with affinity, hedging, and failover
+//	GET  /query       routed with rotation, hedging, and failover
 //	POST /batch       routed (body buffered so failover can replay it)
 //	POST /update      fanned to every routable replica with epoch fencing
 //	GET  /categories  routed to any up replica
@@ -30,8 +29,8 @@
 // 16 MiB, the replicas' own cap.
 //
 // Responses carry X-Kpj-Replica naming the backend that answered, with
-// X-Kpj-Degraded, Retry-After, X-Kpj-Epoch, and X-Kpj-Fingerprint passed
-// through from it unchanged.
+// Retry-After, X-Kpj-Epoch, and X-Kpj-Fingerprint passed through from it
+// unchanged.
 // Every error, the router's own or a replica's passed through, is a typed
 // JSON body ({"error","kind"}) with a matching X-Kpj-Error-Kind header
 // (internal/wire). -hedgeafter 0 adapts the hedge

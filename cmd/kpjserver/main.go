@@ -21,11 +21,7 @@
 // Queries that exceed -timeout or -budget return the paths found so far
 // with "truncated": true; requests beyond -maxinflight are shed with 503.
 // SIGINT/SIGTERM flip /readyz to 503, shed late arrivals, and drain
-// in-flight requests for up to -draintimeout before exiting. -breaker N
-// arms a per-algorithm circuit breaker: N consecutive internal failures
-// switch that algorithm to a degraded profile that bypasses the shared
-// bounds cache instead of a run of 500s; -breakerprobes clean degraded
-// queries switch it back.
+// in-flight requests for up to -draintimeout before exiting.
 //
 // SIGHUP re-reads the -flat file with full verification and atomically
 // swaps its landmark index in: rebuild the file with kpjindex (another
@@ -37,10 +33,11 @@
 // POST /update applies live graph changes — edge weights, segment
 // insertions/deletions, POI membership — and atomically publishes a new
 // serving epoch (visible in /healthz and in every query response). The
-// landmark index is repaired incrementally; only the bound-table cache
-// entries the delta touched are invalidated. A failed update keeps the
-// old epoch serving. Updates share the -breaker setting via a dedicated
-// update breaker.
+// landmark index is repaired incrementally. A failed update keeps the
+// old epoch serving. -breaker N arms the update circuit breaker: after N
+// consecutive internal update failures one update at a time probes the
+// apply path and concurrent ones are shed with 503, until -breakerprobes
+// clean updates close it again.
 //
 // -wal DIR makes accepted updates durable: each delta is appended to a
 // CRC-framed log and fsynced before its epoch is published, the serving
@@ -75,18 +72,17 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-request deadline for /query and /batch (0 = none)")
 	budget := flag.Int64("budget", 0, "per-query work cap in heap pops + edge relaxations (0 = unlimited)")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrently executing queries before shedding with 503 (0 = unlimited)")
-	cacheSize := flag.Int("cachesize", 0, "cross-request bound-table cache entries (0 = default 128, negative disables)")
 	drain := flag.Duration("draintimeout", 10*time.Second, "bound on the graceful-shutdown drain window: in-flight queries get this long to finish after SIGINT/SIGTERM while late arrivals are shed with 503")
 	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and /debug/vars, and collect engine counters")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under GET /debug/pprof/")
-	breaker := flag.Int("breaker", 0, "consecutive internal failures per algorithm before degrading it to cache-bypassed execution (0 = disabled)")
-	breakerProbes := flag.Int("breakerprobes", 2, "consecutive clean degraded queries before leaving degraded mode")
+	breaker := flag.Int("breaker", 0, "consecutive internal POST /update failures that open the update breaker (0 = disabled)")
+	breakerProbes := flag.Int("breakerprobes", 2, "consecutive clean updates that close the open update breaker")
 	walDir := flag.String("wal", "", "write-ahead log directory: POST /update deltas are fsynced here before they are served, and startup recovers the chain from the newest checkpoint plus log replay")
 	checkpointEvery := flag.Int("checkpoint-every", 64, "with -wal, snapshot the serving state and truncate the log every N epochs (0 = never)")
 	flag.Parse()
 
 	if err := run(*flatPath, *addr, *maxK,
-		*timeout, *budget, *maxInFlight, *cacheSize, *drain, *metrics, *pprofOn,
+		*timeout, *budget, *maxInFlight, *drain, *metrics, *pprofOn,
 		*breaker, *breakerProbes, *walDir, *checkpointEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjserver: %v\n", err)
 		os.Exit(1)
@@ -94,7 +90,7 @@ func main() {
 }
 
 func run(flatPath, addr string, maxK int,
-	timeout time.Duration, budget int64, maxInFlight, cacheSize int, drain time.Duration,
+	timeout time.Duration, budget int64, maxInFlight int, drain time.Duration,
 	metrics, pprofOn bool, breakerThreshold, breakerProbes int,
 	walDir string, checkpointEvery int) error {
 	if flatPath == "" {
@@ -117,7 +113,6 @@ func run(flatPath, addr string, maxK int,
 		server.WithTimeout(timeout),
 		server.WithBudget(budget),
 		server.WithMaxInFlight(maxInFlight),
-		server.WithBoundsCacheSize(cacheSize),
 	}
 
 	// Durability: open the WAL before the server exists. When a checkpoint

@@ -35,9 +35,9 @@ var ErrBadDelta = graph.ErrBadDelta
 type RepairStats = landmark.RepairStats
 
 // WithDelta returns the graph that results from applying d. The receiver
-// is immutable and remains fully usable — in-flight queries, indexes and
-// cached bound tables bound to it stay consistent; the returned graph is
-// an independent new generation sharing untouched category storage.
+// is immutable and remains fully usable — in-flight queries and indexes
+// bound to it stay consistent; the returned graph is an independent new
+// generation sharing untouched category storage.
 func (g *Graph) WithDelta(d *Delta) (*Graph, error) {
 	ng, _, err := graph.Apply(g.g, d)
 	if err != nil {
@@ -55,9 +55,7 @@ type Applied struct {
 	Index *Index
 	Stats RepairStats
 
-	oldFP   uint64
-	dirty   []bool
-	oldSets map[string][]NodeID
+	dirty []bool // read only by the DirtyMask test hook
 }
 
 // Apply produces the graph and index for the generation after d. Every
@@ -74,55 +72,12 @@ func (ix *Index) Apply(d *Delta) (*Applied, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Applied{
-		Graph:   newGraph(ng),
-		Index:   &Index{ix: nix},
-		Stats:   stats,
-		oldFP:   ix.ix.Fingerprint(),
-		dirty:   dirty,
-		oldSets: eff.OldCategorySets,
-	}, nil
+	return &Applied{Graph: newGraph(ng), Index: &Index{ix: nix}, Stats: stats, dirty: dirty}, nil
 }
 
-// RekeyBounds migrates c's cached bound tables from the pre-Apply index
-// generation to the new one: tables whose node sets the delta did not
-// touch survive the epoch bump warm (re-keyed to the new fingerprint),
-// while tables over a dirty node — one whose landmark distances changed —
-// or over the old node set of a category whose POI membership changed are
-// dropped. It returns (migrated, dropped). Call it once per Apply, after
-// publishing the new epoch; in-flight queries on the old epoch are
-// unaffected, they simply stop hitting.
-func (a *Applied) RekeyBounds(c *BoundsCache) (migrated, dropped int) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.c.Rekey(a.oldFP, a.Index.ix, func(nodes []NodeID) bool {
-		for _, v := range nodes {
-			if a.dirty[v] {
-				return true
-			}
-		}
-		// Pure membership test — the predicate is true iff any old
-		// category set matches, regardless of the map's iteration order
-		// (TestApplyRekeyBounds).
-		for _, oldSet := range a.oldSets {
-			if len(oldSet) != len(nodes) {
-				continue
-			}
-			same := true
-			for i := range nodes {
-				if nodes[i] != oldSet[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				return true
-			}
-		}
-		return false
-	})
-}
+// RekeyBounds does nothing and returns (0, 0). It remains only because
+// the benchmark harness in bench/kpjload still calls it; see BoundsCache.
+func (a *Applied) RekeyBounds(*BoundsCache) (migrated, dropped int) { return 0, 0 }
 
 // Landmarks returns the landmark node ids, in table order. The returned
 // slice must not be modified.

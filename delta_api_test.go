@@ -133,77 +133,6 @@ func TestIndexApplyInvalidDeltaKeepsOld(t *testing.T) {
 	}
 }
 
-func TestApplyRekeyBounds(t *testing.T) {
-	g := deltaGraph(t)
-	ix, err := kpj.BuildIndex(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := kpj.NewBoundsCache(16)
-	opts := &kpj.Options{Index: ix, BoundsCache: cache}
-	if _, err := g.TopKJoin(0, "a", 2, opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.TopKJoin(4, "b", 2, opts); err != nil {
-		t.Fatal(err)
-	}
-	warm := cache.Stats()
-	if warm.Size == 0 {
-		t.Fatal("cache did not warm up")
-	}
-
-	// Touch component A only; category "b" tables must survive warm.
-	app, err := ix.Apply(&kpj.Delta{SetWeights: []kpj.EdgeUpdate{{U: 0, V: 1, W: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	migrated, dropped := app.RekeyBounds(cache)
-	if migrated == 0 {
-		t.Fatalf("nothing migrated (dropped %d)", dropped)
-	}
-	afterRekey := cache.Stats()
-	if int64(dropped) != afterRekey.Evictions-warm.Evictions {
-		t.Fatalf("dropped %d but evictions moved %d", dropped, afterRekey.Evictions-warm.Evictions)
-	}
-	h0 := afterRekey.Hits
-	nopts := &kpj.Options{Index: app.Index, BoundsCache: cache}
-	if _, err := app.Graph.TopKJoin(4, "b", 2, nopts); err != nil {
-		t.Fatal(err)
-	}
-	if hits := cache.Stats().Hits; hits == h0 {
-		t.Fatal("migrated category-b tables were not reused")
-	}
-	// Correctness after migration: indexed matches unindexed on the new
-	// graph for the touched category too.
-	got, err := app.Graph.TopKJoin(0, "a", 3, nopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := app.Graph.TopKJoin(0, "a", 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Length != want[i].Length {
-			t.Fatalf("path %d: %d vs %d", i, got[i].Length, want[i].Length)
-		}
-	}
-
-	// A POI change drops the category's cached tables even when no
-	// distances moved.
-	app2, err := app.Index.Apply(&kpj.Delta{AddPOIs: []kpj.POIUpdate{{Category: "b", Node: 6}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if app2.Stats.Repaired() != 0 {
-		t.Fatalf("POI-only delta repaired tables: %+v", app2.Stats)
-	}
-	_, dropped2 := app2.RekeyBounds(cache)
-	if dropped2 == 0 {
-		t.Fatal("POI change did not drop the category's tables")
-	}
-}
-
 func TestApplyErrorsWrapBadDelta(t *testing.T) {
 	g := deltaGraph(t)
 	_, err := g.WithDelta(&kpj.Delta{RemovePOIs: []kpj.POIUpdate{{Category: "a", Node: 0}}})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"kpj/internal/graph"
-	"kpj/internal/landmark"
 	"kpj/internal/obs"
 )
 
@@ -179,23 +178,16 @@ func (v variant) run(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 
 // goalHeuristic bounds the remaining distance to sp's goal: the Eq. 2
 // category bound toward V_T in a forward space, the bound from the source
-// (or source set) in a reverse space, and zero without landmarks. With an
-// Options.SetBounds cache the per-set table is fetched from (or inserted
-// into) the cache instead of being rebuilt per query. The heuristic is
-// boxed in workspace storage (zeroHeuristic is zero-size and boxes for
-// free).
+// (or source set) in a reverse space, and zero without landmarks. The
+// per-set tables are rebuilt into workspace storage and the heuristic is
+// boxed there too (zeroHeuristic is zero-size and boxes for free).
 func goalHeuristic(ws *Workspace, sp *Space, q Query, opt *Options) Heuristic {
 	switch {
 	case opt.Index == nil:
 		return zeroHeuristic{}
 	case sp.Dir == graph.Forward:
 		endSpan := opt.Spans.Start(obs.PhaseLBTables, 0)
-		var b *landmark.Bounds
-		if opt.SetBounds != nil {
-			b = opt.SetBounds.BoundsToSet(opt.Index, q.Targets)
-		} else {
-			b = opt.Index.BoundsToSet(q.Targets)
-		}
+		b := opt.Index.BoundsToSet(q.Targets, &ws.toSet)
 		endSpan(int64(len(q.Targets)))
 		ws.catH = CategoryHeuristic{Space: sp, Bounds: b}
 		return &ws.catH
@@ -204,12 +196,7 @@ func goalHeuristic(ws *Workspace, sp *Space, q Query, opt *Options) Heuristic {
 		return &ws.srcH
 	default:
 		endSpan := opt.Spans.Start(obs.PhaseLBTables, 0)
-		var b *landmark.FromBounds
-		if opt.SetBounds != nil {
-			b = opt.SetBounds.BoundsFromSet(opt.Index, q.Sources)
-		} else {
-			b = opt.Index.BoundsFromSet(q.Sources)
-		}
+		b := opt.Index.BoundsFromSet(q.Sources, &ws.fromSet)
 		endSpan(int64(len(q.Sources)))
 		ws.setH = SourceSetHeuristic{Space: sp, Bounds: b}
 		return &ws.setH

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"kpj/internal/gen"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
 	"kpj/internal/testgraphs"
@@ -39,8 +41,8 @@ func kspAllocFixture(t *testing.T) allocFixture {
 }
 
 // gkpjAllocFixture is the multi-source (GKPJ) workload: it exercises the
-// virtual-root path, SourceSetHeuristic boxing and the from-set bounds
-// cache.
+// virtual-root path, SourceSetHeuristic boxing and the workspace's
+// from-set tables.
 func gkpjAllocFixture(t *testing.T) allocFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -53,7 +55,7 @@ func gkpjAllocFixture(t *testing.T) allocFixture {
 	return allocFixture{g, ix, Query{Sources: []graph.NodeID{1, 2, 3}, Targets: targets, K: 5}}
 }
 
-// queryAllocs warms opt's workspace (and bounds cache) with three runs of
+// queryAllocs warms opt's workspace with three runs of
 // the query — growing every arena and scratch array to its steady-state
 // capacity — and returns the allocations per run over `runs` further ones,
 // together with the number of paths a run returned. Every run must end in
@@ -73,13 +75,12 @@ func queryAllocs(t *testing.T, name string, fn Func, fx allocFixture, q Query, o
 }
 
 // steadyOptions is the configuration the zero-allocation claim is made
-// for: warm workspace, warm SetBounds cache, results aliasing the
+// for: warm workspace (its Eq. 2 tables included), results aliasing the
 // workspace.
 func steadyOptions(fx allocFixture) Options {
 	return Options{
 		Index:        fx.ix,
 		Workspace:    NewWorkspace(fx.g.NumNodes() + 2),
-		SetBounds:    landmark.NewSetBoundsCache(8),
 		ReuseResults: true,
 	}
 }
@@ -98,9 +99,9 @@ func pinSteadyState(t *testing.T, fx allocFixture) {
 }
 
 // TestSteadyStateQueryAllocs pins the claim itself: a warm Workspace plus
-// a warm SetBounds cache plus ReuseResults runs every row of the variant
-// table, the deviation baselines included, with ZERO heap allocations per
-// query. Any regression — a map
+// ReuseResults runs every row of the variant table, the deviation
+// baselines included, with ZERO heap allocations per query — the Eq. 2
+// tables are rebuilt in workspace storage. Any regression — a map
 // rebuilt per query, a closure escaping, a value heuristic boxed into an
 // interface — shows up here as a non-zero count long before it shows up
 // in a benchmark.
@@ -137,9 +138,8 @@ func TestTruncatedQueryAllocs(t *testing.T) {
 
 // copyingHeadroom is what a query without ReuseResults may allocate on
 // top of one copy per returned path: the doubling growth of the result
-// slice (log k steps) plus, without a bounds cache, the per-query bound
-// tables. Measured 5-10 with the cache and 8-13 without over the k below
-// (k = 500 is ten doublings).
+// slice (log k steps). Measured 5-10 over the k below (k = 500 is ten
+// doublings).
 const copyingHeadroom = 15
 
 // TestCopyingModeAllocs pins the default mode an ordinary caller uses:
@@ -150,22 +150,17 @@ func TestCopyingModeAllocs(t *testing.T) {
 	fx := kspAllocFixture(t)
 	for name, fn := range Algorithms() {
 		t.Run(name, func(t *testing.T) {
-			for _, cached := range []bool{true, false} {
-				opt := Options{Index: fx.ix, Workspace: NewWorkspace(fx.g.NumNodes() + 2)}
-				if cached {
-					opt.SetBounds = landmark.NewSetBoundsCache(8)
+			opt := Options{Index: fx.ix, Workspace: NewWorkspace(fx.g.NumNodes() + 2)}
+			for _, k := range []int{10, 20, 50, 100, 500} {
+				q := fx.q
+				q.K = k
+				allocs, paths := queryAllocs(t, name, fn, fx, q, opt, nil, 3)
+				if paths != k {
+					t.Fatalf("k=%d: %d paths returned; the fixture must yield k", k, paths)
 				}
-				for _, k := range []int{10, 20, 50, 100, 500} {
-					q := fx.q
-					q.K = k
-					allocs, paths := queryAllocs(t, name, fn, fx, q, opt, nil, 3)
-					if paths != k {
-						t.Fatalf("k=%d: %d paths returned; the fixture must yield k", k, paths)
-					}
-					if extra := allocs - float64(paths); extra > copyingHeadroom {
-						t.Errorf("k=%d cache=%v: %.1f allocs for %d paths: %.1f beyond the copies, want <= %d",
-							k, cached, allocs, paths, extra, copyingHeadroom)
-					}
+				if extra := allocs - float64(paths); extra > copyingHeadroom {
+					t.Errorf("k=%d: %.1f allocs for %d paths: %.1f beyond the copies, want <= %d",
+						k, allocs, paths, extra, copyingHeadroom)
 				}
 			}
 		})
@@ -213,6 +208,63 @@ func TestReuseResultsAliasing(t *testing.T) {
 	for i := range reused {
 		if reused[i].Length != stable[i].Length {
 			t.Fatalf("path %d length %d vs %d", i, reused[i].Length, stable[i].Length)
+		}
+	}
+}
+
+// TestWorkspaceTablesAcrossIndexes runs one workspace through queries on
+// two indexes of one graph with different landmark counts, back again,
+// then a GKPJ query: reused Eq. 2 tables that kept a stale L or stale
+// entries would change a bound. Every answer must equal a fresh
+// workspace's, and the workspace's tables must equal ones built into a
+// fresh value.
+func TestWorkspaceTablesAcrossIndexes(t *testing.T) {
+	g, err := gen.Road(gen.RoadConfig{Width: 40, Height: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.AddNestedCategories(g, 2); err != nil {
+		t.Fatal(err)
+	}
+	ixA, err := landmark.Build(g, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixB, err := landmark.Build(g, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, _ := g.Category("T1")
+	t4, _ := g.Category("T4")
+	steps := []struct {
+		name string
+		ix   *landmark.Index
+		q    Query
+	}{
+		{"A/T4", ixA, Query{Sources: []graph.NodeID{0}, Targets: t4, K: 10}},
+		{"B/T1", ixB, Query{Sources: []graph.NodeID{0}, Targets: t1, K: 10}},
+		{"A/T4 again", ixA, Query{Sources: []graph.NodeID{0}, Targets: t4, K: 10}},
+		{"A/GKPJ", ixA, Query{Sources: []graph.NodeID{0, 799, 1599}, Targets: t1, K: 10}},
+		{"B/GKPJ", ixB, Query{Sources: []graph.NodeID{5, 1234}, Targets: t4, K: 10}},
+	}
+	ws := NewWorkspace(g.NumNodes() + 2)
+	for _, st := range steps {
+		got, err := IterBoundSPTI(g, st.q, Options{Index: st.ix, Workspace: ws})
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		want, err := IterBoundSPTI(g, st.q, Options{Index: st.ix, Workspace: NewWorkspace(g.NumNodes() + 2)})
+		if err != nil {
+			t.Fatalf("%s fresh: %v", st.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: pooled workspace answered %v, fresh one %v", st.name, got, want)
+		}
+		if !reflect.DeepEqual(ws.toSet, *st.ix.BoundsToSet(st.q.Targets)) {
+			t.Fatalf("%s: workspace to-set tables differ from a fresh build", st.name)
+		}
+		if len(st.q.Sources) > 1 && !reflect.DeepEqual(ws.fromSet, *st.ix.BoundsFromSet(st.q.Sources, new(landmark.FromBounds))) {
+			t.Fatalf("%s: workspace from-set tables differ from a fresh build", st.name)
 		}
 	}
 }

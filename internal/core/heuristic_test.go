@@ -76,7 +76,7 @@ func TestSourceSetHeuristicAdmissible(t *testing.T) {
 		t.Fatal(err)
 	}
 	rev := NewReverseSpace(g, sources, targets)
-	h := SourceSetHeuristic{Space: rev, Bounds: ix.BoundsFromSet(sources)}
+	h := SourceSetHeuristic{Space: rev, Bounds: ix.BoundsFromSet(sources, new(landmark.FromBounds))}
 	offsets := make([]graph.Weight, len(sources))
 	exact := sssp.DijkstraOffsets(g, graph.Forward, sources, offsets).Dist
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {

@@ -56,17 +56,12 @@ type Options struct {
 	// as NodesPopped and EdgesRelaxed). Exceeding it stops the query with
 	// the paths found so far and an error wrapping ErrBudgetExceeded.
 	Budget int64
-	// SetBounds, when non-nil, caches the per-category Eq. 2 set-bound
-	// tables across queries, keyed by index fingerprint and node set, so
-	// repeated queries against the same category skip the O(|L|·|V_T|)
-	// rebuild. Ignored without an Index.
-	SetBounds *landmark.SetBoundsCache
 	// ReuseResults makes the returned Paths alias workspace-owned storage
 	// instead of copying per path: the result is valid only until the
-	// Workspace's next query. Combined with a warm Workspace and a
-	// SetBounds cache this makes the steady-state query path allocation-
-	// free. Callers that retain paths must copy them (or leave this off,
-	// the default).
+	// Workspace's next query. Combined with a warm Workspace (which also
+	// owns the Eq. 2 tables) this makes the steady-state query path
+	// allocation-free. Callers that retain paths must copy them (or leave
+	// this off, the default).
 	ReuseResults bool
 
 	// bound is materialized by prepare from Context and Budget.

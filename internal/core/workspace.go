@@ -2,6 +2,7 @@ package core
 
 import (
 	"kpj/internal/graph"
+	"kpj/internal/landmark"
 	"kpj/internal/pqueue"
 )
 
@@ -70,6 +71,11 @@ type Workspace struct {
 	srcH  SourceHeuristic
 	setH  SourceSetHeuristic
 	treeH TreeHeuristic
+
+	// toSet/fromSet are the query's Eq. 2 tables (2·L int32s each),
+	// rebuilt in place per query behind catH/setH.
+	toSet   landmark.Bounds
+	fromSet landmark.FromBounds
 
 	pt  pseudoTree
 	eng engine

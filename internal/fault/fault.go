@@ -53,9 +53,6 @@ const (
 	// SPTGrow fires once per node settled during SPT_I / SPT_P growth
 	// (the mid-SPT-growth site).
 	SPTGrow Point = "spt.grow"
-	// CacheInsert fires in SetBoundsCache.insert; an injected error
-	// degrades to a cache bypass (the freshly built table is still used).
-	CacheInsert Point = "cache.insert"
 	// ServerHandler fires in the HTTP server once per /query execution.
 	// Panics here are recovered by the handler.
 	ServerHandler Point = "server.handler"
@@ -91,7 +88,7 @@ const (
 // order so seeded plans are stable across runs.
 var Points = []Point{
 	GraphRead, IndexLoad, IndexBuild, SubspaceSearch,
-	SPTGrow, CacheInsert, ServerHandler, BatchWorker,
+	SPTGrow, ServerHandler, BatchWorker,
 	RouterProxy, RouterProbe, GraphApply,
 	WALAppend, WALFsync, WALReplay,
 }
@@ -100,7 +97,7 @@ var Points = []Point{
 // load/build time) — the natural scope for chaos schedules that replay
 // oracle cases.
 var QueryPoints = []Point{
-	SubspaceSearch, SPTGrow, CacheInsert, BatchWorker,
+	SubspaceSearch, SPTGrow, BatchWorker,
 }
 
 // PanicSafePoints are the points whose surrounding code recovers injected

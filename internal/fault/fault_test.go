@@ -42,11 +42,11 @@ func TestRuleFiresAtNthForCount(t *testing.T) {
 }
 
 func TestZeroValuesMeanFirstHitOnce(t *testing.T) {
-	r := New().Add(Rule{Point: CacheInsert})
-	if err := r.Hit(CacheInsert); err == nil {
+	r := New().Add(Rule{Point: SPTGrow})
+	if err := r.Hit(SPTGrow); err == nil {
 		t.Fatal("zero-value rule did not fire on first hit")
 	}
-	if err := r.Hit(CacheInsert); err != nil {
+	if err := r.Hit(SPTGrow); err != nil {
 		t.Fatalf("zero-value rule fired twice: %v", err)
 	}
 }

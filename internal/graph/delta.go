@@ -89,16 +89,12 @@ type EdgeChange struct {
 }
 
 // Effect summarizes what a delta actually changed, for the layers that
-// repair derived state: net edge transitions (landmark table damage
-// detection) and the pre-delta node sets of every category whose
-// membership changed (bound-table cache invalidation).
+// repair derived state: the net edge transitions landmark repair reads to
+// detect table damage.
 type Effect struct {
 	// Changes holds the net edge-weight transitions in deterministic
 	// (U, V) order.
 	Changes []EdgeChange
-	// OldCategorySets maps each category whose membership changed to its
-	// pre-delta node set (nil for a category the delta created).
-	OldCategorySets map[string][]NodeID
 }
 
 type edgeKey struct{ u, v NodeID }
@@ -203,22 +199,12 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 
 	// Category overlay: copy-on-write per touched category.
 	cats := make(map[string][]NodeID, len(d.AddPOIs)+len(d.RemovePOIs))
-	oldSets := make(map[string][]NodeID)
 	curCat := func(name string) ([]NodeID, bool) {
 		if s, ok := cats[name]; ok {
 			return s, true
 		}
 		s, ok := g.categories[name]
 		return s, ok
-	}
-	touch := func(name string) {
-		if _, seen := oldSets[name]; !seen {
-			if old, ok := g.categories[name]; ok {
-				oldSets[name] = old
-			} else {
-				oldSets[name] = nil
-			}
-		}
 	}
 	for _, p := range d.AddPOIs {
 		if err := poll(); err != nil {
@@ -234,7 +220,6 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 		if containsNode(set, p.Node) {
 			return nil, nil, fmt.Errorf("%w: addPOI %q node %d", ErrPOIExists, p.Category, p.Node)
 		}
-		touch(p.Category)
 		cats[p.Category] = insertNode(set, p.Node)
 	}
 	for _, p := range d.RemovePOIs {
@@ -251,7 +236,6 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 		if !ok || !containsNode(set, p.Node) {
 			return nil, nil, fmt.Errorf("%w: removePOI %q node %d", ErrPOIMissing, p.Category, p.Node)
 		}
-		touch(p.Category)
 		cats[p.Category] = removeNode(set, p.Node)
 	}
 
@@ -308,7 +292,7 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 	}
 	sortStrings(ng.catNames)
 
-	return ng, &Effect{Changes: changes, OldCategorySets: oldSets}, nil
+	return ng, &Effect{Changes: changes}, nil
 }
 
 // patched returns g's successor under the net edge transitions cs, which

@@ -79,9 +79,6 @@ func TestApplyEdgeMutations(t *testing.T) {
 	if !reflect.DeepEqual(eff.Changes, want) {
 		t.Fatalf("changes: %+v, want %+v", eff.Changes, want)
 	}
-	if len(eff.OldCategorySets) != 0 {
-		t.Fatalf("no POI ops, but OldCategorySets = %v", eff.OldCategorySets)
-	}
 	// Untouched category shared with the new graph.
 	nodes, err := ng.Category("poi")
 	if err != nil || !reflect.DeepEqual(nodes, []NodeID{1, 3}) {
@@ -117,12 +114,6 @@ func TestApplyPOIMutations(t *testing.T) {
 	}
 	if _, err := g.Category("fuel"); err == nil {
 		t.Fatal("fuel leaked into the original graph")
-	}
-	if got := eff.OldCategorySets["hotel"]; !reflect.DeepEqual(got, []NodeID{1, 3}) {
-		t.Fatalf("old hotel set: %v", got)
-	}
-	if set, ok := eff.OldCategorySets["fuel"]; !ok || set != nil {
-		t.Fatalf("old fuel set: %v, %v (want present, nil)", set, ok)
 	}
 	if len(eff.Changes) != 0 {
 		t.Fatalf("no edge ops, but changes = %v", eff.Changes)
@@ -234,7 +225,7 @@ func TestApplyEmptyDelta(t *testing.T) {
 	if !reflect.DeepEqual(edgeList(ng), edgeList(g)) {
 		t.Fatal("empty delta changed edges")
 	}
-	if len(eff.Changes) != 0 || len(eff.OldCategorySets) != 0 {
+	if len(eff.Changes) != 0 {
 		t.Fatalf("empty delta reported effects: %+v", eff)
 	}
 	if !(&Delta{}).Empty() || (&Delta{Deletes: []EdgeRef{{}}}).Empty() {

@@ -425,21 +425,27 @@ type Bounds struct {
 	maxBwd []int32
 }
 
-// BoundsToSet precomputes the Eq. 2 tables for a destination set. It panics
-// on an empty target set (queries validate V_T before reaching here).
-func (ix *Index) BoundsToSet(targets []graph.NodeID) *Bounds {
+// BoundsToSet precomputes the Eq. 2 tables for a destination set into
+// dst, reusing its slices when they hold L entries, and returns it; with
+// no dst it fills a fresh Bounds. The engine passes tables its workspace
+// owns, so a steady-state query builds them without allocating. dst is
+// variadic only so that bench/kpjload's one-argument call keeps
+// compiling. It panics on an empty target set (queries validate V_T
+// before reaching here).
+func (ix *Index) BoundsToSet(targets []graph.NodeID, dst ...*Bounds) *Bounds {
 	if len(targets) == 0 {
 		panic("landmark: empty target set")
 	}
+	var b *Bounds
+	if len(dst) > 0 {
+		b = dst[0]
+	} else {
+		b = new(Bounds)
+	}
 	L := len(ix.landmarks)
-	b := &Bounds{
-		ix:     ix,
-		minFwd: make([]int32, L),
-		maxBwd: make([]int32, L), // δ ≥ 0, so 0 is the max's identity
-	}
-	for i := range b.minFwd {
-		b.minFwd[i] = unreach32
-	}
+	b.ix = ix
+	b.minFwd = resize(b.minFwd, L, unreach32)
+	b.maxBwd = resize(b.maxBwd, L, 0) // δ ≥ 0, so 0 is the max's identity
 	for _, v := range targets {
 		r := ix.row(v)
 		fwd, bwd := r[:L], r[L:]
@@ -449,6 +455,19 @@ func (ix *Index) BoundsToSet(targets []graph.NodeID) *Bounds {
 		}
 	}
 	return b
+}
+
+// resize returns s with length n and every entry set to fill, reusing its
+// storage when the capacity suffices.
+func resize(s []int32, n int, fill int32) []int32 {
+	if cap(s) < n {
+		s = make([]int32, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = fill
+	}
+	return s
 }
 
 // LowerBound returns an admissible lower bound on min_{v∈V_T} δ(u, v).

@@ -3,10 +3,8 @@ package landmark
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
-	"kpj/internal/graph"
 	"kpj/internal/testgraphs"
 )
 
@@ -39,8 +37,8 @@ func TestBuildParallelDeterminism(t *testing.T) {
 }
 
 // TestFingerprintDistinguishes: indexes over different graphs or with
-// different landmark sets must not share a fingerprint (the cache's
-// invalidation key).
+// different landmark sets must not share a fingerprint (the identity WAL
+// replay and the router's fences check).
 func TestFingerprintDistinguishes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := testgraphs.RandomConnected(rng, 60, 180, 25)
@@ -59,7 +57,7 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		t.Fatal("different landmark sets share a fingerprint")
 	}
 	// Same graph + same landmarks (rebuilt) → same fingerprint, so a
-	// reloaded index keeps its warm cache.
+	// reloaded index keeps its identity.
 	c, err := BuildWithLandmarks(g, a.Landmarks())
 	if err != nil {
 		t.Fatal(err)
@@ -67,107 +65,4 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	if c.Fingerprint() != a.Fingerprint() {
 		t.Fatal("rebuild with identical landmarks changed the fingerprint")
 	}
-}
-
-// TestSetBoundsCacheCorrectness: cache answers must be the very tables the
-// index computes, across both directions, with hits on repeats.
-func TestSetBoundsCacheCorrectness(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := testgraphs.RandomConnected(rng, 70, 200, 25)
-	ix, err := Build(g, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewSetBoundsCache(4)
-	targets := []graph.NodeID{3, 11, 40}
-	sources := []graph.NodeID{7, 22}
-
-	direct := ix.BoundsToSet(targets)
-	for round := 0; round < 3; round++ {
-		got := c.BoundsToSet(ix, targets)
-		for v := 0; v < g.NumNodes(); v++ {
-			if got.LowerBound(graph.NodeID(v)) != direct.LowerBound(graph.NodeID(v)) {
-				t.Fatalf("round %d: cached to-set bound differs at node %d", round, v)
-			}
-		}
-	}
-	directFrom := ix.BoundsFromSet(sources)
-	for round := 0; round < 3; round++ {
-		got := c.BoundsFromSet(ix, sources)
-		for v := 0; v < g.NumNodes(); v++ {
-			if got.LowerBound(graph.NodeID(v)) != directFrom.LowerBound(graph.NodeID(v)) {
-				t.Fatalf("round %d: cached from-set bound differs at node %d", round, v)
-			}
-		}
-	}
-	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 4 {
-		t.Errorf("hits=%d misses=%d, want 4/2", st.Hits, st.Misses)
-	}
-	if st.Size != 2 {
-		t.Errorf("size=%d, want 2", st.Size)
-	}
-}
-
-// TestSetBoundsCacheLRU: the capacity is honored and the least recently
-// used entry is the one evicted.
-func TestSetBoundsCacheLRU(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	g := testgraphs.RandomConnected(rng, 50, 150, 20)
-	ix, err := Build(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewSetBoundsCache(2)
-	setA := []graph.NodeID{1, 2}
-	setB := []graph.NodeID{3, 4}
-	setC := []graph.NodeID{5, 6}
-	c.BoundsToSet(ix, setA) // miss
-	c.BoundsToSet(ix, setB) // miss
-	c.BoundsToSet(ix, setA) // hit; A now most recent
-	c.BoundsToSet(ix, setC) // miss; evicts B
-	c.BoundsToSet(ix, setA) // hit
-	c.BoundsToSet(ix, setB) // miss again (was evicted)
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 4 {
-		t.Errorf("hits=%d misses=%d, want 2/4", st.Hits, st.Misses)
-	}
-	if st.Size != 2 {
-		t.Errorf("size=%d, want capacity 2", st.Size)
-	}
-}
-
-// TestSetBoundsCacheConcurrent hammers one cache from many goroutines
-// (run with -race): all answers must match the direct computation.
-func TestSetBoundsCacheConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	g := testgraphs.RandomConnected(rng, 60, 180, 25)
-	ix, err := Build(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets := [][]graph.NodeID{{1, 5, 9}, {2, 6, 10}, {3, 7, 11}, {4, 8, 12}}
-	want := make([]*Bounds, len(sets))
-	for i, s := range sets {
-		want[i] = ix.BoundsToSet(s)
-	}
-	c := NewSetBoundsCache(2) // under-sized: eviction races with lookups
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < 50; r++ {
-				i := (w + r) % len(sets)
-				got := c.BoundsToSet(ix, sets[i])
-				for _, v := range []graph.NodeID{0, graph.NodeID(g.NumNodes() / 2)} {
-					if got.LowerBound(v) != want[i].LowerBound(v) {
-						t.Errorf("worker %d round %d: bound mismatch at %d", w, r, v)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -52,8 +52,8 @@ func (s RepairStats) Repaired() int { return s.FwdRepaired + s.BwdRepaired }
 // Repair produces the index for newG — the graph that results from
 // applying the given net edge changes to old's graph — by repairing
 // only the damaged distance tables. It returns the new index, a per-node
-// dirty mask (true where any landmark's fwd or bwd entry changed; the
-// exact scope for bound-table cache invalidation), and repair stats.
+// dirty mask (true where any landmark's fwd or bwd entry changed), and
+// repair stats.
 //
 // The tables are repaired concurrently (parallelism bounds the workers,
 // <= 0 = all cores), each into a list of changed entries. The merge is

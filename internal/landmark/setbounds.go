@@ -13,21 +13,17 @@ type FromBounds struct {
 	minBwd []int32 // per landmark w: min_{u∈S} δ(u, w)
 }
 
-// BoundsFromSet precomputes the tables for the source set. It panics on an
+// BoundsFromSet precomputes the tables for the source set into b, reusing
+// its slices when they hold L entries, and returns b. It panics on an
 // empty set (queries validate before reaching here).
-func (ix *Index) BoundsFromSet(sources []graph.NodeID) *FromBounds {
+func (ix *Index) BoundsFromSet(sources []graph.NodeID, b *FromBounds) *FromBounds {
 	if len(sources) == 0 {
 		panic("landmark: empty source set")
 	}
 	L := len(ix.landmarks)
-	b := &FromBounds{
-		ix:     ix,
-		maxFwd: make([]int32, L), // δ ≥ 0, so 0 is the max's identity
-		minBwd: make([]int32, L),
-	}
-	for i := range b.minBwd {
-		b.minBwd[i] = unreach32
-	}
+	b.ix = ix
+	b.maxFwd = resize(b.maxFwd, L, 0) // δ ≥ 0, so 0 is the max's identity
+	b.minBwd = resize(b.minBwd, L, unreach32)
 	for _, u := range sources {
 		r := ix.row(u)
 		fwd, bwd := r[:L], r[L:]

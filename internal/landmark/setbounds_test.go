@@ -27,7 +27,7 @@ func TestBoundsFromSetAdmissible(t *testing.T) {
 		}
 		size := 1 + rng.Intn(n)
 		sources := testgraphs.RandomCategory(rng, g, "S", size)
-		bounds := ix.BoundsFromSet(sources)
+		bounds := ix.BoundsFromSet(sources, new(FromBounds))
 		offsets := make([]graph.Weight, len(sources))
 		exact := sssp.DijkstraOffsets(g, graph.Forward, sources, offsets).Dist
 		for v := graph.NodeID(0); int(v) < n; v++ {
@@ -53,7 +53,7 @@ func TestBoundsFromSetPanicsOnEmpty(t *testing.T) {
 			t.Fatal("want panic for empty source set")
 		}
 	}()
-	ix.BoundsFromSet(nil)
+	ix.BoundsFromSet(nil, new(FromBounds))
 }
 
 func TestBoundsFromSetSingleton(t *testing.T) {
@@ -62,7 +62,7 @@ func TestBoundsFromSetSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := ix.BoundsFromSet([]graph.NodeID{testgraphs.V1})
+	b := ix.BoundsFromSet([]graph.NodeID{testgraphs.V1}, new(FromBounds))
 	exact := sssp.Dijkstra(g, graph.Forward, testgraphs.V1).Dist
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if lb := b.LowerBound(v); lb > exact[v] {

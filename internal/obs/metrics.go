@@ -239,8 +239,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is pulled from fn at exposition
-// time — the hook for sources that already keep their own counters (the
-// landmark bound-table cache, runtime stats). fn must be safe for
+// time — the hook for sources that already keep their own state (the
+// router's replica states, runtime stats). fn must be safe for
 // concurrent use. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	if r == nil {

@@ -212,19 +212,18 @@ func TestRouterHedgeSlowReplica(t *testing.T) {
 		c.HedgeAfter = hedgeAfter
 		c.Metrics = reg
 	})
-	// Both replicas must be routable before the warm query discovers the
-	// affinity home — a home pinned while only one replica was probed up
-	// moves once the ring fills in, and stalling the wrong replica makes
-	// the hedge assertion vacuous.
+	// Both replicas must be routable before the next primary is read —
+	// the rotation runs over up replicas only, and stalling the wrong
+	// replica makes the hedge assertion vacuous.
 	waitReady(t, rt)
 	waitAllHealthy(t, rt, fixtures)
 
-	// Discover the affinity home for this query, then stall only it.
 	rec, body := routerGet(t, rt, "/query?source=0&category=hotel&k=3")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("warm query: status %d (%s)", rec.Code, body)
 	}
-	primary := rec.Header().Get("X-Kpj-Replica")
+	// Stall only the replica the next query tries first.
+	primary := nextPrimary(rt)
 	slowName.Store(primary)
 
 	want := oracle(t, 0, "hotel", 3)

@@ -59,15 +59,14 @@ func TestMidHedgeCancellationLeavesNoGoroutines(t *testing.T) {
 		c.HedgeAfter = 5 * time.Millisecond
 	})
 	waitReady(t, rt)
-
-	// Discover the affinity home, then make only it stall so the hedge
-	// (the other replica) wins every time.
-	rec, _ := routerGet(t, rt, "/query?source=0&category=hotel&k=2")
-	mu.Lock()
-	stallName = rec.Header().Get("X-Kpj-Replica")
-	mu.Unlock()
+	waitAllHealthy(t, rt, fixtures)
 
 	for i := 0; i < 3; i++ {
+		// Stall only the replica this query tries first, so the hedge
+		// (the other replica) wins every time.
+		mu.Lock()
+		stallName = nextPrimary(rt)
+		mu.Unlock()
 		rec, body := routerGet(t, rt, "/query?source=0&category=hotel&k=2")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("hedged query %d: status %d (%s)", i, rec.Code, body)

@@ -50,7 +50,7 @@ func newRouterMetrics(reg *obs.Registry, rt *Router) routerMetrics {
 		m.reqs[route] = reg.Counter(`kpj_router_requests_total{route="`+route+`"}`, "completed /"+route+" requests")
 		m.errs[route] = reg.Counter(`kpj_router_errors_total{route="`+route+`"}`, "/"+route+" requests answered with a typed router error")
 	}
-	for _, st := range []State{StateHealthy, StateDegraded, StateDown} {
+	for _, st := range []State{StateHealthy, StateDown} {
 		st, name := st, st.String()
 		m.toState[st] = reg.Counter(`kpj_router_transitions_total{to="`+name+`"}`, "replica transitions into "+name)
 		reg.GaugeFunc(`kpj_router_replicas{state="`+name+`"}`, "replicas currently in state "+name, func() int64 {

@@ -14,18 +14,15 @@ import (
 	"kpj/internal/wire"
 )
 
-// State is one replica's routability, driven by the probe loop.
+// State is one replica's routability, driven by the probe loop: a
+// replica is up (healthy) or down.
 type State int32
 
 const (
 	// StateDown: unreachable, not ready (draining), or repeatedly failing
 	// probes. Routed to only as a last resort when nothing better is up.
 	StateDown State = iota
-	// StateDegraded: serving, but /healthz reports at least one open
-	// per-algorithm circuit breaker; avoided for queries of that
-	// algorithm when a breaker-closed replica exists.
-	StateDegraded
-	// StateHealthy: ready with every breaker closed.
+	// StateHealthy: ready at the fleet's generation.
 	StateHealthy
 )
 
@@ -33,18 +30,15 @@ func (s State) String() string {
 	switch s {
 	case StateHealthy:
 		return "healthy"
-	case StateDegraded:
-		return "degraded"
 	case StateDown:
 		return "down"
 	}
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// replica is one backend kpjserver as the router sees it. State and the
-// probed breaker set are written only by the probe loop and the passive
-// request-failure path; the hot request path reads them lock-free
-// (state) or under a short mutex (breakers).
+// replica is one backend kpjserver as the router sees it. State is
+// written only by the probe loop, the passive request-failure path and
+// the update fan-out; the hot request path reads it lock-free.
 type replica struct {
 	name string
 	base *url.URL
@@ -56,37 +50,14 @@ type replica struct {
 	// (update.go); probes of a stale replica retrigger rather than stack.
 	resyncing atomic.Bool
 
-	mu       sync.Mutex
-	breakers map[string]bool // algorithm name -> breaker open
-	fails    int             // consecutive probe/request failures
+	mu    sync.Mutex
+	fails int // consecutive probe/request failures
 
 	// done closes when the probe loop has exited; Close waits on it.
 	done chan struct{}
 }
 
 func (rp *replica) State() State { return State(rp.state.Load()) }
-
-// breakerOpen reports whether the last probe saw this algorithm's
-// breaker open on the replica.
-func (rp *replica) breakerOpen(alg string) bool {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return rp.breakers[alg]
-}
-
-func (rp *replica) breakerSnapshot() map[string]string {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	out := make(map[string]string, len(rp.breakers))
-	for alg, open := range rp.breakers {
-		if open {
-			out[alg] = "open"
-		} else {
-			out[alg] = "closed"
-		}
-	}
-	return out
-}
 
 // probeLoop re-probes rp until the router closes: every ProbeInterval
 // while the replica is up, and on a jittered exponential backoff while
@@ -108,8 +79,8 @@ func (rt *Router) probeLoop(rp *replica) {
 
 // probe runs one health-check cycle: /readyz decides up vs. down (a
 // draining or index-less replica reports not-ready and stops receiving
-// traffic before its listener closes), then /healthz supplies the
-// per-algorithm breaker states that grade up into healthy vs. degraded.
+// traffic before its listener closes), and so does the generation it
+// reports against the fleet's.
 func (rt *Router) probe(ctx context.Context, rp *replica) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -166,12 +137,7 @@ func (rt *Router) probe(ctx context.Context, rp *replica) {
 		rt.scheduleResync(rp)
 		return
 	}
-	breakers, err := rt.fetchBreakers(pctx, rp)
-	if err != nil {
-		rt.probeFailed(rp, err)
-		return
-	}
-	rt.noteSuccess(rp, gen.FP, breakers)
+	rt.noteSuccess(rp, gen.FP)
 }
 
 // fetchReadyz reads a replica's readiness and generation from /readyz.
@@ -182,22 +148,6 @@ func (rt *Router) fetchReadyz(ctx context.Context, rp *replica) (ready bool, gen
 		return false, gen, err
 	}
 	return status == http.StatusOK && body.Ready, wire.Gen{Epoch: body.Epoch, FP: wire.ParseFP(body.Fingerprint)}, nil
-}
-
-func (rt *Router) fetchBreakers(ctx context.Context, rp *replica) (map[string]bool, error) {
-	var body wire.Healthz
-	status, err := rt.getJSON(ctx, rp, "/healthz", &body)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("healthz status %d", status)
-	}
-	open := make(map[string]bool, len(body.Breakers))
-	for alg, state := range body.Breakers {
-		open[alg] = state != "closed"
-	}
-	return open, nil
 }
 
 func (rt *Router) getJSON(ctx context.Context, rp *replica, path string, out any) (int, error) {
@@ -233,27 +183,18 @@ func (rt *Router) noteFailure(rp *replica, err error) {
 	}
 }
 
-// noteSuccess records a clean probe: fingerprint and breaker states
-// refresh, the failure streak resets, and the replica grades healthy or
-// degraded by whether any breaker is open.
-func (rt *Router) noteSuccess(rp *replica, fp uint64, breakers map[string]bool) {
+// noteSuccess records a clean probe: the fingerprint refreshes, the
+// failure streak resets, and the replica is up.
+func (rt *Router) noteSuccess(rp *replica, fp uint64) {
 	rp.mu.Lock()
 	rp.fails = 0
-	rp.breakers = breakers
 	rp.mu.Unlock()
 	if fp != 0 {
 		rp.fp.Store(fp)
 		rt.fp.Store(fp)
 	}
 	rt.met.probes.Inc()
-	next := StateHealthy
-	for _, open := range breakers {
-		if open {
-			next = StateDegraded
-			break
-		}
-	}
-	rt.setState(rp, next, nil)
+	rt.setState(rp, StateHealthy, nil)
 }
 
 // setState applies a transition, logging and counting only real edges.

@@ -4,13 +4,13 @@
 //
 // Routing policy, in the order it is applied to a query:
 //
-//  1. Cache affinity: the query's (index fingerprint, category set) is
-//     consistent-hashed onto the replica ring, so repeat queries for the
-//     same categories land where their landmark bound tables are already
-//     in that replica's BoundsCache.
-//  2. Breaker awareness: replicas whose /healthz reports an open circuit
-//     breaker for the requested algorithm are deprioritized; down
-//     replicas (failed probes, draining) are last-resort only.
+//  1. Rotation: each request starts at the next up replica in turn (a
+//     router-wide counter), so load spreads evenly; every replica holds
+//     the same graph and index, and builds a query's bound tables per
+//     query, so any up replica answers equally well.
+//  2. Down replicas last: replicas whose /readyz probe failed (dead,
+//     draining, recovering, stale) follow every up one, as a last resort
+//     in case every probe is stale.
 //  3. Hedging: if the primary has not answered after an adaptive latency
 //     threshold (EWMA + 4·deviation of observed latencies, clamped), the
 //     same request is sent to the next candidate and the first usable
@@ -30,7 +30,6 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -39,12 +38,10 @@ import (
 	"net/http"
 	"net/url"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"kpj"
 	"kpj/internal/fault"
 	"kpj/internal/obs"
 	"kpj/internal/wire"
@@ -52,7 +49,7 @@ import (
 
 // ReplicaConfig names one backend.
 type ReplicaConfig struct {
-	Name string // stable identity on the hash ring (and X-Kpj-Replica value)
+	Name string // the replica's name in logs, metrics and the X-Kpj-Replica header
 	URL  string // base URL, e.g. http://10.0.0.7:8080
 }
 
@@ -92,9 +89,10 @@ type Router struct {
 	mux    *http.ServeMux
 	met    routerMetrics
 
-	// The replica set and the ring over it are fixed at New.
-	reps []*replica
-	ring *ring
+	// The replica set is fixed at New; rotor picks each request's first
+	// up replica (candidates).
+	reps  []*replica
+	rotor atomic.Uint64
 
 	fp     atomic.Uint64 // latest index fingerprint reported by any ready replica
 	lat    latencyTracker
@@ -187,7 +185,6 @@ func New(cfg Config) (*Router, error) {
 	rt.budget.Store(int64(cfg.RetryBudget) * tokenScale)
 
 	seen := map[string]bool{}
-	names := make([]string, 0, len(cfg.Replicas))
 	for i, rc := range cfg.Replicas {
 		name := rc.Name
 		if name == "" {
@@ -202,9 +199,7 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: bad replica URL %q", rc.URL)
 		}
 		rt.reps = append(rt.reps, &replica{name: name, base: base, done: make(chan struct{})})
-		names = append(names, name)
 	}
-	rt.ring = buildRing(names)
 	rt.met = newRouterMetrics(cfg.Metrics, rt)
 
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
@@ -250,56 +245,11 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
-// categorySet extracts the query's category names, sorted, for the
-// affinity key.
-func categorySet(vals url.Values) []string {
-	var cats []string
-	if c := vals.Get("sourceCategory"); c != "" {
-		cats = append(cats, c)
-	}
-	if c := vals.Get("category"); c != "" {
-		cats = append(cats, c)
-	}
-	sort.Strings(cats)
-	return cats
-}
-
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := rt.clock.Now()
-	q := r.URL.Query()
-	key := affinityKey(rt.fp.Load(), categorySet(q))
-	res := rt.do(r.Context(), http.MethodGet, "/query", r.URL.RawQuery, nil, key, q.Get("alg"), true)
+	res := rt.do(r.Context(), http.MethodGet, "/query", r.URL.RawQuery, nil)
 	rt.met.observeRequest("query", rt.clock.Now().Sub(start), res)
 	rt.writeResult(w, res)
-}
-
-// batchAffinity is the lenient parse of a /batch body for affinity only:
-// category names across all items. Malformed bodies are not rejected
-// here — the replica owns request validation — they just hash on the
-// fingerprint alone.
-func batchAffinity(body []byte) []string {
-	var items []struct {
-		SourceCategory string `json:"sourceCategory"`
-		Category       string `json:"category"`
-	}
-	if json.Unmarshal(body, &items) != nil {
-		return nil
-	}
-	set := map[string]bool{}
-	for _, it := range items {
-		if it.SourceCategory != "" {
-			set[it.SourceCategory] = true
-		}
-		if it.Category != "" {
-			set[it.Category] = true
-		}
-	}
-	cats := make([]string, 0, len(set))
-	for c := range set {
-		cats = append(cats, c)
-	}
-	sort.Strings(cats)
-	return cats
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -308,22 +258,20 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key := affinityKey(rt.fp.Load(), batchAffinity(body))
-	res := rt.do(r.Context(), http.MethodPost, "/batch", "", body, key, "", true)
+	res := rt.do(r.Context(), http.MethodPost, "/batch", "", body)
 	rt.met.observeRequest("batch", rt.clock.Now().Sub(start), res)
 	rt.writeResult(w, res)
 }
 
 func (rt *Router) handleCategories(w http.ResponseWriter, r *http.Request) {
 	start := rt.clock.Now()
-	res := rt.do(r.Context(), http.MethodGet, "/categories", "", nil, hashKey("categories"), "", true)
+	res := rt.do(r.Context(), http.MethodGet, "/categories", "", nil)
 	rt.met.observeRequest("categories", rt.clock.Now().Sub(start), res)
 	rt.writeResult(w, res)
 }
 
-// handleHealthz reports the router's own view: per-replica state and
-// probed breaker sets, the serving fingerprint, and the live hedge
-// threshold.
+// handleHealthz reports the router's own view: per-replica state, the
+// serving fingerprint, and the live hedge threshold.
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	replicas := map[string]any{}
 	routable := 0
@@ -333,9 +281,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			routable++
 		}
 		replicas[rp.name] = map[string]any{
-			"url":      rp.base.String(),
-			"state":    st.String(),
-			"breakers": rp.breakerSnapshot(),
+			"url":   rp.base.String(),
+			"state": st.String(),
 		}
 	}
 	status := "ok"
@@ -363,32 +310,25 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	wire.WriteError(w, http.StatusServiceUnavailable, wire.KindUnavailable, "no routable replicas")
 }
 
-// candidates orders the replicas for one request: ring-successor order
-// from the affinity key, partitioned so up replicas whose breaker for
-// the requested algorithm (the wire alg value, "" for the default
-// engine) is closed come first, then up replicas with that breaker open,
-// then — last resort, in case every probe is stale — down replicas.
-// Element 0 is the primary; the rest are hedge/failover targets in
-// preference order.
-func (rt *Router) candidates(key uint64, alg string) []*replica {
-	if a, err := kpj.ParseAlgorithm(alg); err == nil {
-		alg = a.String() // the breaker key /healthz reports
-	}
-	seq := rt.ring.sequence(key)
-	closed := make([]*replica, 0, len(seq))
-	var open, down []*replica
-	for _, i := range seq {
-		rp := rt.reps[i]
-		switch {
-		case rp.State() == StateDown:
+// candidates orders the replicas for one request: the up replicas,
+// rotated to start at the next one in turn, then — last resort, in case
+// every probe is stale — the down replicas. Element 0 is the primary; the
+// rest are hedge/failover targets in order.
+func (rt *Router) candidates() []*replica {
+	var up, down []*replica
+	for _, rp := range rt.reps {
+		if rp.State() == StateDown {
 			down = append(down, rp)
-		case rp.breakerOpen(alg):
-			open = append(open, rp)
-		default:
-			closed = append(closed, rp)
+		} else {
+			up = append(up, rp)
 		}
 	}
-	return append(append(closed, open...), down...)
+	out := make([]*replica, 0, len(rt.reps))
+	if n := len(up); n > 0 {
+		start := int(rt.rotor.Add(1) % uint64(n))
+		out = append(append(out, up[start:]...), up[:start]...)
+	}
+	return append(out, down...)
 }
 
 // attemptResult is one proxied attempt's outcome, buffered in full so a
@@ -409,11 +349,11 @@ func (a attemptResult) usable() bool {
 	return a.err == nil && a.status < 500
 }
 
-// do runs the hedged, breaker-aware, budget-bounded attempt loop for one
-// request. It returns the first usable answer, or the last failure once
-// candidates, the attempt cap, or the retry budget are exhausted.
-func (rt *Router) do(ctx context.Context, method, path, rawQuery string, body []byte, key uint64, alg string, hedgeOK bool) attemptResult {
-	cands := rt.candidates(key, alg)
+// do runs the hedged, budget-bounded attempt loop for one request. It
+// returns the first usable answer, or the last failure once candidates,
+// the attempt cap, or the retry budget are exhausted.
+func (rt *Router) do(ctx context.Context, method, path, rawQuery string, body []byte) attemptResult {
+	cands := rt.candidates()
 	if len(cands) == 0 {
 		return attemptResult{err: fmt.Errorf("no replicas configured")}
 	}
@@ -440,7 +380,7 @@ func (rt *Router) do(ctx context.Context, method, path, rawQuery string, body []
 
 	launch() // the primary attempt is free
 	var hedgeCh <-chan time.Time
-	if hedgeOK && len(cands) > 1 {
+	if len(cands) > 1 {
 		hedgeCh = rt.clock.After(rt.hedgeDelay())
 	}
 	start := rt.clock.Now()
@@ -541,7 +481,7 @@ func (rt *Router) send(ctx context.Context, rp *replica, method, path, rawQuery 
 }
 
 // passThrough lists the upstream headers a usable answer keeps verbatim.
-var passThrough = []string{"Content-Type", "Retry-After", wire.HeaderDegraded,
+var passThrough = []string{"Content-Type", "Retry-After",
 	wire.HeaderEpoch, wire.HeaderFingerprint, wire.HeaderErrorKind}
 
 // writeResult renders an attempt outcome: usable upstream answers pass

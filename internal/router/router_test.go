@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -204,81 +203,6 @@ func assertPrefix(t testing.TB, got []server.PathJSON, want []kpj.Path, ctx stri
 	}
 }
 
-func TestRingSequenceDeterministicAndComplete(t *testing.T) {
-	r := buildRing([]string{"a", "b", "c"})
-	for _, key := range []uint64{0, 1, 1 << 40, ^uint64(0)} {
-		s1 := r.sequence(key)
-		s2 := r.sequence(key)
-		if len(s1) != 3 {
-			t.Fatalf("key %d: sequence %v does not cover all replicas", key, s1)
-		}
-		seen := map[int]bool{}
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Fatalf("key %d: nondeterministic sequence %v vs %v", key, s1, s2)
-			}
-			seen[s1[i]] = true
-		}
-		if len(seen) != 3 {
-			t.Fatalf("key %d: duplicate replicas in %v", key, s1)
-		}
-	}
-	// Different category sets must spread across replicas. With 64
-	// vnodes each and the finalized hash, a three-replica ring splits
-	// within a few points of 33/33/33 — insist every replica homes a
-	// real share (raw FNV-1a once skewed this past 55/34/11).
-	homes := map[int]int{}
-	const keys = 300
-	for i := 0; i < keys; i++ {
-		homes[r.sequence(affinityKey(42, []string{fmt.Sprintf("cat%d", i)}))[0]]++
-	}
-	for idx := 0; idx < 3; idx++ {
-		if homes[idx] < keys/5 {
-			t.Fatalf("replica %d homes only %d of %d keys: %v", idx, homes[idx], keys, homes)
-		}
-	}
-}
-
-func TestRingRemovalOnlyMovesOwnedKeys(t *testing.T) {
-	full := buildRing([]string{"a", "b", "c"})
-	reduced := buildRing([]string{"a", "b"}) // "c" removed
-	moved, kept := 0, 0
-	for i := 0; i < 200; i++ {
-		key := affinityKey(7, []string{fmt.Sprintf("cat%d", i)})
-		before := full.sequence(key)[0]
-		after := reduced.sequence(key)[0]
-		if before == 2 { // was homed on "c": must move
-			moved++
-			continue
-		}
-		if before != after {
-			t.Fatalf("key %d moved from %d to %d though its home survived", i, before, after)
-		}
-		kept++
-	}
-	if moved == 0 || kept == 0 {
-		t.Fatalf("degenerate distribution: moved=%d kept=%d", moved, kept)
-	}
-}
-
-func TestCategorySetSorted(t *testing.T) {
-	v1 := categorySet(url.Values{"sourceCategory": {"zebra"}, "category": {"alpha"}})
-	v2 := categorySet(url.Values{"sourceCategory": {"alpha"}, "category": {"zebra"}})
-	if affinityKey(1, v1) != affinityKey(1, v2) {
-		t.Fatal("category-set affinity should be order-independent")
-	}
-}
-
-func TestBatchAffinityLenient(t *testing.T) {
-	cats := batchAffinity([]byte(`[{"sourceCategory":"b","k":1},{"category":"a","k":2},{"category":"a"}]`))
-	if len(cats) != 2 || cats[0] != "a" || cats[1] != "b" {
-		t.Fatalf("batchAffinity = %v, want [a b]", cats)
-	}
-	if got := batchAffinity([]byte(`{not json`)); got != nil {
-		t.Fatalf("malformed body should yield no categories, got %v", got)
-	}
-}
-
 func TestLatencyTracker(t *testing.T) {
 	var lt latencyTracker
 	if _, ok := lt.threshold(); ok {
@@ -299,36 +223,39 @@ func TestLatencyTracker(t *testing.T) {
 	}
 }
 
-func TestRouterServesWithAffinity(t *testing.T) {
+// TestRouterRotatesOverHealthyReplicas: repeat queries spread over every
+// up replica, and each answer equals the oracle's.
+func TestRouterRotatesOverHealthyReplicas(t *testing.T) {
 	fixtures := newFixtures(t, 3, nil)
 	rt := newTestRouter(t, fixtures, func(c *Config) {
-		c.HedgeAfter = time.Hour // a stray hedge win would break the affinity assertion
+		c.HedgeAfter = time.Hour // only primaries answer
 	})
-	// All replicas must be routable before the first query pins the
-	// affinity home: readyz alone means >= 1 probed up, and a home chosen
-	// from a partial candidate set moves once the ring fills in.
 	waitReady(t, rt)
 	waitAllHealthy(t, rt, fixtures)
 
 	want := oracle(t, 0, "hotel", 3)
-	var home string
+	served := map[string]int{}
 	for i := 0; i < 6; i++ {
 		rec, body := routerGet(t, rt, "/query?source=0&category=hotel&k=3")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("query %d: status %d (%s)", i, rec.Code, body)
 		}
-		out := decodeQuery(t, body)
-		samePaths(t, out.Paths, want, fmt.Sprintf("query %d", i))
+		samePaths(t, decodeQuery(t, body).Paths, want, fmt.Sprintf("query %d", i))
 		rep := rec.Header().Get("X-Kpj-Replica")
 		if rep == "" {
 			t.Fatalf("query %d: missing X-Kpj-Replica", i)
 		}
-		if home == "" {
-			home = rep
-		} else if rep != home {
-			t.Fatalf("query %d: affinity broken, served by %s after %s", i, rep, home)
-		}
+		served[rep]++
 	}
+	if len(served) != len(fixtures) {
+		t.Fatalf("6 queries served by %v, want all %d replicas", served, len(fixtures))
+	}
+}
+
+// nextPrimary names the replica the router's next request tries first,
+// while every replica is up.
+func nextPrimary(rt *Router) string {
+	return rt.reps[(rt.rotor.Load()+1)%uint64(len(rt.reps))].name
 }
 
 func TestFailoverWhenPrimaryDies(t *testing.T) {
@@ -346,7 +273,7 @@ func TestFailoverWhenPrimaryDies(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("warm query: status %d (%s)", rec.Code, body)
 	}
-	home := rec.Header().Get("X-Kpj-Replica")
+	home := nextPrimary(rt)
 
 	for _, f := range fixtures {
 		if f.name == home {
@@ -401,21 +328,18 @@ func TestDrainingReplicaStopsReceivingTraffic(t *testing.T) {
 }
 
 func TestHeaderPropagation(t *testing.T) {
-	// A stub replica that reports healthy but decorates /query responses
-	// with the degradation headers the router must pass through verbatim.
+	// A stub replica that reports ready and decorates /query responses
+	// with the headers the router must pass through verbatim.
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/readyz":
 			fmt.Fprint(w, `{"ready":true,"fingerprint":"00000000000000aa"}`)
-		case "/healthz":
-			fmt.Fprint(w, `{"status":"ok","breakers":{"IterBoundI":"closed"}}`)
 		case "/query":
-			w.Header().Set("X-Kpj-Degraded", "1")
 			w.Header().Set("Retry-After", "7")
 			w.Header().Set("X-Kpj-Epoch", "3")
 			w.Header().Set("X-Kpj-Fingerprint", "00000000000000aa")
 			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, `{"paths":[],"micros":1,"degraded":true}`)
+			fmt.Fprint(w, `{"paths":[],"micros":1}`)
 		default:
 			http.NotFound(w, r)
 		}
@@ -437,9 +361,6 @@ func TestHeaderPropagation(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d (%s)", rec.Code, body)
 	}
-	if got := rec.Header().Get("X-Kpj-Degraded"); got != "1" {
-		t.Fatalf("X-Kpj-Degraded = %q, want 1 (propagated unchanged)", got)
-	}
 	if got := rec.Header().Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After = %q, want 7 (propagated unchanged)", got)
 	}
@@ -454,38 +375,33 @@ func TestHeaderPropagation(t *testing.T) {
 	}
 }
 
-func TestCandidatesPreferBreakerClosed(t *testing.T) {
+// TestCandidatesDownReplicaLast: a down replica is never the primary
+// while an up one exists, and it is still tried, last.
+func TestCandidatesDownReplicaLast(t *testing.T) {
 	// Hand-built replica set: no probes, states set directly.
 	reps := []*replica{{name: "a"}, {name: "b"}, {name: "c"}}
-	rt := &Router{reps: reps, ring: buildRing(names(reps))}
+	rt := &Router{reps: reps}
 	for _, rp := range reps {
 		rp.state.Store(int32(StateHealthy))
 	}
-	key := affinityKey(1, []string{"hotel"})
-	base := rt.candidates(key, "IterBoundI")
-
-	// Open the affinity home's breaker for the requested algorithm: it
-	// must drop behind the breaker-closed replicas but stay routable.
-	home := base[0]
-	home.breakers = map[string]bool{"IterBoundI": true}
-	got := rt.candidates(key, "IterBoundI")
-	if len(got) != 3 || got[len(got)-1] != home {
-		t.Fatalf("open-breaker home %s should sort last, got %v", home.name, names(got))
+	reps[1].state.Store(int32(StateDown))
+	primaries := map[string]bool{}
+	for i := 0; i < 6; i++ {
+		got := rt.candidates()
+		if len(got) != 3 || got[2] != reps[1] {
+			t.Fatalf("request %d: candidates %v, want the down replica b last", i, names(got))
+		}
+		primaries[got[0].name] = true
 	}
-	// For a different algorithm the same replica keeps its affinity slot.
-	if rt.candidates(key, "DA")[0] != home {
-		t.Fatal("breaker for one algorithm must not repel other algorithms")
+	if len(primaries) != 2 || primaries["b"] {
+		t.Fatalf("primaries %v, want a and c in turn", primaries)
 	}
-	// No alg parameter selects the default engine, and so its breaker.
-	if got := rt.candidates(key, ""); got[len(got)-1] != home {
-		t.Fatalf("alg=\"\" should avoid the default engine's open breaker on %s, got %v", home.name, names(got))
+	// With every replica down, all are still tried.
+	for _, rp := range reps {
+		rp.state.Store(int32(StateDown))
 	}
-	// A down replica sorts after everything, even open breakers.
-	second := got[0]
-	second.state.Store(int32(StateDown))
-	got = rt.candidates(key, "IterBoundI")
-	if got[len(got)-1] != second {
-		t.Fatalf("down replica %s should sort last, got %v", second.name, names(got))
+	if got := rt.candidates(); len(got) != 3 {
+		t.Fatalf("all down: candidates %v, want every replica", names(got))
 	}
 }
 

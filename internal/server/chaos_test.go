@@ -6,17 +6,19 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
-	"time"
 
 	"kpj"
 	"kpj/internal/fault"
 	"kpj/internal/leaktest"
+	"kpj/internal/wire"
 )
 
-// Server-side chaos tests: injected faults at the server.handler and
-// index.load points must degrade service (breaker, old-index retention),
-// never corrupt it.
+// Server-side chaos tests: injected faults at the server.handler,
+// subspace.search and index.load points must fail the request they hit
+// (typed 500, truncated prefix, old index kept), never corrupt service.
+// Update-path faults are covered by TestUpdateBreaker.
 
 func installFaults(t *testing.T, r *fault.Registry) {
 	t.Helper()
@@ -24,120 +26,108 @@ func installFaults(t *testing.T, r *fault.Registry) {
 	t.Cleanup(func() { fault.Install(nil) })
 }
 
-// TestBreakerDegradedMode walks the full breaker lifecycle under an
-// injected two-request fault window with WithBreaker(2, 2):
-//
-//	req 1: fault at full power, breaker still closed        -> 500
-//	req 2: fault trips the breaker, retried once degraded   -> 200 degraded
-//	req 3: breaker open, runs degraded, clean (probe 2/2)   -> 200 degraded, closes
-//	req 4: breaker closed again                             -> 200 normal
-func TestBreakerDegradedMode(t *testing.T) {
-	defer leaktest.Check(t)()
-	s, _ := testServer(t, WithBreaker(2, 2))
-	installFaults(t, fault.New().Add(
-		fault.Rule{Point: fault.ServerHandler, Nth: 1, Count: 2}))
-
-	const url = "/query?source=0&category=hotel&k=3"
-
+// cleanAnswer returns the fault-free answer to url.
+func cleanAnswer(t *testing.T, s *Server, url string) QueryResponse {
+	t.Helper()
 	rec, body := get(t, s, url)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("req 1: status %d, want 500 (%s)", rec.Code, body)
-	}
-
-	rec, body = get(t, s, url)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("req 2 (trip + degraded retry): status %d (%s)", rec.Code, body)
-	}
-	if rec.Header().Get("X-Kpj-Degraded") != "1" {
-		t.Fatal("req 2: missing X-Kpj-Degraded header on degraded retry")
-	}
 	var out QueryResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
+	if rec.Code != http.StatusOK || json.Unmarshal(body, &out) != nil || out.Truncated {
+		t.Fatalf("clean query: status %d (%s)", rec.Code, body)
 	}
-	if !out.Degraded || len(out.Paths) != 3 {
-		t.Fatalf("req 2: degraded=%v paths=%d, want degraded with 3 paths", out.Degraded, len(out.Paths))
-	}
+	return out
+}
 
-	// While open, /healthz reports the default algorithm's breaker open.
-	hrec, hbody := get(t, s, "/healthz")
-	var health struct {
-		Breakers map[string]string `json:"breakers"`
-	}
-	if err := json.Unmarshal(hbody, &health); err != nil {
-		t.Fatalf("healthz (%d): %v", hrec.Code, err)
-	}
-	if health.Breakers["IterBoundI"] != "open" {
-		t.Fatalf("healthz breakers = %v, want IterBoundI open", health.Breakers)
-	}
-
-	rec, body = get(t, s, url)
-	if rec.Code != http.StatusOK || rec.Header().Get("X-Kpj-Degraded") != "1" {
-		t.Fatalf("req 3: status %d degraded=%q (%s)", rec.Code, rec.Header().Get("X-Kpj-Degraded"), body)
-	}
-
-	rec, body = get(t, s, url)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("req 4: status %d (%s)", rec.Code, body)
-	}
-	if rec.Header().Get("X-Kpj-Degraded") != "" {
-		t.Fatal("req 4: breaker should have closed after two clean probes")
-	}
-	if _, hbody = get(t, s, "/healthz"); json.Unmarshal(hbody, &health) != nil ||
-		health.Breakers["IterBoundI"] != "closed" {
-		t.Fatalf("healthz after recovery: %v", health.Breakers)
+// wantExactAfterFaults asserts the first query after a fault window is
+// answered in full, equal to the fault-free answer.
+func wantExactAfterFaults(t *testing.T, s *Server, url string, clean QueryResponse) {
+	t.Helper()
+	rec, body := get(t, s, url)
+	var out QueryResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(body, &out) != nil || out.Truncated ||
+		!reflect.DeepEqual(out.Paths, clean.Paths) {
+		t.Fatalf("query after the fault window: status %d (%s), want the clean answer", rec.Code, body)
 	}
 }
 
+// TestBreakerDegradedMode: there is no query breaker and no degraded
+// profile. Each request of a two-request server.handler fault window is a
+// typed 500 of kind "internal" (no degraded retry, no X-Kpj-Degraded
+// header), /healthz stays "ok" and reports no query breaker, and the next
+// query is exact — a fault window never switches the server into another
+// mode.
+func TestBreakerDegradedMode(t *testing.T) {
+	defer leaktest.Check(t)()
+	s, _ := testServer(t)
+	const url = "/query?source=0&category=hotel&k=3"
+	clean := cleanAnswer(t, s, url)
+	if len(clean.Paths) != 3 {
+		t.Fatalf("clean query: %d paths, want 3", len(clean.Paths))
+	}
+
+	installFaults(t, fault.New().Add(
+		fault.Rule{Point: fault.ServerHandler, Nth: 1, Count: 2}))
+	for i := 1; i <= 2; i++ {
+		rec, body := get(t, s, url)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("req %d: status %d, want 500 (%s)", i, rec.Code, body)
+		}
+		if kind := rec.Header().Get(wire.HeaderErrorKind); kind != string(wire.KindInternal) {
+			t.Fatalf("req %d: error kind %q, want %q", i, kind, wire.KindInternal)
+		}
+		if rec.Header().Get("X-Kpj-Degraded") != "" {
+			t.Fatalf("req %d: X-Kpj-Degraded set; no degraded retry exists", i)
+		}
+	}
+
+	hrec, hbody := get(t, s, "/healthz")
+	var health wire.Healthz
+	if err := json.Unmarshal(hbody, &health); err != nil || hrec.Code != http.StatusOK {
+		t.Fatalf("healthz (%d): %v (%s)", hrec.Code, err, hbody)
+	}
+	if health.Status != "ok" {
+		t.Fatalf("healthz status %q after query faults, want ok", health.Status)
+	}
+	for name := range health.Breakers {
+		if name != "update" {
+			t.Fatalf("healthz reports breaker %q; only the update breaker exists", name)
+		}
+	}
+
+	wantExactAfterFaults(t, s, url, clean)
+}
+
 // TestBreakerInjectedPanicCounts: a KindPanic injection at the handler is
-// recovered into ErrWorkerPanic, and a mid-engine injected error comes
-// back as a truncated prefix wrapping ErrInjectedFault; both count toward
-// the breaker like any other internal fault — the process never dies.
+// recovered into a typed 500 of kind "internal", and a mid-engine
+// injected error comes back as a 200 truncated prefix; neither opens
+// anything — the process never dies and the next query is exact.
 func TestBreakerInjectedPanicCounts(t *testing.T) {
 	defer leaktest.Check(t)()
+	const url = "/query?source=0&category=hotel&k=2"
 	for _, rule := range []fault.Rule{
 		{Point: fault.ServerHandler, Nth: 1, Count: 1, Kind: fault.KindPanic},
 		{Point: fault.SubspaceSearch, Nth: 1, Count: 1},
 	} {
-		s, _ := testServer(t, WithBreaker(1, 1))
+		s, _ := testServer(t)
+		clean := cleanAnswer(t, s, url)
 		installFaults(t, fault.New().Add(rule))
 
-		// The fault trips the one-strike breaker; the degraded retry succeeds.
-		rec, body := get(t, s, "/query?source=0&category=hotel&k=2")
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Kpj-Degraded") != "1" {
-			t.Fatalf("%s: status %d degraded=%q (%s)", rule.Point, rec.Code, rec.Header().Get("X-Kpj-Degraded"), body)
+		rec, body := get(t, s, url)
+		switch rule.Point {
+		case fault.ServerHandler:
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("%s: status %d, want 500 (%s)", rule.Point, rec.Code, body)
+			}
+			if kind := rec.Header().Get(wire.HeaderErrorKind); kind != string(wire.KindInternal) {
+				t.Fatalf("%s: error kind %q, want %q", rule.Point, kind, wire.KindInternal)
+			}
+		default:
+			var out QueryResponse
+			if rec.Code != http.StatusOK || json.Unmarshal(body, &out) != nil || !out.Truncated {
+				t.Fatalf("%s: status %d truncated=%v, want a 200 truncated prefix (%s)",
+					rule.Point, rec.Code, out.Truncated, body)
+			}
 		}
-		// One clean degraded probe closes it again.
-		rec, _ = get(t, s, "/query?source=0&category=hotel&k=2")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: probe: status %d", rule.Point, rec.Code)
-		}
-		if rec, _ := get(t, s, "/query?source=0&category=hotel&k=2"); rec.Header().Get("X-Kpj-Degraded") != "" {
-			t.Fatalf("%s: breaker should be closed after the clean probe", rule.Point)
-		}
-	}
-}
-
-// TestBreakerIgnoresTruncation: deadline truncation is the bound working
-// as designed and must never open the breaker.
-func TestBreakerIgnoresTruncation(t *testing.T) {
-	defer leaktest.Check(t)()
-	s := slowServer(t, WithTimeout(2*time.Millisecond), WithBreaker(1, 1))
-	for i := 0; i < 3; i++ {
-		rec, body := get(t, s, "/query?source=0&category=far&k=5000")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("truncated query %d: status %d (%s)", i, rec.Code, body)
-		}
-		var out QueryResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		if !out.Truncated {
-			t.Skipf("query %d finished under the deadline; timing too fast to assert", i)
-		}
-		if out.Degraded || rec.Header().Get("X-Kpj-Degraded") != "" {
-			t.Fatalf("truncation opened the one-strike breaker on query %d", i)
-		}
+		wantExactAfterFaults(t, s, url, clean)
 	}
 }
 

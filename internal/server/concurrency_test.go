@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-// TestConcurrentQueriesSharedCache drives many simultaneous /query
-// requests — all sharing the server's bound-table cache — and checks every
-// response against the single-threaded answer. Run with -race: this is
-// the workload shape the cache exists for.
-func TestConcurrentQueriesSharedCache(t *testing.T) {
-	s, _ := testServer(t, WithBoundsCacheSize(2))
+// TestConcurrentQueries drives many simultaneous /query requests on one
+// server — sharing its epoch, graph, index and workspace pool — and
+// checks every response against the single-threaded answer. Run with
+// -race.
+func TestConcurrentQueries(t *testing.T) {
+	s, _ := testServer(t)
 
 	urls := []string{
 		"/query?source=0&category=hotel&k=6",

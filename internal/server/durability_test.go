@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -378,12 +379,14 @@ func TestWALFsyncFaultKeepsEpoch(t *testing.T) {
 	}
 }
 
-// TestFailedAppendLeavesBoundsCacheAlone: the bound-table cache follows
-// the published epoch, never a successor that failed to become durable.
-// The fingerprint is (n, m, Σw) + landmarks, so a cache rekeyed for the
-// failed delta would later be hit by a different delta with the same
-// weight-sum change and serve tables bound to an index that never served.
-func TestFailedAppendLeavesBoundsCacheAlone(t *testing.T) {
+// TestFailedAppendThenCollidingDeltaAnswersExact: a delta whose WAL append
+// fails never serves, and a later, different delta with the same
+// weight-sum change — the same fingerprint, which is (n, m, Σw) +
+// landmarks — must answer exactly what a server built from scratch over
+// the resulting graph answers. State derived from the failed successor
+// and keyed by fingerprint would be hit by the second delta and serve
+// bounds of an index that never served.
+func TestFailedAppendThenCollidingDeltaAnswersExact(t *testing.T) {
 	defer leaktest.Check(t)()
 	lg, rec0, err := wal.Open(t.TempDir())
 	if err != nil {
@@ -399,28 +402,21 @@ func TestFailedAppendLeavesBoundsCacheAlone(t *testing.T) {
 		"/query?source=0&category=hotel&k=4",
 		"/query?source=34&category=hotel&k=6",
 	}
-	for i := 0; i < 2; i++ { // the second pass hits what the first built
-		for _, q := range queries {
-			engineAnswers(t, s, q)
-		}
-	}
-	warm := s.cache.Stats()
-	if warm.Hits == 0 || warm.Size == 0 {
-		t.Fatalf("cache not warm: %+v", warm)
+	before := map[string]map[kpj.Algorithm]string{}
+	for _, q := range queries {
+		before[q] = engineAnswers(t, s, q)
 	}
 
-	// +7 on (0,1), not durable: a 500, and the cache still serves epoch 0.
+	// +7 on (0,1), not durable: a 500, and epoch 0 still serves.
 	installFaults(t, fault.New().Add(fault.Rule{Point: fault.WALAppend, Nth: 1, Count: 1, Kind: fault.KindError}))
 	rec, body := postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":17}]}`)
 	if rec.Code != http.StatusInternalServerError || s.Epoch() != 0 {
 		t.Fatalf("faulted append: %d %s, epoch %d", rec.Code, body, s.Epoch())
 	}
 	for _, q := range queries {
-		engineAnswers(t, s, q)
-	}
-	after := s.cache.Stats()
-	if after.Misses != warm.Misses || after.Evictions != warm.Evictions || after.Size != warm.Size {
-		t.Fatalf("a failed update moved the cache: %+v before, %+v after", warm, after)
+		if got := engineAnswers(t, s, q); !reflect.DeepEqual(got, before[q]) {
+			t.Fatalf("%s: a failed update changed the answers:\n  before: %v\n  after:  %v", q, before[q], got)
+		}
 	}
 
 	// A different delta with the same weight-sum change (-9 +16 = +7), this

@@ -10,9 +10,8 @@ import (
 )
 
 // WithMetrics attaches a metrics registry to the server: request counters
-// and a latency histogram are registered into it (kpj_http_*), the
-// bounds cache (when enabled) exports its hit/miss/eviction counters, and
-// two read-only endpoints appear on the mux:
+// and a latency histogram are registered into it (kpj_http_*), and two
+// read-only endpoints appear on the mux:
 //
 //	GET /metrics     Prometheus text exposition (format 0.0.4)
 //	GET /debug/vars  the same values as a flat JSON object
@@ -42,7 +41,6 @@ type serverMetrics struct {
 	batchErrs *obs.Counter
 	truncated *obs.Counter
 	shed      *obs.Counter
-	degraded  *obs.Counter
 	trips     *obs.Counter
 	reloads   *obs.Counter
 	reloadErr *obs.Counter
@@ -60,8 +58,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		batchErrs: reg.Counter(`kpj_http_errors_total{route="batch"}`, "/batch requests answered with an error status"),
 		truncated: reg.Counter("kpj_http_truncated_total", "queries answered with truncated partial results"),
 		shed:      reg.Counter("kpj_http_shed_total", "requests shed with 503 by the in-flight limiter"),
-		degraded:  reg.Counter("kpj_http_degraded_total", "queries answered under the circuit breaker's degraded profile"),
-		trips:     reg.Counter("kpj_http_breaker_trips_total", "circuit breaker open transitions"),
+		trips:     reg.Counter("kpj_http_breaker_trips_total", "update circuit breaker open transitions"),
 		reloads:   reg.Counter(`kpj_http_index_reloads_total{result="ok"}`, "successful index hot-reloads"),
 		reloadErr: reg.Counter(`kpj_http_index_reloads_total{result="error"}`, "index hot-reloads rejected (old index kept)"),
 		updates:   reg.Counter(`kpj_http_updates_total{result="ok"}`, "live updates that published a new epoch"),
@@ -95,12 +92,9 @@ func (m *serverMetrics) observeBatch(start time.Time, failed bool, truncated int
 }
 
 // installObs wires the observability endpoints; called from New after all
-// options have been applied and the cache exists.
+// options have been applied.
 func (s *Server) installObs() {
 	s.met = newServerMetrics(s.metricsReg)
-	if s.cache != nil {
-		s.cache.Instrument(s.metricsReg)
-	}
 	wire.MountMetrics(s.mux, s.metricsReg)
 	if s.pprofOn {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)

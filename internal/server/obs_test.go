@@ -48,7 +48,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE kpj_http_request_micros histogram",
 		"kpj_http_request_micros_count 3",
 		"kpj_engine_queries_total 2",
-		"kpj_bounds_cache_hits_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\n%s", want, body)

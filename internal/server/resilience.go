@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -9,33 +8,27 @@ import (
 	"kpj/internal/fault"
 )
 
-// This file is the server's failure-handling layer: a per-algorithm
-// circuit breaker that switches the process into a degraded execution
-// profile instead of returning a run of 500s, and atomic index hot-reload
-// so an operator can swap a rebuilt landmark index (a fresh kpjindex
-// output for the same graph) into a live process (SIGHUP in kpjserver)
-// without dropping requests.
+// This file is the server's failure-handling layer: the circuit breaker
+// that guards POST /update, and atomic index hot-reload so an operator
+// can swap a rebuilt landmark index (a fresh kpjindex output for the same
+// graph) into a live process (SIGHUP in kpjserver) without dropping
+// requests.
 //
-// The degradation ladder, from healthiest to most conservative:
+// Queries have one fallback, independent of any breaker: a query over
+// deadline or budget returns its prefix with "truncated": true (HTTP
+// 200). A query that panics or hits an injected fault answers a typed
+// 500 and the next query runs normally.
 //
-//  1. normal: shared bounds cache.
-//  2. degraded (breaker open): bounds cache bypassed, fresh per-request
-//     stats/spans. Answers stay exact — a cached bound table equals a
-//     rebuilt one — only latency suffers. Responses carry
-//     X-Kpj-Degraded: 1.
-//  3. truncated: independent of the breaker, a query over deadline or
-//     budget returns its prefix with "truncated": true (HTTP 200).
-//
-// The breaker trips after `threshold` consecutive faulted queries of one
-// algorithm (internal errors or injected faults — truncation by deadline
-// or budget is the bound doing its job and never counts), and closes
-// again after `probes` consecutive clean degraded queries.
+// The update breaker trips after `threshold` consecutive internal apply
+// failures (a client's bad delta never counts) and closes again after
+// `probes` consecutive clean updates; while it is open, one update at a
+// time probes the apply path (update.go).
 
-// breaker is a consecutive-failure circuit breaker for one algorithm.
-// A nil *breaker (breakers disabled) is always closed and records nothing.
+// breaker is a consecutive-failure circuit breaker. A nil *breaker
+// (breaker disabled) is always closed and records nothing.
 type breaker struct {
-	threshold int // consecutive faulted queries that open it
-	probes    int // consecutive clean degraded queries that close it
+	threshold int // consecutive failures that open it
+	probes    int // consecutive successes while open that close it
 
 	mu    sync.Mutex
 	fails int
@@ -43,8 +36,8 @@ type breaker struct {
 	open  bool
 }
 
-// degraded reports whether requests should run the degraded profile.
-func (b *breaker) degraded() bool {
+// isOpen reports whether the breaker is open.
+func (b *breaker) isOpen() bool {
 	if b == nil {
 		return false
 	}
@@ -53,8 +46,8 @@ func (b *breaker) degraded() bool {
 	return b.open
 }
 
-// record folds one query outcome in; it returns true exactly when this
-// outcome opened the breaker (the trip edge, for logging and metrics).
+// record folds one outcome in; it returns true exactly when this outcome
+// opened the breaker (the trip edge, for logging and metrics).
 func (b *breaker) record(ok bool) (tripped bool) {
 	if b == nil {
 		return false
@@ -83,24 +76,23 @@ func (b *breaker) record(ok bool) (tripped bool) {
 
 // state renders the breaker for /healthz.
 func (b *breaker) state() string {
-	if b.degraded() {
+	if b.isOpen() {
 		return "open"
 	}
 	return "closed"
 }
 
-// WithBreaker enables the per-algorithm circuit breaker: `threshold`
-// consecutive faulted queries (internal errors — not truncation, not
-// client errors) switch that algorithm into the degraded profile, and
-// `probes` consecutive clean degraded queries switch it back (probes <= 0
-// means 1). threshold <= 0 leaves breakers disabled (the default).
+// WithBreaker arms the update circuit breaker: `threshold` consecutive
+// internal update failures (not client errors) open it, and `probes`
+// consecutive clean updates close it again (probes <= 0 means 1).
+// threshold <= 0 leaves it disabled (the default).
 func WithBreaker(threshold, probes int) Option {
 	return func(s *Server) {
-		s.breakerThreshold = threshold
-		if probes <= 0 {
-			probes = 1
+		if threshold <= 0 {
+			s.updateBr = nil
+			return
 		}
-		s.breakerProbes = probes
+		s.updateBr = &breaker{threshold: threshold, probes: max(probes, 1)}
 	}
 }
 
@@ -111,11 +103,9 @@ func (s *Server) index() *kpj.Index { return s.snapshot().ix }
 
 // SwapIndex publishes a new epoch carrying the current graph and the
 // given index. In-flight requests finish on the snapshot they loaded;
-// subsequent requests use ix. The bounds cache needs no flush: it is
-// keyed by index fingerprint, so entries of the old index simply stop
-// being hit and age out. With a WAL configured the swap is checkpointed
-// before publication; if the checkpoint fails the swap is abandoned
-// (old epoch kept) and logged.
+// subsequent requests use ix. With a WAL configured the swap is
+// checkpointed before publication; if the checkpoint fails the swap is
+// abandoned (old epoch kept) and logged.
 func (s *Server) SwapIndex(ix *kpj.Index) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
@@ -180,24 +170,10 @@ func (s *Server) reloadIndexLocked(path string) error {
 	return s.swapIndexLocked(ix)
 }
 
-// degrade switches one parsed request to the degraded execution profile:
-// no shared bounds cache, so a fault tied to cross-request shared state
-// cannot recur. Stats and spans are replaced (not reset) so a degraded
-// retry reports only its own work.
-func (p *queryParams) degrade() {
-	p.opt.BoundsCache = nil
-	if p.opt.Stats != nil {
-		p.opt.Stats = &kpj.Stats{}
-	}
-	if p.opt.Spans != nil {
-		p.opt.Spans = kpj.NewSpans()
-	}
-}
-
 // execQuery runs one parsed query, converting an escaping engine panic
-// into an ErrWorkerPanic error (so the breaker sees it and the handler
-// answers 500, not the outer recovery's blind 500) and exposing the
-// server.handler fault point.
+// into an ErrWorkerPanic error (so the handler answers a typed 500, not
+// the outer recovery's blind one) and exposing the server.handler fault
+// point.
 func (s *Server) execQuery(p queryParams) (paths []kpj.Path, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -208,20 +184,4 @@ func (s *Server) execQuery(p queryParams) (paths []kpj.Path, err error) {
 		return nil, ferr
 	}
 	return p.ep.g.TopKJoinSets(p.sources, p.targets, p.k, p.opt)
-}
-
-// faultedQuery classifies a query error for the breaker: true only for
-// internal failures (panics, injected faults, unexpected engine errors).
-// Client errors and bound-driven truncation are the system working as
-// designed and must not open the breaker.
-func faultedQuery(err error) bool {
-	if err == nil || kpj.IsInvalidQuery(err) {
-		return false
-	}
-	if _, ok := kpj.Truncated(err); ok {
-		// Truncated prefixes are normal under deadline/budget pressure;
-		// only fault-flavored truncation counts against the breaker.
-		return errors.Is(err, kpj.ErrInjectedFault) || errors.Is(err, kpj.ErrWorkerPanic)
-	}
-	return true
 }

@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	GET  /healthz       liveness + graph shape + epoch + breaker states
+//	GET  /healthz       liveness + graph shape + epoch + update breaker state
 //	GET  /readyz        readiness: index loaded and not draining
 //	GET  /categories    category names with sizes
 //	GET  /query         one query via URL parameters
@@ -87,7 +87,7 @@ type Server struct {
 	// open: the first arrival becomes the probe, concurrent ones are shed.
 	updateProbe atomic.Bool
 	// updateBr is the circuit breaker for POST /update (WithBreaker);
-	// nil when breakers are disabled.
+	// nil when it is disabled.
 	updateBr *breaker
 	mux      *http.ServeMux
 	// maxK bounds per-request k to keep one request from monopolizing
@@ -101,12 +101,6 @@ type Server struct {
 	// inflight, when non-nil, is the load-shedding semaphore for /query
 	// and /batch: requests beyond its capacity get 503 + Retry-After.
 	inflight chan struct{}
-	// cacheSize configures the cross-request bound-table cache (0 =
-	// default capacity, < 0 = disabled).
-	cacheSize int
-	// cache, when non-nil, memoizes per-category landmark bound tables
-	// across requests. Shared by all handlers; safe for concurrent use.
-	cache *kpj.BoundsCache
 	// logf receives panic reports; defaults to log.Printf.
 	logf func(format string, args ...any)
 	// metricsReg, when non-nil (WithMetrics), backs the /metrics and
@@ -117,11 +111,6 @@ type Server struct {
 	met serverMetrics
 	// pprofOn (WithPprof) exposes net/http/pprof under /debug/pprof/.
 	pprofOn bool
-	// breakers, when non-empty (WithBreaker), holds one circuit breaker
-	// per algorithm; see resilience.go for the degradation ladder.
-	breakers         map[kpj.Algorithm]*breaker
-	breakerThreshold int
-	breakerProbes    int
 	// draining flips on at the start of graceful shutdown: /readyz turns
 	// 503 so load balancers stop routing here, and late-arriving queries
 	// are shed with 503 + Retry-After while in-flight ones finish.
@@ -194,11 +183,11 @@ func WithParallelism(int) Option {
 	return func(*Server) {}
 }
 
-// WithBoundsCacheSize sizes the cross-request cache of per-category
-// landmark bound tables (entries). n == 0 keeps the default capacity,
-// n < 0 disables the cache. Only effective when an index is configured.
-func WithBoundsCacheSize(n int) Option {
-	return func(s *Server) { s.cacheSize = n }
+// WithBoundsCacheSize is ignored: every query builds its bound tables in
+// its own workspace. It remains only because the benchmark harness in
+// bench/kpjload still calls it; it goes once that call is dropped.
+func WithBoundsCacheSize(int) Option {
+	return func(*Server) {}
 }
 
 // New builds a Server over g with an optional landmark index.
@@ -209,16 +198,6 @@ func New(g *kpj.Graph, ix *kpj.Index, opts ...Option) *Server {
 	s.hadIndex = ix != nil
 	for _, o := range opts {
 		o(s)
-	}
-	if ix != nil && s.cacheSize >= 0 {
-		s.cache = kpj.NewBoundsCache(s.cacheSize)
-	}
-	if s.breakerThreshold > 0 {
-		s.breakers = make(map[kpj.Algorithm]*breaker)
-		for _, alg := range kpj.Algorithms() {
-			s.breakers[alg] = &breaker{threshold: s.breakerThreshold, probes: s.breakerProbes}
-		}
-		s.updateBr = &breaker{threshold: s.breakerThreshold, probes: s.breakerProbes}
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -300,14 +279,10 @@ type QueryResponse struct {
 	// TimeoutMicros echoes the per-request deadline that applied (0 =
 	// none), so callers can tell how much time the query was allowed.
 	TimeoutMicros int64 `json:"timeoutMicros,omitempty"`
-	// Truncated marks degraded results: the query hit its deadline or
+	// Truncated marks partial results: the query hit its deadline or
 	// work budget and Paths holds only the prefix found in time.
-	Truncated bool `json:"truncated,omitempty"`
-	// Degraded marks a response produced in the circuit breaker's degraded
-	// execution profile (cache-bypassed); also sent as the
-	// X-Kpj-Degraded header. The paths are exact — only latency differs.
-	Degraded bool       `json:"degraded,omitempty"`
-	Stats    *kpj.Stats `json:"stats,omitempty"`
+	Truncated bool       `json:"truncated,omitempty"`
+	Stats     *kpj.Stats `json:"stats,omitempty"`
 	// Spans, present with spans=1, is the query's phase timeline:
 	// {"spans":[{name,n,startMicros,durMicros,val}...],"dropped":N}.
 	Spans json.RawMessage `json:"spans,omitempty"`
@@ -325,11 +300,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Fingerprint: ep.gen().Fingerprint(),
 		Draining:    s.draining.Load(),
 	}
-	if len(s.breakers) > 0 {
+	if s.updateBr != nil {
 		body.Breakers = map[string]string{"update": s.updateBr.state()}
-		for _, alg := range kpj.Algorithms() {
-			body.Breakers[alg.String()] = s.breakers[alg].state()
-		}
 	}
 	wire.WriteJSON(w, http.StatusOK, body)
 }
@@ -464,7 +436,7 @@ func (s *Server) parseQuery(ep *epochState, get func(string) string, withStats, 
 	if err != nil {
 		return p, fmt.Errorf("unknown alg %q", get("alg"))
 	}
-	p.opt = &kpj.Options{Algorithm: algo, Index: ep.ix, BoundsCache: s.cache}
+	p.opt = &kpj.Options{Algorithm: algo, Index: ep.ix}
 	if as := get("alpha"); as != "" {
 		alpha, err := strconv.ParseFloat(as, 64)
 		if err != nil || alpha <= 1 {
@@ -510,31 +482,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.budget > 0 && p.opt.Budget == 0 {
 		p.opt.Budget = s.budget
 	}
-	br := s.breakers[p.opt.Algorithm]
-	degraded := br.degraded()
-	if degraded {
-		p.degrade()
-	}
 	start := time.Now()
 	paths, qerr := s.execQuery(p)
 	if qerr != nil && kpj.IsInvalidQuery(qerr) {
 		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", qerr)
 		s.met.observeQuery(reqStart, true, false)
 		return
-	}
-	if br.record(!faultedQuery(qerr)) {
-		s.logf("server: circuit breaker opened for alg %q after: %v", r.URL.Query().Get("alg"), qerr)
-		s.met.trips.Inc()
-	}
-	// A query that faulted with the shared cache may succeed under the
-	// degraded profile (no shared cache) — when the breaker is now open and
-	// this attempt used the cache, retry once degraded before failing the
-	// request.
-	if faultedQuery(qerr) && !degraded && br.degraded() {
-		degraded = true
-		p.degrade()
-		paths, qerr = s.execQuery(p)
-		br.record(!faultedQuery(qerr))
 	}
 	truncated := false
 	if qerr != nil {
@@ -546,17 +499,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if degraded {
-		w.Header().Set(wire.HeaderDegraded, "1")
-		s.met.degraded.Inc()
-	}
 	resp := QueryResponse{
 		Paths:         pathsJSON(paths),
 		Micros:        time.Since(start).Microseconds(),
 		Epoch:         ep.seq,
 		TimeoutMicros: s.timeout.Microseconds(),
 		Truncated:     truncated,
-		Degraded:      degraded,
 		Stats:         p.opt.Stats,
 		Fingerprint:   gen.Fingerprint(),
 	}
@@ -637,7 +585,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Batches parallelize across queries (one worker per core).
 	results := ep.g.Batch(queries, 0, &kpj.Options{
-		Context: ctx, Index: ep.ix, Budget: s.budget, BoundsCache: s.cache})
+		Context: ctx, Index: ep.ix, Budget: s.budget})
 	out := make([]BatchResponseItem, len(items))
 	var truncatedItems int64
 	for i := range items {

@@ -17,9 +17,7 @@ import (
 // repairing the landmark index when one is loaded — and atomically
 // publishes the new (graph, index) generation. In-flight queries finish
 // on the epoch they snapshotted; a failed or invalid delta leaves the
-// serving epoch untouched. Cached per-category bound tables are migrated
-// across the epoch bump: only the categories the delta actually touched
-// are invalidated, the rest of the LRU survives warm.
+// serving epoch untouched.
 //
 // Updates are serialized by the epoch mutex, shed with 503 while the
 // server drains, and guarded by their own circuit breaker (WithBreaker):
@@ -48,8 +46,9 @@ type UpdateResponse struct {
 	// all 2·L were repaired; RepairSettled, not this flag, says what
 	// that cost.
 	FullRebuild bool `json:"fullRebuild,omitempty"`
-	// CacheMigrated and CacheDropped count bound-table cache entries that
-	// survived the epoch bump versus ones invalidated by it.
+	// CacheMigrated and CacheDropped are always 0: no bound tables
+	// outlive a query. They remain only because the benchmark harness in
+	// bench/kpjload still reads CacheDropped.
 	CacheMigrated int   `json:"cacheMigrated"`
 	CacheDropped  int   `json:"cacheDropped"`
 	Micros        int64 `json:"micros"`
@@ -86,7 +85,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.met.updateErr.Inc()
 		return
 	}
-	if s.updateBr.degraded() {
+	if s.updateBr.isOpen() {
 		// Half-open: one update at a time probes the apply path; the rest
 		// are shed so a persistent fault cannot stack mutation attempts.
 		if !s.updateProbe.CompareAndSwap(false, true) {
@@ -113,7 +112,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.met.updateErr.Inc()
 		return
 	}
-	next, resp, app, err := s.applyDelta(ep, &d)
+	next, resp, err := s.applyDelta(ep, &d)
 	if err != nil {
 		if errors.Is(err, kpj.ErrBadDelta) {
 			// A client mistake, not an apply-path fault: the breaker only
@@ -142,17 +141,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.epoch.Store(next)
-	if app != nil {
-		resp.CacheMigrated, resp.CacheDropped = app.RekeyBounds(s.cache)
-	}
 	s.maybeCheckpointLocked(next)
 	s.updateBr.record(true)
 	resp.Micros = time.Since(start).Microseconds()
 	next.gen().SetHeader(w.Header())
 	wire.WriteJSON(w, http.StatusOK, resp)
 	s.met.updates.Inc()
-	s.logf("server: epoch %d -> %d: %d delta ops, %d tables repaired (%d nodes settled), cache %d migrated / %d dropped",
-		ep.seq, next.seq, d.Ops(), resp.RepairedTables, resp.RepairSettled, resp.CacheMigrated, resp.CacheDropped)
+	s.logf("server: epoch %d -> %d: %d delta ops, %d tables repaired (%d nodes settled)",
+		ep.seq, next.seq, d.Ops(), resp.RepairedTables, resp.RepairSettled)
 }
 
 // recordUpdateFault counts an internal update failure against the update
@@ -166,20 +162,15 @@ func (s *Server) recordUpdateFault(err error) {
 }
 
 // applyDelta derives the successor epoch for d without publishing it or
-// touching any shared state: the bound-table cache still serves ep until
-// the caller, having made the successor durable and published it, calls
-// RekeyBounds on the returned Applied (nil on an unindexed server). A
-// cache rekeyed any earlier would, when the publish then fails, hold
-// tables bound to an index that never served. Called with the update
-// mutex held; on error the caller keeps the current epoch.
-func (s *Server) applyDelta(ep *epochState, d *kpj.Delta) (*epochState, *UpdateResponse, *kpj.Applied, error) {
+// touching any shared state. Called with the update mutex held; on error
+// the caller keeps the current epoch.
+func (s *Server) applyDelta(ep *epochState, d *kpj.Delta) (*epochState, *UpdateResponse, error) {
 	resp := &UpdateResponse{Epoch: ep.seq + 1}
 	var next *epochState
-	var app *kpj.Applied
 	if ep.ix != nil {
-		var err error
-		if app, err = ep.ix.Apply(d); err != nil {
-			return nil, nil, nil, err
+		app, err := ep.ix.Apply(d)
+		if err != nil {
+			return nil, nil, err
 		}
 		next = &epochState{g: app.Graph, ix: app.Index, seq: ep.seq + 1}
 		resp.RepairedTables = app.Stats.Repaired()
@@ -189,13 +180,13 @@ func (s *Server) applyDelta(ep *epochState, d *kpj.Delta) (*epochState, *UpdateR
 	} else {
 		ng, err := ep.g.WithDelta(d)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		next = &epochState{g: ng, seq: ep.seq + 1}
 	}
 	resp.Nodes = next.g.NumNodes()
 	resp.Edges = next.g.NumEdges()
-	return next, resp, app, nil
+	return next, resp, nil
 }
 
 // Epoch reports the current serving generation's sequence number.

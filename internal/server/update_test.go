@@ -198,11 +198,10 @@ func TestUpdateFaultKeepsEpoch(t *testing.T) {
 
 // TestUpdateBreaker drives the update circuit breaker around its full
 // cycle: consecutive internal apply failures open it (visible in
-// /healthz), and a successful probe update closes it again.
+// /healthz, which lists no other breaker), and a successful probe update
+// closes it again. Faulted queries never count toward it.
 func TestUpdateBreaker(t *testing.T) {
 	s, _ := testServer(t, WithLogf(t.Logf), WithBreaker(2, 1))
-	reg := fault.New().Add(fault.Rule{Point: fault.GraphApply, Nth: 1, Count: 2, Kind: fault.KindError})
-	fault.Install(reg)
 	defer fault.Install(nil)
 
 	breakerState := func() string {
@@ -213,8 +212,23 @@ func TestUpdateBreaker(t *testing.T) {
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
+		if len(out.Breakers) != 1 {
+			t.Fatalf("healthz breakers = %v, want the update breaker alone", out.Breakers)
+		}
 		return out.Breakers["update"]
 	}
+
+	fault.Install(fault.New().Add(fault.Rule{Point: fault.ServerHandler, Nth: 1, Count: 3}))
+	for i := 0; i < 3; i++ {
+		if rec, _ := get(t, s, "/query?source=0&category=hotel&k=2"); rec.Code != http.StatusInternalServerError {
+			t.Fatalf("faulted query %d: status %d", i, rec.Code)
+		}
+	}
+	if st := breakerState(); st != "closed" {
+		t.Fatalf("breaker after 3 faulted queries: %s", st)
+	}
+
+	fault.Install(fault.New().Add(fault.Rule{Point: fault.GraphApply, Nth: 1, Count: 2, Kind: fault.KindError}))
 
 	delta := `{"setWeights":[{"u":0,"v":1,"w":4}]}`
 	for i := 0; i < 2; i++ {
@@ -281,7 +295,7 @@ func TestUpdateUnindexedServer(t *testing.T) {
 // of the epoch a query claims it ran against.
 func TestUpdateQueryRace(t *testing.T) {
 	defer leaktest.Check(t)()
-	s, _ := testServer(t, WithLogf(t.Logf), WithBoundsCacheSize(8))
+	s, _ := testServer(t, WithLogf(t.Logf))
 
 	wantLen := func(epoch uint64) kpj.Weight {
 		if epoch%2 == 0 {
@@ -306,7 +320,7 @@ func TestUpdateQueryRace(t *testing.T) {
 				}
 				url := "/query?source=0&target=1&k=1"
 				if i%3 == 0 {
-					url = "/query?source=0&category=hotel&k=2" // exercise the bounds cache across epochs
+					url = "/query?source=0&category=hotel&k=2" // exercise category bound tables across epochs
 				}
 				req := httptest.NewRequest(http.MethodGet, url, nil)
 				rec := httptest.NewRecorder()

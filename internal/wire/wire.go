@@ -23,7 +23,6 @@ const (
 	HeaderExpectEpoch       = "X-Kpj-Expect-Epoch"
 	HeaderExpectFingerprint = "X-Kpj-Expect-Fingerprint"
 	HeaderErrorKind         = "X-Kpj-Error-Kind"
-	HeaderDegraded          = "X-Kpj-Degraded"
 	HeaderReplica           = "X-Kpj-Replica"
 )
 
@@ -166,9 +165,8 @@ type Readyz struct {
 	RecoverTotal *int64 `json:"recoverTotal,omitempty"`
 }
 
-// Healthz is a replica's /healthz body. Breakers maps each algorithm name,
-// and "update", to "open" or "closed"; it is present only when breakers
-// are armed.
+// Healthz is a replica's /healthz body. Breakers maps "update" to "open"
+// or "closed"; it is present only when the update breaker is armed.
 type Healthz struct {
 	Status      string            `json:"status"`
 	Nodes       int               `json:"nodes"`

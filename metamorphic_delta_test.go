@@ -14,7 +14,7 @@ import (
 
 // This file is the metamorphic churn suite for live updates: applying a
 // delta schedule through Index.Apply (epoch chain: incremental landmark
-// repair + scoped bound-cache invalidation) must be observationally
+// repair) must be observationally
 // IDENTICAL to throwing everything away and rebuilding from scratch over
 // the final graph — path for path, across every engine — and both must
 // agree with exhaustive enumeration. The deltas come from the same seeded
@@ -95,21 +95,18 @@ func deltaCaseFor(t *testing.T, i int) deltaCase {
 // runChurnCase drives one case through both worlds and compares them.
 func runChurnCase(t *testing.T, c deltaCase) {
 	// World A: the live-update chain. One index built at epoch 0, then
-	// Apply per delta (incremental repair), with the shared bounds cache
-	// rekeyed across every epoch bump.
+	// Apply per delta (incremental repair).
 	ix, err := kpj.BuildIndex(c.g, 3, 7)
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
 	lmk := ix.Landmarks()
-	cache := kpj.NewBoundsCache(32)
 	curG, curOg := c.g, c.og
 	for step, d := range c.schedule {
 		app, err := ix.Apply(d)
 		if err != nil {
 			t.Fatalf("step %d: Apply: %v", step, err)
 		}
-		app.RekeyBounds(cache)
 
 		// Metamorphic law, index level: the incrementally repaired index
 		// is entry-for-entry identical to a from-scratch build with the
@@ -175,7 +172,7 @@ func runChurnCase(t *testing.T, c deltaCase) {
 
 	oc := oracleCase{name: c.name, g: curG, og: curOg, sources: c.sources, targets: targets, k: c.k}
 	for _, alg := range allAlgorithms {
-		applied := &kpj.Options{Algorithm: alg, Index: ix, BoundsCache: cache}
+		applied := &kpj.Options{Algorithm: alg, Index: ix}
 		scratch := &kpj.Options{Algorithm: alg, Index: scratchIx}
 		got, err := curG.TopKJoinSets(c.sources, targets, c.k, applied)
 		if err != nil {

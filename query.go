@@ -134,28 +134,20 @@ type Options struct {
 	// ErrBudgetExceeded. Budgets make worst-case latency proportional to
 	// the budget regardless of graph size, k, or query difficulty.
 	Budget int64
-	// BoundsCache, when non-nil, caches the per-category landmark bound
-	// tables (the paper's Eq. 2 precomputation) across queries, so a
-	// workload that repeatedly targets the same categories skips the
-	// O(|L|·|V_T|) per-query rebuild. See NewBoundsCache. Ignored without
-	// an Index.
+	// BoundsCache is ignored: every query builds its Eq. 2 tables in its
+	// own workspace. It remains only because the benchmark harness in
+	// bench/kpjload still sets it; it goes once that use is dropped.
 	BoundsCache *BoundsCache
 }
 
-// BoundsCache is a concurrency-safe LRU cache of per-category landmark
-// bound tables, shared across queries (and safely across goroutines) via
-// Options.BoundsCache. Entries are keyed by the index's content
-// fingerprint plus the exact node set, so swapping in a rebuilt or
-// reloaded index never serves stale tables — old entries simply age out.
-type BoundsCache struct {
-	c *landmark.SetBoundsCache
-}
+// BoundsCache is an empty placeholder kept only for bench/kpjload, which
+// still creates one and passes it to Options.BoundsCache and
+// Applied.RekeyBounds; all three ignore it.
+type BoundsCache struct{}
 
-// NewBoundsCache returns a cache holding at most capacity category tables
-// (capacity <= 0 picks a default of 128).
-func NewBoundsCache(capacity int) *BoundsCache {
-	return &BoundsCache{c: landmark.NewSetBoundsCache(capacity)}
-}
+// NewBoundsCache ignores capacity and returns an empty BoundsCache; see
+// BoundsCache.
+func NewBoundsCache(int) *BoundsCache { return &BoundsCache{} }
 
 // Index is a prebuilt landmark (ALT) lower-bound index over one Graph. It
 // is immutable and safe for concurrent use, and is valid only for the
@@ -189,9 +181,9 @@ func (ix *Index) Count() int { return ix.ix.Count() }
 // Fingerprint identifies the index contents: two indexes with the same
 // fingerprint were built from identical graph topology, weights,
 // categories, and landmark sets, so their bound tables are interchangeable.
-// It keys the cross-query BoundsCache and, at the serving tier, replica
-// cache-affinity hashing (kpjrouter routes repeat queries to the replica
-// whose cache already holds their bound tables).
+// WAL replay checks it per record, and the serving tier carries it in
+// every epoch header, where kpjrouter's fences and divergence check
+// compare it across replicas.
 func (ix *Index) Fingerprint() uint64 { return ix.ix.Fingerprint() }
 
 // SizeBytes estimates the index memory footprint.
@@ -208,9 +200,6 @@ func (o *Options) coreOptions(g *Graph) (core.Options, core.Func, error) {
 		opt.Budget = o.Budget
 		if o.Index != nil {
 			opt.Index = o.Index.ix
-		}
-		if o.BoundsCache != nil {
-			opt.SetBounds = o.BoundsCache.c
 		}
 		if o.Trace != nil {
 			opt.Trace = traceWriter(o.Trace, g.NumNodes())

@@ -164,8 +164,7 @@ func BenchmarkFig11Percentile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := graph.NodeID(i % g.NumNodes())
-		tree := sssp.Dijkstra(g, graph.Forward, src)
-		if tree.Dist[src] != 0 {
+		if sssp.Dijkstra(g, graph.Forward, src)[src] != 0 {
 			b.Fatal("bad SSSP")
 		}
 	}

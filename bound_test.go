@@ -12,9 +12,8 @@ import (
 
 // boundGrid builds a w×h grid city with weights base..base+2;
 // corner-to-corner top-k queries on it have many near-tied simple paths,
-// which makes the engines do real work. Base 1 keeps every search on the
-// monotone bucket queues; a base above 2^30 (pqueue.MaxBucketEdgeWeight)
-// forces the binary-heap loops instead.
+// which makes the engines do real work. A base of 2^31 puts every key
+// beyond int32.
 func boundGrid(t testing.TB, w, h int, base kpj.Weight) *kpj.Graph {
 	t.Helper()
 	b := kpj.NewBuilder(w * h)
@@ -38,9 +37,10 @@ func boundGrid(t testing.TB, w, h int, base kpj.Weight) *kpj.Graph {
 
 // TestCanceledContext: a context canceled before the query starts must
 // stop every algorithm with ErrCanceled and a TruncatedError within 1024
-// pops — on the bucket-queue loops (base 1) and on the binary-heap loops
-// (base 2^31). 3600 nodes, so a drain loop that never polls the Bound (a
-// full SPT build, say) overshoots the cap.
+// pops — at light weights (base 1) and at heavy ones (base 2^31), whose
+// keys still run on the radix queue and must still poll the Bound.
+// 3600 nodes, so a drain loop that never polls the Bound (a full SPT
+// build, say) overshoots the cap.
 func TestCanceledContext(t *testing.T) {
 	defer leaktest.Check(t)()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -135,14 +135,18 @@ func (v variant) run(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 	case noTree:
 		e.h = goalHeuristic(ws, e.sp, q, &opt)
 	case fullTree:
+		// DA-SPT's full tree toward the virtual target: the tree search
+		// with no heuristic, grown to exhaustion ("the dominating cost of
+		// constructing the full SPT" the paper attributes to it).
 		endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
-		full, settled := ws.buildFullSPT(ws.reverseSpace(g, q.Sources, q.Targets), opt.Stats, opt.bound)
-		endSPT(int64(settled))
+		full := ws.initSPTI(ws.reverseSpace(g, q.Sources, q.Targets), nil, opt.Stats, opt.bound)
+		full.growTo(graph.Infinity)
+		endSPT(int64(full.size()))
 		if err := opt.bound.Err(); err != nil {
 			return nil, err // never trust an incomplete tree
 		}
-		e.full = full
-		e.h = ws.cachedTreeHeuristic(full, goalHeuristic(ws, e.sp, q, &opt))
+		e.full = full.t
+		e.h = ws.cachedTreeHeuristic(full.t, goalHeuristic(ws, e.sp, q, &opt))
 	default:
 		// The tree grows on one side of G_Q, the engine searches the other.
 		treeSp := ws.reverseSpace(g, q.Sources, q.Targets)
@@ -150,7 +154,7 @@ func (v variant) run(g *graph.Graph, q Query, opt Options) ([]Path, error) {
 			treeSp, e.sp = e.sp, treeSp
 		}
 		endSPT := opt.Spans.Start(obs.PhaseSPTBuild, 0)
-		tree := ws.initSPTI(treeSp, goalHeuristic(ws, treeSp, q, &opt), bucketed(g), opt.Stats, opt.bound)
+		tree := ws.initSPTI(treeSp, goalHeuristic(ws, treeSp, q, &opt), opt.Stats, opt.bound)
 		init, ok := tree.initialPath()
 		endSPT(int64(tree.size()))
 		if !ok {

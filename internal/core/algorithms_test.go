@@ -107,11 +107,46 @@ func TestFig1AllAlgorithms(t *testing.T) {
 	}
 }
 
+// shifted returns g with base added to every edge weight.
+func shifted(g *graph.Graph, base graph.Weight) *graph.Graph {
+	b := graph.NewBuilder(g.NumNodes())
+	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+		for _, e := range g.Out(u) {
+			b.AddEdge(u, e.To, base+e.W)
+		}
+	}
+	h, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 // The oracle cross-validation: on hundreds of small random graphs, every
-// algorithm must return exactly the brute-force length sequence.
+// algorithm must return exactly the brute-force length sequence. Each
+// graph also runs with 2^31 added to every weight, with and without an
+// index: keys far beyond int32 on the radix queue, and landmark tables
+// full of the inexact far32 sentinel.
 func TestAlgorithmsMatchOracleKPJ(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	algos := core.Algorithms()
+	check := func(trial int, g *graph.Graph, q core.Query, ix *landmark.Index) {
+		t.Helper()
+		want := bruteforce.Lengths(bruteforce.TopK(g, q.Sources, q.Targets, q.K))
+		for name, fn := range algos {
+			var st core.Stats
+			paths, err := fn(g, q, core.Options{Index: ix, Stats: &st})
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			got := lengthsOf(paths)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s (n=%d k=%d src=%v T=%v, maxW=%d, index=%v):\n got %v\nwant %v",
+					trial, name, g.NumNodes(), q.K, q.Sources, q.Targets, g.MaxEdgeWeight(), ix != nil, got, want)
+			}
+			checkPathsWellFormed(t, g, q, paths)
+		}
+	}
 	for trial := 0; trial < 150; trial++ {
 		n := 2 + rng.Intn(9)
 		var g *graph.Graph
@@ -127,29 +162,26 @@ func TestAlgorithmsMatchOracleKPJ(t *testing.T) {
 		src := graph.NodeID(rng.Intn(n))
 		k := 1 + rng.Intn(12)
 		q := core.Query{Sources: []graph.NodeID{src}, Targets: targets, K: k}
-		want := bruteforce.Lengths(bruteforce.TopK(g, q.Sources, q.Targets, k))
 
 		var ix *landmark.Index
+		landmarks := 0
 		if trial%2 == 0 {
 			var err error
-			ix, err = landmark.Build(g, 1+rng.Intn(3), int64(trial))
+			landmarks = 1 + rng.Intn(3)
+			ix, err = landmark.Build(g, landmarks, int64(trial))
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		for name, fn := range algos {
-			var st core.Stats
-			paths, err := fn(g, q, core.Options{Index: ix, Stats: &st})
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
-			}
-			got := lengthsOf(paths)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %s (n=%d k=%d src=%d T=%v, index=%v):\n got %v\nwant %v",
-					trial, name, n, k, src, targets, ix != nil, got, want)
-			}
-			checkPathsWellFormed(t, g, q, paths)
+		check(trial, g, q, ix)
+
+		heavy := shifted(g, 1<<31)
+		heavyIx, err := landmark.Build(heavy, max(landmarks, 1), int64(trial))
+		if err != nil {
+			t.Fatal(err)
 		}
+		check(trial, heavy, q, heavyIx)
+		check(trial, heavy, q, nil)
 	}
 }
 
@@ -228,13 +260,33 @@ func TestUnreachableTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := core.Query{Sources: []graph.NodeID{0}, Targets: []graph.NodeID{2}, K: 3}
+	// 0→1→2 at 2^30 each and 3→2, from 1 to target 3 with landmark 0:
+	// 1's bound is infinite (0 reaches 1 and no target), but δ(0,2) is
+	// the inexact far32 entry, so 2's bound drops that term and is finite.
+	// A tree must not queue its root at the infinite key: pushing 2 below
+	// it panics the radix queue.
+	far, err := graph.NewBuilder(4).AddEdge(0, 1, 1<<30).AddEdge(1, 2, 1<<30).AddEdge(3, 2, 1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	farIx, err := landmark.BuildWithLandmarks(far, []graph.NodeID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	farQ := core.Query{Sources: []graph.NodeID{1}, Targets: []graph.NodeID{3}, K: 3}
 	for name, fn := range core.Algorithms() {
-		paths, err := fn(g, q, core.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(paths) != 0 {
-			t.Fatalf("%s: got %v for unreachable target", name, paths)
+		for _, c := range []struct {
+			g   *graph.Graph
+			q   core.Query
+			opt core.Options
+		}{{g, q, core.Options{}}, {far, farQ, core.Options{Index: farIx}}} {
+			paths, err := fn(c.g, c.q, c.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(paths) != 0 {
+				t.Fatalf("%s: got %v for unreachable target", name, paths)
+			}
 		}
 	}
 }

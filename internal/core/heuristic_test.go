@@ -55,7 +55,7 @@ func TestSourceHeuristicAdmissible(t *testing.T) {
 	rev := NewReverseSpace(g, []graph.NodeID{src}, targets)
 	h := SourceHeuristic{Space: rev, Index: ix, Source: src}
 	// Remaining distance from v to the reverse goal s is δ_G(s, v).
-	exact := sssp.Dijkstra(g, graph.Forward, src).Dist
+	exact := sssp.Dijkstra(g, graph.Forward, src)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if h.H(v) > exact[v] {
 			t.Fatalf("H(%d) = %d > δ(s,v) = %d", v, h.H(v), exact[v])
@@ -78,7 +78,7 @@ func TestSourceSetHeuristicAdmissible(t *testing.T) {
 	rev := NewReverseSpace(g, sources, targets)
 	h := SourceSetHeuristic{Space: rev, Bounds: ix.BoundsFromSet(sources, new(landmark.FromBounds))}
 	offsets := make([]graph.Weight, len(sources))
-	exact := sssp.DijkstraOffsets(g, graph.Forward, sources, offsets).Dist
+	exact := sssp.DijkstraOffsets(g, graph.Forward, sources, offsets)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if h.H(v) > exact[v] {
 			t.Fatalf("H(%d) = %d > min_u δ(u,v) = %d", v, h.H(v), exact[v])

@@ -55,32 +55,24 @@ func farQuery(b *testing.B) (*graph.Graph, *landmark.Index, Query) {
 // paper's α = 1.1.
 func growTau(first graph.Weight) graph.Weight { return first + first/10 }
 
-// BenchmarkSPTGrow runs SPT_I's phase one and one growTo(1.1·δ) per op, on
-// the queue a query picks (bucket) and on the heap fallback.
+// BenchmarkSPTGrow runs SPT_I's phase one and one growTo(1.1·δ) per op.
 func BenchmarkSPTGrow(b *testing.B) {
 	g, ix, q := farQuery(b)
-	for _, queue := range []struct {
-		name   string
-		bucket bool
-	}{{"bucket", true}, {"heap", false}} {
-		b.Run(queue.name, func(b *testing.B) {
-			ws := NewWorkspace(g.NumNodes() + 2)
-			fwd := ws.forwardSpace(g, q.Sources, q.Targets)
-			h := goalHeuristic(ws, fwd, q, &Options{Index: ix})
-			var st Stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tree := ws.initSPTI(fwd, h, queue.bucket, &st, nil)
-				first, ok := tree.initialPath()
-				if !ok {
-					b.Fatal("far source reaches no T1 node")
-				}
-				tree.growTo(growTau(first.Total))
-			}
-			b.ReportMetric(float64(st.SPTNodes)/float64(b.N), "spt-nodes/op")
-		})
+	ws := NewWorkspace(g.NumNodes() + 2)
+	fwd := ws.forwardSpace(g, q.Sources, q.Targets)
+	h := goalHeuristic(ws, fwd, q, &Options{Index: ix})
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree := ws.initSPTI(fwd, h, &st, nil)
+		first, ok := tree.initialPath()
+		if !ok {
+			b.Fatal("far source reaches no T1 node")
+		}
+		tree.growTo(growTau(first.Total))
 	}
+	b.ReportMetric(float64(st.SPTNodes)/float64(b.N), "spt-nodes/op")
 }
 
 // BenchmarkDivisionCompLB computes the lower bounds of the first division
@@ -93,7 +85,7 @@ func BenchmarkDivisionCompLB(b *testing.B) {
 	fwd := ws.forwardSpace(g, q.Sources, q.Targets)
 	rev := ws.reverseSpace(g, q.Sources, q.Targets)
 	opt := &Options{Index: ix}
-	tree := ws.initSPTI(fwd, goalHeuristic(ws, fwd, q, opt), true, nil, nil)
+	tree := ws.initSPTI(fwd, goalHeuristic(ws, fwd, q, opt), nil, nil)
 	first, ok := tree.initialPath()
 	if !ok {
 		b.Fatal("far source reaches no T1 node")

@@ -3,13 +3,13 @@ package core
 import "kpj/internal/graph"
 
 // pascoal attempts the constant-time candidate of Pascoal [24] against the
-// full shortest path tree toward the virtual target (spt, built by
-// buildFullSPT over the reverse space, so Parent points toward the
-// target): among the valid first hops (u, v) of the subspace at vertex u,
-// take the one minimizing prefix + ω(u,v) + δ(v, target); if
-// concatenating the prefix, that edge, and v's tree path to the target
-// yields a simple path, it is the subspace's shortest path. Otherwise
-// ok=false and the caller must run a full search.
+// full shortest path tree toward the virtual target (spt, grown over the
+// reverse space, so Parent points toward the target): among the valid
+// first hops (u, v) of the subspace at vertex u, take the one minimizing
+// prefix + ω(u,v) + δ(v, target); if concatenating the prefix, that edge,
+// and v's tree path to the target yields a simple path, it is the
+// subspace's shortest path. Otherwise ok=false and the caller must run a
+// full search.
 //
 // Simplicity is checked with the workspace's epoch-stamped ban marks; the
 // scope is consumed before any subspaceSearch on ws begins, so sharing the

@@ -231,7 +231,7 @@ func TestChainLBsMatchCompLB(t *testing.T) {
 			fallback = SourceHeuristic{Space: rev, Index: ix, Source: src[0]}
 		}
 		ws := NewWorkspace(rev.numSpaceNodes())
-		tree := ws.initSPTI(fwd, growH, bucketed(g), nil, nil)
+		tree := ws.initSPTI(fwd, growH, nil, nil)
 		res, ok := tree.initialPath()
 		if !ok {
 			continue

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"kpj/internal/graph"
@@ -33,7 +32,7 @@ func TestPartialSPTExactDistances(t *testing.T) {
 			revH = SourceHeuristic{Space: rev, Index: ix, Source: src}
 		}
 		ws := NewWorkspace(rev.numSpaceNodes())
-		tree := ws.initSPTI(rev, revH, true, nil, nil)
+		tree := ws.initSPTI(rev, revH, nil, nil)
 		init, ok := tree.initialPath()
 		if !ok {
 			t.Fatalf("trial %d: no path in connected graph", trial)
@@ -84,12 +83,12 @@ func TestIncrementalSPTCoverage(t *testing.T) {
 			growH = CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}
 		}
 		ws := NewWorkspace(fwd.numSpaceNodes())
-		tree := ws.initSPTI(fwd, growH, true, nil, nil)
+		tree := ws.initSPTI(fwd, growH, nil, nil)
 		init, ok := tree.initialPath()
 		if !ok {
 			t.Fatalf("trial %d: no initial path", trial)
 		}
-		exactFrom := sssp.Dijkstra(g, graph.Forward, src).Dist
+		exactFrom := sssp.Dijkstra(g, graph.Forward, src)
 		exactTo := sssp.DistancesToSet(g, targets)
 		if init.Total != exactTo[src] {
 			t.Fatalf("trial %d: initial length %d, want %d", trial, init.Total, exactTo[src])
@@ -123,9 +122,9 @@ func TestIncrementalSPTCoverage(t *testing.T) {
 func TestTreeHeuristicOverlay(t *testing.T) {
 	var spt SPT
 	spt.begin(6)
-	spt.setDist(0, 7, -1)
+	spt.dist[0], spt.reach[0] = 7, spt.epoch
 	spt.settle(0)
-	spt.setDist(1, 99, -1) // reached but not settled: still fallback
+	spt.dist[1], spt.reach[1] = 99, spt.epoch // reached but not settled: still fallback
 	h := TreeHeuristic{T: &spt, Fallback: zeroHeuristic{}}
 	if h.H(0) != 7 {
 		t.Fatalf("H(0) = %d, want 7 (tree)", h.H(0))
@@ -157,13 +156,13 @@ func TestSPTIHeuristicAdmissible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := NewWorkspace(fwd.numSpaceNodes()).initSPTI(fwd, CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}, true, nil, nil)
+	tree := NewWorkspace(fwd.numSpaceNodes()).initSPTI(fwd, CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}, nil, nil)
 	if _, ok := tree.initialPath(); !ok {
 		t.Fatal("no initial path")
 	}
 	tree.growTo(1000)
 	h := TreeHeuristic{T: tree.t, Fallback: SourceHeuristic{Space: rev, Index: ix, Source: src}}
-	exact := sssp.Dijkstra(g, graph.Forward, src).Dist
+	exact := sssp.Dijkstra(g, graph.Forward, src)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if got := h.H(v); got > exact[v] {
 			t.Fatalf("TreeHeuristic.H(%d) = %d > δ(s,v) = %d", v, got, exact[v])
@@ -174,8 +173,7 @@ func TestSPTIHeuristicAdmissible(t *testing.T) {
 // far32Chain is internal/landmark's TestRepairLawFar32 fixture: a line
 // 2–3–…–7 whose edges weigh 2³⁰, so landmark distances past its second
 // hop exceed int32 and are stored as the inexact far32 sentinel, plus the
-// short branch 1–0–8–9. Its maximum weight is exactly
-// pqueue.MaxBucketEdgeWeight, so trees over it grow on the bucket queue.
+// short branch 1–0–8–9.
 func far32Chain(t *testing.T) *graph.Graph {
 	t.Helper()
 	const big = graph.Weight(1) << 30
@@ -187,9 +185,6 @@ func far32Chain(t *testing.T) *graph.Graph {
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !bucketed(g) {
-		t.Fatal("far32 chain must select the bucket queue")
 	}
 	return g
 }
@@ -287,24 +282,72 @@ func TestGrowthHeuristicsConsistent(t *testing.T) {
 	}
 }
 
-// treeState is a tree's settled set with its distances.
-func treeState(tr *sptiTree) map[graph.NodeID]graph.Weight {
-	m := map[graph.NodeID]graph.Weight{}
-	for v := graph.NodeID(0); int(v) < tr.sp.numSpaceNodes(); v++ {
-		if tr.t.Settled(v) {
-			m[v] = tr.t.Dist(v)
+// exactSpaceDist returns the exact distance of every node of sp from its
+// root, by internal/sssp over the physical graph: a virtual root sits at
+// 0, a virtual goal at its nearest member's distance, and a physical goal
+// (the single source of a reverse space) is a sink, as Space.expand makes
+// it, so the edges into it are dropped.
+func exactSpaceDist(g *graph.Graph, sp *Space, sources, targets []graph.NodeID) []graph.Weight {
+	if !sp.IsVirtual(sp.Goal) {
+		b := graph.NewBuilder(g.NumNodes())
+		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+			for _, e := range g.Out(u) {
+				if e.To != sp.Goal {
+					b.AddEdge(u, e.To, e.W)
+				}
+			}
+		}
+		var err error
+		if g, err = b.Build(); err != nil {
+			panic(err)
 		}
 	}
-	return m
+	var d []graph.Weight
+	members := targets
+	if sp.Dir == graph.Forward {
+		d = sssp.Dijkstra(g, graph.Forward, sources...)
+	} else {
+		d, members = sssp.DistancesToSet(g, targets), sources
+	}
+	d = append(d, graph.Infinity, graph.Infinity)
+	if sp.IsVirtual(sp.Root) {
+		d[sp.Root] = 0
+	}
+	if sp.IsVirtual(sp.Goal) {
+		for _, v := range members {
+			d[sp.Goal] = min(d[sp.Goal], d[v])
+		}
+	}
+	return d
 }
 
-// TestGrowthQueueIndependent is the tree counterpart of internal/sssp's
-// bucket identity test: after phase one and after every growTo(τ), a tree
-// grown on the bucket queue has settled exactly the nodes, at exactly the
-// distances, of the same tree grown on the heap — forward (SPT_I) and
-// reverse (SPT_P), with and without an index. Phase one must settle the
-// goal's key-ties for this to hold; the two queues pop ties in different
-// orders.
+// checkSettlesKeyBound fails unless tr has settled exactly its key bound
+// tau: a reached node is settled iff its key dist + h is at most tau, every
+// node whose exact key is at most tau is settled, and every settled
+// distance is exact.
+func checkSettlesKeyBound(t *testing.T, name string, tr *sptiTree, exact []graph.Weight, tau graph.Weight) {
+	t.Helper()
+	st := tr.t
+	for v := graph.NodeID(0); int(v) < tr.sp.numSpaceNodes(); v++ {
+		settled := st.Settled(v)
+		if settled && st.Dist(v) != exact[v] {
+			t.Fatalf("%s τ=%d: node %d settled at %d, exact %d", name, tau, v, st.Dist(v), exact[v])
+		}
+		if st.reach[v] == st.epoch && settled != (st.dist[v]+st.h[v] <= tau) {
+			t.Fatalf("%s τ=%d: node %d at key %d+%d has settled=%v", name, tau, v, st.dist[v], st.h[v], settled)
+		}
+		if hv := hOrZero(tr.h, v); hv < graph.Infinity && exact[v]+hv <= tau && !settled {
+			t.Fatalf("%s τ=%d: node %d at exact key %d+%d is not settled", name, tau, v, exact[v], hv)
+		}
+	}
+}
+
+// TestGrowthQueueIndependent pins what makes a tree independent of the
+// order its queue pops equal keys in: each phase settles its whole key
+// bound. After phase one (bound δ, the goal's key) and after every
+// growTo(τ), the tree has settled exactly the nodes with key ≤ τ, at their
+// exact distances — forward (SPT_I) and reverse (SPT_P), with and without
+// an index, on tie-heavy graphs and on the far32 chain.
 func TestGrowthQueueIndependent(t *testing.T) {
 	type instance struct {
 		g                *graph.Graph
@@ -346,38 +389,75 @@ func TestGrowthQueueIndependent(t *testing.T) {
 		instance{far, []graph.NodeID{9}, []graph.NodeID{0}, farIx}) // grows 3 (h near 2³¹) before 4
 
 	for i, in := range cases {
-		bucketCases := growthCases(in.g, in.ix, in.sources, in.targets)
-		heapCases := growthCases(in.g, in.ix, in.sources, in.targets)
-		for j := range bucketCases {
-			b, h := bucketCases[j], heapCases[j]
-			name := fmt.Sprintf("case %d %s", i, b.name)
-			bt := NewWorkspace(b.sp.numSpaceNodes()).initSPTI(b.sp, b.h, true, nil, nil)
-			ht := NewWorkspace(h.sp.numSpaceNodes()).initSPTI(h.sp, h.h, false, nil, nil)
-			bres, bok := bt.initialPath()
-			hres, hok := ht.initialPath()
-			if bok != hok || bres.Total != hres.Total {
-				t.Fatalf("%s: phase one found (%v, %d) on the bucket queue, (%v, %d) on the heap",
-					name, bok, bres.Total, hok, hres.Total)
+		for _, c := range growthCases(in.g, in.ix, in.sources, in.targets) {
+			name := fmt.Sprintf("case %d %s", i, c.name)
+			exact := exactSpaceDist(in.g, c.sp, in.sources, in.targets)
+			tr := NewWorkspace(c.sp.numSpaceNodes()).initSPTI(c.sp, c.h, nil, nil)
+			res, ok := tr.initialPath()
+			if ok != (exact[c.sp.Goal] < graph.Infinity) || ok && res.Total != exact[c.sp.Goal] {
+				t.Fatalf("%s: phase one found (%v, %d), exact distance %d", name, ok, res.Total, exact[c.sp.Goal])
 			}
-			if !bok {
+			if !ok {
 				continue
 			}
-			if bs, hs := treeState(bt), treeState(ht); !reflect.DeepEqual(bs, hs) {
-				t.Fatalf("%s: after phase one the bucket tree settled %v, the heap tree %v", name, bs, hs)
+			checkSettlesKeyBound(t, name+" phase one", tr, exact, res.Total)
+			for _, tau := range []graph.Weight{res.Total + 1, res.Total*3/2 + 1, res.Total*3 + 1, graph.Infinity - 1} {
+				tr.growTo(tau)
+				checkSettlesKeyBound(t, name, tr, exact, tau)
 			}
-			for _, tau := range []graph.Weight{bres.Total + 1, bres.Total * 3 / 2, bres.Total * 3, graph.Infinity - 1} {
-				bt.growTo(tau)
-				ht.growTo(tau)
-				if bs, hs := treeState(bt), treeState(ht); !reflect.DeepEqual(bs, hs) {
-					t.Fatalf("%s τ=%d: the bucket tree settled %v, the heap tree %v", name, tau, bs, hs)
-				}
-				if bt.exhausted() != ht.exhausted() {
-					t.Fatalf("%s τ=%d: exhausted %v on the bucket queue, %v on the heap", name, tau, bt.exhausted(), ht.exhausted())
-				}
-			}
-			if !bt.exhausted() {
+			if !tr.exhausted() {
 				t.Fatalf("%s: tree not exhausted after unbounded growth", name)
 			}
 		}
+	}
+}
+
+// checkParentWalks fails unless every reached node's parent walk in tr
+// ends at root within n steps.
+func checkParentWalks(t *testing.T, name string, tr *SPT, root graph.NodeID, n int) {
+	t.Helper()
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		if tr.Dist(v) >= graph.Infinity {
+			continue
+		}
+		u, steps := v, 0
+		for ; tr.Parent(u) >= 0 && steps <= n; steps++ {
+			u = tr.Parent(u)
+		}
+		if u != root {
+			t.Fatalf("%s: the parent walk from %d stops at %d after %d steps, not at the root %d", name, v, u, steps, root)
+		}
+	}
+}
+
+// TestTreeParentWalksEndAtRoot: on 0→1, 0→2 (w 1), 1→9, 2→9 (w 5) and
+// 1⇄2 (w 0), nodes 1 and 2 tie toward target 9 through each other. A tree
+// that re-parents on equal distances points them at each other, and a
+// parent walk — Pascoal's tree path in DA-SPT, phase one's first path —
+// never ends. DA-SPT's full tree and both growth trees must stay trees.
+func TestTreeParentWalksEndAtRoot(t *testing.T) {
+	b := graph.NewBuilder(10)
+	b.AddEdge(0, 1, 1).AddEdge(0, 2, 1).AddEdge(1, 9, 5).AddEdge(2, 9, 5).AddBiEdge(1, 2, 0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources, targets := []graph.NodeID{0}, []graph.NodeID{9}
+	ws := NewWorkspace(g.NumNodes() + 2)
+	q := Query{Sources: sources, Targets: targets, K: 3}
+	if _, err := Algorithms()["DA-SPT"](g, q, Options{Workspace: ws}); err != nil {
+		t.Fatal(err)
+	}
+	// The query leaves its full tree, over the reverse space, in ws.spt.
+	rev := NewReverseSpace(g, sources, targets)
+	checkParentWalks(t, "DA-SPT", &ws.spt, rev.Root, rev.numSpaceNodes())
+
+	for _, c := range growthCases(g, nil, sources, targets) {
+		tr := NewWorkspace(c.sp.numSpaceNodes()).initSPTI(c.sp, c.h, nil, nil)
+		if _, ok := tr.initialPath(); !ok {
+			t.Fatalf("%s: no first path", c.name)
+		}
+		tr.growTo(graph.Infinity)
+		checkParentWalks(t, c.name, tr.t, c.sp.Root, c.sp.numSpaceNodes())
 	}
 }

@@ -23,14 +23,18 @@ import (
 //     node on any source→V_T path of length ≤ τ, and the reverse-space
 //     TestLB prunes everything not settled here (Allow).
 //
+// DA-SPT's full tree is the same search with no heuristic, grown to
+// exhaustion (variant.run).
+//
 // Every growth heuristic is consistent (TestGrowthHeuristicsConsistent),
 // so popped keys never decrease: the tree grows on the monotone bucket
 // queue, pushing lazily on every improvement and skipping the stale
-// duplicates of settled nodes, and falls back to the decrease-key heap
-// only for weights beyond pqueue.MaxBucketEdgeWeight. The two pop ties in
-// different orders, so every phase ends on a key bound it settles all of
-// (see initialPath): the settled set and its distances are then the same
-// on either queue (TestGrowthQueueIndependent).
+// duplicates of settled nodes. The queue pops equal keys in no specified
+// order, so every phase ends on a key bound it settles all of (see
+// initialPath): the settled set and its distances then do not depend on
+// that order (TestGrowthQueueIndependent). A node is re-parented only on
+// a strict improvement, so parents follow settle order and every parent
+// walk ends at the root, zero-weight cycles included.
 //
 // The tree state lives in the workspace's shared SPT scratch; only this
 // thin driver is per-query.
@@ -39,9 +43,7 @@ type sptiTree struct {
 	h  Heuristic // growth key heuristic toward sp's goal (or zero)
 	t  *SPT
 	ws *Workspace
-	// Exactly one queue is set: bq for bucketed graphs, hq otherwise.
 	bq *pqueue.BucketQueue
-	hq *pqueue.NodeQueue
 	// open counts reached but unsettled nodes. The bucket queue's length
 	// also counts stale duplicates, so exhaustion is read from here.
 	open int
@@ -51,18 +53,19 @@ type sptiTree struct {
 	bound    *Bound
 }
 
-// initSPTI seeds the workspace-cached tree over sp for a new query, to
-// grow on the bucket queue or on the heap (queries pass bucketed(sp.G)).
-func (ws *Workspace) initSPTI(sp *Space, h Heuristic, bucket bool, st *Stats, bound *Bound) *sptiTree {
+// initSPTI seeds the workspace-cached tree over sp for a new query; h nil
+// grows a plain Dijkstra tree. Like every node, the root joins the tree
+// only under a finite bound: an infinite one proves it reaches no goal,
+// and its neighbours' finite bounds (a far32 entry drops a term) would
+// key below it.
+func (ws *Workspace) initSPTI(sp *Space, h Heuristic, st *Stats, bound *Bound) *sptiTree {
 	t := &ws.spti
 	*t = sptiTree{sp: sp, h: h, t: &ws.spt, ws: ws, st: st, bound: bound}
 	t.t.begin(sp.numSpaceNodes())
-	if bucket {
-		t.bq = t.t.bucket()
-	} else {
-		t.hq = t.t.heap()
+	t.bq = t.t.bucket()
+	if hv := hOrZero(h, sp.Root); hv < graph.Infinity {
+		t.improve(sp.Root, 0, hv, -1)
 	}
-	t.improve(sp.Root, 0, hOrZero(h, sp.Root), -1)
 	return t
 }
 
@@ -74,23 +77,13 @@ func (t *sptiTree) improve(v graph.NodeID, d, hv graph.Weight, parent graph.Node
 		t.open++
 	}
 	tr.dist[v], tr.h[v], tr.parent[v], tr.reach[v] = d, hv, parent, tr.epoch
-	if t.bq != nil {
-		t.bq.Push(v, d+hv)
-	} else {
-		t.hq.PushOrDecrease(v, d+hv)
-	}
+	t.bq.Push(v, d+hv)
 }
 
 // top returns the smallest key of a reached but unsettled node, dropping
-// the stale bucket-queue duplicates ahead of it; ok is false once the tree
-// is exhausted.
+// the stale queue duplicates ahead of it; ok is false once the tree is
+// exhausted.
 func (t *sptiTree) top() (key graph.Weight, ok bool) {
-	if t.hq != nil {
-		if t.hq.Len() == 0 {
-			return 0, false
-		}
-		return t.hq.TopKey(), true
-	}
 	for t.bq.Len() > 0 {
 		v, key := t.bq.Top()
 		if !t.t.Settled(v) {
@@ -117,12 +110,7 @@ func (t *sptiTree) settleNext(tau graph.Weight) bool {
 	if t.bound.Step() != nil {
 		return false
 	}
-	var v graph.NodeID
-	if t.bq != nil {
-		v, _ = t.bq.Pop()
-	} else {
-		v, _ = t.hq.Pop()
-	}
+	v, _ := t.bq.Pop()
 	tr := t.t
 	tr.settle(v)
 	t.open--

@@ -304,7 +304,7 @@ func Fig11(e *Env) ([]Table, error) {
 		var sample []graph.Weight
 		for i := 0; i < fig11Samples; i++ {
 			src := graph.NodeID(rng.Intn(g.NumNodes()))
-			for _, d := range sssp.Dijkstra(g, graph.Forward, src).Dist {
+			for _, d := range sssp.Dijkstra(g, graph.Forward, src) {
 				if d < graph.Infinity {
 					sample = append(sample, d)
 				}

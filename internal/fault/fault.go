@@ -1,8 +1,9 @@
 // Package fault implements deterministic fault injection for chaos
 // testing. Production code is threaded with named fault points — Hit
 // calls at the places where real deployments fail: file parsing, index
-// loading, batch workers, subspace searches, cache inserts, request
-// handlers. A seed-scheduled plan of rules decides, per point, at which
+// loading and building, graph deltas, WAL writes and replay, batch
+// workers, subspace searches, tree growth, request handlers and router
+// attempts. A seed-scheduled plan of rules decides, per point, at which
 // hit ordinal to inject a typed error, a panic, or extra latency, so a
 // whole failure scenario replays bit-identically from one integer seed.
 //
@@ -50,8 +51,8 @@ const (
 	// engine, whichever row of its variant table runs (the mid-resolve
 	// site).
 	SubspaceSearch Point = "subspace.search"
-	// SPTGrow fires once per node settled during SPT_I / SPT_P growth
-	// (the mid-SPT-growth site).
+	// SPTGrow fires once per node settled during tree growth: SPT_I,
+	// SPT_P and DA-SPT's full tree (the mid-SPT-growth site).
 	SPTGrow Point = "spt.grow"
 	// ServerHandler fires in the HTTP server once per /query execution.
 	// Panics here are recovered by the handler.

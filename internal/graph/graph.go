@@ -121,8 +121,8 @@ func (g *Graph) InDegree(v NodeID) int {
 }
 
 // MaxEdgeWeight returns the heaviest edge weight in the graph (0 when there
-// are no edges). Searches use it to decide whether the integer-weight bucket
-// queue is applicable (see pqueue.MaxBucketEdgeWeight).
+// are no edges). It feeds the flat file header and FromCSR's check; no
+// search reads it.
 func (g *Graph) MaxEdgeWeight() Weight { return g.maxW }
 
 // HasEdge reports whether the directed edge (u, v) exists and, if so,

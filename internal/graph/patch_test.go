@@ -342,7 +342,7 @@ func absentFrom(t *testing.T, g *graph.Graph, cat string) graph.NodeID {
 // is the proof that readers and the patcher never touch the same memory.
 func TestApplyConcurrentWithReaders(t *testing.T) {
 	parent := roadGraph(t, 40)
-	want := sssp.Dijkstra(parent, graph.Forward, 0).Dist[parent.NumNodes()-1]
+	want := sssp.Dijkstra(parent, graph.Forward, 0)[parent.NumNodes()-1]
 	rng := rand.New(rand.NewSource(11))
 
 	var wg sync.WaitGroup
@@ -361,7 +361,7 @@ func TestApplyConcurrentWithReaders(t *testing.T) {
 				if dir == graph.Backward {
 					src, dst = dst, src
 				}
-				if got := sssp.Dijkstra(g, dir, src).Dist[dst]; got != want {
+				if got := sssp.Dijkstra(g, dir, src)[dst]; got != want {
 					t.Errorf("reader saw distance %d, want %d", got, want)
 					return
 				}
@@ -390,7 +390,7 @@ func TestApplyConcurrentWithReaders(t *testing.T) {
 		}
 		if level == 0 {
 			wg.Add(1)
-			go read(cur, sssp.Dijkstra(cur, graph.Forward, 0).Dist[cur.NumNodes()-1])
+			go read(cur, sssp.Dijkstra(cur, graph.Forward, 0)[cur.NumNodes()-1])
 		}
 	}
 	close(stop)

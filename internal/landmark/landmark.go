@@ -123,7 +123,7 @@ func BuildParallel(g *graph.Graph, count int, seed int64, parallelism int) (*Ind
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			bwd[i] = compress(sssp.Dijkstra(g, graph.Backward, w).Dist)
+			bwd[i] = compress(sssp.Dijkstra(g, graph.Backward, w))
 		}()
 	}
 
@@ -131,7 +131,7 @@ func BuildParallel(g *graph.Graph, count int, seed int64, parallelism int) (*Ind
 	// from a random start; each next landmark is the node farthest from
 	// the chosen set (min-distance to the set, unreachable = infinitely
 	// far, ties broken by smaller id for determinism).
-	distToSet := sssp.Dijkstra(g, graph.Forward, start).Dist
+	distToSet := sssp.Dijkstra(g, graph.Forward, start)
 	chosen := make([]graph.NodeID, 0, count)
 	fwd := make([][]int32, 0, count)
 	inSet := make([]bool, n)
@@ -152,7 +152,7 @@ func BuildParallel(g *graph.Graph, count int, seed int64, parallelism int) (*Ind
 		}
 		chosen = append(chosen, best)
 		inSet[best] = true
-		from := sssp.Dijkstra(g, graph.Forward, best).Dist
+		from := sssp.Dijkstra(g, graph.Forward, best)
 		fwd = append(fwd, compress(from)) // the selection Dijkstra IS the fwd table
 		runBwd(len(chosen)-1, best)
 		for v := 0; v < n; v++ {
@@ -242,9 +242,9 @@ func BuildWithLandmarksParallel(g *graph.Graph, landmarks []graph.NodeID, parall
 					return
 				}
 				if t < len(ids) {
-					fwd[t] = compress(sssp.Dijkstra(g, graph.Forward, ids[t]).Dist)
+					fwd[t] = compress(sssp.Dijkstra(g, graph.Forward, ids[t]))
 				} else {
-					bwd[t-len(ids)] = compress(sssp.Dijkstra(g, graph.Backward, ids[t-len(ids)]).Dist)
+					bwd[t-len(ids)] = compress(sssp.Dijkstra(g, graph.Backward, ids[t-len(ids)]))
 				}
 			}
 		}()

@@ -103,7 +103,7 @@ func TestPairLowerBoundAdmissible(t *testing.T) {
 		}
 		ix := buildIndex(t, g, 1+rng.Intn(5), int64(trial))
 		for u := graph.NodeID(0); int(u) < n; u++ {
-			exact := sssp.Dijkstra(g, graph.Forward, u).Dist
+			exact := sssp.Dijkstra(g, graph.Forward, u)
 			for v := graph.NodeID(0); int(v) < n; v++ {
 				lb := ix.LowerBound(u, v)
 				if lb > exact[v] {

@@ -114,7 +114,7 @@ func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, paralleli
 			return
 		}
 		dir, root := old.column(j.col)
-		for v, d := range sssp.Dijkstra(newG, dir, root).Dist {
+		for v, d := range sssp.Dijkstra(newG, dir, root) {
 			e := compress1(d)
 			if e != unreach32 {
 				j.settled++ // Dijkstra pops every reachable node exactly once non-stale

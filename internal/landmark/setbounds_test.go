@@ -29,7 +29,7 @@ func TestBoundsFromSetAdmissible(t *testing.T) {
 		sources := testgraphs.RandomCategory(rng, g, "S", size)
 		bounds := ix.BoundsFromSet(sources, new(FromBounds))
 		offsets := make([]graph.Weight, len(sources))
-		exact := sssp.DijkstraOffsets(g, graph.Forward, sources, offsets).Dist
+		exact := sssp.DijkstraOffsets(g, graph.Forward, sources, offsets)
 		for v := graph.NodeID(0); int(v) < n; v++ {
 			lb := bounds.LowerBound(v)
 			if lb > exact[v] {
@@ -63,7 +63,7 @@ func TestBoundsFromSetSingleton(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := ix.BoundsFromSet([]graph.NodeID{testgraphs.V1}, new(FromBounds))
-	exact := sssp.Dijkstra(g, graph.Forward, testgraphs.V1).Dist
+	exact := sssp.Dijkstra(g, graph.Forward, testgraphs.V1)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if lb := b.LowerBound(v); lb > exact[v] {
 			t.Fatalf("lb(v1,%d) = %d > δ = %d", v, lb, exact[v])

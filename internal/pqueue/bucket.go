@@ -2,14 +2,6 @@ package pqueue
 
 import "math/bits"
 
-// MaxBucketEdgeWeight is the selection rule for BucketQueue: callers running
-// a plain (monotone) Dijkstra over a graph whose maximum edge weight is in
-// (0, MaxBucketEdgeWeight] should prefer a BucketQueue; beyond that the key
-// range is unfriendly (too many significant bits per redistribution) and the
-// binary-heap NodeQueue wins. The bound is generous on purpose: road-network
-// weights (travel times, scaled distances) sit far below it.
-const MaxBucketEdgeWeight = int64(1) << 30
-
 // bqItem is one queued (node, key) pair.
 type bqItem struct {
 	node int32
@@ -25,7 +17,8 @@ type bqItem struct {
 // key. Bucket i holds items whose key first differs from the last popped key
 // at bit i-1, so each redistribution moves an item to a strictly lower
 // bucket; any item is touched O(64) times total, and in practice O(log C)
-// for maximum edge weight C. Keys must be non-negative.
+// for maximum edge weight C. Keys must be non-negative; any such int64 key
+// works, however heavy the weights behind it.
 //
 // A* with a consistent heuristic (h(u) ≤ w(u,v) + h(v) on every edge) is
 // monotone too, since a relaxed key dist(u) + w + h(v) never falls below the
@@ -34,9 +27,8 @@ type bqItem struct {
 // inconsistent heuristics (the subspace searches of internal/core mix exact
 // tree distances with landmark bounds, re-expand nodes and can push keys
 // below the current minimum); those keep NodeQueue. Pop order among equal
-// keys differs from NodeQueue, so callers that need queue-independent output
-// must derive it canonically (see sssp's parent tie-breaking) or settle
-// every tie before reading it (internal/core's growTo).
+// keys is unspecified, so a caller whose output must not depend on it
+// settles every tie before reading it (internal/core's growTo).
 //
 // The zero value is ready to use with last popped key 0.
 type BucketQueue struct {

@@ -189,23 +189,3 @@ func TestBucketQueueDijkstraEquivalence(t *testing.T) {
 		}
 	}
 }
-
-func TestNodeQueueGrowPreservesState(t *testing.T) {
-	q := NewNodeQueue(2)
-	q.PushOrDecrease(0, 9)
-	q.PushOrDecrease(1, 3)
-	q.Grow(100)
-	if !q.Contains(0) || !q.Contains(1) || q.Contains(50) {
-		t.Fatal("Grow corrupted containment stamps")
-	}
-	q.PushOrDecrease(99, 1)
-	if v, _ := q.Pop(); v != 99 {
-		t.Fatal("Grow broke heap over extended id space")
-	}
-	if v, _ := q.Pop(); v != 1 {
-		t.Fatal("Grow lost pre-growth ordering")
-	}
-	if v, _ := q.Pop(); v != 0 {
-		t.Fatal("Grow lost pre-growth node")
-	}
-}

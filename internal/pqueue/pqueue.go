@@ -3,13 +3,14 @@
 //   - Heap[T]: a plain generic binary min-heap, used for the subspace queue
 //     Q of the best-first paradigm (paper Alg. 2 and Alg. 4).
 //   - NodeQueue: an indexed (decrease-key) min-heap over dense node ids with
-//     epoch-based O(1) reset, used by the subspace searches and by every
-//     Dijkstra/A* style search whose weights exceed MaxBucketEdgeWeight.
-//     The epoch trick avoids O(n) clearing between the O(k·n) per-subspace
-//     searches a single query performs.
-//   - BucketQueue: a monotone radix queue with lazy insertion, used by the
-//     label-setting searches whose popped keys never decrease: Dijkstra
-//     and the consistent-bound growth of the shortest path trees.
+//     epoch-based O(1) reset, used only by the subspace searches, whose
+//     keys may fall below the last popped one. The epoch trick avoids O(n)
+//     clearing between the O(k·n) per-subspace searches a single query
+//     performs.
+//   - BucketQueue: a monotone radix queue with lazy insertion, used by
+//     every label-setting search whose popped keys never decrease —
+//     Dijkstra and the growth of the shortest path trees — for any
+//     non-negative int64 key.
 package pqueue
 
 // Heap is a binary min-heap ordered by the provided less function.
@@ -114,18 +115,6 @@ func NewNodeQueue(n int) *NodeQueue {
 	}
 }
 
-// Grow extends the id space to at least n nodes, preserving contents.
-func (q *NodeQueue) Grow(n int) {
-	if len(q.pos) >= n {
-		return
-	}
-	pos := make([]int32, n)
-	copy(pos, q.pos)
-	stamp := make([]uint32, n)
-	copy(stamp, q.stamp)
-	q.pos, q.stamp = pos, stamp
-}
-
 // Len returns the number of queued nodes.
 func (q *NodeQueue) Len() int { return len(q.nodes) }
 
@@ -148,12 +137,6 @@ func (q *NodeQueue) Contains(v int32) bool {
 	return q.stamp[v] == q.epoch
 }
 
-// Key returns the key of a queued node. The result is meaningless if
-// Contains(v) is false.
-func (q *NodeQueue) Key(v int32) int64 {
-	return q.keys[q.pos[v]]
-}
-
 // PushOrDecrease inserts node v with the given key, or lowers its key if v
 // is already queued with a larger key. It reports whether the queue
 // changed. Attempts to raise a key are ignored (Dijkstra never needs them).
@@ -174,10 +157,6 @@ func (q *NodeQueue) PushOrDecrease(v int32, key int64) bool {
 	q.up(len(q.nodes) - 1)
 	return true
 }
-
-// TopKey returns the minimum key without removing it. It panics on an
-// empty queue.
-func (q *NodeQueue) TopKey() int64 { return q.keys[0] }
 
 // Pop removes and returns the node with minimum key. It panics on an empty
 // queue.

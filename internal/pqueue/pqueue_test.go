@@ -109,12 +109,6 @@ func TestNodeQueueBasics(t *testing.T) {
 	if !q.Contains(3) || q.Contains(4) {
 		t.Fatal("Contains wrong")
 	}
-	if q.Key(3) != 30 {
-		t.Fatalf("Key(3) = %d", q.Key(3))
-	}
-	if q.TopKey() != 10 {
-		t.Fatalf("TopKey = %d", q.TopKey())
-	}
 	v, k := q.Pop()
 	if v != 7 || k != 10 {
 		t.Fatalf("Pop = (%d,%d), want (7,10)", v, k)
@@ -164,19 +158,6 @@ func TestNodeQueueEpochWrap(t *testing.T) {
 	q.PushOrDecrease(1, 3)
 	if v, _ := q.Pop(); v != 1 {
 		t.Fatal("queue broken after epoch wrap")
-	}
-}
-
-func TestNodeQueueGrow(t *testing.T) {
-	q := NewNodeQueue(1)
-	q.PushOrDecrease(0, 4)
-	q.Grow(5)
-	q.PushOrDecrease(4, 1)
-	if v, _ := q.Pop(); v != 4 {
-		t.Fatal("Grow broke ordering")
-	}
-	if v, _ := q.Pop(); v != 0 {
-		t.Fatal("Grow lost node 0")
 	}
 }
 

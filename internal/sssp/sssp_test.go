@@ -41,18 +41,46 @@ func bellmanFord(g *graph.Graph, dir graph.Direction, sources []graph.NodeID, of
 	return dist
 }
 
+// reweighed rebuilds g with every edge weight redrawn: zero for one edge
+// in four, else base + [0, 20]. Base 2^31 puts keys far beyond int32 on
+// the radix queue, next to zero-weight ties.
+func reweighed(rng *rand.Rand, g *graph.Graph, base graph.Weight) *graph.Graph {
+	b := graph.NewBuilder(g.NumNodes())
+	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+		for _, e := range g.Out(u) {
+			w := base + rng.Int63n(21)
+			if rng.Intn(4) == 0 {
+				w = 0
+			}
+			b.AddEdge(u, e.To, w)
+		}
+	}
+	h, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func TestDijkstraMatchesBellmanFordRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	wrng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(40)
 		g := testgraphs.Random(rng, n, 3, 20, trial%2 == 0)
 		src := graph.NodeID(rng.Intn(n))
-		for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
-			tree := Dijkstra(g, dir, src)
-			want := bellmanFord(g, dir, []graph.NodeID{src}, []graph.Weight{0})
-			for v := 0; v < n; v++ {
-				if tree.Dist[v] != want[v] {
-					t.Fatalf("trial %d dir %v: Dist[%d] = %d, want %d", trial, dir, v, tree.Dist[v], want[v])
+		for _, base := range []graph.Weight{-1, 0, 1 << 31} { // -1: g as drawn
+			h := g
+			if base >= 0 {
+				h = reweighed(wrng, g, base)
+			}
+			for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
+				dist := Dijkstra(h, dir, src)
+				want := bellmanFord(h, dir, []graph.NodeID{src}, []graph.Weight{0})
+				for v := 0; v < n; v++ {
+					if dist[v] != want[v] {
+						t.Fatalf("trial %d base %d dir %v: dist[%d] = %d, want %d", trial, base, dir, v, dist[v], want[v])
+					}
 				}
 			}
 		}
@@ -71,31 +99,32 @@ func TestDijkstraMultiSourceOffsets(t *testing.T) {
 			sources[i] = graph.NodeID(rng.Intn(n))
 			offsets[i] = graph.Weight(rng.Intn(10))
 		}
-		tree := DijkstraOffsets(g, graph.Forward, sources, offsets)
+		dist := DijkstraOffsets(g, graph.Forward, sources, offsets)
 		want := bellmanFord(g, graph.Forward, sources, offsets)
 		for v := 0; v < n; v++ {
-			if tree.Dist[v] != want[v] {
-				t.Fatalf("trial %d: Dist[%d] = %d, want %d", trial, v, tree.Dist[v], want[v])
+			if dist[v] != want[v] {
+				t.Fatalf("trial %d: dist[%d] = %d, want %d", trial, v, dist[v], want[v])
 			}
 		}
 	}
 }
 
+// On a strongly connected graph every node but the source has a parent:
+// an in-edge (p, v) with dist[p] + w = dist[v], so a shortest-path tree
+// can be read off the distances.
 func TestDijkstraTreeParentsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := testgraphs.RandomConnected(rng, 60, 120, 30)
-	tree := Dijkstra(g, graph.Forward, 0)
+	dist := Dijkstra(g, graph.Forward, 0)
 	for v := graph.NodeID(1); int(v) < g.NumNodes(); v++ {
-		p := tree.Parent[v]
-		if p < 0 {
-			t.Fatalf("connected graph: node %d has no parent", v)
+		parent := graph.NodeID(-1)
+		for _, e := range g.In(v) {
+			if dist[e.To]+e.W == dist[v] {
+				parent = e.To
+			}
 		}
-		w, ok := g.HasEdge(p, v)
-		if !ok {
-			t.Fatalf("parent edge (%d,%d) missing", p, v)
-		}
-		if tree.Dist[p]+w != tree.Dist[v] {
-			t.Fatalf("tree edge (%d,%d): %d + %d != %d", p, v, tree.Dist[p], w, tree.Dist[v])
+		if parent < 0 {
+			t.Fatalf("connected graph: node %d at %d has no tight in-edge", v, dist[v])
 		}
 	}
 }
@@ -122,33 +151,38 @@ func TestDistancesToSetFig1(t *testing.T) {
 	}
 }
 
-// Property (testing/quick): Dijkstra's output is a relaxation fixpoint —
-// dist[src] = 0, every edge satisfies dist[v] ≤ dist[u] + w, and every
-// reached node's parent edge is tight.
+// Property (testing/quick): Dijkstra's output is a relaxation fixpoint
+// that a shortest-path tree can be read off — dist[src] = 0, every edge
+// satisfies dist[v] ≤ dist[u] + w, and every other reached node has a
+// tight in-edge (p, v) with dist[p] + w = dist[v], its tree parent.
 func TestDijkstraFixpointProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	check := func(nRaw uint8, degRaw, srcRaw uint16, undirected bool) bool {
 		n := 1 + int(nRaw%40)
 		g := testgraphs.Random(rng, n, 1+int(degRaw%4), 12, undirected)
 		src := graph.NodeID(int(srcRaw) % n)
-		tree := Dijkstra(g, graph.Forward, src)
-		if tree.Dist[src] != 0 {
+		dist := Dijkstra(g, graph.Forward, src)
+		if dist[src] != 0 {
 			return false
 		}
 		for u := graph.NodeID(0); int(u) < n; u++ {
-			if !tree.Reached(u) {
+			if dist[u] >= graph.Infinity {
 				continue
 			}
 			for _, e := range g.Out(u) {
-				if tree.Dist[e.To] > tree.Dist[u]+e.W {
+				if dist[e.To] > dist[u]+e.W {
 					return false // relaxable edge remains
 				}
 			}
-			if p := tree.Parent[u]; p >= 0 {
-				w, ok := g.HasEdge(p, u)
-				if !ok || tree.Dist[p]+w != tree.Dist[u] {
-					return false // parent edge not tight
-				}
+			if u == src {
+				continue
+			}
+			tight := false
+			for _, e := range g.In(u) {
+				tight = tight || dist[e.To]+e.W == dist[u]
+			}
+			if !tight {
+				return false // no parent edge explains dist[u]
 			}
 		}
 		return true

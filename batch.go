@@ -3,35 +3,22 @@ package kpj
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kpj/internal/core"
 	"kpj/internal/fault"
 	"kpj/internal/obs"
 )
 
-// Transient-fault retry policy for batch items: an attempt that fails with
-// a fault.ErrTransient-wrapping error (injected transient faults only —
-// cancellation and budget exhaustion are never retried, the caller asked
-// for those) is retried up to batchRetries more times with exponential
-// backoff from batchRetryBase plus a deterministic per-worker jitter.
-const (
-	batchRetries   = 2
-	batchRetryBase = 250 * time.Microsecond
-)
-
-// runBatchAttempt executes one attempt of one batch item. A panic escaping
-// the engine is converted into an ErrWorkerPanic-wrapping truncated result
-// instead of killing the whole batch; the BatchWorker fault point can fail
-// the attempt before the query starts.
-func runBatchAttempt(g *Graph, fn core.Func, q core.Query, opt core.Options) (paths []Path, err error) {
+// runBatchItem executes one batch item. A panic escaping the engine is
+// converted into an ErrWorkerPanic-wrapping truncated result instead of
+// killing the whole batch; the BatchWorker fault point can fail the item
+// before the query starts, with that error and no paths.
+func runBatchItem(g *Graph, fn core.Func, q core.Query, opt core.Options) (paths []Path, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			paths, err = finishQuery(nil, fmt.Errorf("%w: %v", ErrWorkerPanic, rec))
@@ -139,9 +126,6 @@ func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []Bat
 			workerOpt := copt
 			workerOpt.Workspace = g.getWorkspace()
 			defer g.putWorkspace(workerOpt.Workspace)
-			// Jitter source for transient-fault backoff: seeded per worker
-			// so batch runs stay reproducible end to end.
-			rng := rand.New(rand.NewSource(int64(w) + 1))
 			var st Stats
 			// With engine metrics enabled each query runs against a
 			// per-query scratch Stats so its work can be observed
@@ -171,20 +155,10 @@ func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []Bat
 				}
 				bq := queries[i]
 				q := core.Query{Sources: dedupe(bq.Sources), Targets: dedupe(bq.Targets), K: bq.K}
-				for attempt := 0; ; attempt++ {
-					if traces != nil {
-						// A retried attempt replays its trace from scratch so
-						// the merged output shows only the attempt that stood.
-						traces[i].Reset()
-						workerOpt.Trace = traceWriter(&traces[i], g.NumNodes())
-					}
-					results[i].Paths, results[i].Err = runBatchAttempt(g, fn, q, workerOpt)
-					if attempt >= batchRetries || !errors.Is(results[i].Err, fault.ErrTransient) || done() {
-						break
-					}
-					delay := batchRetryBase << attempt
-					time.Sleep(delay + time.Duration(rng.Int63n(int64(batchRetryBase))))
+				if traces != nil {
+					workerOpt.Trace = traceWriter(&traces[i], g.NumNodes())
 				}
+				results[i].Paths, results[i].Err = runBatchItem(g, fn, q, workerOpt)
 				if perQuery {
 					observeQuery(&qst, copt.Budget, results[i].Err)
 					st.Add(qst)

@@ -5,22 +5,29 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"kpj"
 	"kpj/internal/bruteforce"
 	"kpj/internal/fault"
-	"kpj/internal/graph"
 	"kpj/internal/leaktest"
 )
 
 // This file is the chaos suite: the oracle cases of oracle_test.go
-// replayed under seeded fault-injection schedules (internal/fault). The
-// invariant under ANY schedule is the failure contract:
+// replayed under seeded work budgets and, at the batch worker, seeded
+// fault-injection schedules (internal/fault). The engine itself does no
+// I/O and has no fault point, so a query's answer is shortened only by a
+// budget, a deadline or a recovered panic. The invariant under ANY
+// schedule is the failure contract:
 //
 //   - a clean finish returns exactly the oracle answer;
-//   - an injected fault surfaces as a *TruncatedError whose paths are a
-//     valid prefix of the oracle answer (never a wrong or invalid path);
+//   - a budget trip or a recovered panic surfaces as a *TruncatedError
+//     whose paths are a valid prefix of the oracle answer (never a wrong
+//     or invalid path); an injected batch-worker error fails its item
+//     with no paths;
 //   - no goroutine leaks, no process death, and engine metrics stay
 //     consistent with the number of queries issued.
 //
@@ -36,22 +43,14 @@ func chaosInstall(t *testing.T, r *fault.Registry) {
 	t.Cleanup(func() { fault.Install(nil) })
 }
 
-// oracleAnswer computes the exhaustive answer for an oracle case.
-func oracleAnswer(c oracleCase) []bruteforce.Path {
-	ogSources := make([]graph.NodeID, len(c.sources))
-	for i, s := range c.sources {
-		ogSources[i] = graph.NodeID(s)
-	}
-	ogTargets := make([]graph.NodeID, len(c.targets))
-	for i, tg := range c.targets {
-		ogTargets[i] = graph.NodeID(tg)
-	}
-	return bruteforce.TopK(c.og, ogSources, ogTargets, c.k)
-}
+// chaosBudgetCap bounds the seeded budgets: above the largest budget an
+// oracle case needs to complete (524 units, DA on case012), so schedules
+// mix truncated and complete answers.
+const chaosBudgetCap = 640
 
-// classifyChaos checks one faulted query outcome against the contract and
-// returns its class ("correct", "truncated", "error"); any violation
-// fails the test. want is the oracle answer.
+// classifyChaos checks one query outcome against the contract and returns
+// its class ("correct", "truncated", "error"); any violation fails the
+// test. want is the oracle answer.
 func classifyChaos(t *testing.T, c oracleCase, alg kpj.Algorithm,
 	paths []kpj.Path, err error, want []bruteforce.Path) string {
 	t.Helper()
@@ -67,17 +66,20 @@ func classifyChaos(t *testing.T, c oracleCase, alg kpj.Algorithm,
 		}
 		return "correct"
 	}
-	if !errors.Is(err, kpj.ErrInjectedFault) && !errors.Is(err, kpj.ErrWorkerPanic) {
-		t.Fatalf("%s: error is not fault-typed: %v", alg, err)
+	if errors.Is(err, fault.ErrInjected) {
+		// An injected batch-worker error fails its item before the query
+		// runs: no paths, no truncation wrapper.
+		if _, ok := kpj.Truncated(err); ok || len(paths) != 0 {
+			t.Fatalf("%s: injected error %v alongside %d paths", alg, err, len(paths))
+		}
+		return "error"
+	}
+	if !errors.Is(err, kpj.ErrBudgetExceeded) && !errors.Is(err, kpj.ErrWorkerPanic) {
+		t.Fatalf("%s: error is neither a budget trip nor a recovered panic: %v", alg, err)
 	}
 	partial, ok := kpj.Truncated(err)
 	if !ok {
-		// A typed error without a truncation wrapper carries no paths;
-		// acceptable, but the return value must agree.
-		if len(paths) != 0 {
-			t.Fatalf("%s: non-truncated error %v alongside %d paths", alg, err, len(paths))
-		}
-		return "error"
+		t.Fatalf("%s: %v is not a TruncatedError", alg, err)
 	}
 	if len(partial) != len(paths) {
 		t.Fatalf("%s: error carries %d paths, return carries %d", alg, len(partial), len(paths))
@@ -95,10 +97,11 @@ func classifyChaos(t *testing.T, c oracleCase, alg kpj.Algorithm,
 	return "truncated"
 }
 
-// TestChaosOracleSchedules replays oracle cases under seeded fault
-// schedules: 60 schedules, each a fresh case plus a fault.Plan over the
-// query-time points, run through every algorithm. Every outcome must
-// classify cleanly and no schedule may leak a goroutine.
+// TestChaosOracleSchedules replays oracle cases under seeded budgets: 60
+// schedules, each a fresh case run through every algorithm, each run with
+// its own budget drawn from the schedule's seed. Every outcome must
+// classify cleanly, the schedules must mix complete and truncated
+// answers, and no schedule may leak a goroutine.
 func TestChaosOracleSchedules(t *testing.T) {
 	schedules := 60
 	if testing.Short() {
@@ -110,28 +113,13 @@ func TestChaosOracleSchedules(t *testing.T) {
 			defer leaktest.Check(t)()
 			c := oracleCaseFor(t, seed%20)
 			want := oracleAnswer(c)
-			// Build the index before installing faults: this schedule
-			// exercises query-time points; load/build points have their
-			// own test below.
-			var opt kpj.Options
-			if c.index {
-				ix, err := kpj.BuildIndex(c.g, 3, 7)
-				if err != nil {
-					t.Fatalf("BuildIndex: %v", err)
-				}
-				opt.Index = ix
-			}
-			rules := fault.Plan(int64(seed), fault.PlanConfig{
-				Points: fault.QueryPoints,
-				Rules:  5,
-				MaxHit: 48,
-			})
+			opt := oracleOptions(t, c)
+			rng := rand.New(rand.NewSource(int64(seed)))
 			for _, alg := range allAlgorithms {
-				chaosInstall(t, fault.New().Add(rules...))
 				o := opt
 				o.Algorithm = alg
-				paths, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, &o)
-				fault.Install(nil)
+				o.Budget = 1 + rng.Int63n(chaosBudgetCap)
+				paths, err := watchdogQuery(t, c, &o)
 				counts[classifyChaos(t, c, alg, paths, err, want)]++
 			}
 		})
@@ -142,15 +130,17 @@ func TestChaosOracleSchedules(t *testing.T) {
 	}
 }
 
-// TestChaosBatchSchedules replays a batch of oracle queries under
-// schedules that include the batch.worker point: transient injections
-// must be healed by the retry layer or surface as typed truncations,
-// never as wrong results.
+// TestChaosBatchSchedules replays a batch of oracle queries under a
+// seeded budget and a seeded schedule at the batch.worker point: an
+// injected error fails only its item, an injected panic is recovered into
+// that item's truncated result, and every other item answers in full or
+// as a budget-truncated prefix — never a wrong result.
 func TestChaosBatchSchedules(t *testing.T) {
 	schedules := 12
 	if testing.Short() {
 		schedules = 4
 	}
+	counts := map[string]int{}
 	for seed := 0; seed < schedules; seed++ {
 		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
 			defer leaktest.Check(t)()
@@ -160,62 +150,54 @@ func TestChaosBatchSchedules(t *testing.T) {
 			for i := range queries {
 				queries[i] = kpj.BatchQuery{Sources: c.sources, Targets: c.targets, K: c.k}
 			}
+			rng := rand.New(rand.NewSource(int64(1000 + seed)))
+			opt := kpj.Options{Budget: 1 + rng.Int63n(chaosBudgetCap)}
 			chaosInstall(t, fault.New().Add(fault.Plan(int64(1000+seed), fault.PlanConfig{
-				Points: fault.QueryPoints,
-				Rules:  4,
-				MaxHit: 24,
+				Points: []fault.Point{fault.BatchWorker},
+				Rules:  2,
+				MaxHit: 6,
 			})...))
-			results := c.g.Batch(queries, 2, nil)
+			results := c.g.Batch(queries, 2, &opt)
 			fault.Install(nil)
-			for i, r := range results {
-				cls := classifyChaos(t, c, kpj.IterBoundSPTI, r.Paths, r.Err, want)
-				_ = cls
-				_ = i
+			for _, r := range results {
+				counts[classifyChaos(t, c, kpj.IterBoundSPTI, r.Paths, r.Err, want)]++
 			}
 		})
 	}
+	t.Logf("batch chaos outcomes over %d schedules: %v", schedules, counts)
+	if counts["correct"] == 0 || counts["truncated"] == 0 {
+		t.Fatalf("degenerate batch chaos sweep (no mix of outcomes): %v", counts)
+	}
 }
 
-// TestBatchTransientFaultIsRetried: a transient fault that fires exactly
-// once at batch.worker is absorbed by the retry-with-backoff layer — the
-// item still returns the full correct answer.
-func TestBatchTransientFaultIsRetried(t *testing.T) {
+// TestBatchWorkerErrorFailsItemOnce: an error injected at batch.worker
+// fails that item once — its error wraps fault.ErrInjected, it carries no
+// paths and no truncation wrapper, the point is hit once per item (no
+// retry) — and the other items answer in full.
+func TestBatchWorkerErrorFailsItemOnce(t *testing.T) {
 	defer leaktest.Check(t)()
 	c := oracleCaseFor(t, 1)
 	want := oracleAnswer(c)
 	chaosInstall(t, fault.New().Add(
-		fault.Rule{Point: fault.BatchWorker, Nth: 1, Count: 1, Kind: fault.KindTransient}))
-	results := c.g.Batch([]kpj.BatchQuery{{Sources: c.sources, Targets: c.targets, K: c.k}}, 1, nil)
-	if err := results[0].Err; err != nil {
-		t.Fatalf("transient fault not retried: %v", err)
+		fault.Rule{Point: fault.BatchWorker, Nth: 1, Count: 1, Kind: fault.KindError}))
+	queries := make([]kpj.BatchQuery, 3)
+	for i := range queries {
+		queries[i] = kpj.BatchQuery{Sources: c.sources, Targets: c.targets, K: c.k}
 	}
-	if len(results[0].Paths) != len(want) {
-		t.Fatalf("retried item has %d paths, oracle %d", len(results[0].Paths), len(want))
+	results := c.g.Batch(queries, 1, nil)
+	if err := results[0].Err; !errors.Is(err, fault.ErrInjected) || results[0].Paths != nil {
+		t.Fatalf("item 0: err = %v with %d paths, want fault.ErrInjected and none", err, len(results[0].Paths))
 	}
-	fired := fault.Active().Fired()
-	if len(fired) != 1 {
-		t.Fatalf("expected exactly one fired injection, got %v", fired)
+	if _, ok := kpj.Truncated(results[0].Err); ok {
+		t.Fatalf("item 0: injected error wrapped as a truncation: %v", results[0].Err)
 	}
-}
-
-// TestBatchTransientFaultExhaustsRetries: a transient window wider than
-// the retry allowance surfaces as a typed truncated error, not a wrong
-// answer and not an unbounded retry loop.
-func TestBatchTransientFaultExhaustsRetries(t *testing.T) {
-	defer leaktest.Check(t)()
-	c := oracleCaseFor(t, 1)
-	chaosInstall(t, fault.New().Add(
-		fault.Rule{Point: fault.BatchWorker, Nth: 1, Count: 100, Kind: fault.KindTransient}))
-	results := c.g.Batch([]kpj.BatchQuery{{Sources: c.sources, Targets: c.targets, K: c.k}}, 1, nil)
-	err := results[0].Err
-	if !errors.Is(err, kpj.ErrInjectedFault) {
-		t.Fatalf("err = %v, want ErrInjectedFault", err)
+	for i, r := range results[1:] {
+		if r.Err != nil || len(r.Paths) != len(want) {
+			t.Fatalf("item %d: err = %v with %d paths, oracle %d", i+1, r.Err, len(r.Paths), len(want))
+		}
 	}
-	if _, ok := kpj.Truncated(err); !ok {
-		t.Fatalf("exhausted retries should yield a TruncatedError, got %v", err)
-	}
-	if hits := fault.Active().Hits(fault.BatchWorker); hits != 3 {
-		t.Fatalf("batch.worker hit %d times, want 3 (1 try + 2 retries)", hits)
+	if hits := fault.Active().Hits(fault.BatchWorker); hits != int64(len(queries)) {
+		t.Fatalf("batch.worker hit %d times for %d items, want one hit per item", hits, len(queries))
 	}
 }
 
@@ -259,14 +241,14 @@ func TestFaultPointsLoadPaths(t *testing.T) {
 	c := oracleCaseFor(t, 2)
 
 	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.GraphRead}))
-	if _, err := kpj.ReadGraph(bytes.NewReader([]byte("p sp 1 0\n"))); !errors.Is(err, kpj.ErrInjectedFault) {
-		t.Fatalf("graph.read: err = %v, want ErrInjectedFault", err)
+	if _, err := kpj.ReadGraph(bytes.NewReader([]byte("p sp 1 0\n"))); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("graph.read: err = %v, want fault.ErrInjected", err)
 	}
 	fault.Install(nil)
 
 	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.IndexBuild}))
-	if _, err := kpj.BuildIndex(c.g, 2, 1); !errors.Is(err, kpj.ErrInjectedFault) {
-		t.Fatalf("index.build: err = %v, want ErrInjectedFault", err)
+	if _, err := kpj.BuildIndex(c.g, 2, 1); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("index.build: err = %v, want fault.ErrInjected", err)
 	}
 	fault.Install(nil)
 
@@ -279,8 +261,8 @@ func TestFaultPointsLoadPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad}))
-	if _, _, err := kpj.ReadFlat(bytes.NewReader(buf.Bytes())); !errors.Is(err, kpj.ErrInjectedFault) {
-		t.Fatalf("index.load: err = %v, want ErrInjectedFault", err)
+	if _, _, err := kpj.ReadFlat(bytes.NewReader(buf.Bytes())); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("index.load: err = %v, want fault.ErrInjected", err)
 	}
 	fault.Install(nil)
 	if _, _, err := kpj.ReadFlat(bytes.NewReader(buf.Bytes())); err != nil {
@@ -288,118 +270,151 @@ func TestFaultPointsLoadPaths(t *testing.T) {
 	}
 }
 
-// chaosPrefixSweep runs one algorithm over a case with an error rule at
-// point, sweeping the hit ordinal, and asserts the truncated-prefix
-// contract at every ordinal: the result is always a prefix of the clean
-// answer, prefix lengths never shrink as the fault moves later, and once
-// the ordinal passes the point's total hit count the run is clean.
-func chaosPrefixSweep(t *testing.T, c oracleCase, alg kpj.Algorithm, point fault.Point, want []bruteforce.Path) {
+// watchdogLimit is how long one oracle-case query may run before the
+// suite calls it a livelock: a clean one takes well under a millisecond,
+// even under -race, while a loop that stopped charging its Bound never
+// returns.
+const watchdogLimit = 5 * time.Second
+
+// watchdogQuery runs one query of c under a watchdog, so a livelocked
+// engine fails the test within seconds rather than at the test binary's
+// timeout. The livelocked goroutine cannot be stopped — it polls no
+// bound, so no context reaches it — and spins until the binary exits.
+func watchdogQuery(t *testing.T, c oracleCase, opt *kpj.Options) ([]kpj.Path, error) {
 	t.Helper()
-	opt := &kpj.Options{Algorithm: alg}
-	clean, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, opt)
-	if err != nil {
-		t.Fatalf("%s clean run: %v", alg, err)
+	type answer struct {
+		paths []kpj.Path
+		err   error
 	}
-	if len(clean) != len(want) {
-		t.Fatalf("%s clean run: %d paths, oracle %d", alg, len(clean), len(want))
-	}
-	prev := -1
-	sawTruncated := false
-	for nth := int64(1); nth <= 1<<14; nth *= 2 {
-		chaosInstall(t, fault.New().Add(fault.Rule{Point: point, Nth: nth, Count: 1}))
+	done := make(chan answer, 1)
+	go func() {
 		paths, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, opt)
-		fired := len(fault.Active().Fired()) > 0
-		fault.Install(nil)
-		if !fired {
-			// The rule's ordinal exceeds the point's hits: run is clean.
-			if err != nil {
-				t.Fatalf("%s@%s nth=%d: unfired rule but err %v", alg, point, nth, err)
-			}
-			if len(paths) != len(clean) {
-				t.Fatalf("%s@%s nth=%d: unfired rule but %d paths, clean has %d",
-					alg, point, nth, len(paths), len(clean))
-			}
-			break
-		}
-		if err == nil {
-			// Fired after the answer was already complete.
-			if len(paths) != len(clean) {
-				t.Fatalf("%s@%s nth=%d: nil error with %d paths, clean has %d",
-					alg, point, nth, len(paths), len(clean))
-			}
-			continue
-		}
-		if !errors.Is(err, kpj.ErrInjectedFault) {
-			t.Fatalf("%s@%s nth=%d: err = %v, want ErrInjectedFault", alg, point, nth, err)
-		}
-		partial, ok := kpj.Truncated(err)
-		if !ok {
-			t.Fatalf("%s@%s nth=%d: fault error is not a TruncatedError: %v", alg, point, nth, err)
-		}
-		sawTruncated = true
-		for i, p := range partial {
-			if p.Length != clean[i].Length {
-				t.Fatalf("%s@%s nth=%d: prefix path %d length %d, clean %d",
-					alg, point, nth, i, p.Length, clean[i].Length)
-			}
-			validateOraclePath(t, c, alg, p)
-		}
-		if len(partial) < prev {
-			t.Fatalf("%s@%s nth=%d: prefix shrank from %d to %d as the fault moved later",
-				alg, point, nth, prev, len(partial))
-		}
-		prev = len(partial)
-	}
-	if !sawTruncated {
-		t.Fatalf("%s@%s: sweep never produced a truncated prefix", alg, point)
+		done <- answer{paths, err}
+	}()
+	timer := time.NewTimer(watchdogLimit)
+	defer timer.Stop()
+	select {
+	case a := <-done:
+		return a.paths, a.err
+	case <-timer.C:
+		t.Fatalf("%s %s budget=%d: no answer within %v: the engine livelocks",
+			c.name, opt.Algorithm, opt.Budget, watchdogLimit)
+		return nil, nil
 	}
 }
 
-// TestTruncatedPrefixMidSPTGrowth: an error injected mid-SPT-growth (the
-// spt.grow point) at any ordinal yields a valid, monotone prefix from the
-// SPT-based engines.
+// budgetSweep runs opt.Algorithm over c at every budget from 1 up to the
+// smallest budget at which the query completes, and asserts the
+// truncation contract at each: a budget trip returns a *TruncatedError
+// wrapping ErrBudgetExceeded whose paths are an exact prefix of the clean
+// answer (itself checked against the oracle), prefixes never shrink as
+// the budget grows, and the completing run returns the clean answer. It
+// returns that smallest completing budget with the clean run's Stats and
+// trace text.
+func budgetSweep(t *testing.T, c oracleCase, opt kpj.Options, want []bruteforce.Path) (int64, kpj.Stats, string) {
+	t.Helper()
+	alg := opt.Algorithm
+	var st kpj.Stats
+	var trace strings.Builder
+	o := opt
+	o.Stats, o.Trace = &st, &trace
+	clean, err := watchdogQuery(t, c, &o)
+	if err != nil {
+		t.Fatalf("%s %s clean run: %v", c.name, alg, err)
+	}
+	classifyChaos(t, c, alg, clean, nil, want)
+	const limit = 1 << 12
+	prev := 0
+	for budget := int64(1); budget <= limit; budget++ {
+		o := opt
+		o.Budget = budget
+		paths, err := watchdogQuery(t, c, &o)
+		if len(paths) > len(clean) {
+			t.Fatalf("%s %s budget=%d: %d paths, clean has %d", c.name, alg, budget, len(paths), len(clean))
+		}
+		for i, p := range paths {
+			if !pathsEqual(p, clean[i]) {
+				t.Fatalf("%s %s budget=%d: path %d = %v, want the clean answer's %v",
+					c.name, alg, budget, i, p, clean[i])
+			}
+		}
+		if err == nil {
+			if len(paths) != len(clean) {
+				t.Fatalf("%s %s budget=%d: nil error with %d paths, clean has %d",
+					c.name, alg, budget, len(paths), len(clean))
+			}
+			return budget, st, trace.String()
+		}
+		if partial, ok := kpj.Truncated(err); !ok || !errors.Is(err, kpj.ErrBudgetExceeded) || len(partial) != len(paths) {
+			t.Fatalf("%s %s budget=%d: err = %v, want a TruncatedError wrapping ErrBudgetExceeded",
+				c.name, alg, budget, err)
+		}
+		if len(paths) < prev {
+			t.Fatalf("%s %s budget=%d: prefix shrank from %d to %d as the budget grew",
+				c.name, alg, budget, prev, len(paths))
+		}
+		prev = len(paths)
+	}
+	t.Fatalf("%s %s: still truncated at budget %d", c.name, alg, limit)
+	return 0, st, ""
+}
+
+// TestTruncatedPrefixMidSPTGrowth: the rows that grow a shortest path
+// tree (SPT_I, SPT_P, DA-SPT's full tree), swept over every budget on
+// every oracle case. Growth is each row's first work, so the smallest
+// budgets trip mid-growth; every budget yields a valid, monotone prefix.
 func TestTruncatedPrefixMidSPTGrowth(t *testing.T) {
 	defer leaktest.Check(t)()
-	c := oracleCaseFor(t, 1) // road-grid KPJ, no index needed
-	want := oracleAnswer(c)
-	for _, alg := range []kpj.Algorithm{kpj.IterBoundSPTI, kpj.IterBoundSPTP, kpj.DASPT} {
-		chaosPrefixSweep(t, c, alg, fault.SPTGrow, want)
+	for i := 0; i < 20; i++ {
+		c := oracleCaseFor(t, i)
+		want := oracleAnswer(c)
+		opt := oracleOptions(t, c)
+		for _, alg := range []kpj.Algorithm{kpj.IterBoundSPTI, kpj.IterBoundSPTP, kpj.DASPT} {
+			opt.Algorithm = alg
+			if _, st, _ := budgetSweep(t, c, opt, want); st.SPTNodes == 0 {
+				t.Fatalf("%s %s: the clean run settled no tree node; the sweep crossed no growth", c.name, alg)
+			}
+		}
 	}
 }
 
-// TestTruncatedPrefixMidResolve: an error injected between emissions (the
-// subspace.search point) yields a valid, monotone prefix from every
-// engine; for the deviation baseline the prefix length is exact.
+// TestTruncatedPrefixMidResolve: every row swept over every budget on
+// every oracle case yields a valid, monotone prefix, and the sweep's
+// smallest completing budget balances the budget's ledger: the heap pops
+// and edge relaxations Stats counts, plus one unit per main-loop round.
+// The rounds are read off the clean run's trace: each one either emits a
+// path or (IterBound, BestFirst) resolves a popped subspace. DA and
+// DA-SPT queue only subspaces they have already resolved exactly, so
+// their resolves all happen at division time and every main-loop round
+// emits exactly one path.
 func TestTruncatedPrefixMidResolve(t *testing.T) {
 	defer leaktest.Check(t)()
-	c := oracleCaseFor(t, 1)
-	want := oracleAnswer(c)
-	for _, alg := range allAlgorithms {
-		chaosPrefixSweep(t, c, alg, fault.SubspaceSearch, want)
-	}
-
-	// DA emits exactly one path per main-loop iteration, so the prefix
-	// length under an injection at ordinal n is exactly min(n-1, full).
-	clean, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, &kpj.Options{Algorithm: kpj.DA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for nth := int64(1); int(nth) <= len(clean); nth++ {
-		chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.SubspaceSearch, Nth: nth, Count: 1}))
-		paths, err := c.g.TopKJoinSets(c.sources, c.targets, c.k, &kpj.Options{Algorithm: kpj.DA})
-		fault.Install(nil)
-		if err == nil {
-			t.Fatalf("DA nth=%d: expected a truncation", nth)
-		}
-		if got, wantN := len(paths), int(nth)-1; got != wantN {
-			t.Fatalf("DA nth=%d: prefix has %d paths, want exactly %d", nth, got, wantN)
+	for i := 0; i < 20; i++ {
+		c := oracleCaseFor(t, i)
+		want := oracleAnswer(c)
+		opt := oracleOptions(t, c)
+		for _, alg := range allAlgorithms {
+			opt.Algorithm = alg
+			minBudget, st, trace := budgetSweep(t, c, opt, want)
+			rounds := int64(strings.Count(trace, "emit "))
+			if alg != kpj.DA && alg != kpj.DASPT {
+				rounds += int64(strings.Count(trace, "resolve "))
+			}
+			ledger := st.NodesPopped + st.EdgesRelaxed + rounds
+			if ledger == 0 {
+				ledger = 1 // budget 0 means unlimited; 1 is the smallest sweep step
+			}
+			if minBudget != ledger {
+				t.Fatalf("%s %s: smallest completing budget %d, want %d pops + %d relaxations + %d main-loop rounds",
+					c.name, alg, minBudget, st.NodesPopped, st.EdgesRelaxed, rounds)
+			}
 		}
 	}
 }
 
 // TestChaosMetricsConsistent: engine metrics must stay coherent under
-// injection — every query counts exactly once, and the truncated/error
-// split never exceeds the total.
+// seeded budgets — every query counts exactly once, every budget trip the
+// caller saw counts as truncated, and no query counts as failed.
 func TestChaosMetricsConsistent(t *testing.T) {
 	defer leaktest.Check(t)()
 	reg := kpj.NewMetricsRegistry()
@@ -408,15 +423,17 @@ func TestChaosMetricsConsistent(t *testing.T) {
 
 	c := oracleCaseFor(t, 1)
 	const runs = 40
+	rng := rand.New(rand.NewSource(1))
+	sawTruncated := 0
 	for seed := 0; seed < runs; seed++ {
-		chaosInstall(t, fault.New().Add(fault.Plan(int64(seed), fault.PlanConfig{
-			Points: fault.QueryPoints,
-			Rules:  3,
-			MaxHit: 32,
-		})...))
 		alg := allAlgorithms[seed%len(allAlgorithms)]
-		_, _ = c.g.TopKJoinSets(c.sources, c.targets, c.k, &kpj.Options{Algorithm: alg})
-		fault.Install(nil)
+		opt := kpj.Options{Algorithm: alg, Budget: 1 + rng.Int63n(chaosBudgetCap)}
+		if _, err := watchdogQuery(t, c, &opt); err != nil {
+			if !errors.Is(err, kpj.ErrBudgetExceeded) {
+				t.Fatalf("%s budget=%d: %v", alg, opt.Budget, err)
+			}
+			sawTruncated++
+		}
 	}
 
 	var buf bytes.Buffer
@@ -444,7 +461,10 @@ func TestChaosMetricsConsistent(t *testing.T) {
 	if queries != runs {
 		t.Fatalf("queries_total = %d, want %d", queries, runs)
 	}
-	if truncated+failed > queries {
-		t.Fatalf("truncated %d + errors %d exceed queries %d", truncated, failed, queries)
+	if truncated != int64(sawTruncated) || failed != 0 {
+		t.Fatalf("truncated %d, errors %d; want %d truncated, 0 errors", truncated, failed, sawTruncated)
+	}
+	if sawTruncated == 0 || sawTruncated == runs {
+		t.Fatalf("degenerate budget schedule: %d of %d queries truncated", sawTruncated, runs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"kpj/internal/core"
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 )
 
@@ -24,22 +23,13 @@ var (
 	ErrBudgetExceeded = core.ErrBudgetExceeded
 )
 
-// Failure sentinels. These never occur in normal operation: ErrWorkerPanic
-// means a query panicked (Batch and the server recover it and convert the
-// query into a truncated one instead of crashing the process), and
-// ErrInjectedFault is the root of every error produced by the
-// internal/fault test registry. Both deliver the same contract as the
-// interruption sentinels — the paths returned alongside the error are a
-// valid prefix of the true answer.
-var (
-	// ErrWorkerPanic: a panic escaped a batch worker or a served query
-	// and was converted into a query error.
-	ErrWorkerPanic = errors.New("kpj: worker panicked")
-	// ErrInjectedFault: the error originates from a fault-injection rule
-	// (tests and chaos runs only; never fires in production builds because
-	// the registry is nil unless installed).
-	ErrInjectedFault = fault.ErrInjected
-)
+// ErrWorkerPanic is a failure sentinel that never occurs in normal
+// operation: a query panicked, and Batch or the server recovered it and
+// converted the query into a truncated one instead of crashing the
+// process. It delivers the same contract as the interruption sentinels —
+// the paths returned alongside the error are a valid prefix of the true
+// answer.
+var ErrWorkerPanic = errors.New("kpj: worker panicked")
 
 // Validation sentinels, re-exported so serving layers can map them to
 // client errors (HTTP 400) with errors.Is instead of string matching.
@@ -110,12 +100,10 @@ func finishQuery(paths []core.Path, err error) ([]Path, error) {
 		out[i] = Path{Nodes: p.Nodes, Length: p.Length}
 	}
 	if err != nil {
-		// Injected faults ride the same bound channel as cancellation, so
-		// the emitted paths are an equally valid prefix — wrap them the
-		// same way instead of discarding them. A recovered batch panic
-		// carries no paths and is wrapped alike.
+		// A recovered batch panic carries no paths and is wrapped like an
+		// interruption.
 		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExceeded) ||
-			errors.Is(err, ErrInjectedFault) || errors.Is(err, ErrWorkerPanic) {
+			errors.Is(err, ErrWorkerPanic) {
 			return out, &TruncatedError{Paths: out, Cause: err}
 		}
 		return nil, err

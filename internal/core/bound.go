@@ -28,9 +28,11 @@ const pollEvery = 256
 
 // Bound tracks the interruption state of one query: an optional
 // context.Context for cancellation/deadlines and an optional cap on total
-// work, measured in heap pops plus successful edge relaxations (the same
-// units Stats tracks as NodesPopped and EdgesRelaxed). A nil *Bound is
-// valid and never trips, so unbounded queries pay only a nil check.
+// work, measured in heap pops plus successful edge relaxations (the units
+// Stats tracks as NodesPopped and EdgesRelaxed) plus one Step per
+// subspace-queue pop of the engine's main loop, which Stats does not
+// count. A nil *Bound is valid and never trips, so unbounded queries pay
+// only a nil check.
 //
 // A Bound is single-use and not safe for concurrent use; prepare
 // materializes a fresh one per query.
@@ -55,26 +57,6 @@ func NewBound(ctx context.Context, budget int64) *Bound {
 		b.budget = budget
 	}
 	return b
-}
-
-// inject records an externally raised failure — an injected fault-point
-// error — as the bound's sticky error, so it flows through the same
-// truncation machinery as a deadline or budget trip: every loop observing
-// this bound stops at its next Step and the query returns its
-// partial-result prefix. The first injected error wins; later ones are
-// dropped. Nil-safe on both receiver and error.
-func (b *Bound) inject(err error) {
-	if b != nil && b.err == nil {
-		b.err = err
-	}
-}
-
-// newSentinelBound returns a Bound that never trips on its own — no
-// context, effectively unlimited budget — but can carry injected errors.
-// prepare substitutes it for the nil bound while fault injection is
-// enabled, so unbounded queries still have an interruption channel.
-func newSentinelBound() *Bound {
-	return &Bound{budget: math.MaxInt64, poll: 1}
 }
 
 // Err returns the sticky interruption error, or nil while the query may

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 	"kpj/internal/obs"
 	"kpj/internal/pqueue"
@@ -164,15 +163,6 @@ func (e *engine) run() (out []Path, err error) {
 
 	round := 0
 	for len(out) < e.k && q.Len() > 0 {
-		// The mid-resolve fault point: an injected error rides the bound's
-		// sticky-error channel so the loop exits through the normal
-		// truncation path with the prefix emitted so far.
-		if ferr := fault.Hit(fault.SubspaceSearch); ferr != nil {
-			if e.bound == nil {
-				return out, ferr
-			}
-			e.bound.inject(ferr)
-		}
 		if err := e.bound.Step(); err != nil {
 			return out, err
 		}

@@ -30,9 +30,11 @@ type EngineMetrics struct {
 	TauRounds    *obs.Counter
 	SPTNodes     *obs.Counter
 
-	// BudgetDrained accumulates the work units (heap pops + edge
-	// relaxations) consumed by budget-capped queries — the denominator
-	// for "how much of the configured budget do real queries use".
+	// BudgetDrained accumulates the Stats work units (heap pops + edge
+	// relaxations) of budget-capped queries — the denominator for "how
+	// much of the configured budget do real queries use". It undercounts
+	// the budget drawn by one unit per main-loop subspace-queue pop, which
+	// the budget charges and Stats does not count.
 	BudgetDrained *obs.Counter
 }
 
@@ -52,7 +54,7 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 		EdgesRelaxed:  reg.Counter("kpj_engine_edges_relaxed_total", "successful edge relaxations (deviation edges examined)"),
 		TauRounds:     reg.Counter("kpj_engine_tau_rounds_total", "bounded searches that exceeded tau"),
 		SPTNodes:      reg.Counter("kpj_engine_spt_nodes_total", "nodes settled into SPT_P / SPT_I / full SPTs"),
-		BudgetDrained: reg.Counter("kpj_engine_budget_drained_total", "work units consumed by budget-capped queries"),
+		BudgetDrained: reg.Counter("kpj_engine_budget_drained_total", "heap pops + edge relaxations of budget-capped queries (excludes the budget's main-loop pops)"),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
 	"kpj/internal/obs"
@@ -53,8 +52,10 @@ type Options struct {
 	Context context.Context
 	// Budget, when positive, caps the query's total work, measured in
 	// heap pops plus successful edge relaxations (the units Stats tracks
-	// as NodesPopped and EdgesRelaxed). Exceeding it stops the query with
-	// the paths found so far and an error wrapping ErrBudgetExceeded.
+	// as NodesPopped and EdgesRelaxed) plus one unit per subspace-queue
+	// pop of the main loop, which Stats does not count. Exceeding it stops
+	// the query with the paths found so far and an error wrapping
+	// ErrBudgetExceeded.
 	Budget int64
 	// ReuseResults makes the returned Paths alias workspace-owned storage
 	// instead of copying per path: the result is valid only until the
@@ -124,11 +125,6 @@ func prepare(g *graph.Graph, q Query, opt *Options, needAlpha bool) (*Workspace,
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrWorkspace, opt.Workspace.n, n)
 	}
 	opt.bound = NewBound(opt.Context, opt.Budget)
-	if opt.bound == nil && fault.Enabled() {
-		// Fault injection delivers mid-query failures through the bound's
-		// sticky error, so an otherwise unbounded query needs a carrier.
-		opt.bound = newSentinelBound()
-	}
 	opt.Workspace.bound = opt.bound
 	opt.Workspace.beginQuery(opt.ReuseResults)
 	return opt.Workspace, nil

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 	"kpj/internal/pqueue"
 )
@@ -101,11 +100,6 @@ func (t *sptiTree) top() (key graph.Weight, ok bool) {
 func (t *sptiTree) settleNext(tau graph.Weight) bool {
 	if key, ok := t.top(); !ok || key > tau {
 		return false
-	}
-	// The mid-SPT-growth fault point: injected errors stop growth via
-	// the bound, and the engine aborts with its prefix at the next poll.
-	if ferr := fault.Hit(fault.SPTGrow); ferr != nil {
-		t.bound.inject(ferr)
 	}
 	if t.bound.Step() != nil {
 		return false

@@ -1,11 +1,14 @@
 // Package fault implements deterministic fault injection for chaos
 // testing. Production code is threaded with named fault points — Hit
-// calls at the places where real deployments fail: file parsing, index
-// loading and building, graph deltas, WAL writes and replay, batch
-// workers, subspace searches, tree growth, request handlers and router
-// attempts. A seed-scheduled plan of rules decides, per point, at which
-// hit ordinal to inject a typed error, a panic, or extra latency, so a
-// whole failure scenario replays bit-identically from one integer seed.
+// calls at the places where the world outside the process can fail: file
+// parsing, index loading and building, graph deltas, WAL writes and
+// replay, request handlers, router attempts and health probes — plus the
+// batch worker, whose panic recovery is tested through it. The query
+// engine does no I/O and carries no fault point: a query's answer can be
+// shortened only by a budget, a deadline or a recovered panic. A
+// seed-scheduled plan of rules decides, per point, at which hit ordinal
+// to inject a typed error, a panic, or extra latency, so a whole failure
+// scenario replays bit-identically from one integer seed.
 //
 // The package follows internal/obs's zero-cost-when-disabled discipline:
 // the process-wide registry is an atomic pointer that defaults to nil, a
@@ -13,12 +16,9 @@
 // one atomic load and a branch. Nothing outside tests should ever call
 // Install.
 //
-// Injected failures are delivered as errors wrapping ErrInjected (or
-// ErrTransient for retryable ones), as panics carrying an injectedPanic
-// value (recognizable via IsInjectedPanic), or as plain time.Sleep
-// latency. The engine funnels injected errors through core.Bound's
-// sticky-error channel, so a mid-query fault degrades into the same
-// partial-result prefix contract as a deadline or budget trip.
+// Injected failures are delivered as errors wrapping ErrInjected, as
+// panics carrying an unexported injectedPanic value, or as plain
+// time.Sleep latency.
 package fault
 
 import (
@@ -47,18 +47,12 @@ const (
 	// BuildWithLandmarksParallel before landmark selection / the table
 	// Dijkstras start.
 	IndexBuild Point = "index.build"
-	// SubspaceSearch fires once per main-loop iteration of the core
-	// engine, whichever row of its variant table runs (the mid-resolve
-	// site).
-	SubspaceSearch Point = "subspace.search"
-	// SPTGrow fires once per node settled during tree growth: SPT_I,
-	// SPT_P and DA-SPT's full tree (the mid-SPT-growth site).
-	SPTGrow Point = "spt.grow"
 	// ServerHandler fires in the HTTP server once per /query execution.
 	// Panics here are recovered by the handler.
 	ServerHandler Point = "server.handler"
-	// BatchWorker fires once per batch item attempt; transient errors
-	// here are retried with backoff.
+	// BatchWorker fires once per batch item, before its query runs. An
+	// error fails that item with no paths; a panic is recovered into an
+	// ErrWorkerPanic result for that item alone.
 	BatchWorker Point = "batch.worker"
 	// RouterProxy fires in internal/router once per proxied attempt
 	// (primary, hedge, or failover), on the attempt goroutine. Panics
@@ -88,17 +82,9 @@ const (
 // Points lists every fault point compiled into the tree, in a fixed
 // order so seeded plans are stable across runs.
 var Points = []Point{
-	GraphRead, IndexLoad, IndexBuild, SubspaceSearch,
-	SPTGrow, ServerHandler, BatchWorker,
-	RouterProxy, RouterProbe, GraphApply,
+	GraphRead, IndexLoad, IndexBuild, ServerHandler,
+	BatchWorker, RouterProxy, RouterProbe, GraphApply,
 	WALAppend, WALFsync, WALReplay,
-}
-
-// QueryPoints are the points hit during query execution (as opposed to
-// load/build time) — the natural scope for chaos schedules that replay
-// oracle cases.
-var QueryPoints = []Point{
-	SubspaceSearch, SPTGrow, BatchWorker,
 }
 
 // PanicSafePoints are the points whose surrounding code recovers injected
@@ -111,13 +97,9 @@ var PanicSafePoints = map[Point]bool{
 	RouterProbe:   true,
 }
 
-// Injection sentinels. Every injected error wraps ErrInjected;
-// retry-worthy ones additionally wrap ErrTransient (which itself wraps
-// ErrInjected, so errors.Is(err, ErrInjected) matches both).
-var (
-	ErrInjected  = errors.New("fault: injected failure")
-	ErrTransient = fmt.Errorf("%w (transient)", ErrInjected)
-)
+// ErrInjected is the sentinel every injected error wraps (unless a rule
+// overrides it with Rule.Err).
+var ErrInjected = errors.New("fault: injected failure")
 
 // Kind selects what a matching rule injects.
 type Kind int
@@ -125,9 +107,6 @@ type Kind int
 const (
 	// KindError returns an error wrapping ErrInjected.
 	KindError Kind = iota
-	// KindTransient returns an error wrapping ErrTransient — the signal
-	// that a retry may succeed (the rule window will have passed).
-	KindTransient
 	// KindPanic panics with an injectedPanic value.
 	KindPanic
 	// KindLatency sleeps for the rule's Delay and returns nil.
@@ -138,8 +117,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindError:
 		return "error"
-	case KindTransient:
-		return "transient"
 	case KindPanic:
 		return "panic"
 	case KindLatency:
@@ -237,8 +214,6 @@ func (r *Registry) Hit(p Point) error {
 		return nil
 	case KindPanic:
 		panic(injectedPanic{point: p, hit: h})
-	case KindTransient:
-		return fmt.Errorf("%w at %s (hit %d)", ErrTransient, p, h)
 	default:
 		if rule.Err != nil {
 			return rule.Err
@@ -268,8 +243,7 @@ func (r *Registry) Fired() []Event {
 	return append([]Event(nil), r.fired...)
 }
 
-// injectedPanic is the value thrown by KindPanic rules, distinguishable
-// from organic panics via IsInjectedPanic.
+// injectedPanic is the value thrown by KindPanic rules.
 type injectedPanic struct {
 	point Point
 	hit   int64
@@ -279,28 +253,20 @@ func (p injectedPanic) String() string {
 	return fmt.Sprintf("fault: injected panic at %s (hit %d)", p.point, p.hit)
 }
 
-// IsInjectedPanic reports whether a recovered value came from a KindPanic
-// rule.
-func IsInjectedPanic(v any) bool {
-	_, ok := v.(injectedPanic)
-	return ok
-}
-
 // PlanConfig parameterizes Plan. Zero values pick the defaults noted on
 // each field.
 type PlanConfig struct {
-	Points    []Point        // candidate points; default Points
-	Rules     int            // rules to generate; default 4
-	MaxHit    int64          // Nth drawn from [1, MaxHit]; default 64
-	PanicSafe map[Point]bool // panic-eligible points; default PanicSafePoints
-	MaxDelay  time.Duration  // latency cap; default 200µs
+	Points   []Point       // candidate points; default Points
+	Rules    int           // rules to generate; default 4
+	MaxHit   int64         // Nth drawn from [1, MaxHit]; default 64
+	MaxDelay time.Duration // latency cap; default 200µs
 }
 
 // Plan derives a deterministic rule schedule from seed: the same seed and
 // config always yield the same rules, so a chaos failure reproduces from
-// its seed alone. Kinds are drawn roughly 40% transient, 30% error, 20%
-// latency, 10% panic — panics demoted to errors at points whose code
-// does not recover them.
+// its seed alone. Kinds are drawn roughly 70% error, 20% latency, 10%
+// panic — panics demoted to errors at points whose code does not recover
+// them (see PanicSafePoints).
 func Plan(seed int64, cfg PlanConfig) []Rule {
 	if len(cfg.Points) == 0 {
 		cfg.Points = Points
@@ -310,9 +276,6 @@ func Plan(seed int64, cfg PlanConfig) []Rule {
 	}
 	if cfg.MaxHit <= 0 {
 		cfg.MaxHit = 64
-	}
-	if cfg.PanicSafe == nil {
-		cfg.PanicSafe = PanicSafePoints
 	}
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 200 * time.Microsecond
@@ -326,15 +289,13 @@ func Plan(seed int64, cfg PlanConfig) []Rule {
 			Count: 1 + rng.Int63n(3),
 		}
 		switch roll := rng.Intn(10); {
-		case roll < 4:
-			r.Kind = KindTransient
 		case roll < 7:
 			r.Kind = KindError
 		case roll < 9:
 			r.Kind = KindLatency
 			r.Delay = time.Duration(1 + rng.Int63n(int64(cfg.MaxDelay)))
 		default:
-			if cfg.PanicSafe[r.Point] {
+			if PanicSafePoints[r.Point] {
 				r.Kind = KindPanic
 			} else {
 				r.Kind = KindError
@@ -355,9 +316,6 @@ func Install(r *Registry) { active.Store(r) }
 
 // Active returns the installed registry, or nil when injection is off.
 func Active() *Registry { return active.Load() }
-
-// Enabled reports whether a registry is installed.
-func Enabled() bool { return active.Load() != nil }
 
 // Hit polls point p against the installed registry: the one-liner
 // production code uses. When injection is disabled it costs an atomic

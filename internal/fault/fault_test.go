@@ -42,48 +42,37 @@ func TestRuleFiresAtNthForCount(t *testing.T) {
 }
 
 func TestZeroValuesMeanFirstHitOnce(t *testing.T) {
-	r := New().Add(Rule{Point: SPTGrow})
-	if err := r.Hit(SPTGrow); err == nil {
+	r := New().Add(Rule{Point: GraphRead})
+	if err := r.Hit(GraphRead); err == nil {
 		t.Fatal("zero-value rule did not fire on first hit")
 	}
-	if err := r.Hit(SPTGrow); err != nil {
+	if err := r.Hit(GraphRead); err != nil {
 		t.Fatalf("zero-value rule fired twice: %v", err)
 	}
 }
 
-func TestTransientWrapsInjected(t *testing.T) {
-	r := New().Add(Rule{Point: BatchWorker, Kind: KindTransient})
-	err := r.Hit(BatchWorker)
-	if !errors.Is(err, ErrTransient) || !errors.Is(err, ErrInjected) {
-		t.Fatalf("transient error %v must wrap both sentinels", err)
-	}
-	plain := New().Add(Rule{Point: BatchWorker, Kind: KindError}).Hit(BatchWorker)
-	if errors.Is(plain, ErrTransient) {
-		t.Fatalf("plain error %v must not wrap ErrTransient", plain)
-	}
-}
-
 func TestPanicKind(t *testing.T) {
-	r := New().Add(Rule{Point: BatchWorker, Kind: KindPanic})
+	r := New().Add(Rule{Point: BatchWorker, Nth: 2, Kind: KindPanic})
+	if err := r.Hit(BatchWorker); err != nil {
+		t.Fatalf("hit 1 fired early: %v", err)
+	}
 	defer func() {
 		rec := recover()
 		if rec == nil {
 			t.Fatal("KindPanic did not panic")
 		}
-		if !IsInjectedPanic(rec) {
-			t.Fatalf("recovered %v is not an injected panic", rec)
-		}
-		if IsInjectedPanic("unrelated") {
-			t.Fatal("IsInjectedPanic matched a foreign value")
+		p, ok := rec.(injectedPanic)
+		if !ok || p.point != BatchWorker || p.hit != 2 {
+			t.Fatalf("recovered %v, want the injected panic at %s hit 2", rec, BatchWorker)
 		}
 	}()
 	_ = r.Hit(BatchWorker)
 }
 
 func TestLatencyKindSleepsAndReturnsNil(t *testing.T) {
-	r := New().Add(Rule{Point: SubspaceSearch, Kind: KindLatency, Delay: time.Millisecond})
+	r := New().Add(Rule{Point: ServerHandler, Kind: KindLatency, Delay: time.Millisecond})
 	start := time.Now()
-	if err := r.Hit(SubspaceSearch); err != nil {
+	if err := r.Hit(ServerHandler); err != nil {
 		t.Fatalf("latency rule returned error: %v", err)
 	}
 	if time.Since(start) < time.Millisecond {
@@ -136,7 +125,7 @@ func TestPlanIsDeterministicAndSafe(t *testing.T) {
 
 func TestInstallAndGlobalHit(t *testing.T) {
 	defer Install(nil)
-	if Enabled() {
+	if Active() != nil {
 		t.Fatal("injection enabled before Install")
 	}
 	if err := Hit(GraphRead); err != nil {
@@ -144,7 +133,7 @@ func TestInstallAndGlobalHit(t *testing.T) {
 	}
 	r := New().Add(Rule{Point: GraphRead, Nth: 2})
 	Install(r)
-	if !Enabled() || Active() != r {
+	if Active() != r {
 		t.Fatal("Install did not take")
 	}
 	if err := Hit(GraphRead); err != nil {
@@ -154,7 +143,7 @@ func TestInstallAndGlobalHit(t *testing.T) {
 		t.Fatal("hit 2 did not fire")
 	}
 	Install(nil)
-	if Enabled() {
+	if Active() != nil {
 		t.Fatal("Install(nil) did not disable")
 	}
 }

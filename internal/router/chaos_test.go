@@ -17,19 +17,18 @@ import (
 
 // Router chaos suite: three in-process replicas under seeded fault
 // schedules, with up to two replicas structurally disrupted (killed or
-// draining) on top of injected errors, panics, and latency at both the
-// engine's and the router's fault points. The contract under every
+// draining) on top of injected errors, panics, and latency at the
+// server's and the router's fault points. The contract under every
 // schedule: each query answers either the oracle result (or a truncated
-// prefix of it, when a fault degraded the engine mid-query) or a typed
-// error — never an untyped 5xx, never a wrong path — and no schedule
-// leaks a goroutine.
+// prefix of it, when its budget cut the engine short) or a typed error —
+// never an untyped 5xx, never a wrong path — and no schedule leaks a
+// goroutine.
 
-// chaosPoints mixes engine-side and router-side fault sites so schedules
-// exercise mid-query failures, handler failures, and proxy/probe
-// failures together.
+// chaosPoints mixes server-side and router-side fault sites so schedules
+// exercise handler failures and proxy/probe failures together. The engine
+// has no fault point; truncation is driven by budgetRound's budget.
 var chaosPoints = []fault.Point{
-	fault.ServerHandler, fault.SubspaceSearch, fault.SPTGrow,
-	fault.RouterProxy, fault.RouterProbe,
+	fault.ServerHandler, fault.RouterProxy, fault.RouterProbe,
 }
 
 func installFaults(t testing.TB, r *fault.Registry) {
@@ -83,6 +82,11 @@ func TestRouterChaos(t *testing.T) {
 		{"/query?source=35&category=start&k=3", oracle(t, 35, "start", 3)},
 		{"/query?source=12&category=hotel&k=4", oracle(t, 12, "hotel", 4)},
 	}
+	// budgetRound's queries carry a budget that cuts every one of them
+	// short after its first path (each needs 17 to 64 units to finish),
+	// so the truncated class crosses the router under every schedule.
+	const budgetRound, budget = 1, "&budget=14"
+	ran, truncated := 0, 0
 
 	const seeds = 44
 	for seed := int64(1); seed <= seeds; seed++ {
@@ -124,9 +128,17 @@ func TestRouterChaos(t *testing.T) {
 			results := map[string]int{}
 			for round := 0; round < 2; round++ {
 				for qi, q := range oracleQueries {
-					rec, body := routerGet(t, rt, q.url)
+					url := q.url
+					if round == budgetRound {
+						url += budget
+					}
+					rec, body := routerGet(t, rt, url)
 					ctx := fmt.Sprintf("seed %d round %d query %d", seed, round, qi)
-					results[classifyResponse(t, rec.Code, rec.Header(), body, q.want, ctx)]++
+					class := classifyResponse(t, rec.Code, rec.Header(), body, q.want, ctx)
+					if round == budgetRound && class == "ok" {
+						t.Fatalf("%s: %s answered in full", ctx, budget)
+					}
+					results[class]++
 				}
 			}
 			// The schedule ran against live replicas: the fault points must
@@ -141,6 +153,8 @@ func TestRouterChaos(t *testing.T) {
 			if results["ok"]+results["truncated"]+results["typed-error"] != 2*len(oracleQueries) {
 				t.Fatalf("seed %d: classification mismatch: %v", seed, results)
 			}
+			ran++
+			truncated += results["truncated"]
 
 			// Uninstall before teardown so draining/closing replicas don't
 			// trip latent rules, then close everything explicitly ahead of
@@ -151,6 +165,10 @@ func TestRouterChaos(t *testing.T) {
 				f.srv.Close()
 			}
 		})
+	}
+	t.Logf("%d truncated answers over %d schedules", truncated, ran)
+	if ran > 0 && truncated == 0 {
+		t.Fatalf("no %s query crossed the router as a truncated prefix", budget)
 	}
 }
 

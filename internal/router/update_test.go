@@ -195,7 +195,11 @@ func TestStaleRouterAdoptsFleetFromConflict(t *testing.T) {
 		c.ProbeInterval = time.Hour
 		c.ProbeTimeout = 2 * time.Second
 	})
+	// Every replica's first probe must land before the replicas advance:
+	// waitReady returns once one replica is up, and a first probe still in
+	// flight would read epoch 1 and adopt it, leaving no stale fence to test.
 	waitReady(t, rt)
+	waitAllHealthy(t, rt, fixtures)
 
 	// Replicas advance while the router isn't looking.
 	delta := `{"setWeights":[{"u":0,"v":1,"w":4}]}`

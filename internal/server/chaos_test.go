@@ -15,10 +15,10 @@ import (
 	"kpj/internal/wire"
 )
 
-// Server-side chaos tests: injected faults at the server.handler,
-// subspace.search and index.load points must fail the request they hit
-// (typed 500, truncated prefix, old index kept), never corrupt service.
-// Update-path faults are covered by TestUpdateBreaker.
+// Server-side chaos tests: injected faults at the server.handler and
+// index.load points must fail the request they hit (typed 500, old index
+// kept), never corrupt service; a query cut short by its budget answers a
+// truncated prefix. Update-path faults are covered by TestUpdateBreaker.
 
 func installFaults(t *testing.T, r *fault.Registry) {
 	t.Helper()
@@ -97,38 +97,39 @@ func TestBreakerDegradedMode(t *testing.T) {
 }
 
 // TestBreakerInjectedPanicCounts: a KindPanic injection at the handler is
-// recovered into a typed 500 of kind "internal", and a mid-engine
-// injected error comes back as a 200 truncated prefix; neither opens
-// anything — the process never dies and the next query is exact.
+// recovered into a typed 500 of kind "internal", and a query cut short by
+// its budget= parameter comes back as a 200 truncated prefix of the clean
+// answer; neither opens anything — the process never dies and the next
+// query is exact.
 func TestBreakerInjectedPanicCounts(t *testing.T) {
 	defer leaktest.Check(t)()
 	const url = "/query?source=0&category=hotel&k=2"
-	for _, rule := range []fault.Rule{
-		{Point: fault.ServerHandler, Nth: 1, Count: 1, Kind: fault.KindPanic},
-		{Point: fault.SubspaceSearch, Nth: 1, Count: 1},
-	} {
-		s, _ := testServer(t)
-		clean := cleanAnswer(t, s, url)
-		installFaults(t, fault.New().Add(rule))
 
-		rec, body := get(t, s, url)
-		switch rule.Point {
-		case fault.ServerHandler:
-			if rec.Code != http.StatusInternalServerError {
-				t.Fatalf("%s: status %d, want 500 (%s)", rule.Point, rec.Code, body)
-			}
-			if kind := rec.Header().Get(wire.HeaderErrorKind); kind != string(wire.KindInternal) {
-				t.Fatalf("%s: error kind %q, want %q", rule.Point, kind, wire.KindInternal)
-			}
-		default:
-			var out QueryResponse
-			if rec.Code != http.StatusOK || json.Unmarshal(body, &out) != nil || !out.Truncated {
-				t.Fatalf("%s: status %d truncated=%v, want a 200 truncated prefix (%s)",
-					rule.Point, rec.Code, out.Truncated, body)
-			}
-		}
-		wantExactAfterFaults(t, s, url, clean)
+	s, _ := testServer(t)
+	clean := cleanAnswer(t, s, url)
+	installFaults(t, fault.New().Add(
+		fault.Rule{Point: fault.ServerHandler, Nth: 1, Count: 1, Kind: fault.KindPanic}))
+	rec, body := get(t, s, url)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("handler panic: status %d, want 500 (%s)", rec.Code, body)
 	}
+	if kind := rec.Header().Get(wire.HeaderErrorKind); kind != string(wire.KindInternal) {
+		t.Fatalf("handler panic: error kind %q, want %q", kind, wire.KindInternal)
+	}
+	wantExactAfterFaults(t, s, url, clean)
+
+	// Budget 20 lies inside the window (14..33 units on this grid) in
+	// which the first path is out and the second is not.
+	rec, body = get(t, s, url+"&budget=20")
+	var out QueryResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(body, &out) != nil || !out.Truncated {
+		t.Fatalf("budget: status %d truncated=%v, want a 200 truncated prefix (%s)",
+			rec.Code, out.Truncated, body)
+	}
+	if len(out.Paths) >= len(clean.Paths) || !reflect.DeepEqual(out.Paths, clean.Paths[:len(out.Paths)]) {
+		t.Fatalf("budget: paths %v are not a proper prefix of %v", out.Paths, clean.Paths)
+	}
+	wantExactAfterFaults(t, s, url, clean)
 }
 
 // writeReloadFile builds a fresh index over g (other landmarks than
@@ -159,8 +160,8 @@ func TestReloadIndexFaulted(t *testing.T) {
 	path := writeReloadFile(t, g)
 
 	installFaults(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad, Nth: 1, Count: 1}))
-	if err := s.ReloadIndex(path); !errors.Is(err, kpj.ErrInjectedFault) {
-		t.Fatalf("reload under injected index.load fault: err = %v, want ErrInjectedFault", err)
+	if err := s.ReloadIndex(path); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("reload under injected index.load fault: err = %v, want fault.ErrInjected", err)
 	}
 	if s.index() != old {
 		t.Fatal("failed reload replaced the serving index")

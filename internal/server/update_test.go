@@ -374,7 +374,7 @@ func TestUpdateQueryRaceChaos(t *testing.T) {
 	// updates fault and some land.
 	reg := fault.New().Add(
 		fault.Rule{Point: fault.GraphApply, Nth: 3, Count: 2, Kind: fault.KindError},
-		fault.Rule{Point: fault.GraphApply, Nth: 9, Kind: fault.KindTransient},
+		fault.Rule{Point: fault.GraphApply, Nth: 9, Kind: fault.KindError},
 	)
 	fault.Install(reg)
 	defer fault.Install(nil)

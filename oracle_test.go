@@ -140,12 +140,8 @@ func oracleCaseFor(t *testing.T, i int) oracleCase {
 	return c
 }
 
-// checkAgainstOracle runs every engine and verifies each result against
-// the exhaustive answer: the length sequence must match exactly, every
-// returned path must be a real simple path of the stated length with valid
-// endpoints, and when k covers every existing path the returned path sets
-// must coincide exactly.
-func checkAgainstOracle(t *testing.T, c oracleCase) {
+// oracleAnswer computes the exhaustive answer for an oracle case.
+func oracleAnswer(c oracleCase) []bruteforce.Path {
 	ogSources := make([]graph.NodeID, len(c.sources))
 	for i, s := range c.sources {
 		ogSources[i] = graph.NodeID(s)
@@ -154,13 +150,13 @@ func checkAgainstOracle(t *testing.T, c oracleCase) {
 	for i, tg := range c.targets {
 		ogTargets[i] = graph.NodeID(tg)
 	}
-	want := bruteforce.TopK(c.og, ogSources, ogTargets, c.k)
-	wantSet := map[string]bool{}
-	for _, p := range want {
-		wantSet[fmt.Sprint(p.Nodes)] = true
-	}
-	allPaths := len(want) < c.k // k covered everything: set must match too
+	return bruteforce.TopK(c.og, ogSources, ogTargets, c.k)
+}
 
+// oracleOptions returns the options an oracle case is queried with: its
+// landmark index when the case asks for one.
+func oracleOptions(t *testing.T, c oracleCase) kpj.Options {
+	t.Helper()
 	var opt kpj.Options
 	if c.index {
 		ix, err := kpj.BuildIndex(c.g, 3, 7)
@@ -169,6 +165,23 @@ func checkAgainstOracle(t *testing.T, c oracleCase) {
 		}
 		opt.Index = ix
 	}
+	return opt
+}
+
+// checkAgainstOracle runs every engine and verifies each result against
+// the exhaustive answer: the length sequence must match exactly, every
+// returned path must be a real simple path of the stated length with valid
+// endpoints, and when k covers every existing path the returned path sets
+// must coincide exactly.
+func checkAgainstOracle(t *testing.T, c oracleCase) {
+	want := oracleAnswer(c)
+	wantSet := map[string]bool{}
+	for _, p := range want {
+		wantSet[fmt.Sprint(p.Nodes)] = true
+	}
+	allPaths := len(want) < c.k // k covered everything: set must match too
+
+	opt := oracleOptions(t, c)
 	for _, alg := range allAlgorithms {
 		o := opt
 		o.Algorithm = alg

@@ -129,7 +129,10 @@ type Options struct {
 	Context context.Context
 	// Budget, when positive, caps the query's total work, measured in
 	// heap pops plus edge relaxations (the units Stats reports as
-	// NodesPopped and EdgesRelaxed). A query that exceeds it returns the
+	// NodesPopped and EdgesRelaxed) plus one unit per subspace-queue pop
+	// of the main loop, which Stats does not count: the smallest budget
+	// that completes a query exceeds NodesPopped+EdgesRelaxed by its
+	// number of main-loop rounds. A query that exceeds it returns the
 	// paths found so far plus a *TruncatedError wrapping
 	// ErrBudgetExceeded. Budgets make worst-case latency proportional to
 	// the budget regardless of graph size, k, or query difficulty.

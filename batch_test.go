@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -194,13 +195,34 @@ func TestBatchContextMidCancel(t *testing.T) {
 }
 
 // TestBatchTruncatedItemsCarryPartialResults: per-item budgets degrade
-// items independently instead of failing the batch.
+// items independently instead of failing the batch. The budget is the
+// median of the items' clean work (NodesPopped + EdgesRelaxed), so the
+// lighter items complete exactly and the heavier ones truncate, each to
+// a proper prefix of its clean answer.
 func TestBatchTruncatedItemsCarryPartialResults(t *testing.T) {
 	g, ix, queries := batchFixture(t)
-	res := g.Batch(queries, 3, &kpj.Options{Index: ix, Budget: 2000})
-	var truncated int
+	clean := make([][]kpj.Path, len(queries))
+	work := make([]int64, len(queries))
+	for i, q := range queries {
+		var st kpj.Stats
+		paths, err := g.TopKJoinSets(q.Sources, q.Targets, q.K, &kpj.Options{Index: ix, Stats: &st})
+		if err != nil {
+			t.Fatalf("clean query %d: %v", i, err)
+		}
+		clean[i], work[i] = paths, st.NodesPopped+st.EdgesRelaxed
+	}
+	sorted := slices.Clone(work)
+	slices.Sort(sorted)
+	budget := sorted[len(sorted)/2]
+
+	res := g.Batch(queries, 3, &kpj.Options{Index: ix, Budget: budget})
+	var truncated, complete int
 	for i, r := range res {
 		if r.Err == nil {
+			if !reflect.DeepEqual(r.Paths, clean[i]) {
+				t.Fatalf("item %d (work %d, budget %d): complete but differs from its clean answer", i, work[i], budget)
+			}
+			complete++
 			continue
 		}
 		if !errors.Is(r.Err, kpj.ErrBudgetExceeded) {
@@ -213,10 +235,14 @@ func TestBatchTruncatedItemsCarryPartialResults(t *testing.T) {
 		if len(partial) != len(r.Paths) {
 			t.Fatalf("item %d: error carries %d paths, result %d", i, len(partial), len(r.Paths))
 		}
+		if n := len(r.Paths); n >= len(clean[i]) || !reflect.DeepEqual(r.Paths, clean[i][:n]) {
+			t.Fatalf("item %d (work %d, budget %d): %d truncated paths are not a proper prefix of its %d clean ones",
+				i, work[i], budget, n, len(clean[i]))
+		}
 		truncated++
 	}
-	if truncated == 0 {
-		t.Skip("budget generous enough for every item; nothing truncated")
+	if truncated == 0 || complete == 0 {
+		t.Fatalf("budget %d over clean work %v: %d truncated, %d complete; want both", budget, work, truncated, complete)
 	}
 }
 

@@ -22,11 +22,11 @@
 //
 // POST /update fans the delta to every routable replica, fenced on the
 // fleet's agreed (epoch, fingerprint): a replica that fails, conflicts,
-// or diverges is marked down and resynced — delta-tail replay when the
-// last 64 accepted deltas still cover its epoch, full snapshot transfer
-// from a caught-up peer otherwise — and readmitted only once a probe
-// observes it at the fleet generation. Update bodies are capped at
-// 16 MiB, the replicas' own cap.
+// or diverges is marked down, resynced by a full snapshot transfer from
+// a caught-up peer, and readmitted only once a probe observes it at the
+// fleet generation. The router keeps no delta history, so a restarted
+// router brings a lagging replica back the same way. Update bodies are
+// capped at 16 MiB, the replicas' own cap.
 //
 // Responses carry X-Kpj-Replica naming the backend that answered, with
 // Retry-After, X-Kpj-Epoch, and X-Kpj-Fingerprint passed through from it

@@ -47,7 +47,7 @@ func TestHelperCrashServer(t *testing.T) {
 	}
 	err := run(os.Getenv("KPJ_CRASH_FLAT"), os.Getenv("KPJ_CRASH_ADDR"), 1000,
 		0, 0, 0, time.Second,
-		false, false, 0, 2, os.Getenv("KPJ_CRASH_WAL"), 3 /* checkpoint-every */)
+		false, false, os.Getenv("KPJ_CRASH_WAL"), 3 /* checkpoint-every */)
 	// Reached only if the listener never starts or a graceful shutdown
 	// sneaks in; the harness ends this process with SIGKILL otherwise.
 	if err != nil {

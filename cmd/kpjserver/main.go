@@ -34,10 +34,8 @@
 // insertions/deletions, POI membership — and atomically publishes a new
 // serving epoch (visible in /healthz and in every query response). The
 // landmark index is repaired incrementally. A failed update keeps the
-// old epoch serving. -breaker N arms the update circuit breaker: after N
-// consecutive internal update failures one update at a time probes the
-// apply path and concurrent ones are shed with 503, until -breakerprobes
-// clean updates close it again.
+// old epoch serving and answers a typed 500; the next update runs
+// normally.
 //
 // -wal DIR makes accepted updates durable: each delta is appended to a
 // CRC-framed log and fsynced before its epoch is published, the serving
@@ -75,15 +73,13 @@ func main() {
 	drain := flag.Duration("draintimeout", 10*time.Second, "bound on the graceful-shutdown drain window: in-flight queries get this long to finish after SIGINT/SIGTERM while late arrivals are shed with 503")
 	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and /debug/vars, and collect engine counters")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under GET /debug/pprof/")
-	breaker := flag.Int("breaker", 0, "consecutive internal POST /update failures that open the update breaker (0 = disabled)")
-	breakerProbes := flag.Int("breakerprobes", 2, "consecutive clean updates that close the open update breaker")
 	walDir := flag.String("wal", "", "write-ahead log directory: POST /update deltas are fsynced here before they are served, and startup recovers the chain from the newest checkpoint plus log replay")
 	checkpointEvery := flag.Int("checkpoint-every", 64, "with -wal, snapshot the serving state and truncate the log every N epochs (0 = never)")
 	flag.Parse()
 
 	if err := run(*flatPath, *addr, *maxK,
 		*timeout, *budget, *maxInFlight, *drain, *metrics, *pprofOn,
-		*breaker, *breakerProbes, *walDir, *checkpointEvery); err != nil {
+		*walDir, *checkpointEvery); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjserver: %v\n", err)
 		os.Exit(1)
 	}
@@ -91,8 +87,7 @@ func main() {
 
 func run(flatPath, addr string, maxK int,
 	timeout time.Duration, budget int64, maxInFlight int, drain time.Duration,
-	metrics, pprofOn bool, breakerThreshold, breakerProbes int,
-	walDir string, checkpointEvery int) error {
+	metrics, pprofOn bool, walDir string, checkpointEvery int) error {
 	if flatPath == "" {
 		return fmt.Errorf("-flat is required")
 	}
@@ -148,10 +143,6 @@ func run(flatPath, addr string, maxK int,
 	if pprofOn {
 		opts = append(opts, server.WithPprof())
 		fmt.Println("profiling on /debug/pprof/")
-	}
-	if breakerThreshold > 0 {
-		opts = append(opts, server.WithBreaker(breakerThreshold, breakerProbes))
-		fmt.Printf("circuit breaker armed: %d failures open, %d probes close\n", breakerThreshold, breakerProbes)
 	}
 	app := server.New(g, ix, opts...)
 	srv := &http.Server{

@@ -100,12 +100,10 @@ type Router struct {
 
 	// Replicated-update state (update.go): updateMu serializes fan-outs
 	// (write side) and keeps probes (read side) out of them, fleet is the
-	// monotonically adopted (epoch, fingerprint) the fleet agrees on, tail
-	// retains recent deltas for resync catch-up, and resyncWG tracks
-	// background resync goroutines for Close.
+	// monotonically adopted (epoch, fingerprint) the fleet agrees on, and
+	// resyncWG tracks background resync goroutines for Close.
 	updateMu sync.RWMutex
 	fleet    atomic.Pointer[wire.Gen]
-	tail     deltaTail
 	resyncWG sync.WaitGroup
 
 	rngMu sync.Mutex
@@ -122,12 +120,8 @@ type Router struct {
 // at ~10% on top of the initial bucket.
 const tokenScale = 10
 
-// minHedge is the adaptive hedge delay's floor, and updateTail the number
-// of accepted deltas retained for resync catch-up.
-const (
-	minHedge   = 2 * time.Millisecond
-	updateTail = 64
-)
+// minHedge is the adaptive hedge delay's floor.
+const minHedge = 2 * time.Millisecond
 
 // New builds a Router over cfg.Replicas — the replica set is fixed for
 // the Router's lifetime — and starts one probe loop per replica. The

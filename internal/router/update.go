@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"kpj/internal/fault"
 	"kpj/internal/wire"
@@ -17,11 +16,12 @@ import (
 // current (epoch, fingerprint) so a replica can only apply the delta to
 // exactly the generation the fleet agrees on. Replicas that fail, shed,
 // conflict, or produce a divergent result are marked down on the spot
-// and brought back through resync: replay the retained delta tail when
-// it still covers their epoch, otherwise transfer a full snapshot from
-// a caught-up replica. A downed replica is readmitted only when a probe
-// observes it at the fleet's exact (epoch, fingerprint) — a replica can
-// never serve a stale epoch after readmission.
+// and brought back through resync: a full snapshot transfer from a
+// caught-up replica. The router holds no delta history, so a restarted
+// router resyncs a lagging replica exactly as a long-running one does.
+// A downed replica is readmitted only when a probe observes it at the
+// fleet's exact (epoch, fingerprint) — a replica can never serve a stale
+// epoch after readmission.
 //
 // The fleet state itself is adopted monotonically: probes and update
 // acks only ever advance it (ties keep the incumbent), so a restarted
@@ -51,51 +51,6 @@ func (rt *Router) adoptFleet(g wire.Gen) {
 			return
 		}
 	}
-}
-
-// tailEntry is one accepted delta retained for log-suffix catch-up: the
-// fence it applied under, the generation it produced, and the raw body.
-type tailEntry struct {
-	from wire.Gen
-	to   wire.Gen
-	body []byte
-}
-
-// deltaTail is a bounded ring of the updateTail most recent accepted
-// deltas. Entries are appended in fleet order (under the router's update
-// mutex), so the retained window is always one contiguous chain suffix.
-type deltaTail struct {
-	mu      sync.Mutex
-	entries []tailEntry
-}
-
-func (t *deltaTail) append(e tailEntry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.entries = append(t.entries, e)
-	if len(t.entries) > updateTail {
-		t.entries = t.entries[len(t.entries)-updateTail:]
-	}
-}
-
-// suffix returns the chain of retained deltas leading from g to the
-// newest entry, or ok=false when the tail no longer reaches that far
-// back (the replica must take a snapshot instead). An empty slice with
-// ok=true means the state is already current.
-func (t *deltaTail) suffix(g wire.Gen) ([]tailEntry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n := len(t.entries); n > 0 && t.entries[n-1].to == g {
-		return nil, true
-	}
-	for i, e := range t.entries {
-		if e.from == g {
-			out := make([]tailEntry, len(t.entries)-i)
-			copy(out, t.entries[i:])
-			return out, true
-		}
-	}
-	return nil, false
 }
 
 // updateOutcome is one replica's verdict on a fanned-out delta.
@@ -209,7 +164,6 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	next := canonical.gen
 	rt.adoptFleet(next)
-	rt.tail.append(tailEntry{from: fence, to: next, body: body})
 
 	applied := make([]string, 0, len(outs))
 	var resyncing []string
@@ -305,11 +259,10 @@ func (rt *Router) scheduleResync(rp *replica) {
 	}()
 }
 
-// resyncReplica brings a downed replica back onto the fleet chain:
-// delta-tail replay when the retained window still covers its epoch,
-// full snapshot transfer from a caught-up peer otherwise. It only moves
-// state — readmission stays with the probe loop, which flips the
-// replica up once it observes the fleet (epoch, fingerprint).
+// resyncReplica brings a downed replica back onto the fleet chain by a
+// full snapshot transfer from a caught-up peer. It only moves state —
+// readmission stays with the probe loop, which flips the replica up once
+// it observes the fleet (epoch, fingerprint).
 func (rt *Router) resyncReplica(ctx context.Context, rp *replica) bool {
 	fleet := rt.fleetSnapshot()
 	if fleet == (wire.Gen{}) {
@@ -330,22 +283,6 @@ func (rt *Router) resyncReplica(ctx context.Context, rp *replica) bool {
 	}
 	if have == fleet {
 		return true // already caught up; next probe readmits
-	}
-	if entries, ok := rt.tail.suffix(have); ok {
-		replayed := true
-		for _, e := range entries {
-			out := rt.fanoutOne(ctx, rp, e.body, e.from)
-			if !out.applied || out.gen != e.to {
-				rt.logf("router: resync %s: tail replay at epoch %d failed (status %d err %v); falling back to snapshot",
-					rp.name, e.to.Epoch, out.status, out.err)
-				replayed = false
-				break
-			}
-		}
-		if replayed {
-			rt.logf("router: resync %s: replayed %d tail deltas to %s", rp.name, len(entries), fleet)
-			return true
-		}
 	}
 	return rt.snapshotResync(ctx, rp, fleet)
 }

@@ -146,12 +146,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleResync replaces the serving state with a flat snapshot shipped
-// by the routing tier — the readmission path for a replica that
-// diverged or fell too far behind to catch up record by record. The
-// snapshot's epoch (X-Kpj-Epoch header) must be ahead of the current
-// one: epoch fencing holds even here, a resync can never rewind a
-// replica. With a WAL configured the snapshot is checkpointed durably
-// before the new epoch is published.
+// by the routing tier — the one readmission path for a replica that
+// failed an update, fell behind or diverged. The snapshot's epoch
+// (X-Kpj-Epoch header) must be ahead of the current one, or equal to it
+// with a different fingerprint (a replica that diverged at the fleet's
+// epoch): epoch fencing holds even here, a resync can never rewind a
+// replica, and an identical replay is refused. With a WAL configured the
+// snapshot is checkpointed durably before the new epoch is published.
 func (s *Server) handleResync(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.KindDraining, "draining")
@@ -177,13 +178,13 @@ func (s *Server) handleResync(w http.ResponseWriter, r *http.Request) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 	cur := s.snapshot()
-	if snapEpoch <= cur.seq {
+	next := &epochState{g: ng, ix: nix, seq: snapEpoch}
+	if snapEpoch < cur.seq || snapEpoch == cur.seq && next.gen() == cur.gen() {
 		cur.gen().SetHeader(w.Header())
 		wire.WriteError(w, http.StatusConflict, wire.KindEpochConflict,
-			"snapshot epoch %d does not advance current epoch %d", snapEpoch, cur.seq)
+			"snapshot %s does not advance or replace current %s", next.gen(), cur.gen())
 		return
 	}
-	next := &epochState{g: ng, ix: nix, seq: snapEpoch}
 	if s.wal != nil {
 		// Durable-before-observable: persist the snapshot as a checkpoint
 		// (re-using the received bytes verbatim) before publishing.

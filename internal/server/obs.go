@@ -41,7 +41,6 @@ type serverMetrics struct {
 	batchErrs *obs.Counter
 	truncated *obs.Counter
 	shed      *obs.Counter
-	trips     *obs.Counter
 	reloads   *obs.Counter
 	reloadErr *obs.Counter
 	updates   *obs.Counter
@@ -58,7 +57,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		batchErrs: reg.Counter(`kpj_http_errors_total{route="batch"}`, "/batch requests answered with an error status"),
 		truncated: reg.Counter("kpj_http_truncated_total", "queries answered with truncated partial results"),
 		shed:      reg.Counter("kpj_http_shed_total", "requests shed with 503 by the in-flight limiter"),
-		trips:     reg.Counter("kpj_http_breaker_trips_total", "update circuit breaker open transitions"),
 		reloads:   reg.Counter(`kpj_http_index_reloads_total{result="ok"}`, "successful index hot-reloads"),
 		reloadErr: reg.Counter(`kpj_http_index_reloads_total{result="error"}`, "index hot-reloads rejected (old index kept)"),
 		updates:   reg.Counter(`kpj_http_updates_total{result="ok"}`, "live updates that published a new epoch"),

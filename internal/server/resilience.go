@@ -2,99 +2,22 @@ package server
 
 import (
 	"fmt"
-	"sync"
 
 	"kpj"
 	"kpj/internal/fault"
 )
 
-// This file is the server's failure-handling layer: the circuit breaker
-// that guards POST /update, and atomic index hot-reload so an operator
-// can swap a rebuilt landmark index (a fresh kpjindex output for the same
-// graph) into a live process (SIGHUP in kpjserver) without dropping
-// requests.
+// This file is the server's failure-handling layer: atomic index
+// hot-reload, so an operator can swap a rebuilt landmark index (a fresh
+// kpjindex output for the same graph) into a live process (SIGHUP in
+// kpjserver) without dropping requests.
 //
-// Queries have one fallback, independent of any breaker: a query over
-// deadline or budget returns its prefix with "truncated": true (HTTP
-// 200). A query that panics or hits an injected fault answers a typed
-// 500 and the next query runs normally.
-//
-// The update breaker trips after `threshold` consecutive internal apply
-// failures (a client's bad delta never counts) and closes again after
-// `probes` consecutive clean updates; while it is open, one update at a
-// time probes the apply path (update.go).
-
-// breaker is a consecutive-failure circuit breaker. A nil *breaker
-// (breaker disabled) is always closed and records nothing.
-type breaker struct {
-	threshold int // consecutive failures that open it
-	probes    int // consecutive successes while open that close it
-
-	mu    sync.Mutex
-	fails int
-	oks   int
-	open  bool
-}
-
-// isOpen reports whether the breaker is open.
-func (b *breaker) isOpen() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}
-
-// record folds one outcome in; it returns true exactly when this outcome
-// opened the breaker (the trip edge, for logging and metrics).
-func (b *breaker) record(ok bool) (tripped bool) {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !ok {
-		b.oks = 0
-		b.fails++
-		if !b.open && b.fails >= b.threshold {
-			b.open = true
-			return true
-		}
-		return false
-	}
-	if b.open {
-		b.oks++
-		if b.oks >= b.probes {
-			b.open, b.fails, b.oks = false, 0, 0
-		}
-	} else {
-		b.fails = 0
-	}
-	return false
-}
-
-// state renders the breaker for /healthz.
-func (b *breaker) state() string {
-	if b.isOpen() {
-		return "open"
-	}
-	return "closed"
-}
-
-// WithBreaker arms the update circuit breaker: `threshold` consecutive
-// internal update failures (not client errors) open it, and `probes`
-// consecutive clean updates close it again (probes <= 0 means 1).
-// threshold <= 0 leaves it disabled (the default).
-func WithBreaker(threshold, probes int) Option {
-	return func(s *Server) {
-		if threshold <= 0 {
-			s.updateBr = nil
-			return
-		}
-		s.updateBr = &breaker{threshold: threshold, probes: max(probes, 1)}
-	}
-}
+// Queries have one fallback: a query over deadline or budget returns its
+// prefix with "truncated": true (HTTP 200). A query that panics or hits
+// an injected fault answers a typed 500 and the next query runs normally.
+// A failed update answers a typed 500 and keeps the serving epoch
+// (update.go); behind a router, that 500 fences the replica down until a
+// snapshot resync brings it back.
 
 // index returns the current epoch's index (possibly nil). Request
 // handlers do not use it — they snapshot the whole epoch once — it

@@ -5,7 +5,7 @@
 //
 // Endpoints:
 //
-//	GET  /healthz       liveness + graph shape + epoch + update breaker state
+//	GET  /healthz       liveness + graph shape + epoch + fingerprint
 //	GET  /readyz        readiness: index loaded and not draining
 //	GET  /categories    category names with sizes
 //	GET  /query         one query via URL parameters
@@ -83,12 +83,6 @@ type Server struct {
 	// ReloadIndex): each mutation reads the current epoch, derives its
 	// successor, and publishes it as one atomic store.
 	updateMu sync.Mutex
-	// updateProbe admits one update at a time while the update breaker is
-	// open: the first arrival becomes the probe, concurrent ones are shed.
-	updateProbe atomic.Bool
-	// updateBr is the circuit breaker for POST /update (WithBreaker);
-	// nil when it is disabled.
-	updateBr *breaker
 	mux      *http.ServeMux
 	// maxK bounds per-request k to keep one request from monopolizing
 	// the process.
@@ -299,9 +293,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Epoch:       ep.seq,
 		Fingerprint: ep.gen().Fingerprint(),
 		Draining:    s.draining.Load(),
-	}
-	if s.updateBr != nil {
-		body.Breakers = map[string]string{"update": s.updateBr.state()}
 	}
 	wire.WriteJSON(w, http.StatusOK, body)
 }

@@ -19,11 +19,9 @@ import (
 // on the epoch they snapshotted; a failed or invalid delta leaves the
 // serving epoch untouched.
 //
-// Updates are serialized by the epoch mutex, shed with 503 while the
-// server drains, and guarded by their own circuit breaker (WithBreaker):
-// after `threshold` consecutive internal apply failures the endpoint
-// admits one probe update at a time and sheds concurrent ones, until
-// `probes` consecutive successes close the breaker again.
+// Updates are serialized by the epoch mutex and shed with 503 while the
+// server drains. An internal apply or WAL failure answers a typed 500
+// and keeps the serving epoch; the next update runs normally.
 
 // UpdateResponse is the POST /update response body.
 type UpdateResponse struct {
@@ -85,16 +83,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.met.updateErr.Inc()
 		return
 	}
-	if s.updateBr.isOpen() {
-		// Half-open: one update at a time probes the apply path; the rest
-		// are shed so a persistent fault cannot stack mutation attempts.
-		if !s.updateProbe.CompareAndSwap(false, true) {
-			wire.WriteError(w, http.StatusServiceUnavailable, wire.KindDraining, "update breaker open")
-			s.met.shed.Inc()
-			return
-		}
-		defer s.updateProbe.Store(false)
-	}
 
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
@@ -114,14 +102,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	next, resp, err := s.applyDelta(ep, &d)
 	if err != nil {
+		s.met.updateErr.Inc()
 		if errors.Is(err, kpj.ErrBadDelta) {
-			// A client mistake, not an apply-path fault: the breaker only
-			// counts internal failures.
 			wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", err)
-			s.met.updateErr.Inc()
 			return
 		}
-		s.recordUpdateFault(err)
 		wire.WriteError(w, http.StatusInternalServerError, wire.KindInternal,
 			"update failed, epoch %d kept: %v", ep.seq, err)
 		return
@@ -134,7 +119,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		rec := wal.Record{Epoch: next.seq, Nodes: resp.Nodes, Edges: resp.Edges, Delta: &d,
 			Fingerprint: next.gen().FP}
 		if err := s.wal.Append(rec); err != nil {
-			s.recordUpdateFault(err)
+			s.met.updateErr.Inc()
 			wire.WriteError(w, http.StatusInternalServerError, wire.KindWAL,
 				"wal append failed, epoch %d kept: %v", ep.seq, err)
 			return
@@ -142,23 +127,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.epoch.Store(next)
 	s.maybeCheckpointLocked(next)
-	s.updateBr.record(true)
 	resp.Micros = time.Since(start).Microseconds()
 	next.gen().SetHeader(w.Header())
 	wire.WriteJSON(w, http.StatusOK, resp)
 	s.met.updates.Inc()
 	s.logf("server: epoch %d -> %d: %d delta ops, %d tables repaired (%d nodes settled)",
 		ep.seq, next.seq, d.Ops(), resp.RepairedTables, resp.RepairSettled)
-}
-
-// recordUpdateFault counts an internal update failure against the update
-// breaker and the error counter.
-func (s *Server) recordUpdateFault(err error) {
-	if s.updateBr.record(false) {
-		s.logf("server: update circuit breaker opened after: %v", err)
-		s.met.trips.Inc()
-	}
-	s.met.updateErr.Inc()
 }
 
 // applyDelta derives the successor epoch for d without publishing it or

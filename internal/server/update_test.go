@@ -196,62 +196,6 @@ func TestUpdateFaultKeepsEpoch(t *testing.T) {
 	}
 }
 
-// TestUpdateBreaker drives the update circuit breaker around its full
-// cycle: consecutive internal apply failures open it (visible in
-// /healthz, which lists no other breaker), and a successful probe update
-// closes it again. Faulted queries never count toward it.
-func TestUpdateBreaker(t *testing.T) {
-	s, _ := testServer(t, WithLogf(t.Logf), WithBreaker(2, 1))
-	defer fault.Install(nil)
-
-	breakerState := func() string {
-		_, body := get(t, s, "/healthz")
-		var out struct {
-			Breakers map[string]string `json:"breakers"`
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Breakers) != 1 {
-			t.Fatalf("healthz breakers = %v, want the update breaker alone", out.Breakers)
-		}
-		return out.Breakers["update"]
-	}
-
-	fault.Install(fault.New().Add(fault.Rule{Point: fault.ServerHandler, Nth: 1, Count: 3}))
-	for i := 0; i < 3; i++ {
-		if rec, _ := get(t, s, "/query?source=0&category=hotel&k=2"); rec.Code != http.StatusInternalServerError {
-			t.Fatalf("faulted query %d: status %d", i, rec.Code)
-		}
-	}
-	if st := breakerState(); st != "closed" {
-		t.Fatalf("breaker after 3 faulted queries: %s", st)
-	}
-
-	fault.Install(fault.New().Add(fault.Rule{Point: fault.GraphApply, Nth: 1, Count: 2, Kind: fault.KindError}))
-
-	delta := `{"setWeights":[{"u":0,"v":1,"w":4}]}`
-	for i := 0; i < 2; i++ {
-		if rec, _ := postUpdate(t, s, delta); rec.Code != http.StatusInternalServerError {
-			t.Fatalf("faulted update %d: status %d", i, rec.Code)
-		}
-	}
-	if st := breakerState(); st != "open" {
-		t.Fatalf("breaker after 2 failures: %s", st)
-	}
-	// The next update is admitted as the probe; the fault window has
-	// passed, so it succeeds and closes the breaker.
-	if rec, body := postUpdate(t, s, delta); rec.Code != http.StatusOK {
-		t.Fatalf("probe update: %d %s", rec.Code, body)
-	}
-	if st := breakerState(); st != "closed" {
-		t.Fatalf("breaker after successful probe: %s", st)
-	}
-	if got := s.Epoch(); got != 1 {
-		t.Fatalf("epoch = %d", got)
-	}
-}
-
 func TestUpdateUnindexedServer(t *testing.T) {
 	b := kpj.NewBuilder(3)
 	b.AddEdge(0, 1, 5).AddEdge(1, 2, 5).AddEdge(0, 2, 20)

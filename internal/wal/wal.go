@@ -466,9 +466,10 @@ func (l *Log) Checkpoint(epoch uint64, write func(io.Writer) error) error {
 		return err
 	}
 	if oldBase != epoch {
+		// At an equal epoch both names are the ones just written.
 		_ = os.Remove(oldPath)
+		_ = os.Remove(filepath.Join(l.dir, checkpointName(oldBase)))
 	}
-	_ = os.Remove(filepath.Join(l.dir, checkpointName(oldBase)))
 	l.broken = nil
 	return nil
 }

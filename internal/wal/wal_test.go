@@ -299,6 +299,34 @@ func TestCheckpointAheadOfLog(t *testing.T) {
 	}
 }
 
+// TestCheckpointAtBaseEpochReplacesIt: a second checkpoint at the
+// epoch of the current one (a snapshot resync that replaces a diverged
+// state at the same epoch) must replace the first, not garbage-collect
+// the file it has just written.
+func TestCheckpointAtBaseEpochReplacesIt(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir)
+	for i, payload := range []string{"diverged", "fleet"} {
+		if err := l.Checkpoint(3, func(w io.Writer) error {
+			_, err := w.Write([]byte(payload))
+			return err
+		}); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+	}
+	if err := l.Append(testRecord(4)); err != nil {
+		t.Fatalf("append after the second checkpoint: %v", err)
+	}
+	l.Close()
+	_, rec := mustOpen(t, dir)
+	if rec.CheckpointEpoch != 3 || rec.CheckpointPath == "" || len(rec.Records) != 1 {
+		t.Fatalf("recovery after equal-epoch checkpoint: %+v", rec)
+	}
+	if got, err := os.ReadFile(rec.CheckpointPath); err != nil || string(got) != "fleet" {
+		t.Fatalf("checkpoint payload %q err %v, want the second one", got, err)
+	}
+}
+
 func TestTmpFilesCleanedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir)

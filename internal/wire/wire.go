@@ -165,18 +165,17 @@ type Readyz struct {
 	RecoverTotal *int64 `json:"recoverTotal,omitempty"`
 }
 
-// Healthz is a replica's /healthz body. Breakers maps "update" to "open"
-// or "closed"; it is present only when the update breaker is armed.
+// Healthz is a replica's /healthz body: liveness, the served graph's
+// shape and its generation (epoch, fingerprint).
 type Healthz struct {
-	Status      string            `json:"status"`
-	Nodes       int               `json:"nodes"`
-	Edges       int               `json:"edges"`
-	Categories  int               `json:"categories"`
-	Indexed     bool              `json:"indexed"`
-	Epoch       uint64            `json:"epoch"`
-	Fingerprint string            `json:"fingerprint,omitempty"`
-	Draining    bool              `json:"draining"`
-	Breakers    map[string]string `json:"breakers,omitempty"`
+	Status      string `json:"status"`
+	Nodes       int    `json:"nodes"`
+	Edges       int    `json:"edges"`
+	Categories  int    `json:"categories"`
+	Indexed     bool   `json:"indexed"`
+	Epoch       uint64 `json:"epoch"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	Draining    bool   `json:"draining"`
 }
 
 // MountMetrics serves reg on GET /metrics (Prometheus text) and GET

@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"kpj"
 	"kpj/internal/bruteforce"
 	"kpj/internal/fault"
+	"kpj/internal/flatindex"
 	"kpj/internal/leaktest"
 )
 
@@ -233,24 +236,18 @@ func TestBatchWorkerPanicContained(t *testing.T) {
 	}
 }
 
-// TestFaultPointsLoadPaths: faults at the load/build points surface as
-// ordinary typed errors from the constructors (no partial state, no
-// panic).
+// TestFaultPointsLoadPaths: a read that fails partway, or a flat payload
+// cut short, surfaces as an ordinary typed error from the loader (no
+// partial state, no panic).
 func TestFaultPointsLoadPaths(t *testing.T) {
 	defer leaktest.Check(t)()
 	c := oracleCaseFor(t, 2)
 
-	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.GraphRead}))
-	if _, err := kpj.ReadGraph(bytes.NewReader([]byte("p sp 1 0\n"))); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("graph.read: err = %v, want fault.ErrInjected", err)
+	readErr := errors.New("disk gone")
+	r := io.MultiReader(strings.NewReader("p sp 2 1\n"), iotest.ErrReader(readErr))
+	if g, err := kpj.ReadGraph(r); !errors.Is(err, readErr) || g != nil {
+		t.Fatalf("failing reader: g = %v, err = %v, want the reader's error", g, err)
 	}
-	fault.Install(nil)
-
-	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.IndexBuild}))
-	if _, err := kpj.BuildIndex(c.g, 2, 1); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("index.build: err = %v, want fault.ErrInjected", err)
-	}
-	fault.Install(nil)
 
 	ix, err := kpj.BuildIndex(c.g, 2, 1)
 	if err != nil {
@@ -260,13 +257,12 @@ func TestFaultPointsLoadPaths(t *testing.T) {
 	if _, err := kpj.WriteFlat(&buf, c.g, ix); err != nil {
 		t.Fatal(err)
 	}
-	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad}))
-	if _, _, err := kpj.ReadFlat(bytes.NewReader(buf.Bytes())); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("index.load: err = %v, want fault.ErrInjected", err)
+	full := buf.Bytes()
+	if g, ix, err := kpj.ReadFlat(bytes.NewReader(full[:len(full)-1])); !errors.Is(err, flatindex.ErrFormat) || g != nil || ix != nil {
+		t.Fatalf("truncated flat payload: err = %v, want flatindex.ErrFormat and nothing loaded", err)
 	}
-	fault.Install(nil)
-	if _, _, err := kpj.ReadFlat(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("clean reload after fault cleared: %v", err)
+	if _, _, err := kpj.ReadFlat(bytes.NewReader(full)); err != nil {
+		t.Fatalf("full flat payload: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,7 +10,6 @@ import (
 	"testing"
 
 	"kpj"
-	"kpj/internal/fault"
 	"kpj/internal/server"
 )
 
@@ -46,8 +46,9 @@ func testApp(t *testing.T) (*server.Server, string) {
 }
 
 // TestWatchReloadSurvivesInjectedFault drives the SIGHUP reload loop with
-// a manual signal channel: the first reload hits an injected index.load
-// fault and must keep the old index; the second, clean reload swaps it.
+// a manual signal channel: the first reload reads a byte-flipped copy of
+// the file and must keep the old index; after the good file is rewritten,
+// the second reload swaps it.
 func TestWatchReloadSurvivesInjectedFault(t *testing.T) {
 	app, path := testApp(t)
 
@@ -59,9 +60,15 @@ func TestWatchReloadSurvivesInjectedFault(t *testing.T) {
 		mu.Unlock()
 	}
 
-	fault.Install(fault.New().Add(
-		fault.Rule{Point: fault.IndexLoad, Nth: 1, Count: 1}))
-	defer fault.Install(nil)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x40
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Each logged line corresponds to one drained signal, so waiting for
 	// the log to grow synchronizes with the loop without sleeps.
@@ -86,9 +93,12 @@ func TestWatchReloadSurvivesInjectedFault(t *testing.T) {
 
 	ch <- os.Interrupt // stand-in for SIGHUP; watchReload only ranges the channel
 	if line := waitLog(1); !strings.Contains(line, "reload failed") || !strings.Contains(line, "keeping current index") {
-		t.Fatalf("faulted reload logged %q, want a keeping-current-index failure", line)
+		t.Fatalf("corrupt-file reload logged %q, want a keeping-current-index failure", line)
 	}
 
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	ch <- os.Interrupt
 	if line := waitLog(2); !strings.Contains(line, "index reloaded from "+path) {
 		t.Fatalf("clean reload logged %q", line)

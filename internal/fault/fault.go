@@ -1,14 +1,17 @@
 // Package fault implements deterministic fault injection for chaos
-// testing. Production code is threaded with named fault points — Hit
-// calls at the places where the world outside the process can fail: file
-// parsing, index loading and building, graph deltas, WAL writes and
-// replay, request handlers, router attempts and health probes — plus the
-// batch worker, whose panic recovery is tested through it. The query
-// engine does no I/O and carries no fault point: a query's answer can be
-// shortened only by a budget, a deadline or a recovered panic. A
-// seed-scheduled plan of rules decides, per point, at which hit ordinal
-// to inject a typed error, a panic, or extra latency, so a whole failure
-// scenario replays bit-identically from one integer seed.
+// testing. Production code carries a named fault point only where a test
+// cannot make the world fail for real: the disk under the WAL (append,
+// fsync, replay), and the two recovery seams around code we own — the
+// server's /query handler and the batch worker, whose panic recovery is
+// tested through them. Everything else fails for real in tests: a bad
+// delta, an io.Reader that errors, a missing or corrupt file, or a
+// router transport that calls Hit per replica and request path (the
+// points are then the test's own). The query engine carries no point: a
+// query's answer can be shortened only by a budget, a deadline or a
+// recovered panic. A seed-scheduled plan of rules decides, per point, at
+// which hit ordinal to inject a typed error, a panic, or extra latency,
+// so a whole failure scenario replays bit-identically from one integer
+// seed.
 //
 // The package follows internal/obs's zero-cost-when-disabled discipline:
 // the process-wide registry is an atomic pointer that defaults to nil, a
@@ -37,16 +40,6 @@ type Point string
 
 // The instrumented fault points.
 const (
-	// GraphRead fires in graph.ReadGr before parsing a DIMACS file.
-	GraphRead Point = "graph.read"
-	// IndexLoad fires in flatindex.Read and flatindex.ReadFile before a
-	// flat payload is decoded — the one verified load behind startup,
-	// index reload, WAL checkpoint loading and /resync.
-	IndexLoad Point = "index.load"
-	// IndexBuild fires in landmark.BuildParallel and
-	// BuildWithLandmarksParallel before landmark selection / the table
-	// Dijkstras start.
-	IndexBuild Point = "index.build"
 	// ServerHandler fires in the HTTP server once per /query execution.
 	// Panics here are recovered by the handler.
 	ServerHandler Point = "server.handler"
@@ -54,17 +47,6 @@ const (
 	// error fails that item with no paths; a panic is recovered into an
 	// ErrWorkerPanic result for that item alone.
 	BatchWorker Point = "batch.worker"
-	// RouterProxy fires in internal/router once per proxied attempt
-	// (primary, hedge, or failover), on the attempt goroutine. Panics
-	// here are recovered and classified as attempt failures.
-	RouterProxy Point = "router.proxy"
-	// RouterProbe fires in internal/router once per health-probe cycle.
-	// Panics here are recovered and count as probe failures.
-	RouterProbe Point = "router.probe"
-	// GraphApply fires in graph.Apply once per delta operation, before
-	// the operation is validated — the mid-apply site. An injected error
-	// fails the whole apply; the caller's epoch keeps the old graph.
-	GraphApply Point = "graph.apply"
 	// WALAppend fires in wal.Log.Append before the record frame is
 	// written. An injected error fails the update with the old epoch
 	// kept — the moment a disk write would fail.
@@ -81,21 +63,13 @@ const (
 
 // Points lists every fault point compiled into the tree, in a fixed
 // order so seeded plans are stable across runs.
-var Points = []Point{
-	GraphRead, IndexLoad, IndexBuild, ServerHandler,
-	BatchWorker, RouterProxy, RouterProbe, GraphApply,
-	WALAppend, WALFsync, WALReplay,
-}
+var Points = []Point{ServerHandler, BatchWorker, WALAppend, WALFsync, WALReplay}
 
-// PanicSafePoints are the points whose surrounding code recovers injected
-// panics; Plan only assigns KindPanic to these, since a panic anywhere
-// else would take down the process under test.
-var PanicSafePoints = map[Point]bool{
-	ServerHandler: true,
-	BatchWorker:   true,
-	RouterProxy:   true,
-	RouterProbe:   true,
-}
+// unrecovered are the compiled-in points whose surrounding code does not
+// recover a panic; Plan never assigns KindPanic to them, since a panic
+// there would take down the process under test. Every other point —
+// ServerHandler, BatchWorker, and any point a test defines — keeps it.
+var unrecovered = map[Point]bool{WALAppend: true, WALFsync: true, WALReplay: true}
 
 // ErrInjected is the sentinel every injected error wraps (unless a rule
 // overrides it with Rule.Err).
@@ -265,8 +239,8 @@ type PlanConfig struct {
 // Plan derives a deterministic rule schedule from seed: the same seed and
 // config always yield the same rules, so a chaos failure reproduces from
 // its seed alone. Kinds are drawn roughly 70% error, 20% latency, 10%
-// panic — panics demoted to errors at points whose code does not recover
-// them (see PanicSafePoints).
+// panic — panics demoted to errors at the compiled-in points whose code
+// does not recover them (see unrecovered).
 func Plan(seed int64, cfg PlanConfig) []Rule {
 	if len(cfg.Points) == 0 {
 		cfg.Points = Points
@@ -295,10 +269,10 @@ func Plan(seed int64, cfg PlanConfig) []Rule {
 			r.Kind = KindLatency
 			r.Delay = time.Duration(1 + rng.Int63n(int64(cfg.MaxDelay)))
 		default:
-			if PanicSafePoints[r.Point] {
-				r.Kind = KindPanic
-			} else {
+			if unrecovered[r.Point] {
 				r.Kind = KindError
+			} else {
+				r.Kind = KindPanic
 			}
 		}
 		rules = append(rules, r)

@@ -6,15 +6,19 @@ import (
 	"time"
 )
 
+// testPoint is a point no production code hits, the way a test defines
+// its own (the router's transport points are named like this one).
+const testPoint Point = "r0/query"
+
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
-	if err := r.Hit(GraphRead); err != nil {
+	if err := r.Hit(testPoint); err != nil {
 		t.Fatalf("nil registry injected: %v", err)
 	}
-	if r.Hits(GraphRead) != 0 || r.Fired() != nil {
+	if r.Hits(testPoint) != 0 || r.Fired() != nil {
 		t.Fatal("nil registry recorded state")
 	}
-	r.Add(Rule{Point: GraphRead}) // must not panic
+	r.Add(Rule{Point: testPoint}) // must not panic
 }
 
 func TestRuleFiresAtNthForCount(t *testing.T) {
@@ -42,11 +46,11 @@ func TestRuleFiresAtNthForCount(t *testing.T) {
 }
 
 func TestZeroValuesMeanFirstHitOnce(t *testing.T) {
-	r := New().Add(Rule{Point: GraphRead})
-	if err := r.Hit(GraphRead); err == nil {
+	r := New().Add(Rule{Point: testPoint})
+	if err := r.Hit(testPoint); err == nil {
 		t.Fatal("zero-value rule did not fire on first hit")
 	}
-	if err := r.Hit(GraphRead); err != nil {
+	if err := r.Hit(testPoint); err != nil {
 		t.Fatalf("zero-value rule fired twice: %v", err)
 	}
 }
@@ -82,8 +86,8 @@ func TestLatencyKindSleepsAndReturnsNil(t *testing.T) {
 
 func TestErrOverride(t *testing.T) {
 	sentinel := errors.New("custom")
-	r := New().Add(Rule{Point: GraphRead, Err: sentinel})
-	if err := r.Hit(GraphRead); !errors.Is(err, sentinel) {
+	r := New().Add(Rule{Point: testPoint, Err: sentinel})
+	if err := r.Hit(testPoint); !errors.Is(err, sentinel) {
 		t.Fatalf("override not honored: %v", err)
 	}
 }
@@ -110,15 +114,26 @@ func TestPlanIsDeterministicAndSafe(t *testing.T) {
 			t.Fatal("different seeds produced identical plans")
 		}
 	}
-	// Panics may only land on panic-safe points across many seeds.
+	// Panics never land on a compiled-in point whose code does not
+	// recover them, but do land on the recovering ones and on a point a
+	// test defines.
+	panics := map[Point]bool{}
 	for seed := int64(0); seed < 200; seed++ {
-		for _, ru := range Plan(seed, PlanConfig{Rules: 6}) {
-			if ru.Kind == KindPanic && !PanicSafePoints[ru.Point] {
-				t.Fatalf("seed %d: panic rule at unsafe point %s", seed, ru.Point)
+		for _, ru := range Plan(seed, PlanConfig{Points: append([]Point{testPoint}, Points...), Rules: 6}) {
+			if ru.Kind == KindPanic {
+				if unrecovered[ru.Point] {
+					t.Fatalf("seed %d: panic rule at unrecovered point %s", seed, ru.Point)
+				}
+				panics[ru.Point] = true
 			}
 			if ru.Nth < 1 || ru.Count < 1 {
 				t.Fatalf("seed %d: degenerate rule %+v", seed, ru)
 			}
+		}
+	}
+	for _, p := range []Point{testPoint, ServerHandler, BatchWorker} {
+		if !panics[p] {
+			t.Errorf("no seed drew a panic at %s", p)
 		}
 	}
 }
@@ -128,18 +143,18 @@ func TestInstallAndGlobalHit(t *testing.T) {
 	if Active() != nil {
 		t.Fatal("injection enabled before Install")
 	}
-	if err := Hit(GraphRead); err != nil {
+	if err := Hit(testPoint); err != nil {
 		t.Fatalf("disabled global Hit injected: %v", err)
 	}
-	r := New().Add(Rule{Point: GraphRead, Nth: 2})
+	r := New().Add(Rule{Point: testPoint, Nth: 2})
 	Install(r)
 	if Active() != r {
 		t.Fatal("Install did not take")
 	}
-	if err := Hit(GraphRead); err != nil {
+	if err := Hit(testPoint); err != nil {
 		t.Fatalf("hit 1 fired early: %v", err)
 	}
-	if err := Hit(GraphRead); err == nil {
+	if err := Hit(testPoint); err == nil {
 		t.Fatal("hit 2 did not fire")
 	}
 	Install(nil)

@@ -42,7 +42,6 @@ import (
 	"sort"
 	"unsafe"
 
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
 )
@@ -291,9 +290,6 @@ func (l *Loaded) Close() error { return nil }
 // O(m) adjacency validation. It is the loader for streams of unknown
 // length, such as /resync bodies; ReadFile is the one for files.
 func Read(r io.Reader) (*Loaded, error) {
-	if err := fault.Hit(fault.IndexLoad); err != nil {
-		return nil, fmt.Errorf("flatindex: read: %w", err)
-	}
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
@@ -304,9 +300,6 @@ func Read(r io.Reader) (*Loaded, error) {
 // ReadFile reads the file at path in one pass into a buffer sized from
 // Stat, then decodes it with the same verification as Read.
 func ReadFile(path string) (*Loaded, error) {
-	if err := fault.Hit(fault.IndexLoad); err != nil {
-		return nil, fmt.Errorf("flatindex: read: %w", err)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

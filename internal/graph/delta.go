@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"kpj/internal/fault"
 )
 
 // EdgeUpdate names a directed edge with a weight, used for weight changes
@@ -105,10 +103,9 @@ type edgeKey struct{ u, v NodeID }
 // owns what the delta changed and shares the rest with g (see patched):
 // generations alias each other's arrays, which is safe because no graph
 // is ever written after it is returned. It returns the new graph and an
-// Effect describing the net changes. On any validation
-// error (or injected fault at the fault.GraphApply point, polled once
-// per operation) it returns (nil, nil, err) and g remains the only
-// graph: a failed apply can never leave torn state behind.
+// Effect describing the net changes. On any validation error it
+// returns (nil, nil, err) and g remains the only graph: a failed apply
+// can never leave torn state behind.
 //
 // The node count is invariant: deltas mutate edges and categories, not
 // the node set (POIs on new road segments are modelled at build time via
@@ -143,12 +140,7 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 		}
 		return nil
 	}
-	poll := func() error { return fault.Hit(fault.GraphApply) }
-
 	for _, e := range d.SetWeights {
-		if err := poll(); err != nil {
-			return nil, nil, fmt.Errorf("graph: apply: %w", err)
-		}
 		if err := checkNode(e.U); err != nil {
 			return nil, nil, err
 		}
@@ -164,9 +156,6 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 		overlay[edgeKey{e.U, e.V}] = slot{w: e.W, present: true}
 	}
 	for _, e := range d.Inserts {
-		if err := poll(); err != nil {
-			return nil, nil, fmt.Errorf("graph: apply: %w", err)
-		}
 		if err := checkNode(e.U); err != nil {
 			return nil, nil, err
 		}
@@ -182,9 +171,6 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 		overlay[edgeKey{e.U, e.V}] = slot{w: e.W, present: true}
 	}
 	for _, e := range d.Deletes {
-		if err := poll(); err != nil {
-			return nil, nil, fmt.Errorf("graph: apply: %w", err)
-		}
 		if err := checkNode(e.U); err != nil {
 			return nil, nil, err
 		}
@@ -207,9 +193,6 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 		return s, ok
 	}
 	for _, p := range d.AddPOIs {
-		if err := poll(); err != nil {
-			return nil, nil, fmt.Errorf("graph: apply: %w", err)
-		}
 		if p.Category == "" {
 			return nil, nil, fmt.Errorf("%w: addPOI node %d", ErrEmptyCatName, p.Node)
 		}
@@ -223,9 +206,6 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 		cats[p.Category] = insertNode(set, p.Node)
 	}
 	for _, p := range d.RemovePOIs {
-		if err := poll(); err != nil {
-			return nil, nil, fmt.Errorf("graph: apply: %w", err)
-		}
 		if p.Category == "" {
 			return nil, nil, fmt.Errorf("%w: removePOI node %d", ErrEmptyCatName, p.Node)
 		}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"kpj/internal/fault"
 )
 
 // lineGraph builds 0 -1-> 1 -2-> 2 ... with weight i+1 on edge (i, i+1),
@@ -201,7 +199,10 @@ func TestApplyValidation(t *testing.T) {
 		{"remove non-member", &Delta{RemovePOIs: []POIUpdate{{Category: "c", Node: 0}}}, ErrPOIMissing},
 		{"remove unknown cat", &Delta{RemovePOIs: []POIUpdate{{Category: "x", Node: 0}}}, ErrPOIMissing},
 		{"empty cat name", &Delta{AddPOIs: []POIUpdate{{Category: "", Node: 0}}}, ErrEmptyCatName},
+		// Mid-apply: the first op is valid and already in the overlay.
+		{"second op fails", &Delta{SetWeights: []EdgeUpdate{{U: 0, V: 1, W: 9}, {U: 0, V: 2, W: 1}}}, ErrEdgeMissing},
 	}
+	edges, cats := edgeList(g), g.Categories()
 	for _, tc := range cases {
 		ng, eff, err := Apply(g, tc.d)
 		if !errors.Is(err, tc.want) {
@@ -212,6 +213,10 @@ func TestApplyValidation(t *testing.T) {
 		}
 		if ng != nil || eff != nil {
 			t.Errorf("%s: failed apply returned a graph", tc.name)
+		}
+		if members, _ := g.Category("c"); !reflect.DeepEqual(edgeList(g), edges) ||
+			!reflect.DeepEqual(g.Categories(), cats) || !reflect.DeepEqual(members, []NodeID{1}) {
+			t.Errorf("%s: failed apply changed the original graph", tc.name)
 		}
 	}
 }
@@ -230,27 +235,6 @@ func TestApplyEmptyDelta(t *testing.T) {
 	}
 	if !(&Delta{}).Empty() || (&Delta{Deletes: []EdgeRef{{}}}).Empty() {
 		t.Fatal("Empty misclassifies")
-	}
-}
-
-func TestApplyFaultKeepsOriginal(t *testing.T) {
-	g := lineGraph(t, 4)
-	reg := fault.New().Add(fault.Rule{Point: fault.GraphApply, Nth: 2})
-	fault.Install(reg)
-	defer fault.Install(nil)
-	d := &Delta{SetWeights: []EdgeUpdate{{U: 0, V: 1, W: 9}, {U: 1, V: 2, W: 9}}}
-	ng, eff, err := Apply(g, d)
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("err = %v, want injected", err)
-	}
-	if ng != nil || eff != nil {
-		t.Fatal("faulted apply returned a graph")
-	}
-	if w, _ := g.HasEdge(0, 1); w != 1 {
-		t.Fatalf("original graph mutated: (0,1) = %d", w)
-	}
-	if got := reg.Hits(fault.GraphApply); got != 2 {
-		t.Fatalf("fault point hit %d times, want 2 (once per op)", got)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"kpj/internal/fault"
 )
 
 // This file implements the on-disk formats used by the command-line tools:
@@ -25,9 +23,6 @@ var ErrFormat = errors.New("graph: malformed input")
 
 // ReadGr parses a DIMACS ".gr" file into a Graph.
 func ReadGr(r io.Reader) (*Graph, error) {
-	if err := fault.Hit(fault.GraphRead); err != nil {
-		return nil, fmt.Errorf("graph: read: %w", err)
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var b *Builder

@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"sync"
 
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 	"kpj/internal/sssp"
 )
@@ -93,9 +92,6 @@ func Build(g *graph.Graph, count int, seed int64) (*Index, error) {
 // being recomputed) and the backward Dijkstras run concurrently with the
 // remaining selection rounds.
 func BuildParallel(g *graph.Graph, count int, seed int64, parallelism int) (*Index, error) {
-	if err := fault.Hit(fault.IndexBuild); err != nil {
-		return nil, fmt.Errorf("landmark: build: %w", err)
-	}
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("landmark: empty graph")
@@ -200,9 +196,6 @@ func BuildWithLandmarks(g *graph.Graph, landmarks []graph.NodeID) (*Index, error
 // so construction speeds up near-linearly with cores; the produced index
 // is identical at every parallelism level.
 func BuildWithLandmarksParallel(g *graph.Graph, landmarks []graph.NodeID, parallelism int) (*Index, error) {
-	if err := fault.Hit(fault.IndexBuild); err != nil {
-		return nil, fmt.Errorf("landmark: build: %w", err)
-	}
 	if len(landmarks) == 0 {
 		return nil, fmt.Errorf("landmark: no landmarks")
 	}
@@ -333,13 +326,15 @@ func contentFingerprint(sh shape, ids []graph.NodeID) uint64 {
 	return h
 }
 
-// Fingerprint identifies the index contents for cross-query caching: two
-// indexes with the same fingerprint were built from a graph with the same
-// shape summary and the same landmark sequence, so their derived set-bound
-// tables are interchangeable. It is collision-tolerant: distinct graphs
-// with identical node/edge counts and total weight are not distinguished
-// (which is why pairing persisted tables with a graph in memory compares
-// the adjacency itself, not this value — see kpj.Index.Rebind).
+// Fingerprint identifies the index contents: two indexes with the same
+// fingerprint were built from a graph with the same shape summary and the
+// same landmark sequence. WAL replay asserts it against each record, the
+// router's update fence and divergence check compare it through wire.Gen,
+// and a same-epoch resync accepts a snapshot only if its fingerprint
+// differs. It is collision-tolerant: distinct graphs with identical
+// node/edge counts and total weight are not distinguished (which is why
+// pairing persisted tables with a graph in memory compares the adjacency
+// itself, not this value — see kpj.Index.Rebind).
 func (ix *Index) Fingerprint() uint64 { return ix.fp }
 
 func compress(dist []graph.Weight) []int32 {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"kpj/internal/graph"
 	"kpj/internal/testgraphs"
 )
 
@@ -36,33 +37,26 @@ func TestBuildParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFingerprintDistinguishes: indexes over different graphs or with
-// different landmark sets must not share a fingerprint (the identity WAL
-// replay and the router's fences check).
+// TestFingerprintDistinguishes: indexes over one graph with different
+// landmark sets must not share a fingerprint (the identity WAL replay and
+// the router's fences check), and a rebuild with the same set must keep
+// it, so a reloaded index keeps its identity.
 func TestFingerprintDistinguishes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := testgraphs.RandomConnected(rng, 60, 180, 25)
-	a, err := Build(g, 6, 1)
-	if err != nil {
-		t.Fatal(err)
+	build := func(landmarks ...graph.NodeID) *Index {
+		t.Helper()
+		ix, err := BuildWithLandmarks(g, landmarks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
 	}
-	b, err := Build(g, 6, 9) // different seed → (very likely) different landmarks
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Landmarks(), b.Landmarks()) {
-		t.Skip("seeds selected identical landmarks; nothing to distinguish")
-	}
+	a, b := build(0, 17, 42), build(0, 17, 43)
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Fatal("different landmark sets share a fingerprint")
 	}
-	// Same graph + same landmarks (rebuilt) → same fingerprint, so a
-	// reloaded index keeps its identity.
-	c, err := BuildWithLandmarks(g, a.Landmarks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Fingerprint() != a.Fingerprint() {
+	if c := build(0, 17, 42); c.Fingerprint() != a.Fingerprint() {
 		t.Fatal("rebuild with identical landmarks changed the fingerprint")
 	}
 }

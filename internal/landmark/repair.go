@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 	"kpj/internal/pqueue"
 	"kpj/internal/sssp"
@@ -63,9 +62,6 @@ func (s RepairStats) Repaired() int { return s.FwdRepaired + s.BwdRepaired }
 // shares every other page with old by pointer. old is not modified;
 // sharing is safe because both indexes are immutable.
 func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, parallelism int) (*Index, []bool, RepairStats, error) {
-	if err := fault.Hit(fault.IndexBuild); err != nil {
-		return nil, nil, RepairStats{}, fmt.Errorf("landmark: repair: %w", err)
-	}
 	n := old.g.NumNodes()
 	if newG.NumNodes() != n {
 		return nil, nil, RepairStats{}, fmt.Errorf("landmark: repair: graph has %d nodes, index was built over %d", newG.NumNodes(), n)

@@ -25,8 +25,8 @@ type Span struct {
 // vocabulary is greppable and the JSON schema stays stable.
 const (
 	// PhaseLBTables: building the per-category landmark bound tables
-	// (the paper's Eq. 2 precomputation), or fetching them from the
-	// cross-query cache. Val = number of set nodes covered.
+	// (the paper's Eq. 2 precomputation) in the query's workspace.
+	// Val = number of set nodes covered.
 	PhaseLBTables = "lb_tables"
 	// PhaseSPTBuild: building the partial (SPT_P), incremental (SPT_I
 	// seed), or full (DA-SPT) shortest path tree. Val = nodes settled.

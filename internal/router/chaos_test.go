@@ -18,17 +18,55 @@ import (
 // Router chaos suite: three in-process replicas under seeded fault
 // schedules, with up to two replicas structurally disrupted (killed or
 // draining) on top of injected errors, panics, and latency at the
-// server's and the router's fault points. The contract under every
-// schedule: each query answers either the oracle result (or a truncated
-// prefix of it, when its budget cut the engine short) or a typed error —
-// never an untyped 5xx, never a wrong path — and no schedule leaks a
-// goroutine.
+// server's handler point and at the router's transport, per replica and
+// request path. The contract under every schedule: each query answers
+// either the oracle result (or a truncated prefix of it, when its budget
+// cut the engine short) or a typed error — never an untyped 5xx, never a
+// wrong path — and no schedule leaks a goroutine.
 
-// chaosPoints mixes server-side and router-side fault sites so schedules
-// exercise handler failures and proxy/probe failures together. The engine
-// has no fault point; truncation is driven by budgetRound's budget.
-var chaosPoints = []fault.Point{
-	fault.ServerHandler, fault.RouterProxy, fault.RouterProbe,
+// faultTransport is the router's network boundary under test. Each
+// upstream request first hits the installed fault registry at its
+// transportPoint, so a schedule can fail, delay or panic the requests of
+// one kind to one replica; a panic comes out of http.Client.Do on the
+// caller's goroutine, where the router's own recover must catch it.
+type faultTransport struct {
+	base  *http.Transport
+	names map[string]string // request host → replica name
+}
+
+func newFaultTransport(fixtures []*fixture) *faultTransport {
+	ft := &faultTransport{base: &http.Transport{MaxIdleConnsPerHost: 16}, names: map[string]string{}}
+	for _, f := range fixtures {
+		ft.names[f.srv.Listener.Addr().String()] = f.name
+	}
+	return ft
+}
+
+func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if err := fault.Hit(transportPoint(ft.names[req.URL.Host], req.URL.Path)); err != nil {
+		return nil, err
+	}
+	return ft.base.RoundTrip(req)
+}
+
+// CloseIdleConnections lets Router.Close release the base transport's
+// idle connections through http.Client.
+func (ft *faultTransport) CloseIdleConnections() { ft.base.CloseIdleConnections() }
+
+// transportPoint names the fault point of requests to replica at path,
+// e.g. "r0/query" or "r1/readyz".
+func transportPoint(replica, path string) fault.Point { return fault.Point(replica + path) }
+
+// chaosPoints mixes the server's handler point with every replica's
+// /query and /readyz transport points, so schedules exercise handler
+// failures and per-replica proxy/probe failures together. The engine has
+// no fault point; truncation is driven by budgetRound's budget.
+func chaosPoints(fixtures []*fixture) []fault.Point {
+	points := []fault.Point{fault.ServerHandler}
+	for _, f := range fixtures {
+		points = append(points, transportPoint(f.name, "/query"), transportPoint(f.name, "/readyz"))
+	}
+	return points
 }
 
 func installFaults(t testing.TB, r *fault.Registry) {
@@ -98,6 +136,7 @@ func TestRouterChaos(t *testing.T) {
 				c.Seed = seed
 				c.DownAfter = 2
 				c.ProbeInterval = 3 * time.Millisecond
+				c.Transport = newFaultTransport(fixtures)
 			})
 			waitReady(t, rt)
 
@@ -116,8 +155,9 @@ func TestRouterChaos(t *testing.T) {
 				fixtures[1].app.StartDraining()
 			}
 
+			points := chaosPoints(fixtures)
 			rules := fault.Plan(seed, fault.PlanConfig{
-				Points:   chaosPoints,
+				Points:   points,
 				Rules:    5,
 				MaxHit:   20,
 				MaxDelay: 2 * time.Millisecond,
@@ -144,7 +184,7 @@ func TestRouterChaos(t *testing.T) {
 			// The schedule ran against live replicas: the fault points must
 			// actually have been exercised, or the suite is vacuous.
 			total := 0
-			for _, p := range chaosPoints {
+			for _, p := range points {
 				total += int(reg.Hits(p))
 			}
 			if total == 0 {
@@ -169,6 +209,86 @@ func TestRouterChaos(t *testing.T) {
 	t.Logf("%d truncated answers over %d schedules", truncated, ran)
 	if ran > 0 && truncated == 0 {
 		t.Fatalf("no %s query crossed the router as a truncated prefix", budget)
+	}
+}
+
+// TestTransportPanicsRecovered drives each of the router's three
+// recovers with one panic raised in its transport: a probe's /readyz
+// counts as a failed probe, the primary's /query fails over to the oracle
+// answer, and one replica's /update leaves it fenced, resynced and
+// readmitted at the new epoch — never a crash, never a leaked goroutine.
+func TestTransportPanicsRecovered(t *testing.T) {
+	defer leaktest.Check(t)()
+	fixtures := newFixtures(t, 3, nil)
+	rt := newTestRouter(t, fixtures, func(c *Config) {
+		c.Metrics = obs.NewRegistry()
+		c.Transport = newFaultTransport(fixtures)
+	})
+	waitReady(t, rt)
+	waitAllHealthy(t, rt, fixtures)
+
+	// Only this test's own requests hit /query and /update, so those rules
+	// fire exactly when it sends them; /readyz's fires at r2's next probe.
+	primary := nextPrimary(rt)
+	readyz, query, update := transportPoint("r2", "/readyz"), transportPoint(primary, "/query"), transportPoint("r1", "/update")
+	reg := fault.New().Add(
+		fault.Rule{Point: readyz, Kind: fault.KindPanic},
+		fault.Rule{Point: query, Kind: fault.KindPanic},
+		fault.Rule{Point: update, Kind: fault.KindPanic},
+	)
+	probeErrs := rt.met.probeErrs.Value()
+	installFaults(t, reg)
+
+	// r2's probes run one at a time, so its third /readyz means the
+	// second, clean one has finished and reset its failure streak.
+	waitFor(t, "r2 probed twice after the panic", func() bool { return reg.Hits(readyz) >= 3 })
+	if n := rt.met.probeErrs.Value(); n < probeErrs+1 {
+		t.Fatalf("probe panic not counted: kpj_router_probes_total{result=error} = %d, was %d", n, probeErrs)
+	}
+	waitState(t, rt, "r2", StateHealthy)
+
+	failovers := rt.met.failovers.Value()
+	rec, body := routerGet(t, rt, "/query?source=0&category=hotel&k=3")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query whose primary panicked: %d %s", rec.Code, body)
+	}
+	if n := rt.met.failovers.Value(); n != failovers+1 {
+		t.Fatalf("panicked attempt did not fail over: failovers %d, was %d", n, failovers)
+	}
+	if rep := rec.Header().Get(wire.HeaderReplica); rep == primary {
+		t.Fatalf("panicked primary %s answered", rep)
+	}
+	samePaths(t, decodeQuery(t, body).Paths, oracle(t, 0, "hotel", 3), "query whose primary panicked")
+
+	downs := rt.met.toState[StateDown].Value()
+	rec, body = routerPost(t, rt, "/update", `{"setWeights":[{"u":0,"v":1,"w":4}]}`)
+	var out updateFanBody
+	if rec.Code != http.StatusOK || json.Unmarshal(body, &out) != nil {
+		t.Fatalf("update whose r1 fan-out panicked: %d %s", rec.Code, body)
+	}
+	if out.Epoch != 1 || len(out.Applied) != 2 || len(out.Resyncing) != 1 || out.Resyncing[0] != "r1" {
+		t.Fatalf("update whose r1 fan-out panicked: %+v, want epoch 1 applied by two and r1 resyncing", out)
+	}
+	if n := rt.met.toState[StateDown].Value(); n != downs+1 {
+		t.Fatalf("r1 not fenced: down transitions %d, was %d", n, downs)
+	}
+	waitFor(t, "r1 resynced and readmitted", func() bool {
+		return rt.reps[1].State() == StateHealthy && fixtures[1].app.Epoch() == 1
+	})
+
+	fired := reg.Fired()
+	if len(fired) != 3 {
+		t.Fatalf("fired %+v, want one panic at each of %s, %s, %s", fired, readyz, query, update)
+	}
+	for _, e := range fired {
+		if e.Kind != fault.KindPanic {
+			t.Fatalf("fired %+v, want panics only", fired)
+		}
+	}
+	fault.Install(nil)
+	rt.Close()
+	for _, f := range fixtures {
+		f.srv.Close()
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kpj/internal/fault"
 	"kpj/internal/wire"
 )
 
@@ -87,10 +86,6 @@ func (rt *Router) probe(ctx context.Context, rp *replica) {
 			rt.probeFailed(rp, fmt.Errorf("probe panic: %v", p))
 		}
 	}()
-	if err := fault.Hit(fault.RouterProbe); err != nil {
-		rt.probeFailed(rp, err)
-		return
-	}
 	// A probe never overlaps an update fan-out: mid-fan-out the replicas
 	// legitimately sit at different epochs, so a probe of the fastest one
 	// would advance the fleet view and the next probe of a slower one

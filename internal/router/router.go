@@ -22,8 +22,8 @@
 //
 // Every router-originated failure is a typed JSON error ({"error","kind"}
 // plus an X-Kpj-Error-Kind header) — clients never see an untyped 5xx.
-// All timing flows through an injectable Clock and the fault registry
-// points router.proxy / router.probe, so the chaos suite can replay
+// All timing flows through an injectable Clock and every upstream request
+// through Config.Transport, so the chaos suite can replay per-replica
 // failure schedules deterministically.
 package router
 
@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kpj/internal/fault"
 	"kpj/internal/obs"
 	"kpj/internal/wire"
 )
@@ -222,9 +221,7 @@ func (rt *Router) Close() {
 		<-rp.done
 	}
 	rt.resyncWG.Wait()
-	if t, ok := rt.client.Transport.(*http.Transport); ok {
-		t.CloseIdleConnections()
-	}
+	rt.client.CloseIdleConnections()
 }
 
 // ServeHTTP implements http.Handler with blanket panic recovery: a bug
@@ -426,9 +423,6 @@ func (rt *Router) do(ctx context.Context, method, path, rawQuery string, body []
 // as an error rather than as a half-written client response.
 func (rt *Router) attempt(ctx context.Context, rp *replica, order int, method, path, rawQuery string, body []byte) attemptResult {
 	res := attemptResult{replica: rp, order: order}
-	if res.err = fault.Hit(fault.RouterProxy); res.err != nil {
-		return res
-	}
 	ctx, cancel := rt.requestContext(ctx)
 	defer cancel()
 	res.status, res.header, res.body, res.err = rt.send(ctx, rp, method, path, rawQuery, body, nil, 32<<20)

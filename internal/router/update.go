@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"kpj/internal/fault"
 	"kpj/internal/wire"
 )
 
@@ -222,9 +221,6 @@ func (rt *Router) fanoutOne(ctx context.Context, rp *replica, body []byte, fence
 // postDelta POSTs one fenced update to rp and classifies the answer.
 func (rt *Router) postDelta(ctx context.Context, rp *replica, body []byte, fence wire.Gen) updateOutcome {
 	out := updateOutcome{rp: rp}
-	if out.err = fault.Hit(fault.RouterProxy); out.err != nil {
-		return out
-	}
 	ctx, cancel := rt.requestContext(ctx)
 	defer cancel()
 	h := http.Header{}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -11,14 +12,15 @@ import (
 
 	"kpj"
 	"kpj/internal/fault"
+	"kpj/internal/flatindex"
 	"kpj/internal/leaktest"
 	"kpj/internal/wire"
 )
 
-// Server-side chaos tests: injected faults at the server.handler and
-// index.load points must fail the request they hit (typed 500, old index
-// kept), never corrupt service; a query cut short by its budget answers a
-// truncated prefix. Update-path faults are covered by
+// Server-side chaos tests: an injected fault at the server.handler point,
+// or a reload of a corrupt file, must fail the request it hits (typed
+// 500, old index kept), never corrupt service; a query cut short by its
+// budget answers a truncated prefix. A failed update is covered by
 // TestUpdateFaultKeepsEpoch.
 
 func installFaults(t *testing.T, r *fault.Registry) {
@@ -143,9 +145,9 @@ func writeReloadFile(t *testing.T, g *kpj.Graph) string {
 	return path
 }
 
-// TestReloadIndexFaulted is the hot-reload acceptance check: an injected
-// index.load fault during reload must leave the old index serving, and a
-// subsequent clean reload must succeed.
+// TestReloadIndexFaulted is the hot-reload acceptance check: a reload
+// that reads a byte-flipped copy of the file must leave the old index
+// serving, and a reload of the rewritten good file must succeed.
 func TestReloadIndexFaulted(t *testing.T) {
 	defer leaktest.Check(t)()
 	s, g := testServer(t)
@@ -154,10 +156,17 @@ func TestReloadIndexFaulted(t *testing.T) {
 		t.Fatal("testServer should serve an index")
 	}
 	path := writeReloadFile(t, g)
-
-	installFaults(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad, Nth: 1, Count: 1}))
-	if err := s.ReloadIndex(path); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("reload under injected index.load fault: err = %v, want fault.ErrInjected", err)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x40
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReloadIndex(path); !errors.Is(err, flatindex.ErrChecksum) {
+		t.Fatalf("reload of a byte-flipped file: err = %v, want flatindex.ErrChecksum", err)
 	}
 	if s.index() != old {
 		t.Fatal("failed reload replaced the serving index")
@@ -167,7 +176,10 @@ func TestReloadIndexFaulted(t *testing.T) {
 		t.Fatalf("query after failed reload: status %d (%s)", rec.Code, body)
 	}
 
-	// The fault window has passed: the same reload now succeeds and swaps.
+	// The good file is back: the same reload now succeeds and swaps.
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.ReloadIndex(path); err != nil {
 		t.Fatalf("clean reload: %v", err)
 	}

@@ -60,7 +60,7 @@ func (s *Server) swapIndexLocked(ix *kpj.Index) error {
 // serving one edge for edge (kpj.ErrGraphMismatch otherwise — a file
 // written before a live update no longer describes this server). On any
 // error — unreadable, corrupt or index-less file, different graph,
-// injected load fault, failed checkpoint — the currently serving epoch
+// failed checkpoint — the currently serving epoch
 // stays in place; a reload can never leave the server worse than before
 // it.
 func (s *Server) ReloadIndex(path string) error {

@@ -10,8 +10,8 @@ import (
 	"testing"
 
 	"kpj"
-	"kpj/internal/fault"
 	"kpj/internal/leaktest"
+	"kpj/internal/wire"
 )
 
 func postUpdate(t testing.TB, s *Server, body string) (*httptest.ResponseRecorder, []byte) {
@@ -159,19 +159,17 @@ func TestUpdateShedsWhileDraining(t *testing.T) {
 	}
 }
 
-// TestUpdateFaultKeepsEpoch injects a fault mid-apply: the update fails
-// with 500, the serving epoch is unchanged, and queries keep answering
-// from the old generation.
+// TestUpdateFaultKeepsEpoch fails an update mid-apply: its first op is
+// valid, its second reweights a missing edge. The update answers a typed
+// 400, the serving epoch is unchanged, and queries keep answering from
+// the old generation.
 func TestUpdateFaultKeepsEpoch(t *testing.T) {
 	defer leaktest.Check(t)()
 	s, _ := testServer(t, WithLogf(t.Logf))
-	reg := fault.New().Add(fault.Rule{Point: fault.GraphApply, Nth: 1, Kind: fault.KindError})
-	fault.Install(reg)
-	defer fault.Install(nil)
 
-	rec, body := postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":4}]}`)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("faulted update: %d %s", rec.Code, body)
+	rec, body := postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":4},{"u":0,"v":7,"w":1}]}`)
+	if rec.Code != http.StatusBadRequest || rec.Header().Get(wire.HeaderErrorKind) != string(wire.KindBadRequest) {
+		t.Fatalf("failed update: %d %s", rec.Code, body)
 	}
 	if got := s.Epoch(); got != 0 {
 		t.Fatalf("failed apply moved the epoch to %d", got)
@@ -187,7 +185,7 @@ func TestUpdateFaultKeepsEpoch(t *testing.T) {
 	if q.Epoch != 0 || q.Paths[0].Length != 10 {
 		t.Fatalf("query after failed update: epoch %d length %d", q.Epoch, q.Paths[0].Length)
 	}
-	// The fault rule has passed; the same delta now succeeds.
+	// The valid first op alone lands.
 	if rec, body = postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":4}]}`); rec.Code != http.StatusOK {
 		t.Fatalf("retry update: %d %s", rec.Code, body)
 	}
@@ -307,21 +305,14 @@ func TestUpdateQueryRace(t *testing.T) {
 	}
 }
 
-// TestUpdateQueryRaceChaos is the race test under a seeded fault plan
-// that fails some applies mid-flight: failed updates return 500 and must
-// not advance the epoch; successful ones advance it by exactly one; and
-// racing queries stay torn-free throughout.
+// TestUpdateQueryRaceChaos is the race test with some updates failing
+// mid-apply: updates 2 and 5 carry a second op that reweights a missing
+// edge. Failed updates return 400 and must not advance the epoch;
+// successful ones advance it by exactly one; and racing queries stay
+// torn-free throughout.
 func TestUpdateQueryRaceChaos(t *testing.T) {
 	defer leaktest.Check(t)()
 	s, _ := testServer(t, WithLogf(t.Logf))
-	// Fail apply ops 3..4 and 9: updates carry 2 ops each, so some
-	// updates fault and some land.
-	reg := fault.New().Add(
-		fault.Rule{Point: fault.GraphApply, Nth: 3, Count: 2, Kind: fault.KindError},
-		fault.Rule{Point: fault.GraphApply, Nth: 9, Kind: fault.KindError},
-	)
-	fault.Install(reg)
-	defer fault.Install(nil)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -364,21 +355,23 @@ func TestUpdateQueryRaceChaos(t *testing.T) {
 		if s.Epoch()%2 == 0 { // next successful epoch is odd -> 4
 			w = 4
 		}
-		rec, _ := postUpdate(t, s, fmt.Sprintf(`{"setWeights":[{"u":0,"v":1,"w":%d},{"u":1,"v":0,"w":%d}]}`, w, w))
-		switch rec.Code {
-		case http.StatusOK:
+		u, v, want := 1, 0, http.StatusOK
+		if i == 2 || i == 5 {
+			u, v, want = 0, 7, http.StatusBadRequest // (0,7) is no edge
+		}
+		rec, body := postUpdate(t, s, fmt.Sprintf(`{"setWeights":[{"u":0,"v":1,"w":%d},{"u":%d,"v":%d,"w":%d}]}`, w, u, v, w))
+		if rec.Code != want {
+			t.Fatalf("update %d: status %d, want %d: %s", i, rec.Code, want, body)
+		}
+		if rec.Code == http.StatusOK {
 			okCount++
-		case http.StatusInternalServerError:
-			// Injected fault: epoch must not have advanced past okCount.
-		default:
-			t.Fatalf("update %d: unexpected status %d", i, rec.Code)
 		}
 		if got := s.Epoch(); got != uint64(okCount) {
 			t.Fatalf("after update %d: epoch %d, %d successes", i, got, okCount)
 		}
 	}
-	if okCount == 8 || okCount == 0 {
-		t.Fatalf("fault plan injected nothing useful: %d/8 updates succeeded", okCount)
+	if okCount != 6 {
+		t.Fatalf("%d/8 updates succeeded, want 6", okCount)
 	}
 	close(stop)
 	wg.Wait()

@@ -55,8 +55,8 @@ func observeQuery(st *Stats, budget int64, err error) {
 		return
 	}
 	// Classify by the wrapper, not an errors.Is allowlist: any
-	// *TruncatedError (cancellation, budget, injected fault, recovered
-	// panic) counts as truncated, everything else non-nil as a query error.
+	// *TruncatedError (cancellation, budget, recovered panic) counts as
+	// truncated, everything else non-nil as a query error.
 	_, truncated := Truncated(err)
 	em.ObserveQuery(st, truncated, err != nil && !truncated, budget > 0)
 }

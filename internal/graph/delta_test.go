@@ -199,8 +199,6 @@ func TestApplyValidation(t *testing.T) {
 		{"remove non-member", &Delta{RemovePOIs: []POIUpdate{{Category: "c", Node: 0}}}, ErrPOIMissing},
 		{"remove unknown cat", &Delta{RemovePOIs: []POIUpdate{{Category: "x", Node: 0}}}, ErrPOIMissing},
 		{"empty cat name", &Delta{AddPOIs: []POIUpdate{{Category: "", Node: 0}}}, ErrEmptyCatName},
-		// Mid-apply: the first op is valid and already in the overlay.
-		{"second op fails", &Delta{SetWeights: []EdgeUpdate{{U: 0, V: 1, W: 9}, {U: 0, V: 2, W: 1}}}, ErrEdgeMissing},
 	}
 	edges, cats := edgeList(g), g.Categories()
 	for _, tc := range cases {
@@ -235,6 +233,37 @@ func TestApplyEmptyDelta(t *testing.T) {
 	}
 	if !(&Delta{}).Empty() || (&Delta{Deletes: []EdgeRef{{}}}).Empty() {
 		t.Fatal("Empty misclassifies")
+	}
+}
+
+// A delta that fails on its last operation, after a valid operation of
+// every kind is already staged, leaves the original graph as it was.
+func TestApplyFaultKeepsOriginal(t *testing.T) {
+	g := lineGraph(t, 4)
+	if err := g.AddCategory("c", []NodeID{1}); err != nil {
+		t.Fatal(err)
+	}
+	edges, cats := edgeList(g), g.Categories()
+	d := &Delta{
+		SetWeights: []EdgeUpdate{{U: 0, V: 1, W: 9}},
+		Inserts:    []EdgeUpdate{{U: 0, V: 3, W: 4}},
+		Deletes:    []EdgeRef{{U: 2, V: 1}},
+		AddPOIs:    []POIUpdate{{Category: "c", Node: 2}, {Category: "d", Node: 0}},
+		RemovePOIs: []POIUpdate{{Category: "c", Node: 1}, {Category: "c", Node: 3}},
+	}
+	ng, eff, err := Apply(g, d)
+	if !errors.Is(err, ErrPOIMissing) {
+		t.Fatalf("err = %v, want %v", err, ErrPOIMissing)
+	}
+	if ng != nil || eff != nil {
+		t.Fatal("failed apply returned a graph")
+	}
+	if w, _ := g.HasEdge(0, 1); w != 1 {
+		t.Fatalf("original graph mutated: (0,1) = %d", w)
+	}
+	if members, _ := g.Category("c"); !reflect.DeepEqual(edgeList(g), edges) ||
+		!reflect.DeepEqual(g.Categories(), cats) || !reflect.DeepEqual(members, []NodeID{1}) {
+		t.Fatal("failed apply changed the original graph")
 	}
 }
 

@@ -6,6 +6,7 @@ package kpj_test
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"kpj/internal/core"
@@ -34,7 +35,15 @@ func BenchmarkAblationLandmarkSelection(b *testing.B) {
 	sources := sets[2]
 	builders := map[string]func() (*landmark.Index, error){
 		"farthest": func() (*landmark.Index, error) { return landmark.Build(g, 8, 1) },
-		"random":   func() (*landmark.Index, error) { return landmark.BuildRandom(g, 8, 1) },
+		"random": func() (*landmark.Index, error) {
+			// The naive baseline: landmarks drawn uniformly at random.
+			perm := rand.New(rand.NewSource(1)).Perm(g.NumNodes())
+			chosen := make([]graph.NodeID, 8)
+			for i := range chosen {
+				chosen[i] = graph.NodeID(perm[i])
+			}
+			return landmark.BuildWithLandmarks(g, chosen)
+		},
 	}
 	for _, name := range []string{"farthest", "random"} {
 		ix, err := builders[name]()

@@ -27,17 +27,16 @@ func main() {
 	poisPath := flag.String("pois", "", "POI category file to embed")
 	landmarks := flag.Int("landmarks", 16, "landmark count (0 writes the graph without an index)")
 	seed := flag.Int64("seed", 1, "selection seed")
-	parallelism := flag.Int("parallelism", 0, "worker goroutines for the construction Dijkstras (<= 0 all cores)")
 	out := flag.String("out", "kpj.kpjflat", "output file")
 	flag.Parse()
 
-	if err := run(*graphPath, *poisPath, *landmarks, *seed, *parallelism, *out); err != nil {
+	if err := run(*graphPath, *poisPath, *landmarks, *seed, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjindex: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphPath, poisPath string, landmarks int, seed int64, parallelism int, out string) error {
+func run(graphPath, poisPath string, landmarks int, seed int64, out string) error {
 	if graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}
@@ -65,7 +64,7 @@ func run(graphPath, poisPath string, landmarks int, seed int64, parallelism int,
 	var built time.Duration
 	if landmarks > 0 {
 		start := time.Now()
-		if ix, err = kpj.BuildIndexParallel(g, landmarks, seed, parallelism); err != nil {
+		if ix, err = kpj.BuildIndex(g, landmarks, seed); err != nil {
 			return err
 		}
 		built = time.Since(start)

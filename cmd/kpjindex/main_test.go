@@ -55,7 +55,7 @@ func TestImportMatchesDirectBuild(t *testing.T) {
 	if err := os.WriteFile(poisPath, []byte(tinyPois), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(grPath, poisPath, 3, 5, 1, out); err != nil {
+	if err := run(grPath, poisPath, 3, 5, out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if _, err := os.Stat(out + ".tmp"); !os.IsNotExist(err) {

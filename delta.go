@@ -68,7 +68,7 @@ func (ix *Index) Apply(d *Delta) (*Applied, error) {
 	if err != nil {
 		return nil, err
 	}
-	nix, dirty, stats, err := landmark.Repair(ng, ix.ix, eff.Changes, 0)
+	nix, dirty, stats, err := landmark.Repair(ng, ix.ix, eff.Changes)
 	if err != nil {
 		return nil, err
 	}

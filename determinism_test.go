@@ -3,6 +3,7 @@ package kpj_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"kpj"
@@ -33,11 +34,18 @@ func randomDigraph(t testing.TB, n, extra int, seed int64) *kpj.Graph {
 	return g
 }
 
+// withProcs runs fn with runtime.GOMAXPROCS set to procs, which bounds
+// the index build's workers, and restores the old value.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
 // TestDeterminism: results are a pure function of (graph, query, seed).
 // On four random graphs, seed 0 included, the public index build gives
-// the same index twice and at one worker, and every algorithm row, with
-// and without the index, answers the same query twice byte-identically —
-// same paths, same order, including ties.
+// the same index twice and at GOMAXPROCS 1 and 4, and every algorithm row,
+// with and without the index, answers the same query twice
+// byte-identically — same paths, same order, including ties.
 func TestDeterminism(t *testing.T) {
 	for _, seed := range []int64{0, 1, 7, 42} {
 		g := randomDigraph(t, 150, 600, seed)
@@ -49,8 +57,12 @@ func TestDeterminism(t *testing.T) {
 		if again, err := kpj.BuildIndex(g, 6, seed); err != nil || again.Fingerprint() != ix.Fingerprint() {
 			t.Fatalf("seed %d: a second build differs from the first (err %v)", seed, err)
 		}
-		if seq, err := kpj.BuildIndexParallel(g, 6, seed, 1); err != nil || seq.Fingerprint() != ix.Fingerprint() {
-			t.Fatalf("seed %d: a one-worker build differs from the default (err %v)", seed, err)
+		for _, procs := range []int{1, 4} {
+			var at *kpj.Index
+			withProcs(procs, func() { at, err = kpj.BuildIndex(g, 6, seed) })
+			if err != nil || at.Fingerprint() != ix.Fingerprint() {
+				t.Fatalf("seed %d: a build at GOMAXPROCS %d differs from the default (err %v)", seed, procs, err)
+			}
 		}
 		rng := rand.New(rand.NewSource(seed + 1000))
 		sources := []kpj.NodeID{kpj.NodeID(rng.Intn(g.NumNodes()))}

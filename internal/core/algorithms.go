@@ -193,16 +193,16 @@ func goalHeuristic(ws *Workspace, sp *Space, q Query, opt *Options) Heuristic {
 		endSpan := opt.Spans.Start(obs.PhaseLBTables, 0)
 		b := opt.Index.BoundsToSet(q.Targets, &ws.toSet)
 		endSpan(int64(len(q.Targets)))
-		ws.catH = CategoryHeuristic{Space: sp, Bounds: b}
+		ws.catH = categoryHeuristic{Space: sp, Bounds: b}
 		return &ws.catH
 	case len(q.Sources) == 1:
-		ws.srcH = SourceHeuristic{Space: sp, Index: opt.Index, Source: q.Sources[0]}
+		ws.srcH = sourceHeuristic{Space: sp, Index: opt.Index, Source: q.Sources[0]}
 		return &ws.srcH
 	default:
 		endSpan := opt.Spans.Start(obs.PhaseLBTables, 0)
 		b := opt.Index.BoundsFromSet(q.Sources, &ws.fromSet)
 		endSpan(int64(len(q.Sources)))
-		ws.setH = SourceSetHeuristic{Space: sp, Bounds: b}
+		ws.setH = sourceSetHeuristic{Space: sp, Bounds: b}
 		return &ws.setH
 	}
 }

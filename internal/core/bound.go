@@ -26,33 +26,34 @@ var (
 // the hot search loops branch-cheap.
 const pollEvery = 256
 
-// Bound tracks the interruption state of one query: an optional
+// queryBound tracks the interruption state of one query: an optional
 // context.Context for cancellation/deadlines and an optional cap on total
 // work, measured in heap pops plus successful edge relaxations (the units
 // Stats tracks as NodesPopped and EdgesRelaxed) plus one Step per
 // subspace-queue pop of the engine's main loop, which Stats does not
-// count. A nil *Bound is valid and never trips, so unbounded queries pay
-// only a nil check.
+// count. A nil *queryBound is valid and never trips, so unbounded queries
+// pay only a nil check.
 //
-// A Bound is single-use and not safe for concurrent use; prepare
+// A queryBound is single-use and not safe for concurrent use; prepare
 // materializes a fresh one per query.
-type Bound struct {
+type queryBound struct {
 	ctx    context.Context
 	budget int64 // remaining work; math.MaxInt64 when uncapped
 	poll   int64 // countdown to the next context poll
 	err    error // sticky: first violation wins
 }
 
-// NewBound builds a Bound from a context and a work budget. It returns
-// nil — the no-op bound — when ctx is nil and budget is non-positive.
-func NewBound(ctx context.Context, budget int64) *Bound {
+// newQueryBound builds a queryBound from a context and a work budget. It
+// returns nil — the no-op bound — when ctx is nil and budget is
+// non-positive.
+func newQueryBound(ctx context.Context, budget int64) *queryBound {
 	if ctx == nil && budget <= 0 {
 		return nil
 	}
 	// poll starts at 1 so the very first Step polls the context — an
 	// already-expired deadline trips before any real work — and then only
 	// every pollEvery units.
-	b := &Bound{ctx: ctx, budget: math.MaxInt64, poll: 1}
+	b := &queryBound{ctx: ctx, budget: math.MaxInt64, poll: 1}
 	if budget > 0 {
 		b.budget = budget
 	}
@@ -61,7 +62,7 @@ func NewBound(ctx context.Context, budget int64) *Bound {
 
 // Err returns the sticky interruption error, or nil while the query may
 // keep running. It never polls the context itself; Step does.
-func (b *Bound) Err() error {
+func (b *queryBound) Err() error {
 	if b == nil {
 		return nil
 	}
@@ -72,7 +73,7 @@ func (b *Bound) Err() error {
 // interruption error if the query must stop. The budget is checked on
 // every step; the context is polled every pollEvery units. The error is
 // sticky: once tripped, every later Step returns it immediately.
-func (b *Bound) Step() error {
+func (b *queryBound) Step() error {
 	if b == nil {
 		return nil
 	}
@@ -101,7 +102,7 @@ func (b *Bound) Step() error {
 
 // Work consumes n extra units (edge relaxations) without polling the
 // context. An overdraft is detected by the next Step.
-func (b *Bound) Work(n int64) {
+func (b *queryBound) Work(n int64) {
 	if b != nil {
 		b.budget -= n
 	}

@@ -1,10 +1,10 @@
-// Package deviation holds no code, only the referee suite of the deviation
-// baselines. DA and DA-SPT (paper Section 3) are the eager rows of core's
-// variant table; these tests run them by name against the Fig. 1 example,
-// the brute-force oracle and the lazy BestFirst row, so a change to the
-// shared engine that breaks only the eager rows fails here under the
-// baselines' own names.
-package deviation
+package core_test
+
+// The referee suite of the deviation baselines. DA and DA-SPT (paper
+// Section 3) are the eager rows of the variant table; these tests run them
+// by name against the Fig. 1 example, the brute-force oracle and the lazy
+// BestFirst row, so a change to the shared engine that breaks only the
+// eager rows fails under the baselines' own names.
 
 import (
 	"math/rand"
@@ -19,14 +19,6 @@ import (
 
 // baselines maps the deviation baselines' paper names to their core rows.
 var baselines = map[string]core.Func{"DA": core.DA, "DA-SPT": core.DASPT}
-
-func lengthsOf(paths []core.Path) []graph.Weight {
-	out := make([]graph.Weight, len(paths))
-	for i, p := range paths {
-		out[i] = p.Length
-	}
-	return out
-}
 
 func TestFig1Baselines(t *testing.T) {
 	g := testgraphs.Fig1()

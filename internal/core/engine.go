@@ -62,7 +62,7 @@ type engine struct {
 
 	// full, when non-nil, is DA-SPT's complete shortest path tree toward
 	// the goal; every exact search first tries the Pascoal shortcut on it.
-	full *SPT
+	full *shortestPathTree
 
 	// init seeds the queue with the shortest path of the entire space S_0
 	// (Alg. 4 line 1) when haveInit is set (SPT_P/SPT_I got it as a
@@ -77,7 +77,7 @@ type engine struct {
 
 	// bound carries the query's cancellation/budget state; nil runs
 	// unbounded. It is the same Bound installed in ws by prepare.
-	bound *Bound
+	bound *queryBound
 
 	stats   *Stats
 	onEvent TraceFunc

@@ -26,8 +26,8 @@ func TestCategoryHeuristicVirtuals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := NewForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
-	h := CategoryHeuristic{Space: sp, Bounds: ix.BoundsToSet(hotels)}
+	sp := newForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
+	h := categoryHeuristic{Space: sp, Bounds: ix.BoundsToSet(hotels)}
 	if h.H(sp.Goal) != 0 {
 		t.Fatal("H(virtual goal) must be 0")
 	}
@@ -52,8 +52,8 @@ func TestSourceHeuristicAdmissible(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.NodeID(5)
-	rev := NewReverseSpace(g, []graph.NodeID{src}, targets)
-	h := SourceHeuristic{Space: rev, Index: ix, Source: src}
+	rev := newReverseSpace(g, []graph.NodeID{src}, targets)
+	h := sourceHeuristic{Space: rev, Index: ix, Source: src}
 	// Remaining distance from v to the reverse goal s is δ_G(s, v).
 	exact := sssp.Dijkstra(g, graph.Forward, src)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
@@ -75,8 +75,8 @@ func TestSourceSetHeuristicAdmissible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev := NewReverseSpace(g, sources, targets)
-	h := SourceSetHeuristic{Space: rev, Bounds: ix.BoundsFromSet(sources, new(landmark.FromBounds))}
+	rev := newReverseSpace(g, sources, targets)
+	h := sourceSetHeuristic{Space: rev, Bounds: ix.BoundsFromSet(sources, new(landmark.FromBounds))}
 	offsets := make([]graph.Weight, len(sources))
 	exact := sssp.DijkstraOffsets(g, graph.Forward, sources, offsets)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {

@@ -14,7 +14,7 @@ import "kpj/internal/graph"
 // Simplicity is checked with the workspace's epoch-stamped ban marks; the
 // scope is consumed before any subspaceSearch on ws begins, so sharing the
 // ban storage is safe. The result slices live in ws's per-query arenas.
-func (ws *Workspace) pascoal(spt *SPT, sp *Space, pt *pseudoTree, u VertexID) (searchResult, bool) {
+func (ws *Workspace) pascoal(spt *shortestPathTree, sp *Space, pt *pseudoTree, u VertexID) (searchResult, bool) {
 	ws.beginBans()
 	pt.PrefixNodes(u, ws.banNode)
 

@@ -31,14 +31,6 @@ type pseudoTree struct {
 	kidNext []int32
 }
 
-// newPseudoTree returns a tree holding only the root vertex (vertex 0) for
-// the given space root node — the paper's PT_0.
-func newPseudoTree(root graph.NodeID) *pseudoTree {
-	t := &pseudoTree{}
-	t.Reset(root)
-	return t
-}
-
 // Reset re-roots the tree at the given space node, dropping every vertex
 // but retaining all storage. Engines reuse one workspace-owned tree across
 // queries so the steady state inserts without allocating (pinned by

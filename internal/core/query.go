@@ -66,11 +66,11 @@ type Options struct {
 	ReuseResults bool
 
 	// bound is materialized by prepare from Context and Budget.
-	bound *Bound
+	bound *queryBound
 }
 
-// DefaultAlpha is the paper's default τ growth factor.
-const DefaultAlpha = 1.1
+// defaultAlpha is the paper's default τ growth factor.
+const defaultAlpha = 1.1
 
 // Errors reported by query validation.
 var (
@@ -78,7 +78,7 @@ var (
 	ErrNoSources = errors.New("core: query has no source nodes")
 	ErrNoTargets = errors.New("core: query has no target nodes")
 	ErrBadAlpha  = errors.New("core: alpha must be greater than 1")
-	ErrWorkspace = errors.New("core: workspace too small for graph")
+	errWorkspace = errors.New("core: workspace too small for graph")
 )
 
 // Validate checks q against g.
@@ -113,7 +113,7 @@ func prepare(g *graph.Graph, q Query, opt *Options, needAlpha bool) (*Workspace,
 		return nil, err
 	}
 	if opt.Alpha == 0 {
-		opt.Alpha = DefaultAlpha
+		opt.Alpha = defaultAlpha
 	}
 	if needAlpha && opt.Alpha <= 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadAlpha, opt.Alpha)
@@ -122,9 +122,9 @@ func prepare(g *graph.Graph, q Query, opt *Options, needAlpha bool) (*Workspace,
 	if opt.Workspace == nil {
 		opt.Workspace = NewWorkspace(n)
 	} else if !opt.Workspace.Fits(n) {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrWorkspace, opt.Workspace.n, n)
+		return nil, fmt.Errorf("%w: have %d, need %d", errWorkspace, opt.Workspace.n, n)
 	}
-	opt.bound = NewBound(opt.Context, opt.Budget)
+	opt.bound = newQueryBound(opt.Context, opt.Budget)
 	opt.Workspace.bound = opt.bound
 	opt.Workspace.beginQuery(opt.ReuseResults)
 	return opt.Workspace, nil

@@ -82,7 +82,7 @@ func TestTestLBContract(t *testing.T) {
 		g := testgraphs.Random(rng, n, 3, 9, trial%2 == 0)
 		targets := testgraphs.RandomCategory(rng, g, "T", 1+rng.Intn(2))
 		src := graph.NodeID(rng.Intn(n))
-		sp := NewForwardSpace(g, []graph.NodeID{src}, targets)
+		sp := newForwardSpace(g, []graph.NodeID{src}, targets)
 		ws := NewWorkspace(sp.numSpaceNodes())
 		pt := newPseudoTree(sp.Root)
 		h := zeroHeuristic{}
@@ -141,8 +141,8 @@ func TestCategoryHeuristicConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := NewForwardSpace(g, []graph.NodeID{0}, targets)
-		h := CategoryHeuristic{Space: sp, Bounds: ix.BoundsToSet(targets)}
+		sp := newForwardSpace(g, []graph.NodeID{0}, targets)
+		h := categoryHeuristic{Space: sp, Bounds: ix.BoundsToSet(targets)}
 		for v := graph.NodeID(0); int(v) < n; v++ {
 			hv := h.H(v)
 			sp.expand(v, func(to graph.NodeID, w graph.Weight) {
@@ -168,7 +168,7 @@ func TestCompLBIsLowerBound(t *testing.T) {
 		g := testgraphs.Random(rng, n, 3, 9, true)
 		targets := testgraphs.RandomCategory(rng, g, "T", 1+rng.Intn(2))
 		src := graph.NodeID(rng.Intn(n))
-		sp := NewForwardSpace(g, []graph.NodeID{src}, targets)
+		sp := newForwardSpace(g, []graph.NodeID{src}, targets)
 		ws := NewWorkspace(sp.numSpaceNodes())
 		pt := newPseudoTree(sp.Root)
 		var h Heuristic = zeroHeuristic{}
@@ -177,7 +177,7 @@ func TestCompLBIsLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h = CategoryHeuristic{Space: sp, Bounds: ix.BoundsToSet(targets)}
+			h = categoryHeuristic{Space: sp, Bounds: ix.BoundsToSet(targets)}
 		}
 		res, status := ws.subspaceSearch(sp, pt, 0, h, graph.Infinity, nil, nil)
 		if status != Found {
@@ -219,16 +219,16 @@ func TestChainLBsMatchCompLB(t *testing.T) {
 		g := testgraphs.Random(rng, n, 3, 9, trial%2 == 0)
 		targets := testgraphs.RandomCategory(rng, g, "T", 1+rng.Intn(3))
 		src := []graph.NodeID{graph.NodeID(rng.Intn(n))}
-		fwd := NewForwardSpace(g, src, targets)
-		rev := NewReverseSpace(g, src, targets)
+		fwd := newForwardSpace(g, src, targets)
+		rev := newReverseSpace(g, src, targets)
 		var growH, fallback Heuristic = zeroHeuristic{}, zeroHeuristic{}
 		if trial%3 != 0 {
 			ix, err := landmark.Build(g, 2, int64(trial))
 			if err != nil {
 				t.Fatal(err)
 			}
-			growH = CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}
-			fallback = SourceHeuristic{Space: rev, Index: ix, Source: src[0]}
+			growH = categoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}
+			fallback = sourceHeuristic{Space: rev, Index: ix, Source: src[0]}
 		}
 		ws := NewWorkspace(rev.numSpaceNodes())
 		tree := ws.initSPTI(fwd, growH, nil, nil)
@@ -239,7 +239,7 @@ func TestChainLBsMatchCompLB(t *testing.T) {
 		if trial%2 == 1 {
 			tree.growTo(res.Total * 2) // some trials see a grown tree
 		}
-		h := TreeHeuristic{T: tree.t, Fallback: fallback}
+		h := treeHeuristic{T: tree.t, Fallback: fallback}
 		pt := newPseudoTree(rev.Root)
 		d := VertexID(0)
 		for div := 0; div < 3; div++ {
@@ -279,7 +279,7 @@ func TestChainLBsMatchCompLB(t *testing.T) {
 func TestWorkspaceEpochWraparound(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
-	sp := NewForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
+	sp := newForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
 	ws := NewWorkspace(sp.numSpaceNodes())
 	ws.depoch = ^uint32(0) - 1
 	ws.hepoch = ^uint32(0) - 1

@@ -55,17 +55,10 @@ func (sp *Space) numSpaceNodes() int { return sp.G.NumNodes() + 2 }
 // IsVirtual reports whether a space node id is one of the virtual slots.
 func (sp *Space) IsVirtual(v graph.NodeID) bool { return int(v) >= sp.G.NumNodes() }
 
-// NewForwardSpace builds the space used by the forward algorithms:
-// paths from the source side (one physical source, or a virtual source
-// covering several) to the virtual target covering targets.
-func NewForwardSpace(g *graph.Graph, sources, targets []graph.NodeID) *Space {
-	sp := &Space{}
-	sp.initForward(g, sources, targets, make([]uint32, g.NumNodes()), 1)
-	return sp
-}
-
-// initForward is NewForwardSpace into caller-owned storage: stamp is the
-// goal-membership array (its entries equal to epoch mark members), so a
+// initForward builds the space used by the forward algorithms into
+// caller-owned storage: paths from the source side (one physical source,
+// or a virtual source covering several) to the virtual target covering
+// targets. stamp is the goal-membership array (its entries equal to epoch mark members), so a
 // workspace can recycle the array across queries with an epoch bump.
 func (sp *Space) initForward(g *graph.Graph, sources, targets []graph.NodeID, stamp []uint32, epoch uint32) {
 	*sp = Space{G: g, Dir: graph.Forward}
@@ -79,16 +72,9 @@ func (sp *Space) initForward(g *graph.Graph, sources, targets []graph.NodeID, st
 	}
 }
 
-// NewReverseSpace builds the space used by IterBound-SPT_I: paths from the
-// virtual target (root, expanding to every target with weight 0) backwards
-// to the source side.
-func NewReverseSpace(g *graph.Graph, sources, targets []graph.NodeID) *Space {
-	sp := &Space{}
-	sp.initReverse(g, sources, targets, make([]uint32, g.NumNodes()), 1)
-	return sp
-}
-
-// initReverse is NewReverseSpace into caller-owned storage; see initForward.
+// initReverse builds the space used by IterBound-SPT_I into caller-owned
+// storage: paths from the virtual target (root, expanding to every target
+// with weight 0) backwards to the source side; see initForward.
 func (sp *Space) initReverse(g *graph.Graph, sources, targets []graph.NodeID, stamp []uint32, epoch uint32) {
 	*sp = Space{G: g, Dir: graph.Backward}
 	sp.Root = sp.vtNode()

@@ -7,6 +7,32 @@ import (
 	"kpj/internal/testgraphs"
 )
 
+// newForwardSpace builds the space used by the forward algorithms:
+// paths from the source side (one physical source, or a virtual source
+// covering several) to the virtual target covering targets.
+func newForwardSpace(g *graph.Graph, sources, targets []graph.NodeID) *Space {
+	sp := &Space{}
+	sp.initForward(g, sources, targets, make([]uint32, g.NumNodes()), 1)
+	return sp
+}
+
+// newReverseSpace builds the space used by IterBound-SPT_I: paths from the
+// virtual target (root, expanding to every target with weight 0) backwards
+// to the source side.
+func newReverseSpace(g *graph.Graph, sources, targets []graph.NodeID) *Space {
+	sp := &Space{}
+	sp.initReverse(g, sources, targets, make([]uint32, g.NumNodes()), 1)
+	return sp
+}
+
+// newPseudoTree returns a tree holding only the root vertex (vertex 0) for
+// the given space root node — the paper's PT_0.
+func newPseudoTree(root graph.NodeID) *pseudoTree {
+	t := &pseudoTree{}
+	t.Reset(root)
+	return t
+}
+
 func collectExpand(sp *Space, v graph.NodeID) map[graph.NodeID]graph.Weight {
 	out := map[graph.NodeID]graph.Weight{}
 	sp.expand(v, func(to graph.NodeID, w graph.Weight) { out[to] = w })
@@ -16,7 +42,7 @@ func collectExpand(sp *Space, v graph.NodeID) map[graph.NodeID]graph.Weight {
 func TestForwardSpaceSingleSource(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
-	sp := NewForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
+	sp := newForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
 	if sp.Root != testgraphs.V1 {
 		t.Fatalf("Root = %d, want v1", sp.Root)
 	}
@@ -49,7 +75,7 @@ func TestForwardSpaceVirtualSource(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
 	srcs := []graph.NodeID{testgraphs.V1, testgraphs.V9}
-	sp := NewForwardSpace(g, srcs, hotels)
+	sp := newForwardSpace(g, srcs, hotels)
 	if !sp.IsVirtual(sp.Root) {
 		t.Fatal("multi-source space must have a virtual root")
 	}
@@ -65,7 +91,7 @@ func TestForwardSpaceVirtualSource(t *testing.T) {
 func TestReverseSpace(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
-	sp := NewReverseSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
+	sp := newReverseSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
 	if !sp.IsVirtual(sp.Root) {
 		t.Fatal("reverse root must be the virtual target")
 	}
@@ -91,7 +117,7 @@ func TestReverseSpace(t *testing.T) {
 func TestMaterializeForward(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
-	sp := NewForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
+	sp := newForwardSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
 	p := Path{Nodes: sp.materializeInto(nil, []graph.NodeID{testgraphs.V1, testgraphs.V8, testgraphs.V7, sp.Goal}), Length: 5}
 	if p.Length != 5 || len(p.Nodes) != 3 || p.Nodes[0] != testgraphs.V1 || p.Nodes[2] != testgraphs.V7 {
 		t.Fatalf("materializeInto = %v", p)
@@ -104,7 +130,7 @@ func TestMaterializeForward(t *testing.T) {
 func TestMaterializeReverse(t *testing.T) {
 	g := testgraphs.Fig1()
 	hotels, _ := g.Category(testgraphs.HotelCategory)
-	sp := NewReverseSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
+	sp := newReverseSpace(g, []graph.NodeID{testgraphs.V1}, hotels)
 	p := Path{Nodes: sp.materializeInto(nil, []graph.NodeID{sp.Root, testgraphs.V7, testgraphs.V8, testgraphs.V1}), Length: 5}
 	if len(p.Nodes) != 3 || p.Nodes[0] != testgraphs.V1 || p.Nodes[1] != testgraphs.V8 || p.Nodes[2] != testgraphs.V7 {
 		t.Fatalf("reverse materializeInto = %v, want v1,v8,v7", p)

@@ -5,14 +5,14 @@ import (
 	"kpj/internal/pqueue"
 )
 
-// SPT is reusable shortest-path-tree scratch shared by the partial tree of
+// shortestPathTree is reusable scratch shared by the partial tree of
 // Section 5.2, the incremental tree of Section 5.3, and DA-SPT's full
 // tree. All per-node state (distance, parent, growth heuristic,
 // settledness) is epoch-stamped so a workspace-owned SPT restarts in O(1)
 // per query instead of paying an O(n) re-initialization — one of the two
 // dominant per-query costs the flat-layout work removes (the other being
 // the goal-membership sets of Space).
-type SPT struct {
+type shortestPathTree struct {
 	dist   []graph.Weight
 	parent []graph.NodeID
 	h      []graph.Weight // sptiTree's growth heuristic, computed once per reached node
@@ -26,7 +26,7 @@ type SPT struct {
 
 // begin starts a fresh tree over space-node ids [0, n): all nodes read as
 // unreached/unsettled and the queue is empty.
-func (t *SPT) begin(n int) {
+func (t *shortestPathTree) begin(n int) {
 	if len(t.dist) < n {
 		t.dist = make([]graph.Weight, n)
 		t.parent = make([]graph.NodeID, n)
@@ -49,7 +49,7 @@ func (t *SPT) begin(n int) {
 // keys never decrease: every growth heuristic of sptiTree is consistent
 // (TestGrowthHeuristicsConsistent pins it), and DA-SPT's full tree grows
 // under none.
-func (t *SPT) bucket() *pqueue.BucketQueue {
+func (t *shortestPathTree) bucket() *pqueue.BucketQueue {
 	if t.bq == nil {
 		t.bq = pqueue.NewBucketQueue()
 	} else {
@@ -60,7 +60,7 @@ func (t *SPT) bucket() *pqueue.BucketQueue {
 
 // Dist returns the tentative (exact once settled) distance of v from the
 // tree root, graph.Infinity when unreached.
-func (t *SPT) Dist(v graph.NodeID) graph.Weight {
+func (t *shortestPathTree) Dist(v graph.NodeID) graph.Weight {
 	if t.reach[v] != t.epoch {
 		return graph.Infinity
 	}
@@ -70,7 +70,7 @@ func (t *SPT) Dist(v graph.NodeID) graph.Weight {
 // Parent returns v's predecessor toward the root, -1 for the root and
 // unreached nodes. For trees built over a reverse space the root is the
 // virtual target, so Parent is the successor toward the target.
-func (t *SPT) Parent(v graph.NodeID) graph.NodeID {
+func (t *shortestPathTree) Parent(v graph.NodeID) graph.NodeID {
 	if t.reach[v] != t.epoch {
 		return -1
 	}
@@ -78,6 +78,6 @@ func (t *SPT) Parent(v graph.NodeID) graph.NodeID {
 }
 
 // Settled reports whether v's distance is final.
-func (t *SPT) Settled(v graph.NodeID) bool { return t.done[v] == t.epoch }
+func (t *shortestPathTree) Settled(v graph.NodeID) bool { return t.done[v] == t.epoch }
 
-func (t *SPT) settle(v graph.NodeID) { t.done[v] = t.epoch }
+func (t *shortestPathTree) settle(v graph.NodeID) { t.done[v] = t.epoch }

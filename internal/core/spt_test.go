@@ -21,7 +21,7 @@ func TestPartialSPTExactDistances(t *testing.T) {
 		g := testgraphs.RandomConnected(rng, n, 2*n, 20)
 		targets := testgraphs.RandomCategory(rng, g, "T", 1+rng.Intn(4))
 		src := graph.NodeID(rng.Intn(n))
-		rev := NewReverseSpace(g, []graph.NodeID{src}, targets)
+		rev := newReverseSpace(g, []graph.NodeID{src}, targets)
 
 		var revH Heuristic
 		if trial%2 == 0 {
@@ -29,7 +29,7 @@ func TestPartialSPTExactDistances(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			revH = SourceHeuristic{Space: rev, Index: ix, Source: src}
+			revH = sourceHeuristic{Space: rev, Index: ix, Source: src}
 		}
 		ws := NewWorkspace(rev.numSpaceNodes())
 		tree := ws.initSPTI(rev, revH, nil, nil)
@@ -72,7 +72,7 @@ func TestIncrementalSPTCoverage(t *testing.T) {
 		g := testgraphs.RandomConnected(rng, n, 2*n, 20)
 		targets := testgraphs.RandomCategory(rng, g, "T", 1+rng.Intn(4))
 		src := graph.NodeID(rng.Intn(n))
-		fwd := NewForwardSpace(g, []graph.NodeID{src}, targets)
+		fwd := newForwardSpace(g, []graph.NodeID{src}, targets)
 
 		var growH Heuristic = zeroHeuristic{}
 		if trial%2 == 0 {
@@ -80,7 +80,7 @@ func TestIncrementalSPTCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			growH = CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}
+			growH = categoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}
 		}
 		ws := NewWorkspace(fwd.numSpaceNodes())
 		tree := ws.initSPTI(fwd, growH, nil, nil)
@@ -118,14 +118,14 @@ func TestIncrementalSPTCoverage(t *testing.T) {
 	}
 }
 
-// TreeHeuristic must prefer exact tree distances and fall back elsewhere.
+// treeHeuristic must prefer exact tree distances and fall back elsewhere.
 func TestTreeHeuristicOverlay(t *testing.T) {
-	var spt SPT
+	var spt shortestPathTree
 	spt.begin(6)
 	spt.dist[0], spt.reach[0] = 7, spt.epoch
 	spt.settle(0)
 	spt.dist[1], spt.reach[1] = 99, spt.epoch // reached but not settled: still fallback
-	h := TreeHeuristic{T: &spt, Fallback: zeroHeuristic{}}
+	h := treeHeuristic{T: &spt, Fallback: zeroHeuristic{}}
 	if h.H(0) != 7 {
 		t.Fatalf("H(0) = %d, want 7 (tree)", h.H(0))
 	}
@@ -150,18 +150,18 @@ func TestSPTIHeuristicAdmissible(t *testing.T) {
 	g := testgraphs.RandomConnected(rng, 50, 150, 15)
 	targets := testgraphs.RandomCategory(rng, g, "T", 3)
 	src := graph.NodeID(4)
-	fwd := NewForwardSpace(g, []graph.NodeID{src}, targets)
-	rev := NewReverseSpace(g, []graph.NodeID{src}, targets)
+	fwd := newForwardSpace(g, []graph.NodeID{src}, targets)
+	rev := newReverseSpace(g, []graph.NodeID{src}, targets)
 	ix, err := landmark.Build(g, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := NewWorkspace(fwd.numSpaceNodes()).initSPTI(fwd, CategoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}, nil, nil)
+	tree := NewWorkspace(fwd.numSpaceNodes()).initSPTI(fwd, categoryHeuristic{Space: fwd, Bounds: ix.BoundsToSet(targets)}, nil, nil)
 	if _, ok := tree.initialPath(); !ok {
 		t.Fatal("no initial path")
 	}
 	tree.growTo(1000)
-	h := TreeHeuristic{T: tree.t, Fallback: SourceHeuristic{Space: rev, Index: ix, Source: src}}
+	h := treeHeuristic{T: tree.t, Fallback: sourceHeuristic{Space: rev, Index: ix, Source: src}}
 	exact := sssp.Dijkstra(g, graph.Forward, src)
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if got := h.H(v); got > exact[v] {
@@ -414,7 +414,7 @@ func TestGrowthQueueIndependent(t *testing.T) {
 
 // checkParentWalks fails unless every reached node's parent walk in tr
 // ends at root within n steps.
-func checkParentWalks(t *testing.T, name string, tr *SPT, root graph.NodeID, n int) {
+func checkParentWalks(t *testing.T, name string, tr *shortestPathTree, root graph.NodeID, n int) {
 	t.Helper()
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		if tr.Dist(v) >= graph.Infinity {
@@ -449,7 +449,7 @@ func TestTreeParentWalksEndAtRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The query leaves its full tree, over the reverse space, in ws.spt.
-	rev := NewReverseSpace(g, sources, targets)
+	rev := newReverseSpace(g, sources, targets)
 	checkParentWalks(t, "DA-SPT", &ws.spt, rev.Root, rev.numSpaceNodes())
 
 	for _, c := range growthCases(g, nil, sources, targets) {

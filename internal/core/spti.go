@@ -40,7 +40,7 @@ import (
 type sptiTree struct {
 	sp *Space
 	h  Heuristic // growth key heuristic toward sp's goal (or zero)
-	t  *SPT
+	t  *shortestPathTree
 	ws *Workspace
 	bq *pqueue.BucketQueue
 	// open counts reached but unsettled nodes. The bucket queue's length
@@ -49,7 +49,7 @@ type sptiTree struct {
 	// nsettled counts settled nodes for the spt_build span payload.
 	nsettled int
 	st       *Stats
-	bound    *Bound
+	bound    *queryBound
 }
 
 // initSPTI seeds the workspace-cached tree over sp for a new query; h nil
@@ -57,7 +57,7 @@ type sptiTree struct {
 // only under a finite bound: an infinite one proves it reaches no goal,
 // and its neighbours' finite bounds (a far32 entry drops a term) would
 // key below it.
-func (ws *Workspace) initSPTI(sp *Space, h Heuristic, st *Stats, bound *Bound) *sptiTree {
+func (ws *Workspace) initSPTI(sp *Space, h Heuristic, st *Stats, bound *queryBound) *sptiTree {
 	t := &ws.spti
 	*t = sptiTree{sp: sp, h: h, t: &ws.spt, ws: ws, st: st, bound: bound}
 	t.t.begin(sp.numSpaceNodes())

@@ -47,14 +47,14 @@ type Workspace struct {
 
 	// bound is the current query's interruption state, installed by
 	// prepare (nil for unbounded queries and direct test use).
-	bound *Bound
+	bound *queryBound
 
 	// rev is chain-reversal scratch for path reconstruction.
 	rev []graph.NodeID
 
 	// spt is the shared shortest-path-tree scratch (SPT_P, SPT_I, and
 	// DA-SPT's full tree — at most one per query); spti drives the first two.
-	spt  SPT
+	spt  shortestPathTree
 	spti sptiTree
 
 	// fwdSp/revSp are the cached query spaces; fwdStamp/revStamp their
@@ -67,10 +67,10 @@ type Workspace struct {
 	// Cached heuristic boxes: returning &ws.catH etc. converts a pointer
 	// into the Heuristic interface, which never allocates, where boxing the
 	// struct value would.
-	catH  CategoryHeuristic
-	srcH  SourceHeuristic
-	setH  SourceSetHeuristic
-	treeH TreeHeuristic
+	catH  categoryHeuristic
+	srcH  sourceHeuristic
+	setH  sourceSetHeuristic
+	treeH treeHeuristic
 
 	// toSet/fromSet are the query's Eq. 2 tables (2·L int32s each),
 	// rebuilt in place per query behind catH/setH.
@@ -170,8 +170,8 @@ func (ws *Workspace) resetTree(root graph.NodeID) *pseudoTree {
 
 // cachedTreeHeuristic boxes a TreeHeuristic in workspace storage so the
 // interface conversion does not allocate.
-func (ws *Workspace) cachedTreeHeuristic(t *SPT, fallback Heuristic) Heuristic {
-	ws.treeH = TreeHeuristic{T: t, Fallback: fallback}
+func (ws *Workspace) cachedTreeHeuristic(t *shortestPathTree, fallback Heuristic) Heuristic {
+	ws.treeH = treeHeuristic{T: t, Fallback: fallback}
 	return &ws.treeH
 }
 

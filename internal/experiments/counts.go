@@ -2,14 +2,14 @@ package experiments
 
 import "fmt"
 
-// Counts is an extra experiment beyond the paper's figures: it makes the
+// counts is an extra experiment beyond the paper's figures: it makes the
 // Lemma 4.1 argument measurable. The paper proves that the best-first
 // paradigm computes a subset of the deviation paradigm's shortest paths
 // and that iterative bounding prunes further (Fig. 4); this table reports
 // the actual work counters — subspace shortest-path/TestLB searches,
 // bounding rounds, queue pops, and SPT sizes — for every algorithm on the
 // same query mix (CAL, T=Lake, Q3, k=20).
-func Counts(e *Env) ([]Table, error) {
+func counts(e *Env) ([]Table, error) {
 	t := Table{
 		Title: fmt.Sprintf("Counts — work per query, CAL, T=Lake, Q3, k=%d (avg over %d queries)",
 			defaultK, e.Cfg.PerSet),
@@ -28,7 +28,7 @@ func Counts(e *Env) ([]Table, error) {
 		return nil, err
 	}
 	sources := qs[defaultQ]
-	for _, algo := range AlgorithmOrder {
+	for _, algo := range algorithmOrder {
 		m, err := e.runQueries("CAL", algo, sources, targets, defaultK, 0, 0)
 		if err != nil {
 			return nil, err

@@ -16,9 +16,9 @@ const defaultQ = 2
 // defaultK is the paper's default k.
 const defaultK = 20
 
-// Table1 regenerates the dataset summary (paper Table 1) for the synthetic
+// table1 regenerates the dataset summary (paper Table 1) for the synthetic
 // stand-ins at the configured scale, next to the real datasets' sizes.
-func Table1(e *Env) ([]Table, error) {
+func table1(e *Env) ([]Table, error) {
 	t := Table{
 		Title:   fmt.Sprintf("Table 1 — datasets (scale %.2f)", e.Cfg.Scale),
 		Columns: []string{"dataset", "paper#nodes", "paper#edges", "gen#nodes", "gen#edges", "avgDeg"},
@@ -44,9 +44,9 @@ func Table1(e *Env) ([]Table, error) {
 // legend.
 func calCategoryNames() []string { return []string{"Crater", "Glacier", "Harbor", "Lake"} }
 
-// Fig6a regenerates Fig. 6(a): IterBound_I processing time on CAL (Q3,
+// fig6a regenerates Fig. 6(a): IterBound_I processing time on CAL (Q3,
 // k=20) while varying the landmark count |L|.
-func Fig6a(e *Env) ([]Table, error) {
+func fig6a(e *Env) ([]Table, error) {
 	counts := []int{4, 8, 12, 16, 20, 32}
 	t := Table{
 		Title:   "Fig 6(a) — IterBoundI on CAL, Q3, k=20: vary |L| (avg ms/query)",
@@ -78,9 +78,9 @@ func Fig6a(e *Env) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// Fig6b regenerates Fig. 6(b): IterBound_I on CAL (Q3, k=20) while varying
+// fig6b regenerates Fig. 6(b): IterBound_I on CAL (Q3, k=20) while varying
 // the τ growth factor α.
-func Fig6b(e *Env) ([]Table, error) {
+func fig6b(e *Env) ([]Table, error) {
 	alphas := []float64{1.05, 1.1, 1.2, 1.5, 1.8}
 	t := Table{
 		Title:   "Fig 6(b) — IterBoundI on CAL, Q3, k=20: vary alpha (avg ms/query)",
@@ -171,10 +171,10 @@ func (e *Env) sweepK(title, dsName, category string, ks []int, algos []string) (
 	return t, nil
 }
 
-// Fig7 regenerates Fig. 7: all seven algorithms on CAL against the
+// fig7 regenerates Fig. 7: all seven algorithms on CAL against the
 // baselines, varying the query set and k for categories Lake, Crater, and
 // Harbor.
-func Fig7(e *Env) ([]Table, error) {
+func fig7(e *Env) ([]Table, error) {
 	var out []Table
 	subs := []struct {
 		fig string
@@ -187,14 +187,14 @@ func Fig7(e *Env) ([]Table, error) {
 	for _, sub := range subs {
 		tq, err := e.sweepQ(
 			fmt.Sprintf("Fig %s — CAL, T=%s, k=%d: vary Q (avg ms/query)", sub.fig, sub.cat, defaultK),
-			"CAL", sub.cat, defaultK, AlgorithmOrder)
+			"CAL", sub.cat, defaultK, algorithmOrder)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, tq)
 		tk, err := e.sweepK(
 			fmt.Sprintf("Fig %s — CAL, T=%s, Q3: vary k (avg ms/query)", sub.fig, sub.cat),
-			"CAL", sub.cat, []int{10, 20, 30, 50}, AlgorithmOrder)
+			"CAL", sub.cat, []int{10, 20, 30, 50}, algorithmOrder)
 		if err != nil {
 			return nil, err
 		}
@@ -203,39 +203,39 @@ func Fig7(e *Env) ([]Table, error) {
 	return out, nil
 }
 
-// Fig8 regenerates Fig. 8: KSP queries (the single-node category Glacier)
+// fig8 regenerates Fig. 8: KSP queries (the single-node category Glacier)
 // on CAL, varying Q and k across all seven algorithms.
-func Fig8(e *Env) ([]Table, error) {
+func fig8(e *Env) ([]Table, error) {
 	tq, err := e.sweepQ(
 		fmt.Sprintf("Fig 8(a) — CAL, T=Glacier (KSP), k=%d: vary Q (avg ms/query)", defaultK),
-		"CAL", "Glacier", defaultK, AlgorithmOrder)
+		"CAL", "Glacier", defaultK, algorithmOrder)
 	if err != nil {
 		return nil, err
 	}
 	tk, err := e.sweepK(
 		"Fig 8(b) — CAL, T=Glacier (KSP), Q3: vary k (avg ms/query)",
-		"CAL", "Glacier", []int{10, 20, 30, 50}, AlgorithmOrder)
+		"CAL", "Glacier", []int{10, 20, 30, 50}, algorithmOrder)
 	if err != nil {
 		return nil, err
 	}
 	return []Table{tq, tk}, nil
 }
 
-// Fig9 regenerates Fig. 9: the four contributed algorithms on SJ and COL
+// fig9 regenerates Fig. 9: the four contributed algorithms on SJ and COL
 // (T=T2), varying Q and k.
-func Fig9(e *Env) ([]Table, error) {
+func fig9(e *Env) ([]Table, error) {
 	var out []Table
 	for _, ds := range []string{"SJ", "COL"} {
 		tq, err := e.sweepQ(
 			fmt.Sprintf("Fig 9 — %s, T=T2, k=%d: vary Q (avg ms/query)", ds, defaultK),
-			ds, "T2", defaultK, OursOrder)
+			ds, "T2", defaultK, oursOrder)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, tq)
 		tk, err := e.sweepK(
 			fmt.Sprintf("Fig 9 — %s, T=T2, Q3: vary k (avg ms/query)", ds),
-			ds, "T2", []int{10, 20, 30, 50}, OursOrder)
+			ds, "T2", []int{10, 20, 30, 50}, oursOrder)
 		if err != nil {
 			return nil, err
 		}
@@ -244,14 +244,14 @@ func Fig9(e *Env) ([]Table, error) {
 	return out, nil
 }
 
-// Fig10 regenerates Fig. 10: the four contributed algorithms on SJ and COL
+// fig10 regenerates Fig. 10: the four contributed algorithms on SJ and COL
 // while the destination category grows from T1 to T4 (Q3, k=20).
-func Fig10(e *Env) ([]Table, error) {
+func fig10(e *Env) ([]Table, error) {
 	var out []Table
 	for _, ds := range []string{"SJ", "COL"} {
 		t := Table{
 			Title:   fmt.Sprintf("Fig 10 — %s, Q3, k=%d: vary |T| (avg ms/query)", ds, defaultK),
-			Columns: append([]string{"T"}, OursOrder...),
+			Columns: append([]string{"T"}, oursOrder...),
 		}
 		g, err := e.Graph(ds)
 		if err != nil {
@@ -267,7 +267,7 @@ func Fig10(e *Env) ([]Table, error) {
 				return nil, err
 			}
 			row := []string{fmt.Sprintf("%s(|%d|)", cat, len(targets))}
-			for _, algo := range OursOrder {
+			for _, algo := range oursOrder {
 				m, err := e.runQueries(ds, algo, qs[defaultQ], targets, defaultK, 0, 0)
 				if err != nil {
 					return nil, err
@@ -285,11 +285,11 @@ func Fig10(e *Env) ([]Table, error) {
 // distance distribution of Fig. 11.
 const fig11Samples = 24
 
-// Fig11 regenerates Fig. 11: for each dataset and nested category T_i, the
+// fig11 regenerates Fig. 11: for each dataset and nested category T_i, the
 // percentile position of max_v δ(v, T_i) within the distribution of all
 // shortest path lengths. The paper's n·n observations are approximated by
 // full SSSP from a fixed random sample of sources.
-func Fig11(e *Env) ([]Table, error) {
+func fig11(e *Env) ([]Table, error) {
 	t := Table{
 		Title:   "Fig 11 — percentile of the longest shortest-path-to-T length (%)",
 		Columns: append([]string{"dataset"}, gen.NestedNames...),
@@ -331,9 +331,9 @@ func Fig11(e *Env) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// Fig12 regenerates Fig. 12: IterBound_I scalability across dataset sizes
+// fig12 regenerates Fig. 12: IterBound_I scalability across dataset sizes
 // (T=T2, Q3, k=20) and across k on COL.
-func Fig12(e *Env) ([]Table, error) {
+func fig12(e *Env) ([]Table, error) {
 	ta := Table{
 		Title:   fmt.Sprintf("Fig 12(a) — IterBoundI, T=T2, Q3, k=%d: vary graph (avg ms/query)", defaultK),
 		Columns: []string{"dataset", "nodes", "IterBoundI"},
@@ -383,9 +383,9 @@ func Fig12(e *Env) ([]Table, error) {
 	return []Table{ta, tb}, nil
 }
 
-// Fig13 regenerates Fig. 13: GKPJ queries on COL with a 4-node source
+// fig13 regenerates Fig. 13: GKPJ queries on COL with a 4-node source
 // category, DA-SPT against IterBound_I, varying |T| and k.
-func Fig13(e *Env) ([]Table, error) {
+func fig13(e *Env) ([]Table, error) {
 	g, err := e.Graph("COL")
 	if err != nil {
 		return nil, err

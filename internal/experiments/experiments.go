@@ -221,42 +221,42 @@ func (e *Env) workspace(name string) (*core.Workspace, error) {
 	return ws, nil
 }
 
-// AlgorithmOrder is the fixed column order of the seven algorithms, as in
+// algorithmOrder is the fixed column order of the seven algorithms, as in
 // the paper's legends.
-var AlgorithmOrder = []string{
+var algorithmOrder = []string{
 	"DA", "DA-SPT", "BestFirst", "IterBound", "IterBoundP", "IterBoundI", "IterBoundI-NL",
 }
 
-// OursOrder is the four-contributed-algorithm order of Figs. 9-10.
-var OursOrder = []string{"BestFirst", "IterBound", "IterBoundP", "IterBoundI"}
+// oursOrder is the four-contributed-algorithm order of Figs. 9-10.
+var oursOrder = []string{"BestFirst", "IterBound", "IterBoundP", "IterBoundI"}
 
-// Algorithm resolves a column name to its implementation. Every column is
+// algorithm resolves a column name to its implementation. Every column is
 // handed the dataset's landmark index; the rows that run without one (DA,
 // DA-SPT, IterBoundI-NL) discard it themselves.
-func Algorithm(name string) (core.Func, error) {
+func algorithm(name string) (core.Func, error) {
 	if fn, ok := core.Algorithms()[name]; ok {
 		return fn, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown algorithm %q", name)
 }
 
-// Measurement is the averaged outcome of running one algorithm over a set
+// measurement is the averaged outcome of running one algorithm over a set
 // of queries.
-type Measurement struct {
+type measurement struct {
 	AvgMillis float64
 	Stats     core.Stats
 	Paths     int // total paths returned (sanity: k × queries when feasible)
 }
 
 // runQueries times fn over one query per source and returns the average.
-func (e *Env) runQueries(dsName, algoName string, sources []graph.NodeID, targets []graph.NodeID, k int, overrideAlpha float64, overrideLandmarks int) (Measurement, error) {
+func (e *Env) runQueries(dsName, algoName string, sources []graph.NodeID, targets []graph.NodeID, k int, overrideAlpha float64, overrideLandmarks int) (measurement, error) {
 	g, err := e.Graph(dsName)
 	if err != nil {
-		return Measurement{}, err
+		return measurement{}, err
 	}
-	fn, err := Algorithm(algoName)
+	fn, err := algorithm(algoName)
 	if err != nil {
-		return Measurement{}, err
+		return measurement{}, err
 	}
 	count := e.Cfg.Landmarks
 	if overrideLandmarks > 0 {
@@ -264,17 +264,17 @@ func (e *Env) runQueries(dsName, algoName string, sources []graph.NodeID, target
 	}
 	ix, err := e.IndexWith(dsName, count)
 	if err != nil {
-		return Measurement{}, err
+		return measurement{}, err
 	}
 	ws, err := e.workspace(dsName)
 	if err != nil {
-		return Measurement{}, err
+		return measurement{}, err
 	}
 	alpha := e.Cfg.Alpha
 	if overrideAlpha > 1 {
 		alpha = overrideAlpha
 	}
-	var m Measurement
+	var m measurement
 	pass := func(collect bool) error {
 		paths := 0
 		// Engine metrics (when enabled via kpjbench -metrics) are fed
@@ -313,7 +313,7 @@ func (e *Env) runQueries(dsName, algoName string, sources []graph.NodeID, target
 // timedRounds runs one untimed warmup pass and then Cfg.Rounds timed
 // passes, recording the minimum per-query average in milliseconds — the
 // standard way to suppress GC pauses and cold caches in micro-timings.
-func (e *Env) timedRounds(queries int, pass func(collect bool) error, m *Measurement) error {
+func (e *Env) timedRounds(queries int, pass func(collect bool) error, m *measurement) error {
 	if err := pass(true); err != nil { // warmup; also collects stats/paths
 		return err
 	}
@@ -334,24 +334,24 @@ func (e *Env) timedRounds(queries int, pass func(collect bool) error, m *Measure
 
 // runJoinQueries is runQueries for GKPJ: each "query" uses the full source
 // set; reps controls averaging.
-func (e *Env) runJoinQueries(dsName, algoName string, sources, targets []graph.NodeID, k, reps int, alpha float64) (Measurement, error) {
+func (e *Env) runJoinQueries(dsName, algoName string, sources, targets []graph.NodeID, k, reps int, alpha float64) (measurement, error) {
 	g, err := e.Graph(dsName)
 	if err != nil {
-		return Measurement{}, err
+		return measurement{}, err
 	}
-	fn, err := Algorithm(algoName)
+	fn, err := algorithm(algoName)
 	if err != nil {
-		return Measurement{}, err
+		return measurement{}, err
 	}
 	ix, err := e.Index(dsName)
 	if err != nil {
-		return Measurement{}, err
+		return measurement{}, err
 	}
 	ws, err := e.workspace(dsName)
 	if err != nil {
-		return Measurement{}, err
+		return measurement{}, err
 	}
-	var m Measurement
+	var m measurement
 	pass := func(collect bool) error {
 		paths := 0
 		// Same metrics discipline as runQueries: observe on the collect
@@ -392,17 +392,17 @@ func ms(v float64) string { return fmt.Sprintf("%.3f", v) }
 // it regenerates.
 func Registry() map[string]func(*Env) ([]Table, error) {
 	return map[string]func(*Env) ([]Table, error){
-		"table1": Table1,
-		"fig6a":  Fig6a,
-		"fig6b":  Fig6b,
-		"fig7":   Fig7,
-		"fig8":   Fig8,
-		"fig9":   Fig9,
-		"fig10":  Fig10,
-		"fig11":  Fig11,
-		"fig12":  Fig12,
-		"fig13":  Fig13,
-		"counts": Counts,
+		"table1": table1,
+		"fig6a":  fig6a,
+		"fig6b":  fig6b,
+		"fig7":   fig7,
+		"fig8":   fig8,
+		"fig9":   fig9,
+		"fig10":  fig10,
+		"fig11":  fig11,
+		"fig12":  fig12,
+		"fig13":  fig13,
+		"counts": counts,
 	}
 }
 

@@ -130,7 +130,7 @@ func TestRunQueriesProducesPaths(t *testing.T) {
 	// Q1 sources may coincide with the target itself, in which case fewer
 	// than k simple paths exist — so assert agreement, not exact counts.
 	want := -1
-	for _, algo := range AlgorithmOrder {
+	for _, algo := range algorithmOrder {
 		m, err := e.runQueries("SJ", algo, qs[0], targets, 5, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)

@@ -50,7 +50,7 @@ import (
 var (
 	ErrFormat   = errors.New("flatindex: malformed flat index file")
 	ErrChecksum = errors.New("flatindex: checksum mismatch")
-	ErrPlatform = errors.New("flatindex: file written on an incompatible platform")
+	errPlatform = errors.New("flatindex: file written on an incompatible platform")
 )
 
 var magic = [8]byte{'K', 'P', 'J', 'F', 'L', 'A', 'T', '1'}
@@ -432,13 +432,13 @@ func decodeHeader(data []byte) (header, error) {
 		return h, fmt.Errorf("%w: version %d, this build reads %d", ErrFormat, v, formatVersion)
 	}
 	if s := binary.NativeEndian.Uint32(data[12:]); s != orderSentinel {
-		return h, fmt.Errorf("%w: byte-order sentinel %#x", ErrPlatform, s)
+		return h, fmt.Errorf("%w: byte-order sentinel %#x", errPlatform, s)
 	}
 	if es := binary.NativeEndian.Uint32(data[16:]); es != edgeSize {
-		return h, fmt.Errorf("%w: edge size %d, this build uses %d", ErrPlatform, es, edgeSize)
+		return h, fmt.Errorf("%w: edge size %d, this build uses %d", errPlatform, es, edgeSize)
 	}
 	if wo := binary.NativeEndian.Uint32(data[20:]); wo != edgeWeightOffs {
-		return h, fmt.Errorf("%w: edge weight offset %d, this build uses %d", ErrPlatform, wo, edgeWeightOffs)
+		return h, fmt.Errorf("%w: edge weight offset %d, this build uses %d", errPlatform, wo, edgeWeightOffs)
 	}
 	h.flags = binary.NativeEndian.Uint64(data[24:])
 	h.n = binary.NativeEndian.Uint64(data[32:])

@@ -3,7 +3,6 @@ package gen
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -195,20 +194,4 @@ func WriteChurn(w io.Writer, deltas []*graph.Delta) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadChurn parses a JSON Lines schedule written by WriteChurn.
-func ReadChurn(r io.Reader) ([]*graph.Delta, error) {
-	var deltas []*graph.Delta
-	dec := json.NewDecoder(r)
-	for {
-		var d graph.Delta
-		if err := dec.Decode(&d); err != nil {
-			if errors.Is(err, io.EOF) {
-				return deltas, nil
-			}
-			return nil, fmt.Errorf("gen: churn line %d: %w", len(deltas)+1, err)
-		}
-		deltas = append(deltas, &d)
-	}
 }

@@ -2,7 +2,11 @@ package gen
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -79,7 +83,7 @@ func TestChurnRoundTrip(t *testing.T) {
 	if err := WriteChurn(&buf, deltas); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadChurn(&buf)
+	back, err := readChurn(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,5 +121,22 @@ func TestChurnGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("churn schedule drifted from golden file %s\ngot:\n%swant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// readChurn parses a JSON Lines schedule written by WriteChurn, one
+// delta per line, as a replay against a live server reads it.
+func readChurn(r io.Reader) ([]*graph.Delta, error) {
+	var deltas []*graph.Delta
+	dec := json.NewDecoder(r)
+	for {
+		var d graph.Delta
+		if err := dec.Decode(&d); err != nil {
+			if errors.Is(err, io.EOF) {
+				return deltas, nil
+			}
+			return nil, fmt.Errorf("gen: churn line %d: %w", len(deltas)+1, err)
+		}
+		deltas = append(deltas, &d)
 	}
 }

@@ -27,8 +27,12 @@ func TestRoadBasicShape(t *testing.T) {
 	if avgDeg < 2 || avgDeg > 6 {
 		t.Fatalf("average directed degree %.2f out of road-network range", avgDeg)
 	}
-	if !graph.StronglyConnectedFrom(g, 0) {
-		t.Fatal("road network must be strongly connected")
+	for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
+		for v, d := range sssp.Dijkstra(g, dir, 0) {
+			if d == graph.Infinity {
+				t.Fatalf("road network must be strongly connected: node %d and node 0 (direction %v)", v, dir)
+			}
+		}
 	}
 }
 
@@ -141,7 +145,7 @@ func TestAddCALCategories(t *testing.T) {
 	if len(names) != 4 {
 		t.Fatalf("names = %v", names)
 	}
-	for i, c := range CALCategories {
+	for i, c := range calCategories {
 		nodes, err := g.Category(c.Name)
 		if err != nil {
 			t.Fatal(err)

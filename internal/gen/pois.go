@@ -16,9 +16,9 @@ import (
 //     T1 ⊂ T2 ⊂ T3 ⊂ T4 with n·10⁻⁴, 5n·10⁻⁴, 10n·10⁻⁴ and 15n·10⁻⁴
 //     members. AddNestedCategories reproduces that scheme.
 
-// CALCategories are the representative CAL categories of Section 7 with
+// calCategories are the representative CAL categories of Section 7 with
 // their physical node counts.
-var CALCategories = []struct {
+var calCategories = []struct {
 	Name string
 	Size int
 }{
@@ -32,8 +32,8 @@ var CALCategories = []struct {
 // nodes and returns their names in ascending size order.
 func AddCALCategories(g *graph.Graph, seed int64) ([]string, error) {
 	rng := rand.New(rand.NewSource(seed))
-	names := make([]string, 0, len(CALCategories))
-	for _, c := range CALCategories {
+	names := make([]string, 0, len(calCategories))
+	for _, c := range calCategories {
 		nodes, err := sampleNodes(rng, g.NumNodes(), c.Size)
 		if err != nil {
 			return nil, fmt.Errorf("gen: category %s: %w", c.Name, err)

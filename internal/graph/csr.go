@@ -7,8 +7,8 @@ import "fmt"
 // Builder's sort/dedup passes entirely. internal/flatindex is the only
 // intended consumer.
 
-// ErrBadCSR reports structurally invalid CSR arrays handed to FromCSR.
-var ErrBadCSR = fmt.Errorf("graph: malformed CSR arrays")
+// errBadCSR reports structurally invalid CSR arrays handed to FromCSR.
+var errBadCSR = fmt.Errorf("graph: malformed CSR arrays")
 
 // CSR returns the graph's adjacency arrays. The slices alias internal
 // storage and must not be modified; they stay valid for the graph's
@@ -28,13 +28,13 @@ func (g *Graph) CSR() (outHead []int32, outAdj []Edge, inHead []int32, inAdj []E
 // The graph starts with no categories; register them with AddCategory.
 func FromCSR(n int, outHead []int32, outAdj []Edge, inHead []int32, inAdj []Edge, maxW Weight) (*Graph, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("%w: negative node count %d", ErrBadCSR, n)
+		return nil, fmt.Errorf("%w: negative node count %d", errBadCSR, n)
 	}
 	if len(outAdj) != len(inAdj) {
-		return nil, fmt.Errorf("%w: %d out-edges vs %d in-edges", ErrBadCSR, len(outAdj), len(inAdj))
+		return nil, fmt.Errorf("%w: %d out-edges vs %d in-edges", errBadCSR, len(outAdj), len(inAdj))
 	}
 	if maxW < 0 || maxW >= Infinity {
-		return nil, fmt.Errorf("%w: max weight %d out of range", ErrBadCSR, maxW)
+		return nil, fmt.Errorf("%w: max weight %d out of range", errBadCSR, maxW)
 	}
 	m := len(outAdj)
 	if err := checkHeads("out", n, outHead, m); err != nil {
@@ -53,10 +53,10 @@ func FromCSR(n int, outHead []int32, outAdj []Edge, inHead []int32, inAdj []Edge
 	for _, adj := range [2][]Edge{outAdj, inAdj} {
 		for _, e := range adj {
 			if e.To < 0 || int(e.To) >= n {
-				return nil, fmt.Errorf("%w: edge target %d with %d nodes", ErrBadCSR, e.To, n)
+				return nil, fmt.Errorf("%w: edge target %d with %d nodes", errBadCSR, e.To, n)
 			}
 			if e.W < 0 || e.W > maxW {
-				return nil, fmt.Errorf("%w: edge weight %d outside [0,%d]", ErrBadCSR, e.W, maxW)
+				return nil, fmt.Errorf("%w: edge weight %d outside [0,%d]", errBadCSR, e.W, maxW)
 			}
 			if e.W > seen {
 				seen = e.W
@@ -64,7 +64,7 @@ func FromCSR(n int, outHead []int32, outAdj []Edge, inHead []int32, inAdj []Edge
 		}
 	}
 	if m > 0 && seen != maxW {
-		return nil, fmt.Errorf("%w: stored max weight %d, heaviest edge is %d", ErrBadCSR, maxW, seen)
+		return nil, fmt.Errorf("%w: stored max weight %d, heaviest edge is %d", errBadCSR, maxW, seen)
 	}
 	// Within-node destination order is what makes iteration (and thus
 	// every tie-broken result) deterministic; enforce it eagerly.
@@ -72,7 +72,7 @@ func FromCSR(n int, outHead []int32, outAdj []Edge, inHead []int32, inAdj []Edge
 		for _, adj := range [2][]Edge{g.Out(NodeID(v)), g.In(NodeID(v))} {
 			for i := 1; i < len(adj); i++ {
 				if adj[i-1].To > adj[i].To {
-					return nil, fmt.Errorf("%w: adjacency of node %d not sorted by target", ErrBadCSR, v)
+					return nil, fmt.Errorf("%w: adjacency of node %d not sorted by target", errBadCSR, v)
 				}
 			}
 		}
@@ -84,14 +84,14 @@ func FromCSR(n int, outHead []int32, outAdj []Edge, inHead []int32, inAdj []Edge
 // at m, monotone non-decreasing.
 func checkHeads(which string, n int, head []int32, m int) error {
 	if len(head) != n+1 {
-		return fmt.Errorf("%w: %s head length %d, want %d", ErrBadCSR, which, len(head), n+1)
+		return fmt.Errorf("%w: %s head length %d, want %d", errBadCSR, which, len(head), n+1)
 	}
 	if head[0] != 0 || int(head[n]) != m {
-		return fmt.Errorf("%w: %s head spans [%d,%d], want [0,%d]", ErrBadCSR, which, head[0], head[n], m)
+		return fmt.Errorf("%w: %s head spans [%d,%d], want [0,%d]", errBadCSR, which, head[0], head[n], m)
 	}
 	for i := 1; i <= n; i++ {
 		if head[i] < head[i-1] {
-			return fmt.Errorf("%w: %s head decreases at %d", ErrBadCSR, which, i)
+			return fmt.Errorf("%w: %s head decreases at %d", errBadCSR, which, i)
 		}
 	}
 	return nil

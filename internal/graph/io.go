@@ -18,8 +18,8 @@ import (
 //   - A category ("POI") file: one "<category> <node>" pair per line with
 //     0-based node ids; '#' starts a comment.
 
-// ErrFormat reports a malformed input file.
-var ErrFormat = errors.New("graph: malformed input")
+// errFormat reports a malformed input file.
+var errFormat = errors.New("graph: malformed input")
 
 // ReadGr parses a DIMACS ".gr" file into a Graph.
 func ReadGr(r io.Reader) (*Graph, error) {
@@ -39,47 +39,47 @@ func ReadGr(r io.Reader) (*Graph, error) {
 			// comment
 		case "p":
 			if b != nil {
-				return nil, fmt.Errorf("%w: line %d: duplicate problem line", ErrFormat, line)
+				return nil, fmt.Errorf("%w: line %d: duplicate problem line", errFormat, line)
 			}
 			if len(fields) != 4 || fields[1] != "sp" {
-				return nil, fmt.Errorf("%w: line %d: want \"p sp <n> <m>\"", ErrFormat, line)
+				return nil, fmt.Errorf("%w: line %d: want \"p sp <n> <m>\"", errFormat, line)
 			}
 			n, err := strconv.Atoi(fields[2])
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("%w: line %d: bad node count %q", ErrFormat, line, fields[2])
+				return nil, fmt.Errorf("%w: line %d: bad node count %q", errFormat, line, fields[2])
 			}
 			m, err := strconv.Atoi(fields[3])
 			if err != nil || m < 0 {
-				return nil, fmt.Errorf("%w: line %d: bad edge count %q", ErrFormat, line, fields[3])
+				return nil, fmt.Errorf("%w: line %d: bad edge count %q", errFormat, line, fields[3])
 			}
 			declared = m
 			b = NewBuilder(n)
 		case "a":
 			if b == nil {
-				return nil, fmt.Errorf("%w: line %d: arc before problem line", ErrFormat, line)
+				return nil, fmt.Errorf("%w: line %d: arc before problem line", errFormat, line)
 			}
 			if len(fields) != 4 {
-				return nil, fmt.Errorf("%w: line %d: want \"a <u> <v> <w>\"", ErrFormat, line)
+				return nil, fmt.Errorf("%w: line %d: want \"a <u> <v> <w>\"", errFormat, line)
 			}
 			u, err1 := strconv.ParseInt(fields[1], 10, 32)
 			v, err2 := strconv.ParseInt(fields[2], 10, 32)
 			w, err3 := strconv.ParseInt(fields[3], 10, 64)
 			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("%w: line %d: bad arc %q", ErrFormat, line, sc.Text())
+				return nil, fmt.Errorf("%w: line %d: bad arc %q", errFormat, line, sc.Text())
 			}
 			b.AddEdge(NodeID(u-1), NodeID(v-1), w) // DIMACS ids are 1-based
 		default:
-			return nil, fmt.Errorf("%w: line %d: unknown record %q", ErrFormat, line, fields[0])
+			return nil, fmt.Errorf("%w: line %d: unknown record %q", errFormat, line, fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading .gr: %w", err)
 	}
 	if b == nil {
-		return nil, fmt.Errorf("%w: missing problem line", ErrFormat)
+		return nil, fmt.Errorf("%w: missing problem line", errFormat)
 	}
 	if b.NumEdges() != declared {
-		return nil, fmt.Errorf("%w: declared %d arcs, found %d", ErrFormat, declared, b.NumEdges())
+		return nil, fmt.Errorf("%w: declared %d arcs, found %d", errFormat, declared, b.NumEdges())
 	}
 	return b.Build()
 }
@@ -113,11 +113,11 @@ func ReadCategories(r io.Reader, g *Graph) error {
 			continue
 		}
 		if len(fields) != 2 {
-			return fmt.Errorf("%w: line %d: want \"<category> <node>\"", ErrFormat, line)
+			return fmt.Errorf("%w: line %d: want \"<category> <node>\"", errFormat, line)
 		}
 		v, err := strconv.ParseInt(fields[1], 10, 32)
 		if err != nil {
-			return fmt.Errorf("%w: line %d: bad node id %q", ErrFormat, line, fields[1])
+			return fmt.Errorf("%w: line %d: bad node id %q", errFormat, line, fields[1])
 		}
 		byName[fields[0]] = append(byName[fields[0]], NodeID(v))
 	}

@@ -47,7 +47,7 @@ func TestReadGrErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadGr(strings.NewReader(tt.in)); !errors.Is(err, ErrFormat) {
+			if _, err := ReadGr(strings.NewReader(tt.in)); !errors.Is(err, errFormat) {
 				t.Fatalf("err = %v, want ErrFormat", err)
 			}
 		})
@@ -136,10 +136,10 @@ func TestReadCategoriesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadCategories(strings.NewReader("hotel\n"), g); !errors.Is(err, ErrFormat) {
+	if err := ReadCategories(strings.NewReader("hotel\n"), g); !errors.Is(err, errFormat) {
 		t.Fatalf("short line err = %v", err)
 	}
-	if err := ReadCategories(strings.NewReader("hotel x\n"), g); !errors.Is(err, ErrFormat) {
+	if err := ReadCategories(strings.NewReader("hotel x\n"), g); !errors.Is(err, errFormat) {
 		t.Fatalf("bad id err = %v", err)
 	}
 	if err := ReadCategories(strings.NewReader("hotel 99\n"), g); !errors.Is(err, ErrNodeRange) {

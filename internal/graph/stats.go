@@ -45,35 +45,3 @@ func (s Stats) String() string {
 	return fmt.Sprintf("nodes=%d edges=%d weight=[%d,%d] isolated=%d maxOutDeg=%d",
 		s.Nodes, s.Edges, s.MinW, s.MaxW, s.Isolated, s.MaxOutDeg)
 }
-
-// StronglyConnectedFrom reports whether every node is reachable from root
-// AND root is reachable from every node — i.e. all nodes lie in root's
-// strongly connected component. Road-network generators use it to verify
-// connectivity. It runs two breadth-first traversals.
-func StronglyConnectedFrom(g *Graph, root NodeID) bool {
-	return reachesAll(g, Forward, root) && reachesAll(g, Backward, root)
-}
-
-func reachesAll(g *Graph, dir Direction, root NodeID) bool {
-	n := g.NumNodes()
-	if n == 0 {
-		return true
-	}
-	seen := make([]bool, n)
-	queue := make([]NodeID, 0, n)
-	seen[root] = true
-	queue = append(queue, root)
-	count := 1
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, e := range g.Edges(dir, v) {
-			if !seen[e.To] {
-				seen[e.To] = true
-				count++
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return count == n
-}

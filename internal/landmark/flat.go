@@ -11,8 +11,8 @@ import (
 // construction Dijkstras. The intended consumers are internal/flatindex
 // (load) and kpj.Index.Rebind (reload onto the graph already being served).
 
-// ErrBadTables reports structurally invalid rows handed to FromRows.
-var ErrBadTables = fmt.Errorf("landmark: malformed distance tables")
+// errBadTables reports structurally invalid rows handed to FromRows.
+var errBadTables = fmt.Errorf("landmark: malformed distance tables")
 
 // Rows returns the landmark ids and the row pages: concatenated in order,
 // the pages are the node-major rows of all g.NumNodes() nodes, 2·L entries
@@ -33,12 +33,12 @@ func (ix *Index) Rows() (ids []graph.NodeID, pages [][]int32) {
 // which the loader's checksum is responsible for catching).
 func FromRows(g *graph.Graph, ids []graph.NodeID, runs [][]int32) (*Index, error) {
 	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: no landmarks", ErrBadTables)
+		return nil, fmt.Errorf("%w: no landmarks", errBadTables)
 	}
 	n := g.NumNodes()
 	for _, id := range ids {
 		if id < 0 || int(id) >= n {
-			return nil, fmt.Errorf("%w: landmark id %d out of range", ErrBadTables, id)
+			return nil, fmt.Errorf("%w: landmark id %d out of range", errBadTables, id)
 		}
 	}
 	w := 2 * len(ids)
@@ -47,7 +47,7 @@ func FromRows(g *graph.Graph, ids []graph.NodeID, runs [][]int32) (*Index, error
 	total := 0
 	for k, r := range runs {
 		if len(r)%w != 0 || (k < len(runs)-1 && len(r)%pw != 0) {
-			return nil, fmt.Errorf("%w: run %d of %d entries is not whole pages of %d-entry rows", ErrBadTables, k, len(r), w)
+			return nil, fmt.Errorf("%w: run %d of %d entries is not whole pages of %d-entry rows", errBadTables, k, len(r), w)
 		}
 		total += len(r)
 		for len(r) > 0 {
@@ -57,7 +57,7 @@ func FromRows(g *graph.Graph, ids []graph.NodeID, runs [][]int32) (*Index, error
 		}
 	}
 	if total != n*w {
-		return nil, fmt.Errorf("%w: %d entries, want %d rows of %d", ErrBadTables, total, n, w)
+		return nil, fmt.Errorf("%w: %d entries, want %d rows of %d", errBadTables, total, n, w)
 	}
 	return assemble(g, shapeOf(g), ids, pages), nil
 }

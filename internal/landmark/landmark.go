@@ -68,29 +68,21 @@ func (ix *Index) row(v graph.NodeID) []int32 {
 	return ix.pages[v>>pageShift][off : off+ix.width : off+ix.width]
 }
 
-// buildWorkers resolves a parallelism knob: <= 0 means all cores.
-func buildWorkers(parallelism int) int {
-	if parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return parallelism
-}
-
 // Build selects `count` landmarks with the farthest-point heuristic seeded
 // by seed and precomputes their distance tables. count is clamped to the
 // number of nodes. It returns an error only for an empty graph or
-// non-positive count. Construction uses all cores; see BuildParallel for
-// an explicit worker count.
+// non-positive count. Construction uses all cores.
 func Build(g *graph.Graph, count int, seed int64) (*Index, error) {
 	return BuildParallel(g, count, seed, 0)
 }
 
 // BuildParallel is Build with an explicit worker count (<= 0 means all
-// cores). The produced index is identical at every parallelism level: the
-// farthest-point selection chain is inherently sequential, but each chosen
-// landmark's forward Dijkstra doubles as its forward table (instead of
-// being recomputed) and the backward Dijkstras run concurrently with the
-// remaining selection rounds.
+// cores). Only bench/kpjload passes a count (0); the argument is kept so
+// the benchmark builds unchanged. The produced index is identical at every
+// worker count: the farthest-point selection chain is inherently
+// sequential, but each chosen landmark's forward Dijkstra doubles as its
+// forward table (instead of being recomputed) and the backward Dijkstras
+// run concurrently with the remaining selection rounds.
 func BuildParallel(g *graph.Graph, count int, seed int64, parallelism int) (*Index, error) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -107,7 +99,10 @@ func BuildParallel(g *graph.Graph, count int, seed int64, parallelism int) (*Ind
 
 	// Backward tables are independent of the selection chain: launch each
 	// the moment its landmark is known, bounded by the worker count.
-	sem := make(chan struct{}, buildWorkers(parallelism))
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
 	bwd := make([][]int32, count)
 	runBwd := func(i int, w graph.NodeID) {
@@ -161,41 +156,9 @@ func BuildParallel(g *graph.Graph, count int, seed int64, parallelism int) (*Ind
 	return newIndex(g, chosen, fwd, bwd[:len(chosen)]), nil
 }
 
-// BuildRandom selects `count` landmarks uniformly at random — the naive
-// selection strategy, kept as an ablation baseline for the farthest-point
-// heuristic Build uses (paper footnote 3). Random landmarks tend to
-// cluster and give looser bounds on road networks.
-func BuildRandom(g *graph.Graph, count int, seed int64) (*Index, error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, fmt.Errorf("landmark: empty graph")
-	}
-	if count <= 0 {
-		return nil, fmt.Errorf("landmark: count %d must be positive", count)
-	}
-	if count > n {
-		count = n
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	chosen := make([]graph.NodeID, count)
-	for i := 0; i < count; i++ {
-		chosen[i] = graph.NodeID(perm[i])
-	}
-	return BuildWithLandmarks(g, chosen)
-}
-
-// BuildWithLandmarks builds the index for an explicit landmark set, using
-// all cores for the 2·|L| independent table Dijkstras.
+// BuildWithLandmarks builds the index for an explicit landmark set, running
+// the 2·|L| independent table Dijkstras on all cores.
 func BuildWithLandmarks(g *graph.Graph, landmarks []graph.NodeID) (*Index, error) {
-	return BuildWithLandmarksParallel(g, landmarks, 0)
-}
-
-// BuildWithLandmarksParallel is BuildWithLandmarks with an explicit worker
-// count (<= 0 means all cores). The 2·|L| table Dijkstras are independent,
-// so construction speeds up near-linearly with cores; the produced index
-// is identical at every parallelism level.
-func BuildWithLandmarksParallel(g *graph.Graph, landmarks []graph.NodeID, parallelism int) (*Index, error) {
 	if len(landmarks) == 0 {
 		return nil, fmt.Errorf("landmark: no landmarks")
 	}
@@ -207,42 +170,21 @@ func BuildWithLandmarksParallel(g *graph.Graph, landmarks []graph.NodeID, parall
 	ids := append([]graph.NodeID(nil), landmarks...)
 	fwd := make([][]int32, len(ids))
 	bwd := make([][]int32, len(ids))
-	workers := buildWorkers(parallelism)
-	if workers > 2*len(ids) {
-		workers = 2 * len(ids)
+	cols := make([]int, 2*len(ids)) // table t: fwd[t], then bwd[t-len(ids)]
+	for t := range cols {
+		cols[t] = t
 	}
-	var next int64
-	var wg sync.WaitGroup
-	var nextMu sync.Mutex
-	claim := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		t := int(next)
-		next++
-		return t
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		// Workers claim table slots t and write only fwd[t]/bwd[t]; every
-		// table is a pure function of (g, ids[t]), so the index is identical
-		// at every parallelism level (checkRepairLaw holds every rebuild
-		// through here checksum-equal to Repair's rows at par 1 and 4).
-		go func() {
-			defer wg.Done()
-			for {
-				t := claim()
-				if t >= 2*len(ids) {
-					return
-				}
-				if t < len(ids) {
-					fwd[t] = compress(sssp.Dijkstra(g, graph.Forward, ids[t]))
-				} else {
-					bwd[t-len(ids)] = compress(sssp.Dijkstra(g, graph.Backward, ids[t-len(ids)]))
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	runJobs(cols, func(_ *repairScratch, t int) {
+		// Each job writes only its own table; every table is a pure function
+		// of (g, landmark), so the index is identical at every GOMAXPROCS
+		// (checkRepairLaw holds every rebuild through here checksum-equal to
+		// Repair's rows at GOMAXPROCS 1 and 4).
+		if t < len(ids) {
+			fwd[t] = compress(sssp.Dijkstra(g, graph.Forward, ids[t]))
+		} else {
+			bwd[t-len(ids)] = compress(sssp.Dijkstra(g, graph.Backward, ids[t-len(ids)]))
+		}
+	})
 	return newIndex(g, ids, fwd, bwd), nil
 }
 

@@ -2,6 +2,7 @@ package landmark
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestSelectionDeterministic(t *testing.T) {
 	for _, b := range []struct {
 		name  string
 		build func(*graph.Graph, int, int64) (*Index, error)
-	}{{"Build", Build}, {"BuildRandom", BuildRandom}} {
+	}{{"Build", Build}, {"BuildRandom", buildRandom}} {
 		for _, seed := range []int64{0, 42} {
 			var ix [2]*Index
 			for i := range ix {
@@ -264,4 +265,28 @@ func TestDisconnectedComponents(t *testing.T) {
 	if lb := bounds.LowerBound(3); lb > 0 {
 		t.Fatalf("lb(3,B) = %d, want 0", lb)
 	}
+}
+
+// buildRandom selects `count` landmarks uniformly at random — the naive
+// selection strategy the farthest-point heuristic of Build is measured
+// against (paper footnote 3). Random landmarks tend to
+// cluster and give looser bounds on road networks.
+func buildRandom(g *graph.Graph, count int, seed int64) (*Index, error) {
+	n := g.NumNodes()
+	if n == 0 {
+		return nil, fmt.Errorf("landmark: empty graph")
+	}
+	if count <= 0 {
+		return nil, fmt.Errorf("landmark: count %d must be positive", count)
+	}
+	if count > n {
+		count = n
+	}
+	rng := rand.New(rand.NewSource(seed))
+	perm := rng.Perm(n)
+	chosen := make([]graph.NodeID, count)
+	for i := 0; i < count; i++ {
+		chosen[i] = graph.NodeID(perm[i])
+	}
+	return BuildWithLandmarks(g, chosen)
 }

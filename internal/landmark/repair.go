@@ -2,6 +2,7 @@ package landmark
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -54,14 +55,13 @@ func (s RepairStats) Repaired() int { return s.FwdRepaired + s.BwdRepaired }
 // dirty mask (true where any landmark's fwd or bwd entry changed), and
 // repair stats.
 //
-// The tables are repaired concurrently (parallelism bounds the workers,
-// <= 0 = all cores), each into a list of changed entries. The merge is
-// copy-on-write per row page: it buckets the changed entries by page,
-// copies each page that holds a dirty node exactly once (on the same
-// workers, one page per job), writes the new entries into the copy, and
-// shares every other page with old by pointer. old is not modified;
+// The tables are repaired concurrently on all cores, each into a list of
+// changed entries. The merge is copy-on-write per row page: it buckets the
+// changed entries by page, copies each page that holds a dirty node
+// exactly once (on the same workers, one page per job), writes the new
+// entries into the copy, and shares every other page with old by pointer. old is not modified;
 // sharing is safe because both indexes are immutable.
-func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, parallelism int) (*Index, []bool, RepairStats, error) {
+func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange) (*Index, []bool, RepairStats, error) {
 	n := old.g.NumNodes()
 	if newG.NumNodes() != n {
 		return nil, nil, RepairStats{}, fmt.Errorf("landmark: repair: graph has %d nodes, index was built over %d", newG.NumNodes(), n)
@@ -100,11 +100,11 @@ func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, paralleli
 			stats.BwdRepaired++
 		}
 	}
-	runJobs(jobs, parallelism, func(s *repairScratch, j *job) {
+	runJobs(jobs, func(s *repairScratch, j *job) {
 		// Each job writes only its own result fields; a column is a pure
 		// function of (newG, landmark) whichever way it is computed, so the
-		// repaired index is identical at every parallelism level
-		// (TestRepairMatchesFullRebuild, TestRepairLaw* at par 1 and 4).
+		// repaired index is identical at every GOMAXPROCS
+		// (TestRepairMatchesFullRebuild, TestRepairLaw* at GOMAXPROCS 1 and 4).
 		var ok bool
 		if j.changed, j.values, j.settled, ok = repairRow(s, old, newG, j.col, changes); ok {
 			return
@@ -160,7 +160,7 @@ func Repair(newG *graph.Graph, old *Index, changes []graph.EdgeChange, paralleli
 			fresh = append(fresh, p)
 		}
 	}
-	runJobs(fresh, parallelism, func(_ *repairScratch, p int) {
+	runJobs(fresh, func(_ *repairScratch, p int) {
 		// Each job owns page p: it writes only pages[p] and the copy.
 		page := slices.Clone(old.pages[p])
 		for _, w := range writes[start[p]:start[p+1]] {
@@ -413,14 +413,11 @@ func rowDamaged(dt, dh int32, oldW, newW graph.Weight) bool {
 	return graph.Weight(dt)+oldW == graph.Weight(dh)
 }
 
-// runJobs executes the jobs on up to `parallelism` goroutines (<= 0 =
-// all cores), each with its own repairScratch, returning when all are
-// done.
-func runJobs[T any](jobs []T, parallelism int, run func(*repairScratch, T)) {
-	workers := buildWorkers(parallelism)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+// runJobs executes the jobs on up to GOMAXPROCS goroutines, each with its
+// own repairScratch, returning when all are done. It is the package's one
+// job pool: Repair's tables and pages and BuildWithLandmarks's tables.
+func runJobs[T any](jobs []T, run func(*repairScratch, T)) {
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	if workers <= 1 {
 		var s repairScratch
 		for _, j := range jobs {
@@ -442,7 +439,7 @@ func runJobs[T any](jobs []T, parallelism int, run func(*repairScratch, T)) {
 	for w := 0; w < workers; w++ {
 		// Workers claim job indices through a mutex and each job writes
 		// only its own result fields; output is identical at every worker
-		// count (TestRepairLaw* at par 1 and 4).
+		// count (TestRepairLaw* at GOMAXPROCS 1 and 4).
 		go func() {
 			defer wg.Done()
 			var s repairScratch

@@ -67,7 +67,7 @@ func BenchmarkRepair(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := deltas[i%len(deltas)]
-				_, _, stats, err := Repair(a.g, ix, a.changes, 0)
+				_, _, stats, err := Repair(a.g, ix, a.changes)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -279,7 +279,7 @@ func repairChain(t *testing.T, ix *Index, steps int, next func(i int, g *graph.G
 		if err != nil {
 			t.Fatal(err)
 		}
-		repaired, _, stats, err := Repair(ng, ix, eff.Changes, 0)
+		repaired, _, stats, err := Repair(ng, ix, eff.Changes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package landmark
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"kpj/internal/graph"
@@ -113,25 +114,48 @@ func randomReweight(rng *rand.Rand, g *graph.Graph, heavier bool) graph.EdgeUpda
 	}
 }
 
-// checkRepairLaw applies d to old's graph, repairs old at the given
-// parallelism and holds the result to the Repair ≡ BuildWithLandmarks
-// law: equal fingerprint and TablesChecksum, a dirty mask that is true
-// exactly where some table entry changed, DirtyNodes equal to its
-// population, and the old index left as it was.
-func checkRepairLaw(t *testing.T, old *Index, d *graph.Delta, parallelism int) (*Index, RepairStats) {
+// withProcs runs fn with runtime.GOMAXPROCS set to procs, which bounds
+// the package's job pool, and restores the old value.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// rebuildAt is BuildWithLandmarks run at GOMAXPROCS procs.
+func rebuildAt(t *testing.T, procs int, g *graph.Graph, landmarks []graph.NodeID) *Index {
+	t.Helper()
+	var ix *Index
+	var err error
+	withProcs(procs, func() { ix, err = BuildWithLandmarks(g, landmarks) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// checkRepairLaw applies d to old's graph, repairs old at GOMAXPROCS par
+// and holds the result to the Repair ≡ BuildWithLandmarks law, with the
+// rebuild run at GOMAXPROCS 1 and 4: equal fingerprint and
+// TablesChecksum, a dirty mask that is true exactly where some table
+// entry changed, DirtyNodes equal to its population, and the old index
+// left as it was.
+func checkRepairLaw(t *testing.T, old *Index, d *graph.Delta, par int) (*Index, RepairStats) {
 	t.Helper()
 	g, before := old.Graph(), old.TablesChecksum()
 	ng, eff, err := graph.Apply(g, d)
 	if err != nil {
 		t.Fatalf("apply %+v: %v", d, err)
 	}
-	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, parallelism)
+	var repaired *Index
+	var dirty []bool
+	var stats RepairStats
+	withProcs(par, func() { repaired, dirty, stats, err = Repair(ng, old, eff.Changes) })
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
-	rebuilt, err := BuildWithLandmarks(ng, old.landmarks)
-	if err != nil {
-		t.Fatal(err)
+	rebuilt := rebuildAt(t, 1, ng, old.landmarks)
+	if wide := rebuildAt(t, 4, ng, old.landmarks); wide.Fingerprint() != rebuilt.Fingerprint() || wide.TablesChecksum() != rebuilt.TablesChecksum() {
+		t.Fatal("rebuild at GOMAXPROCS 4 differs from the rebuild at 1")
 	}
 	if repaired.Fingerprint() != rebuilt.Fingerprint() {
 		t.Fatalf("fingerprint %x vs rebuild %x", repaired.Fingerprint(), rebuilt.Fingerprint())
@@ -206,7 +230,7 @@ func TestRepairNoDamageSharesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, 1)
+	repaired, dirty, stats, err := Repair(ng, old, eff.Changes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +267,7 @@ func TestRepairCopiesOnlyDirtyPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repaired, dirty, stats, err := Repair(ng, ix, eff.Changes, 0)
+		repaired, dirty, stats, err := Repair(ng, ix, eff.Changes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +311,7 @@ func TestRepairDecreaseDamages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, dirty, stats, err := Repair(ng, old, eff.Changes, 1)
+	repaired, dirty, stats, err := Repair(ng, old, eff.Changes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +334,7 @@ func TestRepairRejectsNodeCountChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Repair(other, old, nil, 1); err == nil {
+	if _, _, _, err := Repair(other, old, nil); err == nil {
 		t.Fatal("repair accepted a graph with a different node count")
 	}
 }

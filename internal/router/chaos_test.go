@@ -245,7 +245,7 @@ func TestTransportPanicsRecovered(t *testing.T) {
 	if n := rt.met.probeErrs.Value(); n < probeErrs+1 {
 		t.Fatalf("probe panic not counted: kpj_router_probes_total{result=error} = %d, was %d", n, probeErrs)
 	}
-	waitState(t, rt, "r2", StateHealthy)
+	waitState(t, rt, "r2", stateHealthy)
 
 	failovers := rt.met.failovers.Value()
 	rec, body := routerGet(t, rt, "/query?source=0&category=hotel&k=3")
@@ -260,7 +260,7 @@ func TestTransportPanicsRecovered(t *testing.T) {
 	}
 	samePaths(t, decodeQuery(t, body).Paths, oracle(t, 0, "hotel", 3), "query whose primary panicked")
 
-	downs := rt.met.toState[StateDown].Value()
+	downs := rt.met.toState[stateDown].Value()
 	rec, body = routerPost(t, rt, "/update", `{"setWeights":[{"u":0,"v":1,"w":4}]}`)
 	var out updateFanBody
 	if rec.Code != http.StatusOK || json.Unmarshal(body, &out) != nil {
@@ -269,11 +269,11 @@ func TestTransportPanicsRecovered(t *testing.T) {
 	if out.Epoch != 1 || len(out.Applied) != 2 || len(out.Resyncing) != 1 || out.Resyncing[0] != "r1" {
 		t.Fatalf("update whose r1 fan-out panicked: %+v, want epoch 1 applied by two and r1 resyncing", out)
 	}
-	if n := rt.met.toState[StateDown].Value(); n != downs+1 {
+	if n := rt.met.toState[stateDown].Value(); n != downs+1 {
 		t.Fatalf("r1 not fenced: down transitions %d, was %d", n, downs)
 	}
 	waitFor(t, "r1 resynced and readmitted", func() bool {
-		return rt.reps[1].State() == StateHealthy && fixtures[1].app.Epoch() == 1
+		return rt.reps[1].State() == stateHealthy && fixtures[1].app.Epoch() == 1
 	})
 
 	fired := reg.Fired()

@@ -1,13 +1,10 @@
 package router
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock abstracts the router's notion of time so probe scheduling,
 // re-probe backoff, and hedge timers are steerable from tests. Production
-// uses the ambient wall clock; tests install a FakeClock and advance it
+// uses the ambient wall clock; tests install a fake clock and advance it
 // explicitly, making timer-driven behavior deterministic instead of
 // sleep-and-hope.
 type Clock interface {
@@ -23,63 +20,3 @@ type realClock struct{}
 func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// FakeClock is a manually advanced Clock for tests. Timers created by
-// After fire when Advance moves the clock past their deadline; nothing
-// fires on its own.
-type FakeClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []fakeWaiter
-}
-
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// NewFakeClock returns a FakeClock reading start.
-func NewFakeClock(start time.Time) *FakeClock { return &FakeClock{now: start} }
-
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *FakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- c.now
-		return ch
-	}
-	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: ch})
-	return ch
-}
-
-// Advance moves the clock forward and fires every timer whose deadline
-// has been reached.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	kept := c.waiters[:0]
-	for _, w := range c.waiters {
-		if !w.at.After(c.now) {
-			w.ch <- c.now
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	c.waiters = kept
-}
-
-// Waiters reports how many timers are currently parked — tests use it to
-// wait until a loop has gone back to sleep before advancing again.
-func (c *FakeClock) Waiters() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}

@@ -49,7 +49,7 @@ func doorRows() []doorRow {
 		return doorRow{method: http.MethodPost, path: path, body: body, status: status, kind: kind}
 	}
 	mismatched := post("/update", `{"setWeights":[{"u":0,"v":1,"w":4}]}`, http.StatusConflict, wire.KindEpochConflict)
-	mismatched.header = map[string]string{wire.HeaderExpectEpoch: "7"}
+	mismatched.header = map[string]string{"X-Kpj-Expect-Epoch": "7"}
 	resync := post("/resync", "x", http.StatusBadRequest, wire.KindBadRequest)
 	resync.replicaOnly = true
 	return append(rows,

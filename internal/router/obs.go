@@ -18,7 +18,7 @@ type routerMetrics struct {
 	denied     *obs.Counter
 	probes     *obs.Counter
 	probeErrs  *obs.Counter
-	toState    map[State]*obs.Counter
+	toState    map[replicaState]*obs.Counter
 	updates    *obs.Counter
 	updateErrs *obs.Counter
 	resyncs    *obs.Counter
@@ -30,7 +30,7 @@ func newRouterMetrics(reg *obs.Registry, rt *Router) routerMetrics {
 	m := routerMetrics{
 		reqs:       map[string]*obs.Counter{},
 		errs:       map[string]*obs.Counter{},
-		toState:    map[State]*obs.Counter{},
+		toState:    map[replicaState]*obs.Counter{},
 		hedges:     reg.Counter("kpj_router_hedges_total", "hedge attempts launched after the latency threshold"),
 		hedgeWins:  reg.Counter("kpj_router_hedge_wins_total", "requests won by a non-primary attempt"),
 		failovers:  reg.Counter("kpj_router_failovers_total", "attempts that failed and moved to the next candidate"),
@@ -50,7 +50,7 @@ func newRouterMetrics(reg *obs.Registry, rt *Router) routerMetrics {
 		m.reqs[route] = reg.Counter(`kpj_router_requests_total{route="`+route+`"}`, "completed /"+route+" requests")
 		m.errs[route] = reg.Counter(`kpj_router_errors_total{route="`+route+`"}`, "/"+route+" requests answered with a typed router error")
 	}
-	for _, st := range []State{StateHealthy, StateDown} {
+	for _, st := range []replicaState{stateHealthy, stateDown} {
 		st, name := st, st.String()
 		m.toState[st] = reg.Counter(`kpj_router_transitions_total{to="`+name+`"}`, "replica transitions into "+name)
 		reg.GaugeFunc(`kpj_router_replicas{state="`+name+`"}`, "replicas currently in state "+name, func() int64 {

@@ -13,23 +13,23 @@ import (
 	"kpj/internal/wire"
 )
 
-// State is one replica's routability, driven by the probe loop: a
+// replicaState is one replica's routability, driven by the probe loop: a
 // replica is up (healthy) or down.
-type State int32
+type replicaState int32
 
 const (
-	// StateDown: unreachable, not ready (draining), or repeatedly failing
+	// stateDown: unreachable, not ready (draining), or repeatedly failing
 	// probes. Routed to only as a last resort when nothing better is up.
-	StateDown State = iota
-	// StateHealthy: ready at the fleet's generation.
-	StateHealthy
+	stateDown replicaState = iota
+	// stateHealthy: ready at the fleet's generation.
+	stateHealthy
 )
 
-func (s State) String() string {
+func (s replicaState) String() string {
 	switch s {
-	case StateHealthy:
+	case stateHealthy:
 		return "healthy"
-	case StateDown:
+	case stateDown:
 		return "down"
 	}
 	return fmt.Sprintf("state(%d)", int32(s))
@@ -56,7 +56,7 @@ type replica struct {
 	done chan struct{}
 }
 
-func (rp *replica) State() State { return State(rp.state.Load()) }
+func (rp *replica) State() replicaState { return replicaState(rp.state.Load()) }
 
 // probeLoop re-probes rp until the router closes: every ProbeInterval
 // while the replica is up, and on a jittered exponential backoff while
@@ -128,7 +128,7 @@ func (rt *Router) probe(ctx context.Context, rp *replica) {
 	rt.adoptFleet(gen)
 	if gen.Epoch < fleet.Epoch || (gen.Epoch == fleet.Epoch && fleet.Epoch > 0 && gen.FP != fleet.FP) {
 		rt.met.probeErrs.Inc()
-		rt.setState(rp, StateDown, fmt.Errorf("stale: at %s, fleet at %s", gen, fleet))
+		rt.setState(rp, stateDown, fmt.Errorf("stale: at %s, fleet at %s", gen, fleet))
 		rt.scheduleResync(rp)
 		return
 	}
@@ -174,7 +174,7 @@ func (rt *Router) noteFailure(rp *replica, err error) {
 	down := rp.fails >= rt.cfg.DownAfter
 	rp.mu.Unlock()
 	if down {
-		rt.setState(rp, StateDown, err)
+		rt.setState(rp, stateDown, err)
 	}
 }
 
@@ -189,12 +189,12 @@ func (rt *Router) noteSuccess(rp *replica, fp uint64) {
 		rt.fp.Store(fp)
 	}
 	rt.met.probes.Inc()
-	rt.setState(rp, StateHealthy, nil)
+	rt.setState(rp, stateHealthy, nil)
 }
 
 // setState applies a transition, logging and counting only real edges.
-func (rt *Router) setState(rp *replica, next State, cause error) {
-	prev := State(rp.state.Swap(int32(next)))
+func (rt *Router) setState(rp *replica, next replicaState, cause error) {
+	prev := replicaState(rp.state.Swap(int32(next)))
 	if prev == next {
 		return
 	}

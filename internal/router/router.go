@@ -268,7 +268,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	routable := 0
 	for _, rp := range rt.reps {
 		st := rp.State()
-		if st != StateDown {
+		if st != stateDown {
 			routable++
 		}
 		replicas[rp.name] = map[string]any{
@@ -293,7 +293,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // routable (not down).
 func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	for _, rp := range rt.reps {
-		if rp.State() != StateDown {
+		if rp.State() != stateDown {
 			wire.WriteJSON(w, http.StatusOK, map[string]bool{"ready": true})
 			return
 		}
@@ -308,7 +308,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) candidates() []*replica {
 	var up, down []*replica
 	for _, rp := range rt.reps {
-		if rp.State() == StateDown {
+		if rp.State() == stateDown {
 			down = append(down, rp)
 		} else {
 			up = append(up, rp)

@@ -139,7 +139,7 @@ func waitReady(t testing.TB, rt *Router) {
 
 // waitState blocks until the named replica reaches state st in the
 // router's view.
-func waitState(t testing.TB, rt *Router, name string, st State) {
+func waitState(t testing.TB, rt *Router, name string, st replicaState) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -290,7 +290,7 @@ func TestFailoverWhenPrimaryDies(t *testing.T) {
 		t.Fatalf("dead replica %s served the failover query", home)
 	}
 	samePaths(t, decodeQuery(t, body).Paths, want, "failover query")
-	waitState(t, rt, home, StateDown)
+	waitState(t, rt, home, stateDown)
 	// The failed attempt is a failover, not a failed probe: no probe ran.
 	if n := rt.met.probeErrs.Value(); n != 0 {
 		t.Fatalf(`kpj_router_probes_total{result="error"} = %d after a proxied failure, want 0`, n)
@@ -314,7 +314,7 @@ func TestDrainingReplicaStopsReceivingTraffic(t *testing.T) {
 		}
 	}
 	drained.app.StartDraining()
-	waitState(t, rt, home, StateDown)
+	waitState(t, rt, home, stateDown)
 
 	for i := 0; i < 4; i++ {
 		rec, body := routerGet(t, rt, "/query?source=0&category=hotel&k=2")
@@ -382,9 +382,9 @@ func TestCandidatesDownReplicaLast(t *testing.T) {
 	reps := []*replica{{name: "a"}, {name: "b"}, {name: "c"}}
 	rt := &Router{reps: reps}
 	for _, rp := range reps {
-		rp.state.Store(int32(StateHealthy))
+		rp.state.Store(int32(stateHealthy))
 	}
-	reps[1].state.Store(int32(StateDown))
+	reps[1].state.Store(int32(stateDown))
 	primaries := map[string]bool{}
 	for i := 0; i < 6; i++ {
 		got := rt.candidates()
@@ -398,7 +398,7 @@ func TestCandidatesDownReplicaLast(t *testing.T) {
 	}
 	// With every replica down, all are still tried.
 	for _, rp := range reps {
-		rp.state.Store(int32(StateDown))
+		rp.state.Store(int32(stateDown))
 	}
 	if got := rt.candidates(); len(got) != 3 {
 		t.Fatalf("all down: candidates %v, want every replica", names(got))
@@ -491,7 +491,7 @@ func TestNewRejectsBadReplicaSets(t *testing.T) {
 
 func TestProbeStateMachineWithFakeClock(t *testing.T) {
 	fixtures := newFixtures(t, 1, nil)
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := newFakeClock(time.Unix(0, 0))
 	rt := newTestRouter(t, fixtures, func(c *Config) {
 		c.Clock = clk
 		c.ProbeInterval = 100 * time.Millisecond
@@ -499,7 +499,7 @@ func TestProbeStateMachineWithFakeClock(t *testing.T) {
 	})
 	// The first probe fires immediately (After(0)) even on a frozen
 	// clock; wait for the loop to park on the interval timer.
-	waitState(t, rt, "r0", StateHealthy)
+	waitState(t, rt, "r0", stateHealthy)
 	waitWaiters(t, clk, 1)
 
 	// Drain the replica: the next two probes see not-ready and take it
@@ -507,11 +507,11 @@ func TestProbeStateMachineWithFakeClock(t *testing.T) {
 	fixtures[0].app.StartDraining()
 	clk.Advance(100 * time.Millisecond)
 	waitWaiters(t, clk, 1)
-	if st := rt.reps[0].State(); st == StateDown {
+	if st := rt.reps[0].State(); st == stateDown {
 		t.Fatal("one failed probe should not mark the replica down (DownAfter=2)")
 	}
 	clk.Advance(100 * time.Millisecond)
-	waitState(t, rt, "r0", StateDown)
+	waitState(t, rt, "r0", stateDown)
 	waitWaiters(t, clk, 1)
 
 	// Down replicas re-probe on exponential backoff: the computed delay
@@ -522,7 +522,7 @@ func TestProbeStateMachineWithFakeClock(t *testing.T) {
 	}
 }
 
-func waitWaiters(t testing.TB, clk *FakeClock, n int) {
+func waitWaiters(t testing.TB, clk *fakeClock, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -95,7 +95,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	var targets []*replica
 	for _, rp := range rt.reps {
-		if rp.State() != StateDown {
+		if rp.State() != stateDown {
 			targets = append(targets, rp)
 		}
 	}
@@ -180,7 +180,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			if o.err != nil {
 				reason = fmt.Errorf("%v: %w", reason, o.err)
 			}
-			rt.setState(o.rp, StateDown, reason)
+			rt.setState(o.rp, stateDown, reason)
 			rt.scheduleResync(o.rp)
 			resyncing = append(resyncing, o.rp.name)
 		}
@@ -290,7 +290,7 @@ func (rt *Router) resyncReplica(ctx context.Context, rp *replica) bool {
 func (rt *Router) snapshotResync(ctx context.Context, rp *replica, fleet wire.Gen) bool {
 	var source *replica
 	for _, peer := range rt.reps {
-		if peer != rp && peer.State() != StateDown &&
+		if peer != rp && peer.State() != stateDown &&
 			peer.epoch.Load() == fleet.Epoch && peer.fp.Load() == fleet.FP {
 			source = peer
 			break

@@ -59,7 +59,7 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 func waitAllHealthy(t testing.TB, rt *Router, fixtures []*fixture) {
 	t.Helper()
 	for _, f := range fixtures {
-		waitState(t, rt, f.name, StateHealthy)
+		waitState(t, rt, f.name, stateHealthy)
 	}
 }
 
@@ -149,12 +149,12 @@ func TestLaggingReplicaFencedAndResynced(t *testing.T) {
 	// (the down-transition counter marks the fencing; a pre-adoption
 	// probe cycle may legitimately still show it healthy before that).
 	waitFor(t, "fleet to adopt epoch 1", func() bool { return rt.fleetSnapshot().Epoch == 1 })
-	waitFor(t, "r2 fenced down", func() bool { return rt.met.toState[StateDown].Value() >= 1 })
+	waitFor(t, "r2 fenced down", func() bool { return rt.met.toState[stateDown].Value() >= 1 })
 
 	// Readmission: once fenced, r2 may only come back at the fleet state.
 	waitFor(t, "r2 resynced and readmitted", func() bool {
 		for _, rp := range rt.reps {
-			if rp.name == "r2" && rp.State() == StateHealthy {
+			if rp.name == "r2" && rp.State() == stateHealthy {
 				if got := fixtures[2].app.Epoch(); got != 1 {
 					t.Fatalf("r2 readmitted at stale epoch %d", got)
 				}
@@ -297,13 +297,13 @@ func waitReadmitted(t testing.TB, rt *Router, f *fixture) {
 	t.Helper()
 	rp := replicaNamed(rt, f.name)
 	waitFor(t, f.name+" resynced and readmitted", func() bool {
-		if rp.State() == StateDown {
+		if rp.State() == stateDown {
 			return false
 		}
 		if got, fleet := servingGen(t, f.app), rt.fleetSnapshot(); got != fleet {
 			t.Fatalf("%s routable at %s, fleet at %s", f.name, got, fleet)
 		}
-		return rp.State() == StateHealthy
+		return rp.State() == stateHealthy
 	})
 }
 
@@ -449,7 +449,7 @@ func TestSameEpochDivergenceResynced(t *testing.T) {
 	// r2 is down and unreachable while the fleet adopts r0/r1's
 	// generation, so the first generation adopted at epoch 1 is theirs.
 	dead.Store(true)
-	waitState(t, rt, "r2", StateDown)
+	waitState(t, rt, "r2", stateDown)
 	fixtureUpdate(t, fixtures[0], `{"setWeights":[{"u":0,"v":1,"w":4}]}`)
 	fixtureUpdate(t, fixtures[1], `{"setWeights":[{"u":0,"v":1,"w":4}]}`)
 	fixtureUpdate(t, r2, `{"setWeights":[{"u":0,"v":1,"w":5}]}`)
@@ -551,7 +551,7 @@ func TestProbeMidFanoutLeavesSlowReplicaAlone(t *testing.T) {
 	for _, rp := range reps { // r0 (at epoch 1) first, then r1 (still at 0)
 		rt.probe(context.Background(), rp)
 	}
-	if fleet, st := rt.fleetSnapshot(), reps[1].State(); fleet.Epoch != 0 || st != StateHealthy {
+	if fleet, st := rt.fleetSnapshot(), reps[1].State(); fleet.Epoch != 0 || st != stateHealthy {
 		t.Errorf("mid-fan-out probes moved the fleet to %s and r1 to %v", fleet, st)
 	}
 
@@ -566,7 +566,7 @@ func TestProbeMidFanoutLeavesSlowReplicaAlone(t *testing.T) {
 	}
 	// Once the fan-out is over, probes gate as before: r1 is at the fleet.
 	rt.probe(context.Background(), reps[1])
-	if st, n := reps[1].State(), rt.met.toState[StateDown].Value(); st != StateHealthy || n != 0 {
+	if st, n := reps[1].State(), rt.met.toState[stateDown].Value(); st != stateHealthy || n != 0 {
 		t.Errorf("after the fan-out: r1 %v, %d down transitions, want healthy and 0", st, n)
 	}
 }

@@ -24,35 +24,6 @@ import (
 // exists for readiness checks and tests.
 func (s *Server) index() *kpj.Index { return s.snapshot().ix }
 
-// SwapIndex publishes a new epoch carrying the current graph and the
-// given index. In-flight requests finish on the snapshot they loaded;
-// subsequent requests use ix. With a WAL configured the swap is
-// checkpointed before publication; if the checkpoint fails the swap is
-// abandoned (old epoch kept) and logged.
-func (s *Server) SwapIndex(ix *kpj.Index) {
-	s.updateMu.Lock()
-	defer s.updateMu.Unlock()
-	if err := s.swapIndexLocked(ix); err != nil {
-		s.logf("server: index swap not published: %v", err)
-	}
-}
-
-func (s *Server) swapIndexLocked(ix *kpj.Index) error {
-	ep := s.snapshot()
-	next := &epochState{g: ep.g, ix: ix, seq: ep.seq + 1}
-	if s.wal != nil {
-		// A swap is a snapshot-driven transition: the new generation is not
-		// derivable from the logged delta chain, so it must be durably
-		// checkpointed before it becomes observable. Checkpoint failure
-		// keeps the old epoch serving.
-		if err := s.checkpointLocked(next); err != nil {
-			return fmt.Errorf("server: checkpoint for index swap at epoch %d: %w", next.seq, err)
-		}
-	}
-	s.epoch.Store(next)
-	return nil
-}
-
 // ReloadIndex reads the flat file at path with full verification
 // (checksum and adjacency validation, via kpj.OpenFlat) and swaps its
 // landmark index in, rebound onto the serving graph. The file carries
@@ -87,10 +58,24 @@ func (s *Server) reloadIndexLocked(path string) error {
 	if ix == nil {
 		return fmt.Errorf("server: reload index %s: file carries no landmark index", path)
 	}
-	if ix, err = ix.Rebind(s.snapshot().g); err != nil {
+	ep := s.snapshot()
+	if ix, err = ix.Rebind(ep.g); err != nil {
 		return fmt.Errorf("server: reload index %s: %w", path, err)
 	}
-	return s.swapIndexLocked(ix)
+	// In-flight requests finish on the snapshot they loaded; subsequent
+	// requests use ix.
+	next := &epochState{g: ep.g, ix: ix, seq: ep.seq + 1}
+	if s.wal != nil {
+		// A reload is a snapshot-driven transition: the new generation is
+		// not derivable from the logged delta chain, so it must be durably
+		// checkpointed before it becomes observable. Checkpoint failure
+		// keeps the old epoch serving.
+		if err := s.checkpointLocked(next); err != nil {
+			return fmt.Errorf("server: checkpoint for index reload at epoch %d: %w", next.seq, err)
+		}
+	}
+	s.epoch.Store(next)
+	return nil
 }
 
 // execQuery runs one parsed query, converting an escaping engine panic

@@ -78,7 +78,7 @@ func TestQueryTimeoutReturnsTruncated(t *testing.T) {
 	if brec.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", brec.Code, brec.Body)
 	}
-	var items []BatchResponseItem
+	var items []batchResponseItem
 	if err := json.Unmarshal(brec.Body.Bytes(), &items); err != nil || len(items) != 2 {
 		t.Fatalf("batch body %s (err %v)", brec.Body, err)
 	}

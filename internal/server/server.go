@@ -79,9 +79,9 @@ type Server struct {
 	// request ever observes a torn graph/index pair. The index slot may
 	// be nil (no index).
 	epoch atomic.Pointer[epochState]
-	// updateMu serializes epoch mutations (Update, SwapIndex,
-	// ReloadIndex): each mutation reads the current epoch, derives its
-	// successor, and publishes it as one atomic store.
+	// updateMu serializes epoch mutations (handleUpdate, handleResync,
+	// ReloadIndex, Recover): each mutation reads the current epoch,
+	// derives its successor, and publishes it as one atomic store.
 	updateMu sync.Mutex
 	mux      *http.ServeMux
 	// maxK bounds per-request k to keep one request from monopolizing
@@ -110,8 +110,9 @@ type Server struct {
 	// are shed with 503 + Retry-After while in-flight ones finish.
 	draining atomic.Bool
 	// hadIndex records whether the server was constructed with an index;
-	// readiness then requires one to still be loaded (SwapIndex(nil)
-	// makes the replica not-ready rather than silently slow).
+	// readiness then requires one to still be loaded. The only way to lose
+	// it is a /resync snapshot that carries none, which makes the replica
+	// not-ready rather than silently slow.
 	hadIndex bool
 	// wal, when non-nil (WithWAL), is the write-ahead delta log: updates
 	// are appended and fsynced before their epoch is published, and
@@ -509,8 +510,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.observeQuery(reqStart, false, truncated)
 }
 
-// BatchRequestItem is one query of a /batch request.
-type BatchRequestItem struct {
+// batchRequestItem is one query of a /batch request.
+type batchRequestItem struct {
 	Sources []kpj.NodeID `json:"sources,omitempty"`
 	Targets []kpj.NodeID `json:"targets,omitempty"`
 	// Category names may be used instead of explicit node sets.
@@ -519,10 +520,10 @@ type BatchRequestItem struct {
 	K              int    `json:"k"`
 }
 
-// BatchResponseItem is the result at the same index. A truncated item
+// batchResponseItem is the result at the same index. A truncated item
 // (deadline or budget hit mid-query) carries the partial paths with
 // Truncated set instead of an error.
-type BatchResponseItem struct {
+type batchResponseItem struct {
 	Paths     []PathJSON `json:"paths,omitempty"`
 	Truncated bool       `json:"truncated,omitempty"`
 	Error     string     `json:"error,omitempty"`
@@ -530,7 +531,7 @@ type BatchResponseItem struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
-	var items []BatchRequestItem
+	var items []batchRequestItem
 	body, ok := wire.ReadBody(w, r, wire.MaxBodyBytes)
 	if ok {
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&items); err != nil {
@@ -577,7 +578,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Batches parallelize across queries (one worker per core).
 	results := ep.g.Batch(queries, 0, &kpj.Options{
 		Context: ctx, Index: ep.ix, Budget: s.budget})
-	out := make([]BatchResponseItem, len(items))
+	out := make([]batchResponseItem, len(items))
 	var truncatedItems int64
 	for i := range items {
 		switch {

@@ -193,7 +193,7 @@ func TestBatchEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var out []BatchResponseItem
+	var out []batchResponseItem
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}

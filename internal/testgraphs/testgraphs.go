@@ -9,23 +9,24 @@ import (
 	"kpj/internal/graph"
 )
 
-// Fig1 node names. The paper's v1..v15 map to ids 0..14.
+// Fig1 node names. The paper's v1..v15 map to ids 0..14; the nodes no
+// test names are unexported.
 const (
 	V1 = graph.NodeID(iota)
-	V2
+	v2
 	V3
-	V4
+	v4
 	V5
 	V6
 	V7
 	V8
 	V9
-	V10
-	V11
-	V12
+	v10
+	v11
+	v12
 	V13
-	V14
-	V15
+	v14
+	v15
 )
 
 // HotelCategory is the destination category of the paper's running example.
@@ -47,31 +48,31 @@ const HotelCategory = "H"
 // So the top-5 result lengths for Q = {v1, "H", 5} are [5 6 7 7 8].
 func Fig1() *graph.Graph {
 	b := graph.NewBuilder(15)
-	b.AddBiEdge(V1, V2, 1)
+	b.AddBiEdge(V1, v2, 1)
 	b.AddBiEdge(V1, V8, 2)
 	b.AddBiEdge(V1, V3, 3)
-	b.AddBiEdge(V1, V11, 1)
+	b.AddBiEdge(V1, v11, 1)
 	b.AddBiEdge(V8, V7, 3)
 	b.AddBiEdge(V8, V9, 10)
-	b.AddBiEdge(V8, V10, 8)
-	b.AddBiEdge(V2, V10, 8)
-	b.AddBiEdge(V9, V10, 1)
-	b.AddBiEdge(V3, V4, 5)
+	b.AddBiEdge(V8, v10, 8)
+	b.AddBiEdge(v2, v10, 8)
+	b.AddBiEdge(V9, v10, 1)
+	b.AddBiEdge(V3, v4, 5)
 	b.AddBiEdge(V3, V5, 2)
 	b.AddBiEdge(V3, V6, 3)
 	b.AddBiEdge(V3, V7, 4)
 	b.AddBiEdge(V5, V6, 2)
-	b.AddBiEdge(V6, V15, 2)
-	b.AddBiEdge(V11, V12, 1)
-	b.AddBiEdge(V12, V13, 1)
+	b.AddBiEdge(V6, v15, 2)
+	b.AddBiEdge(v11, v12, 1)
+	b.AddBiEdge(v12, V13, 1)
 	b.AddBiEdge(V13, V7, 10)
-	b.AddBiEdge(V13, V14, 10)
-	b.AddBiEdge(V14, V7, 10)
+	b.AddBiEdge(V13, v14, 10)
+	b.AddBiEdge(v14, V7, 10)
 	g, err := b.Build()
 	if err != nil {
 		panic(err)
 	}
-	if err := g.AddCategory(HotelCategory, []graph.NodeID{V4, V6, V7}); err != nil {
+	if err := g.AddCategory(HotelCategory, []graph.NodeID{v4, V6, V7}); err != nil {
 		panic(err)
 	}
 	return g

@@ -37,10 +37,6 @@ type Config struct {
 	K int
 	// Seed makes sampling and landmark selection deterministic.
 	Seed int64
-	// Parallelism fans the landmark-build Dijkstras across workers (<= 1
-	// sequential). Indexes are identical at every level, so tuning results
-	// do not depend on it.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -98,7 +94,7 @@ func Tune(g *graph.Graph, targets []graph.NodeID, cfg Config) (Result, error) {
 	for _, count := range cfg.LandmarkCounts {
 		var ix *landmark.Index
 		if count > 0 {
-			ix, err = landmark.BuildParallel(g, count, cfg.Seed, cfg.Parallelism)
+			ix, err = landmark.Build(g, count, cfg.Seed)
 			if err != nil {
 				return Result{}, err
 			}

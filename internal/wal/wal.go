@@ -114,12 +114,12 @@ const (
 )
 
 var (
-	// ErrClosed is returned by operations on a closed Log.
-	ErrClosed = errors.New("wal: log is closed")
-	// ErrBroken is wrapped by operations after an append failed in a way
+	// errClosed is returned by operations on a closed Log.
+	errClosed = errors.New("wal: log is closed")
+	// errBroken is wrapped by operations after an append failed in a way
 	// that left the segment state untrusted; the caller should crash and
 	// recover rather than continue appending.
-	ErrBroken = errors.New("wal: log is broken")
+	errBroken = errors.New("wal: log is broken")
 )
 
 func checkpointName(epoch uint64) string { return fmt.Sprintf("checkpoint-%016x.ckpt", epoch) }
@@ -355,15 +355,15 @@ func encodeFrame(r *Record) ([]byte, error) {
 // epoch before Append returns nil. rec.Epoch must be exactly one past
 // the last durable epoch. On a failed write the segment is rolled back
 // to its pre-append length; if even that fails the Log turns sticky
-// ErrBroken, refusing further appends until the process recovers.
+// errBroken, refusing further appends until the process recovers.
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if l.broken != nil {
-		return fmt.Errorf("%w: %v", ErrBroken, l.broken)
+		return fmt.Errorf("%w: %v", errBroken, l.broken)
 	}
 	if rec.Epoch != l.last+1 {
 		return fmt.Errorf("wal: append epoch %d does not follow durable epoch %d", rec.Epoch, l.last)
@@ -416,7 +416,7 @@ func (l *Log) Checkpoint(epoch uint64, write func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if epoch < l.last {
 		return fmt.Errorf("wal: checkpoint epoch %d behind durable epoch %d", epoch, l.last)
@@ -480,9 +480,6 @@ func (l *Log) LastEpoch() uint64 {
 	defer l.mu.Unlock()
 	return l.last
 }
-
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Close releases the active segment handle. Idempotent.
 func (l *Log) Close() error {

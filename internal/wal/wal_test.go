@@ -430,10 +430,10 @@ func TestOpenIdempotent(t *testing.T) {
 func TestClosedLogRefuses(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir())
 	l.Close()
-	if err := l.Append(testRecord(1)); !errors.Is(err, ErrClosed) {
+	if err := l.Append(testRecord(1)); !errors.Is(err, errClosed) {
 		t.Fatalf("append on closed log = %v", err)
 	}
-	if err := l.Checkpoint(1, func(io.Writer) error { return nil }); !errors.Is(err, ErrClosed) {
+	if err := l.Checkpoint(1, func(io.Writer) error { return nil }); !errors.Is(err, errClosed) {
 		t.Fatalf("checkpoint on closed log = %v", err)
 	}
 }

@@ -20,8 +20,8 @@ import (
 const (
 	HeaderEpoch             = "X-Kpj-Epoch"
 	HeaderFingerprint       = "X-Kpj-Fingerprint"
-	HeaderExpectEpoch       = "X-Kpj-Expect-Epoch"
-	HeaderExpectFingerprint = "X-Kpj-Expect-Fingerprint"
+	headerExpectEpoch       = "X-Kpj-Expect-Epoch"
+	headerExpectFingerprint = "X-Kpj-Expect-Fingerprint"
 	HeaderErrorKind         = "X-Kpj-Error-Kind"
 	HeaderReplica           = "X-Kpj-Replica"
 )
@@ -124,25 +124,25 @@ func ReadGen(h http.Header) Gen {
 
 // SetFence preconditions an update on generation g: the receiver applies
 // it only while it serves exactly g. FP 0 leaves the fingerprint unchecked.
-func SetFence(h http.Header, g Gen) { g.set(h, HeaderExpectEpoch, HeaderExpectFingerprint) }
+func SetFence(h http.Header, g Gen) { g.set(h, headerExpectEpoch, headerExpectFingerprint) }
 
 // ParseFence reads SetFence's headers. Without an epoch header the update
 // is unfenced, so direct operator updates keep working. A fingerprint
 // without an epoch, or a malformed value, is an error.
 func ParseFence(h http.Header) (fence Gen, fenced bool, err error) {
-	eh, fh := h.Get(HeaderExpectEpoch), h.Get(HeaderExpectFingerprint)
+	eh, fh := h.Get(headerExpectEpoch), h.Get(headerExpectFingerprint)
 	if eh == "" {
 		if fh != "" {
-			return fence, false, fmt.Errorf("%s requires %s", HeaderExpectFingerprint, HeaderExpectEpoch)
+			return fence, false, fmt.Errorf("%s requires %s", headerExpectFingerprint, headerExpectEpoch)
 		}
 		return fence, false, nil
 	}
 	if fence.Epoch, err = strconv.ParseUint(eh, 10, 64); err != nil {
-		return fence, false, fmt.Errorf("bad %s %q", HeaderExpectEpoch, eh)
+		return fence, false, fmt.Errorf("bad %s %q", headerExpectEpoch, eh)
 	}
 	if fh != "" {
 		if fence.FP, err = strconv.ParseUint(fh, 16, 64); err != nil {
-			return fence, false, fmt.Errorf("bad %s %q", HeaderExpectFingerprint, fh)
+			return fence, false, fmt.Errorf("bad %s %q", headerExpectFingerprint, fh)
 		}
 	}
 	return fence, true, nil

@@ -44,9 +44,9 @@ func TestFence(t *testing.T) {
 		t.Fatalf("no headers: fenced %v err %v, want unfenced", fenced, err)
 	}
 	for _, bad := range []map[string]string{
-		{HeaderExpectFingerprint: "aa"},
-		{HeaderExpectEpoch: "x"},
-		{HeaderExpectEpoch: "1", HeaderExpectFingerprint: "xyz"},
+		{headerExpectFingerprint: "aa"},
+		{headerExpectEpoch: "x"},
+		{headerExpectEpoch: "1", headerExpectFingerprint: "xyz"},
 	} {
 		h := http.Header{}
 		for k, v := range bad {

@@ -164,14 +164,7 @@ type Index struct {
 // O(count · (m + n log n)) time and O(count · n) space, using all cores
 // for the independent per-landmark Dijkstras.
 func BuildIndex(g *Graph, count int, seed int64) (*Index, error) {
-	return BuildIndexParallel(g, count, seed, 0)
-}
-
-// BuildIndexParallel is BuildIndex with an explicit worker count for the
-// construction Dijkstras (<= 0 means all cores). The produced index is
-// identical at every parallelism level.
-func BuildIndexParallel(g *Graph, count int, seed int64, parallelism int) (*Index, error) {
-	ix, err := landmark.BuildParallel(g.g, count, seed, parallelism)
+	ix, err := landmark.Build(g.g, count, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -22,15 +22,12 @@ type TuneReport struct {
 
 // TuneOptions controls the grid search; the zero value uses the defaults
 // (|L| ∈ {4,8,16,32}, α ∈ {1.05,1.1,1.2,1.5}, 16 sampled queries, k=20).
-// Parallelism speeds up the candidate index builds without changing the
-// (deterministic) outcome.
 type TuneOptions struct {
 	LandmarkCounts []int
 	Alphas         []float64
 	SampleQueries  int
 	K              int
 	Seed           int64
-	Parallelism    int
 }
 
 // Tune grid-searches the landmark count |L| and bounding factor α for
@@ -55,7 +52,6 @@ func (g *Graph) Tune(category string, opt *TuneOptions) (*TuneReport, error) {
 			SampleQueries:  opt.SampleQueries,
 			K:              opt.K,
 			Seed:           opt.Seed,
-			Parallelism:    opt.Parallelism,
 		}
 	}
 	res, err := tuner.Tune(g.g, targets, cfg)

@@ -2,11 +2,11 @@ package kpj_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -433,23 +433,21 @@ func TestChaosMetricsConsistent(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
+	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &vars); err != nil {
-		t.Fatalf("parsing /debug/vars JSON: %v", err)
-	}
 	counter := func(name string) int64 {
-		raw, ok := vars[name]
-		if !ok {
-			t.Fatalf("metric %q missing from registry", name)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("metric %q: %v", name, err)
+				}
+				return n
+			}
 		}
-		var v int64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			t.Fatalf("metric %q: %v", name, err)
-		}
-		return v
+		t.Fatalf("metric %q missing from /metrics", name)
+		return 0
 	}
 	queries := counter("kpj_engine_queries_total")
 	truncated := counter("kpj_engine_queries_truncated_total")

@@ -65,7 +65,7 @@ func main() {
 	flag.IntVar(&cfg.RetryBudget, "retrybudget", 64, "retry token bucket capacity bounding fleet-wide retry amplification")
 	flag.DurationVar(&cfg.RequestTimeout, "reqtimeout", 30*time.Second, "per-attempt upstream deadline")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "probe-jitter seed")
-	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and /debug/vars")
+	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus)")
 	drain := flag.Duration("draintimeout", 10*time.Second, "graceful-shutdown drain window on SIGINT/SIGTERM")
 	flag.Parse()
 
@@ -93,7 +93,7 @@ func run(cfg router.Config, addr string, drain time.Duration) error {
 	}
 	fmt.Printf("routing to %d replicas on %s\n", len(cfg.Replicas), addr)
 	if cfg.Metrics != nil {
-		fmt.Println("metrics on /metrics and /debug/vars")
+		fmt.Println("metrics on /metrics")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

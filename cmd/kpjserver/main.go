@@ -71,7 +71,7 @@ func main() {
 	budget := flag.Int64("budget", 0, "per-query work cap in heap pops + edge relaxations (0 = unlimited)")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrently executing queries before shedding with 503 (0 = unlimited)")
 	drain := flag.Duration("draintimeout", 10*time.Second, "bound on the graceful-shutdown drain window: in-flight queries get this long to finish after SIGINT/SIGTERM while late arrivals are shed with 503")
-	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and /debug/vars, and collect engine counters")
+	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and collect engine counters")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under GET /debug/pprof/")
 	walDir := flag.String("wal", "", "write-ahead log directory: POST /update deltas are fsynced here before they are served, and startup recovers the chain from the newest checkpoint plus log replay")
 	checkpointEvery := flag.Int("checkpoint-every", 64, "with -wal, snapshot the serving state and truncate the log every N epochs (0 = never)")
@@ -138,7 +138,7 @@ func run(flatPath, addr string, maxK int,
 		reg := kpj.NewMetricsRegistry()
 		kpj.EnableMetrics(reg)
 		opts = append(opts, server.WithMetrics(reg))
-		fmt.Println("metrics on /metrics and /debug/vars")
+		fmt.Println("metrics on /metrics")
 	}
 	if pprofOn {
 		opts = append(opts, server.WithPprof())

@@ -1,17 +1,17 @@
 // Package fault implements deterministic fault injection for chaos
 // testing. Production code carries a named fault point only where a test
-// cannot make the world fail for real: the disk under the WAL (append,
-// fsync, replay), and the two recovery seams around code we own — the
-// server's /query handler and the batch worker, whose panic recovery is
-// tested through them. Everything else fails for real in tests: a bad
-// delta, an io.Reader that errors, a missing or corrupt file, or a
-// router transport that calls Hit per replica and request path (the
-// points are then the test's own). The query engine carries no point: a
-// query's answer can be shortened only by a budget, a deadline or a
-// recovered panic. A seed-scheduled plan of rules decides, per point, at
-// which hit ordinal to inject a typed error, a panic, or extra latency,
-// so a whole failure scenario replays bit-identically from one integer
-// seed.
+// cannot make the world fail for real: the two recovery seams around
+// code we own — the server's /query handler and the batch worker, whose
+// panic recovery is tested through them. Everything else fails for real
+// in tests: a bad delta, an io.Reader that errors, a missing or corrupt
+// file, a WAL file system that fails or loses power (internal/wal's
+// FS), or a router transport that calls Hit per replica and request
+// path (the points are then the test's own). The query engine carries
+// no point: a query's answer can be shortened only by a budget, a
+// deadline or a recovered panic. A seed-scheduled plan of rules decides,
+// per point, at which hit ordinal to inject a typed error, a panic, or
+// extra latency, so a whole failure scenario replays bit-identically
+// from one integer seed.
 //
 // The package follows internal/obs's zero-cost-when-disabled discipline:
 // the process-wide registry is an atomic pointer that defaults to nil, a
@@ -47,29 +47,11 @@ const (
 	// error fails that item with no paths; a panic is recovered into an
 	// ErrWorkerPanic result for that item alone.
 	BatchWorker Point = "batch.worker"
-	// WALAppend fires in wal.Log.Append before the record frame is
-	// written. An injected error fails the update with the old epoch
-	// kept — the moment a disk write would fail.
-	WALAppend Point = "wal.append"
-	// WALFsync fires in wal.Log.Append after the frame write but before
-	// fsync, and before every checkpoint fsync — the moment a crash or
-	// full disk would tear the tail. An injected error rolls the segment
-	// back and fails the update or checkpoint.
-	WALFsync Point = "wal.fsync"
-	// WALReplay fires once per record decoded during wal.Open recovery.
-	// An injected error aborts recovery; the server stays not-ready.
-	WALReplay Point = "wal.replay"
 )
 
 // Points lists every fault point compiled into the tree, in a fixed
 // order so seeded plans are stable across runs.
-var Points = []Point{ServerHandler, BatchWorker, WALAppend, WALFsync, WALReplay}
-
-// unrecovered are the compiled-in points whose surrounding code does not
-// recover a panic; Plan never assigns KindPanic to them, since a panic
-// there would take down the process under test. Every other point —
-// ServerHandler, BatchWorker, and any point a test defines — keeps it.
-var unrecovered = map[Point]bool{WALAppend: true, WALFsync: true, WALReplay: true}
+var Points = []Point{ServerHandler, BatchWorker}
 
 // ErrInjected is the sentinel every injected error wraps (unless a rule
 // overrides it with Rule.Err).
@@ -239,8 +221,7 @@ type PlanConfig struct {
 // Plan derives a deterministic rule schedule from seed: the same seed and
 // config always yield the same rules, so a chaos failure reproduces from
 // its seed alone. Kinds are drawn roughly 70% error, 20% latency, 10%
-// panic — panics demoted to errors at the compiled-in points whose code
-// does not recover them (see unrecovered).
+// panic; every compiled-in point recovers a panic.
 func Plan(seed int64, cfg PlanConfig) []Rule {
 	if len(cfg.Points) == 0 {
 		cfg.Points = Points
@@ -269,11 +250,7 @@ func Plan(seed int64, cfg PlanConfig) []Rule {
 			r.Kind = KindLatency
 			r.Delay = time.Duration(1 + rng.Int63n(int64(cfg.MaxDelay)))
 		default:
-			if unrecovered[r.Point] {
-				r.Kind = KindError
-			} else {
-				r.Kind = KindPanic
-			}
+			r.Kind = KindPanic
 		}
 		rules = append(rules, r)
 	}

@@ -114,16 +114,12 @@ func TestPlanIsDeterministicAndSafe(t *testing.T) {
 			t.Fatal("different seeds produced identical plans")
 		}
 	}
-	// Panics never land on a compiled-in point whose code does not
-	// recover them, but do land on the recovering ones and on a point a
-	// test defines.
+	// Panics land on every compiled-in point, each of which recovers
+	// them, and on a point a test defines.
 	panics := map[Point]bool{}
 	for seed := int64(0); seed < 200; seed++ {
 		for _, ru := range Plan(seed, PlanConfig{Points: append([]Point{testPoint}, Points...), Rules: 6}) {
 			if ru.Kind == KindPanic {
-				if unrecovered[ru.Point] {
-					t.Fatalf("seed %d: panic rule at unrecovered point %s", seed, ru.Point)
-				}
 				panics[ru.Point] = true
 			}
 			if ru.Nth < 1 || ru.Count < 1 {

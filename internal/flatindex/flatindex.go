@@ -227,9 +227,11 @@ func Write(w io.Writer, g *graph.Graph, ix *landmark.Index) (int64, error) {
 	return int64(cw.off), cw.err
 }
 
-// WriteFile serializes to path via Write. The bytes go to path+".tmp"
-// and are renamed into place, so a crash mid-write or a concurrent
-// reader never sees a half-written file at path.
+// WriteFile serializes to path via Write. The bytes go to path+".tmp",
+// are fsynced and renamed into place, so neither a crash or power cut
+// mid-write nor a concurrent reader ever sees a half-written file at
+// path. The directory is not synced: a rename a power cut undoes leaves
+// the previous file, which still loads.
 func WriteFile(path string, g *graph.Graph, ix *landmark.Index) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -237,6 +239,9 @@ func WriteFile(path string, g *graph.Graph, ix *landmark.Index) error {
 		return err
 	}
 	_, err = Write(f, g, ix)
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -1,7 +1,7 @@
 // Package obs is the stdlib-only observability layer of the KPJ engine:
 // a lock-cheap metrics registry (counters, gauges, bounded histograms)
-// with deterministic text/JSON exposition, and a per-query phase span
-// recorder (span.go). It deliberately depends on nothing outside the
+// with deterministic Prometheus text exposition, and a per-query phase
+// span recorder (span.go). It deliberately depends on nothing outside the
 // standard library and nothing inside this module, so every layer — the
 // engine core, the landmark cache, the HTTP
 // server, the command-line tools — can instrument itself without import
@@ -338,46 +338,4 @@ func writeHistogram(b *strings.Builder, m *metric) {
 	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", m.name, cum)
 	fmt.Fprintf(b, "%s_sum %d\n", m.name, h.Sum())
 	fmt.Fprintf(b, "%s_count %d\n", m.name, h.Count())
-}
-
-// WriteJSON renders the registry as one flat JSON object in the spirit of
-// /debug/vars: scalar metrics map name → value, histograms map name → an
-// object with counts per bucket bound, sum, and count. Keys are sorted.
-// A nil registry writes an empty object.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("{")
-	if r != nil {
-		first := true
-		for _, m := range r.snapshot() {
-			if !first {
-				b.WriteString(",")
-			}
-			first = false
-			fmt.Fprintf(&b, "%q:", m.name)
-			if m.kind == kindHistogram {
-				writeHistogramJSON(&b, m.hist)
-			} else {
-				fmt.Fprintf(&b, "%d", m.value())
-			}
-		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeHistogramJSON(b *strings.Builder, h *Histogram) {
-	b.WriteString("{\"buckets\":[")
-	for i, bound := range h.bounds {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(b, "{\"le\":%d,\"n\":%d}", bound, h.buckets[i].Load())
-	}
-	if len(h.bounds) > 0 {
-		b.WriteString(",")
-	}
-	fmt.Fprintf(b, "{\"le\":\"+Inf\",\"n\":%d}", h.buckets[len(h.bounds)].Load())
-	fmt.Fprintf(b, "],\"sum\":%d,\"count\":%d}", h.Sum(), h.Count())
 }

@@ -37,8 +37,8 @@ func TestCounterGauge(t *testing.T) {
 }
 
 // TestNilRegistry: a nil registry disables the whole layer — constructors
-// return nil metrics and Write methods render nothing (empty / empty
-// object), without panicking.
+// return nil metrics and WritePrometheus renders nothing, without
+// panicking.
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	if c := r.Counter("x", ""); c != nil {
@@ -54,10 +54,6 @@ func TestNilRegistry(t *testing.T) {
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil || b.Len() != 0 {
 		t.Errorf("nil registry prometheus = %q, %v", b.String(), err)
-	}
-	b.Reset()
-	if err := r.WriteJSON(&b); err != nil || b.String() != "{}\n" {
-		t.Errorf("nil registry json = %q, %v", b.String(), err)
 	}
 }
 
@@ -125,15 +121,6 @@ zeta 9
 `
 	if b.String() != want {
 		t.Errorf("prometheus output:\n%s\nwant:\n%s", b.String(), want)
-	}
-
-	var j strings.Builder
-	if err := r.WriteJSON(&j); err != nil {
-		t.Fatal(err)
-	}
-	wantJSON := `{"alpha_total":1,"req_total{route=\"a\"}":3,"req_total{route=\"b\"}":2,"zeta":9}` + "\n"
-	if j.String() != wantJSON {
-		t.Errorf("json output %q, want %q", j.String(), wantJSON)
 	}
 }
 

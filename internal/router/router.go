@@ -75,7 +75,7 @@ type Config struct {
 	Clock     Clock             // default: wall clock
 	Transport http.RoundTripper // default: a private http.Transport
 	Logf      func(format string, args ...any)
-	Metrics   *obs.Registry // optional: enables /metrics + /debug/vars and the kpj_router_* set
+	Metrics   *obs.Registry // optional: enables /metrics and the kpj_router_* set
 }
 
 // Router is the http.Handler. Safe for concurrent use; Close releases

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"kpj"
-	"kpj/internal/fault"
 	"kpj/internal/gen"
 	"kpj/internal/graph"
 	"kpj/internal/leaktest"
@@ -208,7 +207,7 @@ func readCheckpointFile(t *testing.T, path string) (*kpj.Graph, *kpj.Index) {
 }
 
 // TestCrashRecoveryChurn is the crash harness: 20 seeded churn schedules,
-// each crashed at a seed-chosen point by a WAL append fault plus a torn
+// each crashed at a seed-chosen point by a failed WAL write plus a torn
 // tail, recovered from checkpoint + log suffix, and required to be
 // indistinguishable — epoch, fingerprint, and every engine's answers —
 // from an uninterrupted in-memory chain.
@@ -238,7 +237,8 @@ func runCrashSeed(t *testing.T, seed int) {
 	mem := New(g, ixMem, WithLogf(t.Logf))
 
 	dir := t.TempDir()
-	lg, rec0, err := wal.Open(dir)
+	disk := &diskFS{}
+	lg, rec0, err := wal.OpenFS(disk, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +257,11 @@ func runCrashSeed(t *testing.T, seed int) {
 		mustUpdate(t, dsrv, schedule[i])
 	}
 
-	// The crash: the next update's WAL append fails after the delta
+	// The crash: the next update's WAL write fails after the delta
 	// applied in memory. Durable-before-observable means the epoch must
 	// NOT move — the caller saw 500, so recovery must not produce it.
-	fault.Install(fault.New().Add(fault.Rule{Point: fault.WALAppend, Nth: 1, Count: 1, Kind: fault.KindError}))
+	disk.failOnce("write", ".log")
 	rec, body := postUpdate(t, dsrv, deltaJSON(t, schedule[crashAt]))
-	fault.Install(nil)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("crashed update: %d %s", rec.Code, body)
 	}
@@ -349,7 +348,8 @@ func TestRecoveryGatesReadyz(t *testing.T) {
 func TestWALFsyncFaultKeepsEpoch(t *testing.T) {
 	defer leaktest.Check(t)()
 	dir := t.TempDir()
-	lg, rec0, err := wal.Open(dir)
+	disk := &diskFS{}
+	lg, rec0, err := wal.OpenFS(disk, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestWALFsyncFaultKeepsEpoch(t *testing.T) {
 	if err := s.Recover(rec0); err != nil {
 		t.Fatal(err)
 	}
-	installFaults(t, fault.New().Add(fault.Rule{Point: fault.WALFsync, Nth: 1, Count: 1, Kind: fault.KindError}))
+	disk.failOnce("sync", ".log")
 
 	delta := `{"setWeights":[{"u":0,"v":1,"w":4}]}`
 	rec, body := postUpdate(t, s, delta)
@@ -374,7 +374,15 @@ func TestWALFsyncFaultKeepsEpoch(t *testing.T) {
 	if got, want := s.Epoch(), uint64(1); got != want {
 		t.Fatalf("epoch after retry = %d", got)
 	}
-	if got := lg.LastEpoch(); got != 1 {
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lg2, rec2, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg2.Close()
+	if got := rec2.LastEpoch(); got != 1 {
 		t.Fatalf("durable epoch = %d, want 1", got)
 	}
 }
@@ -388,7 +396,8 @@ func TestWALFsyncFaultKeepsEpoch(t *testing.T) {
 // bounds of an index that never served.
 func TestFailedAppendThenCollidingDeltaAnswersExact(t *testing.T) {
 	defer leaktest.Check(t)()
-	lg, rec0, err := wal.Open(t.TempDir())
+	disk := &diskFS{}
+	lg, rec0, err := wal.OpenFS(disk, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +417,7 @@ func TestFailedAppendThenCollidingDeltaAnswersExact(t *testing.T) {
 	}
 
 	// +7 on (0,1), not durable: a 500, and epoch 0 still serves.
-	installFaults(t, fault.New().Add(fault.Rule{Point: fault.WALAppend, Nth: 1, Count: 1, Kind: fault.KindError}))
+	disk.failOnce("write", ".log")
 	rec, body := postUpdate(t, s, `{"setWeights":[{"u":0,"v":1,"w":17}]}`)
 	if rec.Code != http.StatusInternalServerError || s.Epoch() != 0 {
 		t.Fatalf("faulted append: %d %s, epoch %d", rec.Code, body, s.Epoch())
@@ -659,6 +668,65 @@ func TestSnapshotResyncDurable(t *testing.T) {
 	}
 	if b2.Epoch() != 2 || fingerprint(b2.snapshot()) != fingerprint(a.snapshot()) {
 		t.Fatalf("restarted replica: epoch %d fp %s", b2.Epoch(), fingerprint(b2.snapshot()))
+	}
+}
+
+// TestResyncRotationFailureServesSnapshot: once a resync's checkpoint is
+// durable, a failed segment rotation behind it does not fail the resync.
+// The replica answers 200 and serves the snapshot's generation, which is
+// the one a restart recovers; its next update is refused (the log is
+// broken) until the router resyncs it again.
+func TestResyncRotationFailureServesSnapshot(t *testing.T) {
+	a, _ := testServer(t, WithLogf(t.Logf))
+	for _, d := range []string{`{"setWeights":[{"u":0,"v":1,"w":4}]}`, `{"setWeights":[{"u":1,"v":0,"w":6}]}`} {
+		if rec, body := postUpdate(t, a, d); rec.Code != http.StatusOK {
+			t.Fatalf("seed update: %d %s", rec.Code, body)
+		}
+	}
+	_, snap := get(t, a, "/snapshot")
+
+	dir := t.TempDir()
+	disk := &diskFS{}
+	lg, rec0, err := wal.OpenFS(disk, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lg.Close() })
+	b, _ := testServer(t, WithWAL(lg, 0), WithLogf(t.Logf))
+	if err := b.Recover(rec0); err != nil {
+		t.Fatal(err)
+	}
+	disk.failOnce("write", ".log.tmp")
+	req := httptest.NewRequest(http.MethodPost, "/resync", bytes.NewReader(snap))
+	req.Header.Set("X-Kpj-Epoch", "2")
+	w := httptest.NewRecorder()
+	b.ServeHTTP(w, req)
+	if w.Code != http.StatusOK || b.Epoch() != 2 || fingerprint(b.snapshot()) != fingerprint(a.snapshot()) {
+		t.Fatalf("resync with a failed rotation: %d %s, epoch %d", w.Code, w.Body.String(), b.Epoch())
+	}
+	rec, body := postUpdate(t, b, `{"setWeights":[{"u":0,"v":1,"w":9}]}`)
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("X-Kpj-Error-Kind") != string(wire.KindWAL) || b.Epoch() != 2 {
+		t.Fatalf("update on a broken log: %d %s, epoch %d", rec.Code, body, b.Epoch())
+	}
+
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lg2, rec2, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg2.Close()
+	if rec2.CheckpointEpoch != 2 || len(rec2.Records) != 0 {
+		t.Fatalf("restart after the resync: checkpoint epoch %d, %d records", rec2.CheckpointEpoch, len(rec2.Records))
+	}
+	rg, rix := readCheckpointFile(t, rec2.CheckpointPath)
+	b2 := New(rg, rix, WithWAL(lg2, 0), WithLogf(t.Logf))
+	if err := b2.Recover(rec2); err != nil {
+		t.Fatal(err)
+	}
+	if b2.Epoch() != 2 || fingerprint(b2.snapshot()) != fingerprint(a.snapshot()) {
+		t.Fatalf("restarted replica: epoch %d fp %s, served %s", b2.Epoch(), fingerprint(b2.snapshot()), fingerprint(a.snapshot()))
 	}
 }
 

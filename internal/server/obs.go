@@ -14,7 +14,6 @@ import (
 // read-only endpoints appear on the mux:
 //
 //	GET /metrics     Prometheus text exposition (format 0.0.4)
-//	GET /debug/vars  the same values as a flat JSON object
 //
 // Callers typically also pass reg to kpj.EnableMetrics so the engine-wide
 // kpj_engine_* counters appear on the same endpoint. The registry must

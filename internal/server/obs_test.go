@@ -10,8 +10,8 @@ import (
 )
 
 // TestMetricsEndpoint: with WithMetrics the server exposes /metrics in
-// Prometheus text format and /debug/vars as JSON, and serving queries
-// moves the request counters and the engine counters.
+// Prometheus text format, and serving queries moves the request
+// counters and the engine counters.
 func TestMetricsEndpoint(t *testing.T) {
 	reg := kpj.NewMetricsRegistry()
 	kpj.EnableMetrics(reg)
@@ -54,19 +54,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	w = get("/debug/vars")
-	if w.Code != 200 {
-		t.Fatalf("GET /debug/vars: %d", w.Code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(w.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("vars not JSON: %v", err)
-	}
-	if v, ok := vars[`kpj_http_requests_total{route="query"}`]; !ok || v.(float64) != 3 {
-		t.Fatalf("vars request counter = %v (ok=%v)", v, ok)
-	}
-	if _, ok := vars["kpj_engine_heap_pops_total"]; !ok {
-		t.Fatalf("vars missing engine counters: %v", vars)
+	if !strings.Contains(body, "\nkpj_engine_heap_pops_total ") {
+		t.Fatalf("/metrics missing engine counters:\n%s", body)
 	}
 }
 

@@ -97,8 +97,8 @@ type Server struct {
 	inflight chan struct{}
 	// logf receives panic reports; defaults to log.Printf.
 	logf func(format string, args ...any)
-	// metricsReg, when non-nil (WithMetrics), backs the /metrics and
-	// /debug/vars endpoints and receives the kpj_http_* instrument set.
+	// metricsReg, when non-nil (WithMetrics), backs the /metrics
+	// endpoint and receives the kpj_http_* instrument set.
 	metricsReg *kpj.MetricsRegistry
 	// met is the instrument set built from metricsReg; without one its
 	// instruments are nil and record nothing.

@@ -32,9 +32,14 @@
 // active segment. Opening a directory twice in a row yields identical
 // records: recovery is idempotent.
 //
-// The wal.append, wal.fsync and wal.replay fault points let the chaos
-// and crash-recovery suites inject failures at the exact moments real
-// deployments lose power.
+// Every file operation goes through an FS: Open uses the operating
+// system's, OpenFS any other. The package's tests run it over an
+// in-memory FS that fails any operation on demand and keeps durable
+// state apart from what the process sees: a file holds what its last
+// Sync covered, a rename or remove holds once the directory is synced.
+// Crashing a scripted history at every operation boundary, Open must
+// recover, from every state a power cut can leave, every acknowledged
+// Append and Checkpoint and nothing past the one in flight.
 package wal
 
 import (
@@ -50,8 +55,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 )
 
@@ -88,14 +93,76 @@ func (r *Recovery) LastEpoch() uint64 {
 	return r.CheckpointEpoch
 }
 
+// FS is the file system a Log persists through. Names are full paths.
+type FS interface {
+	MkdirAll(dir string) error
+	ReadDir(dir string) ([]string, error)
+	ReadFile(name string) ([]byte, error)
+	// OpenFile opens name with os.OpenFile's flags.
+	OpenFile(name string, flag int) (File, error)
+	Rename(oldname, newname string) error
+	Remove(name string) error
+	// SyncDir makes the renames and removes done in dir durable.
+	SyncDir(dir string) error
+}
+
+// File is a file opened through an FS. A Log only ever appends to one.
+type File interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// osFS is the operating system's file system.
+type osFS struct{}
+
+func (osFS) MkdirAll(dir string) error            { return os.MkdirAll(dir, 0o755) }
+func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
+
+func (osFS) ReadDir(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names, err
+}
+
+func (osFS) OpenFile(name string, flag int) (File, error) {
+	f, err := os.OpenFile(name, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// SyncDir fsyncs dir. Some file systems refuse directory fsync
+// (ErrUnsupported, EINVAL); there the rename itself is still atomic, so
+// that refusal is not an error.
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if errors.Is(err, errors.ErrUnsupported) || errors.Is(err, syscall.EINVAL) {
+		return nil
+	}
+	return err
+}
+
 // Log is an open write-ahead log directory. Append and Checkpoint are
 // serialized by an internal mutex; a Log is safe for concurrent use,
 // though the server additionally serializes them under its update mutex.
 type Log struct {
+	fs  FS
 	dir string
 
 	mu     sync.Mutex
-	f      *os.File
+	f      File
 	path   string // active segment path
 	base   uint64 // active segment's base epoch
 	last   uint64 // last durable epoch (== base when the segment is empty)
@@ -108,17 +175,15 @@ const (
 	segmentMagic = "kpjwal01"
 	headerSize   = 16
 	frameHeader  = 8
-	// maxRecordBytes bounds one record frame; anything larger is treated
-	// as corruption rather than an allocation request.
-	maxRecordBytes = 64 << 20
 )
 
 var (
 	// errClosed is returned by operations on a closed Log.
 	errClosed = errors.New("wal: log is closed")
-	// errBroken is wrapped by operations after an append failed in a way
-	// that left the segment state untrusted; the caller should crash and
-	// recover rather than continue appending.
+	// errBroken is wrapped by appends once the files on disk no longer
+	// match what the Log tracks (a failed rollback, segment rotation or
+	// directory sync); a successful Checkpoint re-anchors the chain and
+	// clears it.
 	errBroken = errors.New("wal: log is broken")
 )
 
@@ -141,26 +206,29 @@ func parseEpoch(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// Open recovers the log directory (creating it if needed) and returns
-// the Log ready for appends plus the Recovery the caller must replay.
-// The active segment is rewritten to exactly the surviving records, so
-// torn tails and superseded segments never outlive an Open.
-func Open(dir string) (*Log, *Recovery, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// Open recovers the log directory (creating it if needed) on the
+// operating system's file system; see OpenFS.
+func Open(dir string) (*Log, *Recovery, error) { return OpenFS(osFS{}, dir) }
+
+// OpenFS recovers the log directory dir of fsys (creating it if needed)
+// and returns the Log ready for appends plus the Recovery the caller
+// must replay. The active segment is rewritten to exactly the surviving
+// records, so torn tails and superseded segments never outlive an open.
+func OpenFS(fsys FS, dir string) (*Log, *Recovery, error) {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
-	entries, err := os.ReadDir(dir)
+	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
 
 	var ckptEpochs, segEpochs []uint64
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		if strings.HasSuffix(name, ".tmp") {
 			// An in-progress write that never committed; its rename never
 			// happened, so it is invisible to recovery. Delete it.
-			_ = os.Remove(filepath.Join(dir, name))
+			_ = fsys.Remove(filepath.Join(dir, name))
 			continue
 		}
 		if ep, ok := parseEpoch(name, "checkpoint-", ".ckpt"); ok {
@@ -199,10 +267,11 @@ func Open(dir string) (*Log, *Recovery, error) {
 		}
 	}
 	if replayPath != "" {
-		records, torn, err := replaySegment(replayPath, replayBase)
+		data, err := fsys.ReadFile(replayPath)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("wal: replay %s: %w", replayPath, err)
 		}
+		records, torn := decodeSegment(data, replayBase)
 		rec.TruncatedBytes = torn
 		// Drop records the checkpoint already covers.
 		for _, r := range records {
@@ -216,38 +285,33 @@ func Open(dir string) (*Log, *Recovery, error) {
 	// contents = exactly the surviving suffix. This one code path handles
 	// torn-tail truncation, segment rebasing after a checkpoint whose
 	// rotation was interrupted, and first-time creation alike.
-	l := &Log{dir: dir, base: rec.CheckpointEpoch, last: rec.LastEpoch()}
+	l := &Log{fs: fsys, dir: dir, base: rec.CheckpointEpoch, last: rec.LastEpoch()}
 	if err := l.rewriteSegment(rec.Records); err != nil {
 		return nil, nil, err
 	}
 	// GC everything the canonical chain no longer references.
 	for _, ep := range ckptEpochs {
 		if ep != rec.CheckpointEpoch {
-			_ = os.Remove(filepath.Join(dir, checkpointName(ep)))
+			_ = fsys.Remove(filepath.Join(dir, checkpointName(ep)))
 		}
 	}
 	for _, ep := range segEpochs {
 		if ep != l.base {
-			_ = os.Remove(filepath.Join(dir, segmentName(ep)))
+			_ = fsys.Remove(filepath.Join(dir, segmentName(ep)))
 		}
 	}
 	return l, rec, nil
 }
 
-// replaySegment validates path's header and decodes records base+1,
-// base+2, ... until the first torn or corrupt frame, returning the valid
-// prefix and how many tail bytes it abandons. Every decoded record polls
-// the wal.replay fault point, so recovery failures are injectable.
-func replaySegment(path string, base uint64) ([]Record, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: replay %s: %w", path, err)
-	}
+// decodeSegment validates a segment's header and decodes records
+// base+1, base+2, ... until the first torn or corrupt frame, returning
+// the valid prefix and how many tail bytes it abandons.
+func decodeSegment(data []byte, base uint64) ([]Record, int64) {
 	if len(data) < headerSize || string(data[:8]) != segmentMagic ||
 		binary.LittleEndian.Uint64(data[8:16]) != base {
 		// A segment without a valid header carries nothing recoverable;
 		// treat the whole file as a torn write.
-		return nil, int64(len(data)), nil
+		return nil, int64(len(data))
 	}
 	var records []Record
 	off := headerSize
@@ -259,7 +323,7 @@ func replaySegment(path string, base uint64) ([]Record, int64, error) {
 		}
 		length := binary.LittleEndian.Uint32(rest[:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if length == 0 || length > maxRecordBytes || len(rest) < frameHeader+int(length) {
+		if length == 0 || uint64(length) > uint64(len(rest)-frameHeader) {
 			break
 		}
 		payload := rest[frameHeader : frameHeader+int(length)]
@@ -270,92 +334,91 @@ func replaySegment(path string, base uint64) ([]Record, int64, error) {
 		if err := json.Unmarshal(payload, &r); err != nil || r.Epoch != next || r.Delta == nil {
 			break
 		}
-		if err := fault.Hit(fault.WALReplay); err != nil {
-			return nil, 0, fmt.Errorf("wal: replay %s epoch %d: %w", path, r.Epoch, err)
-		}
 		records = append(records, r)
 		off += frameHeader + int(length)
 		next++
 	}
-	return records, int64(len(data) - off), nil
+	return records, int64(len(data) - off)
 }
 
-// rewriteSegment writes the active segment from scratch via temp file +
-// rename, leaving l.f positioned for appends. Caller holds no lock yet
-// (Open) or the mutex (never — only Open and checkpoint rotation call it,
-// both while the Log is not shared).
-func (l *Log) rewriteSegment(records []Record) error {
-	final := filepath.Join(l.dir, segmentName(l.base))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// commit writes name atomically: write to a temp file, fsync, close,
+// rename over name, fsync the directory. Before the rename an error
+// removes the temp file and leaves name as it was. A failed directory
+// sync leaves unknown which of the two names a power cut keeps, so it
+// turns the Log broken. Called with the mutex held or before the Log is
+// shared.
+func (l *Log) commit(name string, write func(io.Writer) error) error {
+	tmp := name + ".tmp"
+	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
 	if err != nil {
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:8], segmentMagic)
-	binary.LittleEndian.PutUint64(hdr[8:16], l.base)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	size := int64(headerSize)
-	for i := range records {
-		frame, err := encodeFrame(&records[i])
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: rewrite segment: %w", err)
-		}
-		size += int64(len(frame))
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
 		return err
 	}
-	af, err := os.OpenFile(final, os.O_WRONLY|os.O_APPEND, 0o644)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = l.fs.Rename(tmp, name)
+	}
+	if err != nil {
+		_ = l.fs.Remove(tmp) // best effort: Open deletes every *.tmp
+		return err
+	}
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		l.broken = err
+		return fmt.Errorf("sync dir: %w", err)
+	}
+	return nil
+}
+
+// rewriteSegment commits the active segment from scratch, header and
+// records in one write, and reopens it for appends.
+func (l *Log) rewriteSegment(records []Record) error {
+	final := filepath.Join(l.dir, segmentName(l.base))
+	buf := make([]byte, headerSize)
+	copy(buf, segmentMagic)
+	binary.LittleEndian.PutUint64(buf[8:], l.base)
+	for i := range records {
+		buf = append(buf, encodeFrame(&records[i])...)
+	}
+	if err := l.commit(final, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	}); err != nil {
+		return fmt.Errorf("wal: rewrite segment: %w", err)
+	}
+	af, err := l.fs.OpenFile(final, os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return fmt.Errorf("wal: reopen segment: %w", err)
 	}
 	if l.f != nil {
 		_ = l.f.Close()
 	}
-	l.f, l.path, l.size = af, final, size
+	l.f, l.path, l.size = af, final, int64(len(buf))
 	return nil
 }
 
-func encodeFrame(r *Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encode record: %w", err)
-	}
-	if len(payload) > maxRecordBytes {
-		return nil, fmt.Errorf("wal: record for epoch %d exceeds %d bytes", r.Epoch, maxRecordBytes)
-	}
+// encodeFrame frames r. A Record holds only integers, strings and slices
+// of them, which json.Marshal always encodes.
+func encodeFrame(r *Record) []byte {
+	payload, _ := json.Marshal(r)
 	frame := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[frameHeader:], payload)
-	return frame, nil
+	return frame
 }
 
 // Append durably logs rec: frame, write, fsync. It returns only after
 // the record is on stable storage — the caller must not publish the
 // epoch before Append returns nil. rec.Epoch must be exactly one past
-// the last durable epoch. On a failed write the segment is rolled back
-// to its pre-append length; if even that fails the Log turns sticky
-// errBroken, refusing further appends until the process recovers.
+// the last durable epoch. On a failed write or fsync the segment is
+// truncated back to its pre-append length; if even that fails the Log
+// turns sticky errBroken, refusing further appends until a Checkpoint
+// succeeds or the process recovers.
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -368,20 +431,10 @@ func (l *Log) Append(rec Record) error {
 	if rec.Epoch != l.last+1 {
 		return fmt.Errorf("wal: append epoch %d does not follow durable epoch %d", rec.Epoch, l.last)
 	}
-	if err := fault.Hit(fault.WALAppend); err != nil {
-		return fmt.Errorf("wal: append epoch %d: %w", rec.Epoch, err)
-	}
-	frame, err := encodeFrame(&rec)
-	if err != nil {
-		return err
-	}
+	frame := encodeFrame(&rec)
 	if _, err := l.f.Write(frame); err != nil {
 		l.rollback()
 		return fmt.Errorf("wal: append epoch %d: %w", rec.Epoch, err)
-	}
-	if err := fault.Hit(fault.WALFsync); err != nil {
-		l.rollback()
-		return fmt.Errorf("wal: fsync epoch %d: %w", rec.Epoch, err)
 	}
 	if err := l.f.Sync(); err != nil {
 		l.rollback()
@@ -393,25 +446,28 @@ func (l *Log) Append(rec Record) error {
 }
 
 // rollback truncates a half-written frame so the next Append starts from
-// a clean tail; recovery would drop the torn frame anyway, this just
-// keeps the running process consistent too. Called with the mutex held.
+// a clean tail (the segment is opened O_APPEND, so no seek is needed);
+// recovery would drop the torn frame anyway, this just keeps the running
+// process consistent too. Called with the mutex held.
 func (l *Log) rollback() {
 	if err := l.f.Truncate(l.size); err != nil {
-		l.broken = err
-		return
-	}
-	if _, err := l.f.Seek(l.size, io.SeekStart); err != nil {
 		l.broken = err
 	}
 }
 
 // Checkpoint snapshots the state at epoch through write, commits it
 // atomically, rotates a fresh segment based at epoch, and deletes the
-// superseded checkpoint and segment. epoch must be at least the current
-// base; epochs ahead of the last durable record are allowed — that is
-// how snapshot-driven transitions (resync, index reload) re-anchor the
-// chain. On any error the previous checkpoint and segment remain the
-// recovery chain.
+// superseded checkpoint and segment. epoch must be at least the last
+// durable one; epochs ahead of it are allowed — that is how
+// snapshot-driven transitions (resync, index reload) re-anchor the
+// chain. An error means the checkpoint did not commit, and the previous
+// checkpoint and segment remain the recovery chain. The one exception is
+// a failed directory sync after the rename, which leaves unknown what a
+// power cut keeps (at an equal epoch the new checkpoint has replaced the
+// old one); the Log then refuses appends until a Checkpoint succeeds.
+// Once the commit is durable Checkpoint returns nil even if the segment
+// rotation behind it fails: the Log refuses appends until the next
+// successful Checkpoint, and recovery redoes the rotation.
 func (l *Log) Checkpoint(epoch uint64, write func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -422,36 +478,13 @@ func (l *Log) Checkpoint(epoch uint64, write func(io.Writer) error) error {
 		return fmt.Errorf("wal: checkpoint epoch %d behind durable epoch %d", epoch, l.last)
 	}
 	final := filepath.Join(l.dir, checkpointName(epoch))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := l.commit(final, write); err != nil {
+		if epoch != l.base {
+			// The chain still ends at l.base: take the new name out so
+			// recovery cannot pick it should the rename have happened.
+			_ = l.fs.Remove(final)
+		}
 		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint snapshot: %w", err)
-	}
-	if ferr := fault.Hit(fault.WALFsync); ferr != nil {
-		f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint fsync: %w", ferr)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return err
 	}
 
 	// The checkpoint is committed; everything from here is rotation and
@@ -459,26 +492,18 @@ func (l *Log) Checkpoint(epoch uint64, write func(io.Writer) error) error {
 	oldBase, oldPath := l.base, l.path
 	l.base, l.last = epoch, epoch
 	if err := l.rewriteSegment(nil); err != nil {
-		// The new checkpoint stands; the stale segment stays until the
-		// next successful Open or Checkpoint. Appends can no longer trust
-		// the active file, so turn sticky.
+		// The stale segment stays until the next successful Open or
+		// Checkpoint, and appends can no longer trust the active file.
 		l.broken = err
-		return err
+		return nil
 	}
 	if oldBase != epoch {
 		// At an equal epoch both names are the ones just written.
-		_ = os.Remove(oldPath)
-		_ = os.Remove(filepath.Join(l.dir, checkpointName(oldBase)))
+		_ = l.fs.Remove(oldPath)
+		_ = l.fs.Remove(filepath.Join(l.dir, checkpointName(oldBase)))
 	}
 	l.broken = nil
 	return nil
-}
-
-// LastEpoch reports the newest durable epoch (checkpoint or record).
-func (l *Log) LastEpoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.last
 }
 
 // Close releases the active segment handle. Idempotent.
@@ -489,25 +514,5 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.f != nil {
-		return l.f.Close()
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so renames within it are durable. On
-// platforms where directories cannot be fsynced the error is ignored —
-// the rename itself is still atomic.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: sync dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, errors.ErrUnsupported) {
-		// Some filesystems refuse directory fsync; treat EINVAL-class
-		// failures as best-effort rather than fatal.
-		return nil
-	}
-	return nil
+	return l.f.Close()
 }

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"kpj/internal/fault"
 	"kpj/internal/graph"
 )
 
@@ -33,6 +32,16 @@ func mustOpen(t *testing.T, dir string) (*Log, *Recovery) {
 	l, rec, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l, rec
+}
+
+func mustOpenFS(t *testing.T, fsys FS, dir string) (*Log, *Recovery) {
+	t.Helper()
+	l, rec, err := OpenFS(fsys, dir)
+	if err != nil {
+		t.Fatalf("OpenFS(%s): %v", dir, err)
 	}
 	t.Cleanup(func() { l.Close() })
 	return l, rec
@@ -68,9 +77,6 @@ func TestAppendReopenReplay(t *testing.T) {
 		}
 		want = append(want, r)
 	}
-	if l.LastEpoch() != 5 {
-		t.Fatalf("LastEpoch = %d", l.LastEpoch())
-	}
 	l.Close()
 
 	_, rec2 := mustOpen(t, dir)
@@ -93,6 +99,9 @@ func TestAppendEpochContract(t *testing.T) {
 	}
 	if err := l.Append(testRecord(3)); err == nil {
 		t.Fatal("epoch-gap append succeeded")
+	}
+	if err := l.Checkpoint(0, func(io.Writer) error { return nil }); err == nil {
+		t.Fatal("checkpoint behind the durable epoch succeeded")
 	}
 }
 
@@ -182,10 +191,7 @@ func TestEpochGapTreatedAsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hand-craft a frame for epoch 5 (valid CRC, wrong epoch).
-	frame, err := encodeFrame(&Record{Epoch: 5, Delta: testDelta(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := encodeFrame(&Record{Epoch: 5, Delta: testDelta(5)})
 	l.Close()
 	seg := filepath.Join(dir, segmentName(0))
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -339,6 +345,12 @@ func TestTmpFilesCleanedOnOpen(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Names that only look like a checkpoint or segment are not read.
+	for _, name := range []string{"checkpoint-7.ckpt", "wal-zzzzzzzzzzzzzzzz.log"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("foreign"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	_, rec := mustOpen(t, dir)
 	if rec.CheckpointPath != "" || len(rec.Records) != 1 {
 		t.Fatalf("tmp checkpoint leaked into recovery: %+v", rec)
@@ -348,55 +360,39 @@ func TestTmpFilesCleanedOnOpen(t *testing.T) {
 	}
 }
 
+// TestFaultPoints: a failed write or fsync fails the append and leaves
+// no trace, so the same epoch appends cleanly; a segment that cannot be
+// read fails recovery.
 func TestFaultPoints(t *testing.T) {
-	t.Run("append", func(t *testing.T) {
-		dir := t.TempDir()
-		l, _ := mustOpen(t, dir)
-		fault.Install(fault.New().Add(fault.Rule{Point: fault.WALAppend}))
-		defer fault.Install(nil)
-		if err := l.Append(testRecord(1)); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("append under fault = %v", err)
-		}
-		fault.Install(nil)
-		// The failed append left no trace: the same epoch appends cleanly.
-		if err := l.Append(testRecord(1)); err != nil {
-			t.Fatal(err)
-		}
-		l.Close()
-		_, rec := mustOpen(t, dir)
-		if len(rec.Records) != 1 {
-			t.Fatalf("recovered %d records", len(rec.Records))
-		}
-	})
-	t.Run("fsync", func(t *testing.T) {
-		dir := t.TempDir()
-		l, _ := mustOpen(t, dir)
-		fault.Install(fault.New().Add(fault.Rule{Point: fault.WALFsync}))
-		defer fault.Install(nil)
-		if err := l.Append(testRecord(1)); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("append under fsync fault = %v", err)
-		}
-		fault.Install(nil)
-		// The torn frame was rolled back; the log is still appendable and
-		// recovery sees only what later succeeded.
-		if err := l.Append(testRecord(1)); err != nil {
-			t.Fatalf("append after rollback: %v", err)
-		}
-		l.Close()
-		_, rec := mustOpen(t, dir)
-		sameRecords(t, rec.Records, []Record{testRecord(1)}, "post-rollback")
-	})
+	const dir = "/wal"
+	for _, op := range []string{"write", "sync"} {
+		t.Run(map[string]string{"write": "append", "sync": "fsync"}[op], func(t *testing.T) {
+			fsys := newMemFS()
+			l, _ := mustOpenFS(t, fsys, dir)
+			fsys.failOnce(op, ".log")
+			if err := l.Append(testRecord(1)); !errors.Is(err, errDisk) {
+				t.Fatalf("append under a failed %s = %v", op, err)
+			}
+			// The torn frame was rolled back; the log is still appendable
+			// and recovery sees only what later succeeded.
+			if err := l.Append(testRecord(1)); err != nil {
+				t.Fatalf("append after rollback: %v", err)
+			}
+			l.Close()
+			_, rec := mustOpenFS(t, fsys, dir)
+			sameRecords(t, rec.Records, []Record{testRecord(1)}, "post-rollback")
+		})
+	}
 	t.Run("replay", func(t *testing.T) {
-		dir := t.TempDir()
-		l, _ := mustOpen(t, dir)
+		fsys := newMemFS()
+		l, _ := mustOpenFS(t, fsys, dir)
 		if err := l.Append(testRecord(1)); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()
-		fault.Install(fault.New().Add(fault.Rule{Point: fault.WALReplay}))
-		defer fault.Install(nil)
-		if _, _, err := Open(dir); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("Open under replay fault = %v", err)
+		fsys.failOnce("read", ".log")
+		if _, _, err := OpenFS(fsys, dir); !errors.Is(err, errDisk) {
+			t.Fatalf("Open over an unreadable segment = %v", err)
 		}
 	})
 }

@@ -178,8 +178,8 @@ type Healthz struct {
 	Draining    bool   `json:"draining"`
 }
 
-// MountMetrics serves reg on GET /metrics (Prometheus text) and GET
-// /debug/vars (flat JSON). A nil registry mounts nothing.
+// MountMetrics serves reg on GET /metrics (Prometheus text). A nil
+// registry mounts nothing.
 func MountMetrics(mux *http.ServeMux, reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -187,9 +187,5 @@ func MountMetrics(mux *http.ServeMux, reg *obs.Registry) {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.WriteJSON(w)
 	})
 }

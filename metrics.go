@@ -6,8 +6,8 @@ import (
 )
 
 // MetricsRegistry collects the library's counters, gauges, and histograms
-// and renders them in Prometheus text format (WritePrometheus) or as a
-// flat JSON object (WriteJSON). Registries are safe for concurrent use;
+// and renders them in Prometheus text format (WritePrometheus).
+// Registries are safe for concurrent use;
 // metric updates are lock-free atomic operations. A nil registry — and
 // every metric created from one — is valid and records nothing, so
 // instrumented code needs no "is observability on" branches.

@@ -61,8 +61,9 @@ type BatchResult struct {
 // opt.Context applies per query — every in-flight query stops within a
 // few hundred heap pops of cancellation with partial results — and to
 // scheduling: once the context is done, queries not yet started are not
-// run at all and report an ErrCanceled-wrapping error. A context that is
-// already done returns immediately without launching workers.
+// run at all and report a *TruncatedError with no paths wrapping
+// ErrCanceled, as a query canceled before its first pop does. A context
+// that is already done returns immediately without launching workers.
 // Options.Budget, in contrast, is a fresh per-query allowance.
 func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []BatchResult {
 	results := make([]BatchResult, len(queries))
@@ -83,9 +84,11 @@ func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []Bat
 	if opt != nil && opt.Trace != nil {
 		traces = make([]bytes.Buffer, len(queries))
 	}
-	skipErr := func() error {
-		return fmt.Errorf("%w: batch item not started: %v",
-			ErrCanceled, context.Cause(copt.Context))
+	// An item the context stops before it starts is truncated with no
+	// paths, as a pre-canceled TopKJoinSets is.
+	skip := func(r *BatchResult) {
+		r.Paths, r.Err = finishQuery(nil, fmt.Errorf("%w: batch item not started: %v",
+			ErrCanceled, context.Cause(copt.Context)))
 	}
 	done := func() bool {
 		if copt.Context == nil {
@@ -101,7 +104,7 @@ func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []Bat
 	if done() {
 		// Already canceled: report every item without launching workers.
 		for i := range results {
-			results[i].Err = skipErr()
+			skip(&results[i])
 		}
 		return results
 	}
@@ -150,7 +153,7 @@ func (g *Graph) Batch(queries []BatchQuery, parallelism int, opt *Options) []Bat
 				if done() {
 					// Stop scheduling: mark remaining items canceled
 					// without paying for their searches.
-					results[i].Err = skipErr()
+					skip(&results[i])
 					continue
 				}
 				bq := queries[i]

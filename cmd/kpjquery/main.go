@@ -3,6 +3,12 @@
 // whatever the file carries (kpjindex -landmarks 0 writes none, and the
 // query then runs the no-landmark variants).
 //
+// The query is the one the server's /query takes, less its target,
+// budget and timeout: exactly one of -source and -source-category, a
+// -category, -k, -alg (empty selects the default) and -alpha. Every rule
+// on their values is the library's; a query it refuses exits 1 with its
+// error.
+//
 // Usage:
 //
 //	kpjquery -flat sj.kpjflat -source 42 -category T2 -k 5
@@ -10,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -20,23 +28,18 @@ import (
 )
 
 func main() {
-	flatPath := flag.String("flat", "", "flat graph+categories+index file from kpjindex (required)")
-	source := flag.Int("source", -1, "source node id (KPJ/KSP)")
-	sourceCat := flag.String("source-category", "", "source category (GKPJ)")
-	category := flag.String("category", "", "destination category (required)")
-	k := flag.Int("k", 10, "number of paths")
-	alg := flag.String("alg", kpj.IterBoundSPTI.String(), "algorithm: "+algoNames())
-	alpha := flag.Float64("alpha", 1.1, "tau growth factor")
-	trace := flag.Bool("trace", false, "print an EXPLAIN-style engine trace to stderr")
-	spans := flag.Bool("spans", false, "print the query's phase timeline (EXPLAIN ANALYZE) as JSON to stderr")
-	metrics := flag.Bool("metrics", false, "print engine metrics in Prometheus text format to stderr")
-	flag.Parse()
-
-	if err := run(*flatPath, *source, *sourceCat, *category, *k, *alg, *alpha, *trace, *spans, *metrics); err != nil {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "kpjquery: %v\n", err)
 		os.Exit(1)
 	}
 }
+
+// errFlags is run's answer to a command line the flag set refused and
+// has already reported.
+var errFlags = errors.New("kpjquery: bad flags")
 
 // algoNames lists the algorithm names in kpj.Algorithms order.
 func algoNames() string {
@@ -47,49 +50,72 @@ func algoNames() string {
 	return strings.Join(names, ", ")
 }
 
-func run(flatPath string, source int, sourceCat, category string, k int, alg string, alpha float64, trace, spans, metrics bool) error {
-	if flatPath == "" || category == "" {
+// run parses args, runs the query, and prints the paths to stdout and
+// the trace, spans and metrics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("kpjquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	flatPath := fs.String("flat", "", "flat graph+categories+index file from kpjindex (required)")
+	source := fs.Int("source", 0, "source node id (KPJ/KSP)")
+	sourceCat := fs.String("source-category", "", "source category (GKPJ)")
+	category := fs.String("category", "", "destination category (required)")
+	k := fs.Int("k", 10, "number of paths")
+	alg := fs.String("alg", kpj.IterBoundSPTI.String(), "algorithm: "+algoNames())
+	alpha := fs.Float64("alpha", 1.1, "tau growth factor")
+	trace := fs.Bool("trace", false, "print an EXPLAIN-style engine trace to stderr")
+	spans := fs.Bool("spans", false, "print the query's phase timeline (EXPLAIN ANALYZE) as JSON to stderr")
+	metrics := fs.Bool("metrics", false, "print engine metrics in Prometheus text format to stderr")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errFlags
+	}
+	sourceGiven := false
+	fs.Visit(func(f *flag.Flag) { sourceGiven = sourceGiven || f.Name == "source" })
+
+	if *flatPath == "" || *category == "" {
 		return fmt.Errorf("-flat and -category are required")
 	}
-	algo, err := kpj.ParseAlgorithm(alg)
-	// The flag has a default, so an explicit -alg "" is refused rather
-	// than read as ParseAlgorithm's default.
-	if err != nil || alg == "" {
-		return fmt.Errorf("unknown algorithm %q (want one of %s)", alg, algoNames())
+	if sourceGiven == (*sourceCat != "") {
+		return fmt.Errorf("give exactly one of -source or -source-category")
+	}
+	if int(kpj.NodeID(*source)) != *source {
+		return fmt.Errorf("bad -source %d", *source)
+	}
+	algo, err := kpj.ParseAlgorithm(*alg)
+	if err != nil {
+		return fmt.Errorf("%w (want one of %s)", err, algoNames())
 	}
 
 	start := time.Now()
-	g, ix, _, err := kpj.OpenFlat(flatPath, false)
+	g, ix, _, err := kpj.OpenFlat(*flatPath, false)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph: %d nodes, %d edges, categories %v\n", g.NumNodes(), g.NumEdges(), g.Categories())
+	fmt.Fprintf(stdout, "graph: %d nodes, %d edges, categories %v\n", g.NumNodes(), g.NumEdges(), g.Categories())
 	if ix != nil {
-		fmt.Printf("index: %d landmarks, %d bytes, loaded with the graph in %v\n", ix.Count(), ix.SizeBytes(), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "index: %d landmarks, %d bytes, loaded with the graph in %v\n", ix.Count(), ix.SizeBytes(), time.Since(start).Round(time.Millisecond))
 	}
 
-	opt := &kpj.Options{Algorithm: algo, Alpha: alpha, Index: ix, Stats: &kpj.Stats{}}
-	if trace {
-		opt.Trace = os.Stderr
+	opt := &kpj.Options{Algorithm: algo, Alpha: *alpha, Index: ix, Stats: &kpj.Stats{}}
+	if *trace {
+		opt.Trace = stderr
 	}
-	if spans {
+	if *spans {
 		opt.Spans = kpj.NewSpans()
 	}
 	var reg *kpj.MetricsRegistry
-	if metrics {
+	if *metrics {
 		reg = kpj.NewMetricsRegistry()
 		kpj.EnableMetrics(reg)
 		defer kpj.EnableMetrics(nil)
 	}
 	var paths []kpj.Path
 	start = time.Now()
-	switch {
-	case sourceCat != "":
-		paths, err = g.TopKCategoryJoin(sourceCat, category, k, opt)
-	case source >= 0:
-		paths, err = g.TopKJoin(kpj.NodeID(source), category, k, opt)
-	default:
-		return fmt.Errorf("one of -source or -source-category is required")
+	if sourceGiven {
+		paths, err = g.TopKJoin(kpj.NodeID(*source), *category, *k, opt)
+	} else {
+		paths, err = g.TopKCategoryJoin(*sourceCat, *category, *k, opt)
 	}
 	if err != nil {
 		return err
@@ -97,19 +123,19 @@ func run(flatPath string, source int, sourceCat, category string, k int, alg str
 	elapsed := time.Since(start)
 
 	for i, p := range paths {
-		fmt.Printf("P%-3d length=%-10d nodes=%v\n", i+1, p.Length, p.Nodes)
+		fmt.Fprintf(stdout, "P%-3d length=%-10d nodes=%v\n", i+1, p.Length, p.Nodes)
 	}
-	fmt.Printf("%d paths in %v (%s, alpha=%.2f)  stats: %+v\n",
-		len(paths), elapsed.Round(time.Microsecond), alg, alpha, *opt.Stats)
+	fmt.Fprintf(stdout, "%d paths in %v (%s, alpha=%.2f)  stats: %+v\n",
+		len(paths), elapsed.Round(time.Microsecond), algo, *alpha, *opt.Stats)
 	if opt.Spans != nil {
-		fmt.Fprintln(os.Stderr, "phase timeline:")
-		if err := opt.Spans.WriteJSON(os.Stderr); err != nil {
+		fmt.Fprintln(stderr, "phase timeline:")
+		if err := opt.Spans.WriteJSON(stderr); err != nil {
 			return err
 		}
 	}
 	if reg != nil {
-		fmt.Fprintln(os.Stderr, "metrics:")
-		if err := reg.WritePrometheus(os.Stderr); err != nil {
+		fmt.Fprintln(stderr, "metrics:")
+		if err := reg.WritePrometheus(stderr); err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,7 @@
 //	GET  /healthz
 //	GET  /categories
 //	GET  /query?source=42&category=T2&k=5[&alg=IterBoundI][&alpha=1.1][&budget=100000][&stats=1]
-//	POST /batch   with a JSON array of {sources|sourceCategory, targets|category, k}
+//	POST /batch   with a JSON array of objects taking /query's parameters
 //	POST /update  with a JSON delta {setWeights, inserts, deletes, addPOIs, removePOIs}
 //
 // Queries that exceed -timeout or -budget return the paths found so far

@@ -67,15 +67,6 @@ func (t *pseudoTree) ExcludedHas(u VertexID, v graph.NodeID) bool {
 	return false
 }
 
-// ExcludedLen returns |X_u|.
-func (t *pseudoTree) ExcludedLen(u VertexID) int {
-	n := 0
-	for s := t.kidHead[u]; s >= 0; s = t.kidNext[s] {
-		n++
-	}
-	return n
-}
-
 // PrefixNodes calls visit for every space node on the root→u tree path,
 // from u back to the root (u itself included). Like Space.expand's yield,
 // visit is only called, never stored, so callers' closures stay off the heap.
@@ -97,12 +88,6 @@ func (t *pseudoTree) AppendPrefixPath(dst []graph.NodeID, u VertexID) []graph.No
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return dst
-}
-
-// PrefixPath returns the root→u node sequence in forward order as a fresh
-// slice. Hot paths use AppendPrefixPath with a reused buffer instead.
-func (t *pseudoTree) PrefixPath(u VertexID) []graph.NodeID {
-	return t.AppendPrefixPath(nil, u)
 }
 
 // InsertSuffix records an output path that deviates from the tree at

@@ -115,7 +115,7 @@ func prepare(g *graph.Graph, q Query, opt *Options, needAlpha bool) (*Workspace,
 	if opt.Alpha == 0 {
 		opt.Alpha = defaultAlpha
 	}
-	if needAlpha && opt.Alpha <= 1 {
+	if needAlpha && !(opt.Alpha > 1) { // NaN too
 		return nil, fmt.Errorf("%w: %v", ErrBadAlpha, opt.Alpha)
 	}
 	n := g.NumNodes() + 2

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"kpj/internal/graph"
@@ -27,6 +28,7 @@ func TestValidationErrors(t *testing.T) {
 		{"source range", Query{Sources: []graph.NodeID{99}, Targets: base.Targets, K: 1}, Options{}, graph.ErrNodeRange},
 		{"target range", Query{Sources: base.Sources, Targets: []graph.NodeID{-1}, K: 1}, Options{}, graph.ErrNodeRange},
 		{"bad alpha", base, Options{Alpha: 0.5}, ErrBadAlpha},
+		{"NaN alpha", base, Options{Alpha: math.NaN()}, ErrBadAlpha},
 		{"small workspace", base, Options{Workspace: NewWorkspace(3)}, errWorkspace},
 	}
 	for _, tt := range tests {

@@ -94,10 +94,6 @@ func stampMembers(stamp []uint32, epoch uint32, nodes []graph.NodeID) ([]uint32,
 	return stamp, epoch
 }
 
-// RootMembers returns the expansion set of a virtual root (nil when the
-// root is physical). The slice must not be modified.
-func (sp *Space) RootMembers() []graph.NodeID { return sp.rootMembers }
-
 // expand calls yield(to, w) for every outgoing space edge of v, in
 // deterministic order. The goal node never expands: paths end there (a
 // physical goal's further graph edges can only produce non-simple

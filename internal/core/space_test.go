@@ -83,8 +83,8 @@ func TestForwardSpaceVirtualSource(t *testing.T) {
 	if len(exp) != 2 || exp[testgraphs.V1] != 0 || exp[testgraphs.V9] != 0 {
 		t.Fatalf("virtual root expansion = %v", exp)
 	}
-	if got := sp.RootMembers(); len(got) != 2 {
-		t.Fatalf("RootMembers = %v", got)
+	if got := sp.rootMembers; len(got) != 2 {
+		t.Fatalf("rootMembers = %v", got)
 	}
 }
 
@@ -137,6 +137,15 @@ func TestMaterializeReverse(t *testing.T) {
 	}
 }
 
+// excludedLen returns |X_u|, counted over u's tree child edges.
+func excludedLen(t *pseudoTree, u VertexID) int {
+	n := 0
+	for s := t.kidHead[u]; s >= 0; s = t.kidNext[s] {
+		n++
+	}
+	return n
+}
+
 func TestPseudoTreeInsertAndExclude(t *testing.T) {
 	pt := newPseudoTree(100)
 	if pt.Len() != 1 || pt.Node(0) != 100 || pt.Parent(0) != -1 || pt.PrefixLen(0) != 0 {
@@ -154,18 +163,18 @@ func TestPseudoTreeInsertAndExclude(t *testing.T) {
 	if pt.Node(first+1) != 7 || pt.PrefixLen(first+1) != 6 || pt.Parent(first+1) != first {
 		t.Fatal("second suffix vertex wrong")
 	}
-	if !pt.ExcludedHas(0, 5) || pt.ExcludedHas(0, 9) || pt.ExcludedLen(0) != 1 {
+	if !pt.ExcludedHas(0, 5) || pt.ExcludedHas(0, 9) || excludedLen(pt, 0) != 1 {
 		t.Fatalf("root exclusions: has5=%v has9=%v len=%d, want [5]",
-			pt.ExcludedHas(0, 5), pt.ExcludedHas(0, 9), pt.ExcludedLen(0))
+			pt.ExcludedHas(0, 5), pt.ExcludedHas(0, 9), excludedLen(pt, 0))
 	}
 	// Insert a second path deviating at the root: 100→9.
 	pt.InsertSuffix(0, []graph.NodeID{9}, []graph.Weight{4})
-	if !pt.ExcludedHas(0, 5) || !pt.ExcludedHas(0, 9) || pt.ExcludedLen(0) != 2 {
-		t.Fatalf("root exclusions len=%d, want [5 9]", pt.ExcludedLen(0))
+	if !pt.ExcludedHas(0, 5) || !pt.ExcludedHas(0, 9) || excludedLen(pt, 0) != 2 {
+		t.Fatalf("root exclusions len=%d, want [5 9]", excludedLen(pt, 0))
 	}
 	// Prefix path of the deep vertex.
-	if p := pt.PrefixPath(first + 1); len(p) != 3 || p[0] != 100 || p[1] != 5 || p[2] != 7 {
-		t.Fatalf("PrefixPath = %v", p)
+	if p := pt.AppendPrefixPath(nil, first+1); len(p) != 3 || p[0] != 100 || p[1] != 5 || p[2] != 7 {
+		t.Fatalf("AppendPrefixPath(nil) = %v", p)
 	}
 	// AppendPrefixPath reuses the destination buffer in place.
 	buf := make([]graph.NodeID, 0, 8)
@@ -180,8 +189,8 @@ func TestPseudoTreeInsertAndExclude(t *testing.T) {
 	}
 	// Reset drops every vertex but keeps the root usable.
 	pt.Reset(42)
-	if pt.Len() != 1 || pt.Node(0) != 42 || pt.ExcludedLen(0) != 0 {
-		t.Fatalf("after Reset: Len=%d Node=%d excl=%d", pt.Len(), pt.Node(0), pt.ExcludedLen(0))
+	if pt.Len() != 1 || pt.Node(0) != 42 || excludedLen(pt, 0) != 0 {
+		t.Fatalf("after Reset: Len=%d Node=%d excl=%d", pt.Len(), pt.Node(0), excludedLen(pt, 0))
 	}
 }
 

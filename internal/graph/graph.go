@@ -199,16 +199,6 @@ func (g *Graph) Categories() []string {
 	return out
 }
 
-// InCategory reports whether node v belongs to the named category.
-func (g *Graph) InCategory(name string, v NodeID) bool {
-	nodes, ok := g.categories[name]
-	if !ok {
-		return false
-	}
-	i := sort.Search(len(nodes), func(i int) bool { return nodes[i] >= v })
-	return i < len(nodes) && nodes[i] == v
-}
-
 // Builder accumulates edges and produces an immutable Graph.
 // The zero value is not usable; create one with NewBuilder.
 type Builder struct {

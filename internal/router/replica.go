@@ -132,7 +132,7 @@ func (rt *Router) probe(ctx context.Context, rp *replica) {
 		rt.scheduleResync(rp)
 		return
 	}
-	rt.noteSuccess(rp, gen.FP)
+	rt.noteSuccess(rp)
 }
 
 // fetchReadyz reads a replica's readiness and generation from /readyz.
@@ -178,16 +178,12 @@ func (rt *Router) noteFailure(rp *replica, err error) {
 	}
 }
 
-// noteSuccess records a clean probe: the fingerprint refreshes, the
-// failure streak resets, and the replica is up.
-func (rt *Router) noteSuccess(rp *replica, fp uint64) {
+// noteSuccess records a clean probe: the failure streak resets, and the
+// replica is up.
+func (rt *Router) noteSuccess(rp *replica) {
 	rp.mu.Lock()
 	rp.fails = 0
 	rp.mu.Unlock()
-	if fp != 0 {
-		rp.fp.Store(fp)
-		rt.fp.Store(fp)
-	}
 	rt.met.probes.Inc()
 	rt.setState(rp, stateHealthy, nil)
 }

@@ -69,8 +69,6 @@ type Config struct {
 	RetryBudget    int           // retry token bucket capacity; default 64
 	RequestTimeout time.Duration // per proxied attempt; default 30s, < 0 disables
 
-	MaxUpdateBytes int64 // POST /update body cap; default wire.MaxBodyBytes
-
 	Seed      int64             // probe-jitter seed; fixed seed => reproducible schedule
 	Clock     Clock             // default: wall clock
 	Transport http.RoundTripper // default: a private http.Transport
@@ -93,7 +91,6 @@ type Router struct {
 	reps  []*replica
 	rotor atomic.Uint64
 
-	fp     atomic.Uint64 // latest index fingerprint reported by any ready replica
 	lat    latencyTracker
 	budget atomic.Int64 // retry tokens × tokenScale
 
@@ -152,9 +149,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.MaxUpdateBytes <= 0 {
-		cfg.MaxUpdateBytes = wire.MaxBodyBytes
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = realClock{}
@@ -262,7 +256,7 @@ func (rt *Router) handleCategories(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports the router's own view: per-replica state, the
-// serving fingerprint, and the live hedge threshold.
+// fleet generation, and the live hedge threshold.
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	replicas := map[string]any{}
 	routable := 0
@@ -280,11 +274,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if routable == 0 {
 		status = "no routable replicas"
 	}
+	fleet := rt.fleetSnapshot()
 	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      status,
 		"replicas":    replicas,
-		"epoch":       rt.fleetSnapshot().Epoch,
-		"fingerprint": wire.FormatFP(rt.fp.Load()),
+		"epoch":       fleet.Epoch,
+		"fingerprint": fleet.Fingerprint(),
 		"hedgeMicros": rt.hedgeDelay().Microseconds(),
 	})
 }

@@ -64,7 +64,7 @@ type updateOutcome struct {
 }
 
 func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	body, ok := wire.ReadBody(w, r, rt.cfg.MaxUpdateBytes)
+	body, ok := wire.ReadBody(w, r, wire.MaxBodyBytes)
 	if !ok {
 		return
 	}

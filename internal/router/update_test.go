@@ -113,13 +113,13 @@ func TestUpdateFanoutAppliesEverywhere(t *testing.T) {
 // typed and never reaches the replicas.
 func TestUpdateFanoutRejectsBadBodies(t *testing.T) {
 	fixtures := newFixtures(t, 1, nil)
-	rt := newTestRouter(t, fixtures, func(c *Config) { c.MaxUpdateBytes = 48 })
+	rt := newTestRouter(t, fixtures, nil)
 	waitReady(t, rt)
 
 	if rec, _ := routerPost(t, rt, "/update", "  "); rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty body: %d", rec.Code)
 	}
-	rec, _ := routerPost(t, rt, "/update", `{"setWeights":[{"u":0,"v":1,"w":4},{"u":1,"v":0,"w":4}]}`)
+	rec, _ := routerPost(t, rt, "/update", `{"setWeights":[`+strings.Repeat(" ", wire.MaxBodyBytes)+`]}`)
 	if rec.Code != http.StatusRequestEntityTooLarge || rec.Header().Get("X-Kpj-Error-Kind") != string(wire.KindTooLarge) {
 		t.Fatalf("oversized body: %d kind %q, want 413 %s", rec.Code, rec.Header().Get("X-Kpj-Error-Kind"), wire.KindTooLarge)
 	}

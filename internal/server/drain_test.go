@@ -48,14 +48,14 @@ func TestReadyzWithoutIndexIsStillReady(t *testing.T) {
 func TestStartDrainingFlipsReadyzAndShedsQueries(t *testing.T) {
 	defer leaktest.Check(t)()
 	s, _ := testServer(t)
-	if s.Draining() {
+	if s.draining.Load() {
 		t.Fatal("fresh server reports draining")
 	}
 
 	s.StartDraining()
 	s.StartDraining() // idempotent
-	if !s.Draining() {
-		t.Fatal("Draining() false after StartDraining")
+	if !s.draining.Load() {
+		t.Fatal("draining false after StartDraining")
 	}
 
 	// /readyz: 503 with the reason and a Retry-After hint.

@@ -4,17 +4,22 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
+	"strconv"
 	"strings"
 	"testing"
+
+	"kpj"
+	"kpj/internal/wire"
 )
 
-// FuzzParseQuery drives the server's query parsing path with arbitrary
-// URL query strings: parsing must never panic, and every accepted query
-// must satisfy the invariants the handlers rely on (non-empty node
-// sets, 1 ≤ k ≤ maxK, alpha > 1 when set, budget > 0 when set).
+// FuzzParseQuery sends arbitrary URL query strings to /query through
+// ServeHTTP. The door answers 200 or a typed 400, never anything else; a
+// 400 arises exactly when the string does not parse (decodeURL, resolve)
+// or the library refuses the query it names (kpj.IsInvalidQuery); and no
+// 200 ran with k outside [1, maxK], a non-positive budget, or α ≤ 1 on an
+// algorithm that uses α.
 func FuzzParseQuery(f *testing.F) {
-	s, _ := testServer(f)
+	s, g := testServer(f)
 
 	seeds := []string{
 		"source=0&target=35",
@@ -33,50 +38,78 @@ func FuzzParseQuery(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	usesAlpha := map[string]bool{"": true, "IterBoundI": true, "IterBoundP": true, "IterBound": true}
 
 	f.Fuzz(func(t *testing.T, raw string) {
-		values, err := url.ParseQuery(raw)
-		if err != nil {
-			return // not a well-formed query string; the mux rejects it earlier
+		req := httptest.NewRequest(http.MethodGet, "/query", nil)
+		req.URL.RawQuery = raw
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+
+		// What the door should say, from the parse and the library alone.
+		values := req.URL.Query()
+		r, parseErr := decodeURL(values)
+		var libErr error
+		if parseErr == nil {
+			var q kpj.BatchQuery
+			var opt kpj.Options
+			if q, opt, parseErr = s.resolve(s.snapshot(), &r); parseErr == nil {
+				_, libErr = g.TopKJoinSets(q.Sources, q.Targets, q.K, &opt)
+			}
 		}
-		withStats := values.Get("stats") == "1"
-		withSpans := values.Get("spans") == "1"
-		p, err := s.parseQuery(s.snapshot(), values.Get, withStats, withSpans)
-		if err != nil {
-			// Rejections must be complete sentences usable in a 400 body.
-			if err.Error() == "" {
-				t.Fatalf("empty error for query %q", raw)
+		invalid := parseErr != nil || kpj.IsInvalidQuery(libErr)
+
+		switch rec.Code {
+		case http.StatusBadRequest:
+			var eb wire.ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" ||
+				eb.Kind != wire.KindBadRequest || rec.Header().Get(wire.HeaderErrorKind) != string(wire.KindBadRequest) {
+				t.Fatalf("query %q: 400 without a typed body: %s", raw, rec.Body)
+			}
+			if !invalid {
+				t.Fatalf("query %q: 400 %s, but it parses and the library accepts it (%v)", raw, eb.Error, libErr)
 			}
 			return
+		case http.StatusOK:
+			if invalid {
+				t.Fatalf("query %q: 200, but parse says %v and the library %v", raw, parseErr, libErr)
+			}
+		default:
+			t.Fatalf("query %q: status %d, want 200 or 400: %s", raw, rec.Code, rec.Body)
 		}
-		if len(p.sources) == 0 || len(p.targets) == 0 {
-			t.Fatalf("accepted query %q with empty node set", raw)
+
+		var resp QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("query %q: undecodable 200: %v", raw, err)
 		}
-		if p.k < 1 || p.k > s.maxK {
-			t.Fatalf("accepted query %q with k=%d outside [1,%d]", raw, p.k, s.maxK)
+		k := 10
+		if ks := values.Get("k"); ks != "" {
+			k, _ = strconv.Atoi(ks)
 		}
-		if p.opt == nil {
-			t.Fatalf("accepted query %q without options", raw)
+		if k < 1 || k > s.maxK || len(resp.Paths) > k {
+			t.Fatalf("query %q: 200 with k=%d outside [1,%d] (%d paths)", raw, k, s.maxK, len(resp.Paths))
 		}
-		if as := values.Get("alpha"); as != "" && p.opt.Alpha <= 1 {
-			t.Fatalf("accepted query %q with alpha=%v", raw, p.opt.Alpha)
+		if bs := values.Get("budget"); bs != "" {
+			if b, _ := strconv.ParseInt(bs, 10, 64); b <= 0 {
+				t.Fatalf("query %q: 200 with budget=%d", raw, b)
+			}
 		}
-		if bs := values.Get("budget"); bs != "" && p.opt.Budget <= 0 {
-			t.Fatalf("accepted query %q with budget=%d", raw, p.opt.Budget)
+		if as := values.Get("alpha"); as != "" && usesAlpha[values.Get("alg")] {
+			// Alpha 0 is the library's default (1.1), not a factor.
+			if a, _ := strconv.ParseFloat(as, 64); a != 0 && !(a > 1) {
+				t.Fatalf("query %q: 200 with alpha=%v on %q", raw, a, values.Get("alg"))
+			}
 		}
-		if withStats != (p.opt.Stats != nil) {
-			t.Fatalf("query %q: stats=%v but Stats=%v", raw, withStats, p.opt.Stats)
+		if withStats := values.Get("stats") == "1"; withStats != (resp.Stats != nil) {
+			t.Fatalf("query %q: stats=%v but the response has stats %v", raw, withStats, resp.Stats)
 		}
-		if withSpans != (p.opt.Spans != nil) {
-			t.Fatalf("query %q: spans=%v but Spans=%v", raw, withSpans, p.opt.Spans)
+		if withSpans := values.Get("spans") == "1"; withSpans != (len(resp.Spans) > 0) {
+			t.Fatalf("query %q: spans=%v but the response has spans %q", raw, withSpans, resp.Spans)
 		}
-		for _, id := range p.sources {
-			if id < 0 || int(id) >= s.snapshot().g.NumNodes() {
-				// Node range is validated by the engine, not the parser;
-				// explicit ids may be out of range here. Categories,
-				// though, must resolve to valid nodes.
-				if strings.TrimSpace(values.Get("sourceCategory")) != "" {
-					t.Fatalf("category query %q yielded out-of-range node %d", raw, id)
+		for _, p := range resp.Paths {
+			for _, v := range p.Nodes {
+				if v < 0 || int(v) >= g.NumNodes() {
+					t.Fatalf("query %q: path through out-of-range node %d", raw, v)
 				}
 			}
 		}

@@ -78,11 +78,11 @@ func (s *Server) reloadIndexLocked(path string) error {
 	return nil
 }
 
-// execQuery runs one parsed query, converting an escaping engine panic
-// into an ErrWorkerPanic error (so the handler answers a typed 500, not
-// the outer recovery's blind one) and exposing the server.handler fault
-// point.
-func (s *Server) execQuery(p queryParams) (paths []kpj.Path, err error) {
+// execQuery runs one resolved query against ep, converting an escaping
+// engine panic into an ErrWorkerPanic error (so the handler answers a
+// typed 500, not the outer recovery's blind one) and exposing the
+// server.handler fault point.
+func (s *Server) execQuery(ep *epochState, q kpj.BatchQuery, opt *kpj.Options) (paths []kpj.Path, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			paths, err = nil, fmt.Errorf("%w: %v", kpj.ErrWorkerPanic, rec)
@@ -91,5 +91,5 @@ func (s *Server) execQuery(p queryParams) (paths []kpj.Path, err error) {
 	if ferr := fault.Hit(fault.ServerHandler); ferr != nil {
 		return nil, ferr
 	}
-	return p.ep.g.TopKJoinSets(p.sources, p.targets, p.k, p.opt)
+	return ep.g.TopKJoinSets(q.Sources, q.Targets, q.K, opt)
 }

@@ -12,11 +12,21 @@
 //	POST /batch         JSON array of queries, answered concurrently
 //	POST /update        apply a kpj.Delta and publish a new serving epoch
 //
-// /query parameters: source (node id) or sourceCategory, plus category
-// (destination) or target (node id); optional k (default 10), alg
-// (IterBoundI, IterBoundP, IterBound, BestFirst, DA, DA-SPT), alpha,
-// budget (per-query work cap; over-budget queries return truncated
-// partial results).
+// A /query URL and each /batch item (a JSON object) take one parameter
+// list, and one function resolves both:
+//
+//	source | sources | sourceCategory   exactly one: a node id, a node id list, a category
+//	target | targets | category         exactly one, likewise
+//	k       number of paths; 10 when absent, at most the server's limit
+//	alg     IterBoundI (default), IterBoundP, IterBound, BestFirst, DA, DA-SPT
+//	alpha   τ growth factor of the IterBound algorithms; 0 or absent = 1.1
+//	budget  positive per-query work cap; over budget, a query returns its
+//	        truncated partial results
+//
+// A URL has no list forms; /query also takes stats=1 and spans=1, and a
+// /batch item with another field is refused. Every other rule is the
+// library's: a query it refuses (kpj.IsInvalidQuery) is a 400 at /query
+// and the item's error at /batch.
 package server
 
 import (
@@ -26,7 +36,9 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -343,9 +355,6 @@ func (s *Server) readiness() (ready bool, reason string) {
 // still answer. Draining is one-way; idempotent.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Draining reports whether StartDraining has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) handleCategories(w http.ResponseWriter, _ *http.Request) {
 	g := s.snapshot().g
 	out := map[string]int{}
@@ -360,109 +369,118 @@ func (s *Server) handleCategories(w http.ResponseWriter, _ *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, out)
 }
 
-// queryParams is the parsed, validated request, pinned to the epoch it
-// was parsed against: category resolution and execution must see the
-// same graph generation.
-type queryParams struct {
-	ep      *epochState
-	sources []kpj.NodeID
-	targets []kpj.NodeID
-	k       int
-	opt     *kpj.Options
+// request is one query as a client gives it: /query's URL parameters and
+// each /batch item decode into it, and resolve checks it the same way for
+// both endpoints.
+type request struct {
+	Source         *kpj.NodeID  `json:"source"`
+	Sources        []kpj.NodeID `json:"sources"`
+	SourceCategory string       `json:"sourceCategory"`
+	Target         *kpj.NodeID  `json:"target"`
+	Targets        []kpj.NodeID `json:"targets"`
+	Category       string       `json:"category"`
+	K              *int         `json:"k"`
+	Alg            string       `json:"alg"`
+	Alpha          float64      `json:"alpha"`
+	Budget         *int64       `json:"budget"`
 }
 
-func (s *Server) parseQuery(ep *epochState, get func(string) string, withStats, withSpans bool) (queryParams, error) {
-	p := queryParams{ep: ep}
-
-	switch srcCat, src := get("sourceCategory"), get("source"); {
-	case srcCat != "" && src != "":
-		return p, fmt.Errorf("give either source or sourceCategory, not both")
-	case srcCat != "":
-		nodes, err := ep.g.Category(srcCat)
+// decodeURL reads a request from /query's URL parameters. A URL names
+// one node per end, so source and target fill the list forms, which have
+// no parameter of their own. It refuses only what does not parse.
+func decodeURL(q url.Values) (request, error) {
+	req := request{SourceCategory: q.Get("sourceCategory"), Category: q.Get("category"), Alg: q.Get("alg")}
+	for _, name := range [...]string{"source", "target", "k", "budget", "alpha"} {
+		s := q.Get(name)
+		if s == "" {
+			continue
+		}
+		var err error
+		switch name {
+		case "source", "target":
+			id, e := strconv.ParseInt(s, 10, 32)
+			if err = e; name == "source" {
+				req.Sources = []kpj.NodeID{kpj.NodeID(id)}
+			} else {
+				req.Targets = []kpj.NodeID{kpj.NodeID(id)}
+			}
+		case "k":
+			k, e := strconv.Atoi(s)
+			req.K, err = &k, e
+		case "budget":
+			budget, e := strconv.ParseInt(s, 10, 64)
+			req.Budget, err = &budget, e
+		default:
+			req.Alpha, err = strconv.ParseFloat(s, 64)
+		}
 		if err != nil {
-			return p, fmt.Errorf("unknown sourceCategory %q", srcCat)
+			return req, fmt.Errorf("bad %s %q", name, s)
 		}
-		p.sources = nodes
-	case src != "":
-		id, err := strconv.ParseInt(src, 10, 32)
-		if err != nil {
-			return p, fmt.Errorf("bad source %q", src)
-		}
-		p.sources = []kpj.NodeID{kpj.NodeID(id)}
-	default:
-		return p, fmt.Errorf("source or sourceCategory is required")
 	}
+	return req, nil
+}
 
-	switch cat, tgt := get("category"), get("target"); {
-	case cat != "" && tgt != "":
-		return p, fmt.Errorf("give either category or target, not both")
-	case cat != "":
-		nodes, err := ep.g.Category(cat)
-		if err != nil {
-			return p, fmt.Errorf("unknown category %q", cat)
-		}
-		p.targets = nodes
-	case tgt != "":
-		id, err := strconv.ParseInt(tgt, 10, 32)
-		if err != nil {
-			return p, fmt.Errorf("bad target %q", tgt)
-		}
-		p.targets = []kpj.NodeID{kpj.NodeID(id)}
-	default:
-		return p, fmt.Errorf("category or target is required")
+// resolve turns a request into the library's query and options against
+// ep. It checks only what the library cannot see: one form of each end,
+// category names, k's default and cap, and a positive budget; k ≥ 1,
+// node range, non-empty sets, α and the algorithm name are the
+// library's.
+func (s *Server) resolve(ep *epochState, req *request) (q kpj.BatchQuery, opt kpj.Options, err error) {
+	if q.Sources, err = nodeSet(ep.g, req.Source, req.Sources, req.SourceCategory,
+		"source, sources or sourceCategory"); err != nil {
+		return q, opt, err
 	}
+	if q.Targets, err = nodeSet(ep.g, req.Target, req.Targets, req.Category,
+		"target, targets or category"); err != nil {
+		return q, opt, err
+	}
+	q.K = 10
+	if req.K != nil {
+		q.K = *req.K
+	}
+	if q.K > s.maxK {
+		return q, opt, fmt.Errorf("k %d exceeds the server limit %d", q.K, s.maxK)
+	}
+	opt = kpj.Options{Index: ep.ix, Alpha: req.Alpha, Budget: s.budget}
+	if req.Budget != nil {
+		if *req.Budget <= 0 {
+			return q, opt, fmt.Errorf("bad budget %d (must be positive)", *req.Budget)
+		}
+		opt.Budget = *req.Budget
+	}
+	opt.Algorithm, err = kpj.ParseAlgorithm(req.Alg)
+	return q, opt, err
+}
 
-	p.k = 10
-	if ks := get("k"); ks != "" {
-		k, err := strconv.Atoi(ks)
-		if err != nil || k <= 0 {
-			return p, fmt.Errorf("bad k %q", ks)
-		}
-		p.k = k
+// nodeSet resolves one end of a query from exactly one of a node id, a
+// node list and a category name; forms names the three for the error.
+func nodeSet(g *kpj.Graph, id *kpj.NodeID, ids []kpj.NodeID, category, forms string) ([]kpj.NodeID, error) {
+	if id != nil && ids == nil {
+		id, ids = nil, []kpj.NodeID{*id}
 	}
-	if p.k > s.maxK {
-		return p, fmt.Errorf("k %d exceeds the server limit %d", p.k, s.maxK)
+	if id != nil || (ids != nil) == (category != "") {
+		return nil, fmt.Errorf("give exactly one of %s", forms)
 	}
-
-	algo, err := kpj.ParseAlgorithm(get("alg"))
-	if err != nil {
-		return p, fmt.Errorf("unknown alg %q", get("alg"))
+	if ids != nil {
+		return ids, nil
 	}
-	p.opt = &kpj.Options{Algorithm: algo, Index: ep.ix}
-	if as := get("alpha"); as != "" {
-		alpha, err := strconv.ParseFloat(as, 64)
-		if err != nil || alpha <= 1 {
-			return p, fmt.Errorf("bad alpha %q (must exceed 1)", as)
-		}
-		p.opt.Alpha = alpha
-	}
-	if bs := get("budget"); bs != "" {
-		budget, err := strconv.ParseInt(bs, 10, 64)
-		if err != nil || budget <= 0 {
-			return p, fmt.Errorf("bad budget %q (must be positive)", bs)
-		}
-		p.opt.Budget = budget
-	}
-	if withStats {
-		p.opt.Stats = &kpj.Stats{}
-	}
-	if withSpans {
-		p.opt.Spans = kpj.NewSpans()
-	}
-	return p, nil
+	return g.Category(category)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
 	q := r.URL.Query()
-	withStats := q.Get("stats") == "1"
-	withSpans := q.Get("spans") == "1"
 	ep := s.snapshot()
 	// Stamp the serving generation on every /query outcome (success or
 	// error) so the routing tier can fence without parsing bodies.
 	gen := ep.gen()
 	gen.SetHeader(w.Header())
-	p, err := s.parseQuery(ep, q.Get, withStats, withSpans)
+	req, err := decodeURL(q)
+	var bq kpj.BatchQuery
+	var opt kpj.Options
+	if err == nil {
+		bq, opt, err = s.resolve(ep, &req)
+	}
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", err)
 		s.met.observeQuery(reqStart, true, false)
@@ -470,12 +488,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	p.opt.Context = ctx
-	if s.budget > 0 && p.opt.Budget == 0 {
-		p.opt.Budget = s.budget
+	opt.Context = ctx
+	if q.Get("stats") == "1" {
+		opt.Stats = &kpj.Stats{}
+	}
+	if q.Get("spans") == "1" {
+		opt.Spans = kpj.NewSpans()
 	}
 	start := time.Now()
-	paths, qerr := s.execQuery(p)
+	paths, qerr := s.execQuery(ep, bq, &opt)
 	if qerr != nil && kpj.IsInvalidQuery(qerr) {
 		wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "%v", qerr)
 		s.met.observeQuery(reqStart, true, false)
@@ -497,12 +518,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Epoch:         ep.seq,
 		TimeoutMicros: s.timeout.Microseconds(),
 		Truncated:     truncated,
-		Stats:         p.opt.Stats,
+		Stats:         opt.Stats,
 		Fingerprint:   gen.Fingerprint(),
 	}
-	if p.opt.Spans != nil {
+	if opt.Spans != nil {
 		var buf bytes.Buffer
-		if p.opt.Spans.WriteJSON(&buf) == nil {
+		if opt.Spans.WriteJSON(&buf) == nil {
 			resp.Spans = buf.Bytes()
 		}
 	}
@@ -510,19 +531,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.observeQuery(reqStart, false, truncated)
 }
 
-// batchRequestItem is one query of a /batch request.
-type batchRequestItem struct {
-	Sources []kpj.NodeID `json:"sources,omitempty"`
-	Targets []kpj.NodeID `json:"targets,omitempty"`
-	// Category names may be used instead of explicit node sets.
-	SourceCategory string `json:"sourceCategory,omitempty"`
-	Category       string `json:"category,omitempty"`
-	K              int    `json:"k"`
-}
-
 // batchResponseItem is the result at the same index. A truncated item
-// (deadline or budget hit mid-query) carries the partial paths with
-// Truncated set instead of an error.
+// (deadline or budget hit mid-query, or never started) carries the
+// partial paths with Truncated set instead of an error.
 type batchResponseItem struct {
 	Paths     []PathJSON `json:"paths,omitempty"`
 	Truncated bool       `json:"truncated,omitempty"`
@@ -531,10 +542,10 @@ type batchResponseItem struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
-	var items []batchRequestItem
+	var items []json.RawMessage
 	body, ok := wire.ReadBody(w, r, wire.MaxBodyBytes)
 	if ok {
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&items); err != nil {
+		if err := json.Unmarshal(body, &items); err != nil {
 			wire.WriteError(w, http.StatusBadRequest, wire.KindBadRequest, "bad JSON: %v", err)
 			ok = false
 		}
@@ -544,56 +555,49 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.snapshot()
-	queries := make([]kpj.BatchQuery, len(items))
-	resolveErr := make([]error, len(items))
-	for i, it := range items {
-		q := kpj.BatchQuery{Sources: it.Sources, Targets: it.Targets, K: it.K}
-		if q.K == 0 {
-			q.K = 10
-		}
-		if q.K > s.maxK {
-			resolveErr[i] = fmt.Errorf("k %d exceeds the server limit %d", q.K, s.maxK)
+	out := make([]batchResponseItem, len(items))
+	// Items with equal options run as one kpj.Batch.
+	type group struct {
+		opt     kpj.Options
+		queries []kpj.BatchQuery
+		idx     []int // the item each query answers
+	}
+	var groups []*group
+	for i, raw := range items {
+		var req request
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			out[i].Error = fmt.Sprintf("bad JSON: %v", err)
 			continue
 		}
-		if it.SourceCategory != "" {
-			nodes, err := ep.g.Category(it.SourceCategory)
-			if err != nil {
-				resolveErr[i] = fmt.Errorf("unknown sourceCategory %q", it.SourceCategory)
-				continue
-			}
-			q.Sources = nodes
+		q, opt, err := s.resolve(ep, &req)
+		if err != nil {
+			out[i].Error = err.Error()
+			continue
 		}
-		if it.Category != "" {
-			nodes, err := ep.g.Category(it.Category)
-			if err != nil {
-				resolveErr[i] = fmt.Errorf("unknown category %q", it.Category)
-				continue
-			}
-			q.Targets = nodes
+		j := slices.IndexFunc(groups, func(g *group) bool { return g.opt == opt })
+		if j < 0 {
+			j, groups = len(groups), append(groups, &group{opt: opt})
 		}
-		queries[i] = q
+		groups[j].queries, groups[j].idx = append(groups[j].queries, q), append(groups[j].idx, i)
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	// Batches parallelize across queries (one worker per core).
-	results := ep.g.Batch(queries, 0, &kpj.Options{
-		Context: ctx, Index: ep.ix, Budget: s.budget})
-	out := make([]batchResponseItem, len(items))
 	var truncatedItems int64
-	for i := range items {
-		switch {
-		case resolveErr[i] != nil:
-			out[i].Error = resolveErr[i].Error()
-		case results[i].Err != nil:
-			if _, ok := kpj.Truncated(results[i].Err); ok {
-				out[i].Truncated = true
-				out[i].Paths = pathsJSON(results[i].Paths)
+	for _, g := range groups {
+		g.opt.Context = ctx
+		// Batches parallelize across queries (one worker per core).
+		for j, res := range ep.g.Batch(g.queries, 0, &g.opt) {
+			it := &out[g.idx[j]]
+			if _, ok := kpj.Truncated(res.Err); ok {
+				it.Truncated = true
 				truncatedItems++
-			} else {
-				out[i].Error = results[i].Err.Error()
+			} else if res.Err != nil {
+				it.Error = res.Err.Error()
+				continue
 			}
-		default:
-			out[i].Paths = pathsJSON(results[i].Paths)
+			it.Paths = pathsJSON(res.Paths)
 		}
 	}
 	wire.WriteJSON(w, http.StatusOK, out)

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"kpj/internal/obs"
 )
@@ -90,7 +91,10 @@ type Gen struct{ Epoch, FP uint64 }
 func (g Gen) String() string { return fmt.Sprintf("%d/%s", g.Epoch, FormatFP(g.FP)) }
 
 // FormatFP renders a fingerprint as the 16 hex digits of the wire form.
-func FormatFP(fp uint64) string { return fmt.Sprintf("%016x", fp) }
+func FormatFP(fp uint64) string {
+	s := strconv.FormatUint(fp, 16)
+	return strings.Repeat("0", 16-len(s)) + s
+}
 
 // ParseFP reads FormatFP's form; anything else reads as 0.
 func ParseFP(s string) uint64 {
